@@ -318,3 +318,110 @@ class TestFrozenSecondGenOutputs:
         digest, expected_invariant = self.FROZEN[(dataset, algorithm)]
         assert self._digest(values) == digest
         assert invariant == expected_invariant
+
+
+# ---------------------------------------------------------------------------
+# Frozen end-to-end cells: every (algorithm, framework, nodes) outcome.
+# ---------------------------------------------------------------------------
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from repro.algorithms.registry import ALGORITHMS, FRAMEWORKS  # noqa: E402
+from repro.datagen import netflix_like_ratings  # noqa: E402
+from repro.harness import ExperimentSpec, run  # noqa: E402
+from repro.observability import Tracer  # noqa: E402
+
+FROZEN_CELLS_PATH = Path(__file__).with_name("frozen_cells.json")
+FROZEN_NODES = (1, 4)
+#: Large enough that the proxy-scale buffer windows (16/64 MB divided by
+#: the extrapolation factor) actually clamp, so those branches are pinned.
+FROZEN_SCALE_FACTOR = 20000.0
+
+
+def _frozen_dataset(algorithm):
+    if algorithm == "collaborative_filtering":
+        return netflix_like_ratings(8, num_items=48, seed=97)
+    if algorithm == "triangle_counting":
+        return rmat_triangle_graph(scale=8, edge_factor=6, seed=97)
+    return rmat_graph(scale=8, edge_factor=6, seed=97,
+                      directed=algorithm == "pagerank")
+
+
+def _sha(payload):
+    return hashlib.sha256(payload).hexdigest()
+
+
+def _values_digest(values):
+    parts = values if isinstance(values, tuple) else (values,)
+    return _sha(b"".join(np.ascontiguousarray(part).tobytes()
+                         for part in parts))
+
+
+def freeze_cell(algorithm, framework, nodes):
+    """What one cell is frozen as: its DNF status, or three digests.
+
+    ``result`` is everything ``--json`` / ``POST /experiments``
+    serialize (config, metrics, extras); ``spans`` the ordered
+    ``(name, depth)`` list of the traced run; ``values`` the raw answer
+    bytes, which ``to_dict`` only summarizes by shape.
+    """
+    # CF's float accumulation order is backend-specific (its rmse_curve
+    # differs in the last bits), so those cells pin the default backend;
+    # every other cell must freeze identically under either one.
+    kernels = "vectorized" if algorithm == "collaborative_filtering" else None
+    spec = ExperimentSpec(algorithm=algorithm, framework=framework,
+                          dataset=_frozen_dataset(algorithm), nodes=nodes,
+                          scale_factor=FROZEN_SCALE_FACTOR,
+                          enforce_memory=False, kernels=kernels)
+    cell = run(spec, trace=Tracer())
+    if not cell.ok:
+        return cell.status
+    spans = [[span.name, span.depth] for span in cell.trace.spans]
+    return {
+        "result": _sha(json.dumps(cell.to_dict(),
+                                  sort_keys=True).encode()),
+        "spans": _sha(json.dumps(spans).encode()),
+        "values": _values_digest(cell.result.values),
+    }
+
+
+def regenerate_frozen_cells():
+    """Rewrite ``frozen_cells.json``; only for an intended model change.
+
+    ``PYTHONPATH=src python -c "from tests.test_golden_references import
+    regenerate_frozen_cells as r; r()"``
+    """
+    frozen = {
+        f"{algorithm}/{framework}/{nodes}":
+            freeze_cell(algorithm, framework, nodes)
+        for algorithm in ALGORITHMS for framework in FRAMEWORKS
+        for nodes in FROZEN_NODES
+    }
+    FROZEN_CELLS_PATH.write_text(json.dumps(frozen, indent=1,
+                                            sort_keys=True) + "\n")
+
+
+class TestFrozenCells:
+    """All 8 x 10 x {1, 4} registry cells, pinned byte-for-byte.
+
+    The engine refactors promise that no simulated number, ``extras``
+    key or trace span moves; this is where that promise is checked.
+    """
+
+    FROZEN = json.loads(FROZEN_CELLS_PATH.read_text())
+
+    def test_covers_the_whole_registry(self):
+        assert set(self.FROZEN) == {
+            f"{algorithm}/{framework}/{nodes}"
+            for algorithm in ALGORITHMS for framework in FRAMEWORKS
+            for nodes in FROZEN_NODES
+        }
+
+    @pytest.mark.parametrize("nodes", FROZEN_NODES)
+    @pytest.mark.parametrize("framework", FRAMEWORKS)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_cell_unchanged(self, algorithm, framework, nodes):
+        assert freeze_cell(algorithm, framework, nodes) == \
+            self.FROZEN[f"{algorithm}/{framework}/{nodes}"]
