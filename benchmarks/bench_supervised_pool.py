@@ -20,7 +20,7 @@ import multiprocessing
 import os
 import time
 
-from repro.harness.parallel import run_cells_parallel
+from repro.harness.supervisor import run_cells_supervised
 from repro.harness.sweep import CellPolicy, Sweep, execute_cell
 from repro.harness.tables import table5
 from benchmarks.conftest import register_benchmark
@@ -83,7 +83,7 @@ def test_supervised_pool_overhead_vs_raw_pool(regenerate):
 
     start = time.perf_counter()
     supervised = regenerate(
-        lambda: list(run_cells_parallel(pending, execute, policy, jobs=4)))
+        lambda: list(run_cells_supervised(pending, execute, policy, jobs=4)))
     supervised_s = time.perf_counter() - start
 
     assert [c.record.status for c in supervised] \

@@ -15,12 +15,27 @@ from ..frameworks import native
 from ..frameworks.base import PROFILES, FrameworkProfile
 from ..frameworks.datalog import socialite
 from ..frameworks.matrix import combblas, kdt
+from ..frameworks.rounds import PROGRAMS
 from ..frameworks.task import galois
 from ..frameworks.vertex import giraph, gps, graphlab, graphx
 
 ALGORITHMS = ("pagerank", "bfs", "triangle_counting",
               "collaborative_filtering",
               "wcc", "sssp", "k_core", "label_propagation")
+#: A workload's entry point on a framework module, where the name differs.
+_ENTRY_POINTS = {"triangle_counting": "triangle_count"}
+
+_MODULES = {
+    "native": native,
+    "combblas": combblas,
+    "graphlab": graphlab,
+    "socialite": socialite,
+    "giraph": giraph,
+    "galois": galois,
+    "gps": gps,
+    "graphx": graphx,
+    "kdt": kdt,
+}
 #: The paper's frameworks plus the Section 7 related-work systems.
 FRAMEWORKS = ("native", "combblas", "graphlab", "socialite",
               "socialite-published", "giraph", "galois", "gps", "graphx", "kdt")
@@ -32,120 +47,49 @@ def _socialite_published(function):
     return runner
 
 
-_RUNNERS = {
-    ("pagerank", "native"): native.pagerank,
-    ("bfs", "native"): native.bfs,
-    ("triangle_counting", "native"): native.triangle_count,
-    ("collaborative_filtering", "native"): native.collaborative_filtering,
+# A framework module's runner for a workload is its attribute of that
+# name: the program-driven families (native, vertex, task) publish one
+# per round program, the matrix and Datalog modules write theirs by
+# hand. A module without the attribute has no implementation — runner()
+# reports that as a typed ExpressibilityError. SociaLite's k_core /
+# label_propagation are stubs raising the same error with the reason the
+# language cannot express them (see their docstrings).
+_RUNNERS = {}
+for _framework, _module in _MODULES.items():
+    for _algorithm in ALGORITHMS:
+        _function = getattr(
+            _module, _ENTRY_POINTS.get(_algorithm, _algorithm), None)
+        if _function is None:
+            continue
+        _RUNNERS[(_algorithm, _framework)] = _function
+        if _framework == "socialite":
+            _RUNNERS[(_algorithm, "socialite-published")] = \
+                _socialite_published(_function)
 
-    ("pagerank", "combblas"): combblas.pagerank,
-    ("bfs", "combblas"): combblas.bfs,
-    ("triangle_counting", "combblas"): combblas.triangle_count,
-    ("collaborative_filtering", "combblas"): combblas.collaborative_filtering,
-
-    ("pagerank", "graphlab"): graphlab.pagerank,
-    ("bfs", "graphlab"): graphlab.bfs,
-    ("triangle_counting", "graphlab"): graphlab.triangle_count,
-    ("collaborative_filtering", "graphlab"): graphlab.collaborative_filtering,
-
-    ("pagerank", "socialite"): socialite.pagerank,
-    ("bfs", "socialite"): socialite.bfs,
-    ("triangle_counting", "socialite"): socialite.triangle_count,
-    ("collaborative_filtering", "socialite"):
-        socialite.collaborative_filtering,
-
-    ("pagerank", "socialite-published"):
-        _socialite_published(socialite.pagerank),
-    ("bfs", "socialite-published"): _socialite_published(socialite.bfs),
-    ("triangle_counting", "socialite-published"):
-        _socialite_published(socialite.triangle_count),
-    ("collaborative_filtering", "socialite-published"):
-        _socialite_published(socialite.collaborative_filtering),
-
-    ("pagerank", "giraph"): giraph.pagerank,
-    ("bfs", "giraph"): giraph.bfs,
-    ("triangle_counting", "giraph"): giraph.triangle_count,
-    ("collaborative_filtering", "giraph"): giraph.collaborative_filtering,
-
-    ("pagerank", "galois"): galois.pagerank,
-    ("bfs", "galois"): galois.bfs,
-    ("triangle_counting", "galois"): galois.triangle_count,
-    ("collaborative_filtering", "galois"): galois.collaborative_filtering,
-
-    ("pagerank", "gps"): gps.pagerank,
-    ("bfs", "gps"): gps.bfs,
-    ("triangle_counting", "gps"): gps.triangle_count,
-    ("collaborative_filtering", "gps"): gps.collaborative_filtering,
-
-    ("pagerank", "kdt"): kdt.pagerank,
-    ("bfs", "kdt"): kdt.bfs,
-    ("triangle_counting", "kdt"): kdt.triangle_count,
-    ("collaborative_filtering", "kdt"): kdt.collaborative_filtering,
-
-    ("pagerank", "graphx"): graphx.pagerank,
-    ("bfs", "graphx"): graphx.bfs,
-    ("triangle_counting", "graphx"): graphx.triangle_count,
-    ("collaborative_filtering", "graphx"): graphx.collaborative_filtering,
+#: Parameters that engines, not round programs, declare: the one-shot /
+#: two-phase workloads' own, and SociaLite PageRank's roadmap profile.
+_ENGINE_PARAMS = {
+    "pagerank": ("profile_override",),
+    "triangle_counting": ("superstep_splits",),
+    "collaborative_filtering": (
+        "gamma0", "hidden_dim", "iterations", "lambda_reg", "method",
+        "seed", "step_decay", "superstep_splits"),
 }
+#: Knobs two engines add to every workload: native's NativeOptions
+#: toggles and SociaLite's network stack.
+_FRAMEWORK_PARAMS = ("optimized", "options")
 
-# Second-generation workloads (WCC, SSSP, k-core, label propagation)
-# across the same ten frameworks. SociaLite's k_core / label_propagation
-# entries are registered stubs that raise ExpressibilityError when run:
-# the combinations exist (so sweeps enumerate them as typed DNF cells)
-# but the language cannot express them — see their docstrings.
-_RUNNERS.update({
-    ("wcc", "native"): native.wcc,
-    ("sssp", "native"): native.sssp,
-    ("k_core", "native"): native.kcore,
-    ("label_propagation", "native"): native.label_propagation,
 
-    ("wcc", "combblas"): combblas.wcc,
-    ("sssp", "combblas"): combblas.sssp,
-    ("k_core", "combblas"): combblas.k_core,
-    ("label_propagation", "combblas"): combblas.label_propagation,
+def valid_params(algorithm: str) -> tuple:
+    """Parameter names some registered runner of ``algorithm`` accepts.
 
-    ("wcc", "graphlab"): graphlab.wcc,
-    ("sssp", "graphlab"): graphlab.sssp,
-    ("k_core", "graphlab"): graphlab.k_core,
-    ("label_propagation", "graphlab"): graphlab.label_propagation,
-
-    ("wcc", "socialite"): socialite.wcc,
-    ("sssp", "socialite"): socialite.sssp,
-    ("k_core", "socialite"): socialite.k_core,
-    ("label_propagation", "socialite"): socialite.label_propagation,
-
-    ("wcc", "socialite-published"): _socialite_published(socialite.wcc),
-    ("sssp", "socialite-published"): _socialite_published(socialite.sssp),
-    ("k_core", "socialite-published"):
-        _socialite_published(socialite.k_core),
-    ("label_propagation", "socialite-published"):
-        _socialite_published(socialite.label_propagation),
-
-    ("wcc", "giraph"): giraph.wcc,
-    ("sssp", "giraph"): giraph.sssp,
-    ("k_core", "giraph"): giraph.k_core,
-    ("label_propagation", "giraph"): giraph.label_propagation,
-
-    ("wcc", "galois"): galois.wcc,
-    ("sssp", "galois"): galois.sssp,
-    ("k_core", "galois"): galois.k_core,
-    ("label_propagation", "galois"): galois.label_propagation,
-
-    ("wcc", "gps"): gps.wcc,
-    ("sssp", "gps"): gps.sssp,
-    ("k_core", "gps"): gps.k_core,
-    ("label_propagation", "gps"): gps.label_propagation,
-
-    ("wcc", "kdt"): kdt.wcc,
-    ("sssp", "kdt"): kdt.sssp,
-    ("k_core", "kdt"): kdt.k_core,
-    ("label_propagation", "kdt"): kdt.label_propagation,
-
-    ("wcc", "graphx"): graphx.wcc,
-    ("sssp", "graphx"): graphx.sssp,
-    ("k_core", "graphx"): graphx.k_core,
-    ("label_propagation", "graphx"): graphx.label_propagation,
-})
+    The workload's declared parameters (its round program's ``PARAMS``,
+    or the engine-declared ones for triangle counting and CF) plus the
+    per-framework knobs, sorted.
+    """
+    declared = PROGRAMS[algorithm].PARAMS if algorithm in PROGRAMS else ()
+    return tuple(sorted({*declared, *_ENGINE_PARAMS.get(algorithm, ()),
+                         *_FRAMEWORK_PARAMS}))
 
 
 #: Profiles for the Section 7 systems, which live next to their engines

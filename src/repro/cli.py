@@ -100,18 +100,14 @@ def _failure_exit(error, label: str) -> int:
 
 def _run_cell(args, trace=None):
     """Shared run/trace front half: build an ExperimentSpec and run it."""
-    from .harness import ExperimentSpec, run
+    from .harness import ExperimentSpec, run, valid_params
 
     # Only pass what was given (the runner fills in default_params),
-    # and only to the algorithms that take it.
-    params = {}
-    if args.algorithm in ("pagerank", "collaborative_filtering",
-                          "label_propagation") \
-            and args.iterations is not None:
-        params["iterations"] = args.iterations
-    if args.algorithm == "collaborative_filtering" \
-            and args.hidden_dim is not None:
-        params["hidden_dim"] = args.hidden_dim
+    # and only to the algorithms that declare it.
+    accepted = valid_params(args.algorithm)
+    params = {name: getattr(args, name)
+              for name in ("iterations", "hidden_dim")
+              if name in accepted and getattr(args, name) is not None}
     spec = ExperimentSpec(
         algorithm=args.algorithm, framework=args.framework,
         dataset=args.dataset, nodes=args.nodes,

@@ -41,15 +41,26 @@ The numeric hot loops every engine executes for real live in
   frontier sizes) derived from sizes and degrees, never from loop trip
   counts.
 
-Engines look kernels up through :func:`repro.kernels.registry.kernel`
+Kernels are looked up through :func:`repro.kernels.registry.kernel`
 by ``(algorithm, direction)`` — e.g. ``("pagerank", "pull")`` or
-``("collaborative_filtering", "blocked-gd")`` — and keep all accounting
-(:class:`~repro.cluster.ComputeWork` construction, traffic matrices,
-memory allocations) on their side, expressed with profile constants
-from this module. That split is what lets the ``REPRO_KERNELS``
-backend knob (vectorized numpy vs the interpreted pure-Python oracle)
-change wall-clock time without moving a single simulated byte: counted
-work is analytic either way.
+``("collaborative_filtering", "blocked-gd")``. For the six iterative
+workloads the one caller is the workload's *round program* in
+:mod:`repro.frameworks.rounds`, which owns the state machine around
+``step`` (initial state, active set, termination, diagnostics) and
+hands each round's ``KernelWork`` to the engine; the engine keeps all
+accounting (:class:`~repro.cluster.ComputeWork` construction, traffic
+matrices, memory allocations) on its side, expressed as one row of cost
+constants per algorithm plus the profile constants from this module.
+That split is what lets the ``REPRO_KERNELS`` backend knob (vectorized
+numpy vs the interpreted pure-Python oracle) change wall-clock time
+without moving a single simulated byte: counted work is analytic either
+way.
+
+Adding an iterative workload is therefore: a golden reference, a kernel
+(both backends), a round program, one cost row per engine family
+(``native/engine.py``, ``vertex/programs.py``, ``task/galois.py``) and
+its name in ``algorithms.registry.ALGORITHMS`` — see "Where to extend"
+in ``docs/architecture.md``.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from ...frameworks.base import SOCIALITE, SOCIALITE_PUBLISHED, FrameworkProfile
 from ...graph import CSRGraph, RatingsMatrix
 from ...kernels import registry as kernel_registry
 from ..results import AlgorithmResult
+from ..rounds import check_params
 from .engine import EvalStats, SocialiteEngine
 from .rules import Assign, Atom, Head, Rule, Var
 from .table import AggregateTable, TupleTable
@@ -90,12 +91,31 @@ def _allocate_tables(cluster: Cluster, engine: SocialiteEngine) -> None:
     cluster.allocate_all("tables", 1.5 * total / cluster.num_nodes)
 
 
+def _semi_naive(cluster: Cluster, profile: FrameworkProfile,
+                engine: SocialiteEngine, rule: Rule, changed) -> int:
+    """Evaluate a recursive rule on its delta until nothing changes.
+
+    One round per delta set, each charged as a rule evaluation; returns
+    the number of rounds. ``frontier_size`` counts every round's delta.
+    """
+    rounds = 0
+    while changed.size:
+        rounds += 1
+        cluster.tracer.count("frontier_size", int(changed.size))
+        with cluster.trace_span("round", index=rounds,
+                                delta=int(changed.size)):
+            stats = engine.evaluate(rule, delta_keys=changed)
+            _charge(cluster, profile, stats)
+            cluster.mark_iteration()
+        changed = stats.changed
+    return rounds
+
+
 def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
              damping: float = 0.3, optimized: bool = True,
              profile_override: FrameworkProfile = None) -> AlgorithmResult:
     """The paper's distributed PageRank rules, iterated."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    check_params(iterations=iterations, damping=damping)
     profile = _profile(optimized, profile_override)
     n = graph.num_vertices
     engine = SocialiteEngine(cluster.num_nodes, vertex_universe=n,
@@ -151,8 +171,7 @@ def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
 def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0,
         optimized: bool = True) -> AlgorithmResult:
     """The recursive BFS rule, evaluated semi-naively to fixpoint."""
-    if not 0 <= source < graph.num_vertices:
-        raise ValueError(f"source {source} out of range")
+    check_params(graph.num_vertices, source=source)
     profile = _profile(optimized)
     n = graph.num_vertices
     engine = SocialiteEngine(cluster.num_nodes, vertex_universe=n,
@@ -172,19 +191,7 @@ def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0,
     )
 
     changed = bfs_table.combine(np.array([source]), np.array([0.0]))
-    tracer = cluster.tracer
-    tracer.count("frontier_size", 1)          # the source vertex
-    rounds = 0
-    while changed.size:
-        rounds += 1
-        with cluster.trace_span("round", index=rounds,
-                                delta=int(changed.size)):
-            stats = engine.evaluate(rule, delta_keys=changed)
-            _charge(cluster, profile, stats)
-            cluster.mark_iteration()
-        changed = stats.changed
-        if changed.size:
-            tracer.count("frontier_size", int(changed.size))
+    rounds = _semi_naive(cluster, profile, engine, rule, changed)
 
     from ...algorithms.bfs import UNREACHED
     distances = np.where(bfs_table.present,
@@ -273,8 +280,7 @@ def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
     the beginning of each iteration"), computes locally, then ships the
     updated item rows back.
     """
-    if iterations < 1 or hidden_dim < 1:
-        raise ValueError("iterations and hidden_dim must be >= 1")
+    check_params(iterations=iterations, hidden_dim=hidden_dim)
     profile = _profile(optimized)
     nodes = cluster.num_nodes
     rng = np.random.default_rng(seed)
@@ -390,15 +396,7 @@ def wcc(graph: CSRGraph, cluster: Cluster,
     )
 
     changed = comp.combine(np.arange(n), np.arange(n, dtype=np.float64))
-    rounds = 0
-    while changed.size:
-        rounds += 1
-        with cluster.trace_span("round", index=rounds,
-                                delta=int(changed.size)):
-            stats = engine.evaluate(rule, delta_keys=changed)
-            _charge(cluster, profile, stats)
-            cluster.mark_iteration()
-        changed = stats.changed
+    rounds = _semi_naive(cluster, profile, engine, rule, changed)
 
     labels = comp.values.astype(np.int64)
     return AlgorithmResult(
@@ -418,8 +416,7 @@ def sssp(graph: CSRGraph, cluster: Cluster, source: int = 0,
     """
     from ...algorithms.sssp import edge_weights_for
 
-    if not 0 <= source < graph.num_vertices:
-        raise ValueError(f"source {source} out of range")
+    check_params(graph.num_vertices, source=source)
     profile = _profile(optimized)
     n = graph.num_vertices
     engine = SocialiteEngine(cluster.num_nodes, vertex_universe=n,
@@ -439,19 +436,7 @@ def sssp(graph: CSRGraph, cluster: Cluster, source: int = 0,
     )
 
     changed = dist.combine(np.array([source]), np.array([0.0]))
-    tracer = cluster.tracer
-    tracer.count("frontier_size", 1)
-    rounds = 0
-    while changed.size:
-        rounds += 1
-        with cluster.trace_span("round", index=rounds,
-                                delta=int(changed.size)):
-            stats = engine.evaluate(rule, delta_keys=changed)
-            _charge(cluster, profile, stats)
-            cluster.mark_iteration()
-        changed = stats.changed
-        if changed.size:
-            tracer.count("frontier_size", int(changed.size))
+    rounds = _semi_naive(cluster, profile, engine, rule, changed)
 
     distances = np.where(dist.present, dist.values, np.inf)
     return AlgorithmResult(

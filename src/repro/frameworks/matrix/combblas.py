@@ -17,6 +17,8 @@ Algorithm mappings, per Section 3.2 of the paper:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ...algorithms.bfs import UNREACHED
@@ -25,6 +27,7 @@ from ...graph import CSRGraph, RatingsMatrix
 from ...kernels import registry as kernel_registry
 from ..base import COMBBLAS
 from ..results import AlgorithmResult
+from ..rounds import Engine, check_params, run_program
 from ..vertex.programs import bipartite_graph
 from .semiring import MIN_PLUS, OR_AND, PLUS_TIMES
 from .spmat import DistSpMat, ProcessGrid
@@ -91,8 +94,7 @@ def _step(cluster, nnz_per_node, flops, traffic, vector_bytes=0.0,
 def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
              damping: float = 0.3) -> AlgorithmResult:
     """Equation 9, one dense SpMV per iteration."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    check_params(iterations=iterations, damping=damping)
     dist, nnz_per_node = _build(graph, cluster)
     num_vertices = graph.num_vertices
     cluster.allocate_all("vectors", 8.0 * 3 * num_vertices / cluster.num_nodes)
@@ -118,8 +120,7 @@ def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
 
 def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
     """Equation 10: frontier = A^T frontier over the boolean semiring."""
-    if not 0 <= source < graph.num_vertices:
-        raise ValueError(f"source {source} out of range")
+    check_params(graph.num_vertices, source=source)
     dist, nnz_per_node = _build(graph, cluster)
     num_vertices = graph.num_vertices
     cluster.allocate_all("vectors", 8.0 * 2 * num_vertices / cluster.num_nodes)
@@ -129,12 +130,12 @@ def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
     frontier = np.zeros(num_vertices)
     frontier[source] = 1.0
     level = 0
-    tracer = cluster.tracer
-    tracer.count("frontier_size", 1)          # the source vertex
     while frontier.any():
         level += 1
+        size = int(frontier.sum())
+        cluster.tracer.count("frontier_size", size)
         with cluster.trace_span("spmv", kind="sparse", level=level,
-                                frontier=int(frontier.sum())):
+                                frontier=size):
             y, flops, traffic = dist.spmv(frontier, OR_AND, sparse_x=True)
             fresh = (y > 0) & (distances == UNREACHED)
             distances[fresh] = level
@@ -142,8 +143,6 @@ def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
                   touched_nnz=flops / 2.0, gather_random_bytes=4.0)
             cluster.mark_iteration()
         frontier = fresh.astype(np.float64)
-        if fresh.any():
-            tracer.count("frontier_size", int(fresh.sum()))
 
     return AlgorithmResult(
         algorithm="bfs", framework="combblas", values=distances,
@@ -158,8 +157,7 @@ def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
                             lambda_reg: float = 0.05,
                             seed: int = 0) -> AlgorithmResult:
     """GD via 2K per-dimension SpMVs (the Section 3.2 mapping)."""
-    if iterations < 1 or hidden_dim < 1:
-        raise ValueError("iterations and hidden_dim must be >= 1")
+    check_params(iterations=iterations, hidden_dim=hidden_dim)
     from ..base import cf_density_correction
 
     graph = bipartite_graph(ratings)
@@ -269,37 +267,50 @@ def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
 # ---------------------------------------------------------------------------
 
 
+def _min_plus_fixpoint(graph: CSRGraph, cluster: Cluster, values,
+                        edge_values, bytes_per_nnz: float = 16.0):
+    """Sparse min-plus SpMV rounds until no vertex improves.
+
+    The sparse vector starts as ``values`` (absent = ``inf``, the
+    semiring zero); afterwards only just-improved vertices stay present.
+    Returns ``(values, rounds, relaxations)``.
+    """
+    dist, nnz_per_node = _build(graph, cluster, bytes_per_nnz)
+    cluster.allocate_all("vectors",
+                         8.0 * 2 * graph.num_vertices / cluster.num_nodes)
+    x = values
+    rounds = 0
+    relaxations = 0.0
+    while True:
+        rounds += 1
+        if cluster.tracer.enabled:
+            cluster.tracer.count("frontier_size", int(np.isfinite(x).sum()))
+        with cluster.trace_span("spmv", kind="sparse", round=rounds):
+            y, flops, traffic = dist.spmv(x, MIN_PLUS,
+                                          edge_values=edge_values,
+                                          sparse_x=True)
+            relaxations += flops / 2.0
+            merged = np.minimum(values, y)
+            changed = merged < values
+            _step(cluster, nnz_per_node, flops, traffic,
+                  touched_nnz=flops / 2.0, gather_random_bytes=4.0)
+            cluster.mark_iteration()
+        values = merged
+        if not changed.any():
+            return values, rounds, relaxations
+        x = np.where(changed, values, np.inf)
+
+
 def wcc(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
     """HashMin WCC: sparse min-SpMV rounds over component labels.
 
     The min semiring with 0-valued edges carries each present vertex's
     label to its out-neighbors (``multiply(0, x) = x``, min-reduce);
-    only just-improved vertices stay present in the next round's sparse
-    vector. Run on symmetrized graphs.
+    every vertex is present at first. Run on symmetrized graphs.
     """
-    dist, nnz_per_node = _build(graph, cluster)
-    num_vertices = graph.num_vertices
-    cluster.allocate_all("vectors", 8.0 * 2 * num_vertices / cluster.num_nodes)
-
-    carry = np.zeros(graph.num_edges)   # multiply(0, label) = label
-    labels = np.arange(num_vertices, dtype=np.float64)
-    x = labels.copy()                   # every vertex present at first
-    rounds = 0
-    while True:
-        rounds += 1
-        with cluster.trace_span("spmv", kind="sparse", round=rounds):
-            y, flops, traffic = dist.spmv(x, MIN_PLUS, edge_values=carry,
-                                          sparse_x=True)
-            merged = np.minimum(labels, y)
-            changed = merged < labels
-            _step(cluster, nnz_per_node, flops, traffic,
-                  touched_nnz=flops / 2.0, gather_random_bytes=4.0)
-            cluster.mark_iteration()
-        labels = merged
-        if not changed.any():
-            break
-        x = np.where(changed, labels, np.inf)
-
+    labels, rounds, _ = _min_plus_fixpoint(
+        graph, cluster, np.arange(graph.num_vertices, dtype=np.float64),
+        edge_values=np.zeros(graph.num_edges))
     values = labels.astype(np.int64)
     return AlgorithmResult(
         algorithm="wcc", framework="combblas", values=values,
@@ -312,35 +323,12 @@ def sssp(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
     """Bellman-Ford over the tropical semiring: sparse min-plus SpMVs."""
     from ...algorithms.sssp import edge_weights_for
 
-    if not 0 <= source < graph.num_vertices:
-        raise ValueError(f"source {source} out of range")
-    weights = edge_weights_for(graph)
-    dist, nnz_per_node = _build(graph, cluster, bytes_per_nnz=24.0)
-    num_vertices = graph.num_vertices
-    cluster.allocate_all("vectors", 8.0 * 2 * num_vertices / cluster.num_nodes)
-
-    distances = np.full(num_vertices, np.inf)
+    check_params(graph.num_vertices, source=source)
+    distances = np.full(graph.num_vertices, np.inf)
     distances[source] = 0.0
-    x = np.full(num_vertices, np.inf)
-    x[source] = 0.0
-    rounds = 0
-    relaxations = 0.0
-    while True:
-        rounds += 1
-        with cluster.trace_span("spmv", kind="sparse", round=rounds):
-            y, flops, traffic = dist.spmv(x, MIN_PLUS, edge_values=weights,
-                                          sparse_x=True)
-            relaxations += flops / 2.0
-            merged = np.minimum(distances, y)
-            changed = merged < distances
-            _step(cluster, nnz_per_node, flops, traffic,
-                  touched_nnz=flops / 2.0, gather_random_bytes=4.0)
-            cluster.mark_iteration()
-        distances = merged
-        if not changed.any():
-            break
-        x = np.where(changed, distances, np.inf)
-
+    distances, rounds, relaxations = _min_plus_fixpoint(
+        graph, cluster, distances, edge_values=edge_weights_for(graph),
+        bytes_per_nnz=24.0)
     return AlgorithmResult(
         algorithm="sssp", framework="combblas", values=distances,
         iterations=rounds, metrics=cluster.metrics(),
@@ -373,6 +361,7 @@ def k_core(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
                 if removed.size == 0:
                     break
                 waves += 1
+                cluster.tracer.count("frontier_size", int(removed.size))
                 x = np.zeros(num_vertices)
                 x[removed] = 1.0
                 core[removed] = k - 1
@@ -396,42 +385,35 @@ def k_core(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
     )
 
 
-def label_propagation(graph: CSRGraph, cluster: Cluster, iterations: int = 3,
-                      seed: int = 0) -> AlgorithmResult:
-    """CDLP: one dense label exchange per round, mode aggregation.
+class _DenseSpMVEngine(Engine):
+    """Label propagation's rounds as dense SpMVs on this distribution.
 
-    The per-round exchange and matrix scan are exactly a dense SpMV on
-    this distribution; the (max count, min label) mode runs as the
-    semiring's user-defined add.
+    The per-round exchange and matrix scan are exactly a dense SpMV; the
+    (max count, min label) mode runs as the semiring's user-defined add.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    from ...algorithms.labelprop import initial_labels
 
-    dist, nnz_per_node = _build(graph, cluster)
-    num_vertices = graph.num_vertices
-    cluster.allocate_all("vectors", 8.0 * 2 * num_vertices / cluster.num_nodes)
+    def __init__(self, program, graph, cluster):
+        super().__init__(program, graph, cluster,
+                         SimpleNamespace(extras=("communities",)))
+        dist, self._nnz_per_node = _build(graph, cluster)
+        self._vector_bytes = 8.0 * 2 * graph.num_vertices / cluster.num_nodes
+        cluster.allocate_all("vectors", self._vector_bytes)
+        # Flop/traffic template of one dense SpMV on this distribution.
+        _, self._flops, self._traffic = dist.spmv(
+            np.ones(graph.num_vertices), PLUS_TIMES)
 
-    sync = kernel_registry.kernel("label_propagation",
-                                  "sync")().prepare(graph)
-    labels = initial_labels(num_vertices, seed)
+    def iteration_span(self, index: int):
+        return self.cluster.trace_span("spmv", kind="dense", index=index)
 
-    # Flop/traffic template of one dense SpMV on this distribution.
-    probe = np.ones(num_vertices)
-    _, flops_one, traffic_one = dist.spmv(probe, PLUS_TIMES)
+    def sweep(self) -> None:
+        # The mode "add" is a user-defined hash tally: each visited
+        # nonzero pays the dense gather plus a 16 B probe.
+        _step(self.cluster, self._nnz_per_node, self._flops, self._traffic,
+              vector_bytes=self._vector_bytes, gather_random_bytes=48.0)
 
-    for iteration in range(int(iterations)):
-        with cluster.trace_span("spmv", kind="dense", index=iteration):
-            labels, _ = sync.step(labels)
-            # The mode "add" is a user-defined hash tally: each visited
-            # nonzero pays the dense gather plus a 16 B probe.
-            _step(cluster, nnz_per_node, flops_one, traffic_one,
-                  vector_bytes=8.0 * 2 * num_vertices / cluster.num_nodes,
-                  gather_random_bytes=48.0)
-            cluster.mark_iteration()
 
-    return AlgorithmResult(
-        algorithm="label_propagation", framework="combblas", values=labels,
-        iterations=int(iterations), metrics=cluster.metrics(),
-        extras={"communities": int(np.unique(labels).size)},
-    )
+def label_propagation(graph: CSRGraph, cluster: Cluster,
+                      **params) -> AlgorithmResult:
+    """CDLP: one dense label exchange per round, mode aggregation."""
+    return run_program("label_propagation", "combblas", _DenseSpMVEngine,
+                       graph, cluster, params)

@@ -20,7 +20,6 @@ Python-boundary costs:
 from __future__ import annotations
 
 from ...cluster import Cluster
-from ...graph import CSRGraph, RatingsMatrix
 from ..results import AlgorithmResult
 from . import combblas
 
@@ -47,90 +46,56 @@ def _add_python_overhead(cluster: Cluster, callback_nnz: float,
                  + kernel_calls * PYTHON_CALL_OVERHEAD_S)
 
 
-def _relabel(result: AlgorithmResult) -> AlgorithmResult:
-    result.framework = "kdt"
-    return result
+def _through_python(run, boundary):
+    """A CombBLAS runner plus the Python-boundary cost of its kernels.
+
+    ``boundary(dataset, result)`` gives ``(callback_nnz, kernel_calls)``:
+    the nonzeros whose semiring callback crosses into Python, and how
+    many kernel invocations the Python driver issued.
+    """
+    def runner(dataset, cluster: Cluster, **params) -> AlgorithmResult:
+        result = run(dataset, cluster, **params)
+        callback_nnz, kernel_calls = boundary(dataset, result)
+        _add_python_overhead(cluster, callback_nnz, kernel_calls)
+        result.metrics = cluster.metrics()
+        result.framework = "kdt"
+        return result
+    return runner
 
 
-def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
-             damping: float = 0.3) -> AlgorithmResult:
-    """Built-in plus-times semiring: near-CombBLAS speed."""
-    result = combblas.pagerank(graph, cluster, iterations, damping)
-    _add_python_overhead(cluster, callback_nnz=0.0,
-                         kernel_calls=iterations)
-    result.metrics = cluster.metrics()
-    return _relabel(result)
+def _per_round(graph, result):
+    """Built-in semirings: near-CombBLAS speed, driver cost per round."""
+    return 0.0, result.iterations
 
 
-def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    """Frontier filtering runs as a Python callback per touched nonzero."""
-    result = combblas.bfs(graph, cluster, source)
-    # Only the nonzeros adjacent to ever-visited vertices cross the
-    # Python boundary; approximate with the reached share of all edges.
-    reached_fraction = result.extras["reached"] / max(graph.num_vertices, 1)
-    _add_python_overhead(cluster,
-                         callback_nnz=graph.num_edges * reached_fraction,
-                         kernel_calls=result.iterations)
-    result.metrics = cluster.metrics()
-    return _relabel(result)
-
-
-def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    """The masked-multiply filter is a per-multiply Python callback."""
-    result = combblas.triangle_count(graph, cluster)
-    _add_python_overhead(cluster,
-                         callback_nnz=result.extras["spgemm_flops"] / 2.0,
-                         kernel_calls=3)
-    result.metrics = cluster.metrics()
-    return _relabel(result)
-
-
-def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
-                            hidden_dim: int = 64, iterations: int = 10,
-                            **kwargs) -> AlgorithmResult:
-    """Dense-vector updates between SpMVs run in the Python driver."""
-    result = combblas.collaborative_filtering(ratings, cluster, hidden_dim,
-                                              iterations, **kwargs)
-    _add_python_overhead(cluster, callback_nnz=0.0,
-                         kernel_calls=iterations * hidden_dim)
-    result.metrics = cluster.metrics()
-    return _relabel(result)
-
-
-def wcc(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    """Built-in min semiring: near-CombBLAS speed, driver cost per round."""
-    result = combblas.wcc(graph, cluster)
-    _add_python_overhead(cluster, callback_nnz=0.0,
-                         kernel_calls=result.iterations)
-    result.metrics = cluster.metrics()
-    return _relabel(result)
-
-
-def sssp(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    """Built-in min-plus semiring: near-CombBLAS speed per round."""
-    result = combblas.sssp(graph, cluster, source)
-    _add_python_overhead(cluster, callback_nnz=0.0,
-                         kernel_calls=result.iterations)
-    result.metrics = cluster.metrics()
-    return _relabel(result)
-
-
-def k_core(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    """The liveness mask is a Python filter over every peeled nonzero."""
-    result = combblas.k_core(graph, cluster)
-    _add_python_overhead(cluster,
-                         callback_nnz=result.extras["peeled_edges"],
-                         kernel_calls=result.iterations)
-    result.metrics = cluster.metrics()
-    return _relabel(result)
-
-
-def label_propagation(graph: CSRGraph, cluster: Cluster, iterations: int = 3,
-                      seed: int = 0) -> AlgorithmResult:
-    """The mode aggregation is a user-defined add: per-nnz callback."""
-    result = combblas.label_propagation(graph, cluster, iterations, seed)
-    _add_python_overhead(cluster,
-                         callback_nnz=float(graph.num_edges) * iterations,
-                         kernel_calls=iterations)
-    result.metrics = cluster.metrics()
-    return _relabel(result)
+pagerank = _through_python(combblas.pagerank, _per_round)     # plus-times
+wcc = _through_python(combblas.wcc, _per_round)               # min
+sssp = _through_python(combblas.sssp, _per_round)             # min-plus
+bfs = _through_python(
+    combblas.bfs,
+    # Frontier filtering runs as a Python callback per touched nonzero:
+    # only the nonzeros adjacent to ever-visited vertices cross the
+    # boundary; approximate with the reached share of all edges.
+    lambda graph, result: (
+        graph.num_edges * (result.extras["reached"]
+                           / max(graph.num_vertices, 1)),
+        result.iterations))
+triangle_count = _through_python(
+    combblas.triangle_count,
+    # The masked-multiply filter is a per-multiply Python callback.
+    lambda graph, result: (result.extras["spgemm_flops"] / 2.0, 3))
+collaborative_filtering = _through_python(
+    combblas.collaborative_filtering,
+    # Dense-vector updates between SpMVs run in the Python driver.
+    lambda ratings, result: (
+        0.0, result.iterations * result.extras["hidden_dim"]))
+k_core = _through_python(
+    combblas.k_core,
+    # The liveness mask is a Python filter over every peeled nonzero.
+    lambda graph, result: (result.extras["peeled_edges"],
+                           result.iterations))
+label_propagation = _through_python(
+    combblas.label_propagation,
+    # The mode aggregation is a user-defined add: per-nnz callback.
+    lambda graph, result: (float(graph.num_edges) * result.iterations,
+                           result.iterations))

@@ -1,6 +1,6 @@
 """Hand-optimized native implementations — the paper's reference point."""
 
-from .bfs import bfs
+from ..rounds import DEFAULT_DAMPING
 from .cf import DEFAULT_K, collaborative_filtering, iterations_to_rmse
 from .compression import (
     bitvector_decode,
@@ -10,20 +10,18 @@ from .compression import (
     encode_id_set,
     encoded_size,
 )
-from .kcore import kcore
-from .labelprop import label_propagation
+from .engine import RUNNERS as _RUNNERS
 from .options import FIGURE7_LADDER, NativeOptions
-from .pagerank import DEFAULT_DAMPING, pagerank
-from .sssp import sssp
 from .triangle import triangle_count
-from .wcc import wcc
+
+# native.pagerank(graph, cluster, options=...) etc.: the round programs.
+globals().update(_RUNNERS)
 
 __all__ = [
     "DEFAULT_DAMPING",
     "DEFAULT_K",
     "FIGURE7_LADDER",
     "NativeOptions",
-    "bfs",
     "bitvector_decode",
     "bitvector_encode",
     "collaborative_filtering",
@@ -32,10 +30,5 @@ __all__ = [
     "encode_id_set",
     "encoded_size",
     "iterations_to_rmse",
-    "kcore",
-    "label_propagation",
-    "pagerank",
-    "sssp",
     "triangle_count",
-    "wcc",
 ]

@@ -33,6 +33,7 @@ from ...kernels.sgd import (  # noqa: F401  (re-exported compatibility names)
     training_rmse,
 )
 from ..results import AlgorithmResult
+from ..rounds import check_params
 from .options import NativeOptions
 
 #: Default hidden dimension. The paper's message sizes (Table 1: 8 KB per
@@ -53,10 +54,7 @@ def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
     ``"gd"`` (the frameworks' fallback). Returns ``(P, Q)`` in ``values``
     and the per-iteration training RMSE in ``extras["rmse_curve"]``.
     """
-    if method not in ("sgd", "gd"):
-        raise ValueError(f"method must be 'sgd' or 'gd', got {method!r}")
-    if iterations < 1 or hidden_dim < 1:
-        raise ValueError("iterations and hidden_dim must be >= 1")
+    check_params(iterations=iterations, hidden_dim=hidden_dim, method=method)
     options = options or NativeOptions()
     rng = np.random.default_rng(seed)
 

@@ -1,0 +1,382 @@
+"""Native engine: what the hand-optimized code owns around a round program.
+
+The six iterative workloads themselves live in
+:mod:`repro.frameworks.rounds`; this is the paper's native *machinery*
+(Sections 3, 6.1, after [28]) applied to all of them:
+
+* an **edge-balanced 1-D partition** ("so that each node has roughly
+  the same number of edges") — of the out-edges for frontier programs,
+  of the in-edges for the dense pull programs;
+* **owner routing** of remotely-discovered vertices as one id stream
+  per (node, owner) pair, with the adaptive bit-vector / delta-varint
+  **compression** of Section 6.1.1 (:func:`~.compression.encoded_size`);
+* a **bit-vector** visited set for BFS, software **prefetching** of the
+  irregular probes, and **overlap** of computation with the exchange —
+  the :class:`~.options.NativeOptions` toggles Figure 7 sweeps;
+* one row of cost constants per algorithm, turned into per-node
+  ``ComputeWork`` by :meth:`NativeEngine._works` / ``_dense_works``.
+
+Dense programs (PageRank, label propagation) store *incoming* edges so
+the per-edge gather streams one contiguous edge array; each node
+packages the values of its owned vertices that remote nodes need, and
+that exchange plan — hence the traffic matrix — is iteration-invariant.
+k-core runs each level's delete cascade to fixpoint locally and charges
+*one* superstep per level: the native code batches the waves the way
+its BFS batches a level's discoveries, so the network only sees each
+level's aggregate degree-decrement traffic.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from dataclasses import dataclass
+
+import numpy as np
+
+from ...cluster import ComputeWork
+from ...cluster.cost import CACHE_LINE_BYTES
+from ...graph import partition_edges_1d
+from ..rounds import PROGRAMS, Engine, run_program
+from .compression import encoded_size
+from .options import NativeOptions
+
+_ID_BYTES = 8.0               # raw vertex id on the wire
+_VALUE_BYTES = 8.0            # a double / long payload next to it
+#: Flat ratio the degree-decrement id stream compresses to (k-core).
+_PEEL_COMPRESSION = 0.35
+
+
+@dataclass(frozen=True)
+class FrontierCost:
+    """Cost row of a frontier program (per visited edge unless noted)."""
+
+    state: tuple                    #: ((label, bytes per owned vertex), ...)
+    edge_stream: float              #: adjacency scan + dedup/scatter passes
+    edge_random: float              #: irregular bytes after the sort pass
+    changed_random: float           #: ... per improved vertex (the write)
+    edge_ops: float
+    extras: tuple
+    graph_edge_bytes: float = 8.0   #: 16 with stored weights
+    wire_value_bytes: float = 0.0   #: payload sent with each routed id
+    #: BFS: a visited structure of 1 bit (or 1 byte) per vertex replaces
+    #: ``edge_random`` with line-granular probes of it.
+    visited_set: bool = False
+    #: k_core: per-level rescan of the live degrees for seeds.
+    rescan_vertex_stream: float = 0.0
+    rescan_vertex_ops: float = 0.0
+
+
+@dataclass(frozen=True)
+class DenseCost:
+    """Cost row of a dense pull program."""
+
+    state: tuple
+    tally_random: float             #: per-edge hash probe beyond the gather
+    edge_ops: float
+    vertex_ops: float
+    extras: tuple
+    send_buffers: bool = False
+
+
+COSTS = {
+    "bfs": FrontierCost(
+        state=(("distances", 4.0),), visited_set=True,
+        edge_stream=8 + 12, edge_random=1.0, changed_random=4.0,
+        edge_ops=4.0,
+        extras=("frontier_sizes", "edges_examined", "compression_ratio",
+                "reached")),
+    "wcc": FrontierCost(
+        state=(("labels", 8.0),), wire_value_bytes=_VALUE_BYTES,
+        # Like BFS: label scatters are sorted into near-streaming runs,
+        # so only ~1 B/edge stays irregular.
+        edge_stream=8 + 12, edge_random=1.0, changed_random=8.0,
+        edge_ops=4.0,
+        extras=("components", "compression_ratio")),
+    "sssp": FrontierCost(
+        state=(("distances", 8.0),), wire_value_bytes=_VALUE_BYTES,
+        graph_edge_bytes=16.0,
+        edge_stream=8 + 12 + 8, edge_random=1.0, changed_random=8.0,
+        edge_ops=5.0,
+        extras=("relaxations", "reached", "compression_ratio")),
+    "k_core": FrontierCost(
+        state=(("degrees", 8.0), ("core", 8.0)),
+        edge_stream=8 + 12, edge_random=8.0, changed_random=0.0,
+        edge_ops=2.0, rescan_vertex_stream=8.0, rescan_vertex_ops=1.0,
+        extras=("max_core", "cascade_waves", "compression_ratio")),
+    "pagerank": DenseCost(
+        state=(("ranks", 8.0 * 3),), send_buffers=True,
+        tally_random=0.0, edge_ops=2.0, vertex_ops=3.0,
+        extras=("traffic_bytes_per_iteration", "compression_ratio",
+                "edges_per_node")),
+    "label_propagation": DenseCost(
+        state=(("labels", 8.0 * 2), ("tallies", 16.0)),
+        # The per-edge tally insert is a hash probe on top of the gather.
+        tally_random=16.0, edge_ops=6.0, vertex_ops=4.0,
+        extras=("communities", "traffic_bytes_per_iteration")),
+}
+
+
+def _exchange_plan(in_csr, part) -> dict:
+    """Which remote values each node needs, as {(owner, consumer): ids}."""
+    plan = {}
+    for consumer in range(part.num_parts):
+        lo, hi = part.part_range(consumer)
+        sources = in_csr.targets[in_csr.offsets[lo]:in_csr.offsets[hi]]
+        needed = np.unique(sources)
+        owners = part.owner_of_many(needed)
+        for owner in np.unique(owners):
+            owner = int(owner)
+            if owner == consumer:
+                continue
+            plan[(owner, consumer)] = needed[owners == owner]
+    return plan
+
+
+class NativeEngine(Engine):
+    """Partition, route, compress and charge like the native code."""
+
+    def __init__(self, program, graph, cluster, options: NativeOptions = None):
+        super().__init__(program, graph, cluster, COSTS[program.algorithm])
+        self.options = options or NativeOptions()
+        self.per_level = program.algorithm == "k_core"
+        self._raw_bytes = 0.0
+        self._wire_bytes = 0.0
+        dense = program.shape == "dense"
+        # Dense programs pull over in-edges; frontier programs push.
+        self._csr = graph.reverse() if dense else graph
+        self.part = partition_edges_1d(self._csr, cluster.num_nodes)
+        self._edges_per_node = np.diff(
+            self._csr.offsets[self.part.bounds]).astype(np.float64)
+        self._verts_per_node = self.part.part_sizes().astype(np.float64)
+        if dense:
+            self._plan_exchange()
+            return
+        self._out_degrees = graph.out_degrees()
+        for node in range(cluster.num_nodes):
+            self._allocate_state(node, self.cost.graph_edge_bytes)
+            if self.cost.visited_set:
+                cluster.allocate(node, "visited",
+                                 self._visited_bytes_per_vertex()
+                                 * graph.num_vertices)
+
+    def _allocate_state(self, node: int, graph_edge_bytes: float) -> None:
+        """This node's CSR share, then the program's per-vertex arrays."""
+        verts = self._verts_per_node[node]
+        self.cluster.allocate(node, "graph",
+                              graph_edge_bytes * self._edges_per_node[node]
+                              + 8 * (verts + 1))
+        for label, per_vertex in self.cost.state:
+            self.cluster.allocate(node, label, per_vertex * verts)
+
+    def _visited_bytes_per_vertex(self) -> float:
+        return 1.0 / 8.0 if self.options.bitvector else 1.0
+
+    # -- owner routing ------------------------------------------------------
+
+    def _id_stream_bytes(self, ids, owner: int, value_bytes: float) -> float:
+        """Wire size of ``ids`` (+ a value each) sent to their ``owner``.
+
+        Compression targets the id stream only (Section 6.1.1): ids are
+        rebased to the owner's range and take the smaller of the
+        delta-varint and bit-vector encodings.
+        """
+        raw = (_ID_BYTES + value_bytes) * ids.size
+        self._raw_bytes += raw
+        if not self.options.compression:
+            return raw
+        lo, hi = self.part.part_range(owner)
+        return float(encoded_size(ids - lo, hi - lo)) + value_bytes * ids.size
+
+    def _route(self, node: int, improved, traffic) -> None:
+        """Send ``node``'s remotely-owned discoveries to their owners."""
+        owners = self.part.owner_of_many(improved)
+        for owner in np.unique(owners):
+            owner = int(owner)
+            if owner == node:
+                continue
+            nbytes = self._id_stream_bytes(improved[owners == owner], owner,
+                                           self.cost.wire_value_bytes)
+            traffic[node, owner] += nbytes
+            self._wire_bytes += nbytes
+
+    # -- frontier rounds ----------------------------------------------------
+
+    def _works(self, edges, active, changed) -> list:
+        """Per-node ``ComputeWork`` of one round from the cost row."""
+        cost = self.cost
+        edge_random = 8.0 * self._visited_bytes_per_vertex() \
+            if cost.visited_set else cost.edge_random
+        return [ComputeWork(
+            streamed_bytes=cost.edge_stream * edges[node] + 8 * active[node],
+            random_bytes=(edge_random * edges[node]
+                          + cost.changed_random * changed[node]),
+            ops=cost.edge_ops * edges[node],
+            prefetch=self.options.prefetch,
+        ) for node in range(self.cluster.num_nodes)]
+
+    def _receive(self, traffic, window: bool) -> None:
+        """Receive-side buffers sized by the round's incoming traffic."""
+        cluster = self.cluster
+        for node in range(cluster.num_nodes):
+            incoming = traffic[:, node].sum()
+            if window and self.options.overlap:
+                # The 16 MB blocking window is a physical buffer size;
+                # divide by the extrapolation factor since allocations
+                # are scaled back up by the memory tracker.
+                incoming = min(incoming, 16 * 2**20 / cluster.scale_factor)
+            cluster.allocate(node, "recv-buffers", incoming)
+
+    def round(self, active):
+        if self.per_level:
+            return self._peel_wave(active)
+        nodes = self.cluster.num_nodes
+        owners = self.part.owner_of_many(active)
+        traffic = np.zeros((nodes, nodes))
+        edges, sizes, changed = np.zeros(nodes), np.zeros(nodes), \
+            np.zeros(nodes)
+        proposals = []
+        for node in range(nodes):
+            mine = active[owners == node]
+            # Local combine: dedup + drop already-known before sending.
+            proposal, improved, work = self.program.propose(mine)
+            proposals.append((proposal, improved))
+            self._route(node, improved, traffic)
+            edges[node], sizes[node], changed[node] = \
+                work.edges, mine.size, improved.size
+        self._receive(traffic, window=True)
+        self.cluster.superstep(self._works(edges, sizes, changed), traffic,
+                               overlap=self.options.overlap)
+        return self.program.commit(proposals)
+
+    # -- k_core: waves accumulate into one superstep per level ---------------
+
+    def _peel_wave(self, removed):
+        nodes = self.cluster.num_nodes
+        owners = self.part.owner_of_many(removed)
+        self._level_edges += np.bincount(
+            owners, weights=self._out_degrees[removed], minlength=nodes)
+        self._level_removed += np.bincount(owners, minlength=nodes)
+        # Cross-partition degree decrements: one id per remote edge.
+        neighbors, lengths = self.graph.neighbors_of_many(removed)
+        if neighbors.size:
+            src_owner = np.repeat(owners, lengths)
+            dst_owner = self.part.owner_of_many(neighbors)
+            remote = src_owner != dst_owner
+            pairs = np.bincount(src_owner[remote] * nodes
+                                + dst_owner[remote], minlength=nodes ** 2)
+            raw = _ID_BYTES * pairs.reshape(nodes, -1)
+            self._raw_bytes += raw.sum()
+            wire = raw * (_PEEL_COMPRESSION if self.options.compression
+                          else 1.0)
+            self._level_traffic += wire
+            self._wire_bytes += wire.sum()
+        next_wave, _ = self.program.round(removed)
+        return next_wave
+
+    @contextlib.contextmanager
+    def level(self):
+        if not self.per_level:
+            yield
+            return
+        cluster, cost, nodes = self.cluster, self.cost, self.cluster.num_nodes
+        with cluster.trace_span("level", **self.program.level_attrs()):
+            self._level_edges = np.zeros(nodes)
+            self._level_removed = np.zeros(nodes)
+            self._level_traffic = np.zeros((nodes, nodes))
+            yield
+            works = self._works(self._level_edges, self._level_removed,
+                                np.zeros(nodes))
+            for node, work in enumerate(works):
+                verts = self._verts_per_node[node]
+                work.streamed_bytes += cost.rescan_vertex_stream * verts
+                work.ops += cost.rescan_vertex_ops * verts
+            self._receive(self._level_traffic, window=False)
+            cluster.superstep(works, self._level_traffic,
+                              overlap=self.options.overlap)
+            cluster.mark_iteration()
+
+    # -- dense sweeps ---------------------------------------------------------
+
+    def _plan_exchange(self) -> None:
+        """Iteration-invariant traffic, buffers and per-node work."""
+        cluster, cost, options = self.cluster, self.cost, self.options
+        nodes = cluster.num_nodes
+        plan = _exchange_plan(self._csr, self.part)
+        self._traffic = np.zeros((nodes, nodes))
+        recv_entries = np.zeros(nodes)
+        for (owner, consumer), ids in plan.items():
+            self._traffic[owner, consumer] = self._id_stream_bytes(
+                ids, owner, _VALUE_BYTES)
+            recv_entries[consumer] += ids.size
+        for node in range(nodes):
+            self._allocate_state(node, 8.0)
+            cluster.allocate(node, "recv-buffers", 8 * recv_entries[node])
+            if cost.send_buffers:
+                send_bytes = self._traffic[node, :].sum()
+                if options.overlap:
+                    # 64 MB blocking window, expressed at proxy scale
+                    # (the tracker re-applies the extrapolation factor).
+                    send_bytes = min(send_bytes,
+                                     64 * 2**20 / cluster.scale_factor)
+                cluster.allocate(node, "send-buffers", send_bytes)
+
+        # Each in-edge gathers a remote value from a (mostly) cold cache
+        # line: 64 bytes of DRAM traffic per edge. Software prefetching
+        # pipelines those line fills into streams (the [28] technique);
+        # without it they are latency-bound random accesses. This
+        # constant reproduces the paper's ~122 bytes/edge (640M edges/s
+        # at 78 GB/s).
+        gather_bytes = CACHE_LINE_BYTES * self._edges_per_node
+        self._dense_works = []
+        for node in range(nodes):
+            edges, verts = self._edges_per_node[node], \
+                self._verts_per_node[node]
+            message_bytes = self._traffic[node, :].sum() \
+                + self._traffic[:, node].sum()
+            if options.prefetch:
+                streamed_gather = gather_bytes[node]
+                random_gather = 0.05 * gather_bytes[node]
+            else:
+                streamed_gather = 0.0
+                random_gather = gather_bytes[node]
+            self._dense_works.append(ComputeWork(
+                streamed_bytes=(8 * edges              # edge array scan
+                                + streamed_gather      # prefetched gather
+                                + 16 * verts           # state read+write
+                                + 2 * message_bytes),  # pack + unpack
+                random_bytes=random_gather + cost.tally_random * edges,
+                ops=cost.edge_ops * edges + cost.vertex_ops * verts,
+                prefetch=options.prefetch,
+            ))
+
+    def iteration_span(self, index: int):
+        if self.program.algorithm == "pagerank":
+            return self.cluster.trace_span(
+                "iteration", index=index,
+                compressed=self.options.compression)
+        return super().iteration_span(index)
+
+    def sweep(self) -> None:
+        self.cluster.superstep(self._dense_works, self._traffic,
+                               overlap=self.options.overlap)
+
+    def diagnostics(self) -> dict:
+        wire = float(self._traffic.sum()) if self.program.shape == "dense" \
+            else self._wire_bytes
+        return {
+            "compression_ratio": (self._raw_bytes / wire if wire > 0
+                                  else 1.0),
+            "traffic_bytes_per_iteration": wire,
+            "edges_per_node": self._edges_per_node,
+        }
+
+
+def _runner(algorithm: str):
+    def run(graph, cluster, *, options: NativeOptions = None, **params):
+        return run_program(algorithm, "native", NativeEngine, graph, cluster,
+                           params, options=options)
+    return run
+
+
+#: The native entry point of every round program.
+RUNNERS = {algorithm: _runner(algorithm) for algorithm in PROGRAMS}

@@ -119,23 +119,15 @@ PAPER_PREDICTED_GAP = {
 }
 
 
-def _pagerank_with_profile(graph, cluster: Cluster,
-                           profile: FrameworkProfile, iterations: int = 3):
-    """PageRank through the vertex engine under an arbitrary profile."""
-    from .vertex.programs import pagerank_vertex
+def _with_profile(algorithm: str, graph, cluster: Cluster,
+                  profile: FrameworkProfile, **params):
+    """A round program through the vertex engine under any profile."""
+    from .rounds import run_program
+    from .vertex.programs import VertexEngine
 
     mode = "vertex-cut" if "vertex-cut" in profile.partitioning else "1d"
-    return pagerank_vertex(graph, cluster, profile, iterations=iterations,
-                           partition_mode=mode)
-
-
-def _bfs_with_profile(graph, cluster: Cluster, profile: FrameworkProfile,
-                      source: int = 0):
-    from .vertex.programs import bfs_vertex
-
-    mode = "vertex-cut" if "vertex-cut" in profile.partitioning else "1d"
-    return bfs_vertex(graph, cluster, profile, source=source,
-                      partition_mode=mode)
+    return run_program(algorithm, profile.name, VertexEngine, graph, cluster,
+                       params, profile=profile, partition_mode=mode)
 
 
 def roadmap_outcomes(nodes: int = 4) -> dict:
@@ -181,13 +173,8 @@ def roadmap_outcomes(nodes: int = 4) -> dict:
                                         profile_override=improved_profile)
             improved_runtime = result.runtime_for_comparison()
         else:
-            if algorithm == "pagerank":
-                result = _pagerank_with_profile(data, cluster,
-                                                improved_profile,
-                                                iterations=3)
-            else:
-                result = _bfs_with_profile(data, cluster, improved_profile,
-                                           source=params["source"])
+            result = _with_profile(algorithm, data, cluster,
+                                   improved_profile, **params)
             improved_runtime = result.runtime_for_comparison()
 
         baseline = native.runtime()

@@ -15,9 +15,11 @@ Paper characteristics bound here (Sections 3, 5.2, 6.2):
 
 from __future__ import annotations
 
+import contextlib
+from dataclasses import dataclass
+
 import numpy as np
 
-from ...algorithms.bfs import UNREACHED
 from ...cluster import Cluster, ComputeWork
 from ...errors import ReproError
 from ...graph import CSRGraph, RatingsMatrix
@@ -25,6 +27,7 @@ from ...kernels import registry as kernel_registry
 from ..base import GALOIS
 from ..native.cf import collaborative_filtering as _native_cf
 from ..results import AlgorithmResult
+from ..rounds import PROGRAMS, Engine, run_program
 
 _PROFILE = GALOIS
 
@@ -46,86 +49,126 @@ def _work(streamed, random, ops) -> ComputeWork:
     )
 
 
-def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
-             damping: float = 0.3) -> AlgorithmResult:
-    """Per-vertex work items updating ranks, like GraphLab's but local."""
-    _require_single_node(cluster)
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    num_vertices = graph.num_vertices
-    num_edges = graph.num_edges
-    cluster.allocate(0, "graph", 8.0 * num_edges + 8.0 * (num_vertices + 1))
-    cluster.allocate(0, "ranks", 24.0 * num_vertices)
+def _step(cluster: Cluster, streamed, random, ops) -> None:
+    cluster.superstep(_work(streamed, random, ops),
+                      overhead_s=_PROFILE.superstep_overhead_s)
 
-    pull = kernel_registry.kernel("pagerank", "pull")(damping).prepare(graph)
-    ranks = np.full(num_vertices, 1.0)
-    for iteration in range(iterations):
-        with cluster.trace_span("iteration", index=iteration):
-            ranks, _ = pull.step(ranks)
-            # Same memory behaviour as the native kernel — per-edge rank
-            # gathers at cache-line granularity, prefetched into streams —
-            # plus Galois's small per-work-item scheduling cost.
-            cluster.superstep(
-                _work(streamed=(8.0 + 64.0) * num_edges + 16.0 * num_vertices,
-                      random=0.05 * 64.0 * num_edges,
-                      ops=5.0 * num_edges + 8.0 * num_vertices),
-                overhead_s=_PROFILE.superstep_overhead_s,
-            )
+
+@dataclass(frozen=True)
+class TaskCost:
+    """Cost row of one round program as Galois work items.
+
+    One round charges ``edge_* x`` the edges its work items visit,
+    ``active_stream x`` the items themselves, ``changed_random x`` the
+    vertices they update and ``vertex_ops x`` every vertex — the same
+    per-edge traffic as the native kernels (scan + dedup and scatter
+    passes + probes, prefetched gathers at cache-line granularity) at
+    Galois's slightly lower per-op efficiency plus its small
+    per-work-item scheduling cost.
+    """
+
+    state: tuple                   #: (label, bytes per vertex)
+    edge_stream: float
+    active_stream: float
+    edge_random: float
+    edge_ops: float
+    extras: tuple
+    graph_edge_bytes: float = 8.0  #: 16 with stored weights
+    changed_random: float = 0.0
+    tally_random: float = 0.0      #: per-edge hash probe (label tallies)
+    vertex_ops: float = 0.0
+    #: k_core: per-level rescan of the live degrees for seeds.
+    rescan_vertex_stream: float = 0.0
+
+
+COSTS = {
+    # Per-vertex work items updating ranks, like GraphLab's but local.
+    "pagerank": TaskCost(
+        state=("ranks", 24.0), edge_stream=8.0 + 64.0, active_stream=16.0,
+        edge_random=0.05 * 64.0, edge_ops=5.0, vertex_ops=8.0, extras=()),
+    # Algorithm 3: bulk-synchronous worklists, one round per level.
+    "bfs": TaskCost(
+        state=("levels+worklists", 12.0), edge_stream=8.0 + 12.0,
+        active_stream=8.0, edge_random=1.0, changed_random=4.0,
+        edge_ops=6.0, extras=("frontier_sizes", "reached")),
+    # Every vertex starts on the worklist with its own id; a round
+    # re-enqueues vertices whose label dropped.
+    "wcc": TaskCost(
+        state=("labels+worklists", 16.0), edge_stream=8.0 + 12.0,
+        active_stream=8.0, edge_random=1.0, changed_random=8.0,
+        edge_ops=4.0, extras=("components",)),
+    # Bellman-Ford rounds over the improved-distance worklist.
+    "sssp": TaskCost(
+        state=("distances+worklists", 16.0), graph_edge_bytes=16.0,
+        edge_stream=8.0 + 12.0 + 8.0, active_stream=8.0, edge_random=1.0,
+        changed_random=8.0, edge_ops=5.0, extras=("reached",)),
+    # Ascending-k cascade peel; one worklist round per cascade wave.
+    "k_core": TaskCost(
+        state=("degrees+core", 16.0), edge_stream=8.0 + 12.0,
+        active_stream=8.0, edge_random=8.0, edge_ops=2.0, vertex_ops=1.0,
+        rescan_vertex_stream=8.0, extras=("max_core", "cascade_waves")),
+    # Synchronous CDLP rounds, one tallying work item per vertex.
+    "label_propagation": TaskCost(
+        state=("labels+tallies", 32.0), edge_stream=8.0 + 64.0,
+        active_stream=16.0, edge_random=0.05 * 64.0, tally_random=16.0,
+        edge_ops=6.0, vertex_ops=4.0, extras=("communities",)),
+}
+
+
+class GaloisEngine(Engine):
+    """Shared-memory worklists: no routing, one superstep per round."""
+
+    def __init__(self, program, graph, cluster):
+        super().__init__(program, graph, cluster, COSTS[program.algorithm])
+        self.per_level = program.algorithm == "k_core"
+        self._vertices = float(graph.num_vertices)
+        label, per_vertex = self.cost.state
+        cluster.allocate(0, "graph",
+                         self.cost.graph_edge_bytes * graph.num_edges
+                         + 8.0 * (graph.num_vertices + 1))
+        cluster.allocate(0, label, per_vertex * graph.num_vertices)
+
+    def _charge(self, edges: float, active: float, changed: float) -> None:
+        cost = self.cost
+        _step(self.cluster,
+              streamed=cost.edge_stream * edges + cost.active_stream * active,
+              random=(cost.edge_random * edges
+                      + cost.changed_random * changed
+                      + cost.tally_random * edges),
+              ops=cost.edge_ops * edges + cost.vertex_ops * self._vertices)
+
+    def round(self, active):
+        changed, work = self.program.round(active)
+        self._charge(work.edges, active.size, changed.size)
+        return changed
+
+    @contextlib.contextmanager
+    def level(self):
+        if not self.per_level:
+            yield
+            return
+        cluster = self.cluster
+        with cluster.trace_span("level", **self.program.level_attrs()):
+            yield
+            _step(cluster,
+                  streamed=self.cost.rescan_vertex_stream * self._vertices,
+                  random=0.0, ops=self._vertices)
             cluster.mark_iteration()
 
-    return AlgorithmResult(
-        algorithm="pagerank", framework="galois", values=ranks,
-        iterations=iterations, metrics=cluster.metrics(), extras={},
-    )
+    def sweep(self) -> None:
+        self._charge(float(self.graph.num_edges), self._vertices, 0.0)
 
 
-def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    """Algorithm 3: bulk-synchronous worklists, one round per level."""
-    _require_single_node(cluster)
-    if not 0 <= source < graph.num_vertices:
-        raise ValueError(f"source {source} out of range")
-    num_vertices = graph.num_vertices
-    cluster.allocate(0, "graph",
-                     8.0 * graph.num_edges + 8.0 * (num_vertices + 1))
-    cluster.allocate(0, "levels+worklists", 12.0 * num_vertices)
+def _runner(algorithm: str):
+    def run(graph, cluster, **params):
+        _require_single_node(cluster)
+        return run_program(algorithm, "galois", GaloisEngine, graph, cluster,
+                           params)
+    return run
 
-    expand = kernel_registry.kernel("bfs", "push")().prepare(graph)
-    distances = np.full(num_vertices, UNREACHED, dtype=np.int32)
-    distances[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    frontier_sizes = [1]
-    tracer = cluster.tracer
-    tracer.count("frontier_size", 1)          # the source vertex
-    while frontier.size:
-        level += 1
-        with cluster.trace_span("level", index=level,
-                                frontier=int(frontier.size)):
-            candidates, expand_work = expand.step(frontier)
-            edges = expand_work.edges
-            fresh = candidates[distances[candidates] == UNREACHED]
-            distances[fresh] = level
-            # Same per-edge traffic as the native kernel (scan + dedup
-            # and scatter passes + visited probes), at Galois's slightly
-            # lower per-op efficiency.
-            cluster.superstep(
-                _work(streamed=(8.0 + 12.0) * edges + 8.0 * frontier.size,
-                      random=1.0 * edges + 4.0 * fresh.size,
-                      ops=6.0 * edges),
-                overhead_s=_PROFILE.superstep_overhead_s,
-            )
-            cluster.mark_iteration()
-        frontier = fresh
-        frontier_sizes.append(int(fresh.size))
-        if fresh.size:
-            tracer.count("frontier_size", int(fresh.size))
 
-    return AlgorithmResult(
-        algorithm="bfs", framework="galois", values=distances,
-        iterations=level, metrics=cluster.metrics(),
-        extras={"frontier_sizes": frontier_sizes,
-                "reached": int((distances != UNREACHED).sum())},
-    )
+# galois.pagerank(graph, cluster, ...) etc.: the round programs.
+globals().update({algorithm: _runner(algorithm) for algorithm in PROGRAMS})
 
 
 def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
@@ -209,168 +252,4 @@ def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
         metrics=cluster.metrics(),
         extras={"rmse_curve": native_result.extras["rmse_curve"],
                 "method": "sgd", "hidden_dim": hidden_dim},
-    )
-
-
-def wcc(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    """Label-propagation WCC over bulk-synchronous worklists.
-
-    Every vertex starts on the worklist with its own id; a round pushes
-    the current label across each frontier vertex's out-edges and
-    re-enqueues vertices whose label dropped.
-    """
-    _require_single_node(cluster)
-    num_vertices = graph.num_vertices
-    cluster.allocate(0, "graph",
-                     8.0 * graph.num_edges + 8.0 * (num_vertices + 1))
-    cluster.allocate(0, "labels+worklists", 16.0 * num_vertices)
-
-    push = kernel_registry.kernel("wcc", "propagate")().prepare(graph)
-    labels = np.arange(num_vertices, dtype=np.int64)
-    frontier = np.arange(num_vertices, dtype=np.int64)
-    rounds = 0
-    while frontier.size:
-        rounds += 1
-        with cluster.trace_span("round", index=rounds,
-                                frontier=int(frontier.size)):
-            (labels, changed), work = push.step(labels, frontier)
-            cluster.superstep(
-                _work(streamed=(8.0 + 12.0) * work.edges
-                      + 8.0 * frontier.size,
-                      random=1.0 * work.edges + 8.0 * changed.size,
-                      ops=4.0 * work.edges),
-                overhead_s=_PROFILE.superstep_overhead_s,
-            )
-            cluster.mark_iteration()
-        frontier = changed
-
-    return AlgorithmResult(
-        algorithm="wcc", framework="galois", values=labels,
-        iterations=rounds, metrics=cluster.metrics(),
-        extras={"components": int(np.unique(labels).size)},
-    )
-
-
-def sssp(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    """Bellman-Ford rounds over the improved-distance worklist."""
-    _require_single_node(cluster)
-    if not 0 <= source < graph.num_vertices:
-        raise ValueError(f"source {source} out of range")
-    num_vertices = graph.num_vertices
-    cluster.allocate(0, "graph",
-                     16.0 * graph.num_edges + 8.0 * (num_vertices + 1))
-    cluster.allocate(0, "distances+worklists", 16.0 * num_vertices)
-
-    relax = kernel_registry.kernel("sssp", "relax")().prepare(graph)
-    distances = np.full(num_vertices, np.inf, dtype=np.float64)
-    distances[source] = 0.0
-    frontier = np.array([source], dtype=np.int64)
-    tracer = cluster.tracer
-    tracer.count("frontier_size", 1)
-    rounds = 0
-    while frontier.size:
-        rounds += 1
-        with cluster.trace_span("round", index=rounds,
-                                frontier=int(frontier.size)):
-            (distances, changed), work = relax.step(distances, frontier)
-            cluster.superstep(
-                _work(streamed=(8.0 + 12.0 + 8.0) * work.edges
-                      + 8.0 * frontier.size,
-                      random=1.0 * work.edges + 8.0 * changed.size,
-                      ops=5.0 * work.edges),
-                overhead_s=_PROFILE.superstep_overhead_s,
-            )
-            cluster.mark_iteration()
-        frontier = changed
-        if changed.size:
-            tracer.count("frontier_size", int(changed.size))
-
-    return AlgorithmResult(
-        algorithm="sssp", framework="galois", values=distances,
-        iterations=rounds, metrics=cluster.metrics(),
-        extras={"reached": int(np.isfinite(distances).sum())},
-    )
-
-
-def k_core(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    """Ascending-k cascade peel; one worklist round per cascade wave."""
-    _require_single_node(cluster)
-    num_vertices = graph.num_vertices
-    cluster.allocate(0, "graph",
-                     8.0 * graph.num_edges + 8.0 * (num_vertices + 1))
-    cluster.allocate(0, "degrees+core", 16.0 * num_vertices)
-
-    peel = kernel_registry.kernel("k_core", "peel")().prepare(graph)
-    degrees = graph.out_degrees().astype(np.int64)
-    core = np.zeros(num_vertices, dtype=np.int64)
-    alive = np.ones(num_vertices, dtype=bool)
-    levels = 0
-    waves = 0
-    k = 1
-    while alive.any():
-        levels += 1
-        with cluster.trace_span("level", k=k, alive=int(alive.sum())):
-            while True:
-                (removed, degrees), work = peel.step(degrees, alive, k)
-                if removed.size == 0:
-                    break
-                waves += 1
-                core[removed] = k - 1
-                alive[removed] = False
-                cluster.superstep(
-                    _work(streamed=(8.0 + 12.0) * work.edges
-                          + 8.0 * removed.size,
-                          random=8.0 * work.edges,
-                          ops=2.0 * work.edges + float(num_vertices)),
-                    overhead_s=_PROFILE.superstep_overhead_s,
-                )
-            # Per-level rescan of the live degrees for sub-threshold seeds.
-            cluster.superstep(
-                _work(streamed=8.0 * num_vertices, random=0.0,
-                      ops=float(num_vertices)),
-                overhead_s=_PROFILE.superstep_overhead_s,
-            )
-            cluster.mark_iteration()
-        k += 1
-
-    return AlgorithmResult(
-        algorithm="k_core", framework="galois", values=core,
-        iterations=levels, metrics=cluster.metrics(),
-        extras={"max_core": int(core.max()) if core.size else 0,
-                "cascade_waves": waves},
-    )
-
-
-def label_propagation(graph: CSRGraph, cluster: Cluster, iterations: int = 3,
-                      seed: int = 0) -> AlgorithmResult:
-    """Synchronous CDLP rounds, one tallying work item per vertex."""
-    _require_single_node(cluster)
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    from ...algorithms.labelprop import initial_labels
-
-    num_vertices = graph.num_vertices
-    num_edges = graph.num_edges
-    cluster.allocate(0, "graph",
-                     8.0 * num_edges + 8.0 * (num_vertices + 1))
-    cluster.allocate(0, "labels+tallies", 32.0 * num_vertices)
-
-    sync = kernel_registry.kernel("label_propagation", "sync")().prepare(graph)
-    labels = initial_labels(num_vertices, seed)
-    for iteration in range(int(iterations)):
-        with cluster.trace_span("iteration", index=iteration):
-            labels, _ = sync.step(labels)
-            cluster.superstep(
-                _work(streamed=(8.0 + 64.0) * num_edges
-                      + 16.0 * num_vertices,
-                      random=0.05 * 64.0 * num_edges + 16.0 * num_edges,
-                      ops=6.0 * num_edges + 4.0 * num_vertices),
-                overhead_s=_PROFILE.superstep_overhead_s,
-            )
-            cluster.mark_iteration()
-
-    return AlgorithmResult(
-        algorithm="label_propagation", framework="galois", values=labels,
-        iterations=int(iterations), metrics=cluster.metrics(),
-        extras={"communities": int(np.unique(labels).size)},
     )

@@ -17,10 +17,9 @@ from .engine import (
 from .programs import (
     BFSVertexProgram,
     PageRankVertexProgram,
-    bfs_vertex,
+    VertexEngine,
     bipartite_graph,
     cf_gd_vertex,
-    pagerank_vertex,
     triangle_vertex,
 )
 
@@ -36,13 +35,12 @@ __all__ = [
     "ExchangeStats",
     "PageRankVertexProgram",
     "VertexContext",
+    "VertexEngine",
     "VertexProgram",
-    "bfs_vertex",
     "bipartite_graph",
     "cf_gd_vertex",
     "giraph",
     "graphlab",
-    "pagerank_vertex",
     "run_vertex_program",
     "triangle_vertex",
 ]

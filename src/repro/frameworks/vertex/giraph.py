@@ -14,20 +14,8 @@ The paper's Giraph characteristics bound here:
 
 from __future__ import annotations
 
-from ...cluster import Cluster
-from ...graph import CSRGraph, RatingsMatrix
 from ..base import GIRAPH
-from ..results import AlgorithmResult
-from .programs import (
-    bfs_vertex,
-    cf_gd_vertex,
-    kcore_vertex,
-    lp_vertex,
-    pagerank_vertex,
-    sssp_vertex,
-    triangle_vertex,
-    wcc_vertex,
-)
+from .programs import frontend
 
 #: "breaking up each superstep into 100 smaller supersteps" (Section 6.1.3).
 TRIANGLE_SPLITS = 100
@@ -36,49 +24,13 @@ TRIANGLE_SPLITS = 100
 CF_SPLITS = 10
 
 
-def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
-             damping: float = 0.3) -> AlgorithmResult:
-    return pagerank_vertex(graph, cluster, GIRAPH, iterations, damping,
-                           partition_mode="1d")
-
-
-def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    return bfs_vertex(graph, cluster, GIRAPH, source, partition_mode="1d")
-
-
-def triangle_count(graph: CSRGraph, cluster: Cluster,
-                   superstep_splits: int = TRIANGLE_SPLITS) -> AlgorithmResult:
-    return triangle_vertex(graph, cluster, GIRAPH, partition_mode="1d",
-                           superstep_splits=superstep_splits)
-
-
-def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
-                            hidden_dim: int = 64, iterations: int = 10,
-                            superstep_splits: int = CF_SPLITS,
-                            **kwargs) -> AlgorithmResult:
+# giraph.pagerank(graph, cluster, ...) etc.: one runner per workload.
+globals().update(frontend(
+    GIRAPH, "1d",
+    triangle_counting={"superstep_splits": TRIANGLE_SPLITS},
     # The paper's Giraph CF staggers senders in phases and deduplicates
     # the factor vector sent towards each node (Section 3.2) — i.e. a
     # combiner is installed for this program, unlike the defaults.
-    return cf_gd_vertex(ratings, cluster, GIRAPH, hidden_dim, iterations,
-                        partition_mode="1d",
-                        superstep_splits=superstep_splits,
-                        combine_messages=True, **kwargs)
-
-
-def wcc(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    return wcc_vertex(graph, cluster, GIRAPH, partition_mode="1d")
-
-
-def sssp(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    return sssp_vertex(graph, cluster, GIRAPH, source,
-                       partition_mode="1d")
-
-
-def k_core(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    return kcore_vertex(graph, cluster, GIRAPH, partition_mode="1d")
-
-
-def label_propagation(graph: CSRGraph, cluster: Cluster, iterations: int = 3,
-                      seed: int = 0) -> AlgorithmResult:
-    return lp_vertex(graph, cluster, GIRAPH, iterations, seed,
-                     partition_mode="1d")
+    collaborative_filtering={"superstep_splits": CF_SPLITS,
+                             "combine_messages": True},
+))

@@ -19,21 +19,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ...cluster import Cluster
 from ...cluster.network import CommLayer
-from ...graph import CSRGraph, RatingsMatrix
 from ..base import GIRAPH, FrameworkProfile
-from ..results import AlgorithmResult
-from .programs import (
-    bfs_vertex,
-    cf_gd_vertex,
-    kcore_vertex,
-    lp_vertex,
-    pagerank_vertex,
-    sssp_vertex,
-    triangle_vertex,
-    wcc_vertex,
-)
+from .programs import frontend
 
 #: GPS's custom sockets-over-Java stack: better than Hadoop/Netty but
 #: below the C sockets of GraphLab.
@@ -64,44 +52,9 @@ GPS: FrameworkProfile = replace(
 )
 
 
-def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
-             damping: float = 0.3) -> AlgorithmResult:
-    return pagerank_vertex(graph, cluster, GPS, iterations, damping,
-                           partition_mode="vertex-cut")
-
-
-def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    return bfs_vertex(graph, cluster, GPS, source,
-                      partition_mode="vertex-cut")
-
-
-def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    return triangle_vertex(graph, cluster, GPS, partition_mode="vertex-cut",
-                           superstep_splits=10)
-
-
-def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
-                            hidden_dim: int = 64, iterations: int = 10,
-                            **kwargs) -> AlgorithmResult:
-    return cf_gd_vertex(ratings, cluster, GPS, hidden_dim, iterations,
-                        partition_mode="vertex-cut", superstep_splits=4,
-                        **kwargs)
-
-
-def wcc(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    return wcc_vertex(graph, cluster, GPS, partition_mode="vertex-cut")
-
-
-def sssp(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    return sssp_vertex(graph, cluster, GPS, source,
-                       partition_mode="vertex-cut")
-
-
-def k_core(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    return kcore_vertex(graph, cluster, GPS, partition_mode="vertex-cut")
-
-
-def label_propagation(graph: CSRGraph, cluster: Cluster, iterations: int = 3,
-                      seed: int = 0) -> AlgorithmResult:
-    return lp_vertex(graph, cluster, GPS, iterations, seed,
-                     partition_mode="vertex-cut")
+# gps.pagerank(graph, cluster, ...) etc.: one runner per workload.
+globals().update(frontend(
+    GPS, "vertex-cut",
+    triangle_counting={"superstep_splits": 10},
+    collaborative_filtering={"superstep_splits": 4},
+))

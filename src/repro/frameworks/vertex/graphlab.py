@@ -12,59 +12,12 @@ The paper's GraphLab (v2.2) characteristics bound here:
 
 from __future__ import annotations
 
-from ...cluster import Cluster
-from ...graph import CSRGraph, RatingsMatrix
 from ..base import GRAPHLAB
-from ..results import AlgorithmResult
-from .programs import (
-    bfs_vertex,
-    cf_gd_vertex,
-    kcore_vertex,
-    lp_vertex,
-    pagerank_vertex,
-    sssp_vertex,
-    triangle_vertex,
-    wcc_vertex,
-)
+from .programs import frontend
 
 
-def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
-             damping: float = 0.3) -> AlgorithmResult:
-    return pagerank_vertex(graph, cluster, GRAPHLAB, iterations, damping,
-                           partition_mode="vertex-cut")
-
-
-def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    return bfs_vertex(graph, cluster, GRAPHLAB, source,
-                      partition_mode="vertex-cut")
-
-
-def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    return triangle_vertex(graph, cluster, GRAPHLAB,
-                           partition_mode="vertex-cut", use_cuckoo=True)
-
-
-def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
-                            hidden_dim: int = 64, iterations: int = 10,
-                            **kwargs) -> AlgorithmResult:
-    return cf_gd_vertex(ratings, cluster, GRAPHLAB, hidden_dim, iterations,
-                        partition_mode="vertex-cut", **kwargs)
-
-
-def wcc(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    return wcc_vertex(graph, cluster, GRAPHLAB, partition_mode="vertex-cut")
-
-
-def sssp(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    return sssp_vertex(graph, cluster, GRAPHLAB, source,
-                       partition_mode="vertex-cut")
-
-
-def k_core(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    return kcore_vertex(graph, cluster, GRAPHLAB, partition_mode="vertex-cut")
-
-
-def label_propagation(graph: CSRGraph, cluster: Cluster, iterations: int = 3,
-                      seed: int = 0) -> AlgorithmResult:
-    return lp_vertex(graph, cluster, GRAPHLAB, iterations, seed,
-                     partition_mode="vertex-cut")
+# graphlab.pagerank(graph, cluster, ...) etc.: one runner per workload.
+globals().update(frontend(
+    GRAPHLAB, "vertex-cut",
+    triangle_counting={"use_cuckoo": True},
+))

@@ -15,21 +15,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ...cluster import Cluster
 from ...cluster.network import CommLayer
-from ...graph import CSRGraph, RatingsMatrix
 from ..base import GRAPHLAB, FrameworkProfile
-from ..results import AlgorithmResult
-from .programs import (
-    bfs_vertex,
-    cf_gd_vertex,
-    kcore_vertex,
-    lp_vertex,
-    pagerank_vertex,
-    sssp_vertex,
-    triangle_vertex,
-    wcc_vertex,
-)
+from .programs import frontend
 
 #: Spark block-transfer service: netty-based shuffle, better tuned than
 #: Hadoop RPC but with shuffle-file spill overheads.
@@ -61,43 +49,10 @@ GRAPHX: FrameworkProfile = replace(
 )
 
 
-def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
-             damping: float = 0.3) -> AlgorithmResult:
-    return pagerank_vertex(graph, cluster, GRAPHX, iterations, damping,
-                           partition_mode="1d")
-
-
-def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    return bfs_vertex(graph, cluster, GRAPHX, source, partition_mode="1d")
-
-
-def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    return triangle_vertex(graph, cluster, GRAPHX, partition_mode="1d",
-                           superstep_splits=4)
-
-
-def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
-                            hidden_dim: int = 64, iterations: int = 10,
-                            **kwargs) -> AlgorithmResult:
-    return cf_gd_vertex(ratings, cluster, GRAPHX, hidden_dim, iterations,
-                        partition_mode="1d", superstep_splits=4,
-                        combine_messages=True, **kwargs)
-
-
-def wcc(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    return wcc_vertex(graph, cluster, GRAPHX, partition_mode="1d")
-
-
-def sssp(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    return sssp_vertex(graph, cluster, GRAPHX, source,
-                       partition_mode="1d")
-
-
-def k_core(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    return kcore_vertex(graph, cluster, GRAPHX, partition_mode="1d")
-
-
-def label_propagation(graph: CSRGraph, cluster: Cluster, iterations: int = 3,
-                      seed: int = 0) -> AlgorithmResult:
-    return lp_vertex(graph, cluster, GRAPHX, iterations, seed,
-                     partition_mode="1d")
+# graphx.pagerank(graph, cluster, ...) etc.: one runner per workload.
+globals().update(frontend(
+    GRAPHX, "1d",
+    triangle_counting={"superstep_splits": 4},
+    collaborative_filtering={"superstep_splits": 4,
+                             "combine_messages": True},
+))

@@ -1,18 +1,22 @@
-"""Vertex programs for the four workloads.
+"""Vertex programs for the workloads.
 
-Contains both:
+Contains:
 
 * literal per-vertex programs — transliterations of the paper's
   Algorithm 1 (PageRank) and Algorithm 2 (BFS), runnable on the
   :func:`~repro.frameworks.vertex.engine.run_vertex_program` interpreter
   and used as semantics oracles;
-* vectorized drivers — the same algorithms executed at NumPy speed
-  through :class:`~repro.frameworks.vertex.engine.BSPEngine`, which does
-  the distributed accounting. These are what the GraphLab and Giraph
-  front-ends call.
+* :class:`VertexEngine` — what the vertex family owns around the six
+  round programs of :mod:`repro.frameworks.rounds`: every active vertex
+  messages its out-neighbors through
+  :class:`~repro.frameworks.vertex.engine.BSPEngine`, which routes,
+  combines and charges under the framework's profile;
+* the one-shot triangle-counting and two-phase CF drivers.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from ...graph import CSRGraph, EdgeList, RatingsMatrix
 from ...kernels import registry as kernel_registry
 from ..base import FrameworkProfile
 from ..results import AlgorithmResult
+from ..rounds import PROGRAMS, Engine, check_params, run_program
 from .engine import BSPEngine, ExchangeStats, VertexProgram
 
 # ---------------------------------------------------------------------------
@@ -76,109 +81,84 @@ class BFSVertexProgram(VertexProgram):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized drivers.
+# The vertex family's side of the round programs.
 # ---------------------------------------------------------------------------
 
-_PR_MESSAGE_BYTES = 8.0    # Table 1: PageRank sends a double per edge
-_BFS_MESSAGE_BYTES = 4.0   # Table 1: BFS sends an int per edge
+
+@dataclass(frozen=True)
+class VertexCost:
+    """Cost row of one round program as a vertex program."""
+
+    message_bytes: float        #: Table 1: what one edge message carries
+    extras: tuple
+    ops_per_edge: float = 8.0
 
 
-def pagerank_vertex(graph: CSRGraph, cluster: Cluster,
-                    profile: FrameworkProfile, iterations: int = 10,
-                    damping: float = 0.3,
-                    partition_mode: str = "1d") -> AlgorithmResult:
-    """PageRank as a vertex program: all vertices active every superstep."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    engine = BSPEngine(graph, cluster, profile, partition_mode)
-    engine.allocate_graph(_PR_MESSAGE_BYTES)
-
-    num_vertices = graph.num_vertices
-    all_vertices = np.arange(num_vertices, dtype=np.int64)
-    pull = kernel_registry.kernel("pagerank", "pull")(damping).prepare(graph)
-    ranks = np.full(num_vertices, 1.0)
-
-    edges_per_node = np.bincount(engine.vertex_owner[graph.sources()],
-                                 minlength=cluster.num_nodes).astype(float)
-
-    for iteration in range(iterations):
-        with cluster.trace_span("iteration", index=iteration):
-            if engine.vertex_cut is not None:
-                traffic = engine.replication_sync_traffic(all_vertices,
-                                                          _PR_MESSAGE_BYTES)
-                stats = ExchangeStats(messages=float(traffic.sum() / 8.0),
-                                      payload_bytes=float(traffic.sum()),
-                                      traffic=traffic)
-            else:
-                stats = engine.edge_messages(all_vertices, _PR_MESSAGE_BYTES)
-
-            ranks, _ = pull.step(ranks)
-
-            engine.superstep(all_vertices, edges_per_node, stats,
-                             _PR_MESSAGE_BYTES)
-            cluster.mark_iteration()
-
-    return AlgorithmResult(
-        algorithm="pagerank", framework=profile.name, values=ranks,
-        iterations=iterations, metrics=cluster.metrics(),
-        extras={"partition_mode": partition_mode},
-    )
+COSTS = {
+    "pagerank": VertexCost(8.0, ("partition_mode",)),           # a double
+    "bfs": VertexCost(4.0, ("frontier_sizes", "reached")),      # an int
+    "wcc": VertexCost(8.0, ("partition_mode", "components")),   # a long
+    "sssp": VertexCost(8.0, ("frontier_rounds", "reached")),    # a double
+    # A removed vertex messages a decrement to every neighbor, so a
+    # level with a deep cascade pays a superstep (and its overhead) per
+    # wave — what separates the frameworks from batched native code.
+    "k_core": VertexCost(4.0, ("partition_mode", "max_core")),  # an int
+    # The per-edge tally insert costs a couple of ops beyond the
+    # PageRank-style accumulate.
+    "label_propagation": VertexCost(8.0, ("partition_mode", "communities"),
+                                    ops_per_edge=10.0),
+}
 
 
-def bfs_vertex(graph: CSRGraph, cluster: Cluster, profile: FrameworkProfile,
-               source: int = 0, partition_mode: str = "1d") -> AlgorithmResult:
-    """Level-synchronous BFS as a vertex program."""
-    if not 0 <= source < graph.num_vertices:
-        raise ValueError(f"source {source} out of range")
-    engine = BSPEngine(graph, cluster, profile, partition_mode)
-    engine.allocate_graph(_BFS_MESSAGE_BYTES)
+class VertexEngine(Engine):
+    """Active vertices message all out-neighbors; the BSP engine charges."""
 
-    out_degrees = graph.out_degrees()
-    expand = kernel_registry.kernel("bfs", "push")().prepare(graph)
-    distances = np.full(graph.num_vertices, UNREACHED, dtype=np.int32)
-    distances[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    frontier_sizes = [1]
-    level = 0
+    def __init__(self, program, graph, cluster, profile: FrameworkProfile,
+                 partition_mode: str = "1d"):
+        super().__init__(program, graph, cluster, COSTS[program.algorithm])
+        self.partition_mode = partition_mode
+        self.bsp = BSPEngine(graph, cluster, profile, partition_mode)
+        self.bsp.allocate_graph(self.cost.message_bytes)
+        if program.shape == "dense":
+            self._all = np.arange(graph.num_vertices, dtype=np.int64)
+            self._edges_per_node = np.bincount(
+                self.bsp.vertex_owner[graph.sources()],
+                minlength=cluster.num_nodes).astype(float)
+        else:
+            self._out_degrees = graph.out_degrees()
 
-    tracer = cluster.tracer
-    tracer.count("frontier_size", 1)          # the source vertex
-    while frontier.size:
-        level += 1
-        with cluster.trace_span("level", index=level,
-                                frontier=int(frontier.size)):
-            stats = engine.edge_messages(frontier, _BFS_MESSAGE_BYTES)
-            if engine.vertex_cut is not None:
-                # GAS: the wire carries mirror sync, not per-edge messages.
-                local = np.diag(np.diag(stats.traffic))
-                stats.traffic = local + engine.replication_sync_traffic(
-                    frontier, _BFS_MESSAGE_BYTES
-                )
+    def round(self, active):
+        bsp, message_bytes = self.bsp, self.cost.message_bytes
+        stats = bsp.edge_messages(active, message_bytes)
+        if bsp.vertex_cut is not None:
+            # GAS: the wire carries mirror sync, not per-edge messages.
+            local = np.diag(np.diag(stats.traffic))
+            stats.traffic = local + bsp.replication_sync_traffic(
+                active, message_bytes)
+        changed, _ = self.program.round(active)
+        edges_per_node = np.bincount(
+            bsp.vertex_owner[active],
+            weights=self._out_degrees[active].astype(float),
+            minlength=self.cluster.num_nodes,
+        )
+        bsp.superstep(active, edges_per_node, stats, message_bytes,
+                      ops_per_edge=self.cost.ops_per_edge)
+        return changed
 
-            candidates, _ = expand.step(frontier)
-            fresh = candidates[distances[candidates] == UNREACHED]
-            distances[fresh] = level
+    def sweep(self) -> None:
+        bsp, message_bytes = self.bsp, self.cost.message_bytes
+        if bsp.vertex_cut is not None:
+            traffic = bsp.replication_sync_traffic(self._all, message_bytes)
+            stats = ExchangeStats(messages=float(traffic.sum() / 8.0),
+                                  payload_bytes=float(traffic.sum()),
+                                  traffic=traffic)
+        else:
+            stats = bsp.edge_messages(self._all, message_bytes)
+        bsp.superstep(self._all, self._edges_per_node, stats, message_bytes,
+                      ops_per_edge=self.cost.ops_per_edge)
 
-            edges_per_node = np.bincount(
-                engine.vertex_owner[frontier],
-                weights=out_degrees[frontier].astype(float),
-                minlength=cluster.num_nodes,
-            )
-            engine.superstep(frontier, edges_per_node, stats,
-                             _BFS_MESSAGE_BYTES)
-            cluster.mark_iteration()
-
-        frontier = fresh
-        frontier_sizes.append(int(fresh.size))
-        if fresh.size:
-            tracer.count("frontier_size", int(fresh.size))
-
-    return AlgorithmResult(
-        algorithm="bfs", framework=profile.name, values=distances,
-        iterations=level, metrics=cluster.metrics(),
-        extras={"frontier_sizes": frontier_sizes,
-                "reached": int((distances != UNREACHED).sum())},
-    )
+    def diagnostics(self) -> dict:
+        return {"partition_mode": self.partition_mode}
 
 
 def triangle_vertex(graph: CSRGraph, cluster: Cluster,
@@ -263,8 +243,7 @@ def cf_gd_vertex(ratings: RatingsMatrix, cluster: Cluster,
     for Giraph's memory ceiling ("only 1/s vertices have to send
     messages in a given superstep", Section 3.2).
     """
-    if iterations < 1 or hidden_dim < 1:
-        raise ValueError("iterations and hidden_dim must be >= 1")
+    check_params(iterations=iterations, hidden_dim=hidden_dim)
     from ..base import cf_density_correction
 
     graph = bipartite_graph(ratings)
@@ -338,224 +317,40 @@ def cf_gd_vertex(ratings: RatingsMatrix, cluster: Cluster,
 
 
 # ---------------------------------------------------------------------------
-# Second-generation drivers (WCC, SSSP, k-core, label propagation).
+# A framework = a profile, a partitioning, and a few argument overrides.
 # ---------------------------------------------------------------------------
 
-_WCC_MESSAGE_BYTES = 8.0    # the pushed component label (long)
-_SSSP_MESSAGE_BYTES = 8.0   # the pushed tentative distance (double)
-_KCORE_MESSAGE_BYTES = 4.0  # a degree decrement (int)
-_LP_MESSAGE_BYTES = 8.0     # the advertised label (long)
 
+def frontend(profile: FrameworkProfile, partition_mode: str,
+             triangle_counting: dict = None,
+             collaborative_filtering: dict = None) -> dict:
+    """One vertex framework's runners, keyed by entry-point name.
 
-def wcc_vertex(graph: CSRGraph, cluster: Cluster, profile: FrameworkProfile,
-               partition_mode: str = "1d") -> AlgorithmResult:
-    """WCC as a vertex program: delta rounds of min-label flooding.
-
-    Every vertex starts active with its own id; a round's senders are
-    the vertices whose label shrank last round (HashMin / "connected
-    components" in the survey literature). Run on symmetrized graphs.
+    Every round program of :data:`~repro.frameworks.rounds.PROGRAMS`
+    under :class:`VertexEngine`, plus ``triangle_count`` and
+    ``collaborative_filtering``. The two dicts are the framework's
+    default arguments to :func:`triangle_vertex` / :func:`cf_gd_vertex`
+    (superstep splitting, combiners, the cuckoo structure); callers may
+    still override them per call. Front-end modules publish the result
+    as their module attributes (``giraph.pagerank(graph, cluster)``).
     """
-    engine = BSPEngine(graph, cluster, profile, partition_mode)
-    engine.allocate_graph(_WCC_MESSAGE_BYTES)
+    def rounds(algorithm):
+        def run(graph, cluster, **params):
+            return run_program(algorithm, profile.name, VertexEngine, graph,
+                               cluster, params, profile=profile,
+                               partition_mode=partition_mode)
+        return run
 
-    out_degrees = graph.out_degrees()
-    push = kernel_registry.kernel("wcc", "propagate")().prepare(graph)
-    labels = np.arange(graph.num_vertices, dtype=np.int64)
-    frontier = np.arange(graph.num_vertices, dtype=np.int64)
+    def triangle_count(graph, cluster, **params):
+        return triangle_vertex(graph, cluster, profile,
+                               partition_mode=partition_mode,
+                               **{**(triangle_counting or {}), **params})
 
-    rounds = 0
-    tracer = cluster.tracer
-    while frontier.size:
-        rounds += 1
-        with cluster.trace_span("round", index=rounds,
-                                frontier=int(frontier.size)):
-            stats = engine.edge_messages(frontier, _WCC_MESSAGE_BYTES)
-            if engine.vertex_cut is not None:
-                local = np.diag(np.diag(stats.traffic))
-                stats.traffic = local + engine.replication_sync_traffic(
-                    frontier, _WCC_MESSAGE_BYTES
-                )
+    def cf(ratings, cluster, **params):
+        return cf_gd_vertex(ratings, cluster, profile,
+                            partition_mode=partition_mode,
+                            **{**(collaborative_filtering or {}), **params})
 
-            (labels, changed), _ = push.step(labels, frontier)
-
-            edges_per_node = np.bincount(
-                engine.vertex_owner[frontier],
-                weights=out_degrees[frontier].astype(float),
-                minlength=cluster.num_nodes,
-            )
-            engine.superstep(frontier, edges_per_node, stats,
-                             _WCC_MESSAGE_BYTES)
-            cluster.mark_iteration()
-
-        frontier = changed
-        tracer.count("frontier_size", int(changed.size))
-
-    return AlgorithmResult(
-        algorithm="wcc", framework=profile.name, values=labels,
-        iterations=rounds, metrics=cluster.metrics(),
-        extras={"partition_mode": partition_mode,
-                "components": int(np.unique(labels).size)},
-    )
-
-
-def sssp_vertex(graph: CSRGraph, cluster: Cluster, profile: FrameworkProfile,
-                source: int = 0,
-                partition_mode: str = "1d") -> AlgorithmResult:
-    """SSSP as a vertex program: Bellman-Ford delta rounds.
-
-    BFS's Algorithm-2 shape with ``min(Distance, msg + w)`` instead of
-    ``msg + 1``; only just-improved vertices send.
-    """
-    if not 0 <= source < graph.num_vertices:
-        raise ValueError(f"source {source} out of range")
-    engine = BSPEngine(graph, cluster, profile, partition_mode)
-    engine.allocate_graph(_SSSP_MESSAGE_BYTES)
-
-    out_degrees = graph.out_degrees()
-    relax = kernel_registry.kernel("sssp", "relax")().prepare(graph)
-    distances = np.full(graph.num_vertices, np.inf, dtype=np.float64)
-    distances[source] = 0.0
-    frontier = np.array([source], dtype=np.int64)
-
-    rounds = 0
-    tracer = cluster.tracer
-    tracer.count("frontier_size", 1)
-    while frontier.size:
-        rounds += 1
-        with cluster.trace_span("round", index=rounds,
-                                frontier=int(frontier.size)):
-            stats = engine.edge_messages(frontier, _SSSP_MESSAGE_BYTES)
-            if engine.vertex_cut is not None:
-                local = np.diag(np.diag(stats.traffic))
-                stats.traffic = local + engine.replication_sync_traffic(
-                    frontier, _SSSP_MESSAGE_BYTES
-                )
-
-            (distances, changed), _ = relax.step(distances, frontier)
-
-            edges_per_node = np.bincount(
-                engine.vertex_owner[frontier],
-                weights=out_degrees[frontier].astype(float),
-                minlength=cluster.num_nodes,
-            )
-            engine.superstep(frontier, edges_per_node, stats,
-                             _SSSP_MESSAGE_BYTES)
-            cluster.mark_iteration()
-
-        frontier = changed
-        if changed.size:
-            tracer.count("frontier_size", int(changed.size))
-
-    return AlgorithmResult(
-        algorithm="sssp", framework=profile.name, values=distances,
-        iterations=rounds, metrics=cluster.metrics(),
-        extras={"frontier_rounds": rounds,
-                "reached": int(np.isfinite(distances).sum())},
-    )
-
-
-def kcore_vertex(graph: CSRGraph, cluster: Cluster, profile: FrameworkProfile,
-                 partition_mode: str = "1d") -> AlgorithmResult:
-    """k-core as a vertex program: each cascade wave is one superstep.
-
-    A removed vertex messages a decrement to every neighbor — the BSP
-    transliteration of peeling, so a level with a deep cascade pays a
-    superstep (and its per-superstep overhead) per wave, exactly the
-    behaviour that separates the frameworks from batched native code.
-    """
-    engine = BSPEngine(graph, cluster, profile, partition_mode)
-    engine.allocate_graph(_KCORE_MESSAGE_BYTES)
-
-    out_degrees = graph.out_degrees()
-    peel = kernel_registry.kernel("k_core", "peel")().prepare(graph)
-    degrees = out_degrees.astype(np.int64)
-    core = np.zeros(graph.num_vertices, dtype=np.int64)
-    alive = np.ones(graph.num_vertices, dtype=bool)
-
-    supersteps = 0
-    k = 1
-    while alive.any():
-        while True:
-            (removed, new_degrees), _ = peel.step(degrees, alive, k)
-            if removed.size == 0:
-                break
-            supersteps += 1
-            core[removed] = k - 1
-            alive[removed] = False
-            with cluster.trace_span("wave", k=k,
-                                    removed=int(removed.size)):
-                stats = engine.edge_messages(removed, _KCORE_MESSAGE_BYTES)
-                if engine.vertex_cut is not None:
-                    local = np.diag(np.diag(stats.traffic))
-                    stats.traffic = local + engine.replication_sync_traffic(
-                        removed, _KCORE_MESSAGE_BYTES
-                    )
-                edges_per_node = np.bincount(
-                    engine.vertex_owner[removed],
-                    weights=out_degrees[removed].astype(float),
-                    minlength=cluster.num_nodes,
-                )
-                engine.superstep(removed, edges_per_node, stats,
-                                 _KCORE_MESSAGE_BYTES)
-                cluster.mark_iteration()
-            degrees = new_degrees
-        k += 1
-
-    return AlgorithmResult(
-        algorithm="k_core", framework=profile.name, values=core,
-        iterations=supersteps, metrics=cluster.metrics(),
-        extras={"partition_mode": partition_mode,
-                "max_core": int(core.max()) if core.size else 0},
-    )
-
-
-def lp_vertex(graph: CSRGraph, cluster: Cluster, profile: FrameworkProfile,
-              iterations: int = 3, seed: int = 0,
-              partition_mode: str = "1d") -> AlgorithmResult:
-    """Label propagation as a vertex program: dense synchronous rounds.
-
-    PageRank's all-active shape — every vertex advertises its label on
-    every out-edge each round and adopts the received mode (smallest
-    label on frequency ties).
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    from ...algorithms.labelprop import initial_labels
-
-    engine = BSPEngine(graph, cluster, profile, partition_mode)
-    engine.allocate_graph(_LP_MESSAGE_BYTES)
-
-    num_vertices = graph.num_vertices
-    all_vertices = np.arange(num_vertices, dtype=np.int64)
-    sync = kernel_registry.kernel("label_propagation",
-                                  "sync")().prepare(graph)
-    labels = initial_labels(num_vertices, seed)
-
-    edges_per_node = np.bincount(engine.vertex_owner[graph.sources()],
-                                 minlength=cluster.num_nodes).astype(float)
-
-    for iteration in range(int(iterations)):
-        with cluster.trace_span("iteration", index=iteration):
-            if engine.vertex_cut is not None:
-                traffic = engine.replication_sync_traffic(all_vertices,
-                                                          _LP_MESSAGE_BYTES)
-                stats = ExchangeStats(messages=float(traffic.sum() / 8.0),
-                                      payload_bytes=float(traffic.sum()),
-                                      traffic=traffic)
-            else:
-                stats = engine.edge_messages(all_vertices, _LP_MESSAGE_BYTES)
-
-            labels, _ = sync.step(labels)
-
-            # The per-edge tally insert costs a couple of ops beyond the
-            # PageRank-style accumulate.
-            engine.superstep(all_vertices, edges_per_node, stats,
-                             _LP_MESSAGE_BYTES, ops_per_edge=10.0)
-            cluster.mark_iteration()
-
-    return AlgorithmResult(
-        algorithm="label_propagation", framework=profile.name, values=labels,
-        iterations=int(iterations), metrics=cluster.metrics(),
-        extras={"partition_mode": partition_mode,
-                "communities": int(np.unique(labels).size)},
-    )
+    return {**{algorithm: rounds(algorithm) for algorithm in PROGRAMS},
+            "triangle_count": triangle_count,
+            "collaborative_filtering": cf}

@@ -9,41 +9,20 @@ positional/keyword tail of :func:`repro.harness.runner.run_experiment`
 single serializable description to pass around.
 
 Validation is strict: unknown algorithms, frameworks, kernel backends,
-and — the historical foot-gun — misspelled ``params`` keys all raise
-:class:`~repro.errors.SpecError` naming the valid choices, instead of
-silently flowing into a runner's ``**kwargs``.
+out-of-range parameter values and — the historical foot-gun —
+misspelled ``params`` keys all raise :class:`~repro.errors.SpecError`
+naming the valid choices, instead of silently flowing into a runner's
+``**kwargs``.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 from dataclasses import dataclass, field, fields
 
-from ..algorithms.registry import ALGORITHMS, FRAMEWORKS, _RUNNERS
+from ..algorithms.registry import ALGORITHMS, FRAMEWORKS, valid_params
 from ..errors import SpecError
+from ..frameworks.rounds import check_params
 from ..kernels.backend import BACKENDS
-
-
-@functools.lru_cache(maxsize=None)
-def valid_params(algorithm: str) -> tuple:
-    """Parameter names any registered runner of ``algorithm`` accepts.
-
-    The union over every framework's runner signature (beyond the
-    uniform ``(dataset, cluster)`` prefix), sorted. Wrappers that only
-    expose ``**params`` contribute nothing — their wrapped runner's
-    entry covers them.
-    """
-    names = set()
-    for (algo, _framework), runner in _RUNNERS.items():
-        if algo != algorithm:
-            continue
-        parameters = list(inspect.signature(runner).parameters.values())
-        for parameter in parameters[2:]:
-            if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD,
-                                  parameter.KEYWORD_ONLY):
-                names.add(parameter.name)
-    return tuple(sorted(names))
 
 
 @dataclass(frozen=True)
@@ -106,6 +85,7 @@ class ExperimentSpec:
                 f"unknown parameter(s) {', '.join(map(repr, unknown))} for "
                 f"{self.algorithm}; valid: {', '.join(known)}"
             )
+        check_params(**self.params)
 
     # -- serialization -----------------------------------------------------
 

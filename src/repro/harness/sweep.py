@@ -322,7 +322,7 @@ def execute_cell(key: dict, execute, policy: CellPolicy,
     The single implementation of the engine's failure semantics —
     typed-failure classification, capped-exponential-backoff retries,
     quarantine — used verbatim by :class:`Sweep` in-process and by
-    every :mod:`repro.harness.parallel` worker, so scheduling can never
+    every :mod:`repro.harness.supervisor` worker, so scheduling can never
     change what a cell records. Dataset-cache instants emitted while
     the cell runs land on ``tracer``.
     """

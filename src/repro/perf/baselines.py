@@ -130,7 +130,7 @@ def measure_parallel_sweep(jobs: int = 0, subset=None) -> dict:
     dependent by nature, so the numbers are advisory — recorded so the
     parallel win is *measured*, never asserted — and they never gate.
     """
-    from ..harness.parallel import run_cells_parallel
+    from ..harness.supervisor import run_cells_supervised
     from ..harness.sweep import CellPolicy, Sweep
     from ..harness.tables import table5
 
@@ -154,7 +154,7 @@ def measure_parallel_sweep(jobs: int = 0, subset=None) -> dict:
 
     pending = [(i, {"cell": i}, str(i)) for i in range(cells)]
     start = time.perf_counter()
-    for _ in run_cells_parallel(pending, _noop_cell, CellPolicy(), jobs):
+    for _ in run_cells_supervised(pending, _noop_cell, CellPolicy(), jobs):
         pass
     pool_overhead_s = time.perf_counter() - start
 

@@ -10,7 +10,7 @@ from repro.algorithms import (
 )
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import netflix_like_ratings, rmat_graph, rmat_triangle_graph
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecError
 from repro.frameworks.datalog import (
     AggregateTable,
     Assign,
@@ -219,7 +219,7 @@ class TestSociaLite:
         np.testing.assert_allclose(published.values, optimized.values)
 
     def test_validates_arguments(self, graph_small):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             socialite.pagerank(graph_small, make_cluster(1), iterations=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             socialite.bfs(graph_small, make_cluster(1), source=10**9)

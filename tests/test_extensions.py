@@ -57,15 +57,17 @@ class TestRoadmap:
         assert profile.comm_layer.efficiency > 0.5
 
     def test_roadmap_closes_giraph_gap(self, graph_small):
-        from repro.frameworks.roadmap import _pagerank_with_profile
+        from repro.frameworks.roadmap import _with_profile
         from repro.frameworks.base import GIRAPH
 
-        stock = _pagerank_with_profile(
-            graph_small, Cluster(paper_cluster(4), scale_factor=1e4),
-            GIRAPH, iterations=2)
-        better = _pagerank_with_profile(
-            graph_small, Cluster(paper_cluster(4), scale_factor=1e4),
-            improved_giraph(), iterations=2)
+        stock = _with_profile(
+            "pagerank", graph_small,
+            Cluster(paper_cluster(4), scale_factor=1e4), GIRAPH,
+            iterations=2)
+        better = _with_profile(
+            "pagerank", graph_small,
+            Cluster(paper_cluster(4), scale_factor=1e4), improved_giraph(),
+            iterations=2)
         assert better.runtime_for_comparison() < \
             0.4 * stock.runtime_for_comparison()
         np.testing.assert_allclose(better.values, stock.values)
@@ -214,6 +216,30 @@ class TestCLI:
         # unsupported-by-programming-model is 4.
         assert code == 4
         assert "unsupported" in capsys.readouterr().out
+
+    def test_bad_parameter_is_one_error_line_not_a_traceback(self, capsys):
+        # --iterations 0 used to escape as a bare ValueError from inside
+        # the runner; it is a typed SpecError, so the CLI prints one
+        # "error:" line and exits 1.
+        from repro.cli import main
+
+        code = main(["run", "pagerank", "galois", "--dataset", "rmat_mini",
+                     "--iterations", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: iterations must be >= 1, got 0"
+        assert captured.out == ""
+
+    def test_iteration_flags_follow_declared_params(self, capsys):
+        # The flags are routed by valid_params, not a hand-kept list:
+        # label_propagation takes --iterations, bfs silently does not.
+        from repro.cli import main
+
+        assert main(["run", "label_propagation", "native", "--dataset",
+                     "rmat_mini", "--iterations", "2", "--json"]) == 0
+        assert '"iterations": 2' in capsys.readouterr().out
+        assert main(["run", "bfs", "native", "--dataset", "rmat_mini",
+                     "--iterations", "2"]) == 0
 
     def test_datasets_command(self, capsys):
         from repro.cli import main

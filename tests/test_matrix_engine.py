@@ -11,7 +11,7 @@ from repro.algorithms import (
 )
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import netflix_like_ratings, rmat_graph, rmat_triangle_graph
-from repro.errors import CapacityError
+from repro.errors import CapacityError, SpecError
 from repro.frameworks.matrix import (
     MIN_PLUS,
     OR_AND,
@@ -219,7 +219,7 @@ class TestCombBLAS:
         assert 1.0 < ratio < 8.0
 
     def test_validates_arguments(self, graph_small):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             combblas.pagerank(graph_small, make_cluster(1), iterations=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             combblas.bfs(graph_small, make_cluster(1), source=-2)

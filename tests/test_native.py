@@ -11,6 +11,7 @@ from repro.algorithms import (
 )
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import rmat_graph, rmat_triangle_graph, netflix_like_ratings
+from repro.errors import SpecError
 from repro.frameworks.native import (
     NativeOptions,
     bfs,
@@ -91,9 +92,9 @@ class TestNativePageRank:
         assert fast.total_time_s < slow.total_time_s
 
     def test_validates_arguments(self, graph_directed):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             pagerank(graph_directed, make_cluster(1), iterations=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             pagerank(graph_directed, make_cluster(1), damping=1.5)
 
     def test_memory_bound_single_node(self, graph_directed):
@@ -135,7 +136,7 @@ class TestNativeBFS:
         assert sum(sizes) == result.extras["reached"]
 
     def test_source_validation(self, graph_undirected):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             bfs(graph_undirected, make_cluster(1), source=-1)
 
     def test_bitvector_speeds_up(self, graph_undirected):
@@ -249,6 +250,6 @@ class TestNativeCF:
         assert 1 <= n <= 50
 
     def test_validates_method(self, ratings_small):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             collaborative_filtering(ratings_small, make_cluster(1),
                                     method="adam")

@@ -147,6 +147,20 @@ class TestTraceAgreesWithMetrics:
         reached = result.result.extras["reached"]
         assert result.trace.counters["frontier_size"] == reached
 
+    @pytest.mark.parametrize("framework", ("native", "graphlab", "galois"))
+    @pytest.mark.parametrize("algorithm", ("bfs", "wcc", "sssp"))
+    def test_frontier_counter_rule(self, algorithm, framework):
+        # One rule on every engine: frontier_size is the sum of the
+        # per-round active-set sizes, i.e. of the round spans' frontier
+        # attribute (the all-vertex first round of wcc included).
+        graph = rmat_graph(scale=9, edge_factor=6, seed=71, directed=False)
+        result = _traced(algorithm, framework, graph,
+                         **default_params(algorithm, graph))
+        rounds = [span.attrs["frontier"] for span in result.trace.spans
+                  if "frontier" in span.attrs]
+        assert len(rounds) == result.result.iterations
+        assert result.trace.counters["frontier_size"] == sum(rounds)
+
     def test_messages_counter_at_paper_scale(self, graph_small):
         plain = _traced("pagerank", "giraph", graph_small, nodes=2,
                         iterations=2)

@@ -14,9 +14,9 @@ import pytest
 
 from repro.errors import CapacityError, ReproError
 from repro.harness import Sweep
-from repro.harness.parallel import (
+from repro.harness.supervisor import (
     _looks_like_pickling_error,
-    run_cells_parallel,
+    run_cells_supervised,
 )
 from repro.harness.sweep import CellPolicy
 from repro.harness.tables import table5
@@ -128,7 +128,7 @@ class TestParallelEngine:
     def test_run_cells_parallel_yields_in_enumeration_order(self):
         pending = [(index, {"cell": index}, str(index))
                    for index in range(6)]
-        completed = list(run_cells_parallel(pending, ok_executor,
+        completed = list(run_cells_supervised(pending, ok_executor,
                                             CellPolicy(), jobs=3))
         assert [cell.index for cell in completed] == list(range(6))
         assert [cell.cid for cell in completed] == \

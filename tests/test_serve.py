@@ -318,6 +318,20 @@ class TestLiveServer:
         assert status == 200 and job["state"] == STATE_DONE
         assert job["result"]["value"]["attributions"]
 
+    def test_out_of_range_parameter_is_a_400(self):
+        # Range checks run when the spec is parsed, so a bad value is
+        # rejected typed (400 bad-request) before any job is queued.
+        for params in ({"iterations": 0}, {"damping": 1.5}):
+            status, payload = self.server.call("POST", "/experiments", {
+                "spec": {"algorithm": "pagerank", "framework": "galois",
+                         "dataset": "rmat_mini", "params": params}})
+            assert (status, payload["error"]) == (400, "bad-request")
+        status, payload = self.server.call("POST", "/experiments", {
+            "spec": {"algorithm": "bfs", "framework": "native",
+                     "dataset": "rmat_mini", "params": {"source": -1}}})
+        assert (status, payload["error"]) == (400, "bad-request")
+        assert "source -1 out of range" in payload["message"]
+
     def test_dnf_outcome_is_a_result_not_an_error(self):
         status, job = self.server.call("POST", "/experiments", {
             "spec": {"algorithm": "pagerank", "framework": "giraph",

@@ -62,6 +62,25 @@ class TestValidation:
             ExperimentSpec(algorithm="bfs", framework="native",
                            dataset="rmat_mini", kernels="simd")
 
+    @pytest.mark.parametrize("algorithm,params", [
+        ("pagerank", {"iterations": 0}),
+        ("pagerank", {"damping": 0.0}),
+        ("label_propagation", {"iterations": -3}),
+        ("collaborative_filtering", {"hidden_dim": 0}),
+        ("collaborative_filtering", {"method": "adam"}),
+        ("sssp", {"source": -1}),
+    ])
+    def test_out_of_range_param_values(self, algorithm, params):
+        with pytest.raises(SpecError, match=next(iter(params))):
+            ExperimentSpec(algorithm=algorithm, framework="native",
+                           dataset="rmat_mini", params=params)
+
+    def test_source_is_checked_against_the_graph_at_start(self, graph):
+        # Only the run knows the vertex count; still the typed error.
+        with pytest.raises(SpecError, match="out of range"):
+            run_experiment("bfs", "graphlab", graph,
+                           source=graph.num_vertices)
+
     def test_valid_params_union(self):
         params = valid_params("pagerank")
         assert "iterations" in params

@@ -11,7 +11,7 @@ from repro.algorithms import (
 )
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import netflix_like_ratings, rmat_graph, rmat_triangle_graph
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecError
 from repro.frameworks.task import (
     BulkSynchronousExecutor,
     galois,
@@ -136,7 +136,7 @@ class TestGalois:
         assert tc_ratio > 1.3
 
     def test_validates_arguments(self, graph_small):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             galois.pagerank(graph_small, make_cluster(), iterations=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             galois.bfs(graph_small, make_cluster(), source=-1)
