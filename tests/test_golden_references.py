@@ -425,3 +425,120 @@ class TestFrozenCells:
     def test_cell_unchanged(self, algorithm, framework, nodes):
         assert freeze_cell(algorithm, framework, nodes) == \
             self.FROZEN[f"{algorithm}/{framework}/{nodes}"]
+
+
+# ---------------------------------------------------------------------------
+# Frozen generated datasets: every generator and graph build, byte-for-byte.
+# ---------------------------------------------------------------------------
+
+from repro.datagen import RMATParams, RMATStream, rmat_edges  # noqa: E402
+from repro.datagen.rmat import TRIANGLE_PARAMS  # noqa: E402
+from repro.datagen.uniform import (  # noqa: E402
+    erdos_renyi_graph,
+    watts_strogatz_graph,
+)
+
+
+def _int64_digest(*arrays):
+    for array in arrays:
+        assert array.dtype == np.int64
+    return _sha(b"".join(np.ascontiguousarray(array).tobytes()
+                         for array in arrays))
+
+
+def _edges_digest(edges):
+    return _int64_digest(edges.src, edges.dst)
+
+
+def _graph_digest(graph):
+    assert graph.edge_weights is None
+    return _int64_digest(graph.offsets, graph.targets)
+
+
+_G500 = RMATParams()
+_TRIANGLE = RMATParams(*TRIANGLE_PARAMS)
+
+#: id -> zero-arg producer of the digest. ``__wrapped__`` is the build
+#: itself, never a dataset-cache entry.
+FROZEN_DATASET_BUILDS = {
+    "rmat_edges/10-8-g500-seed3":
+        lambda: _edges_digest(rmat_edges(10, 8, _G500, 3)),
+    "rmat_edges/12-16-triangle-seed1":
+        lambda: _edges_digest(rmat_edges(12, 16, _TRIANGLE, 1)),
+    "rmat_edges/14-4-g500-seed0-noise0":
+        lambda: _edges_digest(rmat_edges(14, 4, _G500, 0, noise=0.0)),
+    "rmat_stream_chunk/12-16-triangle-seed1-[777,40001)":
+        lambda: _edges_digest(
+            RMATStream(12, 16, _TRIANGLE, 1).chunk(777, 40001)),
+    "rmat_stream_chunk/10-8-g500-seed3-[8191,8192)":
+        lambda: _edges_digest(RMATStream(10, 8, _G500, 3).chunk(8191, 8192)),
+    "rmat_graph/10-8-g500-seed3-directed":
+        lambda: _graph_digest(rmat_graph.__wrapped__(10, 8, _G500, 3, True)),
+    "rmat_graph/10-8-g500-seed3-undirected":
+        lambda: _graph_digest(rmat_graph.__wrapped__(10, 8, _G500, 3, False)),
+    "rmat_graph/14-16-g500-seed0-undirected":
+        lambda: _graph_digest(rmat_graph.__wrapped__(14, 16, _G500, 0, False)),
+    "rmat_graph/12-4-triangle-seed5-directed":
+        lambda: _graph_digest(
+            rmat_graph.__wrapped__(12, 4, _TRIANGLE, 5, True)),
+    "rmat_triangle_graph/10-8-seed3":
+        lambda: _graph_digest(rmat_triangle_graph.__wrapped__(10, 8, 3)),
+    "rmat_triangle_graph/13-16-seed0":
+        lambda: _graph_digest(rmat_triangle_graph.__wrapped__(13, 16, 0)),
+    "erdos_renyi_graph/1000-8000-seed2-directed":
+        lambda: _graph_digest(erdos_renyi_graph(1000, 8000, 2, True)),
+    "erdos_renyi_graph/1000-8000-seed2-undirected":
+        lambda: _graph_digest(erdos_renyi_graph(1000, 8000, 2, False)),
+    "erdos_renyi_graph/37-5000-seed4-undirected":
+        lambda: _graph_digest(erdos_renyi_graph(37, 5000, 4, False)),
+    "watts_strogatz_graph/2000-8-p0.1-seed6":
+        lambda: _graph_digest(watts_strogatz_graph(2000, 8, 0.1, 6)),
+    "watts_strogatz_graph/500-6-p1.0-seed0":
+        lambda: _graph_digest(watts_strogatz_graph(500, 6, 1.0, 0)),
+}
+
+#: Recorded at the commit before the graph builders moved to one key
+#: sort; a build-path change must leave every one of them alone.
+FROZEN_DATASET_DIGESTS = {
+    "rmat_edges/10-8-g500-seed3":
+        "5a7602c13fc8b7eb372bdfe525e98b5295ced7f2bcad1b7966215a26a55a8844",
+    "rmat_edges/12-16-triangle-seed1":
+        "bec63cfb574aa8e9714007b12cf5905ea2c5bcddcc634d50eceab08484cbc4d2",
+    "rmat_edges/14-4-g500-seed0-noise0":
+        "509d79273168f9be1a96c867390042815f637722492ae0d04ae78eed85c6a6f1",
+    "rmat_stream_chunk/12-16-triangle-seed1-[777,40001)":
+        "b3cbb05c202a550b57ac063c7ebb098aad4d314db4accd4d3ff661fe3ff76123",
+    "rmat_stream_chunk/10-8-g500-seed3-[8191,8192)":
+        "7c6631a295406cf106735a12d43e9a074e812cb494299458c1f8559c3bdb79b3",
+    "rmat_graph/10-8-g500-seed3-directed":
+        "ab5bd0fe4df6cb41b4362669e976788acc822d30277589f51b7818372eebd735",
+    "rmat_graph/10-8-g500-seed3-undirected":
+        "872e6cb6e31758729965b58be0327f7b1cd5bff146305dcb7ef233dea1fb60a3",
+    "rmat_graph/14-16-g500-seed0-undirected":
+        "e22bfd7e2e6495e59766886e8788cde5ddb38ce7d99a56687fe9d57665107b82",
+    "rmat_graph/12-4-triangle-seed5-directed":
+        "ec9478305d8c6490c57d274cd9c0beac1263be7e6f8be60895d65aa73fffe871",
+    "rmat_triangle_graph/10-8-seed3":
+        "b3bb335765b760b75f4406846b53ec75b049a49a2090cf1120b89d017ce984c9",
+    "rmat_triangle_graph/13-16-seed0":
+        "6e8102ad43e1d623a409c7bbf97f4170a6b92c295a34074a0de5c40a129d4373",
+    "erdos_renyi_graph/1000-8000-seed2-directed":
+        "0e3e091fe8e7cf5b0f03631a9f08c4a3e4652ea100683490009f33fc5e2fb603",
+    "erdos_renyi_graph/1000-8000-seed2-undirected":
+        "82e8bec55ce479b78f46f30c6bf7e66d3ca4820d1fbecb7eb51c857843d8a387",
+    "erdos_renyi_graph/37-5000-seed4-undirected":
+        "6d9b2fbc1ac30b03513dfbdc3b5b26cc492b6642a98095da807af415045f6133",
+    "watts_strogatz_graph/2000-8-p0.1-seed6":
+        "d4f358c6c7b0ddcc9debad1f4c61793fc448a3052079bfbcd9f0b0674d86db8b",
+    "watts_strogatz_graph/500-6-p1.0-seed0":
+        "332b18ea990448b72aa4f811243e356b31bc5fc02f9388ce86fcabeb7e419815",
+}
+
+
+class TestFrozenDatasets:
+    def test_every_build_is_frozen(self):
+        assert set(FROZEN_DATASET_DIGESTS) == set(FROZEN_DATASET_BUILDS)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_DATASET_BUILDS))
+    def test_bytes_unchanged(self, name):
+        assert FROZEN_DATASET_BUILDS[name]() == FROZEN_DATASET_DIGESTS[name]
