@@ -17,7 +17,7 @@ from repro.harness import table5
 from repro.harness.datasets import clear_proxy_caches
 from repro.harness.sweep import Sweep
 from repro.observability import Tracer
-from benchmarks.conftest import register_benchmark
+from benchmarks.conftest import json_equal, register_benchmark
 
 
 def test_parallel_table5_byte_identical(regenerate, tmp_path, monkeypatch):
@@ -40,7 +40,7 @@ def test_parallel_table5_byte_identical(regenerate, tmp_path, monkeypatch):
                                        jobs=4)))
         parallel_s = time.perf_counter() - start
 
-        assert parallel == serial
+        assert json_equal(parallel, serial)
         assert parallel_journal.read_bytes() == serial_journal.read_bytes()
 
         print(f"\ntable5 warm-cache: serial {serial_s:.2f} s, "

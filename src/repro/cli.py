@@ -986,9 +986,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "holds.")
     outofcore.add_argument("action", choices=("demo",))
     outofcore.add_argument("--scale", type=int, default=18,
-                           help="R-MAT scale (default 18: dense needs "
-                                "~600 MB, streamed ~190 MB)")
-    outofcore.add_argument("--memory-limit-mb", type=float, default=256.0,
+                           help="R-MAT scale (default 18: dense peaks at "
+                                "~340 MB RSS, streamed at ~175 MB)")
+    outofcore.add_argument("--memory-limit-mb", type=float, default=64.0,
                            help="per-worker anonymous headroom "
                                 "(RLIMIT_AS above fork footprint)")
     outofcore.add_argument("--mapped-allowance-mb", type=float,

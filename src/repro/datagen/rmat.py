@@ -76,23 +76,47 @@ def rmat_edges(scale: int, edge_factor: int = 16, params: RMATParams = None,
     params = params or RMATParams()
     rng = np.random.default_rng(seed)
     num_vertices = 1 << scale
-    num_edges = edge_factor * num_vertices
-
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
-    for level in range(scale):
-        # Jitter probabilities per level, renormalized to sum to 1.
-        jitter = 1.0 + noise * (2.0 * rng.random(4) - 1.0)
-        probs = np.array([params.a, params.b, params.c, params.d]) * jitter
-        probs /= probs.sum()
-        draw = rng.random(num_edges)
-        quadrant = np.searchsorted(np.cumsum(probs)[:3], draw)
-        bit = np.int64(1 << (scale - 1 - level))
-        src += bit * (quadrant >= 2)          # quadrants C (2) and D (3)
-        dst += bit * ((quadrant == 1) | (quadrant == 3))  # B and D
-
+    # One sequential stream: each level's 4 jitter draws, then its
+    # per-edge draws, leave ``rng`` at the next level.
+    src, dst = descend_levels(scale, edge_factor * num_vertices, params,
+                              noise, lambda level: (rng, rng))
     permutation = rng.permutation(num_vertices)
     return EdgeList(num_vertices, permutation[src], permutation[dst])
+
+
+def descend_levels(scale: int, count: int, params: RMATParams, noise: float,
+                   generators):
+    """Drop ``count`` edges down the ``scale`` recursion levels at once.
+
+    ``generators(level)`` returns two generators: one positioned at the
+    level's 4 jitter draws, one at the first of its ``count`` per-edge
+    draws (the same object when the stream is consumed in order). The
+    PCG64 layout is the contract :class:`~repro.datagen.stream.RMATStream`
+    slices, so it is fixed: per level, 4 doubles then one per edge.
+
+    Returns the unpermuted ``(src, dst)`` ids, most significant bit
+    (level 0) first.
+    """
+    base = np.array([params.a, params.b, params.c, params.d])
+    src = np.zeros(count, dtype=np.int64)
+    dst = np.zeros(count, dtype=np.int64)
+    draw = np.empty(count)
+    for level in range(scale):
+        jitter_rng, draw_rng = generators(level)
+        # Jitter probabilities per level, renormalized to sum to 1.
+        probs = base * (1.0 + noise * (2.0 * jitter_rng.random(4) - 1.0))
+        probs /= probs.sum()
+        a, ab, abc = np.cumsum(probs)[:3]
+        draw_rng.random(out=draw)
+        # Quadrants in draw order are A | B | C | D, cut at a, a+b and
+        # a+b+c: the src bit is set in C and D, the dst bit in B and D.
+        src_bit = draw > ab
+        dst_bit = ((draw > a) ^ src_bit) | (draw > abc)
+        src <<= 1
+        src |= src_bit
+        dst <<= 1
+        dst |= dst_bit
+    return src, dst
 
 
 def out_of_core_enabled() -> bool:
@@ -104,11 +128,9 @@ def out_of_core_enabled() -> bool:
 def _rmat_graph_dense(scale: int, edge_factor: int = 16,
                       params: RMATParams = None, seed: int = 0,
                       directed: bool = True) -> CSRGraph:
-    edges = rmat_edges(scale, edge_factor, params, seed)
-    edges = edges.drop_self_loops().deduplicate()
-    if not directed:
-        edges = edges.symmetrize()
-    return CSRGraph.from_edges(edges)
+    return CSRGraph.from_edges(
+        rmat_edges(scale, edge_factor, params, seed), deduplicate=True,
+        drop_self_loops=True, symmetrize=not directed)
 
 
 def rmat_graph(scale: int, edge_factor: int = 16, params: RMATParams = None,
@@ -134,7 +156,7 @@ rmat_graph.__wrapped__ = _rmat_graph_dense.__wrapped__
 def _rmat_triangle_graph_dense(scale: int, edge_factor: int = 16,
                                seed: int = 0) -> CSRGraph:
     edges = rmat_edges(scale, edge_factor, RMATParams(*TRIANGLE_PARAMS), seed)
-    return CSRGraph.from_edges(edges.orient_by_id())
+    return CSRGraph.from_edges(edges, orient_by_id=True)
 
 
 def rmat_triangle_graph(scale: int, edge_factor: int = 16, seed: int = 0):
@@ -184,9 +206,10 @@ def _stream_for(scale, edge_factor, params, seed):
 def _derived_partitions(scale: int, edge_factor: int, symmetrized: bool) -> int:
     """Enough partitions that each holds ~8 MB of target ids.
 
-    The finalize pass's transient (spill pairs + dedup keys + sort
-    scratch) runs ~5x a partition's target bytes, so 8 MB of ids keeps
-    the build's peak near 40 MB per partition regardless of scale.
+    The finalize pass's transient (spilled keys, their distinct
+    values, then rows and targets) runs ~3x a partition's target bytes,
+    so 8 MB of ids keeps the build's peak near 24 MB per partition
+    regardless of scale.
     """
     approx_bytes = (edge_factor << scale) * 8 * (2 if symmetrized else 1)
     return int(max(1, min(1 << scale, -(-approx_bytes // (8 << 20)))))

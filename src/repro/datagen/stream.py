@@ -1,7 +1,7 @@
 """Chunked R-MAT generation: the out-of-core half of the Graph500 generator.
 
-:func:`repro.datagen.rmat.rmat_edges` materializes every per-level draw
-for the whole edge list at once — ~48 bytes of transient arrays per
+:func:`repro.datagen.rmat.rmat_edges` holds the whole edge list and a
+per-level draw for every edge at once — ~40 bytes of arrays per
 edge — so peak RSS, not the simulated cost model, caps the scale a
 reproduction can run. This module re-derives the *same* edge stream in
 fixed-size chunks:
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import EdgeList
-from .rmat import RMATParams
+from .rmat import RMATParams, descend_levels
 
 #: Default streaming block: 2**18 edges = 4 MB of (src, dst) int64 pairs.
 DEFAULT_CHUNK_EDGES = 1 << 18
@@ -77,14 +77,6 @@ class RMATStream:
             bitgen.advance(offset)
         return np.random.Generator(bitgen)
 
-    def _level_probs(self, level: int) -> np.ndarray:
-        """The jittered, renormalized quadrant probabilities of ``level``."""
-        rng = self._generator_at(level * self._draws_per_level)
-        jitter = 1.0 + self.noise * (2.0 * rng.random(4) - 1.0)
-        p = self.params
-        probs = np.array([p.a, p.b, p.c, p.d]) * jitter
-        return probs / probs.sum()
-
     def permutation(self) -> np.ndarray:
         """The final vertex-id permutation (O(V); cached per stream)."""
         if self._permutation is None:
@@ -102,18 +94,11 @@ class RMATStream:
         if not 0 <= start <= stop <= self.num_edges:
             raise ValueError(
                 f"chunk [{start}, {stop}) outside [0, {self.num_edges}]")
-        count = stop - start
-        src = np.zeros(count, dtype=np.int64)
-        dst = np.zeros(count, dtype=np.int64)
-        for level in range(self.scale):
-            probs = self._level_probs(level)
-            rng = self._generator_at(
-                level * self._draws_per_level + 4 + start)
-            draw = rng.random(count)
-            quadrant = np.searchsorted(np.cumsum(probs)[:3], draw)
-            bit = np.int64(1 << (self.scale - 1 - level))
-            src += bit * (quadrant >= 2)
-            dst += bit * ((quadrant == 1) | (quadrant == 3))
+        per_level = self._draws_per_level
+        src, dst = descend_levels(
+            self.scale, stop - start, self.params, self.noise,
+            lambda level: (self._generator_at(level * per_level),
+                           self._generator_at(level * per_level + 4 + start)))
         permutation = self.permutation()
         return EdgeList(self.num_vertices, permutation[src], permutation[dst])
 

@@ -34,11 +34,9 @@ def erdos_renyi_edges(num_vertices: int, num_edges: int,
 def erdos_renyi_graph(num_vertices: int, num_edges: int, seed: int = 0,
                       directed: bool = True) -> CSRGraph:
     """Cleaned uniform random graph with ~``num_edges`` edges."""
-    edges = erdos_renyi_edges(num_vertices, num_edges, seed)
-    edges = edges.drop_self_loops().deduplicate()
-    if not directed:
-        edges = edges.symmetrize()
-    return CSRGraph.from_edges(edges)
+    return CSRGraph.from_edges(
+        erdos_renyi_edges(num_vertices, num_edges, seed), deduplicate=True,
+        drop_self_loops=True, symmetrize=not directed)
 
 
 def ring_lattice_graph(num_vertices: int, degree: int = 8) -> CSRGraph:
@@ -72,5 +70,5 @@ def watts_strogatz_graph(num_vertices: int, degree: int = 8,
     dst = base.targets.copy()
     rewire = rng.random(dst.size) < rewire_probability
     dst[rewire] = rng.integers(0, num_vertices, size=int(rewire.sum()))
-    edges = EdgeList(num_vertices, src, dst).drop_self_loops().deduplicate()
-    return CSRGraph.from_edges(edges)
+    return CSRGraph.from_edges(EdgeList(num_vertices, src, dst),
+                               deduplicate=True, drop_self_loops=True)

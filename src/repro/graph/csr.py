@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import GraphFormatError
 from .edgelist import EdgeList
+from .keys import csr_rows, prepared_keys
 
 
 def resident_nbytes_of(*arrays) -> int:
@@ -75,21 +76,31 @@ class CSRGraph:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_edges(cls, edges: EdgeList, sort_targets: bool = True) -> "CSRGraph":
-        """Build out-edge CSR from an edge list (stable per-source order)."""
-        degrees = np.bincount(edges.src, minlength=edges.num_vertices)
-        offsets = np.zeros(edges.num_vertices + 1, dtype=np.int64)
+    def from_edges(cls, edges: EdgeList, *, deduplicate: bool = False,
+                   drop_self_loops: bool = False, symmetrize: bool = False,
+                   orient_by_id: bool = False) -> "CSRGraph":
+        """Build out-edge CSR from an edge list with one sort of its keys.
+
+        Every adjacency segment comes out ascending — required by the
+        linear-time set intersections in triangle counting (paper
+        Algorithm 4). Parallel edges are kept, in input order, unless
+        ``deduplicate``; the preprocessing flags are those of
+        :func:`~repro.graph.sharded.build_sharded_csr`
+        (:func:`~repro.graph.keys.prepared_keys`), and ``symmetrize`` /
+        ``orient_by_id`` imply ``deduplicate``. A duplicate keeps the
+        first weight seen.
+        """
+        num_vertices = edges.num_vertices
+        keys, weights = prepared_keys(
+            edges.src, edges.dst, num_vertices, edges.weights,
+            drop_self_loops=drop_self_loops, symmetrize=symmetrize,
+            orient_by_id=orient_by_id)
+        degrees, targets, weights = csr_rows(
+            keys, num_vertices, 0, num_vertices, weights=weights,
+            unique=deduplicate or symmetrize or orient_by_id)
+        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(degrees, out=offsets[1:])
-        if sort_targets:
-            # Sort by (src, dst) so each adjacency segment is ascending —
-            # required by the linear-time set intersections in triangle
-            # counting (paper Algorithm 4).
-            order = np.lexsort((edges.dst, edges.src))
-        else:
-            order = np.argsort(edges.src, kind="stable")
-        targets = edges.dst[order]
-        weights = None if edges.weights is None else edges.weights[order]
-        return cls(edges.num_vertices, offsets, targets, weights)
+        return cls(num_vertices, offsets, targets, weights)
 
     # -- views ----------------------------------------------------------------
 

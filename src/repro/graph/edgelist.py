@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import GraphFormatError
+from .keys import edge_keys
 
 
 @dataclass
@@ -76,7 +77,7 @@ class EdgeList:
 
     def deduplicate(self) -> "EdgeList":
         """Drop duplicate (src, dst) pairs; keeps the first weight seen."""
-        keys = self.src * np.int64(self.num_vertices) + self.dst
+        keys = edge_keys(self.src, self.dst, self.num_vertices)
         _, first = np.unique(keys, return_index=True)
         first.sort()
         weights = None if self.weights is None else self.weights[first]

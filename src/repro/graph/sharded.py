@@ -22,10 +22,10 @@ superstep is one partition plus O(vertices) state.
 
 Bit-identity contract: :func:`build_sharded_csr` produces, per source
 vertex, the sorted unique target list — exactly what
-``CSRGraph.from_edges(edges.deduplicate())`` produces — so the
-concatenated shards are byte-identical to the monolithic build
-regardless of chunk size or partition count (:func:`graph_digests`
-proves it).
+``CSRGraph.from_edges(edges, deduplicate=True)`` produces, from the
+same sorted edge keys (:mod:`repro.graph.keys`) — so the concatenated
+shards are byte-identical to the monolithic build regardless of chunk
+size or partition count (:func:`graph_digests` proves it).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from ..errors import GraphFormatError
 from ..observability import NULL_TRACER
 from .csr import CSRGraph
 from .edgelist import EdgeList
+from .keys import csr_rows, prepared_keys, sort_unique
 
 MANIFEST_NAME = "meta.json"
 OFFSETS_FILE = "offsets.npy"
@@ -423,8 +424,8 @@ def build_sharded_csr(blocks, num_vertices: int, out_dir, *,
                       drop_self_loops: bool = True,
                       symmetrize: bool = False,
                       orient_by_id: bool = False) -> dict:
-    """Two-pass external build: route edge blocks to per-partition spill
-    files, then sort/dedup each partition independently.
+    """Two-pass external build: cut each block's sorted edge keys into
+    per-partition spill files, then sort/dedup each partition alone.
 
     ``blocks`` is any iterable of :class:`EdgeList` chunks (duplicates
     and self loops welcome — this pass owns the paper's Section 4.1.2
@@ -432,18 +433,16 @@ def build_sharded_csr(blocks, num_vertices: int, out_dir, *,
     for BFS inputs, ``orient_by_id`` for triangle inputs). Peak memory is
     one block plus one partition's spill, never the whole edge list.
 
-    The finalize pass encodes each partition's edges as
-    ``(src - lo) * num_vertices + dst`` and runs one ``np.unique`` —
-    yielding the sorted unique adjacency ``CSRGraph.from_edges`` would
-    produce, so shard bytes are independent of block size, block order
-    and partition count. Writes shard files plus ``meta.json`` into
-    ``out_dir`` and returns the manifest dict.
+    A spill holds int64 keys ``src * num_vertices + dst``
+    (:mod:`repro.graph.keys`), 8 bytes an edge: partition ``i`` owns the
+    key range ``[bounds[i] * V, bounds[i+1] * V)``, so a sorted block
+    splits at ``searchsorted`` cuts with no per-edge routing. The
+    finalize pass sorts a partition's keys once and keeps the first of
+    every run — the sorted unique adjacency ``CSRGraph.from_edges``
+    produces from the same keys, so shard bytes are independent of
+    block size, block order and partition count. Writes shard files
+    plus ``meta.json`` into ``out_dir`` and returns the manifest dict.
     """
-    if symmetrize and orient_by_id:
-        raise GraphFormatError("symmetrize and orient_by_id are exclusive")
-    if num_vertices * num_vertices >= 2 ** 63:
-        raise GraphFormatError(
-            f"num_vertices={num_vertices} overflows the int64 sort key")
     bounds = partition_bounds(num_vertices, num_partitions)
     os.makedirs(out_dir, exist_ok=True)
     spill_dir = os.path.join(out_dir, "spill")
@@ -454,32 +453,19 @@ def build_sharded_csr(blocks, num_vertices: int, out_dir, *,
     raw_edges = 0
     try:
         for block in blocks:
-            src, dst = block.src, block.dst
             if getattr(block, "weights", None) is not None:
                 raise GraphFormatError(
                     "sharded CSR does not support edge weights")
-            raw_edges += src.size
-            if orient_by_id:
-                lo = np.minimum(src, dst)
-                hi = np.maximum(src, dst)
-                keep = lo != hi
-                src, dst = lo[keep], hi[keep]
-            elif drop_self_loops:
-                keep = src != dst
-                src, dst = src[keep], dst[keep]
-            if symmetrize:
-                src, dst = (np.concatenate([src, dst]),
-                            np.concatenate([dst, src]))
-            pids = np.searchsorted(bounds, src, side="right") - 1
-            order = np.argsort(pids, kind="stable")
-            cuts = np.searchsorted(pids[order], np.arange(num_partitions + 1))
-            pairs = np.empty((src.size, 2), dtype=np.int64)
-            pairs[:, 0] = src[order]
-            pairs[:, 1] = dst[order]
+            raw_edges += block.src.size
+            keys, _ = prepared_keys(
+                block.src, block.dst, num_vertices,
+                drop_self_loops=drop_self_loops, symmetrize=symmetrize,
+                orient_by_id=orient_by_id)
+            keys = sort_unique(keys)
+            cuts = np.searchsorted(keys, bounds * num_vertices)
             for pid in range(num_partitions):
-                lo_cut, hi_cut = cuts[pid], cuts[pid + 1]
-                if hi_cut > lo_cut:
-                    spills[pid].write(pairs[lo_cut:hi_cut].tobytes())
+                if cuts[pid + 1] > cuts[pid]:
+                    spills[pid].write(keys[cuts[pid]:cuts[pid + 1]].data)
     finally:
         for handle in spills:
             handle.close()
@@ -488,16 +474,11 @@ def build_sharded_csr(blocks, num_vertices: int, out_dir, *,
     partitions = []
     for pid in range(num_partitions):
         lo, hi = int(bounds[pid]), int(bounds[pid + 1])
-        pairs = np.fromfile(spill_paths[pid], dtype=np.int64).reshape(-1, 2)
+        keys = np.fromfile(spill_paths[pid], dtype=np.int64)
         os.unlink(spill_paths[pid])
-        keys = (pairs[:, 0] - lo) * np.int64(num_vertices) + pairs[:, 1]
-        del pairs
-        keys = np.unique(keys)
-        local_src = keys // num_vertices
-        targets = keys - local_src * num_vertices
+        degrees[lo:hi], targets, _ = csr_rows(keys, num_vertices, lo, hi,
+                                              unique=True)
         del keys
-        np.add.at(degrees[lo:hi], local_src,
-                  np.ones(local_src.size, dtype=np.int64))
         file_name = targets_file(pid)
         np.save(os.path.join(out_dir, file_name), targets)
         partitions.append({

@@ -93,7 +93,7 @@ class OutOfCoreCell:
 
 
 def run_outofcore_demo(scale: int = 18, edge_factor: int = 16,
-                       memory_limit_mb: float = 256.0,
+                       memory_limit_mb: float = 64.0,
                        mapped_allowance_mb: float = None,
                        memory_budget_mb: float = 64.0,
                        chunk_edges: int = DEFAULT_CHUNK_EDGES,

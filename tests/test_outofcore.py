@@ -327,13 +327,17 @@ class TestOutOfCoreDemo:
         # RSS) to the children, wrecking the RLIMIT_AS calibration in
         # both directions. The CLI path is also what CI exercises.
         # Knobs calibrated so the dense build's transient allocations
-        # blow the anonymous cap while the streamed path fits.
+        # blow the anonymous cap while the streamed path fits. Bisected
+        # on --memory-limit-mb with the other knobs as below: the
+        # streamed cell fails at 1 and completes from 2; the dense cell
+        # is out-of-memory up to 11 and completes from 12. 7 sits
+        # mid-way between the two failure points.
         journal = tmp_path / "outofcore.jsonl"
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "outofcore", "demo",
-             "--scale", "16", "--memory-limit-mb", "32",
-             "--mapped-allowance-mb", "48", "--memory-budget-mb", "16",
-             "--chunk-edges", str(1 << 16), "--partitions", "8",
+             "--scale", "16", "--memory-limit-mb", "7",
+             "--mapped-allowance-mb", "4", "--memory-budget-mb", "4",
+             "--chunk-edges", str(1 << 16), "--partitions", "16",
              "--roots", "2", "--journal", str(journal), "--json"],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": "src"})
