@@ -425,7 +425,6 @@ def _cmd_cache(args) -> int:
     shards = summary["shards"]
     print(f"out-of-core   : {shards['sharded_graphs']} sharded graphs "
           f"({shards['partitions']} partitions), "
-          f"{shards['edge_shards']} edge shards, "
           f"{shards['bytes'] / 1e6:.2f} MB")
     memory = summary["pinned"]["memory"]
     print(f"pinned memory : {memory['resident_bytes'] / 1e6:.2f} MB "

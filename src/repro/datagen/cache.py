@@ -10,8 +10,8 @@ disk cache:
 * **Content-addressed keys.** An entry's identity is the SHA-256 of the
   canonical JSON of ``{generator, params (defaults applied), code
   version}``. The *code-version salt* is a hash over the source of
-  every ``repro.datagen`` module, so editing a generator invalidates
-  its entries without any manual versioning.
+  every ``repro.datagen`` module and of the ``repro.graph`` builders,
+  so editing either invalidates the entries without manual versioning.
 * **Memory-mapped loads.** Arrays are stored as raw ``.npy`` files and
   loaded with ``mmap_mode="r"``: a warm hit costs an ``open`` + page
   faults, not an allocation + copy, and every worker process of a
@@ -23,7 +23,12 @@ disk cache:
   ``CSRGraph`` and poison every later cell.
 * **Crash/concurrency safety.** An entry is built in a temp directory
   and published with one ``os.replace``; concurrent writers race
-  benignly (first replace wins, losers discard their temp dir).
+  benignly (first replace wins, losers discard their temp dir). An
+  entry that no longer loads (torn ``meta.json``, missing or truncated
+  array or shard file) is removed and rebuilt: damage is a miss.
+* **One lifecycle.** Array entries, sharded-CSR directory entries and
+  :func:`pin` all go through :func:`_lookup`; they differ only in how
+  an entry's temp directory is filled.
 * **Observable.** Hits, misses and stores are mirrored as tracer
   instants (``dataset-cache-hit`` / ``-miss`` / ``-store``) on the
   active tracer, so a sweep's flight record proves whether generation
@@ -56,6 +61,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import GraphFormatError
+from ..graph.sharded import ShardedCSRGraph, publish_dir
 from ..observability import NULL_TRACER
 
 #: Environment variable overriding the cache root directory.
@@ -95,16 +102,24 @@ def cache_root() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV) or _DEFAULT_ROOT)
 
 
+#: ``repro.graph`` modules that decide the bytes of a cached graph (the
+#: key sort, both CSR builders, edge-list validation): salted too.
+_SALTED_GRAPH_FILES = ("csr.py", "edgelist.py", "keys.py", "sharded.py")
+
+
 @functools.lru_cache(maxsize=1)
 def code_version() -> str:
-    """Hash of every ``repro.datagen`` source file: the invalidation salt.
+    """Hash of every source file a cached byte depends on: the salt.
 
-    Any edit to a generator (or to this cache module) changes the salt,
-    which changes every key, which orphans stale entries instead of
-    serving data a different implementation would no longer produce.
+    Any edit to a generator (or to this cache module, or to the graph
+    builders) changes the salt, which changes every key, which orphans
+    stale entries instead of serving data a different implementation
+    would no longer produce.
     """
+    here = Path(__file__).parent
     digest = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
+    for path in sorted(here.glob("*.py")) + [
+            here.parent / "graph" / name for name in _SALTED_GRAPH_FILES]:
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
@@ -155,25 +170,13 @@ def freeze_dataset(data):
 
 # -- (de)serialization -------------------------------------------------------
 
-_ARRAYS_NPZ = "arrays.npz"
-
-
 def _arrays_of(data) -> dict:
-    from ..graph import CSRGraph, EdgeList, RatingsMatrix, ShardedCSRGraph
+    from ..graph import CSRGraph, RatingsMatrix
 
-    if isinstance(data, ShardedCSRGraph):
-        # Shard files live on disk already and are mapped read-only by
-        # construction; nothing in-process to serialize or freeze.
-        return {}
     if isinstance(data, CSRGraph):
         arrays = {"offsets": data.offsets, "targets": data.targets}
         if data.edge_weights is not None:
             arrays["edge_weights"] = data.edge_weights
-        return arrays
-    if isinstance(data, EdgeList):
-        arrays = {"src": data.src, "dst": data.dst}
-        if data.weights is not None:
-            arrays["weights"] = data.weights
         return arrays
     if isinstance(data, RatingsMatrix):
         return {"users": data.users, "items": data.items,
@@ -182,89 +185,68 @@ def _arrays_of(data) -> dict:
 
 
 def _scalars_of(data) -> dict:
-    from ..graph import CSRGraph, EdgeList
+    from ..graph import CSRGraph
 
     if isinstance(data, CSRGraph):
         return {"kind": "csr", "num_vertices": data.num_vertices}
-    if isinstance(data, EdgeList):
-        return {"kind": "edgelist", "num_vertices": data.num_vertices}
     return {"kind": "ratings", "num_users": data.num_users,
             "num_items": data.num_items}
 
 
 def _materialize(meta: dict, arrays: dict):
-    from ..graph import CSRGraph, EdgeList, RatingsMatrix
+    from ..graph import CSRGraph, RatingsMatrix
 
     if meta["kind"] == "csr":
         return CSRGraph(meta["num_vertices"], arrays["offsets"],
                         arrays["targets"], arrays.get("edge_weights"))
-    if meta["kind"] == "edgelist":
-        return EdgeList(meta["num_vertices"], arrays["src"], arrays["dst"],
-                        arrays.get("weights"))
     return RatingsMatrix(meta["num_users"], meta["num_items"],
                          arrays["users"], arrays["items"],
                          arrays["ratings"])
 
 
-def _store(entry: Path, generator: str, params: dict, data,
-           compress: bool = False) -> None:
-    """Publish one entry atomically (temp dir + ``os.replace``)."""
-    entry.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(dir=entry.parent,
-                                prefix=entry.name + ".tmp."))
-    try:
-        arrays = _arrays_of(data)
-        if compress:
-            np.savez_compressed(
-                tmp / _ARRAYS_NPZ,
-                **{name: np.ascontiguousarray(a) for name, a in arrays.items()})
-        else:
-            for name, array in arrays.items():
-                np.save(tmp / f"{name}.npy", np.ascontiguousarray(array))
-        meta = {**_scalars_of(data), "generator": generator,
-                "params": _normalize(params), "version": code_version()}
-        (tmp / _META_NAME).write_text(json.dumps(meta, sort_keys=True,
-                                                 indent=2) + "\n")
-        os.replace(tmp, entry)
-    except OSError:
-        # Lost a race (entry exists) or the rename failed: the existing
-        # entry is authoritative either way.
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not (entry / _META_NAME).exists():
-            raise
+def _write_meta(tmp, meta: dict, generator: str, params: dict) -> None:
+    """Stamp an entry with its identity; the last file a build writes."""
+    meta = {**meta, "generator": generator, "params": _normalize(params),
+            "version": code_version()}
+    (Path(tmp) / _META_NAME).write_text(
+        json.dumps(meta, sort_keys=True, indent=2) + "\n")
+
+
+def _read_meta(entry: Path) -> dict:
+    meta = json.loads((entry / _META_NAME).read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{entry / _META_NAME} is not a JSON object")
+    return meta
+
+
+#: What loading a damaged entry raises: unreadable or invalid
+#: ``meta.json``, a missing or torn array file, a failed graph open.
+_CORRUPT = (OSError, ValueError, KeyError, GraphFormatError)
 
 
 def _load(entry: Path):
-    from ..graph import ShardedCSRGraph
-
-    meta = json.loads((entry / _META_NAME).read_text())
+    meta = _read_meta(entry)
     if meta.get("kind") == "sharded-csr":
+        # Shard files are mapped read-only by construction: nothing to
+        # freeze.
         return ShardedCSRGraph(entry)
-    npz = entry / _ARRAYS_NPZ
-    if npz.exists():
-        # Compressed entries (edge shards) decompress into plain arrays —
-        # they are chunk-sized by construction, so no mmap needed.
-        arrays = dict(np.load(npz))
-    else:
-        arrays = {
-            path.stem: np.load(path, mmap_mode="r")
-            for path in sorted(entry.glob("*.npy"))
-        }
-    return _materialize(meta, arrays)
+    arrays = {
+        path.stem: np.load(path, mmap_mode="r")
+        for path in sorted(entry.glob("*.npy"))
+    }
+    return freeze_dataset(_materialize(meta, arrays))
 
 
-def get_or_build(generator: str, params: dict, build,
-                 compress: bool = False):
-    """The cache's one lookup: load the entry or build + publish it.
+def _lookup(generator: str, params: dict, build, save, root):
+    """The cache's one lifecycle; every lookup is a caller of this.
 
-    Returns the *loaded* (memory-mapped, immutable) dataset on both
-    paths, so cold and warm runs hand out indistinguishable objects.
-    Falls back to a frozen in-memory build when caching is disabled or
-    the entry cannot be written (read-only filesystem). Pinned entries
-    (see :func:`pin`) short-circuit everything: the held object is
-    returned directly, with a ``pinned=true`` hit instant as proof.
-    ``compress=True`` stores the arrays as one compressed npz (the
-    edge-shard entries — chunk-sized, loaded whole, worth shrinking).
+    pinned hit -> cache disabled -> disk hit -> miss -> ``build()`` ->
+    publish (``save(tmp, data)`` fills the entry's temp directory) ->
+    store -> load -> auto-pin. Cold and warm runs hand out the same
+    *loaded* object. ``root`` is where entries live, None for none at
+    all. An entry that cannot be loaded is removed and is a miss; one
+    that cannot be published falls back to the frozen in-memory build,
+    when there is one (read-only filesystem).
     """
     key = entry_key(generator, params)
     with _PINS_LOCK:
@@ -275,20 +257,46 @@ def get_or_build(generator: str, params: dict, build,
         _TRACER.instant("dataset-cache-hit", generator=generator, key=key,
                         pinned=True)
         return held["data"]
-    if not cache_enabled():
+    if root is None:
         return _maybe_pin(key, generator, freeze_dataset(build()))
-    entry = cache_root() / key
-    if (entry / _META_NAME).exists():
-        _TRACER.instant("dataset-cache-hit", generator=generator, key=key)
-        return _maybe_pin(key, generator, freeze_dataset(_load(entry)))
-    _TRACER.instant("dataset-cache-miss", generator=generator, key=key)
+    tracer = _TRACER if cache_enabled() else NULL_TRACER
+    entry = Path(root) / key
+    if entry.is_dir():
+        try:
+            data = _load(entry)
+        except _CORRUPT:
+            shutil.rmtree(entry, ignore_errors=True)
+        else:
+            tracer.instant("dataset-cache-hit", generator=generator, key=key)
+            return _maybe_pin(key, generator, data)
+    tracer.instant("dataset-cache-miss", generator=generator, key=key)
     data = build()
     try:
-        _store(entry, generator, params, data, compress=compress)
+        publish_dir(entry, lambda tmp: save(tmp, data))
     except OSError:
+        if data is None:
+            raise
         return _maybe_pin(key, generator, freeze_dataset(data))
-    _TRACER.instant("dataset-cache-store", generator=generator, key=key)
-    return _maybe_pin(key, generator, freeze_dataset(_load(entry)))
+    tracer.instant("dataset-cache-store", generator=generator, key=key)
+    return _maybe_pin(key, generator, _load(entry))
+
+
+def get_or_build(generator: str, params: dict, build):
+    """Array-shaped entries: load the dataset or build + publish it.
+
+    Returns the *loaded* (memory-mapped, immutable) dataset on both
+    paths. With caching disabled the build stays in memory, frozen.
+    Pinned entries (see :func:`pin`) short-circuit everything: the held
+    object is returned directly, with a ``pinned=true`` hit instant as
+    proof.
+    """
+    def save(tmp, data):
+        for name, array in _arrays_of(data).items():
+            np.save(Path(tmp) / f"{name}.npy", np.ascontiguousarray(array))
+        _write_meta(tmp, _scalars_of(data), generator, params)
+
+    return _lookup(generator, params, build, save,
+                   cache_root() if cache_enabled() else None)
 
 
 def get_or_build_dir(generator: str, params: dict, build_into):
@@ -297,61 +305,19 @@ def get_or_build_dir(generator: str, params: dict, build_into):
     ``build_into(tmpdir)`` must write a complete sharded graph directory
     (shard files plus a ``meta.json`` manifest) into ``tmpdir``; the
     cache stamps the manifest with its generator/params/version identity
-    and publishes it with one ``os.replace``, exactly like array
-    entries. A hit hands back a :class:`~repro.graph.ShardedCSRGraph`
-    over the published directory — loading costs one manifest read plus
-    the lazy mmaps, so pinning the result pins the *manifest*, not the
-    edge bytes. With caching disabled, builds land in a process-lifetime
-    temp directory (sharded graphs need a disk home regardless).
+    and publishes it exactly like array entries. A hit hands back a
+    :class:`~repro.graph.ShardedCSRGraph` over the published directory —
+    loading costs one manifest read plus the lazy mmaps, so pinning the
+    result pins the *manifest*, not the edge bytes. With caching
+    disabled, builds land in a process-lifetime temp directory (sharded
+    graphs need a disk home regardless).
     """
-    key = entry_key(generator, params)
-    with _PINS_LOCK:
-        held = _PINS.get(key)
-        if held is not None:
-            held["hits"] += 1
-    if held is not None:
-        _TRACER.instant("dataset-cache-hit", generator=generator, key=key,
-                        pinned=True)
-        return held["data"]
-
-    def stamp(tmp: Path):
-        meta_path = tmp / _META_NAME
-        meta = json.loads(meta_path.read_text())
-        meta.update({"generator": generator, "params": _normalize(params),
-                     "version": code_version()})
-        meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-    if not cache_enabled():
-        scratch = Path(_scratch_root()) / key
-        if not (scratch / _META_NAME).exists():
-            tmp = Path(tempfile.mkdtemp(dir=_scratch_root(),
-                                        prefix=key + ".tmp."))
-            build_into(tmp)
-            stamp(tmp)
-            try:
-                os.replace(tmp, scratch)
-            except OSError:
-                shutil.rmtree(tmp, ignore_errors=True)
-                if not (scratch / _META_NAME).exists():
-                    raise
-        return _maybe_pin(key, generator, _load(scratch))
-    entry = cache_root() / key
-    if (entry / _META_NAME).exists():
-        _TRACER.instant("dataset-cache-hit", generator=generator, key=key)
-        return _maybe_pin(key, generator, _load(entry))
-    _TRACER.instant("dataset-cache-miss", generator=generator, key=key)
-    entry.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(dir=entry.parent, prefix=key + ".tmp."))
-    try:
+    def save(tmp, _data):
         build_into(tmp)
-        stamp(tmp)
-        os.replace(tmp, entry)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not (entry / _META_NAME).exists():
-            raise
-    _TRACER.instant("dataset-cache-store", generator=generator, key=key)
-    return _maybe_pin(key, generator, _load(entry))
+        _write_meta(tmp, _read_meta(Path(tmp)), generator, params)
+
+    return _lookup(generator, params, lambda: None, save,
+                   cache_root() if cache_enabled() else _scratch_root())
 
 
 @functools.lru_cache(maxsize=1)
@@ -364,7 +330,7 @@ def _scratch_root() -> str:
     return root
 
 
-def disk_cached(generator: str, compress: bool = False):
+def disk_cached(generator: str):
     """Decorator wiring one dataset generator through the disk cache.
 
     The cache key binds the call's full signature (defaults applied),
@@ -382,8 +348,7 @@ def disk_cached(generator: str, compress: bool = False):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             return get_or_build(generator, dict(bound.arguments),
-                                lambda: fn(*args, **kwargs),
-                                compress=compress)
+                                lambda: fn(*args, **kwargs))
 
         return inner
 
@@ -415,16 +380,21 @@ def _full_params(generator: str, params: dict) -> dict:
 _PINNING_DEPTH = [0]
 
 
+def _hold(key: str, generator: str, data) -> None:
+    """One more reference on ``key``; call with the lock held."""
+    held = _PINS.get(key)
+    if held is not None:
+        held["refcount"] += 1
+    else:
+        _PINS[key] = {"generator": generator, "data": data,
+                      "refcount": 1, "hits": 0}
+
+
 def _maybe_pin(key: str, generator: str, data):
     """Auto-pin a freshly loaded dataset inside a :func:`pinning` block."""
     with _PINS_LOCK:
         if _PINNING_DEPTH[0] > 0:
-            held = _PINS.get(key)
-            if held is not None:
-                held["refcount"] += 1
-            else:
-                _PINS[key] = {"generator": generator, "data": data,
-                              "refcount": 1, "hits": 0}
+            _hold(key, generator, data)
     return data
 
 
@@ -456,28 +426,20 @@ def pin(generator: str, params: dict, build=None) -> str:
     """
     params = _full_params(generator, params)
     key = entry_key(generator, params)
+
+    def missing():
+        raise KeyError(
+            f"cannot pin {generator} entry {key}: not in the disk cache "
+            "and no build callable given")
+
     with _PINS_LOCK:
         held = _PINS.get(key)
         if held is not None:
             held["refcount"] += 1
             return key
-    entry = cache_root() / key
-    if cache_enabled() and (entry / _META_NAME).exists():
-        _TRACER.instant("dataset-cache-hit", generator=generator, key=key)
-        data = freeze_dataset(_load(entry))
-    elif build is not None:
-        data = get_or_build(generator, params, build)
-    else:
-        raise KeyError(
-            f"cannot pin {generator} entry {key}: not in the disk cache "
-            "and no build callable given")
+    data = get_or_build(generator, params, build or missing)
     with _PINS_LOCK:
-        held = _PINS.get(key)
-        if held is not None:
-            held["refcount"] += 1
-        else:
-            _PINS[key] = {"generator": generator, "data": data,
-                          "refcount": 1, "hits": 0}
+        _hold(key, generator, data)
     return key
 
 
@@ -541,10 +503,13 @@ def entries(root=None) -> list:
         return []
     out = []
     for entry in sorted(root.iterdir()):
-        meta_path = entry / _META_NAME
-        if not entry.is_dir() or not meta_path.exists():
+        if not entry.is_dir() or not (entry / _META_NAME).exists():
             continue
-        meta = json.loads(meta_path.read_text())
+        try:
+            meta = _read_meta(entry)
+        except (OSError, ValueError):
+            # Swept by ``clear --stale``; a lookup would rebuild it.
+            meta = {"kind": "corrupt"}
         # Recursive walk: sharded entries nest shard files (and possibly
         # a reverse/ transpose directory) below the entry root.
         size = sum(path.stat().st_size
@@ -581,7 +546,6 @@ def stats(root=None) -> dict:
         kind["entries"] += 1
         kind["bytes"] += item["bytes"]
     sharded = [item for item in listed if item["kind"] == "sharded-csr"]
-    edge_shards = [item for item in listed if item["kind"] == "edgelist"]
     held = pinned()
     return {
         "root": str(root),
@@ -594,8 +558,7 @@ def stats(root=None) -> dict:
         "shards": {
             "sharded_graphs": len(sharded),
             "partitions": sum(item.get("partitions", 0) for item in sharded),
-            "edge_shards": len(edge_shards),
-            "bytes": sum(item["bytes"] for item in sharded + edge_shards),
+            "bytes": sum(item["bytes"] for item in sharded),
         },
         "pinned": {
             "entries": len(held),

@@ -17,7 +17,6 @@ million-edge graphs generate in well under a second.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
@@ -124,13 +123,61 @@ def out_of_core_enabled() -> bool:
         in ("1", "on", "true", "yes")
 
 
+def _rmat_csr(rmat, flags, shard=None):
+    """The one path from a seed to a CSR graph, in either storage.
+
+    ``rmat`` is the :func:`rmat_edges` argument tuple and ``flags`` the
+    Section 4.1.2 preprocessing, in the one vocabulary
+    ``CSRGraph.from_edges`` and ``build_sharded_csr`` share — which is
+    what makes the two storages byte-identical. Dense by default;
+    ``shard = (generator, chunk_edges, num_partitions,
+    memory_budget_mb)`` streams the same edges chunk by chunk into a
+    cached sharded directory instead: peak memory is one chunk plus one
+    partition's spill, and ``memory_budget_mb`` is a runtime working-set
+    knob on the returned handle, not part of the dataset identity.
+    """
+    if shard is None:
+        return CSRGraph.from_edges(rmat_edges(*rmat), deduplicate=True,
+                                   **flags)
+    from .stream import RMATStream
+
+    generator, chunk_edges, num_partitions, memory_budget_mb = shard
+    stream = RMATStream(*rmat)
+    if num_partitions is None:
+        # ~8 MB of target ids a partition: the finalize pass's transient
+        # (spilled keys, their distinct values, then rows and targets)
+        # runs ~3x that, so the build peaks near 24 MB at any scale.
+        approx_bytes = stream.num_edges * 8 * (
+            2 if flags.get("symmetrize") else 1)
+        num_partitions = int(max(1, min(stream.num_vertices,
+                                        -(-approx_bytes // (8 << 20)))))
+
+    def build_into(tmp):
+        build_sharded_csr((block for _, block in stream.chunks(chunk_edges)),
+                          stream.num_vertices, tmp,
+                          num_partitions=num_partitions, **flags)
+
+    # Everything that decides a byte of the entry, and nothing else.
+    identity = {"rmat": rmat, "flags": flags, "chunk_edges": chunk_edges,
+                "num_partitions": num_partitions}
+    graph = get_or_build_dir(generator, identity, build_into)
+    if memory_budget_mb is not None:
+        graph.memory_budget_mb = memory_budget_mb
+    return graph
+
+
+def _graph_recipe(scale, edge_factor, params, seed, directed):
+    """``rmat_graph``, stated once for both storages: ``(rmat, flags)``."""
+    return ((scale, edge_factor, params or RMATParams(), seed),
+            {"drop_self_loops": True, "symmetrize": not directed})
+
+
 @disk_cached("rmat_graph")
 def _rmat_graph_dense(scale: int, edge_factor: int = 16,
                       params: RMATParams = None, seed: int = 0,
                       directed: bool = True) -> CSRGraph:
-    return CSRGraph.from_edges(
-        rmat_edges(scale, edge_factor, params, seed), deduplicate=True,
-        drop_self_loops=True, symmetrize=not directed)
+    return _rmat_csr(*_graph_recipe(scale, edge_factor, params, seed,
+                                    directed))
 
 
 def rmat_graph(scale: int, edge_factor: int = 16, params: RMATParams = None,
@@ -152,11 +199,28 @@ def rmat_graph(scale: int, edge_factor: int = 16, params: RMATParams = None,
 rmat_graph.__wrapped__ = _rmat_graph_dense.__wrapped__
 
 
+def rmat_graph_sharded(scale: int, edge_factor: int = 16,
+                       params: RMATParams = None, seed: int = 0,
+                       directed: bool = True,
+                       chunk_edges: int = 1 << 18,
+                       num_partitions: int = None,
+                       memory_budget_mb: float = None):
+    """The :func:`rmat_graph` dataset as a partitioned on-disk CSR."""
+    return _rmat_csr(
+        *_graph_recipe(scale, edge_factor, params, seed, directed),
+        ("rmat_graph_sharded", chunk_edges, num_partitions, memory_budget_mb))
+
+
+def _triangle_recipe(scale, edge_factor, seed):
+    """``rmat_triangle_graph``, stated once: ``(rmat, flags)``."""
+    return ((scale, edge_factor, RMATParams(*TRIANGLE_PARAMS), seed),
+            {"orient_by_id": True})
+
+
 @disk_cached("rmat_triangle_graph")
 def _rmat_triangle_graph_dense(scale: int, edge_factor: int = 16,
                                seed: int = 0) -> CSRGraph:
-    edges = rmat_edges(scale, edge_factor, RMATParams(*TRIANGLE_PARAMS), seed)
-    return CSRGraph.from_edges(edges, orient_by_id=True)
+    return _rmat_csr(*_triangle_recipe(scale, edge_factor, seed))
 
 
 def rmat_triangle_graph(scale: int, edge_factor: int = 16, seed: int = 0):
@@ -174,106 +238,13 @@ def rmat_triangle_graph(scale: int, edge_factor: int = 16, seed: int = 0):
 rmat_triangle_graph.__wrapped__ = _rmat_triangle_graph_dense.__wrapped__
 
 
-# -- streamed out-of-core builds ---------------------------------------------
-
-@disk_cached("rmat_edge_shard", compress=True)
-def rmat_edge_shard(scale: int, edge_factor: int = 16,
-                    params: RMATParams = None, seed: int = 0,
-                    chunk_edges: int = 1 << 18, chunk: int = 0) -> EdgeList:
-    """One fixed-size block of the seeded R-MAT edge stream.
-
-    Cache entries are per chunk *index*, so a miss regenerates one
-    compressed shard, never the dataset; the bytes are the exact slice
-    ``[chunk * chunk_edges, (chunk+1) * chunk_edges)`` of what
-    :func:`rmat_edges` would produce (see ``repro.datagen.stream``).
-    """
-    stream = _stream_for(scale, edge_factor, params, seed)
-    start = chunk * chunk_edges
-    if not 0 <= start < stream.num_edges:
-        raise ValueError(f"chunk {chunk} out of range for {stream!r}")
-    return stream.chunk(start, min(start + chunk_edges, stream.num_edges))
-
-
-@functools.lru_cache(maxsize=4)
-def _stream_for(scale, edge_factor, params, seed):
-    # Caches the stream (and with it the O(V) vertex permutation) across
-    # the per-chunk shard builds of one dataset.
-    from .stream import RMATStream
-
-    return RMATStream(scale, edge_factor, params, seed)
-
-
-def _derived_partitions(scale: int, edge_factor: int, symmetrized: bool) -> int:
-    """Enough partitions that each holds ~8 MB of target ids.
-
-    The finalize pass's transient (spilled keys, their distinct
-    values, then rows and targets) runs ~3x a partition's target bytes,
-    so 8 MB of ids keeps the build's peak near 24 MB per partition
-    regardless of scale.
-    """
-    approx_bytes = (edge_factor << scale) * 8 * (2 if symmetrized else 1)
-    return int(max(1, min(1 << scale, -(-approx_bytes // (8 << 20)))))
-
-
-def rmat_graph_sharded(scale: int, edge_factor: int = 16,
-                       params: RMATParams = None, seed: int = 0,
-                       directed: bool = True,
-                       chunk_edges: int = 1 << 18,
-                       num_partitions: int = None,
-                       memory_budget_mb: float = None):
-    """The :func:`rmat_graph` dataset as a partitioned on-disk CSR.
-
-    Byte-identical to the dense build (same sorted unique adjacency),
-    but peak memory is one edge chunk plus one partition's spill.
-    ``memory_budget_mb`` is a runtime working-set knob on the returned
-    handle, not part of the dataset identity.
-    """
-    params = params or RMATParams()
-    if num_partitions is None:
-        num_partitions = _derived_partitions(scale, edge_factor, not directed)
-    key_params = {"scale": scale, "edge_factor": edge_factor,
-                  "params": params, "seed": seed, "directed": directed,
-                  "chunk_edges": chunk_edges,
-                  "num_partitions": num_partitions}
-
-    def build_into(tmp):
-        stream = _stream_for(scale, edge_factor, params, seed)
-        blocks = (rmat_edge_shard(scale, edge_factor, params, seed,
-                                  chunk_edges=chunk_edges, chunk=index)
-                  for index in range(stream.num_chunks(chunk_edges)))
-        build_sharded_csr(blocks, stream.num_vertices, tmp,
-                          num_partitions=num_partitions,
-                          symmetrize=not directed)
-
-    graph = get_or_build_dir("rmat_graph_sharded", key_params, build_into)
-    if memory_budget_mb is not None:
-        graph.memory_budget_mb = memory_budget_mb
-    return graph
-
-
 def rmat_triangle_graph_sharded(scale: int, edge_factor: int = 16,
                                 seed: int = 0,
                                 chunk_edges: int = 1 << 18,
                                 num_partitions: int = None,
                                 memory_budget_mb: float = None):
     """The :func:`rmat_triangle_graph` dataset as a sharded CSR."""
-    params = RMATParams(*TRIANGLE_PARAMS)
-    if num_partitions is None:
-        num_partitions = _derived_partitions(scale, edge_factor, False)
-    key_params = {"scale": scale, "edge_factor": edge_factor,
-                  "seed": seed, "chunk_edges": chunk_edges,
-                  "num_partitions": num_partitions}
-
-    def build_into(tmp):
-        stream = _stream_for(scale, edge_factor, params, seed)
-        blocks = (rmat_edge_shard(scale, edge_factor, params, seed,
-                                  chunk_edges=chunk_edges, chunk=index)
-                  for index in range(stream.num_chunks(chunk_edges)))
-        build_sharded_csr(blocks, stream.num_vertices, tmp,
-                          num_partitions=num_partitions, orient_by_id=True)
-
-    graph = get_or_build_dir("rmat_triangle_graph_sharded", key_params,
-                             build_into)
-    if memory_budget_mb is not None:
-        graph.memory_budget_mb = memory_budget_mb
-    return graph
+    return _rmat_csr(
+        *_triangle_recipe(scale, edge_factor, seed),
+        ("rmat_triangle_graph_sharded", chunk_edges, num_partitions,
+         memory_budget_mb))

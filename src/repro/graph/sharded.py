@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -81,6 +82,45 @@ def targets_file(index: int) -> str:
 
 def _sha256_of(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).data).hexdigest()
+
+
+def publish_dir(final, fill) -> None:
+    """Create directory ``final`` atomically from what ``fill(tmp)`` writes.
+
+    ``fill`` gets a fresh temp directory next to ``final``; one
+    ``os.replace`` publishes it, so readers see all of the directory or
+    none of it. Concurrent publishers race benignly: the first replace
+    wins and a loser discards its own copy. Any other failure re-raises;
+    no temp directory is left behind either way.
+    """
+    final = os.fspath(final)
+    parent = os.path.dirname(final)
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(dir=parent,
+                           prefix=os.path.basename(final) + ".tmp.")
+    try:
+        fill(tmp)
+        os.replace(tmp, final)
+    except OSError:
+        if not os.path.isdir(final):
+            raise
+    finally:
+        # Gone already when the replace went through.
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _check_npy_size(path: str, count: int) -> None:
+    """Typed error unless ``path`` is as long as an int64 ``.npy`` of
+    ``count`` items: a torn shard must fail at open, not as a raw mmap
+    ``ValueError`` in the middle of a superstep. No read, no hashing."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<i8", "fortran_order": False, "shape": (count,)})
+    expected = header.tell() + 8 * count
+    size = os.path.getsize(path) if os.path.isfile(path) else None
+    if size != expected:
+        raise GraphFormatError(
+            f"{path}: {size} bytes on disk, its manifest implies {expected}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +197,11 @@ class ShardedCSRGraph:
         self.bounds = np.array(
             [p["lo"] for p in self._partition_meta]
             + [self._partition_meta[-1]["hi"]], dtype=np.int64)
+        _check_npy_size(os.path.join(self.root, OFFSETS_FILE),
+                        self.num_vertices + 1)
+        for part in self._partition_meta:
+            _check_npy_size(os.path.join(self.root, part["file"]),
+                            part["edges"])
         self.offsets = np.load(os.path.join(self.root, OFFSETS_FILE),
                                mmap_mode="r")
         if self.offsets.shape != (self.num_vertices + 1,):
@@ -358,19 +403,10 @@ class ShardedCSRGraph:
                         yield EdgeList(self.num_vertices,
                                        np.asarray(part.targets), rows)
                         part.release()
-                staging = tempfile.mkdtemp(
-                    prefix="reverse-", dir=self.root)
-                try:
-                    build_sharded_csr(
-                        transposed_blocks(), self.num_vertices, staging,
-                        num_partitions=self.num_partitions,
-                        drop_self_loops=False)
-                    os.replace(staging, reverse_root)
-                except OSError:
-                    # Lost a publish race (ENOTEMPTY) — reuse the winner.
-                    shutil.rmtree(staging, ignore_errors=True)
-                    if not os.path.isdir(reverse_root):
-                        raise
+                publish_dir(reverse_root, lambda staging: build_sharded_csr(
+                    transposed_blocks(), self.num_vertices, staging,
+                    num_partitions=self.num_partitions,
+                    drop_self_loops=False))
             self._in_view = ShardedCSRGraph(
                 reverse_root, memory_budget_mb=self.memory_budget_mb)
         return self._in_view

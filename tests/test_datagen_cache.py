@@ -7,6 +7,9 @@ later cell; tracer instants make hits/misses observable; and the
 ``repro cache`` CLI manages the store.
 """
 
+import pathlib
+import shutil
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,11 @@ from repro.datagen import (
     clear_cache,
     netflix_like_ratings,
     rmat_graph,
+    rmat_graph_sharded,
 )
 from repro.datagen import cache as cache_module
+from repro.datagen import rmat as rmat_module
+from repro.graph import graph_digests
 from repro.observability import Tracer
 
 GRAPH_ARGS = dict(scale=6, edge_factor=4, seed=11)
@@ -126,6 +132,24 @@ class TestKeysAndInvalidation:
         assert cache_entries() == []
 
 
+    @pytest.mark.parametrize("salted", [
+        "datagen/rmat.py", "datagen/cache.py", "graph/keys.py",
+        "graph/csr.py", "graph/sharded.py", "graph/edgelist.py"])
+    def test_code_version_covers_every_file_that_decides_a_byte(
+            self, salted, monkeypatch):
+        fresh = cache_module.code_version.__wrapped__
+        before = fresh()
+        read_bytes = pathlib.Path.read_bytes
+
+        def edited(path):
+            data = read_bytes(path)
+            return data + b"# edit\n" if path.as_posix().endswith(
+                "repro/" + salted) else data
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", edited)
+        assert fresh() != before
+
+
 class TestObservability:
     def test_tracer_sees_miss_store_then_hit(self, cache_dir):
         tracer = Tracer()
@@ -135,6 +159,111 @@ class TestObservability:
         assert len(tracer.spans_named("dataset-cache-miss")) == 1
         assert len(tracer.spans_named("dataset-cache-store")) == 1
         assert len(tracer.spans_named("dataset-cache-hit")) == 1
+
+
+def instants(tracer):
+    """(name, pinned) of every cache instant, in order."""
+    assert all(span.attrs["key"] and span.attrs["generator"]
+               for span in tracer.spans)
+    return [(span.name, span.attrs.get("pinned", False))
+            for span in tracer.spans]
+
+
+#: One lifecycle, two entry shapes: array (dense graph) and directory
+#: (sharded graph). Everything below must hold identically for both.
+SHAPES = {"array": rmat_graph, "directory": rmat_graph_sharded}
+
+
+@pytest.fixture
+def fresh_pins():
+    cache_module.clear_pins()
+    yield
+    cache_module.clear_pins()
+
+
+@pytest.mark.usefixtures("fresh_pins")
+@pytest.mark.parametrize("build", SHAPES.values(), ids=SHAPES.keys())
+class TestOneLifecycle:
+    def traced(self, build):
+        tracer = Tracer()
+        with cache_module.use_tracer(tracer):
+            graph = build(**GRAPH_ARGS)
+        return graph, instants(tracer)
+
+    def test_cold_miss_then_warm_hit_then_pinned_hit(self, cache_dir, build):
+        cold, seen = self.traced(build)
+        assert seen == [("dataset-cache-miss", False),
+                        ("dataset-cache-store", False)]
+        with cache_module.pinning():
+            warm, seen = self.traced(build)
+        assert seen == [("dataset-cache-hit", False)]
+        pinned, seen = self.traced(build)
+        assert seen == [("dataset-cache-hit", True)]
+        assert pinned is warm
+        assert graph_digests(cold) == graph_digests(warm)
+        assert len(cache_entries()) == 1
+
+    def test_disabled_cache_is_silent_and_stores_nothing(
+            self, cache_dir, build, monkeypatch):
+        monkeypatch.setenv(cache_module.CACHE_ENABLE_ENV, "0")
+        graph, seen = self.traced(build)
+        assert seen == [] and cache_entries() == []
+        assert graph.num_edges > 0
+
+    def test_lost_publish_race_returns_the_winner(self, cache_dir, build,
+                                                  tmp_path, monkeypatch):
+        want = graph_digests(build(**GRAPH_ARGS))
+        (entry,) = cache_entries()
+        final = cache_dir / entry["key"]
+        winner = tmp_path / "winner"
+        final.rename(winner)
+        (winner / "won").write_text("first replace wins")
+
+        def racing(original):
+            def wrapper(*args, **kwargs):
+                # A concurrent builder publishes while ours is building.
+                if not final.exists():
+                    shutil.copytree(winner, final)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("rmat_edges", "build_sharded_csr"):
+            monkeypatch.setattr(rmat_module, name,
+                                racing(getattr(rmat_module, name)))
+        graph, seen = self.traced(build)
+        assert seen == [("dataset-cache-miss", False),
+                        ("dataset-cache-store", False)]
+        assert (final / "won").exists()
+        assert [path.name for path in cache_dir.iterdir()] == [final.name]
+        assert graph_digests(graph) == want
+
+    def test_torn_meta_is_a_miss_not_a_crash(self, cache_dir, build):
+        want = graph_digests(build(**GRAPH_ARGS))
+        (entry,) = cache_entries()
+        (cache_dir / entry["key"] / "meta.json").write_text("{torn")
+        (listed,) = cache_entries()
+        assert listed["kind"] == "corrupt" and listed["stale"]
+        graph, seen = self.traced(build)
+        assert seen == [("dataset-cache-miss", False),
+                        ("dataset-cache-store", False)]
+        assert graph_digests(graph) == want
+        assert [item["kind"] for item in cache_entries()] == [entry["kind"]]
+
+    def test_clear_stale_sweeps_a_corrupt_entry(self, cache_dir, build):
+        build(**GRAPH_ARGS)
+        (entry,) = cache_entries()
+        (cache_dir / entry["key"] / "meta.json").write_text("{torn")
+        assert clear_cache(stale_only=True) == 1
+        assert cache_entries() == []
+
+
+class TestDamagedArrays:
+    def test_missing_array_file_is_a_miss(self, cache_dir):
+        want = graph_digests(rmat_graph(**GRAPH_ARGS))
+        (entry,) = cache_entries()
+        (cache_dir / entry["key"] / "targets.npy").unlink()
+        assert graph_digests(rmat_graph(**GRAPH_ARGS)) == want
+        assert (cache_dir / entry["key"] / "targets.npy").exists()
 
 
 class TestManagement:
@@ -179,13 +308,8 @@ class TestManagement:
             cache_module.clear_pins()
 
 
+@pytest.mark.usefixtures("fresh_pins")
 class TestPinnedDatasets:
-    @pytest.fixture(autouse=True)
-    def _fresh_pins(self):
-        cache_module.clear_pins()
-        yield
-        cache_module.clear_pins()
-
     def test_pinning_block_pins_what_it_touches(self, cache_dir):
         with cache_module.pinning():
             warm = rmat_graph(**GRAPH_ARGS)

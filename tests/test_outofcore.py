@@ -5,8 +5,8 @@ bit-identical to the monolithic generator at any chunk size; the
 partitioned on-disk CSR carries the same sha256 digests as the dense
 build; engines produce identical results (and identical simulated
 runtimes) through either representation; the memory budget actually
-bounds the mapped working set; shard-level cache keys regenerate one
-chunk on a miss; and the headline demonstration — a Graph500 run that
+bounds the mapped working set; a streamed build is one cache entry
+that a damaged shard turns into a miss; and the headline demonstration — a Graph500 run that
 dies under ``RLIMIT_AS`` in-memory but completes streamed — holds at a
 test-sized configuration.
 """
@@ -33,6 +33,7 @@ from repro.datagen import (
     rmat_triangle_graph_sharded,
 )
 from repro.datagen import cache as cache_module
+from repro.errors import GraphFormatError
 from repro.graph import (
     ShardedCSRGraph,
     build_sharded_csr,
@@ -229,32 +230,21 @@ class TestMemoryBudget:
 
 
 class TestShardCacheKeys:
-    def test_one_missing_shard_regenerates_one_chunk(self, cache_dir):
-        chunk_edges = 512
-        rmat_graph_sharded(**GRAPH_ARGS, directed=False,
-                           chunk_edges=chunk_edges)
-        shards = [e for e in cache_entries()
-                  if e["generator"] == "rmat_edge_shard"]
-        num_chunks = RMATStream(
-            GRAPH_ARGS["scale"], GRAPH_ARGS["edge_factor"],
-            seed=GRAPH_ARGS["seed"]).num_chunks(chunk_edges)
-        assert len(shards) == num_chunks > 1
-        # Lose one edge shard and the assembled graph; rebuilding must
-        # regenerate exactly that one chunk and reuse the rest.
-        shutil.rmtree(cache_dir / shards[0]["key"])
-        for entry in cache_entries():
-            if entry["generator"] == "rmat_graph_sharded":
-                shutil.rmtree(cache_dir / entry["key"])
+    def test_a_streamed_build_leaves_exactly_one_entry(self, cache_dir):
+        rmat_graph_sharded(**GRAPH_ARGS, directed=False, chunk_edges=512)
+        (entry,) = cache_entries()
+        assert entry["kind"] == "sharded-csr"
+        assert entry["generator"] == "rmat_graph_sharded"
+        # Lose it: the rebuild streams the edges again, at another chunk
+        # size, into the bytes of the dense build.
+        shutil.rmtree(cache_dir / entry["key"])
         tracer = Tracer()
         with cache_module.use_tracer(tracer):
             rebuilt = rmat_graph_sharded(**GRAPH_ARGS, directed=False,
-                                         chunk_edges=chunk_edges)
-        misses = [s for s in tracer.spans_named("dataset-cache-miss")
-                  if s.attrs["generator"] == "rmat_edge_shard"]
-        hits = [s for s in tracer.spans_named("dataset-cache-hit")
-                if s.attrs["generator"] == "rmat_edge_shard"]
-        assert len(misses) == 1
-        assert len(hits) == num_chunks - 1
+                                         chunk_edges=300)
+        assert [s.name for s in tracer.spans] == ["dataset-cache-miss",
+                                                  "dataset-cache-store"]
+        assert len(cache_entries()) == 1
         dense = dense_graph()
         assert rebuilt.digests() == graph_digests(
             dense, num_partitions=rebuilt.num_partitions)
@@ -276,7 +266,7 @@ class TestShardCacheKeys:
         stats = cache_module.stats()
         assert stats["shards"]["sharded_graphs"] == 1
         assert stats["shards"]["partitions"] == 4
-        assert stats["shards"]["edge_shards"] > 1
+        assert set(stats["by_kind"]) == {"sharded-csr"}
 
     def test_out_of_core_env_reroutes_the_plain_builders(self, cache_dir,
                                                          monkeypatch):
@@ -286,6 +276,64 @@ class TestShardCacheKeys:
         assert isinstance(graph, ShardedCSRGraph)
         assert graph.digests() == graph_digests(
             dense, num_partitions=graph.num_partitions)
+
+
+def truncate(path, drop=64):
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) - drop)
+
+
+class TestTornShards:
+    @pytest.mark.parametrize("name", ["targets_0001.npy", "offsets.npy"])
+    def test_direct_open_is_a_typed_error(self, tmp_path, name):
+        sharded = sharded_graph(tmp_path)
+        truncate(os.path.join(sharded.root, name))
+        with pytest.raises(GraphFormatError, match=name):
+            ShardedCSRGraph(sharded.root)
+
+    def test_missing_shard_is_a_typed_error(self, tmp_path):
+        sharded = sharded_graph(tmp_path)
+        os.unlink(os.path.join(sharded.root, "targets_0002.npy"))
+        with pytest.raises(GraphFormatError, match="targets_0002.npy"):
+            ShardedCSRGraph(sharded.root)
+
+    def test_through_the_cache_it_is_a_miss_and_the_run_completes(
+            self, cache_dir):
+        args = dict(GRAPH_ARGS, directed=False, chunk_edges=512,
+                    num_partitions=4)
+        want = run(ExperimentSpec("bfs", "native", rmat_graph_sharded(**args)))
+        (entry,) = cache_entries()
+        truncate(cache_dir / entry["key"] / "targets_0001.npy")
+        tracer = Tracer()
+        with cache_module.use_tracer(tracer):
+            graph = rmat_graph_sharded(**args)
+        assert [s.name for s in tracer.spans] == ["dataset-cache-miss",
+                                                  "dataset-cache-store"]
+        got = run(ExperimentSpec("bfs", "native", graph))
+        assert got.status == want.status == "ok"
+        assert np.array_equal(got.result.values, want.result.values)
+
+    def test_reverse_lost_publish_race_reuses_the_winner(self, tmp_path,
+                                                         monkeypatch):
+        sharded = sharded_graph(tmp_path)
+        winner = tmp_path / "winner"
+        os.rename(ShardedCSRGraph(sharded.root).reverse().root, winner)
+        (winner / "won").write_text("first replace wins")
+        build = sharded_module.build_sharded_csr
+
+        def racing(*args, **kwargs):
+            # A concurrent reverse() publishes while ours is building.
+            shutil.copytree(winner, os.path.join(sharded.root, "reverse"))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(sharded_module, "build_sharded_csr", racing)
+        reverse = sharded.reverse()
+        assert os.path.exists(os.path.join(reverse.root, "won"))
+        assert not [name for name in os.listdir(sharded.root)
+                    if ".tmp." in name]
+        dense = dense_graph().reverse()
+        assert reverse.digests() == graph_digests(
+            dense, num_partitions=reverse.num_partitions)
 
 
 class TestEngineEquivalence:
