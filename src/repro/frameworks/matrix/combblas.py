@@ -61,16 +61,20 @@ def _works(cluster: Cluster, nnz_per_node, flops_total: float,
     total_nnz = max(float(np.sum(nnz_per_node)), 1.0)
     if touched_nnz is None:
         touched_nnz = total_nnz
+    # Sent + received bytes per node. The transpose is copied so both
+    # sums reduce along a contiguous axis: ``sum(0)`` adds row by row,
+    # which rounds non-integer traffic differently from a per-node slice.
+    message_bytes = (traffic.sum(1)
+                     + np.ascontiguousarray(traffic.T).sum(1))
     works = []
     for node in range(cluster.num_nodes):
         share = float(nnz_per_node[node]) / total_nnz
         node_nnz = touched_nnz * share
-        message_bytes = traffic[node, :].sum() + traffic[:, node].sum()
         works.append(ComputeWork(
             # 16 B per visited nonzero (index + value) plus SPA re-reads.
             streamed_bytes=(24.0 * node_nnz
                             + vector_bytes_per_node
-                            + 2.0 * message_bytes),
+                            + 2.0 * message_bytes[node]),
             random_bytes=gather_random_bytes * node_nnz,
             ops=flops_total * share,
             cpu_efficiency=_PROFILE.cpu_efficiency,
@@ -284,7 +288,8 @@ def _min_plus_fixpoint(graph: CSRGraph, cluster: Cluster, values,
     while True:
         rounds += 1
         if cluster.tracer.enabled:
-            cluster.tracer.count("frontier_size", int(np.isfinite(x).sum()))
+            cluster.tracer.count("frontier_size",
+                                 int((x != MIN_PLUS.zero).sum()))
         with cluster.trace_span("spmv", kind="sparse", round=rounds):
             y, flops, traffic = dist.spmv(x, MIN_PLUS,
                                           edge_values=edge_values,
@@ -361,7 +366,8 @@ def k_core(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
                 if removed.size == 0:
                     break
                 waves += 1
-                cluster.tracer.count("frontier_size", int(removed.size))
+                if cluster.tracer.enabled:
+                    cluster.tracer.count("frontier_size", int(removed.size))
                 x = np.zeros(num_vertices)
                 x[removed] = 1.0
                 core[removed] = k - 1

@@ -7,8 +7,9 @@ the paper's four algorithms:
 
 * ``PLUS_TIMES`` — ordinary linear algebra: PageRank's rank propagation
   (equation 9) and the path-counting ``A @ A`` of triangle counting;
-* ``MIN_PLUS`` — tropical semiring: BFS distance relaxation;
-* ``OR_AND`` — boolean: reachability-style BFS frontiers (equation 10).
+* ``MIN_PLUS`` — tropical semiring: SSSP's distance relaxation, and
+  (with 0-valued edges) WCC's min-label propagation;
+* ``OR_AND`` — boolean: BFS frontier expansion (equation 10).
 
 ``semiring_spmv`` is a direct, vectorized y = A^T x over any semiring —
 the reference CombBLAS kernel the engine's accounting is attached to.
@@ -38,7 +39,9 @@ class Semiring:
 
 
 def _segment_sum(values, segments, n):
-    return np.bincount(segments, weights=values, minlength=n)
+    # An empty bincount ignores its weights and comes back integer.
+    return np.bincount(segments, weights=values,
+                       minlength=n).astype(np.float64, copy=False)
 
 
 def _segment_min(values, segments, n):

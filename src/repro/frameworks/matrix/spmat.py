@@ -14,22 +14,31 @@ returning both the numerical result (computed exactly) and the per-node
 traffic matrix of the 2-D algorithm:
 
 * ``spmv`` — column-band broadcast of x, local semiring multiply,
-  row-band reduction of partial y (the classic 2-D SpMV);
+  row-band reduction of partial y (the classic 2-D SpMV); with
+  ``sparse_x`` it is an SpMSpV that visits only the present rows;
 * ``spgemm_aa`` — SUMMA-style A @ A with A broadcast along both grid
   dimensions, materializing the full product (the expressibility problem
   that makes triangle counting blow up: Sections 5.2/6.2);
 * ``ewise_mult_sum`` — elementwise mask-and-sum against another matrix.
+
+The node sets of the collectives depend only on the grid and are 0/1
+templates shared by every matrix on it (:class:`GridTemplates`); block
+and band layout is per ``(graph, grid)``, built once in ``__init__``;
+only the entry counts of ``x`` and ``y`` are per call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from ...errors import PartitionError
 from ...graph import CSRGraph
+from ...kernels.spmv import semiring_spmspv
 from ...observability import NULL_TRACER
 from .semiring import PLUS_TIMES, Semiring, semiring_spmv
 
@@ -45,6 +54,7 @@ class ProcessGrid:
         total = num_nodes * procs_per_node
         self.grid = max(math.isqrt(total), 1)
         self.num_nodes = num_nodes
+        self.procs_per_node = procs_per_node
         self.num_procs = self.grid * self.grid
 
     def node_of_rank(self, rank) -> np.ndarray:
@@ -53,17 +63,61 @@ class ProcessGrid:
         return np.minimum(rank * self.num_nodes // self.num_procs,
                           self.num_nodes - 1)
 
-    def rank_of(self, row: int, col: int) -> int:
-        return int(row) * self.grid + int(col)
+    @property
+    def templates(self) -> "GridTemplates":
+        """The node-level communication pattern, shared per grid shape."""
+        return _grid_templates(self.num_nodes, self.procs_per_node)
 
-    def aggregate_to_nodes(self, proc_traffic: np.ndarray) -> np.ndarray:
-        """Collapse a rank-pair traffic matrix to a node-pair matrix."""
-        nodes = np.zeros((self.num_nodes, self.num_nodes))
-        owner = self.node_of_rank(np.arange(self.num_procs))
-        np.add.at(nodes, (owner[:, None].repeat(self.num_procs, axis=1),
-                          owner[None, :].repeat(self.num_procs, axis=0)),
-                  proc_traffic)
-        return nodes
+
+class GridTemplates(NamedTuple):
+    """0/1 node-level patterns of a grid's collectives (read-only).
+
+    MPI collectives move each segment once per *node* (the tree forwards
+    within a node over shared memory), so these record node membership,
+    not rank counts; a sender is never its own target.
+    """
+
+    #: ``[node, rank]``: ``node`` hosts ``rank`` (ranks row-major).
+    rank_on_node: np.ndarray
+    #: ``[band, source, target]``: column ``band``'s x segment goes from
+    #: its diagonal rank's node to the other nodes of that grid column.
+    broadcast: np.ndarray
+    #: ``[band, source, target]``: row ``band``'s partial y comes from
+    #: the other nodes of that grid row to its diagonal rank's node.
+    fold: np.ndarray
+    #: ``[rank, target]``: SUMMA reaches ``rank``'s grid row and column.
+    summa_reach: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_templates(num_nodes: int, procs_per_node: int) -> GridTemplates:
+    grid = ProcessGrid(num_nodes, procs_per_node)
+    g = grid.grid
+    bands = np.arange(g)
+    owner = grid.node_of_rank(np.arange(grid.num_procs)).reshape(g, g)
+    diag = owner[bands, bands]
+    on_row = np.zeros((g, num_nodes))
+    on_row[bands[:, None], owner] = 1.0
+    on_column = np.zeros((g, num_nodes))
+    on_column[bands[None, :], owner] = 1.0
+
+    broadcast = np.zeros((g, num_nodes, num_nodes))
+    broadcast[bands, diag, :] = on_column
+    fold = np.zeros((g, num_nodes, num_nodes))
+    fold[bands, :, diag] = on_row
+    broadcast[bands, diag, diag] = fold[bands, diag, diag] = 0.0
+    reach = np.maximum(on_row[:, None, :], on_column[None, :, :])
+    reach[bands[:, None], bands[None, :], owner] = 0.0
+
+    templates = GridTemplates(
+        rank_on_node=(owner.reshape(-1)
+                      == np.arange(num_nodes)[:, None]).astype(np.float64),
+        broadcast=broadcast, fold=fold,
+        summa_reach=reach.reshape(g * g, num_nodes),
+    )
+    for array in templates:
+        array.flags.writeable = False
+    return templates
 
 
 class DistSpMat:
@@ -77,33 +131,34 @@ class DistSpMat:
         g = grid.grid
         # Band boundaries of the block distribution.
         self.bounds = np.linspace(0, n, g + 1).astype(np.int64)
-        src = graph.sources()
-        dst = graph.targets
-        row_band = np.minimum(np.searchsorted(self.bounds, src, "right") - 1,
-                              g - 1)
-        col_band = np.minimum(np.searchsorted(self.bounds, dst, "right") - 1,
-                              g - 1)
-        self.block_nnz = np.zeros((g, g), dtype=np.int64)
-        np.add.at(self.block_nnz, (row_band, col_band), 1)
-        self.scipy = sparse.csr_matrix(
-            (np.ones(graph.num_edges), dst, graph.offsets.astype(np.int64)),
-            shape=(n, n),
-        )
+        band = np.minimum(
+            np.searchsorted(self.bounds, np.arange(n), "right") - 1, g - 1)
+        self._degrees = graph.out_degrees()
+        self.block_nnz = np.bincount(
+            np.repeat(band * g, self._degrees) + band[graph.targets],
+            minlength=g * g,
+        ).reshape(g, g)
 
     @property
     def nnz(self) -> int:
         return self.graph.num_edges
+
+    @functools.cached_property
+    def scipy(self) -> sparse.csr_matrix:
+        """The adjacency as scipy CSR (only the SpGEMM kernels read it)."""
+        n = self.graph.num_vertices
+        return sparse.csr_matrix(
+            (np.ones(self.nnz), self.graph.targets,
+             self.graph.offsets.astype(np.int64)),
+            shape=(n, n),
+        )
 
     def band_sizes(self) -> np.ndarray:
         return np.diff(self.bounds)
 
     def nnz_per_node(self) -> np.ndarray:
         """Edges stored per cluster node (for memory accounting)."""
-        ranks = np.arange(self.grid.num_procs)
-        owner = self.grid.node_of_rank(ranks)
-        per_node = np.zeros(self.grid.num_nodes)
-        np.add.at(per_node, owner, self.block_nnz.reshape(-1)[ranks])
-        return per_node
+        return self.grid.templates.rank_on_node @ self.block_nnz.reshape(-1)
 
     # -- kernels -------------------------------------------------------------
 
@@ -118,54 +173,35 @@ class DistSpMat:
         (fold). Entry counts allow sparse vectors (BFS frontiers) — only
         present entries travel.
         """
-        g = self.grid.grid
-        nodes = self.grid.num_nodes
-        node_traffic = np.zeros((nodes, nodes))
-        rank_node = self.grid.node_of_rank(np.arange(self.grid.num_procs))
-        for band in range(g):
-            x_bytes = float(x_entries_per_band[band]) * value_bytes
-            y_bytes = float(y_entries_per_band[band]) * value_bytes
-            diag_node = int(rank_node[self.grid.rank_of(band, band)])
-            # MPI collectives move each segment once per *node*: the
-            # broadcast tree forwards within a node over shared memory.
-            column_nodes = {
-                int(rank_node[self.grid.rank_of(row, band)])
-                for row in range(g)
-            }
-            for target in column_nodes:
-                if target != diag_node:
-                    node_traffic[diag_node, target] += x_bytes
-            row_nodes = {
-                int(rank_node[self.grid.rank_of(band, col)])
-                for col in range(g)
-            }
-            for source in row_nodes:
-                if source != diag_node:
-                    node_traffic[source, diag_node] += y_bytes
-        return node_traffic
+        templates = self.grid.templates
+        x_bytes = np.asarray(x_entries_per_band, dtype=np.float64) * value_bytes
+        y_bytes = np.asarray(y_entries_per_band, dtype=np.float64) * value_bytes
+        return (np.tensordot(x_bytes, templates.broadcast, 1)
+                + np.tensordot(y_bytes, templates.fold, 1))
 
-    def _entries_per_band(self, vector: np.ndarray, zero: float) -> np.ndarray:
-        if np.isinf(zero):
-            present = np.nonzero(np.isfinite(vector))[0]
-        else:
-            present = np.nonzero(vector != zero)[0]
-        return np.histogram(present, bins=self.bounds)[0].astype(np.float64)
+    def _entries_per_band(self, present: np.ndarray) -> np.ndarray:
+        """Band histogram of ascending vertex ids (all below ``n``)."""
+        return np.diff(np.searchsorted(present, self.bounds)).astype(np.float64)
 
     def spmv(self, x: np.ndarray, semiring: Semiring = PLUS_TIMES,
              edge_values: np.ndarray = None, sparse_x: bool = False,
              value_bytes: float = 8.0):
-        """``y = A^T x`` plus (flops, traffic) of the 2-D algorithm."""
-        y = semiring_spmv(self.graph, x, semiring, edge_values)
+        """``y = A^T x`` plus (flops, traffic) of the 2-D algorithm.
+
+        With ``sparse_x`` an entry is present iff it differs from
+        ``semiring.zero``; only present rows are multiplied, counted and
+        shipped.
+        """
         if sparse_x:
-            x_bands = self._entries_per_band(x, semiring.zero)
-            y_bands = self._entries_per_band(y, semiring.zero)
-            if np.isinf(semiring.zero):
-                present = np.nonzero(np.isfinite(x))[0]
-            else:
-                present = np.nonzero(x != semiring.zero)[0]
-            degrees = self.graph.out_degrees()
-            flops = 2.0 * float(degrees[present].sum())
+            x = np.asarray(x, dtype=np.float64)
+            present = np.flatnonzero(x != semiring.zero)
+            y = semiring_spmspv(self.graph, x, present, semiring, edge_values)
+            x_bands = self._entries_per_band(present)
+            y_bands = self._entries_per_band(
+                np.flatnonzero(y != semiring.zero))
+            flops = 2.0 * float(self._degrees[present].sum())
         else:
+            y = semiring_spmv(self.graph, x, semiring, edge_values)
             x_bands = self.band_sizes().astype(np.float64)
             y_bands = x_bands
             flops = 2.0 * float(self.nnz)
@@ -188,26 +224,13 @@ class DistSpMat:
         from ...kernels.triangles import aa_product
 
         product = aa_product(self.scipy)
-        degrees = np.asarray(self.scipy.sum(axis=1)).ravel()
         # Multiply count: for each nonzero (u, v), row v's nnz.
-        flops = 2.0 * float(degrees[self.graph.targets].sum())
+        flops = 2.0 * float(self._degrees[self.graph.targets].sum())
 
-        g = self.grid.grid
-        nodes = self.grid.num_nodes
-        node_traffic = np.zeros((nodes, nodes))
-        rank_node = self.grid.node_of_rank(np.arange(self.grid.num_procs))
-        block_bytes = self.block_nnz * 16.0
-        for row in range(g):
-            for col in range(g):
-                source = int(rank_node[self.grid.rank_of(row, col)])
-                nbytes = float(block_bytes[row, col])
-                row_targets = {int(rank_node[self.grid.rank_of(row, other)])
-                               for other in range(g)}
-                col_targets = {int(rank_node[self.grid.rank_of(other, col)])
-                               for other in range(g)}
-                for target in row_targets | col_targets:
-                    if target != source:
-                        node_traffic[source, target] += nbytes
+        templates = self.grid.templates
+        block_bytes = self.block_nnz.reshape(-1, 1) * 16.0
+        node_traffic = templates.rank_on_node @ (block_bytes
+                                                 * templates.summa_reach)
         if self.tracer.enabled:
             self.tracer.count("flops", flops)
             self.tracer.instant("spgemm-kernel", flops=flops,

@@ -29,7 +29,7 @@ from .backend import (
 from .base import Kernel, KernelWork
 from .registry import kernel
 from .sgd import gd_step, sgd_sweep, training_rmse
-from .spmv import semiring_spmv
+from .spmv import semiring_spmspv, semiring_spmv
 from .triangles import aa_product, masked_sum
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "kernel",
     "masked_sum",
     "registry",
+    "semiring_spmspv",
     "semiring_spmv",
     "set_backend",
     "sgd_sweep",

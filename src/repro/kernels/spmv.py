@@ -14,6 +14,7 @@ import numpy as np
 
 from .backend import interpreted
 from .base import Kernel, KernelWork
+from .propagation import _edge_slots
 
 
 class PageRankPull(Kernel):
@@ -127,6 +128,23 @@ class BFSPush(Kernel):
         return np.array(sorted(seen), dtype=np.int64)
 
 
+_ORACLE_SEMIRINGS = ("plus-times", "min-plus", "or-and")
+
+
+def _checked_operands(graph, x, edge_values):
+    """Validate ``x`` / ``edge_values`` shapes; both come back float64."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (graph.num_vertices,):
+        raise ValueError(
+            f"x must have {graph.num_vertices} entries, got {x.shape}"
+        )
+    if edge_values is not None:
+        edge_values = np.asarray(edge_values, dtype=np.float64)
+        if edge_values.shape != (graph.num_edges,):
+            raise ValueError("edge_values must have one entry per edge")
+    return x, edge_values
+
+
 def semiring_spmv(graph, x, semiring, edge_values=None):
     """``y = A^T x`` over an arbitrary ``(add, multiply, zero)`` semiring.
 
@@ -137,21 +155,14 @@ def semiring_spmv(graph, x, semiring, edge_values=None):
     because their ``add_reduce`` is a segment callable the oracle cannot
     replay element-wise.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (graph.num_vertices,):
-        raise ValueError(
-            f"x must have {graph.num_vertices} entries, got {x.shape}"
-        )
-    if edge_values is None:
-        edge_values = np.ones(graph.num_edges)
-    else:
-        edge_values = np.asarray(edge_values, dtype=np.float64)
-        if edge_values.shape != (graph.num_edges,):
-            raise ValueError("edge_values must have one entry per edge")
-    if interpreted() and semiring.name in ("plus-times", "min-plus", "or-and"):
-        return _semiring_spmv_interpreted(graph, x, semiring, edge_values)
-    sources = graph.sources()
-    combined = semiring.multiply(edge_values, x[sources])
+    x, edge_values = _checked_operands(graph, x, edge_values)
+    if interpreted() and semiring.name in _ORACLE_SEMIRINGS:
+        return _semiring_rows_interpreted(graph, x, range(graph.num_vertices),
+                                          semiring, edge_values)
+    values = 1.0 if edge_values is None else edge_values
+    # x per edge, straight from the row lengths (no source ids needed).
+    combined = semiring.multiply(values,
+                                 np.repeat(x, np.diff(graph.offsets)))
     reduced = semiring.add_reduce(combined, graph.targets, graph.num_vertices)
     # Positions never reduced into hold the additive identity.
     touched = np.zeros(graph.num_vertices, dtype=bool)
@@ -159,21 +170,51 @@ def semiring_spmv(graph, x, semiring, edge_values=None):
     return np.where(touched, reduced, semiring.zero)
 
 
-def _semiring_spmv_interpreted(graph, x, semiring, edge_values):
-    """Scalar edge loop for the three paper semirings, order-matched."""
+def semiring_spmspv(graph, x, present, semiring, edge_values=None):
+    """``semiring_spmv`` visiting only the out-edges of ``present`` rows.
+
+    ``present`` is the ascending vertex ids with ``x != semiring.zero``.
+    The zero annihilates, so an absent row adds only the additive
+    identity to the dense product: ``a * 0.0`` adds nothing to a
+    ``bincount`` that folds in ascending edge order (kept here — the
+    slots come out in ascending order), ``a + inf`` never wins a ``min``
+    and or-and of 0 is 0, for finite edge values. Skipping those rows is
+    therefore bit-identical on the three named semirings, at O(frontier
+    edges) instead of O(all edges); ``add_reduce`` starts every segment
+    at the semiring zero, so untouched positions need no mask.
+    """
+    x, edge_values = _checked_operands(graph, x, edge_values)
+    present = np.asarray(present, dtype=np.int64)
+    if interpreted() and semiring.name in _ORACLE_SEMIRINGS:
+        return _semiring_rows_interpreted(graph, x, present.tolist(),
+                                          semiring, edge_values)
+    slots, lengths = _edge_slots(graph, present)
+    values = 1.0 if edge_values is None else edge_values[slots]
+    combined = semiring.multiply(values, np.repeat(x[present], lengths))
+    return semiring.add_reduce(combined, graph.targets[slots],
+                               graph.num_vertices)
+
+
+def _semiring_rows_interpreted(graph, x, rows, semiring, edge_values):
+    """Scalar edge loop over ``rows`` (ascending) for the paper semirings.
+
+    Order-matched to the vectorized fold; ``edge_values=None`` is the
+    unweighted adjacency. Only the visited rows' slices are unpacked, so
+    a sparse product stays frontier-proportional here too.
+    """
     n = graph.num_vertices
-    offsets = graph.offsets.tolist()
-    targets = graph.targets.tolist()
-    values = edge_values.tolist()
+    offsets = graph.offsets
     zero = float(semiring.zero)
     out = [zero] * n
     touched = [False] * n
     name = semiring.name
-    for u in range(n):
+    for u in rows:
         xu = float(x[u])
-        for e in range(offsets[u], offsets[u + 1]):
-            t = targets[e]
-            a = values[e]
+        row = slice(int(offsets[u]), int(offsets[u + 1]))
+        values = (None if edge_values is None
+                  else edge_values[row].tolist())
+        for i, t in enumerate(graph.targets[row].tolist()):
+            a = 1.0 if values is None else values[i]
             if name == "plus-times":
                 combined = a * xu
                 out[t] = combined if not touched[t] else out[t] + combined

@@ -99,15 +99,130 @@ class TestProcessGrid:
         owners = grid.node_of_rank(np.arange(grid.num_procs))
         assert set(owners.tolist()) == {0, 1, 2, 3}
 
-    def test_aggregate_to_nodes_conserves_bytes(self):
-        grid = ProcessGrid(2)
-        rng = np.random.default_rng(0)
-        proc = rng.random((grid.num_procs, grid.num_procs))
-        nodes = grid.aggregate_to_nodes(proc)
-        assert nodes.sum() == pytest.approx(proc.sum())
+
+def reference_spmv_traffic(grid, x_entries_per_band, y_entries_per_band,
+                           value_bytes=8.0):
+    """The per-product loops the grid templates replaced, kept as oracle."""
+    g = grid.grid
+    node_traffic = np.zeros((grid.num_nodes, grid.num_nodes))
+    rank_node = grid.node_of_rank(np.arange(grid.num_procs))
+    for band in range(g):
+        x_bytes = float(x_entries_per_band[band]) * value_bytes
+        y_bytes = float(y_entries_per_band[band]) * value_bytes
+        diag_node = int(rank_node[band * g + band])
+        column_nodes = {int(rank_node[row * g + band]) for row in range(g)}
+        for target in column_nodes:
+            if target != diag_node:
+                node_traffic[diag_node, target] += x_bytes
+        row_nodes = {int(rank_node[band * g + col]) for col in range(g)}
+        for source in row_nodes:
+            if source != diag_node:
+                node_traffic[source, diag_node] += y_bytes
+    return node_traffic
+
+
+def reference_spgemm_traffic(grid, block_nnz):
+    g = grid.grid
+    node_traffic = np.zeros((grid.num_nodes, grid.num_nodes))
+    rank_node = grid.node_of_rank(np.arange(grid.num_procs))
+    for row in range(g):
+        for col in range(g):
+            source = int(rank_node[row * g + col])
+            targets = ({int(rank_node[row * g + other]) for other in range(g)}
+                       | {int(rank_node[other * g + col])
+                          for other in range(g)})
+            for target in targets:
+                if target != source:
+                    node_traffic[source, target] += block_nnz[row, col] * 16.0
+    return node_traffic
+
+
+def reference_layout(graph, grid):
+    """``(block_nnz, nnz_per_node)`` by per-edge scatter."""
+    g = grid.grid
+    bounds = np.linspace(0, graph.num_vertices, g + 1).astype(np.int64)
+    row_band = np.minimum(
+        np.searchsorted(bounds, graph.sources(), "right") - 1, g - 1)
+    col_band = np.minimum(
+        np.searchsorted(bounds, graph.targets, "right") - 1, g - 1)
+    block_nnz = np.zeros((g, g), dtype=np.int64)
+    np.add.at(block_nnz, (row_band, col_band), 1)
+    per_node = np.zeros(grid.num_nodes)
+    np.add.at(per_node, grid.node_of_rank(np.arange(grid.num_procs)),
+              block_nnz.reshape(-1))
+    return bounds, block_nnz, per_node
+
+
+def triangle_graph():
+    return CSRGraph.from_edges(EdgeList.from_pairs(
+        3, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]))
+
+
+class TestGridTemplates:
+    @pytest.mark.parametrize("num_nodes", [1, 2, 3, 4, 9, 16])
+    def test_traffic_equals_reference_loops(self, num_nodes, graph_triangles):
+        grid = ProcessGrid(num_nodes)
+        dist = DistSpMat(graph_triangles, grid)
+        bounds, block_nnz, per_node = reference_layout(graph_triangles, grid)
+        np.testing.assert_array_equal(dist.bounds, bounds)
+        np.testing.assert_array_equal(dist.block_nnz, block_nnz)
+        np.testing.assert_array_equal(dist.nnz_per_node(), per_node)
+        rng = np.random.default_rng(num_nodes)
+        for _ in range(5):
+            x_bands = rng.integers(0, 10_000, grid.grid)
+            y_bands = rng.integers(0, 10_000, grid.grid)
+            np.testing.assert_array_equal(
+                dist.spmv_traffic(x_bands, y_bands),
+                reference_spmv_traffic(grid, x_bands, y_bands))
+        np.testing.assert_array_equal(
+            dist.spgemm_aa()[2], reference_spgemm_traffic(grid, block_nnz))
+
+    def test_fewer_vertices_than_bands(self):
+        # 3 vertices on a 12 x 12 grid: most band bounds coincide.
+        graph = triangle_graph()
+        grid = ProcessGrid(4)
+        dist = DistSpMat(graph, grid)
+        bounds, block_nnz, per_node = reference_layout(graph, grid)
+        assert np.unique(bounds).size < bounds.size
+        np.testing.assert_array_equal(dist.block_nnz, block_nnz)
+        np.testing.assert_array_equal(dist.nnz_per_node(), per_node)
+        x = np.array([0.0, 1.0, 0.0])
+        y, _, traffic = dist.spmv(x, OR_AND, sparse_x=True)
+        np.testing.assert_array_equal(y, [1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(traffic, reference_spmv_traffic(
+            grid, np.histogram([1], bins=bounds)[0],
+            np.histogram([0, 2], bins=bounds)[0]))
+        np.testing.assert_array_equal(
+            dist.spgemm_aa()[2], reference_spgemm_traffic(grid, block_nnz))
+
+    def test_templates_shared_per_grid_layout_per_matrix(
+            self, graph_small, graph_triangles):
+        first = DistSpMat(graph_small, ProcessGrid(4))
+        second = DistSpMat(graph_triangles, ProcessGrid(4))
+        assert first.grid is not second.grid
+        assert first.grid.templates is second.grid.templates
+        assert first.grid.templates is not ProcessGrid(2).templates
+        assert first.block_nnz is not second.block_nnz
+        assert first.block_nnz.sum() != second.block_nnz.sum()
+        with pytest.raises(ValueError):     # shared, so read-only
+            first.grid.templates.broadcast[0, 0, 0] = 1.0
 
 
 class TestDistSpMat:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("absent_like", [-np.inf, np.nan])
+    def test_present_means_not_the_semiring_zero(self, absent_like):
+        # -inf and NaN are not min-plus's zero: the rows are multiplied,
+        # so they must be counted and shipped as well.
+        graph = triangle_graph()
+        dist = DistSpMat(graph, ProcessGrid(2))
+        x = np.array([absent_like, np.inf, np.inf])
+        y, flops, traffic = dist.spmv(x, MIN_PLUS, sparse_x=True)
+        np.testing.assert_array_equal(y, dist.spmv(x, MIN_PLUS)[0])
+        np.testing.assert_array_equal(y, [np.inf, absent_like, absent_like])
+        assert flops == 2 * graph.out_degrees()[0]
+        assert traffic.sum() > 0
+
     def test_block_nnz_conserved(self, graph_small):
         dist = DistSpMat(graph_small, ProcessGrid(4))
         assert dist.block_nnz.sum() == graph_small.num_edges
@@ -217,6 +332,41 @@ class TestCombBLAS:
         ratio = (comb_result.time_per_iteration_s
                  / native_result.time_per_iteration_s)
         assert 1.0 < ratio < 8.0
+
+    @pytest.mark.parametrize("algorithm", ["k_core", "bfs"])
+    def test_host_work_is_counted_work(self, algorithm, monkeypatch,
+                                       graph_small_undirected):
+        """Edges gathered on the host == edges the cost model charges."""
+        from repro.kernels import spmv as spmv_kernels
+        from repro.kernels import use_backend
+
+        gathered, counted = [], []
+        edge_slots = spmv_kernels._edge_slots
+        dist_spmv = DistSpMat.spmv
+
+        def counting_slots(graph, vertices):
+            slots, lengths = edge_slots(graph, vertices)
+            gathered.append(slots.size)
+            return slots, lengths
+
+        def counting_spmv(self, *args, **kwargs):
+            y, flops, traffic = dist_spmv(self, *args, **kwargs)
+            counted.append(flops / 2.0)
+            return y, flops, traffic
+
+        monkeypatch.setattr(spmv_kernels, "_edge_slots", counting_slots)
+        monkeypatch.setattr(DistSpMat, "spmv", counting_spmv)
+        graph = graph_small_undirected
+        with use_backend("vectorized"):     # the oracle walks, not gathers
+            result = getattr(combblas, algorithm)(graph, make_cluster(4))
+        assert len(gathered) == len(counted) == result.iterations
+        assert sum(gathered) == sum(counted)
+        if algorithm == "k_core":           # every vertex is peeled once
+            assert sum(gathered) == result.extras["peeled_edges"]
+            assert sum(gathered) == graph.num_edges
+        else:                               # every reached vertex expands once
+            reached = result.values != UNREACHED
+            assert sum(gathered) == graph.out_degrees()[reached].sum()
 
     def test_validates_arguments(self, graph_small):
         with pytest.raises(SpecError):

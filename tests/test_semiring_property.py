@@ -1,6 +1,7 @@
 """Property tests: semiring SpMV vs dense oracles; Datalog vs brute force."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from repro.frameworks.datalog import (
 )
 from repro.frameworks.matrix import MIN_PLUS, OR_AND, PLUS_TIMES, semiring_spmv
 from repro.graph import CSRGraph, EdgeList
+from repro.kernels import BACKENDS, semiring_spmspv, use_backend
 
 from .test_edgelist import edges_strategy
 
@@ -61,6 +63,95 @@ def test_min_plus_single_relaxation(data):
     for v in graph.neighbors(0):
         expected[int(v)] = 1.0
     np.testing.assert_allclose(result, expected)
+
+
+# -- SpMSpV: the sparse product is the dense product, bit for bit ----------
+
+
+def sparse_case_graph(seed, num_vertices=240, num_edges=1400):
+    """Duplicate-free random CSR; the top fifth of the ids is isolated."""
+    rng = np.random.default_rng(seed)
+    connected = num_vertices * 4 // 5
+    edges = EdgeList(num_vertices, rng.integers(0, connected, num_edges),
+                     rng.integers(0, connected, num_edges)).deduplicate()
+    return CSRGraph.from_edges(edges)
+
+
+def sparse_vector(graph, semiring, fraction, rng):
+    """``x`` with about ``fraction`` of its entries present, plus them."""
+    n = graph.num_vertices
+    if fraction == "one":
+        present = np.array([int(rng.integers(0, n))])
+    else:
+        present = np.flatnonzero(rng.random(n) < fraction)
+    x = np.full(n, semiring.zero)
+    # Non-integer values: a plus-times fold in any other edge order
+    # would round differently and fail the exact comparison.
+    x[present] = 1.0 if semiring is OR_AND else rng.random(present.size) + 0.5
+    return x, present
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("fraction", [0.0, "one", 0.01, 0.5, 1.0])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS, OR_AND],
+                         ids=lambda s: s.name)
+def test_spmspv_is_bit_identical_to_dense(semiring, weighted, fraction,
+                                          backend):
+    for seed in (11, 12):
+        graph = sparse_case_graph(seed)
+        rng = np.random.default_rng(seed)
+        x, present = sparse_vector(graph, semiring, fraction, rng)
+        edge_values = (rng.integers(1, 9, graph.num_edges).astype(np.float64)
+                       if weighted else None)
+        with use_backend(backend):
+            dense = semiring_spmv(graph, x, semiring, edge_values)
+            sparse = semiring_spmspv(graph, x, present, semiring, edge_values)
+        assert sparse.dtype == dense.dtype
+        assert np.array_equal(sparse, dense)
+        # ... and the two backends agree with each other exactly.
+        assert np.array_equal(
+            sparse, semiring_spmspv(graph, x, present, semiring, edge_values))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_spmspv_validates_shapes_like_dense(backend):
+    graph = sparse_case_graph(13)
+    n, e = graph.num_vertices, graph.num_edges
+    present = np.array([0])
+    with use_backend(backend):
+        for x, values in ((np.ones(n - 1), None), (np.ones((n, 1)), None),
+                          (np.ones(n), np.ones(e - 1))):
+            with pytest.raises(ValueError) as dense_error:
+                semiring_spmv(graph, x, PLUS_TIMES, values)
+            with pytest.raises(ValueError) as sparse_error:
+                semiring_spmspv(graph, x, present, PLUS_TIMES, values)
+            assert str(sparse_error.value) == str(dense_error.value)
+
+
+class _NoEdgeListGraph:
+    """CSR arrays only: expanding the whole edge list is an error."""
+
+    def __init__(self, graph):
+        self.num_vertices = graph.num_vertices
+        self.num_edges = graph.num_edges
+        self.offsets = graph.offsets
+        self.targets = graph.targets
+
+    def sources(self):
+        raise AssertionError("SpMSpV expanded every edge's source")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_spmspv_never_expands_the_edge_list(backend):
+    graph = sparse_case_graph(14)
+    x, present = sparse_vector(graph, MIN_PLUS, 0.05,
+                               np.random.default_rng(14))
+    with use_backend(backend):
+        expected = semiring_spmv(graph, x, MIN_PLUS)
+        proxy = _NoEdgeListGraph(graph)
+        assert np.array_equal(semiring_spmspv(proxy, x, present, MIN_PLUS),
+                              expected)
 
 
 @settings(max_examples=30, deadline=None)
