@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..errors import ExpressibilityError, ReproError
 from ..frameworks import native
-from ..frameworks.base import PROFILES, FrameworkProfile
+from ..frameworks.base import PROFILES, FrameworkProfile, runner_params
 from ..frameworks.datalog import socialite
 from ..frameworks.matrix import combblas, kdt
 from ..frameworks.rounds import PROGRAMS
@@ -44,6 +44,8 @@ FRAMEWORKS = ("native", "combblas", "graphlab", "socialite",
 def _socialite_published(function):
     def runner(dataset, cluster, **params):
         return function(dataset, cluster, optimized=False, **params)
+    runner.params = tuple(name for name in runner_params(function)
+                          if name != "optimized")
     return runner
 
 
@@ -90,6 +92,22 @@ def valid_params(algorithm: str) -> tuple:
     declared = PROGRAMS[algorithm].PARAMS if algorithm in PROGRAMS else ()
     return tuple(sorted({*declared, *_ENGINE_PARAMS.get(algorithm, ()),
                          *_FRAMEWORK_PARAMS}))
+
+
+def accepted_params(algorithm: str, framework: str) -> tuple:
+    """The names of :func:`valid_params` this framework's runner takes.
+
+    ``valid_params`` is per algorithm, runners are per framework: PageRank
+    has a ``tolerance`` but SociaLite's rules do not, ``options`` is
+    native's alone. A framework with no runner takes anything — its cell
+    reports ``unsupported`` whatever the parameters.
+    """
+    valid = valid_params(algorithm)
+    function = _RUNNERS.get((algorithm, framework))
+    if function is None:
+        return valid
+    taken = runner_params(function)
+    return tuple(name for name in valid if name in taken)
 
 
 #: Profiles for the Section 7 systems, which live next to their engines

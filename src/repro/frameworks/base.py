@@ -58,13 +58,16 @@ way.
 
 Adding an iterative workload is therefore: a golden reference, a kernel
 (both backends), a round program, one cost row per engine family
-(``native/engine.py``, ``vertex/programs.py``, ``task/galois.py``) and
+(``native/engine.py``, ``vertex/programs.py``, ``task/galois.py``,
+``matrix/combblas.py`` plus KDT's boundary row in ``matrix/kdt.py``) and
 its name in ``algorithms.registry.ALGORITHMS`` — see "Where to extend"
-in ``docs/architecture.md``.
+in ``docs/architecture.md``. Only SociaLite, whose rule evaluation is
+the thing modelled, needs its own formulation.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 from ..cluster.network import (
@@ -291,3 +294,19 @@ def profile(name: str) -> FrameworkProfile:
     except KeyError:
         known = ", ".join(sorted(PROFILES))
         raise ReproError(f"unknown framework {name!r}; known: {known}") from None
+
+
+def runner_params(function) -> tuple:
+    """Keyword names a runner takes after ``(dataset, cluster)``.
+
+    A plain function answers with its signature. A ``**params`` closure
+    cannot, so it declares the names it forwards as a ``params``
+    attribute; that is what lets a spec naming a parameter its framework
+    does not take fail as a typed error instead of inside the call.
+    """
+    declared = getattr(function, "params", None)
+    if declared is not None:
+        return tuple(declared)
+    keywords = list(inspect.signature(function).parameters.values())[2:]
+    return tuple(parameter.name for parameter in keywords
+                 if parameter.kind is not parameter.VAR_KEYWORD)

@@ -1,11 +1,22 @@
-"""CombBLAS front-end: the four workloads as semiring linear algebra.
+"""CombBLAS front-end: the workloads as semiring linear algebra.
 
-Algorithm mappings, per Section 3.2 of the paper:
+A vertex program *is* a semiring SpMV (GraphMat's thesis, and Section
+3.2's mappings), so the six iterative workloads are the shared round
+programs of :mod:`repro.frameworks.rounds` — the same values every other
+family computes — and this module supplies only what each round *costs*
+as a product on the 2-D process grid (:class:`MatrixEngine`, one
+:class:`MatrixCost` row per workload):
 
 * PageRank — ``p' = r 1 + (1-r) A^T p~`` (equation 9): one dense-vector
-  SpMV per iteration;
-* BFS — sparse-vector SpMV per level (equation 10), no bit-vector
-  compression (the roadmap item of Section 6.2);
+  plus-times SpMV per iteration; label propagation likewise, with the
+  (max count, min label) mode as a user-defined add;
+* BFS — or-and SpMSpV per level (equation 10), no bit-vector compression
+  (the roadmap item of Section 6.2); WCC and SSSP are min-plus SpMSpVs
+  over the just-improved vertices, k-core a plus-times SpMSpV per
+  cascade wave over the removed-vertex indicator (LAGraph's shape).
+
+Written out by hand, because they are not round programs:
+
 * Collaborative filtering — gradient descent as "K matrix-vector
   multiplications where K is the size of the hidden dimension", both
   directions, because "CombBLAS does not allow matrices with dimension
@@ -17,19 +28,18 @@ Algorithm mappings, per Section 3.2 of the paper:
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import contextlib
+from dataclasses import dataclass
 
 import numpy as np
 
-from ...algorithms.bfs import UNREACHED
 from ...cluster import Cluster, ComputeWork
 from ...graph import CSRGraph, RatingsMatrix
 from ...kernels import registry as kernel_registry
 from ..base import COMBBLAS
 from ..results import AlgorithmResult
-from ..rounds import Engine, check_params, run_program
+from ..rounds import PROGRAMS, Engine, check_params, run_program
 from ..vertex.programs import bipartite_graph
-from .semiring import MIN_PLUS, OR_AND, PLUS_TIMES
 from .spmat import DistSpMat, ProcessGrid
 
 _PROFILE = COMBBLAS
@@ -52,11 +62,10 @@ def _works(cluster: Cluster, nnz_per_node, flops_total: float,
     """Per-node ComputeWork for one matrix kernel invocation.
 
     ``touched_nnz`` restricts the streamed matrix bytes to the nonzeros a
-    sparse operation actually visits (a masked SpMV over a BFS frontier
-    does not scan the whole matrix); it defaults to all of them.
-    ``gather_random_bytes`` is the irregular traffic per visited nonzero:
-    a dense-vector gather touches a cold line about half the time (32 B),
-    while sparse-vector kernels (SpMSpV) stream merge-style (~4 B).
+    sparse operation actually visits (an SpMSpV over a BFS frontier does
+    not scan the whole matrix); it defaults to all of them.
+    ``gather_random_bytes`` is the irregular traffic per visited nonzero
+    (the values are :class:`MatrixCost`'s).
     """
     total_nnz = max(float(np.sum(nnz_per_node)), 1.0)
     if touched_nnz is None:
@@ -95,64 +104,100 @@ def _step(cluster, nnz_per_node, flops, traffic, vector_bytes=0.0,
     )
 
 
-def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
-             damping: float = 0.3) -> AlgorithmResult:
-    """Equation 9, one dense SpMV per iteration."""
-    check_params(iterations=iterations, damping=damping)
-    dist, nnz_per_node = _build(graph, cluster)
-    num_vertices = graph.num_vertices
-    cluster.allocate_all("vectors", 8.0 * 3 * num_vertices / cluster.num_nodes)
+@dataclass(frozen=True)
+class MatrixCost:
+    """Cost row of one round program as products on the process grid."""
 
-    out_degrees = graph.out_degrees()
-    safe = np.maximum(out_degrees, 1)
-    ranks = np.full(num_vertices, 1.0)
-    for iteration in range(iterations):
-        with cluster.trace_span("spmv", kind="dense", index=iteration):
-            scaled = np.where(out_degrees > 0, ranks / safe, 0.0)
-            y, flops, traffic = dist.spmv(scaled, PLUS_TIMES)
-            ranks = damping + (1.0 - damping) * y
-            _step(cluster, nnz_per_node, flops, traffic,
-                  vector_bytes=8.0 * 3 * num_vertices / cluster.num_nodes)
-            cluster.mark_iteration()
-
-    return AlgorithmResult(
-        algorithm="pagerank", framework="combblas", values=ranks,
-        iterations=iterations, metrics=cluster.metrics(),
-        extras={"grid": dist.grid.grid},
-    )
+    vectors: int                 #: dense float64 vectors held per vertex
+    #: Irregular bytes per visited nonzero: an SpMSpV streams merge-style
+    #: (4 B); a dense-vector gather lands on a cold line about half the
+    #: time (32 B); a user-defined hash-tally add probes 16 B more.
+    gather_random_bytes: float
+    extras: tuple
+    bytes_per_nnz: float = 16.0  #: 24 with stored weights
 
 
-def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    """Equation 10: frontier = A^T frontier over the boolean semiring."""
-    check_params(graph.num_vertices, source=source)
-    dist, nnz_per_node = _build(graph, cluster)
-    num_vertices = graph.num_vertices
-    cluster.allocate_all("vectors", 8.0 * 2 * num_vertices / cluster.num_nodes)
+COSTS = {
+    "pagerank": MatrixCost(3, 32.0, ("grid",)),
+    "bfs": MatrixCost(2, 4.0, ("reached",)),
+    "wcc": MatrixCost(2, 4.0, ("components",)),
+    "sssp": MatrixCost(2, 4.0, ("relaxations", "reached"),
+                       bytes_per_nnz=24.0),
+    "k_core": MatrixCost(3, 4.0, ("max_core", "peeled_edges")),
+    "label_propagation": MatrixCost(2, 48.0, ("communities",)),
+}
 
-    distances = np.full(num_vertices, UNREACHED, dtype=np.int32)
-    distances[source] = 0
-    frontier = np.zeros(num_vertices)
-    frontier[source] = 1.0
-    level = 0
-    while frontier.any():
-        level += 1
-        size = int(frontier.sum())
-        cluster.tracer.count("frontier_size", size)
-        with cluster.trace_span("spmv", kind="sparse", level=level,
-                                frontier=size):
-            y, flops, traffic = dist.spmv(frontier, OR_AND, sparse_x=True)
-            fresh = (y > 0) & (distances == UNREACHED)
-            distances[fresh] = level
-            _step(cluster, nnz_per_node, flops, traffic,
-                  touched_nnz=flops / 2.0, gather_random_bytes=4.0)
-            cluster.mark_iteration()
-        frontier = fresh.astype(np.float64)
 
-    return AlgorithmResult(
-        algorithm="bfs", framework="combblas", values=distances,
-        iterations=level, metrics=cluster.metrics(),
-        extras={"reached": int((distances != UNREACHED).sum())},
-    )
+class MatrixEngine(Engine):
+    """Each round is one semiring product on the distributed matrix.
+
+    A frontier round is an SpMSpV over the active set, a dense sweep an
+    SpMV; the program computes the values, ``DistSpMat.spmv_cost`` says
+    what the 2-D product moves and multiplies. k_core's levels mark the
+    iterations (the peel threshold is a driver-side scalar) but every
+    cascade wave is still its own product, so waves are what it reports.
+    """
+
+    reports_levels = False
+    #: Bytes per shipped vector entry.
+    value_bytes = 8.0
+
+    def __init__(self, program, graph, cluster):
+        super().__init__(program, graph, cluster, COSTS[program.algorithm])
+        self.per_level = hasattr(program, "level_attrs")
+        self.dist, self._nnz_per_node = _build(graph, cluster,
+                                               self.cost.bytes_per_nnz)
+        self._vector_bytes = (8.0 * self.cost.vectors * graph.num_vertices
+                              / cluster.num_nodes)
+        cluster.allocate_all("vectors", self._vector_bytes)
+        self._multiplies = 0.0
+
+    def iteration_span(self, index: int):
+        return self.cluster.trace_span("spmv", kind="dense", index=index)
+
+    def round_span(self, index: int, active):
+        return self.cluster.trace_span(
+            "spmv", kind="sparse", **self.program.span_attrs(index, active))
+
+    @contextlib.contextmanager
+    def level(self):
+        if not self.per_level:
+            yield
+            return
+        with self.cluster.trace_span("peel-level",
+                                     **self.program.level_attrs()):
+            yield
+            self.cluster.mark_iteration()
+
+    def round(self, active):
+        changed, _ = self.program.round(active)
+        flops, traffic = self.dist.spmv_cost(active, self.value_bytes)
+        self._multiplies += flops / 2.0
+        _step(self.cluster, self._nnz_per_node, flops, traffic,
+              touched_nnz=flops / 2.0,
+              gather_random_bytes=self.cost.gather_random_bytes)
+        return changed
+
+    def sweep(self) -> None:
+        flops, traffic = self.dist.spmv_cost(value_bytes=self.value_bytes)
+        _step(self.cluster, self._nnz_per_node, flops, traffic,
+              vector_bytes=self._vector_bytes,
+              gather_random_bytes=self.cost.gather_random_bytes)
+
+    def diagnostics(self) -> dict:
+        return {"grid": self.dist.grid.grid, "peeled_edges": self._multiplies}
+
+
+def _runner(algorithm: str):
+    def run(graph, cluster, **params):
+        return run_program(algorithm, "combblas", MatrixEngine, graph,
+                           cluster, params)
+    run.params = PROGRAMS[algorithm].PARAMS
+    return run
+
+
+# combblas.pagerank(graph, cluster, ...) etc.: the round programs.
+globals().update({algorithm: _runner(algorithm) for algorithm in PROGRAMS})
 
 
 def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
@@ -184,8 +229,7 @@ def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
 
     # Traffic/flops template of one dense SpMV on this distribution; the
     # exchanged vectors are vertex-proportional (density-corrected).
-    probe = np.ones(n)
-    _, flops_one, traffic_one = dist.spmv(probe, PLUS_TIMES)
+    flops_one, traffic_one = dist.spmv_cost()
     traffic_one = traffic_one / density
 
     rmse_curve = []
@@ -264,162 +308,3 @@ def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
         extras={"a_squared_nnz": int(product.nnz),
                 "spgemm_flops": flops},
     )
-
-
-# ---------------------------------------------------------------------------
-# Second-generation workloads (WCC, SSSP, k-core, label propagation).
-# ---------------------------------------------------------------------------
-
-
-def _min_plus_fixpoint(graph: CSRGraph, cluster: Cluster, values,
-                        edge_values, bytes_per_nnz: float = 16.0):
-    """Sparse min-plus SpMV rounds until no vertex improves.
-
-    The sparse vector starts as ``values`` (absent = ``inf``, the
-    semiring zero); afterwards only just-improved vertices stay present.
-    Returns ``(values, rounds, relaxations)``.
-    """
-    dist, nnz_per_node = _build(graph, cluster, bytes_per_nnz)
-    cluster.allocate_all("vectors",
-                         8.0 * 2 * graph.num_vertices / cluster.num_nodes)
-    x = values
-    rounds = 0
-    relaxations = 0.0
-    while True:
-        rounds += 1
-        if cluster.tracer.enabled:
-            cluster.tracer.count("frontier_size",
-                                 int((x != MIN_PLUS.zero).sum()))
-        with cluster.trace_span("spmv", kind="sparse", round=rounds):
-            y, flops, traffic = dist.spmv(x, MIN_PLUS,
-                                          edge_values=edge_values,
-                                          sparse_x=True)
-            relaxations += flops / 2.0
-            merged = np.minimum(values, y)
-            changed = merged < values
-            _step(cluster, nnz_per_node, flops, traffic,
-                  touched_nnz=flops / 2.0, gather_random_bytes=4.0)
-            cluster.mark_iteration()
-        values = merged
-        if not changed.any():
-            return values, rounds, relaxations
-        x = np.where(changed, values, np.inf)
-
-
-def wcc(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    """HashMin WCC: sparse min-SpMV rounds over component labels.
-
-    The min semiring with 0-valued edges carries each present vertex's
-    label to its out-neighbors (``multiply(0, x) = x``, min-reduce);
-    every vertex is present at first. Run on symmetrized graphs.
-    """
-    labels, rounds, _ = _min_plus_fixpoint(
-        graph, cluster, np.arange(graph.num_vertices, dtype=np.float64),
-        edge_values=np.zeros(graph.num_edges))
-    values = labels.astype(np.int64)
-    return AlgorithmResult(
-        algorithm="wcc", framework="combblas", values=values,
-        iterations=rounds, metrics=cluster.metrics(),
-        extras={"components": int(np.unique(values).size)},
-    )
-
-
-def sssp(graph: CSRGraph, cluster: Cluster, source: int = 0) -> AlgorithmResult:
-    """Bellman-Ford over the tropical semiring: sparse min-plus SpMVs."""
-    from ...algorithms.sssp import edge_weights_for
-
-    check_params(graph.num_vertices, source=source)
-    distances = np.full(graph.num_vertices, np.inf)
-    distances[source] = 0.0
-    distances, rounds, relaxations = _min_plus_fixpoint(
-        graph, cluster, distances, edge_values=edge_weights_for(graph),
-        bytes_per_nnz=24.0)
-    return AlgorithmResult(
-        algorithm="sssp", framework="combblas", values=distances,
-        iterations=rounds, metrics=cluster.metrics(),
-        extras={"relaxations": relaxations,
-                "reached": int(np.isfinite(distances).sum())},
-    )
-
-
-def k_core(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    """Ascending-k peeling; each cascade wave is one counting SpMV.
-
-    The removed-vertex indicator times the adjacency (plus-times,
-    sparse) counts the degree decrements every surviving vertex
-    receives — LAGraph's k-core shape.
-    """
-    dist, nnz_per_node = _build(graph, cluster)
-    num_vertices = graph.num_vertices
-    cluster.allocate_all("vectors", 8.0 * 3 * num_vertices / cluster.num_nodes)
-
-    degrees = graph.out_degrees().astype(np.int64)
-    core = np.zeros(num_vertices, dtype=np.int64)
-    alive = np.ones(num_vertices, dtype=bool)
-    peeled_edges = 0.0
-    waves = 0
-    k = 1
-    while alive.any():
-        with cluster.trace_span("peel-level", k=k, alive=int(alive.sum())):
-            while True:
-                removed = np.flatnonzero(alive & (degrees < k))
-                if removed.size == 0:
-                    break
-                waves += 1
-                if cluster.tracer.enabled:
-                    cluster.tracer.count("frontier_size", int(removed.size))
-                x = np.zeros(num_vertices)
-                x[removed] = 1.0
-                core[removed] = k - 1
-                alive[removed] = False
-                with cluster.trace_span("spmv", kind="sparse", k=k,
-                                        removed=int(removed.size)):
-                    y, flops, traffic = dist.spmv(x, PLUS_TIMES,
-                                                  sparse_x=True)
-                    peeled_edges += flops / 2.0
-                    degrees = degrees - np.rint(y).astype(np.int64)
-                    _step(cluster, nnz_per_node, flops, traffic,
-                          touched_nnz=flops / 2.0, gather_random_bytes=4.0)
-            cluster.mark_iteration()
-        k += 1
-
-    return AlgorithmResult(
-        algorithm="k_core", framework="combblas", values=core,
-        iterations=waves, metrics=cluster.metrics(),
-        extras={"max_core": int(core.max()) if core.size else 0,
-                "peeled_edges": peeled_edges},
-    )
-
-
-class _DenseSpMVEngine(Engine):
-    """Label propagation's rounds as dense SpMVs on this distribution.
-
-    The per-round exchange and matrix scan are exactly a dense SpMV; the
-    (max count, min label) mode runs as the semiring's user-defined add.
-    """
-
-    def __init__(self, program, graph, cluster):
-        super().__init__(program, graph, cluster,
-                         SimpleNamespace(extras=("communities",)))
-        dist, self._nnz_per_node = _build(graph, cluster)
-        self._vector_bytes = 8.0 * 2 * graph.num_vertices / cluster.num_nodes
-        cluster.allocate_all("vectors", self._vector_bytes)
-        # Flop/traffic template of one dense SpMV on this distribution.
-        _, self._flops, self._traffic = dist.spmv(
-            np.ones(graph.num_vertices), PLUS_TIMES)
-
-    def iteration_span(self, index: int):
-        return self.cluster.trace_span("spmv", kind="dense", index=index)
-
-    def sweep(self) -> None:
-        # The mode "add" is a user-defined hash tally: each visited
-        # nonzero pays the dense gather plus a 16 B probe.
-        _step(self.cluster, self._nnz_per_node, self._flops, self._traffic,
-              vector_bytes=self._vector_bytes, gather_random_bytes=48.0)
-
-
-def label_propagation(graph: CSRGraph, cluster: Cluster,
-                      **params) -> AlgorithmResult:
-    """CDLP: one dense label exchange per round, mode aggregation."""
-    return run_program("label_propagation", "combblas", _DenseSpMVEngine,
-                       graph, cluster, params)

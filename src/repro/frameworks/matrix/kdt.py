@@ -20,6 +20,7 @@ Python-boundary costs:
 from __future__ import annotations
 
 from ...cluster import Cluster
+from ..base import runner_params
 from ..results import AlgorithmResult
 from . import combblas
 
@@ -60,6 +61,7 @@ def _through_python(run, boundary):
         result.metrics = cluster.metrics()
         result.framework = "kdt"
         return result
+    runner.params = runner_params(run)
     return runner
 
 
@@ -68,34 +70,32 @@ def _per_round(graph, result):
     return 0.0, result.iterations
 
 
-pagerank = _through_python(combblas.pagerank, _per_round)     # plus-times
-wcc = _through_python(combblas.wcc, _per_round)               # min
-sssp = _through_python(combblas.sssp, _per_round)             # min-plus
-bfs = _through_python(
-    combblas.bfs,
+#: One row per CombBLAS entry point: what crosses the Python boundary.
+BOUNDARIES = {
+    "pagerank": _per_round,     # plus-times
+    "wcc": _per_round,          # min
+    "sssp": _per_round,         # min-plus
     # Frontier filtering runs as a Python callback per touched nonzero:
     # only the nonzeros adjacent to ever-visited vertices cross the
     # boundary; approximate with the reached share of all edges.
-    lambda graph, result: (
+    "bfs": lambda graph, result: (
         graph.num_edges * (result.extras["reached"]
                            / max(graph.num_vertices, 1)),
-        result.iterations))
-triangle_count = _through_python(
-    combblas.triangle_count,
+        result.iterations),
     # The masked-multiply filter is a per-multiply Python callback.
-    lambda graph, result: (result.extras["spgemm_flops"] / 2.0, 3))
-collaborative_filtering = _through_python(
-    combblas.collaborative_filtering,
+    "triangle_count": lambda graph, result: (
+        result.extras["spgemm_flops"] / 2.0, 3),
     # Dense-vector updates between SpMVs run in the Python driver.
-    lambda ratings, result: (
-        0.0, result.iterations * result.extras["hidden_dim"]))
-k_core = _through_python(
-    combblas.k_core,
+    "collaborative_filtering": lambda ratings, result: (
+        0.0, result.iterations * result.extras["hidden_dim"]),
     # The liveness mask is a Python filter over every peeled nonzero.
-    lambda graph, result: (result.extras["peeled_edges"],
-                           result.iterations))
-label_propagation = _through_python(
-    combblas.label_propagation,
+    "k_core": lambda graph, result: (result.extras["peeled_edges"],
+                                     result.iterations),
     # The mode aggregation is a user-defined add: per-nnz callback.
-    lambda graph, result: (float(graph.num_edges) * result.iterations,
-                           result.iterations))
+    "label_propagation": lambda graph, result: (
+        float(graph.num_edges) * result.iterations, result.iterations),
+}
+
+# kdt.pagerank(graph, cluster, ...) etc.: CombBLAS's runner of that name.
+globals().update({name: _through_python(getattr(combblas, name), boundary)
+                  for name, boundary in BOUNDARIES.items()})

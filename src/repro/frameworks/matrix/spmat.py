@@ -8,14 +8,17 @@ per node, and "requires the total number of processes to be a square"
 ranks mapped block-contiguously onto the cluster's nodes, with g chosen
 as the largest square that 36/node allows.
 
-:class:`DistSpMat` holds the block-distributed adjacency and provides the
-three communication-bearing kernels the paper's algorithms need, each
-returning both the numerical result (computed exactly) and the per-node
-traffic matrix of the 2-D algorithm:
+:class:`DistSpMat` holds the block-distributed adjacency and what the
+paper's algorithms need of it, each with the per-node traffic matrix of
+the 2-D algorithm:
 
-* ``spmv`` — column-band broadcast of x, local semiring multiply,
-  row-band reduction of partial y (the classic 2-D SpMV); with
-  ``sparse_x`` it is an SpMSpV that visits only the present rows;
+* ``spmv_cost`` — flops and traffic of one semiring product (column-band
+  broadcast of x, local multiply, row-band reduction of partial y; over
+  a sparse x only the present rows are visited and shipped) *without
+  running it*: the six iterative workloads take their values from the
+  shared round programs, so this is all the engine asks;
+* ``spmv`` — the product itself plus ``spmv_cost``: the semiring oracle
+  the tests compare the round programs against;
 * ``spgemm_aa`` — SUMMA-style A @ A with A broadcast along both grid
   dimensions, materializing the full product (the expressibility problem
   that makes triangle counting blow up: Sections 5.2/6.2);
@@ -183,34 +186,52 @@ class DistSpMat:
         """Band histogram of ascending vertex ids (all below ``n``)."""
         return np.diff(np.searchsorted(present, self.bounds)).astype(np.float64)
 
+    def spmv_cost(self, present: np.ndarray = None,
+                  value_bytes: float = 8.0):
+        """``(flops, traffic)`` of one 2-D product, without running it.
+
+        ``present`` is the ascending ids of the sparse vector's entries
+        (an SpMSpV: only those rows are multiplied, counted and shipped);
+        ``None`` is a dense vector. The output's presence is structural —
+        the out-neighbours of ``present`` — so an entry that cancels to
+        the semiring zero is still folded and shipped, as the ranks
+        holding its partial sums cannot know it will.
+        """
+        if present is None:
+            x_bands = y_bands = self.band_sizes().astype(np.float64)
+            flops = 2.0 * float(self.nnz)
+        else:
+            reached = np.zeros(self.graph.num_vertices, dtype=bool)
+            reached[self.graph.neighbors_of_many(present)[0]] = True
+            x_bands = self._entries_per_band(present)
+            y_bands = self._entries_per_band(np.flatnonzero(reached))
+            flops = 2.0 * float(self._degrees[present].sum())
+        traffic = self.spmv_traffic(x_bands, y_bands, value_bytes)
+        if self.tracer.enabled:
+            self.tracer.count("flops", flops)
+            self.tracer.instant("spmv-kernel", flops=flops,
+                                sparse=present is not None)
+        return flops, traffic
+
     def spmv(self, x: np.ndarray, semiring: Semiring = PLUS_TIMES,
              edge_values: np.ndarray = None, sparse_x: bool = False,
              value_bytes: float = 8.0):
-        """``y = A^T x`` plus (flops, traffic) of the 2-D algorithm.
+        """``y = A^T x`` plus :meth:`spmv_cost` of the product.
 
         With ``sparse_x`` an entry is present iff it differs from
-        ``semiring.zero``; only present rows are multiplied, counted and
-        shipped.
+        ``semiring.zero`` and only present rows are multiplied. This is
+        the semiring oracle the tests hold the round programs to; the
+        engine itself runs the shared kernels and calls only
+        :meth:`spmv_cost`.
         """
         if sparse_x:
             x = np.asarray(x, dtype=np.float64)
             present = np.flatnonzero(x != semiring.zero)
             y = semiring_spmspv(self.graph, x, present, semiring, edge_values)
-            x_bands = self._entries_per_band(present)
-            y_bands = self._entries_per_band(
-                np.flatnonzero(y != semiring.zero))
-            flops = 2.0 * float(self._degrees[present].sum())
         else:
+            present = None
             y = semiring_spmv(self.graph, x, semiring, edge_values)
-            x_bands = self.band_sizes().astype(np.float64)
-            y_bands = x_bands
-            flops = 2.0 * float(self.nnz)
-        traffic = self.spmv_traffic(x_bands, y_bands, value_bytes)
-        if self.tracer.enabled:
-            self.tracer.count("flops", flops)
-            self.tracer.instant("spmv-kernel", flops=flops,
-                                sparse=bool(sparse_x))
-        return y, flops, traffic
+        return (y, *self.spmv_cost(present, value_bytes))
 
     def spgemm_aa(self):
         """``A @ A`` (path counts), with its flop count and traffic.

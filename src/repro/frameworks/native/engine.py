@@ -375,6 +375,7 @@ def _runner(algorithm: str):
     def run(graph, cluster, *, options: NativeOptions = None, **params):
         return run_program(algorithm, "native", NativeEngine, graph, cluster,
                            params, options=options)
+    run.params = ("options", *PROGRAMS[algorithm].PARAMS)
     return run
 
 

@@ -190,26 +190,15 @@ def roadmap_outcomes(nodes: int = 4) -> dict:
 def _combblas_bfs_compressed(graph, nodes: int, factor: float,
                              source: int) -> float:
     """CombBLAS BFS with bit-vector-compressed frontier exchanges."""
-    from ..algorithms.bfs import UNREACHED
-    from .matrix.combblas import _build, _step
-    from .matrix.semiring import OR_AND
+    from .matrix.combblas import MatrixEngine
+    from .rounds import run_program
+
+    class CompressedFrontiers(MatrixEngine):
+        # Frontier ids ship at ~2 bytes/entry instead of 8 (the
+        # adaptive-encoder ratio on dense frontiers).
+        value_bytes = 2.0
 
     cluster = Cluster(paper_cluster(nodes), scale_factor=factor,
                       enforce_memory=False)
-    dist, nnz_per_node = _build(graph, cluster)
-    distances = np.full(graph.num_vertices, UNREACHED, dtype=np.int32)
-    distances[source] = 0
-    frontier = np.zeros(graph.num_vertices)
-    frontier[source] = 1.0
-    while frontier.any():
-        y, flops, traffic = dist.spmv(frontier, OR_AND, sparse_x=True)
-        fresh = (y > 0) & (distances == UNREACHED)
-        distances[fresh] = int(distances[frontier > 0].max()) + 1 \
-            if (frontier > 0).any() else 1
-        # Bit-vector compression: frontier ids ship at ~2 bytes/entry
-        # instead of 8 (the adaptive-encoder ratio on dense frontiers).
-        _step(cluster, nnz_per_node, flops, traffic * 0.25,
-              touched_nnz=flops / 2.0, gather_random_bytes=4.0)
-        cluster.mark_iteration()
-        frontier = fresh.astype(np.float64)
-    return cluster.metrics().total_time_s
+    return run_program("bfs", "combblas-roadmap", CompressedFrontiers, graph,
+                       cluster, {"source": source}).total_time_s

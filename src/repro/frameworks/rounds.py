@@ -16,11 +16,11 @@ Two loops drive them. :func:`run_frontier` (bfs, wcc, sssp and k_core's
 cascade waves) repeats rounds over the active set until it is empty;
 :func:`run_dense` (pagerank, label_propagation) sweeps every vertex a
 fixed number of times. Neither loop knows a framework: an
-:class:`Engine` — one subclass per engine family (native, vertex, task)
-— owns allocation, partition/owner routing, and turning each round's
-counts into ``ComputeWork`` and traffic from its per-algorithm row of
-cost constants. :func:`run_program` ties a program, an engine and a
-cluster into an :class:`AlgorithmResult`.
+:class:`Engine` — one subclass per engine family (native, vertex, task,
+matrix) — owns allocation, partition/owner routing, the spans around a
+round, and turning each round's counts into ``ComputeWork`` and traffic
+from its per-algorithm row of cost constants. :func:`run_program` ties
+a program, an engine and a cluster into an :class:`AlgorithmResult`.
 """
 
 from __future__ import annotations
@@ -321,9 +321,18 @@ class Engine:
     programs: charge one all-vertex iteration).
     """
 
-    #: k_core on engines that batch a whole k level: the level, not the
-    #: wave, gets the span and counts as the iteration.
+    #: k_core on engines that charge a whole k level at once: the
+    #: engine's ``level()``, not each wave, marks the iteration.
     per_level = False
+
+    @property
+    def reports_levels(self) -> bool:
+        """Whether ``iterations`` counts levels rather than rounds.
+
+        The iterations an engine marks, unless it declares otherwise
+        (CombBLAS marks k_core's levels but reports its waves).
+        """
+        return self.per_level
 
     def __init__(self, program, graph, cluster, cost):
         self.program = program
@@ -332,7 +341,15 @@ class Engine:
         self.cost = cost
 
     def iteration_span(self, index: int):
+        """Span around one dense sweep."""
         return self.cluster.trace_span("iteration", index=index)
+
+    def round_span(self, index: int, active):
+        """Span around one frontier round (none inside a batched level)."""
+        if self.per_level:
+            return contextlib.nullcontext()
+        return self.cluster.trace_span(
+            self.program.span, **self.program.span_attrs(index, active))
 
     def level(self):
         """Context around one level's rounds (k_core's per-k charging)."""
@@ -354,8 +371,7 @@ def run_frontier(program, engine, cluster) -> int:
 
     ``frontier_size`` counts every round's active set, so its total is
     the number of vertex activations (for BFS: the vertices reached).
-    Returns the iterations marked: rounds, or levels on engines that
-    charge per level.
+    Returns the rounds run, or the levels on engines that report those.
     """
     tracer = cluster.tracer
     rounds = levels = 0
@@ -365,15 +381,11 @@ def run_frontier(program, engine, cluster) -> int:
             while active.size:
                 rounds += 1
                 tracer.count("frontier_size", int(active.size))
-                if engine.per_level:
+                with engine.round_span(rounds, active):
                     active = engine.round(active)
-                else:
-                    with cluster.trace_span(
-                            program.span,
-                            **program.span_attrs(rounds, active)):
-                        active = engine.round(active)
+                    if not engine.per_level:
                         cluster.mark_iteration()
-    return levels if engine.per_level else rounds
+    return levels if engine.reports_levels else rounds
 
 
 def run_dense(program, engine, cluster) -> int:

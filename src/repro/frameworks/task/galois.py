@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...cluster import Cluster, ComputeWork
-from ...errors import ReproError
+from ...errors import ExpressibilityError
 from ...graph import CSRGraph, RatingsMatrix
 from ...kernels import registry as kernel_registry
-from ..base import GALOIS
+from ..base import GALOIS, runner_params
 from ..native.cf import collaborative_filtering as _native_cf
 from ..results import AlgorithmResult
 from ..rounds import PROGRAMS, Engine, run_program
@@ -34,7 +34,7 @@ _PROFILE = GALOIS
 
 def _require_single_node(cluster: Cluster) -> None:
     if cluster.num_nodes != 1:
-        raise ReproError(
+        raise ExpressibilityError(
             "Galois is a single-node framework (paper Section 3); "
             f"got a {cluster.num_nodes}-node cluster"
         )
@@ -164,6 +164,7 @@ def _runner(algorithm: str):
         _require_single_node(cluster)
         return run_program(algorithm, "galois", GaloisEngine, graph, cluster,
                            params)
+    run.params = PROGRAMS[algorithm].PARAMS
     return run
 
 
@@ -253,3 +254,8 @@ def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
         extras={"rmse_curve": native_result.extras["rmse_curve"],
                 "method": "sgd", "hidden_dim": hidden_dim},
     )
+
+
+# Everything native's CF takes rides ``**kwargs``, except the method.
+collaborative_filtering.params = tuple(
+    name for name in runner_params(_native_cf) if name != "method")

@@ -24,7 +24,7 @@ from ...algorithms.bfs import UNREACHED
 from ...cluster import Cluster
 from ...graph import CSRGraph, EdgeList, RatingsMatrix
 from ...kernels import registry as kernel_registry
-from ..base import FrameworkProfile
+from ..base import FrameworkProfile, runner_params
 from ..results import AlgorithmResult
 from ..rounds import PROGRAMS, Engine, check_params, run_program
 from .engine import BSPEngine, ExchangeStats, VertexProgram
@@ -339,6 +339,7 @@ def frontend(profile: FrameworkProfile, partition_mode: str,
             return run_program(algorithm, profile.name, VertexEngine, graph,
                                cluster, params, profile=profile,
                                partition_mode=partition_mode)
+        run.params = PROGRAMS[algorithm].PARAMS
         return run
 
     def triangle_count(graph, cluster, **params):
@@ -351,6 +352,8 @@ def frontend(profile: FrameworkProfile, partition_mode: str,
                             partition_mode=partition_mode,
                             **{**(collaborative_filtering or {}), **params})
 
+    triangle_count.params = runner_params(triangle_vertex)
+    cf.params = runner_params(cf_gd_vertex)
     return {**{algorithm: rounds(algorithm) for algorithm in PROGRAMS},
             "triangle_count": triangle_count,
             "collaborative_filtering": cf}

@@ -233,10 +233,6 @@ def run(spec: ExperimentSpec, trace=None) -> RunResult:
             return _finish(STATUS_UNSUPPORTED, failure=str(error))
         except DeadlineExceeded as error:
             return _finish(STATUS_TIMEOUT, failure=str(error))
-        except ReproError as error:
-            if "single-node" in str(error):
-                return _finish(STATUS_UNSUPPORTED, failure=str(error))
-            raise
     return _finish(STATUS_OK, result=result)
 
 

@@ -19,7 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from ..algorithms.registry import ALGORITHMS, FRAMEWORKS, valid_params
+from ..algorithms.registry import (
+    ALGORITHMS,
+    FRAMEWORKS,
+    accepted_params,
+    valid_params,
+)
 from ..errors import SpecError
 from ..frameworks.rounds import check_params
 from ..kernels.backend import BACKENDS
@@ -84,6 +89,14 @@ class ExperimentSpec:
             raise SpecError(
                 f"unknown parameter(s) {', '.join(map(repr, unknown))} for "
                 f"{self.algorithm}; valid: {', '.join(known)}"
+            )
+        accepted = accepted_params(self.algorithm, self.framework)
+        refused = sorted(set(self.params) - set(accepted))
+        if refused:
+            raise SpecError(
+                f"{self.framework}'s {self.algorithm} does not take "
+                f"{', '.join(map(repr, refused))}; it accepts: "
+                f"{', '.join(accepted) or 'no parameters'}"
             )
         check_params(**self.params)
 

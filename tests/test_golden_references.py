@@ -387,18 +387,20 @@ def freeze_cell(algorithm, framework, nodes):
     }
 
 
-def regenerate_frozen_cells():
-    """Rewrite ``frozen_cells.json``; only for an intended model change.
+def regenerate_frozen_cells(only):
+    """Rewrite the ``only`` keys of ``frozen_cells.json``, nothing else.
+
+    For an intended model change: name the ``algorithm/framework/nodes``
+    cells it is meant to move, so the rest cannot be rewritten along the
+    way — ``TestFrozenCells`` still holds them to the committed digests.
 
     ``PYTHONPATH=src python -c "from tests.test_golden_references import
-    regenerate_frozen_cells as r; r()"``
+    regenerate_frozen_cells as r; r(['bfs/combblas/1', 'bfs/kdt/1'])"``
     """
-    frozen = {
-        f"{algorithm}/{framework}/{nodes}":
-            freeze_cell(algorithm, framework, nodes)
-        for algorithm in ALGORITHMS for framework in FRAMEWORKS
-        for nodes in FROZEN_NODES
-    }
+    frozen = json.loads(FROZEN_CELLS_PATH.read_text())
+    for key in only:
+        algorithm, framework, nodes = key.split("/")
+        frozen[key] = freeze_cell(algorithm, framework, int(nodes))
     FROZEN_CELLS_PATH.write_text(json.dumps(frozen, indent=1,
                                             sort_keys=True) + "\n")
 

@@ -223,6 +223,30 @@ class TestDistSpMat:
         assert flops == 2 * graph.out_degrees()[0]
         assert traffic.sum() > 0
 
+    def test_an_entry_that_cancels_is_still_shipped(self):
+        # u -> t and v -> t with x[u] = 1, x[v] = -1: y[t] sums to the
+        # plus-times zero, but the ranks folding it cannot know that.
+        # One vertex per band on 3 nodes, with t in a row band that
+        # spans two nodes so its fold crosses the wire.
+        grid = ProcessGrid(3)
+        t = int(np.argmax(grid.templates.fold.sum(axis=(1, 2))))
+        u, v = [w for w in range(3) if w != t][:2]
+        graph = CSRGraph.from_edges(
+            EdgeList.from_pairs(grid.grid, [(u, t), (v, t)]))
+        dist = DistSpMat(graph, grid)
+        x = np.zeros(grid.grid)
+        x[u], x[v] = 1.0, -1.0
+        y, flops, traffic = dist.spmv(x, PLUS_TIMES, sparse_x=True)
+        np.testing.assert_array_equal(y, np.zeros(grid.grid))
+        present = np.array([u, v])
+        assert flops == 4.0 and flops == dist.spmv_cost(present)[0]
+        np.testing.assert_array_equal(traffic, dist.spmv_cost(present)[1])
+        x_bands = np.histogram(present, bins=dist.bounds)[0]
+        np.testing.assert_array_equal(traffic, reference_spmv_traffic(
+            grid, x_bands, np.histogram([t], bins=dist.bounds)[0]))
+        assert traffic.sum() == 8.0 + reference_spmv_traffic(
+            grid, x_bands, np.zeros(grid.grid)).sum()
+
     def test_block_nnz_conserved(self, graph_small):
         dist = DistSpMat(graph_small, ProcessGrid(4))
         assert dist.block_nnz.sum() == graph_small.num_edges
@@ -336,31 +360,48 @@ class TestCombBLAS:
     @pytest.mark.parametrize("algorithm", ["k_core", "bfs"])
     def test_host_work_is_counted_work(self, algorithm, monkeypatch,
                                        graph_small_undirected):
-        """Edges gathered on the host == edges the cost model charges."""
-        from repro.kernels import spmv as spmv_kernels
+        """Per round: edges gathered == ``KernelWork.edges`` == flops / 2.
+
+        What the kernel really touched on the host, what it reports, and
+        what the engine charges for the product are one number.
+        """
         from repro.kernels import use_backend
+        from repro.kernels.propagation import KCorePeel
+        from repro.kernels.spmv import BFSPush
 
-        gathered, counted = [], []
-        edge_slots = spmv_kernels._edge_slots
-        dist_spmv = DistSpMat.spmv
+        kernel = {"k_core": KCorePeel, "bfs": BFSPush}[algorithm]
+        gathered, reported, charged, in_step = [], [], [], []
+        gather, step = CSRGraph.neighbors_of_many, kernel.step
+        cost = DistSpMat.spmv_cost
 
-        def counting_slots(graph, vertices):
-            slots, lengths = edge_slots(graph, vertices)
-            gathered.append(slots.size)
-            return slots, lengths
+        def counting_gather(self, vertices):
+            neighbors, lengths = gather(self, vertices)
+            if in_step:
+                in_step[-1] += neighbors.size
+            return neighbors, lengths
 
-        def counting_spmv(self, *args, **kwargs):
-            y, flops, traffic = dist_spmv(self, *args, **kwargs)
-            counted.append(flops / 2.0)
-            return y, flops, traffic
+        def counting_step(self, *args):
+            in_step.append(0)
+            result, work = step(self, *args)
+            edges = in_step.pop()
+            if work.frontier:       # k_core: not the scan that ends a level
+                gathered.append(edges)
+                reported.append(work.edges)
+            return result, work
 
-        monkeypatch.setattr(spmv_kernels, "_edge_slots", counting_slots)
-        monkeypatch.setattr(DistSpMat, "spmv", counting_spmv)
+        def counting_cost(self, *args, **kwargs):
+            flops, traffic = cost(self, *args, **kwargs)
+            charged.append(flops / 2.0)
+            return flops, traffic
+
+        monkeypatch.setattr(CSRGraph, "neighbors_of_many", counting_gather)
+        monkeypatch.setattr(kernel, "step", counting_step)
+        monkeypatch.setattr(DistSpMat, "spmv_cost", counting_cost)
         graph = graph_small_undirected
         with use_backend("vectorized"):     # the oracle walks, not gathers
             result = getattr(combblas, algorithm)(graph, make_cluster(4))
-        assert len(gathered) == len(counted) == result.iterations
-        assert sum(gathered) == sum(counted)
+        assert gathered == reported == charged
+        assert len(charged) == result.iterations
         if algorithm == "k_core":           # every vertex is peeled once
             assert sum(gathered) == result.extras["peeled_edges"]
             assert sum(gathered) == graph.num_edges

@@ -14,7 +14,17 @@ from repro.frameworks.datalog import (
     TupleTable,
     Var,
 )
-from repro.frameworks.matrix import MIN_PLUS, OR_AND, PLUS_TIMES, semiring_spmv
+from repro.algorithms.bfs import UNREACHED
+from repro.algorithms.sssp import edge_weights_for
+from repro.frameworks.matrix import (
+    MIN_PLUS,
+    OR_AND,
+    PLUS_TIMES,
+    DistSpMat,
+    ProcessGrid,
+    semiring_spmv,
+)
+from repro.frameworks.rounds import PROGRAMS
 from repro.graph import CSRGraph, EdgeList
 from repro.kernels import BACKENDS, semiring_spmspv, use_backend
 
@@ -152,6 +162,131 @@ def test_spmspv_never_expands_the_edge_list(backend):
         proxy = _NoEdgeListGraph(graph)
         assert np.array_equal(semiring_spmspv(proxy, x, present, MIN_PLUS),
                               expected)
+
+
+# -- the round programs against the products CombBLAS declares for them ----
+#
+# The matrix engine takes its values from the shared round programs and
+# only its costs from DistSpMat.spmv_cost. These hold every round of every
+# program to the semiring product Section 3.2 maps it to, and the cost the
+# engine charges to the cost of actually running that product.
+
+
+def oracle_product(dist, x, semiring, active, edge_values=None):
+    """``y`` of the sparse product, its cost checked against the engine's.
+
+    The engine charges ``spmv_cost(active)``: the rows it names must be
+    exactly the entries of ``x`` that differ from the semiring zero, and
+    its structural output presence must be the value presence of ``y``.
+    """
+    y, flops, traffic = dist.spmv(x, semiring, edge_values=edge_values,
+                                  sparse_x=True)
+    np.testing.assert_array_equal(np.flatnonzero(x != semiring.zero), active)
+    charged_flops, charged_traffic = dist.spmv_cost(active)
+    assert charged_flops == flops == \
+        2.0 * dist.graph.out_degrees()[active].sum()
+    np.testing.assert_array_equal(charged_traffic, traffic)
+    reached = np.flatnonzero(y != semiring.zero)
+    np.testing.assert_array_equal(
+        reached, np.unique(dist.graph.neighbors_of_many(active)[0]))
+    np.testing.assert_array_equal(traffic, dist.spmv_traffic(
+        np.histogram(active, bins=dist.bounds)[0],
+        np.histogram(reached, bins=dist.bounds)[0]))
+    return y
+
+
+def undirected(data):
+    n, pairs = data
+    return CSRGraph.from_edges(EdgeList.from_pairs(n, pairs),
+                               symmetrize=True, drop_self_loops=True)
+
+
+def indicator(n, active):
+    x = np.zeros(n)
+    x[active] = 1.0
+    return x
+
+
+program_graphs = given(edges_strategy(max_vertices=14, max_edges=45))
+program_settings = settings(max_examples=25, deadline=None)
+
+
+@program_settings
+@program_graphs
+def test_bfs_round_is_the_or_and_product(data):
+    graph = undirected(data)
+    dist = DistSpMat(graph, ProcessGrid(3))
+    program = PROGRAMS["bfs"](graph, source=0)
+    active = next(program.seeds())
+    while active.size:
+        unreached = program.values == UNREACHED
+        y = oracle_product(dist, indicator(graph.num_vertices, active),
+                           OR_AND, active)
+        active, _ = program.round(active)
+        np.testing.assert_array_equal(
+            active, np.flatnonzero((y > 0) & unreached))
+
+
+@pytest.mark.parametrize("algorithm", ["wcc", "sssp"])
+@program_settings
+@program_graphs
+def test_min_fixpoint_round_is_the_min_plus_product(algorithm, data):
+    graph = undirected(data)
+    dist = DistSpMat(graph, ProcessGrid(3))
+    program = PROGRAMS[algorithm](graph)
+    # WCC's labels ride 0-valued edges: multiply(0, x) = x, min-reduce.
+    edge_values = (np.zeros(graph.num_edges) if algorithm == "wcc"
+                   else edge_weights_for(graph))
+    active = next(program.seeds())
+    while active.size:
+        before = program.values.astype(np.float64)
+        x = np.full(graph.num_vertices, np.inf)
+        x[active] = before[active]
+        y = oracle_product(dist, x, MIN_PLUS, active, edge_values)
+        active, _ = program.round(active)
+        merged = np.minimum(before, y)
+        np.testing.assert_array_equal(program.values, merged)
+        np.testing.assert_array_equal(active,
+                                      np.flatnonzero(merged < before))
+
+
+@program_settings
+@program_graphs
+def test_k_core_wave_is_the_plus_times_product(data):
+    graph = undirected(data)
+    dist = DistSpMat(graph, ProcessGrid(3))
+    program = PROGRAMS["k_core"](graph)
+    degrees = graph.out_degrees().astype(np.int64)
+    for wave in program.seeds():
+        while wave.size:
+            # The removed-vertex indicator times the adjacency counts
+            # the decrements every vertex receives.
+            y = oracle_product(dist, indicator(graph.num_vertices, wave),
+                               PLUS_TIMES, wave)
+            degrees = degrees - np.rint(y).astype(np.int64)
+            wave, _ = program.round(wave)
+            np.testing.assert_array_equal(
+                wave, np.flatnonzero(program.alive & (degrees < program.k)))
+
+
+@program_settings
+@program_graphs
+def test_pagerank_sweep_is_the_plus_times_product(data):
+    n, pairs = data
+    graph = CSRGraph.from_edges(EdgeList.from_pairs(n, pairs),
+                                deduplicate=True)
+    dist = DistSpMat(graph, ProcessGrid(3))
+    program = PROGRAMS["pagerank"](graph, iterations=3, damping=0.3)
+    out_degrees = graph.out_degrees()
+    for _ in range(program.iterations):
+        scaled = np.where(out_degrees > 0,
+                          program.values / np.maximum(out_degrees, 1), 0.0)
+        y, flops, traffic = dist.spmv(scaled, PLUS_TIMES)
+        program.round()
+        np.testing.assert_array_equal(program.values, 0.3 + 0.7 * y)
+        charged_flops, charged_traffic = dist.spmv_cost()
+        assert charged_flops == flops == 2.0 * graph.num_edges
+        np.testing.assert_array_equal(charged_traffic, traffic)
 
 
 @settings(max_examples=30, deadline=None)

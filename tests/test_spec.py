@@ -5,10 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.datagen import rmat_graph
-from repro.errors import SpecError
+from repro.algorithms.registry import ALGORITHMS, FRAMEWORKS, accepted_params
+from repro.datagen import netflix_like_ratings, rmat_graph, rmat_triangle_graph
+from repro.errors import ReproError, SpecError
+from repro.frameworks.native import NativeOptions
 from repro.harness import (
     ExperimentSpec,
+    RunResult,
     run,
     run_experiment,
     valid_params,
@@ -90,11 +93,83 @@ class TestValidation:
         assert "hidden_dim" in cf and "method" in cf
         assert "superstep_splits" in cf          # giraph-only — union'd in
 
+    def test_param_the_framework_does_not_take(self):
+        # tolerance is PageRank's, but SociaLite's rules have none: a
+        # typed refusal naming the framework and what it does accept.
+        with pytest.raises(SpecError) as info:
+            ExperimentSpec(algorithm="pagerank", framework="socialite",
+                           dataset="rmat_mini", params={"tolerance": 1e-3})
+        message = str(info.value)
+        assert "socialite" in message and "'tolerance'" in message
+        assert "damping, iterations, optimized" in message
+        assert "tolerance" in accepted_params("pagerank", "native")
+        assert "options" not in accepted_params("pagerank", "combblas")
+
+    @pytest.mark.parametrize("framework", ["native", "combblas", "kdt",
+                                           "graphlab", "galois"])
+    def test_tolerance_belongs_to_the_program(self, graph, framework):
+        # Every program-driven family stops PageRank at the same sweep.
+        cell = run(ExperimentSpec("pagerank", framework, graph,
+                                  params={"iterations": 50,
+                                          "tolerance": 1e-3}))
+        assert cell.result.iterations == 16
+
     def test_frozen(self):
         spec = ExperimentSpec(algorithm="bfs", framework="native",
                               dataset="rmat_mini")
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.nodes = 4
+
+
+#: One in-range value per name any ``valid_params`` can return.
+PARAM_VALUES = {
+    "damping": 0.2, "gamma0": 0.002, "hidden_dim": 4, "iterations": 2,
+    "lambda_reg": 0.05, "method": "gd", "optimized": True,
+    "options": NativeOptions(), "profile_override": None, "seed": 1,
+    "source": 1, "step_decay": 0.9, "superstep_splits": 2,
+    "tolerance": 1e-3,
+}
+
+
+class TestEveryValidParameterOnEveryFramework:
+    """A spec-valid parameter yields a result or a typed error.
+
+    ``valid_params`` is per algorithm and runners are per framework, so
+    a name one framework takes used to reach another's runner and die
+    there as a raw ``TypeError``.
+    """
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        graph = rmat_graph(scale=6, edge_factor=4, seed=3, directed=False)
+        return {
+            "pagerank": rmat_graph(scale=6, edge_factor=4, seed=3),
+            "triangle_counting": rmat_triangle_graph(scale=6, edge_factor=4,
+                                                     seed=3),
+            "collaborative_filtering": netflix_like_ratings(
+                6, num_items=16, seed=3),
+            **dict.fromkeys(("bfs", "wcc", "sssp", "k_core",
+                             "label_propagation"), graph),
+        }
+
+    @pytest.mark.parametrize("framework", FRAMEWORKS)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_run_result_or_repro_error(self, datasets, algorithm, framework):
+        names = valid_params(algorithm)
+        assert set(names) <= set(PARAM_VALUES)
+        for name in names:
+            taken = name in accepted_params(algorithm, framework)
+            try:
+                cell = run(ExperimentSpec(
+                    algorithm, framework, datasets[algorithm],
+                    enforce_memory=False,
+                    params={name: PARAM_VALUES[name]}))
+            except ReproError as error:
+                assert isinstance(error, SpecError) and not taken, \
+                    (name, error)
+                assert framework in str(error)
+            else:
+                assert isinstance(cell, RunResult) and taken, name
 
 
 class TestSerialization:
