@@ -6,22 +6,17 @@ BFS, pagerank and Triangle Counting all benefit between 1.2-2x."
 """
 
 from repro.frameworks.native import NativeOptions
-from repro.harness import run_experiment
-from repro.harness.datasets import weak_scaling_dataset
+from repro.harness import run_cell
 from benchmarks.conftest import register_benchmark
 
 
 def measure(nodes=4):
     rows = {}
     for algorithm in ("pagerank", "triangle_counting"):
-        data, factor = weak_scaling_dataset(algorithm, nodes)
-        params = {"iterations": 3} if algorithm == "pagerank" else {}
-        on = run_experiment(algorithm, "native", data, nodes=nodes,
-                            scale_factor=factor,
-                            options=NativeOptions(), **params)
-        off = run_experiment(algorithm, "native", data, nodes=nodes,
-                             scale_factor=factor,
-                             options=NativeOptions(overlap=False), **params)
+        on, off = (
+            run_cell({"algorithm": algorithm, "framework": "native",
+                      "nodes": nodes}, params={"options": options})
+            for options in (NativeOptions(), NativeOptions(overlap=False)))
         rows[algorithm] = {
             "overlap_s": on.runtime(),
             "serial_s": off.runtime(),

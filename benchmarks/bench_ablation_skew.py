@@ -14,7 +14,7 @@ import numpy as np
 from repro.datagen import rmat_graph
 from repro.datagen.uniform import erdos_renyi_graph, ring_lattice_graph
 from repro.graph import gini_coefficient, partition_vertices_1d
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 from benchmarks.conftest import register_benchmark
 
 
@@ -33,13 +33,14 @@ def measure(nodes=8):
         owners = partition_vertices_1d(graph.num_vertices,
                                        nodes).owner_of_many(graph.sources())
         per_node = np.bincount(owners, minlength=nodes)
-        run = run_experiment("pagerank", "graphlab", graph, nodes=nodes,
-                             scale_factor=2000.0, iterations=3)
+        cell = run(ExperimentSpec("pagerank", "graphlab", graph, nodes=nodes,
+                                  scale_factor=2000.0,
+                                  params={"iterations": 3}))
         rows[name] = {
             "edges": graph.num_edges,
             "gini": gini_coefficient(graph.out_degrees()),
             "imbalance": float(per_node.max() / max(per_node.mean(), 1.0)),
-            "pagerank_s": run.runtime(),
+            "pagerank_s": cell.runtime(),
         }
     return rows
 

@@ -1,15 +1,13 @@
 """Figure 3: single-node runtimes on real-world and synthetic graphs."""
 
-from repro.harness import figure3, report
+from repro.harness import ARTIFACTS, figure3
 from benchmarks.conftest import register_benchmark
 
 
 def test_figure3(regenerate):
     data = regenerate(figure3)
     print()
-    print(report.render_runtime_panels(
-        data, "Figure 3: single-node runtimes (seconds, proxies)"
-    ))
+    print(ARTIFACTS["figure3"].text(data))
 
     for algorithm, panel in data.items():
         for dataset_name, cell in panel.items():

@@ -1,15 +1,13 @@
 """Figure 4: weak scaling on synthetic graphs, 1-64 nodes."""
 
-from repro.harness import figure4, report
+from repro.harness import ARTIFACTS, figure4
 from benchmarks.conftest import register_benchmark
 
 
 def test_figure4(regenerate):
     data = regenerate(figure4)
     print()
-    print(report.render_scaling_curves(
-        data, "Figure 4: weak scaling (constant data per node)"
-    ))
+    print(ARTIFACTS["figure4"].text(data))
 
     # Native stays within a modest envelope across 1-64 nodes wherever
     # it is memory bound, and grows gently when network bound — the

@@ -1,15 +1,13 @@
 """Figure 5: large real-world graphs (Twitter / Yahoo Music) multi-node."""
 
-from repro.harness import figure5, report
+from repro.harness import ARTIFACTS, figure5
 from benchmarks.conftest import register_benchmark
 
 
 def test_figure5(regenerate):
     data = regenerate(figure5)
     print()
-    print(report.render_runtime_panels(
-        data, "Figure 5: large real-world proxies on multiple nodes"
-    ))
+    print(ARTIFACTS["figure5"].text(data))
 
     # Configuration matches the paper: Twitter on 4 nodes except triangle
     # counting on 16; Yahoo Music on 4.

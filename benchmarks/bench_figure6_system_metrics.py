@@ -1,13 +1,13 @@
 """Figure 6: CPU utilization, network BW, memory footprint, bytes sent."""
 
-from repro.harness import figure6, report
+from repro.harness import ARTIFACTS, figure6
 from benchmarks.conftest import register_benchmark
 
 
 def test_figure6(regenerate):
     data = regenerate(figure6)
     print()
-    print(report.render_figure6(data))
+    print(ARTIFACTS["figure6"].text(data))
 
     for algorithm, panel in data.items():
         native = panel["native"]

@@ -1,13 +1,13 @@
 """Figure 7: effect of optimizations on the native implementations."""
 
-from repro.harness import figure7, report
+from repro.harness import ARTIFACTS, figure7
 from benchmarks.conftest import register_benchmark
 
 
 def test_figure7(regenerate):
     data = regenerate(figure7)
     print()
-    print(report.render_figure7(data))
+    print(ARTIFACTS["figure7"].text(data))
 
     for algorithm, ladder in data.items():
         labels = [label for label, _ in ladder]

@@ -5,7 +5,7 @@ LALP achieves a 12x performance improvement compared to Giraph" and
 "GraphX is about 7x slower than GraphLab for pagerank".
 """
 
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 from repro.harness.datasets import weak_scaling_dataset
 from benchmarks.conftest import register_benchmark
 
@@ -14,9 +14,10 @@ def related_work_pagerank(nodes=4):
     data, factor = weak_scaling_dataset("pagerank", nodes)
     runtimes = {}
     for framework in ("native", "graphlab", "giraph", "gps", "graphx"):
-        run = run_experiment("pagerank", framework, data, nodes=nodes,
-                             scale_factor=factor, iterations=3)
-        runtimes[framework] = run.runtime()
+        cell = run(ExperimentSpec("pagerank", framework, data, nodes=nodes,
+                                  scale_factor=factor,
+                                  params={"iterations": 3}))
+        runtimes[framework] = cell.runtime()
     return runtimes
 
 

@@ -57,15 +57,11 @@ def _raw_pool_run(pending, execute, policy, jobs):
 
 def _table5_executor():
     """The subset's cell keys + the picklable table5 executor."""
-    from repro.harness.tables import SINGLE_NODE_DATASETS, _single_node_cell
+    from repro.harness.sweep import sweep_cell
+    from repro.harness.tables import single_node_cells
 
-    keys = [
-        {"algorithm": algorithm, "dataset": dataset_name, "framework": name}
-        for algorithm in SUBSET["algorithms"]
-        for dataset_name in SINGLE_NODE_DATASETS[algorithm]
-        for name in ("native",) + SUBSET["frameworks"]
-    ]
-    return keys, _single_node_cell
+    return single_node_cells(SUBSET["algorithms"],
+                             ("native",) + SUBSET["frameworks"]), sweep_cell
 
 
 def test_supervised_pool_overhead_vs_raw_pool(regenerate):

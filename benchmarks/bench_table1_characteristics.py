@@ -1,19 +1,13 @@
 """Table 1: diversity in the characteristics of the chosen algorithms."""
 
-from repro.harness import report, table1
+from repro.harness import ARTIFACTS, table1
 from benchmarks.conftest import register_benchmark
 
 
 def test_table1(regenerate):
     rows = regenerate(table1)
     print()
-    print(report.render_rows(
-        rows,
-        columns=["algorithm", "graph_type", "vertex_property",
-                 "access_pattern", "message_bytes_per_edge",
-                 "vertex_active"],
-        title="Table 1: algorithm characteristics",
-    ))
+    print(ARTIFACTS["table1"].text(rows))
 
     by_name = {row["algorithm"]: row for row in rows}
     # PageRank: 8-byte double messages, all vertices active.

@@ -1,18 +1,13 @@
 """Table 2: high-level comparison of the graph frameworks."""
 
-from repro.harness import report, table2
+from repro.harness import ARTIFACTS, table2
 from benchmarks.conftest import register_benchmark
 
 
 def test_table2(regenerate):
     rows = regenerate(table2)
     print()
-    print(report.render_rows(
-        rows,
-        columns=["framework", "programming_model", "multi_node", "language",
-                 "graph_partitioning", "communication_layer"],
-        title="Table 2: framework comparison",
-    ))
+    print(ARTIFACTS["table2"].text(rows))
 
     by_name = {row["framework"]: row for row in rows}
     assert by_name["Native"]["communication_layer"] == "mpi"

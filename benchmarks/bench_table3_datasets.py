@@ -1,18 +1,13 @@
 """Table 3: real-world and largest synthetic datasets (proxy inventory)."""
 
-from repro.harness import report, table3
+from repro.harness import ARTIFACTS, table3
 from benchmarks.conftest import register_benchmark
 
 
 def test_table3(regenerate):
     rows = regenerate(table3)
     print()
-    print(report.render_rows(
-        rows,
-        columns=["dataset", "paper_vertices", "paper_edges", "proxy_size",
-                 "proxy_edges"],
-        title="Table 3: datasets (paper sizes and generated proxies)",
-    ))
+    print(ARTIFACTS["table3"].text(rows))
 
     by_name = {row["dataset"]: row for row in rows}
     # All eight Table 3 datasets present.

@@ -1,13 +1,13 @@
 """Table 4: efficiency achieved by the native implementations."""
 
-from repro.harness import report, table4
+from repro.harness import ARTIFACTS, table4
 from benchmarks.conftest import register_benchmark
 
 
 def test_table4(regenerate):
     data = regenerate(table4)
     print()
-    print(report.render_table4(data))
+    print(ARTIFACTS["table4"].text(data))
 
     # Paper shape: every algorithm is memory-bandwidth bound on one node
     # with zero network share.

@@ -2,16 +2,14 @@
 
 import numpy as np
 
-from repro.harness import report, table5
+from repro.harness import ARTIFACTS, table5
 from benchmarks.conftest import register_benchmark
 
 
 def test_table5(regenerate_resilient):
     data = regenerate_resilient(table5)
     print()
-    print(report.render_slowdown_table(
-        data, "Table 5: single-node slowdowns vs native (geomean)"
-    ))
+    print(ARTIFACTS["table5"].text(data))
 
     def slowdown(algorithm, framework):
         return data[algorithm][framework]["slowdown"]

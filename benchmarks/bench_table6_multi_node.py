@@ -2,16 +2,14 @@
 
 import numpy as np
 
-from repro.harness import report, table6
+from repro.harness import ARTIFACTS, table6
 from benchmarks.conftest import register_benchmark
 
 
 def test_table6(regenerate_resilient):
     data = regenerate_resilient(table6)
     print()
-    print(report.render_slowdown_table(
-        data, "Table 6: multi-node slowdowns vs native (geomean)"
-    ))
+    print(ARTIFACTS["table6"].text(data))
 
     def slowdown(algorithm, framework):
         return data[algorithm][framework]["slowdown"]

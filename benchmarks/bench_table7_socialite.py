@@ -1,13 +1,13 @@
 """Table 7: SociaLite speedups from the network optimizations (4 nodes)."""
 
-from repro.harness import report, table7
+from repro.harness import ARTIFACTS, table7
 from benchmarks.conftest import register_benchmark
 
 
 def test_table7(regenerate):
     data = regenerate(table7)
     print()
-    print(report.render_table7(data))
+    print(ARTIFACTS["table7"].text(data))
 
     # Paper: PageRank 2.4x, triangle counting 1.6x from switching the
     # published single-socket stack to multiple sockets per worker pair.

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.cluster.timeline import analyze, render_timeline
 from repro.datagen import rmat_graph
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 
 
 def main():
@@ -21,9 +21,10 @@ def main():
           f"{graph.num_edges:,} edges, 4 simulated nodes\n")
 
     for framework in ("native", "graphlab", "giraph"):
-        run = run_experiment("bfs", framework, graph, nodes=4,
-                             scale_factor=2000.0, source=source)
-        metrics = run.metrics()
+        cell = run(ExperimentSpec("bfs", framework, graph, nodes=4,
+                                  scale_factor=2000.0,
+                                  params={"source": source}))
+        metrics = cell.metrics()
         report = analyze(metrics)
         print(f"=== {framework} "
               f"(total {metrics.total_time_s:.3f}s simulated) ===")

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.datagen import rmat_graph
 from repro.errors import NodeFailure
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 
 SCHEDULE = "crash(node=2, superstep=3); drop(p=0.02)"
 
@@ -27,8 +27,9 @@ def main():
     print(f"fault schedule: {SCHEDULE}\n")
 
     # -- Giraph: checkpoint every 2 supersteps, recover, keep going ------
-    clean = run_experiment("bfs", "giraph", graph, nodes=4)
-    chaos = run_experiment("bfs", "giraph", graph, nodes=4, faults=SCHEDULE)
+    clean = run(ExperimentSpec("bfs", "giraph", graph, nodes=4))
+    chaos = run(ExperimentSpec("bfs", "giraph", graph, nodes=4,
+                               faults=SCHEDULE))
     stats = chaos.recovery
 
     print("=== giraph (checkpoint/recover) ===")
@@ -55,7 +56,7 @@ def main():
     # -- native: no checkpoints, no recovery, no survivors ---------------
     print("\n=== native (fail-fast) ===")
     try:
-        run_experiment("bfs", "native", graph, nodes=4, faults=SCHEDULE)
+        run(ExperimentSpec("bfs", "native", graph, nodes=4, faults=SCHEDULE))
     except NodeFailure as failure:
         print(f"raised NodeFailure: node {failure.node} at superstep "
               f"{failure.superstep}")

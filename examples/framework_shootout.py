@@ -9,10 +9,8 @@ Run:  python examples/framework_shootout.py [scale]
 
 import sys
 
-import numpy as np
-
 from repro.datagen import netflix_like_ratings, rmat_graph, rmat_triangle_graph
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 
 FRAMEWORKS = ("native", "combblas", "graphlab", "socialite", "giraph",
               "galois")
@@ -39,14 +37,12 @@ def main(scale: int = 12):
     print(header)
     print("-" * len(header))
     for algorithm, data in datasets.items():
-        if algorithm == "bfs":
-            params["bfs"]["source"] = int(np.argmax(data.out_degrees()))
         baseline = None
         row = algorithm.ljust(26)
         for framework in FRAMEWORKS:
-            result = run_experiment(algorithm, framework, data, nodes=1,
-                                    scale_factor=2000.0,
-                                    **params[algorithm])
+            result = run(ExperimentSpec(algorithm, framework, data, nodes=1,
+                                        scale_factor=2000.0,
+                                        params=params[algorithm]))
             if not result.ok:
                 row += result.status[:10].rjust(11)
                 continue

@@ -11,7 +11,7 @@ Run:  python examples/network_tuning.py
 
 from repro.cluster import Cluster, paper_cluster
 from repro.frameworks.datalog import socialite
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 from repro.harness.datasets import weak_scaling_dataset
 
 
@@ -30,8 +30,8 @@ def main():
         data, Cluster(paper_cluster(nodes), scale_factor=factor),
         iterations=3, optimized=True,
     )
-    native = run_experiment("pagerank", "native", data, nodes=nodes,
-                            scale_factor=factor, iterations=3)
+    native = run(ExperimentSpec("pagerank", "native", data, nodes=nodes,
+                                scale_factor=factor, params={"iterations": 3}))
 
     rows = [
         ("SociaLite (published, 1 socket)", published),

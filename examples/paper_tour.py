@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.datagen import rmat_graph, rmat_triangle_graph
 from repro.frameworks.native import NativeOptions
-from repro.harness import run_experiment, table7
+from repro.harness import ExperimentSpec, run, table7
 from repro.harness.datasets import weak_scaling_dataset
 
 
@@ -31,14 +31,15 @@ def main():
     print("1. The Ninja gap (abstract): 2-30x for most frameworks, up to")
     print("   560x for Giraph.\n")
     graph = rmat_graph(scale=12, edge_factor=16, seed=1)
-    native = run_experiment("pagerank", "native", graph, nodes=1,
-                            scale_factor=5000.0, iterations=3)
+    native = run(ExperimentSpec("pagerank", "native", graph, nodes=1,
+                                scale_factor=5000.0, params={"iterations": 3}))
     gaps = {}
     for framework in ("combblas", "graphlab", "socialite", "giraph",
                       "galois"):
-        run = run_experiment("pagerank", framework, graph, nodes=1,
-                             scale_factor=5000.0, iterations=3)
-        gaps[framework] = run.runtime() / native.runtime()
+        cell = run(ExperimentSpec("pagerank", framework, graph, nodes=1,
+                                  scale_factor=5000.0,
+                                  params={"iterations": 3}))
+        gaps[framework] = cell.runtime() / native.runtime()
     measured = ", ".join(f"{k} {v:.1f}x" for k, v in gaps.items())
     check("single-node PageRank gaps", "2-30x; Giraph far beyond",
           measured,
@@ -53,11 +54,10 @@ def main():
     from repro.harness.datasets import scale_factor_for
 
     tc_graph = rmat_triangle_graph(scale=13, edge_factor=18, seed=2)
-    tc = run_experiment(
+    tc = run(ExperimentSpec(
         "triangle_counting", "combblas", tc_graph, nodes=1,
         scale_factor=scale_factor_for("triangle_counting", 85_000_000,
-                                      tc_graph.num_edges),
-    )
+                                      tc_graph.num_edges)))
     check("CombBLAS runs out of memory on real-world triangle counting",
           "OOM while computing the A^2 product",
           tc.status, tc.status == "out-of-memory")
@@ -72,26 +72,27 @@ def main():
 
     # 5. Compression (Section 6.1.2).
     data, factor = weak_scaling_dataset("pagerank", 4)
-    on = run_experiment("pagerank", "native", data, nodes=4,
-                        scale_factor=factor, iterations=2)
+    on = run(ExperimentSpec("pagerank", "native", data, nodes=4,
+                            scale_factor=factor, params={"iterations": 2}))
     ratio = on.result.extras["compression_ratio"]
     check("PageRank message compression", "~2.2x byte reduction",
           f"{ratio:.1f}x on the real encoded id streams",
           1.5 < ratio < 3.5)
 
     # 6. Giraph's worker occupancy (Section 5.4).
-    giraph = run_experiment("pagerank", "giraph", data, nodes=4,
-                            scale_factor=factor, iterations=2)
+    giraph = run(ExperimentSpec("pagerank", "giraph", data, nodes=4,
+                                scale_factor=factor, params={"iterations": 2}))
     util = giraph.metrics().cpu_utilization
     check("Giraph CPU utilization capped by 4/24 workers", "~16%",
           f"{100 * util:.0f}%", util <= 0.17)
 
     # 7. The bit-vector data structure (Section 6.1.2).
-    fast = run_experiment("triangle_counting", "native", tc_graph, nodes=1,
-                          scale_factor=1e4, options=NativeOptions())
-    slow = run_experiment("triangle_counting", "native", tc_graph, nodes=1,
-                          scale_factor=1e4,
-                          options=NativeOptions(bitvector=False))
+    fast = run(ExperimentSpec("triangle_counting", "native", tc_graph, nodes=1,
+                              scale_factor=1e4,
+                              params={"options": NativeOptions()}))
+    slow = run(ExperimentSpec(
+        "triangle_counting", "native", tc_graph, nodes=1, scale_factor=1e4,
+        params={"options": NativeOptions(bitvector=False)}))
     speedup = slow.runtime() / fast.runtime()
     check("bit-vector neighbor lookups for triangle counting", "~2.2x",
           f"{speedup:.1f}x", 1.3 < speedup < 4.0)

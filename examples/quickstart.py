@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.datagen import rmat_graph
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 
 
 def main():
@@ -23,8 +23,9 @@ def main():
     # (here: pretend the graph were 500x larger).
     results = {}
     for framework in ("native", "graphlab"):
-        result = run_experiment("pagerank", framework, graph, nodes=4,
-                                scale_factor=500.0, iterations=10)
+        result = run(ExperimentSpec("pagerank", framework, graph, nodes=4,
+                                    scale_factor=500.0,
+                                    params={"iterations": 10}))
         results[framework] = result
         metrics = result.metrics()
         print(f"{framework}:")

@@ -13,7 +13,7 @@ Run:  python examples/trace_bottleneck.py
 """
 
 from repro.datagen import rmat_graph
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 from repro.observability import Tracer, render_summary_tree, \
     write_chrome_trace
 
@@ -36,13 +36,13 @@ def main():
 
     runs = {}
     for framework in ("native", "giraph"):
-        runs[framework] = run_experiment(
-            "pagerank", framework, graph, nodes=4, scale_factor=2000.0,
-            iterations=3, trace=Tracer())
+        spec = ExperimentSpec("pagerank", framework, graph, nodes=4,
+                              scale_factor=2000.0, params={"iterations": 3})
+        runs[framework] = run(spec, trace=Tracer())
 
-    for framework, run in runs.items():
-        tracer = run.trace
-        print(f"=== {framework} ({run.metrics().total_time_s:.3f}s "
+    for framework, cell in runs.items():
+        tracer = cell.trace
+        print(f"=== {framework} ({cell.metrics().total_time_s:.3f}s "
               f"simulated) ===")
         print(render_summary_tree(tracer, max_depth=4))
         path = f"trace_{framework}.json"
@@ -50,8 +50,8 @@ def main():
         print(f"-> wrote {path} (open in chrome://tracing)\n")
 
     # The gap, answered from the spans alone -----------------------------
-    decomp = {name: superstep_decomposition(run.trace)
-              for name, run in runs.items()}
+    decomp = {name: superstep_decomposition(cell.trace)
+              for name, cell in runs.items()}
     print(f"{'phase':<12} {'native':>12} {'giraph':>12} {'ratio':>9}")
     for i, phase in enumerate(("compute", "comm", "overhead")):
         native_s, giraph_s = decomp["native"][i], decomp["giraph"][i]

@@ -5,8 +5,7 @@ Run after any cost-model change:  python scripts/calibrate.py
 
 import sys
 
-from repro.harness.datasets import weak_scaling_dataset
-from repro.harness import run_experiment
+from repro.harness import run_cell
 
 PAPER_SINGLE = {   # Table 5
     "pagerank": {"combblas": 1.9, "graphlab": 3.6, "socialite": 2.0,
@@ -31,17 +30,6 @@ PAPER_MULTI = {   # Table 6
 }
 
 
-def params_for(algo, data=None):
-    import numpy as np
-    if algo == "pagerank":
-        return {"iterations": 3}
-    if algo == "collaborative_filtering":
-        return {"iterations": 2, "hidden_dim": 32}
-    if algo == "bfs" and data is not None:
-        return {"source": int(np.argmax(data.out_degrees()))}
-    return {}
-
-
 def main():
     only = sys.argv[1] if len(sys.argv) > 1 else None
     for nodes, paper in ((1, PAPER_SINGLE), (4, PAPER_MULTI)):
@@ -49,16 +37,11 @@ def main():
         for algo, targets in paper.items():
             if only and only not in algo:
                 continue
-            data, f = weak_scaling_dataset(algo, nodes)
-            params = params_for(algo, data)
-            nat = run_experiment(algo, "native", data, nodes=nodes,
-                                 scale_factor=f, **params)
-            base = nat.runtime()
+            key = {"algorithm": algo, "nodes": nodes}
+            base = run_cell({**key, "framework": "native"}).runtime()
             line = f"{algo[:20]:22s} native={base:8.3f}s  "
             for fw, target in targets.items():
-                r = run_experiment(algo, fw, data, nodes=nodes,
-                                   scale_factor=f, enforce_memory=False,
-                                   **params)
+                r = run_cell({**key, "framework": fw}, enforce_memory=False)
                 if r.ok:
                     line += f"{fw[:4]}={r.runtime() / base:7.1f} ({target:g}) "
                 else:

@@ -1,78 +1,12 @@
 """Regenerate every table and figure of the paper and print them.
 
-This is the one-shot reproduction driver:
-
     python scripts/regenerate_all.py > results.txt
 
-Runtime is a few minutes; the benchmark suite under ``benchmarks/``
-regenerates the same artifacts piecewise with assertions.
+The artifacts are the rows of ``repro.harness.artifacts.ARTIFACTS``;
+this is ``python -m repro regenerate`` (a few minutes; timings on stderr).
 """
 
-import time
-
-from repro.harness import (
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    report,
-    sgd_vs_gd,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
-)
-
-
-def timed(label, fn, renderer):
-    start = time.time()
-    data = fn()
-    print(renderer(data))
-    print(f"[{label} regenerated in {time.time() - start:.1f}s]\n")
-    return data
-
-
-def main():
-    timed("table1", table1, lambda d: report.render_rows(
-        d, ["algorithm", "graph_type", "vertex_property", "access_pattern",
-            "message_bytes_per_edge", "vertex_active"],
-        "Table 1: algorithm characteristics"))
-    timed("table2", table2, lambda d: report.render_rows(
-        d, ["framework", "programming_model", "multi_node", "language",
-            "graph_partitioning", "communication_layer"],
-        "Table 2: framework comparison"))
-    timed("table3", table3, lambda d: report.render_rows(
-        d, ["dataset", "paper_vertices", "paper_edges", "proxy_size",
-            "proxy_edges"],
-        "Table 3: datasets"))
-    timed("table4", table4, report.render_table4)
-    timed("table5", table5, lambda d: report.render_slowdown_table(
-        d, "Table 5: single-node slowdowns vs native (geomean)"))
-    timed("table6", table6, lambda d: report.render_slowdown_table(
-        d, "Table 6: multi-node slowdowns vs native (geomean)"))
-    timed("table7", table7, report.render_table7)
-    timed("figure3", figure3, lambda d: report.render_runtime_panels(
-        d, "Figure 3: single-node runtimes (seconds)"))
-    timed("figure4", figure4, lambda d: report.render_scaling_curves(
-        d, "Figure 4: weak scaling 1-64 nodes (seconds)"))
-    timed("figure5", figure5, lambda d: report.render_runtime_panels(
-        d, "Figure 5: large real-world proxies, multi-node"))
-    timed("figure6", figure6, report.render_figure6)
-    timed("figure7", figure7, report.render_figure7)
-
-    start = time.time()
-    convergence = sgd_vs_gd()
-    print("SGD vs GD convergence (Section 3.2):")
-    print(f"  SGD: {convergence['sgd']} iterations to RMSE "
-          f"{convergence['target_rmse']:.4f}")
-    print(f"  GD:  {convergence['gd']} iterations "
-          f"({convergence['ratio']:.0f}x more; paper reports ~40x)")
-    print(f"[sgd_vs_gd regenerated in {time.time() - start:.1f}s]")
-
+from repro.cli import main
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main(["regenerate"]))

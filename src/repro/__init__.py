@@ -16,11 +16,11 @@ The package re-implements, in pure Python/NumPy:
 Quickstart::
 
     from repro import datagen
-    from repro.harness import run_experiment
+    from repro.harness import ExperimentSpec, run
 
     graph = datagen.rmat_graph(scale=14, seed=1)
-    result = run_experiment("pagerank", "native", graph, nodes=1)
-    print(result.time_per_iteration)
+    result = run(ExperimentSpec("pagerank", "native", graph, nodes=1))
+    print(result.runtime())
 """
 
 from . import errors, graph

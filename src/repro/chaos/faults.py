@@ -226,7 +226,7 @@ class FaultSchedule:
 
     A schedule is single-use: probabilistic faults advance dedicated RNG
     streams as the run progresses. :meth:`fresh` returns an identically
-    seeded copy, and :func:`~repro.harness.runner.run_experiment`
+    seeded copy, and :func:`~repro.harness.runner.run`
     freshens the schedule it is given, so repeated runs with the same
     schedule object see the same timeline.
     """

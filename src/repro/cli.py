@@ -6,11 +6,12 @@ Commands:
 * ``trace`` — run one cell with the flight recorder and export the trace;
 * ``chaos`` — run one cell fault-free and under a ``--faults`` schedule,
   and report what surviving the faults cost;
-* ``sweep`` — a durable, resumable multi-cell sweep (table5/table6/
-  figure3/figure4/figure5) with per-cell deadlines, retry + quarantine
-  and a JSONL journal; ``--jobs N`` fans the cells over a *supervised*
-  worker pool (crash/hang/OOM containment, ``--wall-deadline``,
-  ``--real-chaos`` fault injection) with a byte-identical journal;
+* ``sweep`` — a durable, resumable multi-cell sweep (any sweepable row
+  of ``harness.artifacts.ARTIFACTS``) with per-cell deadlines, retry +
+  quarantine and a JSONL journal; ``--jobs N`` fans the cells over a
+  *supervised* worker pool (crash/hang/OOM containment,
+  ``--wall-deadline``, ``--real-chaos`` fault injection) with a
+  byte-identical journal;
 * ``cache`` — inspect or clear the content-addressed dataset cache;
 * ``table N`` / ``figure N`` — regenerate one paper artifact;
 * ``perf`` — roofline bounds + gap attribution (``analyze``), ranked
@@ -19,7 +20,7 @@ Commands:
 * ``datasets`` — list the catalog and proxy sizes;
 * ``frameworks`` — list frameworks and their profiles;
 * ``graph500`` — the Graph500 BFS protocol on the simulator;
-* ``regenerate`` — everything, like ``scripts/regenerate_all.py``.
+* ``regenerate`` — every row of ``ARTIFACTS``, in order.
 """
 
 from __future__ import annotations
@@ -28,74 +29,41 @@ import argparse
 import json
 import sys
 
-# Exit codes, one per failure class, so scripts and CI can tell a
-# legitimate DNF (the paper's dashes) from a broken invocation. 2 is
-# argparse's usage-error code.
-EXIT_OK = 0
-EXIT_FAILURE = 1
-EXIT_USAGE = 2
-EXIT_OOM = 3
-EXIT_UNSUPPORTED = 4
-EXIT_NODE_FAILURE = 5
-EXIT_DEADLINE = 6
-EXIT_PERF_REGRESSION = 7
-EXIT_INTERRUPTED = 8
+from .errors import (
+    EXIT_FAILURE,
+    EXIT_OK,
+    EXIT_PERF_REGRESSION,
+    EXIT_USAGE,
+    STATUS_EXIT_CODES,
+    NodeFailure,
+    PerfRegression,
+    ReproError,
+    failure_class,
+)
 
 EXIT_CODES_HELP = """\
 exit codes:
   0  success (for `sweep`: the sweep completed; DNF cells are results)
-  1  cell failed / unclassified error
+  1  unclassified error (also a cell that crashed its worker)
   2  usage error
   3  out of memory (CapacityError)
   4  unsupported by the framework's programming model
-  5  node failure the framework could not recover
+  5  node failure the framework could not recover (status `failed`)
   6  simulated deadline exceeded (timeout)
   7  perf gate failed: cells regressed beyond the baseline tolerance
   8  sweep drained on SIGINT/SIGTERM: journal flushed, finish via --resume
 """
 
-#: RunResult.status -> exit code (``run``/``trace`` commands).
-_STATUS_EXITS = {
-    "ok": EXIT_OK,
-    "out-of-memory": EXIT_OOM,
-    "unsupported": EXIT_UNSUPPORTED,
-    "failed": EXIT_NODE_FAILURE,
-    "timeout": EXIT_DEADLINE,
-}
 
+def _failure_exit(error, label: str = None) -> int:
+    """Report a typed failure on stderr; returns its exit code.
 
-def _exit_code_for(error) -> int:
-    """Map a typed experiment failure to its exit code."""
-    from .errors import (
-        CapacityError,
-        DeadlineExceeded,
-        NodeFailure,
-        PerfRegression,
-        SweepInterrupted,
-    )
-
-    if isinstance(error, SweepInterrupted):
-        return EXIT_INTERRUPTED
-    if isinstance(error, CapacityError):
-        return EXIT_OOM
-    if isinstance(error, DeadlineExceeded):
-        return EXIT_DEADLINE
-    if isinstance(error, NodeFailure):
-        return EXIT_NODE_FAILURE
-    if isinstance(error, PerfRegression):
-        return EXIT_PERF_REGRESSION
-    return EXIT_FAILURE
-
-
-def _failure_exit(error, label: str) -> int:
-    """Report a typed experiment failure on stderr; returns its code.
-
-    The single place every command funnels typed failures through, so
-    the failure-class -> exit-code mapping cannot drift between
-    commands (it used to be duplicated in ``chaos`` and ``main``).
+    The single place every command funnels typed failures through; the
+    label and the code both come from ``errors.FAILURE_CLASSES``.
     """
-    print(f"{label}: {error}", file=sys.stderr)
-    return _exit_code_for(error)
+    failure = failure_class(error)
+    print(f"{label or failure.label}: {error}", file=sys.stderr)
+    return failure.exit_code
 
 
 def _run_cell(args, trace=None):
@@ -147,12 +115,11 @@ def _cmd_run(args) -> int:
     result = _run_cell(args)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
-        return _STATUS_EXITS.get(result.status, EXIT_FAILURE)
-    if not result.ok:
+    elif not result.ok:
         print(f"status: {result.status} ({result.failure})")
-        return _STATUS_EXITS.get(result.status, EXIT_FAILURE)
-    _print_run(result)
-    return EXIT_OK
+    else:
+        _print_run(result)
+    return STATUS_EXIT_CODES[result.status]
 
 
 def _cmd_trace(args) -> int:
@@ -184,13 +151,11 @@ def _cmd_trace(args) -> int:
                   f"(open in chrome://tracing or ui.perfetto.dev)")
         if args.csv:
             print(f"wrote per-superstep CSV to {args.csv}")
-    return _STATUS_EXITS.get(result.status, EXIT_FAILURE)
+    return STATUS_EXIT_CODES[result.status]
 
 
 def _cmd_chaos(args) -> int:
     """Same cell twice — fault-free, then under the schedule — and diff."""
-    from .errors import NodeFailure
-
     faults, seed = args.faults, args.fault_seed
     args.faults = None
     baseline = _run_cell(args)
@@ -213,15 +178,15 @@ def _cmd_chaos(args) -> int:
             print(f"chaos run   : FAILED — {failure}")
             print(f"              ({args.framework} runs fail-fast; pick a "
                   "checkpointing framework to survive crashes)")
-        return _exit_code_for(failure)
+        return failure_class(failure).exit_code
     if args.json:
         print(json.dumps({"baseline": baseline.to_dict(),
                           "chaos": chaos.to_dict()}, indent=2))
-        return _STATUS_EXITS.get(chaos.status, EXIT_FAILURE)
+        return STATUS_EXIT_CODES[chaos.status]
     if not chaos.ok or not baseline.ok:
         failed = baseline if not baseline.ok else chaos
         print(f"status: {failed.status} ({failed.failure})")
-        return _STATUS_EXITS.get(failed.status, EXIT_FAILURE)
+        return STATUS_EXIT_CODES[failed.status]
     stats = chaos.recovery
     # Total wall clock, not time/iteration: the overhead lines below are
     # whole-run seconds and the ratio must be read against them.
@@ -253,36 +218,19 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-#: Sweepable artifact producers and their renderers, by target name.
-def _sweep_targets():
-    from .harness import figures, report, tables
-
-    return {
-        "table5": (tables.table5, True,
-                   lambda d: report.render_slowdown_table(d, "Table 5")),
-        "table6": (tables.table6, True,
-                   lambda d: report.render_slowdown_table(d, "Table 6")),
-        "figure3": (figures.figure3, True,
-                    lambda d: report.render_runtime_panels(d, "Figure 3")),
-        "figure4": (figures.figure4, True,
-                    lambda d: report.render_scaling_curves(d, "Figure 4")),
-        "figure5": (figures.figure5, False,
-                    lambda d: report.render_runtime_panels(d, "Figure 5")),
-    }
-
-
 def _cmd_sweep(args) -> int:
     """Durable, resumable regeneration of one sweep artifact."""
     from .harness import report
+    from .harness.artifacts import ARTIFACTS
     from .harness.sweep import Sweep
     from .observability import Tracer, write_chrome_trace
 
-    producer, takes_algorithms, renderer = _sweep_targets()[args.target]
+    artifact = ARTIFACTS[args.target]
     kwargs = {}
     if args.frameworks:
         kwargs["frameworks"] = tuple(args.frameworks.split(","))
     if args.algorithms:
-        if not takes_algorithms:
+        if not artifact.takes_algorithms:
             print(f"{args.target} does not take --algorithms",
                   file=sys.stderr)
             return EXIT_USAGE
@@ -295,13 +243,13 @@ def _cmd_sweep(args) -> int:
                    max_crashes=args.max_crashes,
                    memory_limit_mb=args.memory_limit_mb,
                    real_chaos=args.real_chaos)
-    data = producer(sweep=engine, **kwargs)
+    data = artifact.producer(sweep=engine, **kwargs)
     completeness = engine.last.completeness()
     if args.json:
         print(json.dumps({"data": data, "completeness": completeness},
                          indent=2, sort_keys=True))
     else:
-        print(renderer(data))
+        print(artifact.text(data))
         print()
         print(report.render_sweep_completeness(completeness))
     if args.save:
@@ -318,59 +266,25 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_table(args) -> int:
-    from . import harness
-    from .harness import report
+def _cmd_artifact(args) -> int:
+    """``repro table N`` / ``repro figure N``: one ``ARTIFACTS`` row."""
+    from .harness.artifacts import ARTIFACTS
 
-    renderers = {
-        1: lambda d: report.render_rows(
-            d, ["algorithm", "graph_type", "vertex_property",
-                "access_pattern", "message_bytes_per_edge", "vertex_active"],
-            "Table 1"),
-        2: lambda d: report.render_rows(
-            d, ["framework", "programming_model", "multi_node", "language",
-                "graph_partitioning", "communication_layer"], "Table 2"),
-        3: lambda d: report.render_rows(
-            d, ["dataset", "paper_vertices", "paper_edges", "proxy_size",
-                "proxy_edges"], "Table 3"),
-        4: report.render_table4,
-        5: lambda d: report.render_slowdown_table(d, "Table 5"),
-        6: lambda d: report.render_slowdown_table(d, "Table 6"),
-        7: report.render_table7,
-    }
-    if args.number not in renderers:
-        print(f"no table {args.number}; the paper has tables 1-7")
-        return 2
-    data = getattr(harness, f"table{args.number}")()
-    print(renderers[args.number](data))
+    kind = args.command
+    artifact = ARTIFACTS.get(f"{kind}{args.number}")
+    if artifact is None:
+        numbers = sorted(int(name[len(kind):]) for name in ARTIFACTS
+                         if name.startswith(kind))
+        print(f"no {kind} {args.number}; the paper has {kind}s "
+              f"{numbers[0]}-{numbers[-1]}")
+        return EXIT_USAGE
+    data = artifact.producer()
+    print(artifact.text(data))
     if args.save:
         from .harness.persistence import save_artifact
-        save_artifact(args.save, f"table{args.number}", data)
+        save_artifact(args.save, f"{kind}{args.number}", data)
         print(f"\nsaved to {args.save}")
-    return 0
-
-
-def _cmd_figure(args) -> int:
-    from . import harness
-    from .harness import report
-
-    renderers = {
-        3: lambda d: report.render_runtime_panels(d, "Figure 3"),
-        4: lambda d: report.render_scaling_curves(d, "Figure 4"),
-        5: lambda d: report.render_runtime_panels(d, "Figure 5"),
-        6: report.render_figure6,
-        7: report.render_figure7,
-    }
-    if args.number not in renderers:
-        print(f"no figure {args.number}; the paper has figures 3-7")
-        return 2
-    data = getattr(harness, f"figure{args.number}")()
-    print(renderers[args.number](data))
-    if args.save:
-        from .harness.persistence import save_artifact
-        save_artifact(args.save, f"figure{args.number}", data)
-        print(f"\nsaved to {args.save}")
-    return 0
+    return EXIT_OK
 
 
 def _cmd_cache(args) -> int:
@@ -433,12 +347,11 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_datasets(_args) -> int:
-    from .harness import report, table3
+    from .harness.artifacts import ARTIFACTS
 
-    print(report.render_rows(
-        table3(), ["dataset", "paper_vertices", "paper_edges", "proxy_size",
-                   "proxy_edges"],
-        "Datasets (paper sizes and generated proxies)"))
+    table3 = ARTIFACTS["table3"]
+    print(table3.render(table3.producer(),
+                        "Datasets (paper sizes and generated proxies)"))
     return 0
 
 
@@ -477,9 +390,18 @@ def _cmd_graph500(args) -> int:
 
 
 def _cmd_regenerate(_args) -> int:
-    import subprocess
+    """Every artifact, in table order; timings go to stderr so the
+    stdout transcript (``results.txt``) is byte-reproducible."""
+    import time
 
-    return subprocess.call([sys.executable, "scripts/regenerate_all.py"])
+    from .harness.artifacts import ARTIFACTS
+
+    for name, artifact in ARTIFACTS.items():
+        start = time.time()
+        print(artifact.text(artifact.producer()) + "\n")
+        print(f"[{name} regenerated in {time.time() - start:.1f}s]",
+              file=sys.stderr)
+    return EXIT_OK
 
 
 def _parse_node_counts(spec: str):
@@ -492,29 +414,15 @@ def _cmd_perf_analyze(args) -> int:
 
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms \
         else None
-    node_counts = _parse_node_counts(args.nodes)
-    table = perf.roofline_table(framework=args.framework,
-                                algorithms=algorithms,
-                                node_counts=node_counts)
-    attributions = []
-    if args.framework != "native":
-        from .algorithms.registry import ALGORITHMS
-
-        for algorithm in algorithms or ALGORITHMS:
-            for nodes in node_counts:
-                cell = table[algorithm][nodes]
-                if "ratio" not in cell:
-                    continue
-                attributions.append(perf.attribute_cell(
-                    algorithm, args.framework, nodes=nodes))
+    analysis = perf.analyze(args.framework, algorithms,
+                            _parse_node_counts(args.nodes))
     if args.json:
-        payload = {"framework": args.framework, "roofline": table,
-                   "attributions": [a.to_dict() for a in attributions]}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(analysis.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
     print(perf.render_roofline(
-        table, title=f"Roofline: {args.framework} vs hardware bounds"))
-    for attribution in attributions:
+        analysis.roofline,
+        title=f"Roofline: {args.framework} vs hardware bounds"))
+    for attribution in analysis.attributions:
         print()
         print(perf.render_attribution(attribution))
     return EXIT_OK
@@ -574,9 +482,7 @@ def _cmd_perf_baseline(args) -> int:
     from . import perf
 
     if args.action == "list":
-        from benchmarks.conftest import load_benchmarks
-
-        registry = load_benchmarks()
+        registry = perf.load_benchmark_registry()
         if args.json:
             print(json.dumps(
                 {name: {"artifact": bench.artifact,
@@ -625,13 +531,11 @@ def _cmd_perf_baseline(args) -> int:
 
 def _cmd_perf_kernels(args) -> int:
     from . import perf
-    from .errors import PerfRegression
 
     try:
         report = perf.check_kernel_backends(min_speedup=args.min_speedup)
     except PerfRegression as error:
-        print(f"kernel gate: {error}", file=sys.stderr)
-        return EXIT_PERF_REGRESSION
+        return _failure_exit(error, "kernel gate")
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -641,7 +545,6 @@ def _cmd_perf_kernels(args) -> int:
 
 def _cmd_perf_outofcore(args) -> int:
     from . import perf
-    from .errors import PerfRegression
 
     subset = dict(perf.OUTOFCORE_SUBSET)
     if args.scale is not None:
@@ -650,8 +553,7 @@ def _cmd_perf_outofcore(args) -> int:
         report = perf.check_outofcore(min_ratio=args.min_ratio,
                                       subset=subset)
     except PerfRegression as error:
-        print(f"outofcore gate: {error}", file=sys.stderr)
-        return EXIT_PERF_REGRESSION
+        return _failure_exit(error, "outofcore gate")
     if args.record:
         perf.record_outofcore(path=args.out, subset=subset)
     if args.json:
@@ -699,6 +601,7 @@ def _cmd_outofcore(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from .algorithms.registry import ALGORITHMS, FRAMEWORKS
+    from .harness.artifacts import sweep_targets
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -775,9 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=EXIT_CODES_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sweep.add_argument("target",
-                       choices=("table5", "table6", "figure3", "figure4",
-                                "figure5"))
+    sweep.add_argument("target", choices=sweep_targets())
     sweep.add_argument("--journal",
                        help="append-only JSONL journal; completed cells "
                             "are replayed from it on --resume")
@@ -824,15 +725,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print data + completeness report as JSON")
     sweep.set_defaults(func=_cmd_sweep)
 
-    table = sub.add_parser("table", help="regenerate a paper table")
-    table.add_argument("number", type=int)
-    table.add_argument("--save", help="also save the data as JSON")
-    table.set_defaults(func=_cmd_table)
-
-    figure = sub.add_parser("figure", help="regenerate a paper figure")
-    figure.add_argument("number", type=int)
-    figure.add_argument("--save", help="also save the data as JSON")
-    figure.set_defaults(func=_cmd_figure)
+    for kind in ("table", "figure"):
+        artifact = sub.add_parser(kind, help=f"regenerate a paper {kind}")
+        artifact.add_argument("number", type=int)
+        artifact.add_argument("--save", help="also save the data as JSON")
+        artifact.set_defaults(func=_cmd_artifact)
 
     sub.add_parser("datasets", help="list the dataset catalog") \
         .set_defaults(func=_cmd_datasets)
@@ -1087,34 +984,15 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    from .errors import (
-        CapacityError,
-        DeadlineExceeded,
-        NodeFailure,
-        ReproError,
-        SweepInterrupted,
-    )
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SweepInterrupted as failure:
-        # A drained sweep is a *successful save*, not a crash: the
-        # journal holds every merged cell and --resume finishes the rest.
-        return _failure_exit(failure, "interrupted")
-    except NodeFailure as failure:
-        # A --faults crash on a fail-fast framework: a typed outcome of
-        # the experiment, not a bug — report it like one.
-        return _failure_exit(failure, "node failure")
-    except CapacityError as failure:
-        return _failure_exit(failure, "out of memory")
-    except DeadlineExceeded as failure:
-        return _failure_exit(failure, "deadline exceeded")
     except ReproError as failure:
-        # Any other typed library failure (e.g. a journal that needs
-        # --resume): a clean message, not a traceback.
-        return _failure_exit(failure, "error")
+        # A typed outcome (a drained sweep, a --faults crash on a
+        # fail-fast framework, a journal that needs --resume): a clean
+        # message and the class's exit code, not a traceback.
+        return _failure_exit(failure)
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return EXIT_OK

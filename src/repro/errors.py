@@ -2,8 +2,12 @@
 
 Every error raised intentionally by this library derives from
 :class:`ReproError`, so callers can catch the library's failures without
-also swallowing programming mistakes such as ``TypeError``.
+also swallowing programming mistakes such as ``TypeError``. The table
+at the bottom (:data:`FAILURE_CLASSES`, :data:`STATUS_EXIT_CODES`) is the
+one place that says which error is which cell status and exit code.
 """
+
+from typing import NamedTuple
 
 
 class ReproError(Exception):
@@ -164,3 +168,90 @@ class PerfRegression(ReproError):
             f"{len(report.regressions)} cell(s) regressed beyond "
             f"{100 * report.tolerance:.0f}% tolerance: {cells}"
         )
+
+
+# ---------------------------------------------------------------------------
+# The failure taxonomy: which error is which DNF status and which exit code.
+# `harness.run`, `harness.sweep.execute_cell` and the CLI all read this one
+# table, so a status, a journal line and `$?` cannot disagree.
+# ---------------------------------------------------------------------------
+
+STATUS_OK = "ok"
+STATUS_OOM = "out-of-memory"
+STATUS_UNSUPPORTED = "unsupported"
+STATUS_TIMEOUT = "timeout"
+STATUS_FAILED = "failed"
+#: A poison cell: it killed its worker process ``max_crashes`` times
+#: (segfault, SIGKILL, OOM-killer) and was quarantined by the
+#: supervised pool instead of being re-dispatched forever.
+STATUS_CRASHED = "crashed"
+
+#: Every status a cell record can carry, in report order.
+CELL_STATUSES = (STATUS_OK, STATUS_OOM, STATUS_UNSUPPORTED, STATUS_TIMEOUT,
+                 STATUS_FAILED, STATUS_CRASHED)
+
+# Exit codes, one per failure class, so scripts and CI can tell a
+# legitimate DNF (the paper's dashes) from a broken invocation. 2 is
+# argparse's usage-error code.
+EXIT_OK = 0
+EXIT_FAILURE = 1
+EXIT_USAGE = 2
+EXIT_OOM = 3
+EXIT_UNSUPPORTED = 4
+EXIT_NODE_FAILURE = 5
+EXIT_DEADLINE = 6
+EXIT_PERF_REGRESSION = 7
+EXIT_INTERRUPTED = 8
+
+#: Cell status -> exit code of the commands that run one cell.
+STATUS_EXIT_CODES = {
+    STATUS_OK: EXIT_OK,
+    STATUS_OOM: EXIT_OOM,
+    STATUS_UNSUPPORTED: EXIT_UNSUPPORTED,
+    STATUS_TIMEOUT: EXIT_DEADLINE,
+    # A sweep journals an unrecovered NodeFailure as ``failed``.
+    STATUS_FAILED: EXIT_NODE_FAILURE,
+    # A worker-process death has no failure class of its own.
+    STATUS_CRASHED: EXIT_FAILURE,
+}
+
+
+class FailureClass(NamedTuple):
+    """One row of the taxonomy (first ``isinstance`` match wins)."""
+
+    error: type
+    #: What a sweep cell journals for it; ``None`` is "unexpected":
+    #: retried with backoff, then quarantined as ``failed``.
+    status: str
+    #: What the CLI exits with when it escapes a command.
+    exit_code: int
+    #: The CLI's stderr prefix.
+    label: str
+    #: A legitimate did-not-finish of the study (the paper's dashes):
+    #: ``harness.run`` returns it as ``RunResult.status``, not raises.
+    is_result: bool = False
+
+
+FAILURE_CLASSES = (
+    FailureClass(SweepInterrupted, None, EXIT_INTERRUPTED, "interrupted"),
+    FailureClass(CapacityError, STATUS_OOM, EXIT_OOM, "out of memory", True),
+    # Exit 1 only if it escapes ``run``, which returns it as
+    # ``unsupported`` (exit 4) before any command sees it.
+    FailureClass(ExpressibilityError, STATUS_UNSUPPORTED, EXIT_FAILURE,
+                 "error", True),
+    FailureClass(DeadlineExceeded, STATUS_TIMEOUT, EXIT_DEADLINE,
+                 "deadline exceeded", True),
+    FailureClass(NodeFailure, STATUS_FAILED, EXIT_NODE_FAILURE,
+                 "node failure"),
+    FailureClass(PerfRegression, None, EXIT_PERF_REGRESSION, "error"),
+    # With the supervised pool capping worker address space, a *real*
+    # allocation blow-up is the paper's out-of-memory dash too.
+    FailureClass(MemoryError, STATUS_OOM, EXIT_OOM, "out of memory"),
+    FailureClass(Exception, None, EXIT_FAILURE, "error"),
+)
+
+
+def failure_class(error) -> FailureClass:
+    """The taxonomy row for a raised exception."""
+    return next(row for row in FAILURE_CLASSES
+                if isinstance(error, row.error))

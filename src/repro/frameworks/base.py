@@ -230,7 +230,7 @@ GIRAPH = FrameworkProfile(
     combines_messages=False,       # no sender-side combiner by default
     # Hadoop's superstep fault tolerance: periodic checkpoints to HDFS,
     # restore + replay on node loss. The cost only bites in chaos runs
-    # (run_experiment(faults=...)); the paper's happy-path numbers are
+    # (ExperimentSpec(faults=...)); the paper's happy-path numbers are
     # measured with the schedule off.
     fault_policy="checkpoint",
     checkpoint_interval=2,

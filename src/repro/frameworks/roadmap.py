@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from ..cluster import Cluster, paper_cluster
 from ..cluster.network import MPI, CommLayer
 from .base import COMBBLAS, GIRAPH, GRAPHLAB, SOCIALITE, FrameworkProfile
@@ -138,21 +136,17 @@ def roadmap_outcomes(nodes: int = 4) -> dict:
     nodes on the weak-scaling dataset. CombBLAS's recommendation targets
     BFS, so its row is measured on BFS.
     """
-    from ..harness.datasets import weak_scaling_dataset
-    from ..harness.runner import run_experiment
-    from .base import PROFILES
+    from ..harness.datasets import experiment_dataset
+    from ..harness.runner import default_params, run_cell
 
     out = {}
     for framework, factory in ROADMAP_PROFILES.items():
         algorithm = "bfs" if framework == "combblas" else "pagerank"
-        data, factor = weak_scaling_dataset(algorithm, nodes)
-        params = {"iterations": 3} if algorithm == "pagerank" else \
-            {"source": int(np.argmax(data.out_degrees()))}
-
-        native = run_experiment(algorithm, "native", data, nodes=nodes,
-                                scale_factor=factor, **params)
-        stock = run_experiment(algorithm, framework, data, nodes=nodes,
-                               scale_factor=factor, **params)
+        data, factor = experiment_dataset(algorithm, nodes=nodes)
+        params = default_params(algorithm, data)
+        native, stock = (run_cell({"algorithm": algorithm, "nodes": nodes,
+                                   "framework": name})
+                         for name in ("native", framework))
 
         improved_profile = factory()
         cluster = Cluster(paper_cluster(nodes), scale_factor=factor,
@@ -169,7 +163,7 @@ def roadmap_outcomes(nodes: int = 4) -> dict:
             # like-for-like comparison with its stock run.
             from .datalog.socialite import pagerank as socialite_pagerank
 
-            result = socialite_pagerank(data, cluster, iterations=3,
+            result = socialite_pagerank(data, cluster, **params,
                                         profile_override=improved_profile)
             improved_runtime = result.runtime_for_comparison()
         else:

@@ -1,11 +1,12 @@
 """Experiment harness: regenerate every table and figure of the paper."""
 
 from . import report
+from .artifacts import ARTIFACTS, Artifact
 from .datasets import (
     HARNESS_HIDDEN_DIM,
     HARNESS_ITERATIONS,
     PAPER_EDGES_PER_NODE,
-    paper_scale_factor,
+    experiment_dataset,
     single_node_graph,
     single_node_ratings,
     weak_scaling_dataset,
@@ -14,7 +15,7 @@ from .figures import figure3, figure4, figure5, figure6, figure7, sgd_vs_gd
 from .graph500 import Graph500Result, graph500_protocol, run_graph500
 from .outofcore import OutOfCoreCell, run_outofcore_demo
 from .persistence import compare_artifacts, load_artifact, save_artifact
-from .runner import (
+from ..errors import (
     CELL_STATUSES,
     STATUS_CRASHED,
     STATUS_FAILED,
@@ -22,10 +23,12 @@ from .runner import (
     STATUS_OOM,
     STATUS_TIMEOUT,
     STATUS_UNSUPPORTED,
+)
+from .runner import (
     RunResult,
     default_params,
     run,
-    run_experiment,
+    run_cell,
 )
 from .spec import ExperimentSpec, valid_params
 from .strong_scaling import parallel_efficiency, strong_scaling
@@ -38,10 +41,13 @@ from .sweep import (
     SweepResult,
     execute_cell,
     outcome_of,
+    sweep_cell,
 )
 from .tables import table1, table2, table3, table4, table5, table6, table7
 
 __all__ = [
+    "ARTIFACTS",
+    "Artifact",
     "CELL_STATUSES",
     "CellOutcome",
     "CellPolicy",
@@ -80,11 +86,12 @@ __all__ = [
     "figure5",
     "figure6",
     "figure7",
-    "paper_scale_factor",
+    "experiment_dataset",
     "report",
     "run",
-    "run_experiment",
+    "run_cell",
     "sgd_vs_gd",
+    "sweep_cell",
     "valid_params",
     "single_node_graph",
     "single_node_ratings",

@@ -2,7 +2,8 @@
 
 Central place that decides, for every experiment, (a) which proxy
 dataset to execute on and (b) the ``scale_factor`` that extrapolates the
-counted work to the paper's dataset sizes. Proxies are cached per
+counted work to the paper's dataset sizes: :func:`experiment_dataset`
+resolves the three ways the paper places a cell. Proxies are cached per
 process (they are deterministic), so the table and figure regenerators
 can share them.
 """
@@ -64,12 +65,19 @@ def single_node_ratings(name: str):
     return _catalog_dataset(name)
 
 
-def paper_scale_factor(name: str, proxy_edges: int) -> float:
-    """Paper dataset edges / proxy edges for a catalog dataset."""
-    spec = CATALOG[name]
-    if spec.paper_edges <= 0:
-        return 1.0
-    return spec.paper_edges / max(proxy_edges, 1)
+#: Assumed paper-scale size of the single-node synthetic runs (the paper
+#: does not state it; sized like the real single-node datasets).
+SYNTHETIC_SINGLE_NODE_EDGES = 100e6
+
+
+def _single_node_synthetic(algorithm: str):
+    """The ``"synthetic"`` column of the Figure 3 panels."""
+    if algorithm == "collaborative_filtering":
+        return netflix_like_ratings(scale=13, num_items=290, seed=777)
+    if algorithm == "triangle_counting":
+        return rmat_triangle_graph(scale=13, edge_factor=16, seed=778)
+    return rmat_graph(scale=13, edge_factor=16, seed=778,
+                      directed=algorithm == "pagerank")
 
 
 # -- weak scaling (Figure 4) -------------------------------------------------
@@ -144,14 +152,45 @@ def clear_proxy_caches() -> None:
     weak_scaling_ratings.cache_clear()
 
 
+def _size(data) -> int:
+    """Ratings of a ratings matrix, edges of a graph."""
+    return data.num_ratings if hasattr(data, "num_ratings") \
+        else data.num_edges
+
+
 def weak_scaling_dataset(algorithm: str, nodes: int):
     """(dataset, scale_factor) for one weak-scaling point."""
     if algorithm == "collaborative_filtering":
         data = weak_scaling_ratings(nodes)
-        proxy_per_node = data.num_ratings / nodes
     else:
         data = weak_scaling_graph(algorithm, nodes)
-        proxy_per_node = data.num_edges / nodes
     factor = scale_factor_for(algorithm, PAPER_EDGES_PER_NODE[algorithm],
-                              proxy_per_node)
+                              _size(data) / nodes)
     return data, factor
+
+
+def experiment_dataset(algorithm: str, dataset: str = None, nodes: int = 1):
+    """(dataset, scale_factor) for one cell of the study.
+
+    The only place the paper's three placements are resolved:
+    ``dataset=None`` is a weak-scaling point at ``nodes`` (Figure 4,
+    Tables 4/6/7, Figure 6), ``"synthetic"`` the single-node R-MAT
+    column of Figure 3 / Table 5, and any other name that catalog
+    dataset's per-algorithm proxy (Figure 3's real-world columns,
+    Figure 5's large graphs on several nodes). Catalog entries without
+    a paper size (the ``rmat_mini`` family) are their own dataset:
+    factor 1.
+    """
+    if dataset is None:
+        return weak_scaling_dataset(algorithm, nodes)
+    if dataset == "synthetic":
+        data = _single_node_synthetic(algorithm)
+        paper_size = SYNTHETIC_SINGLE_NODE_EDGES
+    else:
+        data = single_node_ratings(dataset) \
+            if algorithm == "collaborative_filtering" \
+            else single_node_graph(dataset, algorithm)
+        paper_size = CATALOG[dataset].paper_edges
+    if paper_size <= 0:
+        return data, 1.0
+    return data, scale_factor_for(algorithm, paper_size, _size(data))

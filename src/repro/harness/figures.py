@@ -8,27 +8,25 @@ renders as text and the benchmark modules assert shape invariants on.
 from __future__ import annotations
 
 from ..algorithms.registry import ALGORITHMS
-from ..datagen import CATALOG
 from ..frameworks.native import FIGURE7_LADDER
-from .datasets import (
-    paper_scale_factor,
-    single_node_graph,
-    single_node_ratings,
-    weak_scaling_dataset,
-)
-from .runner import run_experiment
-from .sweep import Sweep, outcome_of
+from .datasets import single_node_ratings
+from .runner import run_cell
+from .sweep import Sweep, sweep_cell
 from .tables import (
     MULTI_NODE_FRAMEWORKS,
     SINGLE_NODE_DATASETS,
     TABLE_FRAMEWORKS,
-    _params,
-    _single_node_cell,
-    _weak_scaling_cell,
+    single_node_cells,
+    weak_scaling_cells,
 )
 
 ALL_FRAMEWORKS = ("native",) + TABLE_FRAMEWORKS
 MULTI_FRAMEWORKS = ("native",) + MULTI_NODE_FRAMEWORKS
+
+
+def _plotted(record):
+    """A cell as the figures plot it: seconds, or the DNF status."""
+    return record.runtime() if record.ok else record.status
 
 
 def figure3(frameworks=ALL_FRAMEWORKS, algorithms=ALGORITHMS,
@@ -40,25 +38,18 @@ def figure3(frameworks=ALL_FRAMEWORKS, algorithms=ALGORITHMS,
     resumable regeneration.
     """
     engine = sweep if sweep is not None else Sweep("figure3")
-    cells = [
-        {"algorithm": algorithm, "dataset": dataset_name, "framework": name}
+    result = engine.run(single_node_cells(algorithms, frameworks),
+                        sweep_cell)
+    return {
+        algorithm: {
+            dataset_name: {
+                name: _plotted(result.get(algorithm=algorithm,
+                                          dataset=dataset_name,
+                                          framework=name))
+                for name in frameworks}
+            for dataset_name in SINGLE_NODE_DATASETS[algorithm]}
         for algorithm in algorithms
-        for dataset_name in SINGLE_NODE_DATASETS[algorithm]
-        for name in frameworks
-    ]
-    result = engine.run(cells, _single_node_cell)
-    out = {}
-    for algorithm in algorithms:
-        panel = {}
-        for dataset_name in SINGLE_NODE_DATASETS[algorithm]:
-            cell = {}
-            for name in frameworks:
-                record = result.get(algorithm=algorithm,
-                                    dataset=dataset_name, framework=name)
-                cell[name] = record.runtime() if record.ok else record.status
-            panel[dataset_name] = cell
-        out[algorithm] = panel
-    return out
+    }
 
 
 def figure4(frameworks=MULTI_FRAMEWORKS, algorithms=ALGORITHMS,
@@ -70,24 +61,16 @@ def figure4(frameworks=MULTI_FRAMEWORKS, algorithms=ALGORITHMS,
     Sweep-routed like :func:`figure3`.
     """
     engine = sweep if sweep is not None else Sweep("figure4")
-    cells = [
-        {"algorithm": algorithm, "nodes": nodes, "framework": name}
+    result = engine.run(
+        weak_scaling_cells(algorithms, node_counts, frameworks), sweep_cell)
+    return {
+        algorithm: {
+            name: {nodes: _plotted(result.get(algorithm=algorithm,
+                                              nodes=nodes, framework=name))
+                   for nodes in node_counts}
+            for name in frameworks}
         for algorithm in algorithms
-        for nodes in node_counts
-        for name in frameworks
-    ]
-    result = engine.run(cells, _weak_scaling_cell)
-    out = {}
-    for algorithm in algorithms:
-        curves = {name: {} for name in frameworks}
-        for nodes in node_counts:
-            for name in frameworks:
-                record = result.get(algorithm=algorithm, nodes=nodes,
-                                    framework=name)
-                curves[name][nodes] = record.runtime() if record.ok \
-                    else record.status
-        out[algorithm] = curves
-    return out
+    }
 
 
 #: Figure 5 configuration: dataset + node count per algorithm.
@@ -97,25 +80,6 @@ FIGURE5_CONFIG = {
     "collaborative_filtering": ("yahoo_music", 4),
     "triangle_counting": ("twitter", 16),
 }
-
-
-def _figure5_cell(key: dict, budget_s: float = None):
-    """Sweep executor for one Figure 5 real-world cell."""
-    algorithm = key["algorithm"]
-    if algorithm == "collaborative_filtering":
-        data = single_node_ratings(key["dataset"])
-        factor = paper_scale_factor(key["dataset"], data.num_ratings)
-    else:
-        from .datasets import scale_factor_for
-
-        data = single_node_graph(key["dataset"], algorithm)
-        factor = scale_factor_for(algorithm,
-                                  CATALOG[key["dataset"]].paper_edges,
-                                  data.num_edges)
-    run = run_experiment(algorithm, key["framework"], data,
-                         nodes=key["nodes"], scale_factor=factor,
-                         deadline_s=budget_s, **_params(algorithm, data))
-    return outcome_of(run)
 
 
 def figure5(frameworks=MULTI_FRAMEWORKS, sweep: Sweep = None) -> dict:
@@ -134,17 +98,17 @@ def figure5(frameworks=MULTI_FRAMEWORKS, sweep: Sweep = None) -> dict:
         for algorithm, (dataset_name, nodes) in FIGURE5_CONFIG.items()
         for name in frameworks
     ]
-    result = engine.run(cells, _figure5_cell)
-    out = {}
-    for algorithm, (dataset_name, nodes) in FIGURE5_CONFIG.items():
-        cell = {}
-        for name in frameworks:
-            record = result.get(algorithm=algorithm, dataset=dataset_name,
-                                nodes=nodes, framework=name)
-            cell[name] = record.runtime() if record.ok else record.status
-        out[algorithm] = {"dataset": dataset_name, "nodes": nodes,
-                          "runtimes": cell}
-    return out
+    result = engine.run(cells, sweep_cell)
+    return {
+        algorithm: {
+            "dataset": dataset_name, "nodes": nodes,
+            "runtimes": {
+                name: _plotted(result.get(algorithm=algorithm,
+                                          dataset=dataset_name, nodes=nodes,
+                                          framework=name))
+                for name in frameworks}}
+        for algorithm, (dataset_name, nodes) in FIGURE5_CONFIG.items()
+    }
 
 
 #: Figure 6 normalization constants (from the figure's caption).
@@ -164,14 +128,11 @@ def figure6(frameworks=MULTI_FRAMEWORKS, algorithms=ALGORITHMS,
     """
     out = {}
     for algorithm in algorithms:
-        data, factor = weak_scaling_dataset(algorithm, nodes)
-        params = _params(algorithm, data)
-        raw = {}
-        for name in frameworks:
-            run = run_experiment(algorithm, name, data, nodes=nodes,
-                                 scale_factor=factor, enforce_memory=False,
-                                 **params)
-            raw[name] = run.metrics_or_none()
+        raw = {
+            name: run_cell({"algorithm": algorithm, "nodes": nodes,
+                            "framework": name},
+                           enforce_memory=False).metrics_or_none()
+            for name in frameworks}
 
         giraph_bytes = None
         if raw.get("giraph") is not None:
@@ -204,15 +165,12 @@ def figure7(algorithms=("pagerank", "bfs"), nodes: int = 4) -> dict:
     """
     out = {}
     for algorithm in algorithms:
-        data, factor = weak_scaling_dataset(algorithm, nodes)
-        params = _params(algorithm, data)
         ladder = []
         baseline = None
         for label, options in FIGURE7_LADDER:
-            run = run_experiment(algorithm, "native", data, nodes=nodes,
-                                 scale_factor=factor, options=options,
-                                 **params)
-            runtime = run.runtime()
+            runtime = run_cell({"algorithm": algorithm, "nodes": nodes,
+                                "framework": "native"},
+                               params={"options": options}).runtime()
             if baseline is None:
                 baseline = runtime
             ladder.append((label, baseline / runtime))

@@ -20,7 +20,8 @@ import numpy as np
 from ..algorithms.bfs import UNREACHED, validate_distances
 from ..datagen import rmat_graph, rmat_graph_sharded
 from ..observability import peak_rss_bytes
-from .runner import run_experiment
+from .runner import run
+from .spec import ExperimentSpec
 
 
 @dataclass
@@ -114,16 +115,17 @@ def graph500_protocol(graph, scale: int, framework: str = "native",
     times = []
     all_valid = True
     for root in roots:
-        run = run_experiment("bfs", framework, graph, nodes=nodes,
-                             scale_factor=scale_factor, source=int(root))
-        if not run.ok:
+        cell = run(ExperimentSpec("bfs", framework, graph, nodes=nodes,
+                                  scale_factor=scale_factor,
+                                  params={"source": int(root)}))
+        if not cell.ok:
             raise RuntimeError(
-                f"{framework} BFS failed on root {root}: {run.status}"
+                f"{framework} BFS failed on root {root}: {cell.status}"
             )
-        distances = run.result.values
+        distances = cell.result.values
         all_valid &= validate_distances(graph, int(root), distances)
         edges = traversed_edges(graph, distances) * scale_factor
-        seconds = run.runtime()
+        seconds = cell.runtime()
         times.append(seconds)
         teps.append(edges / seconds if seconds > 0 else 0.0)
 

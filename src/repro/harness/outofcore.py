@@ -28,9 +28,9 @@ reclaimable, which is the whole point of the sharded layout.
 from __future__ import annotations
 
 from ..datagen import DEFAULT_CHUNK_EDGES, rmat_graph, rmat_graph_sharded
+from ..errors import STATUS_OK, STATUS_OOM
 from ..observability import reset_peak_rss
 from .graph500 import graph500_protocol
-from .runner import STATUS_OK, STATUS_OOM
 from .sweep import Sweep
 
 #: Sweep/journal name of the demonstration.

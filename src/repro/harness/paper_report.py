@@ -12,21 +12,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import (
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    report,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
-)
+from .artifacts import ARTIFACTS
 
 
 def _claim_checks(t4, t5, t6, t7, f5, f7) -> list:
@@ -72,12 +58,10 @@ def _claim_checks(t4, t5, t6, t7, f5, f7) -> list:
 
 def generate_report() -> str:
     """Regenerate everything; return the markdown report."""
-    t1, t2, t3 = table1(), table2(), table3()
-    t4, t5, t6, t7 = table4(), table5(), table6(), table7()
-    f3, f4, f5 = figure3(), figure4(), figure5()
-    f6, f7 = figure6(), figure7()
-
-    checks = _claim_checks(t4, t5, t6, t7, f5, f7)
+    data = {name: artifact.producer()
+            for name, artifact in ARTIFACTS.items()}
+    checks = _claim_checks(*(data[name] for name in (
+        "table4", "table5", "table6", "table7", "figure5", "figure7")))
     passed = sum(1 for _, ok in checks if ok)
 
     lines = [
@@ -92,31 +76,7 @@ def generate_report() -> str:
     for claim, ok in checks:
         lines.append(f"- [{'x' if ok else ' '}] {claim}")
     lines.append("")
-
-    def block(title, text):
-        lines.extend([f"## {title}", "", "```", text, "```", ""])
-
-    block("Table 1", report.render_rows(
-        t1, ["algorithm", "graph_type", "vertex_property", "access_pattern",
-             "message_bytes_per_edge", "vertex_active"]))
-    block("Table 2", report.render_rows(
-        t2, ["framework", "programming_model", "multi_node", "language",
-             "graph_partitioning", "communication_layer"]))
-    block("Table 3", report.render_rows(
-        t3, ["dataset", "paper_vertices", "paper_edges", "proxy_size",
-             "proxy_edges"]))
-    block("Table 4", report.render_table4(t4))
-    block("Table 5", report.render_slowdown_table(
-        t5, "single-node slowdowns vs native (geomean)"))
-    block("Table 6", report.render_slowdown_table(
-        t6, "multi-node slowdowns vs native (geomean)"))
-    block("Table 7", report.render_table7(t7))
-    block("Figure 3", report.render_runtime_panels(
-        f3, "single-node runtimes (seconds)"))
-    block("Figure 4", report.render_scaling_curves(
-        f4, "weak scaling 1-64 nodes (seconds)"))
-    block("Figure 5", report.render_runtime_panels(
-        f5, "large real-world proxies"))
-    block("Figure 6", report.render_figure6(f6))
-    block("Figure 7", report.render_figure7(f7))
+    for name, artifact in ARTIFACTS.items():
+        lines.extend([f"## {name}", "", "```", artifact.text(data[name]),
+                      "```", ""])
     return "\n".join(lines)

@@ -8,8 +8,9 @@ optional flight-recorder tracing, and failure classification:
 out-of-memory and expressibility failures are *results* in this paper
 (CombBLAS's Twitter triangle counting OOM, Galois's missing multi-node
 support), not crashes, so they come back as statuses instead of
-exceptions. :func:`run_experiment` is the historical keyword-tail
-entry point, now a thin shim that builds the spec and delegates.
+exceptions. :func:`run_cell` is the same door for a cell *key* — the
+``{algorithm, framework[, dataset][, nodes]}`` dict sweeps enumerate —
+placed by :func:`~repro.harness.datasets.experiment_dataset`.
 """
 
 from __future__ import annotations
@@ -22,29 +23,15 @@ import numpy as np
 from ..algorithms.registry import profile_for, runner as _lookup
 from ..chaos import FaultSchedule
 from ..cluster import Cluster, paper_cluster
-from ..errors import (
-    CapacityError,
-    DeadlineExceeded,
-    ExpressibilityError,
-    ReproError,
-)
+from ..errors import STATUS_OK, ReproError, failure_class
 from ..frameworks.results import AlgorithmResult
 from ..kernels.backend import use_backend
+from .datasets import (
+    HARNESS_HIDDEN_DIM,
+    HARNESS_ITERATIONS,
+    experiment_dataset,
+)
 from .spec import ExperimentSpec
-
-STATUS_OK = "ok"
-STATUS_OOM = "out-of-memory"
-STATUS_UNSUPPORTED = "unsupported"
-STATUS_TIMEOUT = "timeout"
-STATUS_FAILED = "failed"
-#: A poison cell: it killed its worker process ``max_crashes`` times
-#: (segfault, SIGKILL, OOM-killer) and was quarantined by the
-#: supervised pool instead of being re-dispatched forever.
-STATUS_CRASHED = "crashed"
-
-#: Every status a cell record can carry, in report order.
-CELL_STATUSES = (STATUS_OK, STATUS_OOM, STATUS_UNSUPPORTED, STATUS_TIMEOUT,
-                 STATUS_FAILED, STATUS_CRASHED)
 
 
 def default_params(algorithm: str, dataset=None) -> dict:
@@ -56,8 +43,6 @@ def default_params(algorithm: str, dataset=None) -> dict:
     Graph500-style BFS source — the highest-out-degree vertex, because a
     random id can land on an isolated vertex and trivialize the run.
     """
-    from .datasets import HARNESS_HIDDEN_DIM, HARNESS_ITERATIONS
-
     if algorithm == "pagerank":
         return {"iterations": HARNESS_ITERATIONS}
     if algorithm == "collaborative_filtering":
@@ -97,7 +82,7 @@ class RunResult:
     result: AlgorithmResult = None
     failure: str = ""
     config: dict = field(default_factory=dict)
-    #: The Tracer passed to run_experiment, if any. A declared dataclass
+    #: The Tracer passed to :func:`run`, if any. A declared dataclass
     #: field (not a shared class attribute) so instances never alias it
     #: and ``dataclasses.fields`` sees it; excluded from repr/compare
     #: because a tracer is a recording device, not part of the outcome.
@@ -227,32 +212,29 @@ def run(spec: ExperimentSpec, trace=None) -> RunResult:
                                      framework=framework, nodes=nodes):
         try:
             result = runner(dataset, cluster, **merged)
-        except CapacityError as error:
-            return _finish(STATUS_OOM, failure=str(error))
-        except ExpressibilityError as error:
-            return _finish(STATUS_UNSUPPORTED, failure=str(error))
-        except DeadlineExceeded as error:
-            return _finish(STATUS_TIMEOUT, failure=str(error))
+        except ReproError as error:
+            failure = failure_class(error)
+            if not failure.is_result:
+                raise
+            return _finish(failure.status, failure=str(error))
     return _finish(STATUS_OK, result=result)
 
 
-def run_experiment(algorithm: str, framework: str, dataset, nodes: int = 1,
-                   scale_factor: float = 1.0, enforce_memory: bool = True,
-                   trace=None, faults=None, fault_seed: int = 0,
-                   recovery=None, deadline_s: float = None,
-                   **params) -> RunResult:
-    """Thin shim over :class:`ExperimentSpec` + :func:`run`.
+def run_cell(key: dict, budget_s: float = None, trace=None,
+             **spec_fields) -> RunResult:
+    """Run the cell a sweep key names.
 
-    Kept for compatibility — new code should build an
-    :class:`ExperimentSpec` and call :func:`run` directly. Constructing
-    the spec validates every field, so unknown ``**params`` keys now
-    raise :class:`~repro.errors.SpecError` naming the valid parameters
-    instead of disappearing into a runner's keyword tail.
+    ``key`` is ``{"algorithm", "framework"}`` plus the placement:
+    ``"dataset"`` (absent = weak scaling) and ``"nodes"`` (default 1),
+    resolved by :func:`~repro.harness.datasets.experiment_dataset`.
+    ``budget_s`` is the simulated deadline; ``spec_fields`` are any other
+    :class:`ExperimentSpec` fields (``params=``, ``enforce_memory=``).
     """
-    spec = ExperimentSpec(
-        algorithm=algorithm, framework=framework, dataset=dataset,
-        nodes=nodes, scale_factor=scale_factor,
-        enforce_memory=enforce_memory, faults=faults, fault_seed=fault_seed,
-        recovery=recovery, deadline_s=deadline_s, params=params,
-    )
+    nodes = key.get("nodes", 1)
+    data, factor = experiment_dataset(key["algorithm"], key.get("dataset"),
+                                      nodes)
+    spec = ExperimentSpec(algorithm=key["algorithm"],
+                          framework=key["framework"], dataset=data,
+                          nodes=nodes, scale_factor=factor,
+                          deadline_s=budget_s, **spec_fields)
     return run(spec, trace=trace)

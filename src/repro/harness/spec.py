@@ -3,10 +3,10 @@
 An :class:`ExperimentSpec` captures everything that defines one cell of
 the study — algorithm, framework, dataset, cluster shape, chaos and
 deadline settings, kernel backend, and algorithm parameters — as a
-frozen dataclass validated at construction time. It replaces the long
-positional/keyword tail of :func:`repro.harness.runner.run_experiment`
-(which survives as a thin shim) and gives sweeps, the CLI, and tests a
-single serializable description to pass around.
+frozen dataclass validated at construction time. It is the only
+argument of :func:`repro.harness.runner.run` — every cell of the study,
+from the CLI, a sweep, the daemon or a test, is ``run(ExperimentSpec)``
+— and gives them all a single serializable description to pass around.
 
 Validation is strict: unknown algorithms, frameworks, kernel backends,
 out-of-range parameter values and — the historical foot-gun —

@@ -9,10 +9,9 @@ away as fixed costs (supersteps, latency) and communication take over.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..datagen import rmat_graph, rmat_triangle_graph
-from .runner import run_experiment
+from .runner import run
+from .spec import ExperimentSpec
 
 
 def strong_scaling(algorithm: str = "pagerank",
@@ -30,19 +29,14 @@ def strong_scaling(algorithm: str = "pagerank",
     else:
         graph = rmat_graph(scale, edge_factor=16, seed=seed,
                            directed=algorithm == "pagerank")
-    params = {}
-    if algorithm == "pagerank":
-        params["iterations"] = 3
-    elif algorithm == "bfs":
-        params["source"] = int(np.argmax(graph.out_degrees()))
-
     out = {}
     for framework in frameworks:
         curve = {}
         for nodes in node_counts:
-            run = run_experiment(algorithm, framework, graph, nodes=nodes,
-                                 scale_factor=scale_factor, **params)
-            curve[nodes] = run.runtime() if run.ok else run.status
+            cell = run(ExperimentSpec(algorithm, framework, graph,
+                                      nodes=nodes,
+                                      scale_factor=scale_factor))
+            curve[nodes] = cell.runtime() if cell.ok else cell.status
         out[framework] = curve
     return out
 

@@ -76,9 +76,13 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
 
-from ..errors import ReproError, SweepInterrupted
+from ..errors import (
+    STATUS_CRASHED,
+    STATUS_TIMEOUT,
+    ReproError,
+    SweepInterrupted,
+)
 from ..observability import NULL_TRACER, Tracer
-from .runner import STATUS_CRASHED, STATUS_TIMEOUT
 from .sweep import CellRecord, execute_cell
 
 

@@ -5,7 +5,7 @@ The paper's headline artifacts (Tables 5/6, Figures 3-7) are sweeps over
 legitimately fail — CombBLAS OOMs on Twitter triangle counting, Giraph
 cannot fit graphs at low node counts. A monolithic in-memory loop loses
 every completed cell on the first crash, hang or Ctrl-C. This module is
-the layer between "loop over run_experiment" and "unattended overnight
+the layer between "loop over ``run``" and "unattended overnight
 sweep":
 
 * **Enumeration up front.** A sweep is a list of cell *keys* (plain
@@ -13,13 +13,11 @@ sweep":
   whole frontier before the first cell runs, so coverage is always
   well-defined.
 * **Per-cell isolation.** Each cell runs inside its own try/except
-  boundary. Typed failures (:class:`~repro.errors.CapacityError`,
-  :class:`~repro.errors.ExpressibilityError`,
-  :class:`~repro.errors.DeadlineExceeded`,
-  :class:`~repro.errors.NodeFailure`) become typed cell records —
-  ``ok`` / ``out-of-memory`` / ``unsupported`` / ``timeout`` /
-  ``failed`` — exactly the DNF vocabulary benchmarking studies print as
-  dashes.
+  boundary. Typed failures (the rows of
+  :data:`repro.errors.FAILURE_CLASSES` that carry a status) become
+  typed cell records — ``ok`` / ``out-of-memory`` / ``unsupported`` /
+  ``timeout`` / ``failed`` — exactly the DNF vocabulary benchmarking
+  studies print as dashes.
 * **Deadlines on the simulated clock.** ``deadline_s`` is handed to the
   executor (and from there to the :class:`~repro.cluster.Cluster`), so
   a hung convergence loop surfaces as a ``timeout`` cell, not a wedged
@@ -49,40 +47,19 @@ from pathlib import Path
 from ..datagen import cache as _dataset_cache
 from ..graph import sharded as _sharded_graphs
 from ..errors import (
-    CapacityError,
-    DeadlineExceeded,
-    ExpressibilityError,
-    NodeFailure,
-    ReproError,
-)
-from ..observability import NULL_TRACER
-from .persistence import _jsonable, atomic_write_text
-from .runner import (
     CELL_STATUSES,
     STATUS_CRASHED,
     STATUS_FAILED,
     STATUS_OK,
-    STATUS_OOM,
     STATUS_TIMEOUT,
-    STATUS_UNSUPPORTED,
+    ReproError,
+    failure_class,
 )
+from ..observability import NULL_TRACER
+from .persistence import _jsonable, atomic_write_text
+from .runner import run_cell
 
 JOURNAL_VERSION = 1
-
-#: Typed errors an executor may raise, with the cell status each maps to.
-#: ``MemoryError`` is typed on purpose: with the supervised pool capping
-#: worker address space (``memory_limit_mb``), a *real* allocation
-#: blow-up surfaces exactly like the simulator's ``CapacityError`` —
-#: as the paper's ``out-of-memory`` dash, not a quarantined crash.
-TYPED_FAILURES = (
-    (CapacityError, STATUS_OOM),
-    (ExpressibilityError, STATUS_UNSUPPORTED),
-    (DeadlineExceeded, STATUS_TIMEOUT),
-    (NodeFailure, STATUS_FAILED),
-    (MemoryError, STATUS_OOM),
-)
-
-_TYPED_ERRORS = tuple(error for error, _ in TYPED_FAILURES)
 
 
 def cell_id(key: dict) -> str:
@@ -95,8 +72,8 @@ def cell_id(key: dict) -> str:
 class CellOutcome:
     """What an executor reports for one cell: a status plus its payload.
 
-    Executors that call :func:`~repro.harness.run_experiment` should
-    return :func:`outcome_of` so the runner's own failure classification
+    Executors that call :func:`~repro.harness.run` should return
+    :func:`outcome_of` so the runner's own failure classification
     (OOM-as-result etc.) carries through; executors that just compute a
     value may return it bare — the engine treats a non-outcome return as
     ``ok``.
@@ -116,6 +93,15 @@ def outcome_of(run) -> CellOutcome:
     """
     value = {"runtime_s": run.runtime_or_none()} if run.ok else None
     return CellOutcome(run.status, value=value, failure=run.failure)
+
+
+def sweep_cell(key: dict, budget_s: float = None) -> CellOutcome:
+    """The one sweep executor: the cell ``key`` names, as an outcome.
+
+    Tables 5/6, Figures 3/4/5 and the served gate cell all hand this to
+    :meth:`Sweep.run` / the supervised pool (it ships pickled by name).
+    """
+    return outcome_of(run_cell(key, budget_s))
 
 
 @dataclass
@@ -336,17 +322,15 @@ def execute_cell(key: dict, execute, policy: CellPolicy,
                 _sharded_graphs.use_tracer(tracer):
             try:
                 outcome = execute(key, budget_s=policy.deadline_s)
-            except _TYPED_ERRORS as error:
-                status = next(s for err, s in TYPED_FAILURES
-                              if isinstance(error, err))
-                if status == STATUS_TIMEOUT:
-                    tracer.instant("cell-deadline",
-                                   budget_s=policy.deadline_s, **key)
-                return CellRecord(key, status, failure=str(error),
-                                  attempts=attempts, backoff_s=backoffs)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as error:  # unexpected: maybe transient
+            except Exception as error:
+                status = failure_class(error).status
+                if status is not None:
+                    if status == STATUS_TIMEOUT:
+                        tracer.instant("cell-deadline",
+                                       budget_s=policy.deadline_s, **key)
+                    return CellRecord(key, status, failure=str(error),
+                                      attempts=attempts, backoff_s=backoffs)
+                # unexpected: maybe transient
                 failure = f"{type(error).__name__}: {error}"
                 if attempts > policy.max_retries:
                     tracer.instant("cell-quarantined",

@@ -11,18 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..algorithms.registry import ALGORITHMS
-from ..datagen import CATALOG, rmat_graph, rmat_triangle_graph, \
-    netflix_like_ratings
+from ..datagen import CATALOG
 from ..frameworks.base import PROFILES
-from .datasets import (
-    paper_scale_factor,
-    single_node_graph,
-    single_node_ratings,
-    weak_scaling_dataset,
-)
-from .runner import default_params, run, run_experiment
-from .spec import ExperimentSpec
-from .sweep import Sweep, outcome_of
+from .datasets import single_node_graph
+from .runner import run_cell
+from .sweep import Sweep, sweep_cell
 
 #: Frameworks of the headline comparison, in the paper's column order.
 TABLE_FRAMEWORKS = ("combblas", "graphlab", "socialite", "giraph", "galois")
@@ -30,49 +23,11 @@ MULTI_NODE_FRAMEWORKS = ("combblas", "graphlab", "socialite", "giraph")
 
 #: Single-node datasets per algorithm (paper Figure 3 panels).
 SINGLE_NODE_DATASETS = {
-    "pagerank": ("livejournal", "facebook", "wikipedia", "synthetic"),
-    "bfs": ("livejournal", "facebook", "wikipedia", "synthetic"),
-    "triangle_counting": ("livejournal", "facebook", "wikipedia",
-                          "synthetic"),
-    "collaborative_filtering": ("netflix", "synthetic"),
-    "wcc": ("livejournal", "facebook", "wikipedia", "synthetic"),
-    "sssp": ("livejournal", "facebook", "wikipedia", "synthetic"),
-    "k_core": ("livejournal", "facebook", "wikipedia", "synthetic"),
-    "label_propagation": ("livejournal", "facebook", "wikipedia",
-                          "synthetic"),
+    algorithm: ("netflix", "synthetic")
+    if algorithm == "collaborative_filtering"
+    else ("livejournal", "facebook", "wikipedia", "synthetic")
+    for algorithm in ALGORITHMS
 }
-
-#: Assumed paper-scale sizes of the single-node synthetic runs (the paper
-#: does not state them; sized like the real single-node datasets).
-SYNTHETIC_SINGLE_NODE_EDGES = 100e6
-
-
-def _single_node_dataset(algorithm: str, name: str):
-    """(dataset, scale_factor) for a Figure 3 / Table 5 cell."""
-    from .datasets import scale_factor_for
-
-    if algorithm == "collaborative_filtering":
-        if name == "synthetic":
-            data = netflix_like_ratings(scale=13, num_items=290, seed=777)
-            return data, SYNTHETIC_SINGLE_NODE_EDGES / data.num_ratings
-        data = single_node_ratings(name)
-        return data, paper_scale_factor(name, data.num_ratings)
-    if name == "synthetic":
-        if algorithm == "triangle_counting":
-            data = rmat_triangle_graph(scale=13, edge_factor=16, seed=778)
-        else:
-            data = rmat_graph(scale=13, edge_factor=16, seed=778,
-                              directed=algorithm == "pagerank")
-        return data, scale_factor_for(algorithm,
-                                      SYNTHETIC_SINGLE_NODE_EDGES,
-                                      data.num_edges)
-    data = single_node_graph(name, algorithm)
-    return data, scale_factor_for(algorithm, CATALOG[name].paper_edges,
-                                  data.num_edges)
-
-
-def _params(algorithm: str, data=None) -> dict:
-    return default_params(algorithm, data)
 
 
 def _geomean(values) -> float:
@@ -82,29 +37,24 @@ def _geomean(values) -> float:
     return float(np.exp(np.mean(np.log(values))))
 
 
-# ---------------------------------------------------------------------------
-# Sweep cell executors (shared with repro.harness.figures).
-# ---------------------------------------------------------------------------
-
-def _single_node_cell(key: dict, budget_s: float = None):
-    """Sweep executor for one Figure 3 / Table 5 cell (1 node)."""
-    data, factor = _single_node_dataset(key["algorithm"], key["dataset"])
-    spec = ExperimentSpec(algorithm=key["algorithm"],
-                          framework=key["framework"], dataset=data, nodes=1,
-                          scale_factor=factor, deadline_s=budget_s,
-                          params=_params(key["algorithm"], data))
-    return outcome_of(run(spec))
+def single_node_cells(algorithms, frameworks) -> list:
+    """Figure 3 / Table 5 cell keys (one node, per-algorithm datasets)."""
+    return [
+        {"algorithm": algorithm, "dataset": dataset_name, "framework": name}
+        for algorithm in algorithms
+        for dataset_name in SINGLE_NODE_DATASETS[algorithm]
+        for name in frameworks
+    ]
 
 
-def _weak_scaling_cell(key: dict, budget_s: float = None):
-    """Sweep executor for one Figure 4 / Table 6 weak-scaling cell."""
-    data, factor = weak_scaling_dataset(key["algorithm"], key["nodes"])
-    spec = ExperimentSpec(algorithm=key["algorithm"],
-                          framework=key["framework"], dataset=data,
-                          nodes=key["nodes"], scale_factor=factor,
-                          deadline_s=budget_s,
-                          params=_params(key["algorithm"], data))
-    return outcome_of(run(spec))
+def weak_scaling_cells(algorithms, node_counts, frameworks) -> list:
+    """Figure 4 / Table 6 cell keys (weak-scaling points)."""
+    return [
+        {"algorithm": algorithm, "nodes": nodes, "framework": name}
+        for algorithm in algorithms
+        for nodes in node_counts
+        for name in frameworks
+    ]
 
 
 def _slowdown_table(result, algorithms, frameworks, axis: str,
@@ -150,12 +100,9 @@ def table1(hidden_dim: int = 1024) -> list:
     actual exchanges; the rest mirrors the algorithms' definitions.
     ``hidden_dim`` defaults to the paper's effective K (8 KB messages).
     """
-    from ..datagen import dataset as catalog_dataset
-
-    graph = catalog_dataset("rmat_mini")
-    bfs_graph = single_node_graph("rmat_mini", "bfs")
-    bfs_result = run_experiment("bfs", "native", bfs_graph,
-                                **_params("bfs", bfs_graph))
+    graph = single_node_graph("rmat_mini", "pagerank")
+    bfs_result = run_cell({"algorithm": "bfs", "framework": "native",
+                           "dataset": "rmat_mini"})
     frontier = bfs_result.result.extras["frontier_sizes"]
     reached = bfs_result.result.extras["reached"]
     partial_active = any(size < reached for size in frontier[:-1])
@@ -261,11 +208,8 @@ def table4() -> dict:
     for algorithm in ALGORITHMS:
         out[algorithm] = {}
         for nodes in (1, 4):
-            data, factor = weak_scaling_dataset(algorithm, nodes)
-            run = run_experiment(algorithm, "native", data, nodes=nodes,
-                                 scale_factor=factor,
-                                 **_params(algorithm, data))
-            metrics = run.metrics()
+            metrics = run_cell({"algorithm": algorithm, "nodes": nodes,
+                                "framework": "native"}).metrics()
             bound = metrics.bound_by()
             if bound == "memory":
                 achieved = metrics.achieved_memory_bandwidth
@@ -301,13 +245,7 @@ def table5(frameworks=TABLE_FRAMEWORKS, algorithms=ALGORITHMS,
     # The native baseline is always swept; asking for it explicitly
     # must not enumerate the cell twice.
     swept = ("native",) + tuple(f for f in frameworks if f != "native")
-    cells = [
-        {"algorithm": algorithm, "dataset": dataset_name, "framework": name}
-        for algorithm in algorithms
-        for dataset_name in SINGLE_NODE_DATASETS[algorithm]
-        for name in swept
-    ]
-    result = engine.run(cells, _single_node_cell)
+    result = engine.run(single_node_cells(algorithms, swept), sweep_cell)
     return _slowdown_table(result, algorithms, frameworks, "dataset",
                            lambda algorithm: SINGLE_NODE_DATASETS[algorithm])
 
@@ -322,13 +260,8 @@ def table6(frameworks=MULTI_NODE_FRAMEWORKS, algorithms=ALGORITHMS,
     algorithms = tuple(algorithms)
     engine = sweep if sweep is not None else Sweep("table6")
     swept = ("native",) + tuple(f for f in frameworks if f != "native")
-    cells = [
-        {"algorithm": algorithm, "nodes": nodes, "framework": name}
-        for algorithm in algorithms
-        for nodes in node_counts
-        for name in swept
-    ]
-    result = engine.run(cells, _weak_scaling_cell)
+    result = engine.run(weak_scaling_cells(algorithms, node_counts, swept),
+                        sweep_cell)
     return _slowdown_table(result, algorithms, frameworks, "nodes",
                            lambda _algorithm: node_counts)
 
@@ -341,15 +274,10 @@ def table7(nodes: int = 4) -> dict:
     """Before/after the Section 6.1.3 SociaLite network fix, 4 nodes."""
     out = {}
     for algorithm in ("pagerank", "triangle_counting"):
-        data, factor = weak_scaling_dataset(algorithm, nodes)
-        params = _params(algorithm, data)
-        before = run_experiment(algorithm, "socialite-published", data,
-                                nodes=nodes, scale_factor=factor, **params)
-        after = run_experiment(algorithm, "socialite", data,
-                               nodes=nodes, scale_factor=factor, **params)
-        out[algorithm] = {
-            "before_s": before.runtime(),
-            "after_s": after.runtime(),
-            "speedup": before.runtime() / after.runtime(),
-        }
+        before, after = (
+            run_cell({"algorithm": algorithm, "nodes": nodes,
+                      "framework": name}).runtime()
+            for name in ("socialite-published", "socialite"))
+        out[algorithm] = {"before_s": before, "after_s": after,
+                          "speedup": before / after}
     return out

@@ -12,7 +12,7 @@ Perfetto), a flat per-superstep CSV, or a terminal summary tree.
 
 Tracing is zero-overhead by default: every instrumented call site holds
 a :data:`NULL_TRACER` whose methods are no-ops; passing
-``run_experiment(..., trace=Tracer())`` swaps in the recording one.
+``run(spec, trace=Tracer())`` swaps in the recording one.
 """
 
 from .export import (

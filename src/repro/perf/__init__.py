@@ -14,8 +14,8 @@ rest of the package already measures:
 """
 
 from .advisor import WHAT_IFS, Advice, advise, advise_cell
-from .attribution import GapAttribution, GapFactor, attribute, \
-    attribute_cell, classify
+from .attribution import Analysis, GapAttribution, GapFactor, analyze, \
+    attribute, attribute_cell, classify
 from .baselines import (
     DEFAULT_BASELINE,
     DEFAULT_TOLERANCE,
@@ -32,6 +32,7 @@ from .baselines import (
     check_kernel_backends,
     check_outofcore,
     load_baseline,
+    load_benchmark_registry,
     measure_cells,
     measure_kernel_backends,
     measure_outofcore,
@@ -56,6 +57,7 @@ from .report import (
 
 __all__ = [
     "Advice",
+    "Analysis",
     "CellCheck",
     "DEFAULT_BASELINE",
     "DEFAULT_TOLERANCE",
@@ -72,6 +74,7 @@ __all__ = [
     "WHAT_IFS",
     "advise",
     "advise_cell",
+    "analyze",
     "attribute",
     "attribute_cell",
     "cell_key",
@@ -80,6 +83,7 @@ __all__ = [
     "check_outofcore",
     "classify",
     "load_baseline",
+    "load_benchmark_registry",
     "measure_cells",
     "measure_kernel_backends",
     "measure_outofcore",

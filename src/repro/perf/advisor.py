@@ -69,12 +69,13 @@ def advise(algorithm: str, dataset, nodes: int = 1,
     from the all-off baseline, plus the combined ``all`` setting (the
     Figure 7 end state, usually better than any single switch).
     """
-    from ..harness.runner import run_experiment
+    from ..harness.runner import run
+    from ..harness.spec import ExperimentSpec
 
     def _run(options):
-        return run_experiment(algorithm, "native", dataset, nodes=nodes,
-                              scale_factor=scale_factor, options=options,
-                              **params)
+        return run(ExperimentSpec(algorithm, "native", dataset, nodes=nodes,
+                                  scale_factor=scale_factor,
+                                  params={"options": options, **params}))
 
     baseline_run = _run(NativeOptions.baseline())
     baseline_s = baseline_run.runtime()
@@ -104,7 +105,7 @@ def advise(algorithm: str, dataset, nodes: int = 1,
 
 def advise_cell(algorithm: str, nodes: int = 4) -> list:
     """:func:`advise` on the standard weak-scaling cell."""
-    from ..harness.datasets import weak_scaling_dataset
+    from ..harness.datasets import experiment_dataset
 
-    data, factor = weak_scaling_dataset(algorithm, nodes)
+    data, factor = experiment_dataset(algorithm, nodes=nodes)
     return advise(algorithm, data, nodes=nodes, scale_factor=factor)

@@ -198,12 +198,36 @@ def attribute(framework_run, native_run) -> GapAttribution:
 def attribute_cell(algorithm: str, framework: str, nodes: int = 4,
                    trace=None) -> GapAttribution:
     """Run one weak-scaling cell and its native twin, then attribute."""
-    from ..harness.datasets import weak_scaling_dataset
-    from ..harness.runner import run_experiment
+    from ..harness.runner import run_cell
 
-    data, factor = weak_scaling_dataset(algorithm, nodes)
-    framework_run = run_experiment(algorithm, framework, data, nodes=nodes,
-                                   scale_factor=factor, trace=trace)
-    native_run = run_experiment(algorithm, "native", data, nodes=nodes,
-                                scale_factor=factor)
-    return attribute(framework_run, native_run)
+    key = {"algorithm": algorithm, "nodes": nodes}
+    return attribute(run_cell({**key, "framework": framework}, trace=trace),
+                     run_cell({**key, "framework": "native"}))
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """What ``repro perf analyze`` and ``POST /perf/analyze`` report."""
+
+    framework: str
+    roofline: dict          # roofline_table()'s {algorithm: {nodes: cell}}
+    attributions: tuple     # one GapAttribution per completed cell
+
+    def to_dict(self) -> dict:
+        return {"framework": self.framework, "roofline": self.roofline,
+                "attributions": [a.to_dict() for a in self.attributions]}
+
+
+def analyze(framework: str = "native", algorithms=None,
+            node_counts=(1, 4)) -> Analysis:
+    """Roofline ratios for one framework; plus, when it is not native,
+    the gap attribution of every cell that completed."""
+    from .model import roofline_table
+
+    table = roofline_table(framework=framework, algorithms=algorithms,
+                           node_counts=node_counts)
+    attributions = () if framework == "native" else tuple(
+        attribute_cell(algorithm, framework, nodes=nodes)
+        for algorithm, by_nodes in table.items()
+        for nodes, cell in by_nodes.items() if "ratio" in cell)
+    return Analysis(framework, table, attributions)

@@ -54,22 +54,34 @@ def measure_cells(algorithms=None, frameworks=GATE_FRAMEWORKS,
                   node_counts=GATE_NODE_COUNTS) -> dict:
     """Simulated runtime (or DNF status) of every gate cell."""
     from ..algorithms.registry import ALGORITHMS
-    from ..harness.datasets import weak_scaling_dataset
-    from ..harness.runner import run_experiment
+    from ..harness.runner import run_cell
 
     algorithms = tuple(algorithms) if algorithms else ALGORITHMS
     cells = {}
     for algorithm in algorithms:
         for framework in frameworks:
             for nodes in node_counts:
-                data, factor = weak_scaling_dataset(algorithm, nodes)
-                run = run_experiment(algorithm, framework, data, nodes=nodes,
-                                     scale_factor=factor)
+                run = run_cell({"algorithm": algorithm,
+                                "framework": framework, "nodes": nodes})
                 cells[cell_key(algorithm, framework, nodes)] = {
                     "status": run.status,
                     "runtime_s": run.runtime_or_none(),
                 }
     return cells
+
+
+def load_benchmark_registry() -> dict:
+    """``benchmarks.conftest``'s registry; the ``benchmarks/`` package is
+    the repo's, not the installed distribution's, so away from the repo
+    root this is a typed error."""
+    try:
+        from benchmarks.conftest import load_benchmarks
+    except ImportError as error:
+        raise ReproError(
+            "wall-clock benchmarks need the repo's benchmarks/ package "
+            f"on sys.path (run from the repo root): {error}"
+        ) from None
+    return load_benchmarks()
 
 
 def measure_wall_clock(names=()) -> dict:
@@ -81,14 +93,7 @@ def measure_wall_clock(names=()) -> dict:
     """
     if not names:
         return {}
-    try:
-        from benchmarks.conftest import load_benchmarks
-    except ImportError as error:
-        raise ReproError(
-            "wall-clock benchmarks need the repo's benchmarks/ package "
-            f"on sys.path (run from the repo root): {error}"
-        ) from None
-    registry = load_benchmarks()
+    registry = load_benchmark_registry()
     if "all" in names:
         names = tuple(sorted(registry))
     out = {}

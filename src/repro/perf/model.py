@@ -127,17 +127,15 @@ def roofline_table(framework: str = "native", algorithms=None,
     complete carry ``{"status": ...}`` instead, like the paper's dashes.
     """
     from ..algorithms.registry import ALGORITHMS
-    from ..harness.datasets import weak_scaling_dataset
-    from ..harness.runner import run_experiment
+    from ..harness.runner import run_cell
 
     algorithms = tuple(algorithms) if algorithms else ALGORITHMS
     out = {}
     for algorithm in algorithms:
         out[algorithm] = {}
         for nodes in node_counts:
-            data, factor = weak_scaling_dataset(algorithm, nodes)
-            run = run_experiment(algorithm, framework, data, nodes=nodes,
-                                 scale_factor=factor)
+            run = run_cell({"algorithm": algorithm, "framework": framework,
+                            "nodes": nodes})
             if not run.ok:
                 out[algorithm][nodes] = {"status": run.status,
                                          "failure": run.failure}

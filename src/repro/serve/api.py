@@ -25,10 +25,7 @@ from __future__ import annotations
 
 import json
 
-from ..errors import ReproError, SpecError
-
-#: Sweep targets the service accepts — the same set the CLI exposes.
-SWEEP_TARGETS = ("table5", "table6", "figure3", "figure4", "figure5")
+from ..errors import ReproError
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -117,9 +114,10 @@ def parse_experiment_request(body: dict) -> dict:
 
     ``{"spec": {...ExperimentSpec fields...}}`` runs one experiment
     through the typed spec facade; ``{"gate": {"algorithm", "framework",
-    "nodes"}}`` runs one perf-gate cell (the weak-scaling dataset +
-    ``run_experiment`` path the baseline gate measures) — the form the
-    load generator and warm-latency proof use.
+    "nodes"}}`` runs one perf-gate cell (the weak-scaling
+    :func:`~repro.harness.run_cell` the baseline gate measures) — the
+    form the load generator and warm-latency proof use. Either way the
+    request is valid iff the :class:`ExperimentSpec` it will run is.
     """
     from ..harness.spec import ExperimentSpec
 
@@ -135,7 +133,7 @@ def parse_experiment_request(body: dict) -> dict:
             raise bad_request("field 'spec' must be an object")
         try:
             parsed = ExperimentSpec.from_dict(spec)
-        except (SpecError, ReproError) as error:
+        except ReproError as error:
             raise bad_request(f"invalid experiment spec: {error}") from None
         if not isinstance(parsed.dataset, str):
             raise bad_request(
@@ -150,16 +148,11 @@ def parse_experiment_request(body: dict) -> dict:
         "framework": _field(gate, "framework", str, required=True),
         "nodes": _field(gate, "nodes", int, default=1),
     }
-    from ..algorithms.registry import ALGORITHMS, FRAMEWORKS
-
-    if cell["algorithm"] not in ALGORITHMS:
-        raise bad_request(f"unknown algorithm {cell['algorithm']!r}; "
-                          f"valid: {', '.join(ALGORITHMS)}")
-    if cell["framework"] not in FRAMEWORKS:
-        raise bad_request(f"unknown framework {cell['framework']!r}; "
-                          f"valid: {', '.join(FRAMEWORKS)}")
-    if cell["nodes"] < 1:
-        raise bad_request("gate 'nodes' must be >= 1")
+    try:
+        # The worker places the dataset; every other field is checked here.
+        ExperimentSpec(dataset=None, **cell)
+    except ReproError as error:
+        raise bad_request(f"invalid gate cell: {error}") from None
     out["kind"] = "gate"
     out["gate"] = cell
     return out
@@ -167,10 +160,12 @@ def parse_experiment_request(body: dict) -> dict:
 
 def parse_sweep_request(body: dict) -> dict:
     """``POST /sweeps``: a durable sweep job (async by default)."""
+    from ..harness.artifacts import ARTIFACTS, sweep_targets
+
     target = _field(body, "target", str, required=True)
-    if target not in SWEEP_TARGETS:
+    if target not in sweep_targets():
         raise bad_request(f"unknown sweep target {target!r}; valid: "
-                          f"{', '.join(SWEEP_TARGETS)}")
+                          f"{', '.join(sweep_targets())}")
     out = parse_admission_fields(body)
     out.update({
         "kind": "sweep",
@@ -183,6 +178,8 @@ def parse_sweep_request(body: dict) -> dict:
         "max_retries": _field(body, "max_retries", int, default=2),
         "wait": _field(body, "wait", bool, default=False),
     })
+    if out["algorithms"] and not ARTIFACTS[target].takes_algorithms:
+        raise bad_request(f"{target} does not take 'algorithms'")
     if out["max_retries"] < 0:
         raise bad_request("'max_retries' must be >= 0")
     return out

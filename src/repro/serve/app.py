@@ -74,20 +74,15 @@ _SERVER_HEADER = "repro-serve"
 def _gate_cell(key, budget_s=None):
     """One perf-gate cell — byte-identical to what the baseline gate
     measures (:func:`repro.perf.baselines.measure_cells`)."""
-    from ..harness.datasets import clear_proxy_caches, weak_scaling_dataset
-    from ..harness.runner import run_experiment
-    from ..harness.sweep import outcome_of
+    from ..harness.datasets import clear_proxy_caches
+    from ..harness.sweep import sweep_cell
 
     # Drop the fork-inherited lru memo so the lookup reaches the pin
     # layer and emits its ``dataset-cache-hit`` instant — the tracer
     # proof that served cells run against the warm pinned dataset. The
     # pinned hit itself is a dict lookup, so this costs nothing.
     clear_proxy_caches()
-    data, factor = weak_scaling_dataset(key["algorithm"], key["nodes"])
-    run = run_experiment(key["algorithm"], key["framework"], data,
-                         nodes=key["nodes"], scale_factor=factor,
-                         deadline_s=budget_s)
-    return outcome_of(run)
+    return sweep_cell(key, budget_s)
 
 
 def _spec_cell(key, budget_s=None):
@@ -100,28 +95,11 @@ def _spec_cell(key, budget_s=None):
 
 
 def _perf_cell(key, budget_s=None):
-    """Roofline + gap attribution, same shape as ``repro perf analyze``."""
+    """``repro perf analyze --json``'s payload, as a job result."""
     from .. import perf
-    from ..algorithms.registry import ALGORITHMS
 
-    framework = key["framework"]
-    algorithms = tuple(key["algorithms"]) if key.get("algorithms") else None
-    node_counts = tuple(key["node_counts"])
-    table = perf.roofline_table(framework=framework, algorithms=algorithms,
-                                node_counts=node_counts)
-    attributions = []
-    if framework != "native":
-        for algorithm in algorithms or ALGORITHMS:
-            for nodes in node_counts:
-                if "ratio" not in table[algorithm][nodes]:
-                    continue
-                attributions.append(perf.attribute_cell(
-                    algorithm, framework, nodes=nodes).to_dict())
-    return {"framework": framework,
-            "roofline": {algorithm: {str(n): cell
-                                     for n, cell in by_nodes.items()}
-                         for algorithm, by_nodes in table.items()},
-            "attributions": attributions}
+    return perf.analyze(key["framework"], key["algorithms"],
+                        key["node_counts"]).to_dict()
 
 
 _EXECUTORS = {"gate": _gate_cell, "experiment": _spec_cell,
@@ -131,18 +109,6 @@ _EXECUTORS = {"gate": _gate_cell, "experiment": _spec_cell,
 #: backoff would only burn the request's wall deadline.
 _SERVE_POLICY = CellPolicy(deadline_s=None, max_retries=0,
                            backoff_base_s=0.0, backoff_cap_s=0.0)
-
-
-def _sweep_targets():
-    from ..harness import figures, tables
-
-    return {
-        "table5": (tables.table5, True),
-        "table6": (tables.table6, True),
-        "figure3": (figures.figure3, True),
-        "figure4": (figures.figure4, True),
-        "figure5": (figures.figure5, False),
-    }
 
 
 class ExperimentService:
@@ -554,11 +520,6 @@ class ExperimentService:
     # -- sweep jobs ---------------------------------------------------
 
     async def _submit_sweep(self, request: dict):
-        if request.get("algorithms") \
-                and not _sweep_targets()[request["target"]][1]:
-            raise ApiError(400, "bad-request",
-                           f"{request['target']} does not take "
-                           "'algorithms'")
         slot = self.admission.admit(request.get("deadline_s"),
                                     request.get("memory_mb"))
         try:
@@ -592,12 +553,11 @@ class ExperimentService:
         """Blocking sweep body; runs on a worker thread."""
         from pathlib import Path
 
-        producer, takes_algorithms = _sweep_targets()[request["target"]]
-        kwargs = {}
-        if request.get("frameworks"):
-            kwargs["frameworks"] = tuple(request["frameworks"])
-        if request.get("algorithms") and takes_algorithms:
-            kwargs["algorithms"] = tuple(request["algorithms"])
+        from ..harness.artifacts import ARTIFACTS
+
+        kwargs = {name: tuple(request[name])
+                  for name in ("frameworks", "algorithms")
+                  if request.get(name)}
         Path(job.journal).parent.mkdir(parents=True, exist_ok=True)
 
         def _stop():
@@ -613,7 +573,7 @@ class ExperimentService:
                        deadline_s=request.get("sim_deadline_s"),
                        max_retries=request.get("max_retries", 2),
                        pool=self.pool, stop=_stop, on_cell=_on_cell)
-        data = producer(sweep=engine, **kwargs)
+        data = ARTIFACTS[request["target"]].producer(sweep=engine, **kwargs)
         return {"target": request["target"], "data": data,
                 "completeness": engine.last.completeness()}
 

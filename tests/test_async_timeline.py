@@ -81,12 +81,12 @@ class TestAsyncPageRank:
 
 class TestTimeline:
     def _run(self, nodes=4):
-        from repro.harness import run_experiment
+        from repro.harness import ExperimentSpec, run
 
         graph = rmat_graph(scale=9, edge_factor=6, seed=96, directed=False)
         source = int(np.argmax(graph.out_degrees()))
-        return run_experiment("bfs", "giraph", graph, nodes=nodes,
-                              scale_factor=1e3, source=source)
+        return run(ExperimentSpec("bfs", "giraph", graph, nodes=nodes,
+                                  scale_factor=1e3, params={"source": source}))
 
     def test_analyze_decomposition_sums_to_one(self):
         metrics = self._run().metrics()
@@ -103,12 +103,12 @@ class TestTimeline:
         assert "scheduling" in report.recommendation()
 
     def test_native_pagerank_is_compute_bound(self):
-        from repro.harness import run_experiment
+        from repro.harness import ExperimentSpec, run
 
         graph = rmat_graph(scale=9, edge_factor=6, seed=96)
-        run = run_experiment("pagerank", "native", graph, nodes=1,
-                             scale_factor=1e3, iterations=3)
-        report = analyze(run.metrics())
+        cell = run(ExperimentSpec("pagerank", "native", graph, nodes=1,
+                                  scale_factor=1e3, params={"iterations": 3}))
+        report = analyze(cell.metrics())
         assert report.dominant == "compute"
         assert "prefetch" in report.recommendation()
 

@@ -35,7 +35,7 @@ from repro.chaos import (
 from repro.datagen import rmat_graph
 from repro.errors import NodeFailure, ReproError, SimulationError
 from repro.frameworks.base import PROFILES
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 from repro.rng import derive, spawn_key
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -46,8 +46,9 @@ def graph():
     return rmat_graph(scale=8, edge_factor=6, seed=81, directed=False)
 
 
-def giraph_bfs(graph, **kwargs):
-    result = run_experiment("bfs", "giraph", graph, nodes=4, **kwargs)
+def giraph_bfs(graph, **spec_fields):
+    result = run(ExperimentSpec("bfs", "giraph", graph, nodes=4,
+                                **spec_fields))
     assert result.ok, result.failure
     return result
 
@@ -199,9 +200,10 @@ class TestDeterminism:
 
     def test_different_seed_different_drops(self, graph):
         spec = "drop(p=0.2)"
-        drops = {run_experiment("pagerank", "giraph", graph, nodes=4,
-                                iterations=4, faults=spec,
-                                fault_seed=seed).recovery.messages_dropped
+        drops = {run(ExperimentSpec("pagerank", "giraph", graph, nodes=4,
+                                    faults=spec, fault_seed=seed,
+                                    params={"iterations": 4}))
+                 .recovery.messages_dropped
                  for seed in range(6)}
         assert len(drops) > 1
 
@@ -301,14 +303,15 @@ class TestCheckpointRecovery:
         from repro.algorithms import pagerank_reference
 
         golden = pagerank_reference(graph, 4)
-        clean = run_experiment("pagerank", "giraph", graph, nodes=4,
-                               iterations=4)
+        clean = run(ExperimentSpec("pagerank", "giraph", graph, nodes=4,
+                                   params={"iterations": 4}))
         np.testing.assert_allclose(clean.result.values, golden, rtol=1e-9)
         steps = len(clean.result.metrics.steps)
         for superstep in range(steps):
-            chaos = run_experiment(
-                "pagerank", "giraph", graph, nodes=4, iterations=4,
-                faults=f"crash(node=2, superstep={superstep})")
+            chaos = run(ExperimentSpec(
+                "pagerank", "giraph", graph, nodes=4,
+                faults=f"crash(node=2, superstep={superstep})",
+                params={"iterations": 4}))
             assert chaos.ok, chaos.failure
             np.testing.assert_array_equal(chaos.result.values,
                                           clean.result.values)
@@ -320,11 +323,11 @@ class TestCheckpointRecovery:
     def test_checkpoint_cadence_and_cost(self, graph):
         """Every-2-supersteps checkpoints: count them, and their cost is
         exactly the chaos run's runtime delta under a no-op schedule."""
-        clean = run_experiment("pagerank", "giraph", graph, nodes=4,
-                               iterations=4)
-        chaos = run_experiment("pagerank", "giraph", graph, nodes=4,
-                               iterations=4,
-                               faults="straggler(node=0, factor=1)")
+        clean = run(ExperimentSpec("pagerank", "giraph", graph, nodes=4,
+                                   params={"iterations": 4}))
+        chaos = run(ExperimentSpec("pagerank", "giraph", graph, nodes=4,
+                                   faults="straggler(node=0, factor=1)",
+                                   params={"iterations": 4}))
         assert chaos.ok, chaos.failure
         steps = len(clean.result.metrics.steps)
         stats = chaos.recovery
@@ -360,11 +363,11 @@ class TestCheckpointRecovery:
         assert chaos.recovery.crashes == 0
 
     def test_partition_stalls_cross_traffic(self, graph):
-        clean = run_experiment("pagerank", "giraph", graph, nodes=4,
-                               iterations=3)
-        chaos = run_experiment("pagerank", "giraph", graph, nodes=4,
-                               iterations=3,
-                               faults="partition(nodes=0+1, at=1:2)")
+        clean = run(ExperimentSpec("pagerank", "giraph", graph, nodes=4,
+                                   params={"iterations": 3}))
+        chaos = run(ExperimentSpec("pagerank", "giraph", graph, nodes=4,
+                                   faults="partition(nodes=0+1, at=1:2)",
+                                   params={"iterations": 3}))
         assert chaos.ok, chaos.failure
         stats = chaos.recovery
         assert any(event["kind"] == "partition" for event in stats.events)
@@ -412,8 +415,8 @@ class TestPolicies:
 
     def test_node_failure_is_typed(self, graph):
         with pytest.raises(NodeFailure) as excinfo:
-            run_experiment("bfs", "native", graph, nodes=4,
-                           faults="crash(node=2, superstep=1)")
+            run(ExperimentSpec("bfs", "native", graph, nodes=4,
+                               faults="crash(node=2, superstep=1)"))
         failure = excinfo.value
         assert isinstance(failure, ReproError)
         assert failure.node == 2 and failure.superstep == 1
@@ -421,10 +424,10 @@ class TestPolicies:
 
     def test_recovery_override_saves_a_fail_fast_run(self, graph):
         """An explicit recovery= policy can outvote the profile."""
-        clean = run_experiment("bfs", "native", graph, nodes=4)
-        saved = run_experiment("bfs", "native", graph, nodes=4,
-                               faults="crash(node=2, superstep=1)",
-                               recovery=checkpointing(interval=2))
+        clean = run(ExperimentSpec("bfs", "native", graph, nodes=4))
+        saved = run(ExperimentSpec("bfs", "native", graph, nodes=4,
+                                   faults="crash(node=2, superstep=1)",
+                                   recovery=checkpointing(interval=2)))
         assert saved.ok, saved.failure
         np.testing.assert_array_equal(saved.result.values,
                                       clean.result.values)

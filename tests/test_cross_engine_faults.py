@@ -16,7 +16,8 @@ import pytest
 from repro.algorithms.registry import profile_for
 from repro.datagen import rmat_graph
 from repro.errors import NodeFailure, ReproError
-from repro.harness import run_experiment
+from repro import harness
+from repro.harness import ExperimentSpec
 
 #: Engines that write checkpoints and survive the crash below.
 CHECKPOINTING = ("giraph", "gps", "graphx")
@@ -40,9 +41,10 @@ def graph():
     return rmat_graph(scale=8, edge_factor=6, seed=83, directed=False)
 
 
-def run(framework, graph, **kwargs):
-    return run_experiment("pagerank", framework, graph, nodes=4,
-                          iterations=4, **kwargs)
+def run(framework, graph, **spec_fields):
+    return harness.run(ExperimentSpec(
+        "pagerank", framework, graph, nodes=4, params={"iterations": 4},
+        **spec_fields))
 
 
 class TestCampMembership:

@@ -87,23 +87,25 @@ class TestRelatedWorkFrameworks:
                                       bfs_reference(graph_undirected, 0))
 
     def test_gps_between_pack_and_giraph(self, graph_small):
-        from repro.harness import run_experiment
+        from repro.harness import ExperimentSpec, run
 
         times = {}
         for framework in ("graphlab", "gps", "giraph"):
-            run = run_experiment("pagerank", framework, graph_small,
-                                 nodes=4, scale_factor=1e4, iterations=2)
-            times[framework] = run.runtime()
+            cell = run(ExperimentSpec("pagerank", framework, graph_small,
+                                      nodes=4, scale_factor=1e4,
+                                      params={"iterations": 2}))
+            times[framework] = cell.runtime()
         assert times["graphlab"] < times["gps"] < times["giraph"]
 
     def test_graphx_slower_than_graphlab(self, graph_small):
-        from repro.harness import run_experiment
+        from repro.harness import ExperimentSpec, run
 
-        graphlab_run = run_experiment("pagerank", "graphlab", graph_small,
-                                      nodes=4, scale_factor=1e4,
-                                      iterations=2)
-        graphx_run = run_experiment("pagerank", "graphx", graph_small,
-                                    nodes=4, scale_factor=1e4, iterations=2)
+        graphlab_run = run(ExperimentSpec("pagerank", "graphlab", graph_small,
+                                          nodes=4, scale_factor=1e4,
+                                          params={"iterations": 2}))
+        graphx_run = run(ExperimentSpec("pagerank", "graphx", graph_small,
+                                        nodes=4, scale_factor=1e4,
+                                        params={"iterations": 2}))
         assert graphx_run.runtime() > 2 * graphlab_run.runtime()
 
 

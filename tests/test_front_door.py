@@ -1,0 +1,226 @@
+"""The one front door: cell placement, the artifact table, the taxonomy.
+
+* ``TestPlacements`` — ``experiment_dataset`` against
+  ``tests/frozen_placements.json``, recorded from the three resolvers it
+  replaced (at the commit before they were folded; never regenerated
+  since), and against the ``lru_cache``d proxies it must hand back.
+* ``TestArtifactTable`` — a row added to ``ARTIFACTS`` is a sweep
+  target, a served target, and part of ``regenerate`` and ``report``
+  with no other edit.
+* ``TestFailureTaxonomy`` — every error class and every cell status
+  pinned to its exit code and journaled status.
+* ``TestAnyWorkingDirectory`` — commands that used to need the repo
+  root as cwd.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from repro import errors
+from repro.cli import build_parser, main
+from repro.harness import ARTIFACTS, Artifact, Sweep, paper_report
+from repro.harness import datasets
+from repro.harness.datasets import experiment_dataset
+from repro.serve.api import ApiError, parse_sweep_request
+
+ROOT = Path(__file__).resolve().parent.parent
+FROZEN = json.loads((ROOT / "tests" / "frozen_placements.json").read_text())
+
+
+def _describe(data, factor):
+    if hasattr(data, "num_ratings"):
+        return [type(data).__name__, f"{data.num_users}x{data.num_items}",
+                int(data.num_ratings), repr(float(factor))]
+    return [type(data).__name__, int(data.num_vertices), int(data.num_edges),
+            repr(float(factor))]
+
+
+class TestPlacements:
+    @pytest.mark.parametrize("cell", sorted(FROZEN))
+    def test_experiment_dataset_reproduces_the_frozen_placement(self, cell):
+        algorithm, name, nodes = cell.split("|")
+        name, nodes = (None if name == "None" else name), int(nodes)
+        data, factor = experiment_dataset(algorithm, name, nodes)
+        assert _describe(data, factor) == FROZEN[cell]
+        # No second build: the proxy is the memoised one.
+        ratings = algorithm == "collaborative_filtering"
+        if name is None:
+            memo = datasets.weak_scaling_ratings(nodes) if ratings \
+                else datasets.weak_scaling_graph(algorithm, nodes)
+        elif name != "synthetic":
+            memo = datasets.single_node_ratings(name) if ratings \
+                else datasets.single_node_graph(name, algorithm)
+        else:
+            return
+        assert data is memo
+
+    def test_frozen_file_covers_every_placement(self):
+        from repro.algorithms.registry import ALGORITHMS
+        from repro.harness.figures import FIGURE5_CONFIG
+        from repro.harness.tables import SINGLE_NODE_DATASETS
+
+        expected = {f"{a}|{d}|1" for a in ALGORITHMS
+                    for d in SINGLE_NODE_DATASETS[a]}
+        expected |= {f"{a}|None|{n}" for a in ALGORITHMS for n in (1, 4, 16)}
+        expected |= {f"{a}|{d}|{n}" for a, (d, n) in FIGURE5_CONFIG.items()}
+        assert set(FROZEN) == expected
+
+    def test_a_dataset_without_a_paper_size_is_its_own_dataset(self):
+        _data, factor = experiment_dataset("bfs", "rmat_mini")
+        assert factor == 1.0
+
+
+def _stub_producer(sweep=None, frameworks=("left", "right")):
+    engine = sweep if sweep is not None else Sweep("stub")
+    result = engine.run([{"framework": name} for name in frameworks],
+                        lambda key, budget_s=None: {"runtime_s": 1.0})
+    return {record.key["framework"]: record.runtime() for record in result}
+
+
+STUB = Artifact(_stub_producer,
+                lambda data, title: f"{title}\n{sorted(data.items())}",
+                "Stub: a row nothing else knows about", sweepable=True)
+
+
+@pytest.fixture
+def stub_row(monkeypatch):
+    """One new row; every real row made instant (no data, title only)."""
+    for name, artifact in list(ARTIFACTS.items()):
+        monkeypatch.setitem(ARTIFACTS, name, replace(
+            artifact, producer=lambda **_: {},
+            render=lambda data, title: title))
+    monkeypatch.setitem(ARTIFACTS, "stub", STUB)
+    monkeypatch.setattr(paper_report, "_claim_checks", lambda *data: [])
+
+
+class TestArtifactTable:
+    def test_a_new_row_is_a_sweep_target(self, stub_row, capsys):
+        assert main(["sweep", "stub", "--frameworks", "only"]) == 0
+        out = capsys.readouterr().out
+        assert STUB.title in out and "('only', 1.0)" in out
+        assert "Sweep 'stub': 1 cells, 100% ok" in out
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(["sweep", "table1"])   # not sweepable
+        assert usage.value.code == 2
+
+    def test_a_new_row_is_a_served_sweep_target(self, stub_row):
+        assert parse_sweep_request({"target": "stub"})["target"] == "stub"
+        with pytest.raises(ApiError, match="does not take 'algorithms'"):
+            parse_sweep_request({"target": "stub", "algorithms": ["bfs"]})
+        with pytest.raises(ApiError, match="valid: table5.*stub"):
+            parse_sweep_request({"target": "table4"})
+
+    def test_a_new_row_is_regenerated_and_reported(self, stub_row, capsys,
+                                                   tmp_path):
+        assert main(["regenerate"]) == 0
+        captured = capsys.readouterr()
+        assert "[('left', 1.0), ('right', 1.0)]" in captured.out
+        for artifact in ARTIFACTS.values():
+            assert artifact.title in captured.out
+        # Timings are not part of the transcript.
+        assert "regenerated in" not in captured.out
+        assert "[stub regenerated in" in captured.err
+
+        report = tmp_path / "report.md"
+        assert main(["report", "--output", str(report)]) == 0
+        text = report.read_text()
+        assert "## stub" in text and "[('left', 1.0), ('right', 1.0)]" in text
+        assert all(f"## {name}" in text for name in ARTIFACTS)
+
+    def test_unknown_numbers_are_usage_errors(self, capsys):
+        assert main(["table", "9"]) == 2
+        assert "the paper has tables 1-7" in capsys.readouterr().out
+        assert main(["figure", "2"]) == 2
+        assert "the paper has figures 3-7" in capsys.readouterr().out
+
+    def test_every_title_names_its_artifact(self):
+        for name, artifact in ARTIFACTS.items():
+            if name.startswith(("table", "figure")):
+                kind, number = name[:-1].capitalize(), name[-1]
+                assert artifact.title.startswith(f"{kind} {number}: ")
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+class TestFailureTaxonomy:
+    #: error class -> (journaled status, exit code, CLI label); every
+    #: ReproError subclass not named here is the unclassified row.
+    CLASSES = {
+        "SweepInterrupted": (None, 8, "interrupted"),
+        "CapacityError": ("out-of-memory", 3, "out of memory"),
+        "ExpressibilityError": ("unsupported", 1, "error"),
+        "DeadlineExceeded": ("timeout", 6, "deadline exceeded"),
+        "NodeFailure": ("failed", 5, "node failure"),
+        "PerfRegression": (None, 7, "error"),
+    }
+    #: The three `run` hands back as a status instead of raising.
+    RESULTS = {"CapacityError", "ExpressibilityError", "DeadlineExceeded"}
+    STATUSES = {"ok": 0, "out-of-memory": 3, "unsupported": 4, "timeout": 6,
+                "failed": 5,
+                # A cell that killed its workers is an unclassified
+                # failure: exit 1, stated rather than defaulted.
+                "crashed": 1}
+
+    def test_every_error_class_is_pinned(self):
+        import repro.frameworks.datalog.parser  # noqa: F401  (its error)
+        import repro.serve  # noqa: F401  (ApiError, JobConflict)
+
+        classes = {errors.ReproError, *_all_subclasses(errors.ReproError)}
+        assert len(classes) >= 16
+        for cls in classes:
+            row = next(r for r in errors.FAILURE_CLASSES
+                       if issubclass(cls, r.error))
+            expected = self.CLASSES.get(cls.__name__, (None, 1, "error"))
+            assert (row.status, row.exit_code, row.label) == expected, cls
+            assert row.is_result == (cls.__name__ in self.RESULTS), cls
+
+    def test_a_real_memory_error_is_the_out_of_memory_dash(self):
+        row = errors.failure_class(MemoryError())
+        assert (row.status, row.is_result) == ("out-of-memory", False)
+        assert errors.failure_class(ValueError("x")).status is None
+
+    def test_every_status_has_its_exit_code(self):
+        assert errors.STATUS_EXIT_CODES == self.STATUSES
+        assert set(errors.STATUS_EXIT_CODES) == set(errors.CELL_STATUSES)
+
+    def test_the_cli_exits_with_the_class_code(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        for error, code, label in (
+                (errors.NodeFailure(2, 3), 5, "node failure: "),
+                (errors.SpecError("bad"), 1, "error: "),
+                (errors.PerfRegression("slow"), 7, "error: ")):
+            def _raise(_args, error=error):
+                raise error
+            monkeypatch.setattr(cli, "_cmd_frameworks", _raise)
+            assert main(["frameworks"]) == code
+            assert capsys.readouterr().err.startswith(label)
+
+
+class TestAnyWorkingDirectory:
+    def test_regenerate_does_not_need_the_repo_root(self, stub_row, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["regenerate"]) == 0
+        assert STUB.title in capsys.readouterr().out
+
+    def test_baseline_list_away_from_the_repo_is_a_typed_error(self,
+                                                               tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "perf", "baseline", "list"],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert len(done.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in done.stderr

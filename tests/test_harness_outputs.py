@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.harness import (
+    ARTIFACTS,
     figure3,
     figure4,
     figure6,
@@ -59,7 +60,7 @@ class TestTables:
         data = table7()
         assert data["pagerank"]["speedup"] > 1.5
         assert data["triangle_counting"]["speedup"] > 1.2
-        rendered = report.render_table7(data)
+        rendered = ARTIFACTS["table7"].text(data)
         assert "speedup" in rendered
 
 
@@ -95,7 +96,7 @@ class TestFigures:
         ladder = data["pagerank"]
         assert ladder[0] == ("baseline", 1.0)
         assert ladder[-1][1] > 2.0
-        rendered = report.render_figure7(data)
+        rendered = ARTIFACTS["figure7"].text(data)
         assert "prefetching" in rendered
 
 
@@ -108,15 +109,17 @@ class TestScaleInvariance:
 
     def test_pagerank_node_scaling_ratio_stable(self):
         from repro.datagen import rmat_graph
-        from repro.harness import run_experiment
+        from repro.harness import ExperimentSpec, run
 
         ratios = []
         for scale, factor in ((10, 8000.0), (12, 2000.0)):
             graph = rmat_graph(scale, edge_factor=16, seed=5)
-            t1 = run_experiment("pagerank", "native", graph, nodes=1,
-                                scale_factor=factor, iterations=3).runtime()
-            t4 = run_experiment("pagerank", "native", graph, nodes=4,
-                                scale_factor=factor, iterations=3).runtime()
+            t1 = run(ExperimentSpec("pagerank", "native", graph, nodes=1,
+                                    scale_factor=factor,
+                                    params={"iterations": 3})).runtime()
+            t4 = run(ExperimentSpec("pagerank", "native", graph, nodes=4,
+                                    scale_factor=factor,
+                                    params={"iterations": 3})).runtime()
             ratios.append(t4 / t1)
         # The 4-node/1-node degradation agrees within 40% across a 4x
         # change in proxy size.

@@ -16,7 +16,7 @@ import pytest
 
 from repro.datagen import rmat_graph, rmat_triangle_graph
 from repro.errors import KernelError
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 from repro.harness.datasets import weak_scaling_dataset
 from repro.kernels import (
     BACKENDS,
@@ -208,9 +208,9 @@ class TestEngineDifferential:
         runs = {}
         for backend in BACKENDS:
             with use_backend(backend):
-                runs[backend] = run_experiment(algorithm, framework, data,
-                                               nodes=nodes,
-                                               scale_factor=factor)
+                runs[backend] = run(ExperimentSpec(algorithm, framework, data,
+                                                   nodes=nodes,
+                                                   scale_factor=factor))
         vec, interp = runs[VECTORIZED], runs[INTERPRETED]
         assert vec.status == interp.status == "ok"
         if algorithm == "triangle_counting":
@@ -226,9 +226,9 @@ class TestEngineDifferential:
         runs = {}
         for backend in BACKENDS:
             with use_backend(backend):
-                runs[backend] = run_experiment(
-                    "collaborative_filtering", framework, data, nodes=2,
-                    scale_factor=factor)
+                runs[backend] = run(ExperimentSpec("collaborative_filtering",
+                                                   framework, data, nodes=2,
+                                                   scale_factor=factor))
         vec, interp = runs[VECTORIZED], runs[INTERPRETED]
         assert vec.status == interp.status == "ok"
         for a, b in zip(vec.result.values, interp.result.values):

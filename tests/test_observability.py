@@ -16,7 +16,7 @@ import pytest
 from repro.algorithms.registry import FRAMEWORKS
 from repro.datagen import rmat_graph, rmat_triangle_graph
 from repro.errors import ReproError
-from repro.harness import default_params, run_experiment
+from repro.harness import ExperimentSpec, default_params, run
 from repro.observability import (
     NULL_TRACER,
     NullTracer,
@@ -32,9 +32,11 @@ def graph_small():
     return rmat_graph(scale=9, edge_factor=6, seed=71)
 
 
-def _traced(algorithm, framework, data, **kwargs):
-    result = run_experiment(algorithm, framework, data, trace=Tracer(),
-                            **kwargs)
+def _traced(algorithm, framework, data, nodes=1, faults=None, fault_seed=0,
+            **params):
+    result = run(ExperimentSpec(algorithm, framework, data, nodes=nodes,
+                                faults=faults, fault_seed=fault_seed,
+                                params=params), trace=Tracer())
     assert result.ok, result.failure
     return result
 
@@ -164,9 +166,9 @@ class TestTraceAgreesWithMetrics:
     def test_messages_counter_at_paper_scale(self, graph_small):
         plain = _traced("pagerank", "giraph", graph_small, nodes=2,
                         iterations=2)
-        scaled = run_experiment("pagerank", "giraph", graph_small, nodes=2,
-                                iterations=2, scale_factor=100.0,
-                                trace=Tracer())
+        scaled = run(ExperimentSpec("pagerank", "giraph", graph_small, nodes=2,
+                                    scale_factor=100.0,
+                                    params={"iterations": 2}), trace=Tracer())
         assert scaled.trace.counters["messages"] == pytest.approx(
             100.0 * plain.trace.counters["messages"])
 
@@ -308,8 +310,8 @@ class TestEveryFramework:
     @pytest.mark.parametrize("framework", FRAMEWORKS)
     def test_noop_tracer_path(self, framework, graph_small):
         """The default (no tracer) path must work for every framework."""
-        result = run_experiment("pagerank", framework, graph_small,
-                                iterations=2)
+        result = run(ExperimentSpec("pagerank", framework, graph_small,
+                                    params={"iterations": 2}))
         assert result.ok, result.failure
         assert result.trace is None
 
@@ -327,16 +329,16 @@ class TestEveryFramework:
                                         rel=1e-9)
 
     def test_tracing_does_not_change_results(self, graph_small):
-        plain = run_experiment("pagerank", "giraph", graph_small,
-                               iterations=2)
+        plain = run(ExperimentSpec("pagerank", "giraph", graph_small,
+                                   params={"iterations": 2}))
         traced = _traced("pagerank", "giraph", graph_small, iterations=2)
         assert plain.runtime() == traced.runtime()
         assert (plain.result.values == traced.result.values).all()
 
     def test_oom_run_still_closes_spans(self):
         graph = rmat_triangle_graph(scale=8, edge_factor=6, seed=72)
-        result = run_experiment("triangle_counting", "combblas", graph,
-                                nodes=2, scale_factor=1e9, trace=Tracer())
+        result = run(ExperimentSpec("triangle_counting", "combblas", graph,
+                                    nodes=2, scale_factor=1e9), trace=Tracer())
         assert result.status == "out-of-memory"
         assert not result.trace.open_spans()
 
@@ -347,8 +349,8 @@ class TestEveryFramework:
 
 class TestRunResultAccessors:
     def test_metrics_raises_on_failure(self, graph_small):
-        failed = run_experiment("pagerank", "galois", graph_small, nodes=4,
-                                iterations=2)
+        failed = run(ExperimentSpec("pagerank", "galois", graph_small, nodes=4,
+                                    params={"iterations": 2}))
         assert not failed.ok
         with pytest.raises(ReproError):
             failed.metrics()
@@ -358,14 +360,15 @@ class TestRunResultAccessors:
         assert failed.runtime_or_none() is None
 
     def test_or_none_variants_on_success(self, graph_small):
-        result = run_experiment("pagerank", "native", graph_small,
-                                iterations=2)
+        result = run(ExperimentSpec("pagerank", "native", graph_small,
+                                    params={"iterations": 2}))
         assert result.metrics_or_none() is result.metrics()
         assert result.runtime_or_none() == result.runtime()
 
     def test_to_dict_is_json_safe(self, graph_small):
-        result = run_experiment("bfs", "native", graph_small,
-                                **default_params("bfs", graph_small))
+        result = run(ExperimentSpec(
+            "bfs", "native", graph_small,
+            params=default_params("bfs", graph_small)))
         payload = json.loads(json.dumps(result.to_dict()))
         assert payload["status"] == "ok"
         assert payload["result"]["metrics"]["total_time_s"] > 0

@@ -415,7 +415,7 @@ class TestJournalDifferential:
     def _run(self, path, out_of_core, monkeypatch):
         from repro.harness.datasets import clear_proxy_caches
         from repro.harness.sweep import Sweep
-        from repro.harness.tables import _single_node_cell
+        from repro.harness.sweep import sweep_cell
 
         if out_of_core:
             monkeypatch.setenv(OUT_OF_CORE_ENV, "1")
@@ -423,7 +423,7 @@ class TestJournalDifferential:
             monkeypatch.delenv(OUT_OF_CORE_ENV, raising=False)
         clear_proxy_caches()
         sweep = Sweep("table5-subset", journal=path)
-        sweep.run(self.CELLS, _single_node_cell)
+        sweep.run(self.CELLS, sweep_cell)
         return path.read_bytes()
 
     def test_table5_subset_journals_are_byte_identical(self, cache_dir,

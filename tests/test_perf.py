@@ -8,8 +8,7 @@ from repro import perf
 from repro.cli import main
 from repro.cluster.metrics import RunMetrics
 from repro.errors import PerfRegression, ReproError
-from repro.harness.datasets import weak_scaling_dataset
-from repro.harness.runner import run_experiment
+from repro.harness.runner import run_cell as _run_cell
 from repro.observability import Tracer
 from repro.perf import (
     GateReport,
@@ -26,10 +25,9 @@ from repro.perf import (
 )
 
 
-def run_cell(algorithm, framework, nodes, **kwargs):
-    data, factor = weak_scaling_dataset(algorithm, nodes)
-    return run_experiment(algorithm, framework, data, nodes=nodes,
-                          scale_factor=factor, **kwargs)
+def run_cell(algorithm, framework, nodes):
+    return _run_cell({"algorithm": algorithm, "framework": framework,
+                      "nodes": nodes})
 
 
 class TestRoofline:

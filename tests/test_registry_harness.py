@@ -10,7 +10,8 @@ from repro.harness import (
     STATUS_OK,
     STATUS_OOM,
     STATUS_UNSUPPORTED,
-    run_experiment,
+    ExperimentSpec,
+    run,
 )
 from repro.harness.datasets import (
     scale_factor_for,
@@ -58,16 +59,16 @@ class TestRegistry:
 
 class TestRunExperiment:
     def test_ok_run(self, graph_small):
-        result = run_experiment("pagerank", "native", graph_small, nodes=2,
-                                iterations=3)
+        result = run(ExperimentSpec("pagerank", "native", graph_small, nodes=2,
+                                    params={"iterations": 3}))
         assert result.ok
         assert result.status == STATUS_OK
         assert result.runtime() > 0
         assert result.metrics().num_iterations == 3
 
     def test_galois_multinode_unsupported(self, graph_small):
-        result = run_experiment("pagerank", "galois", graph_small, nodes=4,
-                                iterations=2)
+        result = run(ExperimentSpec("pagerank", "galois", graph_small, nodes=4,
+                                    params={"iterations": 2}))
         assert result.status == STATUS_UNSUPPORTED
         assert not result.ok
         with pytest.raises(ReproError):
@@ -75,16 +76,17 @@ class TestRunExperiment:
 
     def test_oom_classified(self):
         graph = rmat_triangle_graph(scale=8, edge_factor=6, seed=62)
-        result = run_experiment("triangle_counting", "combblas", graph,
-                                nodes=2, scale_factor=1e9)
+        result = run(ExperimentSpec("triangle_counting", "combblas", graph,
+                                    nodes=2, scale_factor=1e9))
         assert result.status == STATUS_OOM
         assert "out of memory" in result.failure
 
     def test_scale_factor_scales_runtime(self, graph_small):
-        small = run_experiment("pagerank", "native", graph_small,
-                               scale_factor=1.0, iterations=2)
-        big = run_experiment("pagerank", "native", graph_small,
-                             scale_factor=1000.0, iterations=2)
+        small = run(ExperimentSpec("pagerank", "native", graph_small,
+                                   scale_factor=1.0, params={"iterations": 2}))
+        big = run(ExperimentSpec("pagerank", "native", graph_small,
+                                 scale_factor=1000.0,
+                                 params={"iterations": 2}))
         assert big.runtime() > 100 * small.runtime()
 
 
@@ -119,24 +121,30 @@ class TestPaperShapeInvariants:
     """The qualitative claims of the paper that every release must keep."""
 
     def test_native_is_fastest_single_node(self, graph_small):
-        native = run_experiment("pagerank", "native", graph_small,
-                                scale_factor=1e4, iterations=2)
+        native = run(ExperimentSpec("pagerank", "native", graph_small,
+                                    scale_factor=1e4,
+                                    params={"iterations": 2}))
         for framework in ("combblas", "graphlab", "socialite", "giraph",
                           "galois"):
-            other = run_experiment("pagerank", framework, graph_small,
-                                   scale_factor=1e4, iterations=2)
+            other = run(ExperimentSpec("pagerank", framework, graph_small,
+                                       scale_factor=1e4,
+                                       params={"iterations": 2}))
             assert other.runtime() >= native.runtime() * 0.99, framework
 
     def test_giraph_orders_of_magnitude_off(self, graph_small):
-        native = run_experiment("pagerank", "native", graph_small,
-                                scale_factor=1e4, iterations=2)
-        giraph = run_experiment("pagerank", "giraph", graph_small,
-                                scale_factor=1e4, iterations=2)
+        native = run(ExperimentSpec("pagerank", "native", graph_small,
+                                    scale_factor=1e4,
+                                    params={"iterations": 2}))
+        giraph = run(ExperimentSpec("pagerank", "giraph", graph_small,
+                                    scale_factor=1e4,
+                                    params={"iterations": 2}))
         assert giraph.runtime() > 20 * native.runtime()
 
     def test_galois_close_to_native(self, graph_small):
-        native = run_experiment("pagerank", "native", graph_small,
-                                scale_factor=1e4, iterations=2)
-        galois = run_experiment("pagerank", "galois", graph_small,
-                                scale_factor=1e4, iterations=2)
+        native = run(ExperimentSpec("pagerank", "native", graph_small,
+                                    scale_factor=1e4,
+                                    params={"iterations": 2}))
+        galois = run(ExperimentSpec("pagerank", "galois", graph_small,
+                                    scale_factor=1e4,
+                                    params={"iterations": 2}))
         assert galois.runtime() < 2.0 * native.runtime()

@@ -11,7 +11,7 @@ from repro.cluster import (
     TCP_SOCKETS,
     NodeSpec,
 )
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 from repro.harness.datasets import weak_scaling_dataset
 
 
@@ -48,10 +48,9 @@ class TestWeakScalingInvariants:
             data, factor = weak_scaling_dataset(algorithm, nodes)
             params = {"iterations": 3} if algorithm == "pagerank" else \
                 {"source": int(np.argmax(data.out_degrees()))}
-            times[nodes] = run_experiment(
+            times[nodes] = run(ExperimentSpec(
                 algorithm, "native", data, nodes=nodes,
-                scale_factor=factor, **params
-            ).runtime()
+                scale_factor=factor, params=params)).runtime()
         # "Horizontal lines represent perfect scaling" — native stays
         # within 2x across a 16x node-count range.
         assert max(times.values()) < 2.0 * min(times.values())
@@ -60,9 +59,10 @@ class TestWeakScalingInvariants:
         per_node = {}
         for nodes in (4, 16):
             data, factor = weak_scaling_dataset("pagerank", nodes)
-            run = run_experiment("pagerank", "native", data, nodes=nodes,
-                                 scale_factor=factor, iterations=3)
-            per_node[nodes] = run.metrics().bytes_sent_per_node
+            cell = run(ExperimentSpec("pagerank", "native", data, nodes=nodes,
+                                      scale_factor=factor,
+                                      params={"iterations": 3}))
+            per_node[nodes] = cell.metrics().bytes_sent_per_node
         # More peers per node raises the exchange somewhat, but weak
         # scaling keeps it the same order of magnitude.
         ratio = per_node[16] / per_node[4]
@@ -72,10 +72,12 @@ class TestWeakScalingInvariants:
         gaps = {}
         for nodes in (1, 4):
             data, factor = weak_scaling_dataset("pagerank", nodes)
-            native = run_experiment("pagerank", "native", data, nodes=nodes,
-                                    scale_factor=factor, iterations=3)
-            giraph = run_experiment("pagerank", "giraph", data, nodes=nodes,
-                                    scale_factor=factor, iterations=3)
+            native = run(ExperimentSpec("pagerank", "native", data,
+                                        nodes=nodes, scale_factor=factor,
+                                        params={"iterations": 3}))
+            giraph = run(ExperimentSpec("pagerank", "giraph", data,
+                                        nodes=nodes, scale_factor=factor,
+                                        params={"iterations": 3}))
             gaps[nodes] = giraph.runtime() / native.runtime()
         # Multi-node adds network pain on top of Giraph's CPU pain.
         assert gaps[4] > 0.8 * gaps[1]

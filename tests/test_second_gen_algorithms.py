@@ -23,7 +23,7 @@ from repro.cluster import Cluster, paper_cluster
 from repro.datagen import rmat_graph
 from repro.errors import ExpressibilityError
 from repro.graph import CSRGraph, EdgeList
-from repro.harness import run_experiment
+from repro.harness import ExperimentSpec, run
 from repro.kernels.backend import BACKENDS, use_backend
 
 ALL_FRAMEWORKS = ("native", "combblas", "graphlab", "socialite",
@@ -194,7 +194,7 @@ def test_datalog_unsupported_cells_are_typed(framework, algorithm):
     with pytest.raises(ExpressibilityError, match=algorithm):
         runner(algorithm, framework)(graph, cluster())
     # Through the harness the same cell is a result, not a crash.
-    record = run_experiment(algorithm, framework, graph)
+    record = run(ExperimentSpec(algorithm, framework, graph))
     assert record.status == "unsupported"
     assert algorithm in record.failure
 

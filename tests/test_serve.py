@@ -318,6 +318,25 @@ class TestLiveServer:
         assert status == 200 and job["state"] == STATE_DONE
         assert job["result"]["value"]["attributions"]
 
+    def test_perf_analyze_is_one_payload_on_both_routes(self, capsys):
+        # `repro perf analyze --json` and the served job are both
+        # perf.analyze(...).to_dict(): same keys, same numbers.
+        import json
+
+        from repro.cli import main
+
+        status, job = self.server.call("POST", "/perf/analyze", {
+            "framework": "giraph", "algorithms": ["pagerank", "bfs"],
+            "node_counts": [1, 4]})
+        assert status == 200 and job["state"] == STATE_DONE
+        assert main(["perf", "analyze", "--framework", "giraph",
+                     "--algorithms", "pagerank,bfs", "--nodes", "1,4",
+                     "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert job["result"]["value"] == printed
+        assert len(printed["attributions"]) == 4
+        assert set(printed["roofline"]["bfs"]) == {"1", "4"}
+
     def test_out_of_range_parameter_is_a_400(self):
         # Range checks run when the spec is parsed, so a bad value is
         # rejected typed (400 bad-request) before any job is queued.

@@ -1,4 +1,4 @@
-"""Tests for the typed ExperimentSpec facade and the run_experiment shim."""
+"""Tests for the typed ExperimentSpec facade and ``run``."""
 
 import dataclasses
 
@@ -12,8 +12,9 @@ from repro.frameworks.native import NativeOptions
 from repro.harness import (
     ExperimentSpec,
     RunResult,
+    experiment_dataset,
     run,
-    run_experiment,
+    run_cell,
     valid_params,
 )
 
@@ -50,7 +51,8 @@ class TestValidation:
         # The historical bug: a misspelled parameter silently vanished
         # into the runner's keyword tail. Now it is a typed error.
         with pytest.raises(SpecError, match="valid:"):
-            run_experiment("pagerank", "native", graph, iteratoins=3)
+            run(ExperimentSpec("pagerank", "native", graph,
+                               params={"iteratoins": 3}))
 
     def test_bad_nodes_and_scale(self):
         with pytest.raises(SpecError, match="nodes"):
@@ -81,8 +83,8 @@ class TestValidation:
     def test_source_is_checked_against_the_graph_at_start(self, graph):
         # Only the run knows the vertex count; still the typed error.
         with pytest.raises(SpecError, match="out of range"):
-            run_experiment("bfs", "graphlab", graph,
-                           source=graph.num_vertices)
+            run(ExperimentSpec("bfs", "graphlab", graph,
+                               params={"source": graph.num_vertices}))
 
     def test_valid_params_union(self):
         params = valid_params("pagerank")
@@ -197,17 +199,20 @@ class TestSerialization:
 
 
 class TestRunEquivalence:
-    def test_shim_equals_spec_run(self, graph):
-        legacy = run_experiment("pagerank", "native", graph, nodes=2,
-                                iterations=3)
+    def test_run_cell_equals_spec_run(self):
+        # A cell key is the same front door: run_cell places the dataset
+        # and builds exactly the spec a caller would write by hand.
+        keyed = run_cell({"algorithm": "pagerank", "framework": "native",
+                          "nodes": 2}, params={"iterations": 3})
+        data, factor = experiment_dataset("pagerank", nodes=2)
         spec = ExperimentSpec(algorithm="pagerank", framework="native",
-                              dataset=graph, nodes=2,
+                              dataset=data, nodes=2, scale_factor=factor,
                               params={"iterations": 3})
         typed = run(spec)
-        assert legacy.status == typed.status == "ok"
-        assert np.array_equal(legacy.result.values, typed.result.values)
-        assert legacy.runtime() == typed.runtime()
-        assert legacy.config == typed.config
+        assert keyed.status == typed.status == "ok"
+        assert np.array_equal(keyed.result.values, typed.result.values)
+        assert keyed.runtime() == typed.runtime()
+        assert keyed.config == typed.config
 
     def test_string_dataset_resolves_through_catalog(self):
         spec = ExperimentSpec(algorithm="bfs", framework="native",

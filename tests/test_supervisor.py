@@ -201,11 +201,11 @@ class TestSupervisedFaults:
         assert not Sweep("s", real_chaos="").supervised()
 
     def test_exit_code_mapping(self):
-        from repro.cli import EXIT_INTERRUPTED, _exit_code_for
+        from repro.errors import EXIT_INTERRUPTED, failure_class
 
         assert EXIT_INTERRUPTED == 8
         error = SweepInterrupted(signal.SIGTERM, 3)
-        assert _exit_code_for(error) == 8
+        assert failure_class(error).exit_code == 8
         assert "SIGTERM" in str(error) and "--resume" in str(error)
 
 

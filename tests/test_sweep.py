@@ -20,7 +20,7 @@ from repro.errors import (
     NodeFailure,
     ReproError,
 )
-from repro.harness import RunResult, Sweep, run_experiment, save_artifact
+from repro.harness import ExperimentSpec, RunResult, Sweep, run, save_artifact
 from repro.harness.report import render_sweep_completeness
 from repro.harness.sweep import CellOutcome, SweepJournal, cell_id
 from repro.harness.tables import table5
@@ -212,14 +212,14 @@ class TestJournal:
 
 
 class TestDeadline:
-    def test_run_experiment_deadline_yields_timeout_and_span(self):
+    def test_run_deadline_yields_timeout_and_span(self):
         from repro.datagen import dataset
 
         tracer = Tracer()
-        run = run_experiment("pagerank", "native", dataset("rmat_mini"),
-                             deadline_s=1e-9, trace=tracer)
-        assert run.status == "timeout"
-        assert "deadline exceeded" in run.failure
+        cell = run(ExperimentSpec("pagerank", "native", dataset("rmat_mini"),
+                                  deadline_s=1e-9), trace=tracer)
+        assert cell.status == "timeout"
+        assert "deadline exceeded" in cell.failure
         assert tracer.spans_named("deadline-exceeded")
 
     def test_deadline_is_a_cell_record_not_an_escape(self):
@@ -227,14 +227,14 @@ class TestDeadline:
         from repro.datagen import dataset
 
         data = dataset("rmat_mini")
-        native_s = run_experiment("pagerank", "native", data) \
+        native_s = run(ExperimentSpec("pagerank", "native", data)) \
             .metrics().total_time_s
 
         def execute(key, budget_s=None):
             from repro.harness.sweep import outcome_of
 
-            return outcome_of(run_experiment(
-                "pagerank", key["framework"], data, deadline_s=budget_s))
+            return outcome_of(run(ExperimentSpec("pagerank", key["framework"],
+                                                 data, deadline_s=budget_s)))
 
         tracer = Tracer()
         engine = Sweep("deadlines", deadline_s=3 * native_s, tracer=tracer)
@@ -266,11 +266,11 @@ class TestTable5EndToEnd:
         assert len(lines) == 9                  # header + 8 cells
         journal.write_text("\n".join(lines[:4]) + "\n" + lines[4][:23])
 
-        import repro.harness.tables as tables_module
+        import repro.harness.sweep as sweep_module
 
-        real = tables_module.run
+        real = sweep_module.run_cell
         counter = []
-        monkeypatch.setattr(tables_module, "run",
+        monkeypatch.setattr(sweep_module, "run_cell",
                             lambda *a, **k: counter.append(a) or
                             real(*a, **k))
 
