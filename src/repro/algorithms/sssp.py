@@ -16,6 +16,7 @@ import heapq
 import numpy as np
 
 from ..graph import CSRGraph
+from ..graph.csr import derived
 
 #: Distance of vertices the source cannot reach.
 UNREACHED_DIST = np.inf
@@ -28,10 +29,15 @@ def edge_weights_for(graph: CSRGraph) -> np.ndarray:
     """Deterministic per-edge weights aligned with ``graph.targets``.
 
     Graphs that carry explicit ``edge_weights`` keep them; otherwise the
-    unordered-pair hash above supplies them.
+    unordered-pair hash above supplies them — once per dense graph
+    (:func:`~repro.graph.csr.derived`; the array is read-only).
     """
     if graph.edge_weights is not None:
         return graph.edge_weights
+    return derived(graph, "hash-weights", lambda: _hash_weights(graph))
+
+
+def _hash_weights(graph) -> np.ndarray:
     src = graph.sources().astype(np.uint64)
     dst = graph.targets.astype(np.uint64)
     lo = np.minimum(src, dst)

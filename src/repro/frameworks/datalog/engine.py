@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...errors import ReproError
+from ...kernels.segments import distinct, pair_traffic
 from ...observability import NULL_TRACER
 from .rules import Head, Rule, Var
 from .table import AggregateTable
@@ -269,10 +270,13 @@ class SocialiteEngine:
         if cross.any():
             pair = (producer[cross] * np.int64(table.key_universe)
                     + keys[cross])
-            unique_pairs = np.unique(pair)
+            unique_pairs = distinct(pair,
+                                    self.num_shards * table.key_universe)
             pair_producer = unique_pairs // table.key_universe
             pair_key = unique_pairs % table.key_universe
             pair_owner = table.partition.owner_of_many(pair_key)
-            np.add.at(stats.traffic, (pair_producer, pair_owner),
-                      self.tuple_bytes)
+            # The rule's traffic is still all zeros here, so adding the
+            # folded matrix equals folding into it.
+            stats.traffic += pair_traffic(pair_producer, pair_owner,
+                                          self.tuple_bytes, self.num_shards)
         return table.combine(keys, values)

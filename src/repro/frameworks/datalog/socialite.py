@@ -39,6 +39,7 @@ from ...errors import ExpressibilityError
 from ...frameworks.base import SOCIALITE, SOCIALITE_PUBLISHED, FrameworkProfile
 from ...graph import CSRGraph, RatingsMatrix
 from ...kernels import registry as kernel_registry
+from ...kernels.segments import distinct, pair_traffic
 from ..results import AlgorithmResult
 from ..rounds import check_params
 from .engine import EvalStats, SocialiteEngine
@@ -245,12 +246,15 @@ def triangle_count(graph: CSRGraph, cluster: Cluster,
     cross = src_shard != dst_shard
     if cross.any():
         pair_keys = dst[cross] * np.int64(cluster.num_nodes) + src_shard[cross]
-        unique_pairs = np.unique(pair_keys)
+        unique_pairs = distinct(pair_keys, n * cluster.num_nodes)
         needed_vertex = unique_pairs // cluster.num_nodes
         requester = (unique_pairs % cluster.num_nodes).astype(np.int64)
         list_owner = shard.owner_of_many(needed_vertex)
-        np.add.at(stats.traffic, (list_owner, requester),
-                  8.0 * out_degrees[needed_vertex])
+        # Both terms are whole numbers of bytes (16-byte head tuples,
+        # 8-byte ids), so their float64 sums are exact in any order.
+        stats.traffic += pair_traffic(list_owner, requester,
+                                      8.0 * out_degrees[needed_vertex],
+                                      cluster.num_nodes)
 
     # Each length-2-path binding is materialized as a fresh tuple before
     # the semi-join (allocation + copy + later scan): ~40 bytes of
@@ -297,16 +301,16 @@ def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
     # Bulk transfer: unique (user-shard, item) pairs decide which q rows
     # each node prefetches; the same volume returns as updates.
     pair = user_shard * np.int64(ratings.num_items) + ratings.items
-    unique_pairs = np.unique(pair)
+    unique_pairs = distinct(pair, nodes * ratings.num_items)
     pair_node = (unique_pairs // ratings.num_items).astype(np.int64)
     pair_item_owner = item_part.owner_of_many(unique_pairs % ratings.num_items)
     from ..base import cf_density_correction
 
     density = cf_density_correction(ratings)
     row_bytes = 8.0 * hidden_dim
-    traffic = np.zeros((nodes, nodes))
     cross = pair_node != pair_item_owner
-    np.add.at(traffic, (pair_item_owner[cross], pair_node[cross]), row_bytes)
+    traffic = pair_traffic(pair_item_owner[cross], pair_node[cross],
+                           row_bytes, nodes)
     # Bulk table transfers are per unique (shard, item) pair —
     # vertex-proportional, so density-corrected.
     traffic = (traffic + traffic.T) * profile.message_overhead_factor / density

@@ -21,6 +21,8 @@ import numpy as np
 
 from ...errors import ReproError
 from ...graph import partition_vertices_1d
+from ...graph.csr import edge_slots
+from ...kernels.segments import distinct
 
 
 class TupleTable:
@@ -72,16 +74,7 @@ class TupleTable:
         """
         if self._index is None:
             raise ReproError(f"table {self.name} is not tail-nested")
-        keys = np.asarray(keys, dtype=np.int64)
-        starts = self._index[keys]
-        lengths = self._index[keys + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64), lengths
-        flat = np.repeat(
-            starts - np.concatenate([[0], np.cumsum(lengths)[:-1]]), lengths
-        ) + np.arange(total, dtype=np.int64)
-        return flat, lengths
+        return edge_slots(self._index, keys)
 
     def nbytes(self) -> int:
         return int(sum(col.nbytes for col in self.columns))
@@ -116,7 +109,7 @@ class AggregateTable:
             raise ReproError("keys and values must align")
         if keys.size == 0:
             return keys
-        before = self.values[keys].copy()
+        before = self.values[keys]
         if self.agg == "sum":
             np.add.at(self.values, keys, values)
         elif self.agg == "count":
@@ -125,7 +118,7 @@ class AggregateTable:
             np.minimum.at(self.values, keys, values)
         self.present[keys] = True
         changed_mask = self.values[keys] != before
-        return np.unique(keys[changed_mask])
+        return distinct(keys[changed_mask], self.key_universe)
 
     def reset(self) -> None:
         identity = np.inf if self.agg == "min" else 0.0

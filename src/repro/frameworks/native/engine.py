@@ -36,6 +36,7 @@ import numpy as np
 from ...cluster import ComputeWork
 from ...cluster.cost import CACHE_LINE_BYTES
 from ...graph import partition_edges_1d
+from ...kernels.segments import distinct
 from ..rounds import PROGRAMS, Engine, run_program
 from .compression import encoded_size
 from .options import NativeOptions
@@ -122,9 +123,9 @@ def _exchange_plan(in_csr, part) -> dict:
     for consumer in range(part.num_parts):
         lo, hi = part.part_range(consumer)
         sources = in_csr.targets[in_csr.offsets[lo]:in_csr.offsets[hi]]
-        needed = np.unique(sources)
+        needed = distinct(sources, in_csr.num_vertices)
         owners = part.owner_of_many(needed)
-        for owner in np.unique(owners):
+        for owner in distinct(owners, part.num_parts):
             owner = int(owner)
             if owner == consumer:
                 continue
@@ -190,7 +191,7 @@ class NativeEngine(Engine):
     def _route(self, node: int, improved, traffic) -> None:
         """Send ``node``'s remotely-owned discoveries to their owners."""
         owners = self.part.owner_of_many(improved)
-        for owner in np.unique(owners):
+        for owner in distinct(owners, self.part.num_parts):
             owner = int(owner)
             if owner == node:
                 continue

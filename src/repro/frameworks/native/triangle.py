@@ -21,6 +21,7 @@ import numpy as np
 from ...cluster import Cluster, ComputeWork
 from ...graph import CSRGraph, partition_edges_1d
 from ...kernels import registry as kernel_registry
+from ...kernels.segments import distinct, pair_traffic
 from ..results import AlgorithmResult
 from .options import NativeOptions
 
@@ -49,7 +50,8 @@ def triangle_count(graph: CSRGraph, cluster: Cluster,
     cross = src_owner != dst_owner
     if cross.any():
         pair_keys = src[cross] * np.int64(cluster.num_nodes) + dst_owner[cross]
-        unique_pairs = np.unique(pair_keys)
+        unique_pairs = distinct(pair_keys,
+                                num_vertices * cluster.num_nodes)
         send_vertex = unique_pairs // cluster.num_nodes
         send_to = (unique_pairs % cluster.num_nodes).astype(np.int64)
         list_sizes = degrees[send_vertex]
@@ -60,7 +62,8 @@ def triangle_count(graph: CSRGraph, cluster: Cluster,
         # that optimizes TC. We follow suit: no wire compression here.
         wire_bytes = raw_bytes
         from_node = part.owner_of_many(send_vertex)
-        np.add.at(traffic, (from_node, send_to), wire_bytes)
+        traffic = pair_traffic(from_node, send_to, wire_bytes,
+                               cluster.num_nodes)
         raw_traffic = float(raw_bytes.sum())
 
     # -- memory ------------------------------------------------------------

@@ -33,6 +33,7 @@ from ..algorithms.bfs import UNREACHED
 from ..algorithms.labelprop import initial_labels
 from ..errors import SpecError
 from ..kernels import registry as kernel_registry
+from ..kernels.segments import distinct
 from .results import AlgorithmResult
 
 #: Paper value: "the probability of a random jump (we use 0.3)".
@@ -124,8 +125,9 @@ class BFS(FrontierProgram):
 
     def commit(self, proposals):
         self._level += 1
-        fresh = proposals[0][0] if len(proposals) == 1 else \
-            np.unique(np.concatenate([found for found, _ in proposals]))
+        fresh = proposals[0][0] if len(proposals) == 1 else distinct(
+            np.concatenate([found for found, _ in proposals]),
+            self.values.size)
         self.values[fresh] = self._level
         self._frontier_sizes.append(int(fresh.size))
         return fresh
@@ -170,7 +172,8 @@ class WCC(_MinFixpoint):
         self._edges = 0.0
 
     def extras(self) -> dict:
-        return {"components": int(np.unique(self.values).size)}
+        return {"components": int(distinct(self.values,
+                                           self.values.size).size)}
 
 
 class SSSP(_MinFixpoint):
@@ -296,7 +299,8 @@ class LabelPropagation:
         return False
 
     def extras(self) -> dict:
-        return {"communities": int(np.unique(self.values).size)}
+        return {"communities": int(distinct(self.values,
+                                            self.values.size).size)}
 
 
 PROGRAMS = {program.algorithm: program

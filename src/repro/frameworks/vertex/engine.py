@@ -24,6 +24,8 @@ from ...cluster import Cluster, ComputeWork
 from ...cluster.cost import CACHE_LINE_BYTES
 from ...errors import SimulationError
 from ...graph import CSRGraph, partition_vertex_cut, partition_vertices_1d
+from ...graph.csr import derived
+from ...kernels.segments import first_occurrence, pair_traffic
 from ...observability import NULL_TRACER
 from ..base import FrameworkProfile
 
@@ -149,12 +151,13 @@ class BSPEngine:
         self.partition_mode = partition_mode
         self.partition = partition_vertices_1d(graph.num_vertices,
                                                cluster.num_nodes)
-        self.vertex_owner = self.partition.owner_of_many(
-            np.arange(graph.num_vertices)
-        )
-        self._src = graph.sources()
-        self._src_owner = self.vertex_owner[self._src]
-        self._dst_owner = self.vertex_owner[graph.targets]
+        # Depends on (graph, nodes) only: shared by every cell on it.
+        self.vertex_owner = derived(
+            graph, ("vertex-owner", cluster.num_nodes),
+            lambda: self.partition.owner_of_many(
+                np.arange(graph.num_vertices)))
+        #: Out-edges per owner; ranges are contiguous, so no edge scan.
+        self.edges_per_node = np.diff(graph.offsets[self.partition.bounds])
         if partition_mode == "vertex-cut":
             self.vertex_cut = partition_vertex_cut(graph, cluster.num_nodes)
         else:
@@ -176,7 +179,7 @@ class BSPEngine:
             else value_bytes
         state /= vertex_scale_correction
         nodes = self.cluster.num_nodes
-        edges_per_node = np.bincount(self._src_owner, minlength=nodes)
+        edges_per_node = self.edges_per_node
         verts_per_node = self.partition.part_sizes()
         if self.vertex_cut is not None:
             edges_per_node = self.vertex_cut.edges_per_part()
@@ -209,16 +212,15 @@ class BSPEngine:
         """
         senders = np.asarray(senders, dtype=np.int64)
         nodes = self.cluster.num_nodes
-        traffic = np.zeros((nodes, nodes))
         if senders.size == 0:
-            return ExchangeStats(0.0, 0.0, traffic)
+            return ExchangeStats(0.0, 0.0, np.zeros((nodes, nodes)))
 
         per_sender_bytes = np.broadcast_to(
             np.asarray(message_bytes, dtype=np.float64), senders.shape
         )
         targets, lengths = self.graph.neighbors_of_many(senders)
         if targets.size == 0:
-            return ExchangeStats(0.0, 0.0, traffic)
+            return ExchangeStats(0.0, 0.0, np.zeros((nodes, nodes)))
         per_edge_bytes = np.repeat(per_sender_bytes, lengths)
         edge_src_owner = np.repeat(self.vertex_owner[senders], lengths)
         edge_dst_owner = self.vertex_owner[targets]
@@ -226,20 +228,18 @@ class BSPEngine:
         if combine is None:
             combine = self.profile.combines_messages
         if combine:
-            # One message per unique (source node, target vertex).
-            keys = edge_src_owner * np.int64(self.graph.num_vertices) + targets
-            order = np.argsort(keys, kind="stable")
-            keys_sorted = keys[order]
-            first = np.concatenate([[True], keys_sorted[1:] != keys_sorted[:-1]])
-            kept = order[first]
-            message_count = float(kept.size)
-            payload = float(per_edge_bytes[kept].sum())
-            np.add.at(traffic, (edge_src_owner[kept], edge_dst_owner[kept]),
-                      per_edge_bytes[kept])
-        else:
-            message_count = float(targets.size)
-            payload = float(per_edge_bytes.sum())
-            np.add.at(traffic, (edge_src_owner, edge_dst_owner), per_edge_bytes)
+            # One message per unique (source node, target vertex): the
+            # first edge of each pair, in ascending pair order.
+            n = self.graph.num_vertices
+            _, kept = first_occurrence(edge_src_owner * np.int64(n) + targets,
+                                       nodes * n)
+            edge_src_owner, edge_dst_owner, per_edge_bytes = (
+                edge_src_owner[kept], edge_dst_owner[kept],
+                per_edge_bytes[kept])
+        message_count = float(per_edge_bytes.size)
+        payload = float(per_edge_bytes.sum())
+        traffic = pair_traffic(edge_src_owner, edge_dst_owner, per_edge_bytes,
+                               nodes)
 
         # Bulk array payloads (e.g. neighbor-id lists) serialize without
         # the per-object overhead of small boxed messages.
@@ -273,8 +273,8 @@ class BSPEngine:
         extra = np.maximum(mirrors - 1, 0).astype(np.float64)
         # Mirrors are spread across nodes; model each vertex's mirror
         # traffic as uniformly sourced from non-master nodes.
-        per_master = np.zeros(nodes)
-        np.add.at(per_master, masters, extra * value_bytes)
+        per_master = np.bincount(masters, weights=extra * value_bytes,
+                                 minlength=nodes)
         if nodes > 1:
             for master in range(nodes):
                 share = per_master[master] / (nodes - 1)

@@ -121,9 +121,7 @@ class VertexEngine(Engine):
         self.bsp.allocate_graph(self.cost.message_bytes)
         if program.shape == "dense":
             self._all = np.arange(graph.num_vertices, dtype=np.int64)
-            self._edges_per_node = np.bincount(
-                self.bsp.vertex_owner[graph.sources()],
-                minlength=cluster.num_nodes).astype(float)
+            self._edges_per_node = self.bsp.edges_per_node.astype(float)
         else:
             self._out_degrees = graph.out_degrees()
 
@@ -191,8 +189,8 @@ def triangle_vertex(graph: CSRGraph, cluster: Cluster,
     # probes stream through the received lists — pass a small gather
     # granularity instead of the engine's cold-line default.
     dst_owner = engine.vertex_owner[graph.targets]
-    probe_edges = np.zeros(cluster.num_nodes)
-    np.add.at(probe_edges, dst_owner, degrees[graph.sources()].astype(float))
+    probe_edges = np.bincount(dst_owner, weights=degrees[graph.sources()],
+                              minlength=cluster.num_nodes)
     ops_per_edge = 10.0 if use_cuckoo else 14.0
 
     with cluster.trace_span("neighborhood-exchange",

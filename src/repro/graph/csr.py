@@ -42,6 +42,55 @@ def resident_nbytes_of(*arrays) -> int:
     return total
 
 
+def edge_slots(offsets: np.ndarray, vertices) -> "tuple[np.ndarray, np.ndarray]":
+    """Flat CSR slots of ``vertices``' rows in input order, and row lengths.
+
+    The ragged gather every frontier step starts with, done without a
+    Python-level loop: a slot is its row's start plus its rank within
+    the gathered output, minus the output position where the row began.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    starts = offsets[vertices]
+    lengths = offsets[vertices + 1] - starts
+    begins = np.cumsum(lengths)
+    total = int(begins[-1]) if begins.size else 0
+    if total == 0:
+        return np.zeros(0, dtype=np.int64), lengths
+    begins -= lengths       # output position where each row begins
+    return (np.repeat(starts - begins, lengths)
+            + np.arange(total, dtype=np.int64)), lengths
+
+
+def _arrays_in(value) -> list:
+    """The arrays of a derived value: itself, or its array attributes."""
+    fields = (value,) if isinstance(value, np.ndarray) \
+        else vars(value).values()
+    return [field for field in fields if isinstance(field, np.ndarray)]
+
+
+def derived(graph, key, build):
+    """``build()``, computed once per dense graph object and then shared.
+
+    For structure that depends only on the graph and ``key`` — per-edge
+    sources, the study's hash weights, a partition — which every cell on
+    a resident graph would otherwise rebuild. The value (an array, or an
+    object whose attributes are arrays) is held on the
+    :class:`CSRGraph` beside its reverse view and dies with it;
+    its arrays are made read-only, because every later caller receives
+    the same object. Nothing is held for other graph types: an
+    out-of-core graph must not pin O(edges) arrays.
+    """
+    if not isinstance(graph, CSRGraph):
+        return build()
+    try:
+        return graph._derived[key]
+    except KeyError:
+        value = graph._derived[key] = build()
+    for array in _arrays_in(value):
+        array.setflags(write=False)
+    return value
+
+
 class CSRGraph:
     """Immutable directed graph in CSR form.
 
@@ -50,7 +99,8 @@ class CSRGraph:
     ascending. ``edge_weights`` (optional) is aligned with ``targets``.
     """
 
-    __slots__ = ("num_vertices", "offsets", "targets", "edge_weights", "_in_view")
+    __slots__ = ("num_vertices", "offsets", "targets", "edge_weights",
+                 "_in_view", "_derived")
 
     def __init__(self, num_vertices, offsets, targets, edge_weights=None):
         self.num_vertices = int(num_vertices)
@@ -60,6 +110,7 @@ class CSRGraph:
             None if edge_weights is None else np.asarray(edge_weights, dtype=np.float64)
         )
         self._in_view = None
+        self._derived = {}
         if self.offsets.shape != (self.num_vertices + 1,):
             raise GraphFormatError("offsets must have num_vertices + 1 entries")
         if self.offsets[0] != 0 or self.offsets[-1] != self.targets.size:
@@ -107,15 +158,25 @@ class CSRGraph:
     def reverse(self) -> "CSRGraph":
         """CSR of the transposed graph (in-edges); cached after first call."""
         if self._in_view is None:
-            edges = EdgeList(self.num_vertices, self.targets, self.sources(),
+            # A transient expansion: one build must not pin E row ids.
+            edges = EdgeList(self.num_vertices, self.targets, self._row_ids(),
                              self.edge_weights)
             self._in_view = CSRGraph.from_edges(edges)
         return self._in_view
 
-    def sources(self) -> np.ndarray:
-        """Per-edge source vertex (the CSR row index, expanded)."""
+    def _row_ids(self) -> np.ndarray:
         return np.repeat(np.arange(self.num_vertices, dtype=np.int64),
                          np.diff(self.offsets))
+
+    def sources(self) -> np.ndarray:
+        """Per-edge source vertex (the CSR row index, expanded); read-only."""
+        return derived(self, "sources", self._row_ids)
+
+    def __reduce__(self):
+        # The reverse view and the derived arrays are rebuilt on demand:
+        # a pickled or copied graph carries only what defines it.
+        return (CSRGraph, (self.num_vertices, self.offsets, self.targets,
+                           self.edge_weights))
 
     # -- accessors --------------------------------------------------------------
 
@@ -150,19 +211,8 @@ class CSRGraph:
         is the hot gather of frontier-based BFS, implemented without a
         Python-level loop over the frontier.
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        starts = self.offsets[vertices]
-        lengths = self.offsets[vertices + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64), lengths
-        # Standard ragged-gather trick: cumulative segment offsets turned
-        # into a flat index vector with one arange and two repeats.
-        flat = np.repeat(starts - np.concatenate([[0], np.cumsum(lengths)[:-1]]),
-                         lengths) + np.arange(total, dtype=np.int64)
-        return self.targets[flat], lengths
+        slots, lengths = edge_slots(self.offsets, vertices)
+        return self.targets[slots], lengths
 
     def has_edge(self, u: int, v: int) -> bool:
         """Binary search within u's sorted adjacency segment."""
@@ -183,12 +233,16 @@ class CSRGraph:
         A cache-loaded graph reports ~0 (its pages live in the page
         cache, reclaimable), while a freshly built one reports
         ``nbytes()`` — the distinction serve admission and the sweep
-        supervisor budget against.
+        supervisor budget against. The reverse view and every
+        :func:`derived` array count too: they are anonymous memory the
+        graph keeps alive.
         """
         total = resident_nbytes_of(self.offsets, self.targets,
                                    self.edge_weights)
         if self._in_view is not None:
             total += self._in_view.resident_nbytes()
+        for value in self._derived.values():
+            total += resident_nbytes_of(*_arrays_in(value))
         return total
 
     def __repr__(self) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PartitionError
-from .csr import CSRGraph
+from .csr import CSRGraph, derived
 
 
 def _ranges_from_bounds(bounds: np.ndarray):
@@ -170,19 +170,40 @@ def partition_vertex_cut(graph: CSRGraph, num_parts: int,
     vertices are spread by edge hash, mirroring the hubs — the behaviour
     the paper describes as "nodes with large degree are duplicated in
     multiple nodes to avoid problems of load imbalance" (Section 6.1.1).
+
+    A function of ``(graph, num_parts, seed)`` only, so a dense graph
+    keeps each result (:func:`~repro.graph.csr.derived`, read-only) and
+    every later cell on it reuses the placement.
     """
     if num_parts <= 0:
         raise PartitionError(f"num_parts must be positive, got {num_parts}")
-    src = graph.sources()
+    return derived(graph, ("vertex-cut", num_parts, seed),
+                   lambda: _vertex_cut(graph, num_parts, seed))
+
+
+def _vertex_cut(graph, num_parts: int, seed: int) -> VertexCutPartition:
+    from ..kernels.segments import distinct    # kernels import this package
+
+    num_vertices = graph.num_vertices
     dst = graph.targets
-    degrees = np.bincount(src, minlength=graph.num_vertices)
-    degrees += np.bincount(dst, minlength=graph.num_vertices)
+    if num_parts == 1:
+        # Every hash is 0 modulo one part: all edges land on part 0 and a
+        # vertex has one replica per direction it has an edge in.
+        mirror_counts = (np.diff(graph.offsets) > 0).astype(np.int64)
+        mirror_counts[distinct(dst, num_vertices)] += 1
+        return VertexCutPartition(
+            num_vertices, 1, np.zeros(graph.num_edges, dtype=np.int64),
+            np.zeros(num_vertices, dtype=np.int64), mirror_counts)
+
+    src = graph.sources()
+    degrees = np.bincount(src, minlength=num_vertices)
+    degrees += np.bincount(dst, minlength=num_vertices)
     threshold = max(float(np.percentile(degrees[degrees > 0], 99)), 64.0) \
         if graph.num_edges else 64.0
 
     rng = np.random.default_rng(seed)
     salt = rng.integers(1, 2**31 - 1)
-    vhash = ((np.arange(graph.num_vertices, dtype=np.int64) * 2654435761 + salt)
+    vhash = ((np.arange(num_vertices, dtype=np.int64) * 2654435761 + salt)
              % np.int64(2**31)) % num_parts
 
     src_hot = degrees[src] > threshold
@@ -193,12 +214,15 @@ def partition_vertex_cut(graph: CSRGraph, num_parts: int,
     edge_part = np.where(~src_hot, vhash[src],
                          np.where(~dst_hot, vhash[dst], ehash)).astype(np.int64)
 
-    mirror_counts = np.zeros(graph.num_vertices, dtype=np.int64)
+    # A vertex is mirrored once per (direction, part) holding its edges:
+    # count the distinct (vertex, part) pairs of each endpoint column.
+    mirror_counts = np.zeros(num_vertices, dtype=np.int64)
     for endpoint in (src, dst):
-        key = endpoint * np.int64(num_parts) + edge_part
-        uniq = np.unique(key)
-        np.add.at(mirror_counts, (uniq // num_parts).astype(np.int64), 1)
+        pairs = distinct(endpoint * np.int64(num_parts) + edge_part,
+                         num_vertices * num_parts)
+        mirror_counts += np.bincount(pairs // num_parts,
+                                     minlength=num_vertices)
 
     masters = vhash.astype(np.int64)
-    return VertexCutPartition(graph.num_vertices, num_parts, edge_part,
+    return VertexCutPartition(num_vertices, num_parts, edge_part,
                               masters, mirror_counts)

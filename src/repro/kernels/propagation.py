@@ -13,27 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graph.csr import edge_slots
 from .backend import interpreted
 from .base import Kernel, KernelWork
-
-
-def _edge_slots(graph, vertices):
-    """Flat CSR edge indices of ``vertices``'s out-edges, plus lengths.
-
-    Same ragged-gather trick as ``CSRGraph.neighbors_of_many``, but
-    returning the slot indices so callers can gather per-edge weights.
-    """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if vertices.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    starts = graph.offsets[vertices]
-    lengths = graph.offsets[vertices + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), lengths
-    flat = np.repeat(starts - np.concatenate([[0], np.cumsum(lengths)[:-1]]),
-                     lengths) + np.arange(total, dtype=np.int64)
-    return flat, lengths
+from .segments import segment_mode
 
 
 class WCCPropagate(Kernel):
@@ -111,7 +94,7 @@ class SSSPRelax(Kernel):
         if interpreted():
             new = self._relax_interpreted(distances, frontier)
         else:
-            slots, lengths = _edge_slots(self.graph, frontier)
+            slots, lengths = edge_slots(self.graph.offsets, frontier)
             new = distances.copy()
             candidates = (np.repeat(distances[frontier], lengths)
                           + self.weights[slots])
@@ -183,7 +166,9 @@ class LPSync(Kernel):
     edges adopts the most frequent in-neighbor label, frequency ties
     broken toward the smallest label; isolated vertices keep theirs.
     The (max count, min label) mode is a set function of the incoming
-    multiset — evaluation order cannot move it.
+    multiset — evaluation order cannot move it — so the vectorized
+    backend takes it from :func:`~.segments.segment_mode`: one sort of
+    the packed (target, label) key per round, tallies as run lengths.
     """
 
     algorithm = "label_propagation"
@@ -200,18 +185,9 @@ class LPSync(Kernel):
                           vertices=float(n))
         if interpreted():
             return self._mode_interpreted(labels), work
-        # Tally (target, label) pairs with one unique over packed keys,
-        # then pick per target the max-count key, min label on ties.
-        key = self.graph.targets * np.int64(n) + labels[self.src]
-        packed, counts = np.unique(key, return_counts=True)
-        tallied_target = packed // n
-        tallied_label = packed % n
-        order = np.lexsort((tallied_label, -counts, tallied_target))
-        winners_target = tallied_target[order]
-        first = np.ones(winners_target.size, dtype=bool)
-        first[1:] = winners_target[1:] != winners_target[:-1]
+        reached, modes = segment_mode(self.graph.targets, labels[self.src], n)
         new = labels.copy()
-        new[winners_target[first]] = tallied_label[order][first]
+        new[reached] = modes
         return new, work
 
     def _mode_interpreted(self, labels):

@@ -14,7 +14,8 @@ import numpy as np
 
 from .backend import interpreted
 from .base import Kernel, KernelWork
-from .propagation import _edge_slots
+from ..graph.csr import edge_slots
+from .segments import distinct
 
 
 class PageRankPull(Kernel):
@@ -93,7 +94,9 @@ class BFSPush(Kernel):
     ``step(frontier)`` returns the sorted unique neighbor candidates of
     the frontier; the caller masks them against its visited structure
     (dense distances array, bit-vector, ...), which is engine policy,
-    not kernel numerics.
+    not kernel numerics. Vertex ids are bounded, so the dedup is
+    :func:`~.segments.distinct` — a mask scatter on a wide level, a
+    sort of the gather on a narrow one — never ``np.unique``.
     """
 
     algorithm = "bfs"
@@ -115,7 +118,7 @@ class BFSPush(Kernel):
             candidates, _ = self.graph.frontier_neighbors_unique(frontier)
         else:
             neighbors, _ = self.graph.neighbors_of_many(frontier)
-            candidates = np.unique(neighbors)
+            candidates = distinct(neighbors, self.graph.num_vertices)
         return candidates, work
 
     def _expand_interpreted(self, frontier):
@@ -188,7 +191,7 @@ def semiring_spmspv(graph, x, present, semiring, edge_values=None):
     if interpreted() and semiring.name in _ORACLE_SEMIRINGS:
         return _semiring_rows_interpreted(graph, x, present.tolist(),
                                           semiring, edge_values)
-    slots, lengths = _edge_slots(graph, present)
+    slots, lengths = edge_slots(graph.offsets, present)
     values = 1.0 if edge_values is None else edge_values[slots]
     combined = semiring.multiply(values, np.repeat(x[present], lengths))
     return semiring.add_reduce(combined, graph.targets[slots],
