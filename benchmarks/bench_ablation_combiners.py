@@ -12,7 +12,6 @@ from repro.cluster import Cluster, paper_cluster
 from repro.datagen import rmat_graph
 from repro.frameworks.base import GRAPHLAB
 from repro.frameworks.vertex import BSPEngine
-from benchmarks.conftest import register_benchmark
 
 
 def measure(nodes=8):
@@ -45,6 +44,3 @@ def test_combiner_reduces_wire_bytes(regenerate):
     assert reduction > 1.1
     # Uncombined message count equals the edge count (one per edge).
     assert result["messages_raw"] == result["edges"]
-
-
-register_benchmark("ablation_combiners", measure, artifact="ablation")

@@ -12,7 +12,6 @@ from repro.frameworks.native.compression import (
     _varint_size,
     bitvector_encode,
 )
-from benchmarks.conftest import register_benchmark
 
 
 def sweep_densities(universe=200_000, densities=(0.001, 0.01, 0.1, 0.5)):
@@ -55,6 +54,3 @@ def test_compression_schemes(regenerate):
     sparse, dense = rows[0], rows[-1]
     assert sparse["varint"] < sparse["bitvector"]
     assert dense["bitvector"] < dense["varint"]
-
-
-register_benchmark("ablation_compression", sweep_densities, artifact="ablation")

@@ -7,7 +7,6 @@ BFS, pagerank and Triangle Counting all benefit between 1.2-2x."
 
 from repro.frameworks.native import NativeOptions
 from repro.harness import run_cell
-from benchmarks.conftest import register_benchmark
 
 
 def measure(nodes=4):
@@ -44,6 +43,3 @@ def test_overlap_benefit(regenerate):
         assert 1.1 < row["speedup"] < 2.5, algorithm
     # Blocking also bounds triangle counting's buffer memory.
     assert rows["triangle_counting"]["footprint_ratio"] >= 1.0
-
-
-register_benchmark("ablation_overlap", measure, artifact="ablation")

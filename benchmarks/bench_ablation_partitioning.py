@@ -12,7 +12,6 @@ from repro.graph import (
     partition_vertex_cut,
     partition_vertices_1d,
 )
-from benchmarks.conftest import register_benchmark
 
 
 def measure_balance(nodes=8, scale=13):
@@ -53,6 +52,3 @@ def test_partitioning_balance(regenerate):
     assert result["vertex-cut"] < result["1d-vertex"]
     # Replication is the vertex cut's price.
     assert result["replication_factor"] >= 1.0
-
-
-register_benchmark("ablation_partitioning", measure_balance, artifact="ablation")

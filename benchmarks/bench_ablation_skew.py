@@ -15,7 +15,6 @@ from repro.datagen import rmat_graph
 from repro.datagen.uniform import erdos_renyi_graph, ring_lattice_graph
 from repro.graph import gini_coefficient, partition_vertices_1d
 from repro.harness import ExperimentSpec, run
-from benchmarks.conftest import register_benchmark
 
 
 def build_graphs(scale=13):
@@ -64,6 +63,3 @@ def test_skew_is_the_hard_part(regenerate):
     # Load imbalance under naive partitioning follows the skew.
     assert rows["lattice"]["imbalance"] <= rows["uniform"]["imbalance"] * 1.05
     assert rows["rmat"]["imbalance"] > rows["uniform"]["imbalance"]
-
-
-register_benchmark("ablation_skew", measure, artifact="ablation")

@@ -10,7 +10,6 @@ from repro.frameworks.vertex.async_engine import (
     pagerank_delta_async,
     pagerank_sync_to_tolerance,
 )
-from benchmarks.conftest import register_benchmark
 
 
 def compare(scale=13, tolerance=1e-6):
@@ -40,6 +39,3 @@ def test_async_scheduling_advantage(regenerate):
 
     assert result["savings"] > 1.5
     assert result["async_updates"] > result["vertices"] * 0.5
-
-
-register_benchmark("async_scheduling", compare, artifact="extension")

@@ -1,7 +1,6 @@
 """Figure 3: single-node runtimes on real-world and synthetic graphs."""
 
 from repro.harness import ARTIFACTS, figure3
-from benchmarks.conftest import register_benchmark
 
 
 def test_figure3(regenerate):
@@ -34,6 +33,3 @@ def test_figure3(regenerate):
     real_rank = ranking(pagerank["livejournal"])
     assert synthetic_rank[0] == real_rank[0] == "native"
     assert synthetic_rank[-1] == real_rank[-1] == "giraph"
-
-
-register_benchmark("figure3", figure3, artifact="figure3")

@@ -1,7 +1,6 @@
 """Figure 4: weak scaling on synthetic graphs, 1-64 nodes."""
 
 from repro.harness import ARTIFACTS, figure4
-from benchmarks.conftest import register_benchmark
 
 
 def test_figure4(regenerate):
@@ -37,6 +36,3 @@ def test_figure4(regenerate):
     # picks the largest square), so no missing points.
     for algorithm, curves in data.items():
         assert len(curves["combblas"]) == len(curves["native"])
-
-
-register_benchmark("figure4", figure4, artifact="figure4")

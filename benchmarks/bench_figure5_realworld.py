@@ -1,7 +1,6 @@
 """Figure 5: large real-world graphs (Twitter / Yahoo Music) multi-node."""
 
 from repro.harness import ARTIFACTS, figure5
-from benchmarks.conftest import register_benchmark
 
 
 def test_figure5(regenerate):
@@ -35,6 +34,3 @@ def test_figure5(regenerate):
     completed = {f: v for f, v in tc.items()
                  if isinstance(v, float) and f != "native"}
     assert min(completed, key=completed.get) == "socialite"
-
-
-register_benchmark("figure5", figure5, artifact="figure5")

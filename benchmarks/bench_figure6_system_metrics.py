@@ -1,7 +1,6 @@
 """Figure 6: CPU utilization, network BW, memory footprint, bytes sent."""
 
 from repro.harness import ARTIFACTS, figure6
-from benchmarks.conftest import register_benchmark
 
 
 def test_figure6(regenerate):
@@ -35,6 +34,3 @@ def test_figure6(regenerate):
     # Native peak network rate "over 5 GBps" -> >90 normalized, for the
     # network-exercising algorithms.
     assert data["pagerank"]["native"]["peak_network_bw"] > 90.0
-
-
-register_benchmark("figure6", figure6, artifact="figure6")

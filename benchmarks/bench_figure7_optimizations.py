@@ -1,7 +1,6 @@
 """Figure 7: effect of optimizations on the native implementations."""
 
 from repro.harness import ARTIFACTS, figure7
-from benchmarks.conftest import register_benchmark
 
 
 def test_figure7(regenerate):
@@ -30,6 +29,3 @@ def test_figure7(regenerate):
     # The BFS data-structure step (bit-vector) contributes on BFS.
     bfs = dict(data["bfs"])
     assert bfs["+ data structure opt."] >= bfs["+ overlap comp. and comm."]
-
-
-register_benchmark("figure7", figure7, artifact="figure7")

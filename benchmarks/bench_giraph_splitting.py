@@ -10,7 +10,6 @@ synchronization."
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import rmat_triangle_graph
 from repro.frameworks.vertex import giraph
-from benchmarks.conftest import register_benchmark
 
 
 def sweep_splits(splits_list=(1, 10, 100)):
@@ -44,6 +43,3 @@ def test_giraph_superstep_splitting(regenerate):
         0.02 * by_splits[1]["buffer_bytes"]
     # ... at the cost of ~100 Hadoop superstep overheads.
     assert by_splits[100]["total_time_s"] > by_splits[1]["total_time_s"]
-
-
-register_benchmark("giraph_splitting", sweep_splits, artifact="extension")

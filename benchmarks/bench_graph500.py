@@ -1,7 +1,6 @@
 """Graph500 BFS protocol (the paper's reference [23]) on the simulator."""
 
 from repro.harness.graph500 import run_graph500
-from benchmarks.conftest import register_benchmark
 
 
 def protocol(framework="native"):
@@ -26,6 +25,3 @@ def test_graph500_native(regenerate):
     # few-GTEPS band the paper's class of machine reaches.
     assert 1e8 < result.harmonic_mean_teps < 2e10
     assert result.min_teps > 0
-
-
-register_benchmark("graph500", protocol, artifact="graph500")

@@ -2,8 +2,6 @@
 
 from repro.perf import measure_outofcore
 
-from benchmarks.conftest import register_benchmark
-
 
 def outofcore(subset=None):
     return measure_outofcore(subset or {"scale": 13, "edge_factor": 16,
@@ -28,6 +26,3 @@ def test_outofcore_streamed_ingest(regenerate):
     # The tentpole floor: streamed ingest keeps at least half the
     # in-memory throughput (measured headroom is ~1x).
     assert report["ratio"] >= 0.5
-
-
-register_benchmark("outofcore", outofcore, artifact="outofcore")

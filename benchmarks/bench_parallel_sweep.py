@@ -17,7 +17,7 @@ from repro.harness import table5
 from repro.harness.datasets import clear_proxy_caches
 from repro.harness.sweep import Sweep
 from repro.observability import Tracer
-from benchmarks.conftest import json_equal, register_benchmark
+from benchmarks.conftest import json_equal
 
 
 def test_parallel_table5_byte_identical(regenerate, tmp_path, monkeypatch):
@@ -74,11 +74,3 @@ def test_warm_cache_skips_generation(tmp_path, monkeypatch):
         assert not warm.spans_named("dataset-cache-store")
     finally:
         clear_proxy_caches()
-
-
-def _table5_parallel():
-    """Zero-arg producer: table5 through the pool on every core."""
-    return table5(sweep=Sweep("table5", jobs=0))
-
-
-register_benchmark("parallel_sweep", _table5_parallel, artifact="table5")

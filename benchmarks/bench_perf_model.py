@@ -10,7 +10,6 @@ single optimization (Figure 7's end state).
 
 from repro import perf
 from repro.harness import report as harness_report  # noqa: F401  (parity import)
-from benchmarks.conftest import register_benchmark
 
 
 def perf_model():
@@ -50,6 +49,3 @@ def test_perf_model(regenerate):
     advice = {a["option"]: a["speedup"] for a in data["advice"]}
     assert advice["all"] >= max(v for k, v in advice.items() if k != "all")
     assert all(v >= 1.0 for v in advice.values()), advice
-
-
-register_benchmark("perf_model", perf_model, artifact="perf_model")

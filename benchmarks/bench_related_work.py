@@ -7,7 +7,6 @@ LALP achieves a 12x performance improvement compared to Giraph" and
 
 from repro.harness import ExperimentSpec, run
 from repro.harness.datasets import weak_scaling_dataset
-from benchmarks.conftest import register_benchmark
 
 
 def related_work_pagerank(nodes=4):
@@ -47,6 +46,3 @@ def test_related_work_anchors(regenerate):
     # "at the slower end of the spectrum of frameworks considered".
     assert runtimes["graphx"] > runtimes["graphlab"]
     assert runtimes["graphx"] < runtimes["giraph"]
-
-
-register_benchmark("related_work", related_work_pagerank, artifact="extension")

@@ -5,7 +5,6 @@ native; this bench applies the changes and checks every prediction.
 """
 
 from repro.frameworks.roadmap import roadmap_outcomes
-from benchmarks.conftest import register_benchmark
 
 
 def test_roadmap_predictions_hold(regenerate):
@@ -29,6 +28,3 @@ def test_roadmap_predictions_hold(regenerate):
     # Giraph's is the most dramatic fix (10x network + 4x workers).
     giraph = outcomes["giraph"]
     assert giraph["stock"] / giraph["roadmap"] > 5
-
-
-register_benchmark("roadmap", roadmap_outcomes, artifact="roadmap")

@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.harness.datasets import weak_scaling_dataset
 from repro.harness.sensitivity import diminishing_returns, sweep
-from benchmarks.conftest import register_benchmark
 
 
 def run_sweeps():
@@ -47,6 +46,3 @@ def test_hardware_sensitivity(regenerate):
     # Memory-bound native PageRank scales ~linearly with DRAM bandwidth.
     speedup = memory[2]["runtime_s"] / memory[-1]["runtime_s"]  # 1x -> 8x
     assert speedup > 4.0
-
-
-register_benchmark("sensitivity", run_sweeps, artifact="extension")

@@ -4,22 +4,15 @@ Two claims ride on this file:
 
 * the daemon *sustains* load — a seeded mixed request stream (gate
   experiments, perf analyses, durable sweeps) completes with zero
-  failed requests, and its client-observed p50/p99 latency and
-  throughput land in ``BENCH_serve.json`` as the advisory ``serve``
-  section of a perf baseline;
+  failed requests;
 * hot caches *pay* — a warm gate request against the server beats the
   same cell as a cold single-shot CLI invocation by >=2x, and the win
   is attributable: the server's ``dataset-cache-hit`` tracer instants
   (``pinned=True``) prove every warm cell was served from the pinned
   dataset cache rather than regenerated.
 
-``BENCH_serve.json`` also carries a normal deterministic ``cells``
-section, so ``repro perf baseline check --baseline BENCH_serve.json``
-gates simulated-runtime regressions (exit 7) while passing the serve
-load report through verbatim.
-
-The producer registered as ``serve_loadgen`` feeds ``repro perf
-baseline --benchmarks`` and regenerates ``BENCH_serve.json``.
+Both are assertions, not measurements: the daemon's latency and
+throughput are measured by ``python3 -m bench --workload serve_mixed``.
 """
 
 import asyncio
@@ -33,15 +26,12 @@ import time
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.perf.baselines import cell_key, record
+from repro.perf.baselines import cell_key
 from repro.serve import ExperimentService, ServeClient
 from repro.serve.loadgen import run_loadgen
-from benchmarks.conftest import register_benchmark
 
-ARTIFACT = "BENCH_serve.json"
-
-#: The recorded load run. 1000 requests is the acceptance bar: the
-#: daemon must sustain the full seeded mixed stream with zero failures.
+#: The full load run. 1000 requests is the acceptance bar: the daemon
+#: must sustain the whole seeded mixed stream with zero failures.
 LOADGEN = {"requests": 1000, "concurrency": 8, "seed": 0}
 
 #: Gate cells timed warm (served) vs cold (fresh CLI process). One
@@ -156,7 +146,7 @@ async def _server_stats(host, port) -> dict:
 
 
 def measure_serve(requests=None, concurrency=None, seed=None) -> dict:
-    """Drive the load + warm/cold run; returns the ``serve`` section."""
+    """Drive the load + warm/cold run; raises unless both claims hold."""
     requests = LOADGEN["requests"] if requests is None else requests
     concurrency = LOADGEN["concurrency"] if concurrency is None \
         else concurrency
@@ -196,7 +186,6 @@ def measure_serve(requests=None, concurrency=None, seed=None) -> dict:
             f"{worst} is below the required {MIN_WARM_SPEEDUP:.1f}x")
 
     return {
-        "advisory": True,
         "loadgen": {key: report[key]
                     for key in ("requests", "completed", "failed",
                                 "concurrency", "seed", "duration_s",
@@ -211,27 +200,15 @@ def measure_serve(requests=None, concurrency=None, seed=None) -> dict:
     }
 
 
-def produce(path=ARTIFACT, **load_kwargs) -> dict:
-    """Regenerate ``BENCH_serve.json``: gate cells + serve section."""
-    serve = measure_serve(**load_kwargs)
-    return record(path=path, serve=serve)
+def test_serve_sustains_load_and_amortizes():
+    """A reduced run of :func:`measure_serve`, end to end.
 
-
-register_benchmark("serve_loadgen", produce, artifact=ARTIFACT)
-
-
-def test_serve_sustains_load_and_amortizes(tmp_path):
-    """A reduced run of the recorded benchmark, end to end.
-
-    Same machinery as the producer — seeded mixed load with zero
-    failures, warm/cold >=2x with pinned-cache-hit proof — at a size a
-    test suite can afford. The 1000-request acceptance run is the
-    registered producer itself.
+    Seeded mixed load with zero failures, warm/cold >=2x with
+    pinned-cache-hit proof, at a size a test suite can afford; the
+    default arguments are the 1000-request acceptance run.
     """
-    payload = produce(path=tmp_path / ARTIFACT, requests=60)
-    serve = payload["serve"]
+    serve = measure_serve(requests=60)
     assert serve["loadgen"]["failed"] == 0
     assert serve["loadgen"]["completed"] == serve["loadgen"]["requests"]
     assert serve["warm_cold"]["min_speedup"] >= MIN_WARM_SPEEDUP
     assert serve["warm_cold"]["cache_hits"]["pinned"] > 0
-    assert payload["cells"]                  # the deterministic gate rides along

@@ -5,7 +5,6 @@ converges in about 40x fewer iterations than GD."
 """
 
 from repro.harness import sgd_vs_gd
-from benchmarks.conftest import register_benchmark
 
 
 def test_sgd_vs_gd(regenerate):
@@ -21,6 +20,3 @@ def test_sgd_vs_gd(regenerate):
     # substitution must still show a decisive (>5x) gap.
     assert result["sgd"] < result["gd"]
     assert result["ratio"] > 5.0
-
-
-register_benchmark("sgd_vs_gd", sgd_vs_gd, artifact="sgd_vs_gd")

@@ -1,7 +1,6 @@
 """Strong scaling (extension study): fixed graph, 1-16 nodes."""
 
 from repro.harness.strong_scaling import parallel_efficiency, strong_scaling
-from benchmarks.conftest import register_benchmark
 
 
 def test_strong_scaling_pagerank(regenerate):
@@ -37,12 +36,3 @@ def test_strong_scaling_pagerank(regenerate):
     # Adding nodes never helps Giraph enough to beat its 1-node run by
     # the ideal factor.
     assert data["giraph"][16] > data["giraph"][1] / 16
-
-
-def _protocol():
-    return strong_scaling("pagerank",
-                          ("native", "combblas", "graphlab",
-                           "giraph"), (1, 2, 4, 8, 16))
-
-
-register_benchmark("strong_scaling", _protocol, artifact="extension")

@@ -1,7 +1,6 @@
 """Table 1: diversity in the characteristics of the chosen algorithms."""
 
 from repro.harness import ARTIFACTS, table1
-from benchmarks.conftest import register_benchmark
 
 
 def test_table1(regenerate):
@@ -23,6 +22,3 @@ def test_table1(regenerate):
     low, high = by_name["Triangle Counting"]["message_bytes_per_edge"]
     assert low == 0 and high > 100
     assert by_name["Triangle Counting"]["vertex_active"] == "Non-iterative"
-
-
-register_benchmark("table1", table1, artifact="table1")

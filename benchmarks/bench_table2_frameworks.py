@@ -1,7 +1,6 @@
 """Table 2: high-level comparison of the graph frameworks."""
 
 from repro.harness import ARTIFACTS, table2
-from benchmarks.conftest import register_benchmark
 
 
 def test_table2(regenerate):
@@ -17,6 +16,3 @@ def test_table2(regenerate):
     assert not by_name["Galois"]["multi_node"]
     assert by_name["Giraph"]["language"] == "Java"
     assert by_name["Giraph"]["communication_layer"] == "netty-hadoop"
-
-
-register_benchmark("table2", table2, artifact="table2")

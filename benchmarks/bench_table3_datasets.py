@@ -1,7 +1,6 @@
 """Table 3: real-world and largest synthetic datasets (proxy inventory)."""
 
 from repro.harness import ARTIFACTS, table3
-from benchmarks.conftest import register_benchmark
 
 
 def test_table3(regenerate):
@@ -24,6 +23,3 @@ def test_table3(regenerate):
     assert max(graphs, key=lambda r: r["proxy_edges"])["dataset"] in (
         "twitter",
     )
-
-
-register_benchmark("table3", table3, artifact="table3")

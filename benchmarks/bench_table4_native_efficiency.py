@@ -1,7 +1,6 @@
 """Table 4: efficiency achieved by the native implementations."""
 
 from repro.harness import ARTIFACTS, table4
-from benchmarks.conftest import register_benchmark
 
 
 def test_table4(regenerate):
@@ -37,6 +36,3 @@ def test_table4(regenerate):
     assert data["pagerank"][1]["efficiency"] > 0.75
     assert data["triangle_counting"][1]["efficiency"] < \
         data["pagerank"][1]["efficiency"]
-
-
-register_benchmark("table4", table4, artifact="table4")

@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.harness import ARTIFACTS, table5
-from benchmarks.conftest import register_benchmark
 
 
 def test_table5(regenerate_resilient):
@@ -39,6 +38,3 @@ def test_table5(regenerate_resilient):
 
     # CombBLAS is competitive on PageRank (1.9x in the paper).
     assert slowdown("pagerank", "combblas") < 3.5
-
-
-register_benchmark("table5", table5, artifact="table5")

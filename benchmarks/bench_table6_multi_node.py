@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.harness import ARTIFACTS, table6
-from benchmarks.conftest import register_benchmark
 
 
 def test_table6(regenerate_resilient):
@@ -33,6 +32,3 @@ def test_table6(regenerate_resilient):
     # ("within 2x of native" in the paper).
     assert tc["socialite"] <= min(tc.values()) * 1.25
     assert tc["socialite"] < 4.0
-
-
-register_benchmark("table6", table6, artifact="table6")

@@ -1,7 +1,6 @@
 """Table 7: SociaLite speedups from the network optimizations (4 nodes)."""
 
 from repro.harness import ARTIFACTS, table7
-from benchmarks.conftest import register_benchmark
 
 
 def test_table7(regenerate):
@@ -15,6 +14,3 @@ def test_table7(regenerate):
     assert 1.2 <= data["triangle_counting"]["speedup"] <= 2.6
     # PageRank, being more network-bound, gains more than TC.
     assert data["pagerank"]["speedup"] > data["triangle_counting"]["speedup"]
-
-
-register_benchmark("table7", table7, artifact="table7")

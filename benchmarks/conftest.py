@@ -5,52 +5,9 @@ exactly once (``rounds=1``): the interesting output is the regenerated
 artifact printed to stdout (run with ``-s`` to see it) and the asserted
 paper-shape invariants, with pytest-benchmark recording how long the
 regeneration takes.
-
-This module is also the **benchmark registry**: every ``bench_*``
-module self-registers its producer with :func:`register_benchmark`
-(name, zero-arg producer, expected artifact name), so tooling — in
-particular ``repro perf baseline`` — enumerates the suite instead of
-hard-coding module paths. :func:`load_benchmarks` imports every
-``bench_*`` module (registration is an import side effect) and returns
-the filled registry; because ``benchmarks/`` is a package, pytest and
-the CLI import the same ``benchmarks.conftest`` module and therefore
-share one registry object.
 """
 
-import importlib
-from dataclasses import dataclass
-from pathlib import Path
-
 import pytest
-
-
-@dataclass(frozen=True)
-class Benchmark:
-    """One registered benchmark."""
-
-    name: str
-    #: Zero-arg callable that regenerates the artifact.
-    producer: object
-    #: The artifact the producer regenerates (table/figure name).
-    artifact: str
-
-
-#: name -> :class:`Benchmark`, filled by ``bench_*`` modules at import.
-BENCHMARKS = {}
-
-
-def register_benchmark(name, producer, artifact=None):
-    """Register a benchmark producer; returns it (usable inline)."""
-    BENCHMARKS[name] = Benchmark(name=name, producer=producer,
-                                 artifact=artifact or name)
-    return producer
-
-
-def load_benchmarks() -> dict:
-    """Import every ``bench_*`` module and return the filled registry."""
-    for path in sorted(Path(__file__).parent.glob("bench_*.py")):
-        importlib.import_module(f"benchmarks.{path.stem}")
-    return dict(BENCHMARKS)
 
 
 def json_equal(left, right) -> bool:

@@ -30,13 +30,13 @@ run or which worker draws them.
   ``RLIMIT_AS`` cap this raises ``MemoryError``, which the sweep engine
   classifies as the existing ``out-of-memory`` DNF status.
 
-Plans come from ``Sweep(real_chaos=...)``, ``repro sweep --real-chaos``
-or the ``REPRO_CHAOS_REAL`` environment variable.
+Plans come from ``Sweep(real_chaos=...)``; ``repro sweep --real-chaos``
+passes one in and defaults to ``$REPRO_CHAOS_REAL``, the only place the
+variable is read — a library or served sweep never picks it up.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 
@@ -175,23 +175,14 @@ class RealFaultPlan:
             faults.append(_parse_clause(clause))
         return cls(faults)
 
-    @classmethod
-    def from_env(cls):
-        """The plan in ``$REPRO_CHAOS_REAL``, or None when unset/empty."""
-        spec = os.environ.get("REPRO_CHAOS_REAL", "").strip()
-        return cls.from_spec(spec) if spec else None
-
 
 def resolve_real_chaos(value):
     """Coerce ``Sweep(real_chaos=...)`` input into a plan (or None).
 
     Accepts an existing :class:`RealFaultPlan`, a spec string, or
-    ``None`` — which falls back to ``$REPRO_CHAOS_REAL`` so chaos can be
-    switched on without touching call sites.
+    ``None`` (no plan).
     """
-    if value is None:
-        return RealFaultPlan.from_env()
-    if isinstance(value, RealFaultPlan):
+    if value is None or isinstance(value, RealFaultPlan):
         return value
     if isinstance(value, str):
         return RealFaultPlan.from_spec(value)

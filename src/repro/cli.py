@@ -16,7 +16,7 @@ Commands:
 * ``table N`` / ``figure N`` — regenerate one paper artifact;
 * ``perf`` — roofline bounds + gap attribution (``analyze``), ranked
   optimization what-ifs (``advise``) and the perf-regression gate
-  (``baseline record|check|list``);
+  (``baseline record|check``);
 * ``datasets`` — list the catalog and proxy sizes;
 * ``frameworks`` — list frameworks and their profiles;
 * ``graph500`` — the Graph500 BFS protocol on the simulator;
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -123,6 +124,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .harness.persistence import atomic_write_text
     from .observability import (
         Tracer,
         chrome_trace,
@@ -136,8 +138,7 @@ def _cmd_trace(args) -> int:
     if args.out:
         write_chrome_trace(tracer, args.out)
     if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(steps_csv(tracer))
+        atomic_write_text(args.csv, steps_csv(tracer))
     if args.json:
         payload = result.to_dict()
         payload["trace"] = chrome_trace(tracer)
@@ -481,43 +482,18 @@ def _cmd_loadgen(args) -> int:
 def _cmd_perf_baseline(args) -> int:
     from . import perf
 
-    if args.action == "list":
-        registry = perf.load_benchmark_registry()
-        if args.json:
-            print(json.dumps(
-                {name: {"artifact": bench.artifact,
-                        "producer": f"{bench.producer.__module__}."
-                                    f"{bench.producer.__name__}"}
-                 for name, bench in sorted(registry.items())},
-                indent=2, sort_keys=True))
-            return EXIT_OK
-        for name in sorted(registry):
-            bench = registry[name]
-            print(f"{name:<28} artifact={bench.artifact:<12} "
-                  f"{bench.producer.__module__}.{bench.producer.__name__}")
-        print(f"{len(registry)} registered benchmarks")
-        return EXIT_OK
     if args.action == "record":
         algorithms = tuple(args.algorithms.split(",")) if args.algorithms \
             else None
         frameworks = tuple(args.frameworks.split(",")) if args.frameworks \
             else perf.GATE_FRAMEWORKS
-        benchmarks = tuple(args.benchmarks.split(",")) if args.benchmarks \
-            else ()
         payload = perf.record(path=args.out, algorithms=algorithms,
                               frameworks=frameworks,
-                              node_counts=_parse_node_counts(args.nodes),
-                              benchmarks=benchmarks,
-                              parallel_jobs=args.parallel_jobs)
+                              node_counts=_parse_node_counts(args.nodes))
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            print(f"recorded {len(payload['cells'])} cells"
-                  + (f" + {len(payload['wall_clock'])} wall-clock "
-                     f"benchmarks" if payload["wall_clock"] else "")
-                  + f" to {args.out}")
-            if "parallel" in payload:
-                print(perf.render_parallel(payload["parallel"]))
+            print(f"recorded {len(payload['cells'])} cells to {args.out}")
         return EXIT_OK
     # check
     report = perf.check(path=args.baseline, tolerance=args.tolerance,
@@ -708,10 +684,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-worker address-space headroom in MB "
                             "(RLIMIT_AS); real allocation blow-ups "
                             "surface as 'out-of-memory' cells")
-    sweep.add_argument("--real-chaos", default=None, metavar="SPEC",
+    sweep.add_argument("--real-chaos", metavar="SPEC",
+                       default=os.environ.get("REPRO_CHAOS_REAL"),
                        help="inject real process faults, e.g. "
                             "'kill(cell=3); hang(cell=5, seconds=300); "
-                            "oom(cell=2, mb=512)' (also via "
+                            "oom(cell=2, mb=512)' (default: "
                             "$REPRO_CHAOS_REAL)")
     sweep.add_argument("--frameworks",
                        help="comma-separated framework subset")
@@ -792,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     baseline = perf_sub.add_parser(
         "baseline", help="record/check BENCH_*.json perf baselines")
-    baseline.add_argument("action", choices=("record", "check", "list"))
+    baseline.add_argument("action", choices=("record", "check"))
     baseline.add_argument("--out", default="BENCH_perf.json",
                           help="baseline file to record (default: "
                                "BENCH_perf.json)")
@@ -810,15 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "default: native,combblas,graphlab,giraph)")
     baseline.add_argument("--nodes", default="1,4",
                           help="comma-separated node counts (record only)")
-    baseline.add_argument("--benchmarks",
-                          help="also time these registered wall-clock "
-                               "benchmarks ('all' for every one; advisory)")
-    baseline.add_argument("--parallel-jobs", type=int, nargs="?", const=0,
-                          default=None,
-                          help="also record the pool-overhead/speedup "
-                               "advisory for a parallel sweep with this "
-                               "many workers (bare flag or 0 = all cores; "
-                               "record only)")
     baseline.add_argument("--json", action="store_true")
     baseline.set_defaults(func=_cmd_perf_baseline)
 
@@ -970,12 +938,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_report(args) -> int:
-    from pathlib import Path
-
     from .harness.paper_report import generate_report
+    from .harness.persistence import atomic_write_text
 
     text = generate_report()
-    Path(args.output).write_text(text)
+    atomic_write_text(args.output, text)
     passed_line = next(line for line in text.splitlines()
                        if line.startswith("## Headline claims"))
     print(f"wrote {args.output}")

@@ -5,8 +5,8 @@ sparsity that is not uniform but highly skewed towards a few items" and
 that this skew is what makes scalable implementation hard (abstract,
 Section 1). These generators produce the *counterfactual* — same vertex
 and edge counts, but uniform or ring-lattice degree structure — so the
-ablation benchmarks can measure how much of each framework's trouble is
-skew versus volume.
+skew ablation can measure how much of each framework's trouble is skew
+versus volume.
 """
 
 from __future__ import annotations

@@ -59,6 +59,35 @@ def atomic_write_text(path, text: str) -> Path:
     return path
 
 
+def read_jsonl(path) -> tuple:
+    """Parse an append-only JSONL journal -> ``(entries, intact_prefix)``.
+
+    A crash mid-append tears at most the final line: it is cut short, or
+    complete but for its newline. When that happened, ``intact_prefix``
+    is the text of the complete lines — what the file must be rewritten
+    to (:func:`atomic_write_text`) before the next append, or that
+    record would land *on* the fragment; otherwise it is ``None``.
+    Garbage anywhere but the tail is not a crash signature and is
+    refused.
+    """
+    path = Path(path)
+    text = path.read_text()
+    lines = [line for line in text.split("\n") if line.strip()]
+    entries = []
+    for index, line in enumerate(lines, start=1):
+        try:
+            entries.append(json.loads(line))
+        except json.JSONDecodeError:
+            if index < len(lines):
+                raise ReproError(
+                    f"{path}:{index} is corrupt mid-journal; "
+                    "refusing to resume from it") from None
+            # The last line: the torn tail, left out of the prefix below.
+    if len(entries) == len(lines) and (text.endswith("\n") or not lines):
+        return entries, None
+    return entries, "".join(line + "\n" for line in lines[:len(entries)])
+
+
 def save_artifact(path, name: str, data, metadata: dict = None) -> Path:
     """Write one artifact (e.g. table5 output) with an environment stamp.
 

@@ -56,7 +56,7 @@ from ..errors import (
     failure_class,
 )
 from ..observability import NULL_TRACER
-from .persistence import _jsonable, atomic_write_text
+from .persistence import _jsonable, atomic_write_text, read_jsonl
 from .runner import run_cell
 
 JOURNAL_VERSION = 1
@@ -211,12 +211,10 @@ class SweepJournal:
 
     def load(self, name: str) -> dict:
         """Read back ``{cell_id: CellRecord}``; validates the header."""
-        lines = self.path.read_text().split("\n")
-        lines = [line for line in lines if line.strip()] or [""]
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
+        entries, self._repaired_text = read_jsonl(self.path)
+        if not entries:
             raise ReproError(f"{self.path} has no valid journal header")
+        header = entries[0]
         if header.get("journal") != name \
                 or header.get("version") != JOURNAL_VERSION:
             raise ReproError(
@@ -225,22 +223,8 @@ class SweepJournal:
                 f"not {name!r} v{JOURNAL_VERSION}"
             )
         records = {}
-        for index, line in enumerate(lines[1:], start=2):
-            try:
-                record = CellRecord.from_dict(json.loads(line))
-            except json.JSONDecodeError:
-                if index == len(lines):
-                    # Torn final line: the crash happened mid-append.
-                    # Everything before it is intact; drop it, and make
-                    # open() rewrite the file without it so the next
-                    # append starts on a fresh line.
-                    self._repaired_text = \
-                        "\n".join(lines[:index - 1]) + "\n"
-                    break
-                raise ReproError(
-                    f"{self.path}:{index} is corrupt mid-journal; "
-                    "refusing to resume from it"
-                )
+        for entry in entries[1:]:
+            record = CellRecord.from_dict(entry)
             records[cell_id(record.key)] = record
         return records
 
@@ -462,9 +446,9 @@ class Sweep:
     address space (``RLIMIT_AS``, as headroom above the interpreter's
     footprint at fork) so a real allocation blow-up surfaces as the
     ``out-of-memory`` status; and ``real_chaos`` injects *actual*
-    process faults (:class:`~repro.chaos.RealFaultPlan`, also via
-    ``$REPRO_CHAOS_REAL``) to prove all of the above. Any of these
-    knobs routes execution through the supervisor even at ``jobs=1``.
+    process faults (:class:`~repro.chaos.RealFaultPlan`; ``None``
+    means none) to prove all of the above. Any of these knobs routes
+    execution through the supervisor even at ``jobs=1``.
 
     The engine is deliberately stateless between ``run`` calls except
     for ``last``, the most recent :class:`SweepResult` (handy for

@@ -1,9 +1,8 @@
 """Regenerators for the paper's Tables 1-7.
 
 Each ``tableN()`` returns plain data (dicts / lists of rows) that
-``repro.harness.report`` renders in the paper's format; the benchmark
-modules under ``benchmarks/`` drive these and assert the paper-shape
-invariants.
+``repro.harness.report`` renders in the paper's format; the repo's
+paper-shape suite drives these and asserts the paper's invariants.
 """
 
 from __future__ import annotations

@@ -76,9 +76,10 @@ def chrome_trace(tracer: Tracer, process_name: str = "repro-sim") -> dict:
 
 def write_chrome_trace(tracer: Tracer, path,
                        process_name: str = "repro-sim") -> None:
-    """Serialize :func:`chrome_trace` to ``path`` as JSON."""
-    with open(path, "w") as handle:
-        json.dump(chrome_trace(tracer, process_name), handle)
+    """Serialize :func:`chrome_trace` to ``path`` as JSON (atomically)."""
+    from ..harness.persistence import atomic_write_text
+
+    atomic_write_text(path, json.dumps(chrome_trace(tracer, process_name)))
 
 
 def steps_csv(tracer: Tracer) -> str:

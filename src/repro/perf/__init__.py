@@ -32,12 +32,9 @@ from .baselines import (
     check_kernel_backends,
     check_outofcore,
     load_baseline,
-    load_benchmark_registry,
     measure_cells,
     measure_kernel_backends,
     measure_outofcore,
-    measure_parallel_sweep,
-    measure_wall_clock,
     parse_injection,
     record,
     record_outofcore,
@@ -49,9 +46,6 @@ from .report import (
     render_advice,
     render_attribution,
     render_gate,
-    render_outofcore,
-    render_parallel,
-    render_serve,
     render_roofline,
 )
 
@@ -83,12 +77,9 @@ __all__ = [
     "check_outofcore",
     "classify",
     "load_baseline",
-    "load_benchmark_registry",
     "measure_cells",
     "measure_kernel_backends",
     "measure_outofcore",
-    "measure_parallel_sweep",
-    "measure_wall_clock",
     "parse_injection",
     "record",
     "record_outofcore",
@@ -96,10 +87,7 @@ __all__ = [
     "render_attribution",
     "render_gate",
     "render_kernel_report",
-    "render_outofcore",
     "render_outofcore_report",
-    "render_parallel",
-    "render_serve",
     "render_roofline",
     "roofline_of",
     "roofline_of_run",

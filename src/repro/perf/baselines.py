@@ -7,15 +7,11 @@ runtime of every gate cell (algorithm x framework x nodes on the
 standard weak-scaling datasets) to a ``BENCH_*.json`` baseline, and
 compares later runs against it with a configurable tolerance.
 
-Two classes of entries:
-
-* **cells** — simulated runtimes. Deterministic by construction (the
-  simulator has no wall-clock inputs), so an unchanged tree reproduces
-  the baseline *byte-for-byte* and any drift is a real model change.
-  These gate.
-* **wall_clock** — elapsed seconds of registered harness benchmarks
-  (the ``benchmarks/`` registry). Machine- and load-dependent, so they
-  are recorded for trend-watching but never fail the gate on their own.
+The recorded ``cells`` are simulated runtimes: deterministic by
+construction (the simulator has no wall-clock inputs), so an unchanged
+tree reproduces the baseline *byte-for-byte* and any drift is a real
+model change. The baseline holds no host time: that is measured by one
+harness, ``python3 -m bench``.
 
 ``inject`` multiplies matching current cells by a factor before
 comparison — the CI self-test that proves the gate actually fires.
@@ -24,7 +20,6 @@ comparison — the CI self-test that proves the gate actually fires.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,110 +63,6 @@ def measure_cells(algorithms=None, frameworks=GATE_FRAMEWORKS,
                     "runtime_s": run.runtime_or_none(),
                 }
     return cells
-
-
-def load_benchmark_registry() -> dict:
-    """``benchmarks.conftest``'s registry; the ``benchmarks/`` package is
-    the repo's, not the installed distribution's, so away from the repo
-    root this is a typed error."""
-    try:
-        from benchmarks.conftest import load_benchmarks
-    except ImportError as error:
-        raise ReproError(
-            "wall-clock benchmarks need the repo's benchmarks/ package "
-            f"on sys.path (run from the repo root): {error}"
-        ) from None
-    return load_benchmarks()
-
-
-def measure_wall_clock(names=()) -> dict:
-    """Elapsed seconds of registered ``benchmarks/`` producers.
-
-    Resolves ``names`` through the benchmark registry
-    (``benchmarks.conftest``); ``names=("all",)`` times every registered
-    benchmark. Advisory: wall time depends on the machine.
-    """
-    if not names:
-        return {}
-    registry = load_benchmark_registry()
-    if "all" in names:
-        names = tuple(sorted(registry))
-    out = {}
-    for name in names:
-        if name not in registry:
-            known = ", ".join(sorted(registry))
-            raise ReproError(f"unknown benchmark {name!r}; known: {known}")
-        bench = registry[name]
-        start = time.perf_counter()
-        bench.producer()
-        out[name] = {
-            "seconds": time.perf_counter() - start,
-            "artifact": bench.artifact,
-            "advisory": True,
-        }
-    return out
-
-
-#: Sweep subset the pool-overhead/speedup report times. Small enough to
-#: finish in seconds, large enough (12 cells) that per-cell work
-#: dominates IPC.
-PARALLEL_REPORT_SUBSET = {
-    "algorithms": ("pagerank", "bfs"),
-    "frameworks": ("galois", "combblas"),
-}
-
-
-def _noop_cell(key, budget_s=None):
-    """Picklable do-nothing executor for pool-overhead measurement."""
-    return {"cell": key["cell"]}
-
-
-def measure_parallel_sweep(jobs: int = 0, subset=None) -> dict:
-    """Advisory pool-overhead/speedup report for the parallel executor.
-
-    Times a warm-cache table5 subset serially and with ``jobs`` workers
-    (``0`` = all cores), plus the pool's fixed overhead (spawn + IPC for
-    the same number of do-nothing cells). Wall-clock and machine-
-    dependent by nature, so the numbers are advisory — recorded so the
-    parallel win is *measured*, never asserted — and they never gate.
-    """
-    from ..harness.supervisor import run_cells_supervised
-    from ..harness.sweep import CellPolicy, Sweep
-    from ..harness.tables import table5
-
-    jobs = jobs or os.cpu_count() or 1
-    subset = subset or PARALLEL_REPORT_SUBSET
-    # Cells per table5 run: every algorithm x its 4 single-node datasets
-    # x (requested frameworks + the native baseline).
-    cells = len(subset["algorithms"]) * 4 * (len(subset["frameworks"]) + 1)
-
-    # Warm both cache layers so the comparison times execution, not
-    # dataset generation.
-    table5(sweep=Sweep("table5"), **subset)
-
-    start = time.perf_counter()
-    table5(sweep=Sweep("table5", jobs=1), **subset)
-    serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    table5(sweep=Sweep("table5", jobs=jobs), **subset)
-    parallel_s = time.perf_counter() - start
-
-    pending = [(i, {"cell": i}, str(i)) for i in range(cells)]
-    start = time.perf_counter()
-    for _ in run_cells_supervised(pending, _noop_cell, CellPolicy(), jobs):
-        pass
-    pool_overhead_s = time.perf_counter() - start
-
-    return {
-        "jobs": jobs,
-        "cells": cells,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / max(parallel_s, 1e-9),
-        "pool_overhead_s": pool_overhead_s,
-        "advisory": True,
-    }
 
 
 #: Subset the kernel-backend report runs: every algorithm on the two
@@ -385,18 +276,11 @@ def record_outofcore(path=OUTOFCORE_BASELINE, subset=None) -> dict:
 
 
 def record(path=DEFAULT_BASELINE, algorithms=None,
-           frameworks=GATE_FRAMEWORKS, node_counts=GATE_NODE_COUNTS,
-           benchmarks=(), parallel_jobs=None, serve=None,
-           outofcore=None) -> dict:
+           frameworks=GATE_FRAMEWORKS, node_counts=GATE_NODE_COUNTS) -> dict:
     """Measure every gate cell and write the baseline file.
 
-    The ``cells`` section is deterministic, so recording twice on an
-    unchanged tree produces byte-identical data; ``benchmarks`` names
-    add advisory wall-clock entries (nondeterministic by nature).
-    ``serve`` attaches a serving-layer load report (from
-    :func:`repro.serve.loadgen.run_loadgen` plus the warm/cold
-    comparison) as another advisory section — checked runs pass it
-    through verbatim rather than re-driving a server.
+    Everything recorded is deterministic, so recording twice on an
+    unchanged tree produces byte-identical files.
     """
     from ..algorithms.registry import ALGORITHMS
 
@@ -410,16 +294,7 @@ def record(path=DEFAULT_BASELINE, algorithms=None,
             "node_counts": list(node_counts),
         },
         "cells": measure_cells(algorithms, frameworks, node_counts),
-        "wall_clock": measure_wall_clock(benchmarks),
     }
-    if parallel_jobs is not None:        # 0 means "all cores"
-        payload["parallel"] = measure_parallel_sweep(parallel_jobs)
-    if serve is not None:
-        payload["serve"] = serve
-    if outofcore is not None:
-        # An already-measured ingest report (repro perf outofcore),
-        # passed through verbatim like the serve load report.
-        payload["outofcore"] = outofcore
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True)
                       + "\n")
     return payload
@@ -479,10 +354,6 @@ class GateReport:
     path: str
     tolerance: float
     checks: list = field(default_factory=list)
-    wall_clock: dict = field(default_factory=dict)
-    parallel: dict = field(default_factory=dict)
-    serve: dict = field(default_factory=dict)
-    outofcore: dict = field(default_factory=dict)
     injected: dict = field(default_factory=dict)
 
     @property
@@ -511,10 +382,6 @@ class GateReport:
             "checked": len(self.checks),
             "regressions": [check.to_dict() for check in self.regressions],
             "improvements": [check.to_dict() for check in self.improvements],
-            "wall_clock": self.wall_clock,
-            "parallel": self.parallel,
-            "serve": self.serve,
-            "outofcore": self.outofcore,
             "injected": self.injected,
         }
 
@@ -527,8 +394,8 @@ def check(path=DEFAULT_BASELINE, tolerance: float = DEFAULT_TOLERANCE,
     ``tolerance`` (relative), or when its DNF status changes at all
     (an OOM cell that starts completing is as suspicious as the
     reverse). Cells faster by more than the tolerance are reported as
-    improvements — worth re-recording, but not failures. Wall-clock
-    entries are re-timed and reported, never gated.
+    improvements — worth re-recording, but not failures. Only the
+    ``config`` and ``cells`` sections of the file are read.
     """
     baseline = load_baseline(path)
     config = baseline.get("config", {})
@@ -570,19 +437,4 @@ def check(path=DEFAULT_BASELINE, tolerance: float = DEFAULT_TOLERANCE,
         report.checks.append(CellCheck(cell, kind, recorded["runtime_s"],
                                        runtime, ratio))
 
-    recorded_wall = baseline.get("wall_clock", {})
-    if recorded_wall:
-        remeasured = measure_wall_clock(tuple(sorted(recorded_wall)))
-        report.wall_clock = {
-            name: {"baseline_s": recorded_wall[name]["seconds"],
-                   "current_s": remeasured[name]["seconds"],
-                   "advisory": True}
-            for name in sorted(recorded_wall)
-        }
-    # Recorded pool-overhead/speedup and serving-layer load reports,
-    # passed through verbatim: wall-clock numbers from record time,
-    # advisory by definition.
-    report.parallel = baseline.get("parallel", {})
-    report.serve = baseline.get("serve", {})
-    report.outofcore = baseline.get("outofcore", {})
     return report

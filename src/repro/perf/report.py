@@ -77,43 +77,6 @@ def render_advice(advice_list, algorithm: str = "") -> str:
     return "\n".join(lines)
 
 
-def render_parallel(entry: dict) -> str:
-    """One-line pool-overhead/speedup advisory for the parallel sweep."""
-    return (f"parallel  sweep jobs={entry['jobs']}: "
-            f"{entry['serial_s']:.2f} s serial -> "
-            f"{entry['parallel_s']:.2f} s "
-            f"({entry['speedup']:.2f}x, pool overhead "
-            f"{entry['pool_overhead_s']:.2f} s for {entry['cells']} "
-            f"no-op cells; advisory)")
-
-
-def render_serve(entry: dict) -> str:
-    """One-line serving-layer load summary (loadgen + warm/cold)."""
-    load = entry.get("loadgen", {})
-    parts = [f"serve     loadgen: {load.get('completed', 0)}/"
-             f"{load.get('requests', 0)} ok at "
-             f"{load.get('throughput_rps', 0.0):.1f} req/s"]
-    latency = load.get("latency_s")
-    if latency:
-        parts.append(f"p50 {1e3 * latency['p50_s']:.1f} ms / "
-                     f"p99 {1e3 * latency['p99_s']:.1f} ms")
-    warm_cold = entry.get("warm_cold", {})
-    if warm_cold:
-        parts.append(f"warm/cold {warm_cold.get('min_speedup', 0.0):.1f}x "
-                     f"({warm_cold.get('cache_hits', {}).get('pinned', 0)} "
-                     f"pinned cache hits)")
-    return ", ".join(parts) + " (advisory)"
-
-
-def render_outofcore(entry: dict) -> str:
-    """One-line out-of-core ingest summary (digests + throughput)."""
-    status = "identical" if entry.get("identical") else "MISMATCHED"
-    return (f"outofcore scale {entry.get('scale')}: digests {status}, "
-            f"streamed {entry.get('streamed_eps', 0.0):.2e} edges/s vs "
-            f"in-memory {entry.get('in_memory_eps', 0.0):.2e} edges/s "
-            f"({entry.get('ratio', 0.0):.2f}x; advisory)")
-
-
 def render_gate(report) -> str:
     """Pass/fail summary naming every out-of-tolerance cell."""
     lines = [f"perf gate vs {report.path} "
@@ -137,15 +100,6 @@ def render_gate(report) -> str:
                      f"{_fmt_seconds(check.baseline)} -> "
                      f"{_fmt_seconds(check.current)} ({check.ratio:.2f}x; "
                      f"re-record to lock in)")
-    for name, entry in report.wall_clock.items():
-        lines.append(f"  wall      {name}: {entry['baseline_s']:.2f} s -> "
-                     f"{entry['current_s']:.2f} s (advisory)")
-    if report.parallel:
-        lines.append("  " + render_parallel(report.parallel))
-    if report.serve:
-        lines.append("  " + render_serve(report.serve))
-    if getattr(report, "outofcore", None):
-        lines.append("  " + render_outofcore(report.outofcore))
     lines.append("PASS: no cell regressed" if report.ok else
                  f"FAIL: {len(report.regressions)} cell(s) regressed")
     return "\n".join(lines)

@@ -20,7 +20,7 @@ point at a persistent daemon. This package is that daemon:
 * :mod:`~repro.serve.client` — a tiny asyncio HTTP/JSON client (no
   third-party deps) used by the load generator, tests and CI.
 * :mod:`~repro.serve.loadgen` — deterministic seeded load generator
-  reporting p50/p99 latency + throughput into ``BENCH_serve.json``.
+  reporting client-observed p50/p99 latency + throughput.
 """
 
 from .admission import AdmissionController, AdmissionPolicy

@@ -27,6 +27,7 @@ import time
 from pathlib import Path
 
 from ..errors import ReproError
+from ..harness.persistence import atomic_write_text, read_jsonl
 
 STATE_QUEUED = "queued"
 STATE_RUNNING = "running"
@@ -126,14 +127,12 @@ class JobRegistry:
             return 0
         highest = 0
         with self._lock:
-            for line in self._journal_path.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue          # torn tail from a mid-write crash
+            entries, intact_prefix = read_jsonl(self._journal_path)
+            if intact_prefix is not None:
+                # Torn tail from a mid-write crash: drop it now, or the
+                # next append lands on the fragment and is lost with it.
+                atomic_write_text(self._journal_path, intact_prefix)
+            for entry in entries:
                 job_id = entry.get("job")
                 if entry.get("event") == "created":
                     job = Job(job_id, entry.get("kind", "?"),

@@ -214,13 +214,23 @@ class TestAnyWorkingDirectory:
         assert main(["regenerate"]) == 0
         assert STUB.title in capsys.readouterr().out
 
-    def test_baseline_list_away_from_the_repo_is_a_typed_error(self,
-                                                               tmp_path):
+    def test_the_perf_gate_runs_away_from_the_repo(self, tmp_path):
+        """Only ``src/`` is importable: the gate needs nothing else."""
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", "perf", "baseline", "list"],
+        gate = [sys.executable, "-m", "repro", "perf", "baseline"]
+        record = subprocess.run(
+            gate + ["record", "--algorithms", "bfs", "--frameworks",
+                    "native", "--nodes", "1"],
             cwd=tmp_path, env=env, capture_output=True, text=True)
-        assert done.returncode == 1
-        assert done.stderr.startswith("error: ")
-        assert len(done.stderr.strip().splitlines()) == 1
-        assert "Traceback" not in done.stderr
+        assert record.returncode == 0, record.stderr
+        assert (tmp_path / "BENCH_perf.json").exists()
+        check = subprocess.run(gate + ["check"], cwd=tmp_path, env=env,
+                               capture_output=True, text=True)
+        assert check.returncode == 0, check.stderr
+        assert "PASS" in check.stdout
+
+    def test_src_never_mentions_the_benchmarks_package(self):
+        """Installed code must not reach for the repo's test packages."""
+        assert not [path.relative_to(ROOT).as_posix()
+                    for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+                    if "benchmarks" in path.read_text()]

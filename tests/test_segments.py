@@ -434,3 +434,38 @@ def test_no_comparison_sort_on_the_hot_path():
     assert not [path for path in SRC.rglob("*.py")
                 if "np.lexsort" in path.read_text()
                 and path.name != "segments.py"]
+
+
+# ---------------------------------------------------------------------------
+# Keep the truncate-in-place writes from coming back.
+# ---------------------------------------------------------------------------
+
+PLAIN_WRITE = re.compile(r"""\bopen\([^)]*["']w["']|\.write_text\(""")
+#: ``file: line`` that may write a file without ``atomic_write_text``,
+#: and why.
+ALLOWED_WRITES = {
+    # atomic_write_text itself.
+    "harness/persistence.py": None,
+    # Fills of a publish_dir temp directory, renamed into place whole.
+    "graph/sharded.py":
+        'with open(manifest_path, "w", encoding="utf-8") as handle:',
+    "datagen/cache.py": "(Path(tmp) / _META_NAME).write_text(",
+    # A kernel control file, not data.
+    "observability/memory.py":
+        'with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:',
+}
+
+
+def test_every_file_write_is_atomic():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        allowed = ALLOWED_WRITES.get(name, "")
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if PLAIN_WRITE.search(line) and allowed is not None \
+                    and line.strip() != allowed:
+                offenders.append(f"{name}:{number}: {line.strip()}")
+    assert not offenders, (
+        "an interrupted write must leave the old file or the new one — "
+        "use repro.harness.persistence.atomic_write_text:\n"
+        + "\n".join(offenders))

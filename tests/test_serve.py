@@ -19,6 +19,7 @@ Coverage map:
 """
 
 import asyncio
+import json
 import os
 import signal
 import subprocess
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ReproError
 from repro.harness.sweep import Sweep
 from repro.harness.tables import table5
 from repro.serve import (
@@ -226,6 +228,44 @@ class TestJobRegistry:
         reloaded.load()
         assert reloaded.create("gate", {}).id > first.id
         reloaded.close()
+
+    @pytest.mark.parametrize("tail", [
+        '{"event": "created", "job": "job-0000',
+        '{"event": "journal", "job": "job-000001"}',
+    ], ids=["cut-mid-record", "newline-lost"])
+    def test_a_torn_tail_does_not_eat_the_next_job(self, tmp_path, tail):
+        """The next append must start on a fresh line, not on the
+        fragment a mid-write crash left behind."""
+        def finish_one_job():
+            registry = JobRegistry(tmp_path)
+            registry.load()
+            job = registry.create("gate", {})
+            registry.transition(job, STATE_DONE, result={"status": "ok"})
+            registry.close()
+            return job.id
+
+        first = finish_one_job()
+        journal = tmp_path / "jobs.jsonl"
+        with open(journal, "a") as handle:
+            handle.write(tail)
+        second = finish_one_job()
+        assert second > first
+
+        reloaded = JobRegistry(tmp_path)
+        assert reloaded.load() == 2
+        assert reloaded.get(second).state == STATE_DONE
+        reloaded.close()
+        lines = journal.read_text().splitlines()
+        assert len(lines) >= 4 and all(json.loads(line) for line in lines)
+
+    def test_garbage_mid_journal_is_a_typed_error(self, tmp_path):
+        registry = JobRegistry(tmp_path)
+        registry.create("gate", {})
+        registry.close()
+        journal = tmp_path / "jobs.jsonl"
+        journal.write_text("{garbage\n" + journal.read_text())
+        with pytest.raises(ReproError, match="corrupt mid-journal"):
+            JobRegistry(tmp_path).load()
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,33 @@ class TestRealFaultPlan:
             with pytest.raises(SimulationError):
                 RealFaultPlan.from_spec(bad)
 
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS_REAL", raising=False)
+    def test_env_resolution(self, monkeypatch, tmp_path, capsys):
+        """``$REPRO_CHAOS_REAL`` is the default of ``repro sweep
+        --real-chaos``; nothing below the CLI reads it."""
+        from repro.cli import main
+        from tests.test_serve import _LiveServer
+
+        def restarts(*flags):
+            assert main(["sweep", "table5", "--algorithms", "pagerank",
+                         "--frameworks", "native", "--json", *flags]) == 0
+            report = json.loads(capsys.readouterr().out)["completeness"]
+            assert report["coverage"] == 1.0
+            return report["worker_restarts"]
+
+        monkeypatch.setenv("REPRO_CHAOS_REAL", "kill(cell=1)")
+        assert restarts() == 1                      # env, no flag: applied
+        assert restarts("--real-chaos", "") == 0    # the flag wins
+        assert restarts("--real-chaos", "kill(cell=0); kill(cell=2)") == 2
+
         assert resolve_real_chaos(None) is None
-        monkeypatch.setenv("REPRO_CHAOS_REAL", "kill(cell=2)")
-        plan = resolve_real_chaos(None)
-        assert plan == RealFaultPlan([KillWorker(cell=2)])
-        # Explicit values win over the environment.
-        assert len(resolve_real_chaos("kill(cell=1); kill(cell=3)")) == 2
+        assert Sweep("s").real_chaos is None
+        with _LiveServer(tmp_path / "state", warm=False) as live:
+            status, job = live.call("POST", "/sweeps", {
+                "target": "table5", "algorithms": ["pagerank"],
+                "frameworks": ["native"], "wait": True})
+        assert status == 200 and job["state"] == "done"
+        assert job["result"]["completeness"]["coverage"] == 1.0
+        assert job["result"]["completeness"]["worker_restarts"] == 0
 
     def test_validate_rejects_out_of_range_and_uncapped_balloons(self):
         plan = RealFaultPlan.from_spec("kill(cell=9)")

@@ -176,6 +176,20 @@ class TestJournal:
         assert resumed.replayed == 5 and resumed.executed == 3
         assert journal.read_bytes() == original
 
+    def test_lost_final_newline_repaired_on_resume(self, tmp_path):
+        """Torn exactly at the newline: the record is whole, but the
+        next append must still start on a fresh line."""
+        journal = tmp_path / "s.jsonl"
+        Sweep("s", journal=journal).run(keys(4), ok_executor)
+        original = journal.read_bytes()
+        lines = journal.read_text().splitlines()
+        journal.write_text("\n".join(lines[:3]))
+
+        resumed = Sweep("s", journal=journal, resume=True).run(
+            keys(4), ok_executor)
+        assert resumed.replayed == 2 and resumed.executed == 2
+        assert journal.read_bytes() == original
+
     def test_resume_replays_and_never_recomputes(self, tmp_path):
         journal = tmp_path / "s.jsonl"
         direct = Sweep("s", journal=journal).run(keys(6), ok_executor)
