@@ -23,27 +23,6 @@ def require_oriented(graph: CSRGraph) -> None:
         )
 
 
-def triangle_count_fast(graph: CSRGraph) -> "tuple[int, object]":
-    """Vectorized exact count via sparse algebra (shared by all engines).
-
-    ``(A @ A) restricted to A`` gives, per oriented edge (u, v),
-    |N(u) cap N(v)| — identical to per-edge intersection but computed in
-    one sparse matrix product. Returns ``(count, overlap_matrix)``.
-    """
-    from scipy import sparse
-
-    require_oriented(graph)
-    n = graph.num_vertices
-    adjacency = sparse.csr_matrix(
-        (np.ones(graph.num_edges, dtype=np.float64),
-         graph.targets.astype(np.int64), graph.offsets.astype(np.int64)),
-        shape=(n, n),
-    )
-    paths = adjacency @ adjacency
-    overlap = paths.multiply(adjacency)
-    return int(overlap.sum()), overlap
-
-
 def triangle_count_reference(graph: CSRGraph) -> int:
     """Exact triangle count of an id-oriented graph."""
     require_oriented(graph)

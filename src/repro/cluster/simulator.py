@@ -118,10 +118,6 @@ class Cluster:
         for node_id, size in enumerate(sizes):
             self._memory[node_id].allocate(label, float(size))
 
-    def free_all(self, label: str) -> None:
-        for tracker in self._memory:
-            tracker.free(label)
-
     # -- time advancement --------------------------------------------------------
 
     def _normalize_work(self, work) -> list:

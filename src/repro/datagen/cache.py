@@ -26,20 +26,22 @@ disk cache:
   benignly (first replace wins, losers discard their temp dir). An
   entry that no longer loads (torn ``meta.json``, missing or truncated
   array or shard file) is removed and rebuilt: damage is a miss.
-* **One lifecycle.** Array entries, sharded-CSR directory entries and
-  :func:`pin` all go through :func:`_lookup`; they differ only in how
-  an entry's temp directory is filled.
+* **One lifecycle.** Array entries and sharded-CSR directory entries
+  both go through :func:`_lookup`; they differ only in how an entry's
+  temp directory is filled.
 * **Observable.** Hits, misses and stores are mirrored as tracer
   instants (``dataset-cache-hit`` / ``-miss`` / ``-store``) on the
   active tracer, so a sweep's flight record proves whether generation
   actually happened.
-* **Pinned hot datasets.** Long-lived processes (the ``repro serve``
-  daemon) can :func:`pin` entries — a refcounted in-process registry
-  holding strong references to the loaded arrays, checked *before* the
-  disk lookup. A pinned hit costs a dict lookup (no ``open``, no page
-  faults on a cold page cache) and is marked ``pinned=true`` on its
-  ``dataset-cache-hit`` instant; :func:`pinning` pins everything a
-  warm-up block touches.
+* **Two tiers: resident set, then disk.** The process's one resident
+  set is a registry keyed by the same content address, holding strong
+  references to loaded datasets and checked *before* the disk lookup.
+  Whatever is looked up inside a :func:`pinning` block is held —
+  :mod:`repro.harness.datasets` (every named or placed dataset) and
+  the daemon's warm-up are the only code that enters one; a generator
+  called directly holds nothing. A resident hit costs a key hash and a
+  dict lookup (no ``open``, no page faults on a cold page cache) and
+  is marked ``pinned=true`` on its ``dataset-cache-hit`` instant.
 
 The cache root is ``$REPRO_CACHE_DIR`` when set, else ``.repro_cache``
 under the current directory. ``REPRO_DATASET_CACHE=0`` disables disk
@@ -240,13 +242,13 @@ def _load(entry: Path):
 def _lookup(generator: str, params: dict, build, save, root):
     """The cache's one lifecycle; every lookup is a caller of this.
 
-    pinned hit -> cache disabled -> disk hit -> miss -> ``build()`` ->
+    resident hit -> cache disabled -> disk hit -> miss -> ``build()`` ->
     publish (``save(tmp, data)`` fills the entry's temp directory) ->
-    store -> load -> auto-pin. Cold and warm runs hand out the same
-    *loaded* object. ``root`` is where entries live, None for none at
-    all. An entry that cannot be loaded is removed and is a miss; one
-    that cannot be published falls back to the frozen in-memory build,
-    when there is one (read-only filesystem).
+    store -> load -> held when inside :func:`pinning`. Cold and warm
+    runs hand out the same *loaded* object. ``root`` is where entries
+    live, None for none at all. An entry that cannot be loaded is
+    removed and is a miss; one that cannot be published falls back to
+    the frozen in-memory build, when there is one (read-only filesystem).
     """
     key = entry_key(generator, params)
     with _PINS_LOCK:
@@ -286,9 +288,9 @@ def get_or_build(generator: str, params: dict, build):
 
     Returns the *loaded* (memory-mapped, immutable) dataset on both
     paths. With caching disabled the build stays in memory, frozen.
-    Pinned entries (see :func:`pin`) short-circuit everything: the held
-    object is returned directly, with a ``pinned=true`` hit instant as
-    proof.
+    Resident entries (see :func:`pinning`) short-circuit everything:
+    the held object is returned directly, with a ``pinned=true`` hit
+    instant as proof.
     """
     def save(tmp, data):
         for name, array in _arrays_of(data).items():
@@ -341,7 +343,6 @@ def disk_cached(generator: str):
 
     def wrap(fn):
         signature = inspect.signature(fn)
-        _GENERATOR_SIGNATURES[generator] = signature
 
         @functools.wraps(fn)
         def inner(*args, **kwargs):
@@ -355,56 +356,34 @@ def disk_cached(generator: str):
     return wrap
 
 
-# -- pinned hot datasets (the serving layer's warm set) ----------------------
+# -- the resident set ---------------------------------------------------------
 
-#: key -> {"generator", "data", "refcount", "hits"}; guarded by the lock
-#: (the server touches this from its event loop and sweep threads).
+#: key -> {"generator", "data", "hits"}; guarded by the lock (the server
+#: touches this from its event loop and sweep threads).
 _PINS = {}
 _PINS_LOCK = threading.Lock()
 
-#: generator name -> its ``inspect.Signature``; filled by
-#: :func:`disk_cached` so :func:`pin` can apply the same
-#: defaults-applied key normalization the decorated call path uses.
-_GENERATOR_SIGNATURES = {}
-
-
-def _full_params(generator: str, params: dict) -> dict:
-    signature = _GENERATOR_SIGNATURES.get(generator)
-    if signature is None:
-        return params
-    bound = signature.bind(**params)
-    bound.apply_defaults()
-    return dict(bound.arguments)
-
-#: Depth of active :func:`pinning` blocks (>0 = auto-pin every load).
+#: Depth of active :func:`pinning` blocks (>0 = hold every lookup).
 _PINNING_DEPTH = [0]
 
 
-def _hold(key: str, generator: str, data) -> None:
-    """One more reference on ``key``; call with the lock held."""
-    held = _PINS.get(key)
-    if held is not None:
-        held["refcount"] += 1
-    else:
-        _PINS[key] = {"generator": generator, "data": data,
-                      "refcount": 1, "hits": 0}
-
-
 def _maybe_pin(key: str, generator: str, data):
-    """Auto-pin a freshly loaded dataset inside a :func:`pinning` block."""
+    """Hold a freshly loaded dataset inside a :func:`pinning` block."""
     with _PINS_LOCK:
         if _PINNING_DEPTH[0] > 0:
-            _hold(key, generator, data)
+            # First holder wins, so one key is only ever one object.
+            data = _PINS.setdefault(
+                key, {"generator": generator, "data": data, "hits": 0})["data"]
     return data
 
 
 @contextmanager
 def pinning():
-    """Pin every dataset loaded inside the block (refcount +1 each).
+    """Hold every dataset looked up inside the block in the resident set.
 
-    The serving layer wraps its warm-up requests in this: afterwards
-    the gate datasets live in the process as strong references, and
-    every later request hits them without touching the filesystem.
+    Afterwards the datasets live in the process as strong references,
+    and every later lookup of the same content — from any caller —
+    is handed the same object without touching the filesystem.
     """
     with _PINS_LOCK:
         _PINNING_DEPTH[0] += 1
@@ -415,56 +394,16 @@ def pinning():
             _PINNING_DEPTH[0] -= 1
 
 
-def pin(generator: str, params: dict, build=None) -> str:
-    """Pin one entry by identity; returns its key.
-
-    Loads the disk entry when present, else falls back to ``build``
-    (and publishes it on the way, same as :func:`get_or_build`). A
-    repeated pin of the same key bumps its refcount. ``params`` may be
-    partial for a :func:`disk_cached` generator — the registered
-    signature fills in defaults, exactly like the decorated call path.
-    """
-    params = _full_params(generator, params)
-    key = entry_key(generator, params)
-
-    def missing():
-        raise KeyError(
-            f"cannot pin {generator} entry {key}: not in the disk cache "
-            "and no build callable given")
-
-    with _PINS_LOCK:
-        held = _PINS.get(key)
-        if held is not None:
-            held["refcount"] += 1
-            return key
-    data = get_or_build(generator, params, build or missing)
-    with _PINS_LOCK:
-        _hold(key, generator, data)
-    return key
-
-
-def unpin(key: str) -> bool:
-    """Drop one reference; the entry is released at refcount zero."""
-    with _PINS_LOCK:
-        held = _PINS.get(key)
-        if held is None:
-            return False
-        held["refcount"] -= 1
-        if held["refcount"] <= 0:
-            del _PINS[key]
-        return True
-
-
 def pinned() -> list:
-    """The pinned entries: key, generator, refcount, pinned-hit count."""
+    """The resident entries: key, generator, pinned-hit count."""
     with _PINS_LOCK:
         return [{"key": key, "generator": held["generator"],
-                 "refcount": held["refcount"], "hits": held["hits"]}
+                 "hits": held["hits"]}
                 for key, held in sorted(_PINS.items())]
 
 
 def clear_pins() -> int:
-    """Release every pin (the server's shutdown path); returns count."""
+    """Empty the resident set; returns how many entries it held."""
     with _PINS_LOCK:
         count = len(_PINS)
         _PINS.clear()
@@ -494,6 +433,15 @@ def pinned_memory() -> dict:
         elif callable(nbytes):
             resident += int(nbytes())
     return {"virtual_bytes": virtual, "resident_bytes": resident}
+
+
+def pinned_stats() -> dict:
+    """The resident set's counters; touches no file (``GET /stats``)."""
+    held = pinned()
+    return {"entries": len(held),
+            "hits": sum(item["hits"] for item in held),
+            "keys": held,
+            "memory": pinned_memory()}
 
 
 def entries(root=None) -> list:
@@ -546,7 +494,6 @@ def stats(root=None) -> dict:
         kind["entries"] += 1
         kind["bytes"] += item["bytes"]
     sharded = [item for item in listed if item["kind"] == "sharded-csr"]
-    held = pinned()
     return {
         "root": str(root),
         "enabled": cache_enabled(),
@@ -560,13 +507,7 @@ def stats(root=None) -> dict:
             "partitions": sum(item.get("partitions", 0) for item in sharded),
             "bytes": sum(item["bytes"] for item in sharded),
         },
-        "pinned": {
-            "entries": len(held),
-            "refcount": sum(item["refcount"] for item in held),
-            "hits": sum(item["hits"] for item in held),
-            "keys": held,
-            "memory": pinned_memory(),
-        },
+        "pinned": pinned_stats(),
     }
 
 

@@ -15,9 +15,9 @@ paper's original statistics alongside for Table 3 regeneration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from ..graph import CSRGraph, RatingsMatrix
+from ..errors import SpecError
+from ..graph import CSRGraph
 from .ratings import netflix_like_ratings
 from .rmat import rmat_graph, rmat_triangle_graph
 
@@ -28,33 +28,46 @@ DOWNSCALE = 256
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """One row of Table 3 plus the recipe for its proxy."""
+    """One row of Table 3 plus the one recipe for its proxy.
+
+    ``seed`` builds the directed proxy and its symmetrized variant,
+    ``triangle_seed`` the id-oriented reduced-triangle variant; a graph
+    entry has whichever it names. Ratings entries set ``num_items``.
+    """
 
     name: str
     kind: str                      # "graph" or "ratings"
     paper_vertices: str
     paper_edges: int
     description: str
-    builder: Callable
     algorithms: tuple
+    scale: int
+    edge_factor: int
+    seed: int = None
+    triangle_seed: int = None
+    num_items: int = None
 
     def build(self):
         """Materialize the proxy dataset (deterministic)."""
-        return self.builder()
+        if self.kind == "ratings":
+            return netflix_like_ratings(self.scale, self.num_items,
+                                        edge_factor=self.edge_factor,
+                                        seed=self.seed)
+        if self.seed is None:
+            return self.triangle_graph()
+        return self.graph(directed=True)
 
+    def graph(self, directed: bool) -> CSRGraph:
+        if self.kind != "graph" or self.seed is None:
+            raise SpecError(f"no graph variant configured for {self.name}")
+        return rmat_graph(self.scale, edge_factor=self.edge_factor,
+                          seed=self.seed, directed=directed)
 
-def _graph_proxy(scale, edge_factor, seed, directed=True):
-    return lambda: rmat_graph(scale, edge_factor=edge_factor, seed=seed,
-                              directed=directed)
-
-
-def _triangle_proxy(scale, edge_factor, seed):
-    return lambda: rmat_triangle_graph(scale, edge_factor=edge_factor, seed=seed)
-
-
-def _ratings_proxy(scale, num_items, edge_factor, seed):
-    return lambda: netflix_like_ratings(scale, num_items,
-                                        edge_factor=edge_factor, seed=seed)
+    def triangle_graph(self) -> CSRGraph:
+        if self.kind != "graph" or self.triangle_seed is None:
+            raise SpecError(f"no triangle variant configured for {self.name}")
+        return rmat_triangle_graph(self.scale, edge_factor=self.edge_factor,
+                                   seed=self.triangle_seed)
 
 
 # Edge factors approximate each real dataset's average degree:
@@ -64,73 +77,73 @@ CATALOG = {
         name="facebook", kind="graph",
         paper_vertices="2,937,612", paper_edges=41_919_708,
         description="Facebook user interaction graph [34]",
-        builder=_graph_proxy(scale=13, edge_factor=14, seed=101),
         algorithms=("pagerank", "bfs", "triangle_counting"),
+        scale=13, edge_factor=14, seed=101, triangle_seed=201,
     ),
     "wikipedia": DatasetSpec(
         name="wikipedia", kind="graph",
         paper_vertices="3,566,908", paper_edges=84_751_827,
         description="Wikipedia link graph [14]",
-        builder=_graph_proxy(scale=13, edge_factor=24, seed=102),
         algorithms=("pagerank", "bfs", "triangle_counting"),
+        scale=13, edge_factor=24, seed=102, triangle_seed=202,
     ),
     "livejournal": DatasetSpec(
         name="livejournal", kind="graph",
         paper_vertices="4,847,571", paper_edges=85_702_475,
         description="LiveJournal follower graph [14]",
-        builder=_graph_proxy(scale=14, edge_factor=18, seed=103),
         algorithms=("pagerank", "bfs", "triangle_counting"),
+        scale=14, edge_factor=18, seed=103, triangle_seed=203,
     ),
     "twitter": DatasetSpec(
         name="twitter", kind="graph",
         paper_vertices="61,578,415", paper_edges=1_468_365_182,
         description="Twitter follower graph [20] (multi-node dataset)",
-        builder=_graph_proxy(scale=16, edge_factor=24, seed=104),
         algorithms=("pagerank", "bfs", "triangle_counting"),
+        scale=16, edge_factor=24, seed=104, triangle_seed=204,
     ),
     "netflix": DatasetSpec(
         name="netflix", kind="ratings",
         paper_vertices="480,189 users x 17,770 movies", paper_edges=99_072_112,
         description="Netflix Prize ratings [9]",
-        builder=_ratings_proxy(scale=13, num_items=290, edge_factor=24, seed=105),
         algorithms=("collaborative_filtering",),
+        scale=13, edge_factor=24, seed=105, num_items=290,
     ),
     "yahoo_music": DatasetSpec(
         name="yahoo_music", kind="ratings",
         paper_vertices="1,000,990 users x 624,961 items", paper_edges=252_800_275,
         description="Yahoo! KDDCup 2011 music ratings [7] (multi-node dataset)",
-        builder=_ratings_proxy(scale=14, num_items=2400, edge_factor=28, seed=106),
         algorithms=("collaborative_filtering",),
+        scale=14, edge_factor=28, seed=106, num_items=2400,
     ),
     "synthetic_graph500": DatasetSpec(
         name="synthetic_graph500", kind="graph",
         paper_vertices="536,870,912", paper_edges=8_589_926_431,
         description="Graph500 RMAT, largest weak-scaling point (Section 4)",
-        builder=_graph_proxy(scale=15, edge_factor=16, seed=107),
         algorithms=("pagerank", "bfs"),
+        scale=15, edge_factor=16, seed=107, triangle_seed=207,
     ),
     "synthetic_collaborative": DatasetSpec(
         name="synthetic_collaborative", kind="ratings",
         paper_vertices="63,367,472 users x 1,342,176 items",
         paper_edges=16_742_847_256,
         description="Synthetic power-law ratings, largest weak-scaling point",
-        builder=_ratings_proxy(scale=15, num_items=5000, edge_factor=24, seed=108),
         algorithms=("collaborative_filtering",),
+        scale=15, edge_factor=24, seed=108, num_items=5000,
     ),
     # Small, fast datasets used by unit tests and Table 1 characterization.
     "rmat_mini": DatasetSpec(
         name="rmat_mini", kind="graph",
         paper_vertices="-", paper_edges=0,
         description="Tiny RMAT graph for tests and algorithm characterization",
-        builder=_graph_proxy(scale=10, edge_factor=8, seed=1),
         algorithms=("pagerank", "bfs"),
+        scale=10, edge_factor=8, seed=1, triangle_seed=21,
     ),
     "rmat_mini_triangles": DatasetSpec(
         name="rmat_mini_triangles", kind="graph",
         paper_vertices="-", paper_edges=0,
         description="Tiny id-oriented RMAT graph for triangle counting",
-        builder=_triangle_proxy(scale=10, edge_factor=8, seed=2),
         algorithms=("triangle_counting",),
+        scale=10, edge_factor=8, triangle_seed=2,
     ),
 }
 
@@ -139,47 +152,25 @@ SINGLE_NODE_GRAPHS = ("livejournal", "facebook", "wikipedia")
 SINGLE_NODE_RATINGS = ("netflix",)
 
 
-def dataset(name: str):
-    """Build the named proxy dataset; raises ``KeyError`` for unknown names."""
+def _spec(name: str) -> DatasetSpec:
     try:
-        spec = CATALOG[name]
+        return CATALOG[name]
     except KeyError:
         known = ", ".join(sorted(CATALOG))
-        raise KeyError(f"unknown dataset {name!r}; known: {known}") from None
-    return spec.build()
+        raise SpecError(f"unknown dataset {name!r}; known: {known}") from None
 
 
-def triangle_variant(name: str, scale_override: int = None) -> CSRGraph:
+def dataset(name: str):
+    """Build the named proxy dataset; unknown names are a ``SpecError``."""
+    return _spec(name).build()
+
+
+def triangle_variant(name: str) -> CSRGraph:
     """Triangle-counting version of a graph proxy: reduced-triangle RMAT
     parameters and id-orientation, as the paper prescribes."""
-    spec = CATALOG[name]
-    if spec.kind != "graph":
-        raise ValueError(f"{name} is not a graph dataset")
-    base = spec.builder()  # only to recover the configured size cheaply
-    del base
-    # Rebuild with the triangle-counting parameters at the same scale.
-    recipe = {
-        "facebook": (13, 14, 201), "wikipedia": (13, 24, 202),
-        "livejournal": (14, 18, 203), "twitter": (16, 24, 204),
-        "synthetic_graph500": (15, 16, 207), "rmat_mini": (10, 8, 21),
-    }
-    if name not in recipe:
-        raise ValueError(f"no triangle variant configured for {name}")
-    scale, edge_factor, seed = recipe[name]
-    if scale_override is not None:
-        scale = scale_override
-    return rmat_triangle_graph(scale, edge_factor=edge_factor, seed=seed)
+    return _spec(name).triangle_graph()
 
 
 def bfs_variant(name: str) -> CSRGraph:
     """Undirected (symmetrized) version of a graph proxy for BFS."""
-    spec = CATALOG[name]
-    if spec.kind != "graph":
-        raise ValueError(f"{name} is not a graph dataset")
-    recipe = {
-        "facebook": (13, 14, 101), "wikipedia": (13, 24, 102),
-        "livejournal": (14, 18, 103), "twitter": (16, 24, 104),
-        "synthetic_graph500": (15, 16, 107), "rmat_mini": (10, 8, 1),
-    }
-    scale, edge_factor, seed = recipe[name]
-    return rmat_graph(scale, edge_factor=edge_factor, seed=seed, directed=False)
+    return _spec(name).graph(directed=False)

@@ -113,8 +113,3 @@ def _varint_size(ids: np.ndarray) -> int:
     gaps = np.maximum(gaps, 1)  # varint of 0 still takes one byte
     return int(np.ceil((np.log2(gaps.astype(np.float64) + 1) + 1e-9) / 7.0)
                .clip(min=1).sum())
-
-
-def uncompressed_id_bytes(count: int) -> int:
-    """Wire size of a raw 8-byte-per-id message (the unoptimized path)."""
-    return 8 * count

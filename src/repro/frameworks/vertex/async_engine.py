@@ -36,9 +36,6 @@ class AsyncStats:
     edge_operations: float
     max_residual: float
 
-    def updates_per_vertex(self, num_vertices: int) -> float:
-        return self.updates / max(num_vertices, 1)
-
 
 class AsyncScheduler:
     """Priority-ordered vertex scheduler with lazy deletion.

@@ -35,13 +35,6 @@ class RatingsMatrix:
         self._by_user = None
         self._by_item = None
 
-    @classmethod
-    def from_edgelist(cls, num_users, num_items, edges: EdgeList) -> "RatingsMatrix":
-        """Interpret a weighted edge list as user->item ratings."""
-        if edges.weights is None:
-            raise GraphFormatError("ratings require a weighted edge list")
-        return cls(num_users, num_items, edges.src, edges.dst, edges.weights)
-
     @property
     def num_ratings(self) -> int:
         return int(self.ratings.size)

@@ -3,14 +3,13 @@
 Central place that decides, for every experiment, (a) which proxy
 dataset to execute on and (b) the ``scale_factor`` that extrapolates the
 counted work to the paper's dataset sizes: :func:`experiment_dataset`
-resolves the three ways the paper places a cell. Proxies are cached per
-process (they are deterministic), so the table and figure regenerators
-can share them.
+resolves the three ways the paper places a cell, :func:`catalog_dataset`
+a name a spec carries. Every function here that builds runs inside
+:func:`repro.datagen.cache.pinning`, so the process holds one object per
+distinct content, whichever name, algorithm or caller asked for it.
 """
 
 from __future__ import annotations
-
-import functools
 
 from ..datagen import (
     CATALOG,
@@ -21,6 +20,7 @@ from ..datagen import (
     rmat_triangle_graph,
     triangle_variant,
 )
+from ..datagen.cache import clear_pins, pinning
 
 #: Paper weak-scaling budgets (Figure 4 captions).
 PAPER_EDGES_PER_NODE = {
@@ -50,7 +50,13 @@ HARNESS_HIDDEN_DIM = 32
 HARNESS_ITERATIONS = 3
 
 
-@functools.lru_cache(maxsize=64)
+@pinning()
+def catalog_dataset(name: str):
+    """The raw catalog proxy: what ``run`` places for a named dataset."""
+    return _catalog_dataset(name)
+
+
+@pinning()
 def single_node_graph(name: str, algorithm: str):
     """Proxy graph for the Figure 3 single-node panels."""
     if algorithm in UNDIRECTED_ALGORITHMS:
@@ -60,9 +66,9 @@ def single_node_graph(name: str, algorithm: str):
     return _catalog_dataset(name)
 
 
-@functools.lru_cache(maxsize=8)
-def single_node_ratings(name: str):
-    return _catalog_dataset(name)
+#: Ratings have no per-algorithm variant: Figure 3's CF panels run on
+#: the catalog proxy itself.
+single_node_ratings = catalog_dataset
 
 
 #: Assumed paper-scale size of the single-node synthetic runs (the paper
@@ -70,6 +76,7 @@ def single_node_ratings(name: str):
 SYNTHETIC_SINGLE_NODE_EDGES = 100e6
 
 
+@pinning()
 def _single_node_synthetic(algorithm: str):
     """The ``"synthetic"`` column of the Figure 3 panels."""
     if algorithm == "collaborative_filtering":
@@ -106,7 +113,7 @@ def _scale_for_nodes(base_scale: int, nodes: int) -> int:
     return scale
 
 
-@functools.lru_cache(maxsize=64)
+@pinning()
 def weak_scaling_graph(algorithm: str, nodes: int):
     """Graph with ~PROXY_EDGES_PER_NODE[algorithm] x nodes edges."""
     if algorithm == "triangle_counting":
@@ -117,7 +124,7 @@ def weak_scaling_graph(algorithm: str, nodes: int):
                       seed=900 + nodes, directed=directed)
 
 
-@functools.lru_cache(maxsize=64)
+@pinning()
 def weak_scaling_ratings(nodes: int):
     return netflix_like_ratings(_scale_for_nodes(11, nodes),
                                 num_items=64 * nodes, seed=900 + nodes)
@@ -140,16 +147,9 @@ def scale_factor_for(algorithm: str, paper_size: float,
 
 
 def clear_proxy_caches() -> None:
-    """Drop the per-process proxy memoization (not the disk cache).
-
-    Cold/warm cache experiments need the next dataset request to reach
-    :mod:`repro.datagen.cache` instead of being absorbed by the
-    ``lru_cache`` layer above it.
-    """
-    single_node_graph.cache_clear()
-    single_node_ratings.cache_clear()
-    weak_scaling_graph.cache_clear()
-    weak_scaling_ratings.cache_clear()
+    """Empty the process's resident set (not the disk cache), so the
+    next dataset request reaches the disk cache."""
+    clear_pins()
 
 
 def _size(data) -> int:

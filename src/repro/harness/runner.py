@@ -29,6 +29,7 @@ from ..kernels.backend import use_backend
 from .datasets import (
     HARNESS_HIDDEN_DIM,
     HARNESS_ITERATIONS,
+    catalog_dataset,
     experiment_dataset,
 )
 from .spec import ExperimentSpec
@@ -153,7 +154,8 @@ def run(spec: ExperimentSpec, trace=None) -> RunResult:
     and counter the execution stack emitted.
 
     ``spec.dataset`` may be a catalog name (resolved through
-    :func:`repro.datagen.dataset`) or an in-memory graph/ratings object.
+    :func:`~repro.harness.datasets.catalog_dataset`) or an in-memory
+    graph/ratings object.
     ``spec.kernels`` pins the kernel backend for the duration of the
     run; simulated results are backend-independent, so this only moves
     wall-clock time.
@@ -175,8 +177,7 @@ def run(spec: ExperimentSpec, trace=None) -> RunResult:
     algorithm, framework, nodes = spec.algorithm, spec.framework, spec.nodes
     dataset = spec.dataset
     if isinstance(dataset, str):
-        from ..datagen import dataset as _catalog
-        dataset = _catalog(dataset)
+        dataset = catalog_dataset(dataset)
     runner = _lookup(algorithm, framework)
     merged = dict(default_params(algorithm, dataset))
     merged.update(spec.params)

@@ -9,7 +9,7 @@ from the CLI, a sweep, the daemon or a test, is ``run(ExperimentSpec)``
 — and gives them all a single serializable description to pass around.
 
 Validation is strict: unknown algorithms, frameworks, kernel backends,
-out-of-range parameter values and — the historical foot-gun —
+dataset names of the wrong kind, out-of-range parameter values and — the historical foot-gun —
 misspelled ``params`` keys all raise :class:`~repro.errors.SpecError`
 naming the valid choices, instead of silently flowing into a runner's
 ``**kwargs``.
@@ -25,6 +25,7 @@ from ..algorithms.registry import (
     accepted_params,
     valid_params,
 )
+from ..datagen import CATALOG
 from ..errors import SpecError
 from ..frameworks.rounds import check_params
 from ..kernels.backend import BACKENDS
@@ -99,6 +100,17 @@ class ExperimentSpec:
                 f"{', '.join(accepted) or 'no parameters'}"
             )
         check_params(**self.params)
+        if isinstance(self.dataset, str):
+            wanted = "ratings" \
+                if self.algorithm == "collaborative_filtering" else "graph"
+            entry = CATALOG.get(self.dataset)
+            if entry is None or entry.kind != wanted:
+                names = sorted(name for name, entry in CATALOG.items()
+                               if entry.kind == wanted)
+                raise SpecError(
+                    f"{self.algorithm} needs a {wanted} dataset, got "
+                    f"{self.dataset!r}; known: {', '.join(names)}"
+                )
 
     # -- serialization -----------------------------------------------------
 

@@ -232,6 +232,3 @@ class Tracer(NullTracer):
         """Summed duration of all *closed* spans with ``name``."""
         return sum(span.duration_s for span in self.spans
                    if span.name == name and span.end_s is not None)
-
-    def children_of(self, index: int) -> list:
-        return [span for span in self.spans if span.parent == index]

@@ -4,11 +4,12 @@
 amortizes the two costs every cold run pays — dataset generation and
 worker-pool fork — across an arbitrary request stream:
 
-* **Hot datasets.** At startup the service warms the perf-gate subset
-  through :func:`repro.datagen.cache.pinning`, so the weak-scaling
-  graphs live pinned in memory. Workers fork *after* the warm-up and
-  inherit the pins, so a served gate cell never touches the disk cache
-  (its ``dataset-cache-hit`` instant carries ``pinned=true`` as proof).
+* **Hot datasets.** At startup the service places the perf-gate
+  subset, which puts the weak-scaling graphs in the process's resident
+  set (:mod:`repro.datagen.cache`: resident set, then disk). Workers
+  fork *after* the warm-up and inherit it, so a served gate cell never
+  touches the disk cache (its ``dataset-cache-hit`` instant carries
+  ``pinned=true`` as proof).
 * **One warm pool.** A single
   :class:`~repro.harness.supervisor.SupervisorPool` serves every
   request; per-task executors ride the PR-9 submit path, and sweeps
@@ -40,10 +41,11 @@ from ..datagen import cache as dataset_cache
 from ..errors import ReproError, SweepInterrupted
 from ..observability import current_rss_bytes, peak_rss_bytes
 from ..harness.supervisor import SupervisorPolicy, SupervisorPool
-from ..harness.sweep import CellPolicy, Sweep, cell_id
+from ..harness.sweep import CellPolicy, Sweep, cell_id, sweep_cell
 from .admission import AdmissionController
 from .api import (
     ApiError,
+    bad_request,
     parse_body,
     parse_experiment_request,
     parse_perf_request,
@@ -65,24 +67,13 @@ WARM_NODE_COUNTS = (1, 4)
 
 _SERVER_HEADER = "repro-serve"
 
+#: Largest request body read; every route's JSON is a few hundred bytes.
+MAX_BODY_BYTES = 1 << 20
+
 
 # ---------------------------------------------------------------------------
 # Cell executors (module-level: they ship pickled to pool workers)
 # ---------------------------------------------------------------------------
-
-
-def _gate_cell(key, budget_s=None):
-    """One perf-gate cell — byte-identical to what the baseline gate
-    measures (:func:`repro.perf.baselines.measure_cells`)."""
-    from ..harness.datasets import clear_proxy_caches
-    from ..harness.sweep import sweep_cell
-
-    # Drop the fork-inherited lru memo so the lookup reaches the pin
-    # layer and emits its ``dataset-cache-hit`` instant — the tracer
-    # proof that served cells run against the warm pinned dataset. The
-    # pinned hit itself is a dict lookup, so this costs nothing.
-    clear_proxy_caches()
-    return sweep_cell(key, budget_s)
 
 
 def _spec_cell(key, budget_s=None):
@@ -102,7 +93,9 @@ def _perf_cell(key, budget_s=None):
                         key["node_counts"]).to_dict()
 
 
-_EXECUTORS = {"gate": _gate_cell, "experiment": _spec_cell,
+#: A gate cell is the sweep's own executor — byte-identical to what the
+#: baseline gate measures (:func:`repro.perf.baselines.measure_cells`).
+_EXECUTORS = {"gate": sweep_cell, "experiment": _spec_cell,
               "perf-analyze": _perf_cell}
 
 #: Served cells fail fast: every executor is deterministic, so retry
@@ -157,23 +150,15 @@ class ExperimentService:
                                     resumable_sweeps=resumable)
         if self.warm:
             from ..algorithms.registry import ALGORITHMS
-            from ..harness.datasets import (
-                clear_proxy_caches,
-                weak_scaling_dataset,
-            )
+            from ..harness.datasets import weak_scaling_dataset
 
-            # An embedding process may already hold the lru memos for
-            # these datasets; drop them so the lookups below reach the
-            # dataset cache and actually pin.
-            clear_proxy_caches()
-            with dataset_cache.pinning():
-                # Every (algorithm, nodes) weak-scaling dataset in the
-                # gate subset; identical datasets dedupe on their
-                # content-addressed cache key, so this pins each
-                # distinct graph/ratings matrix exactly once.
-                for algorithm in ALGORITHMS:
-                    for nodes in self.warm_node_counts:
-                        weak_scaling_dataset(algorithm, nodes)
+            # Every (algorithm, nodes) weak-scaling dataset in the gate
+            # subset; identical datasets dedupe on their content-
+            # addressed cache key, so the resident set holds each
+            # distinct graph/ratings matrix exactly once.
+            for algorithm in ALGORITHMS:
+                for nodes in self.warm_node_counts:
+                    weak_scaling_dataset(algorithm, nodes)
             self.warmed = [entry["key"] for entry in dataset_cache.pinned()]
             # Reserve admission headroom for what the warm set actually
             # keeps resident: mmap-backed pinned shards reserve ~nothing
@@ -267,12 +252,21 @@ class ExperimentService:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
-                body = await reader.readexactly(length) if length else b""
-                keep_alive = headers.get("connection", "").lower() \
-                    != "close"
+                try:
+                    length = int(headers.get("content-length") or 0)
+                except ValueError:
+                    length = -1
+                # Without a usable length the next request's start is
+                # unknown: answer 400 and close.
+                framed = 0 <= length <= MAX_BODY_BYTES
+                keep_alive = framed and \
+                    headers.get("connection", "").lower() != "close"
                 self.requests += 1
                 try:
+                    if not framed:
+                        raise bad_request("Content-Length must be an integer "
+                                          f"in 0..{MAX_BODY_BYTES}")
+                    body = await reader.readexactly(length) if length else b""
                     handled = await self._route(method, path.split("?")[0],
                                                 body, writer)
                 except ApiError as error:
@@ -371,7 +365,7 @@ class ExperimentService:
             },
             "cache": {
                 "hits": dict(self.cache_hits),
-                "pinned": dataset_cache.stats()["pinned"],
+                "pinned": dataset_cache.pinned_stats(),
                 "warmed": list(self.warmed),
             },
             "memory": {

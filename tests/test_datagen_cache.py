@@ -295,8 +295,8 @@ class TestManagement:
 
         from repro.cli import main
 
-        rmat_graph(**GRAPH_ARGS)
-        cache_module.pin("rmat_graph", dict(GRAPH_ARGS))
+        with cache_module.pinning():
+            rmat_graph(**GRAPH_ARGS)
         try:
             assert main(["cache", "stats", "--json"]) == 0
             payload = json.loads(capsys.readouterr().out)
@@ -316,7 +316,6 @@ class TestPinnedDatasets:
         held = cache_module.pinned()
         assert len(held) == 1
         assert held[0]["generator"] == "rmat_graph"
-        assert held[0]["refcount"] == 1
         # A later load is served from the pin, not the filesystem, and
         # hands back the *same* object.
         tracer = Tracer()
@@ -330,27 +329,20 @@ class TestPinnedDatasets:
         assert instants and instants[-1].attrs.get("pinned") is True
         assert cache_module.pinned()[0]["hits"] == 1
 
-    def test_pin_refcount_and_unpin(self, cache_dir):
-        rmat_graph(**GRAPH_ARGS)                      # publish the entry
-        key = cache_module.pin("rmat_graph", dict(GRAPH_ARGS))
-        assert cache_module.pin("rmat_graph", dict(GRAPH_ARGS)) == key
-        assert cache_module.pinned()[0]["refcount"] == 2
-        assert cache_module.unpin(key)
-        assert cache_module.pinned()[0]["refcount"] == 1
-        assert cache_module.unpin(key)
-        assert cache_module.pinned() == []
-        assert not cache_module.unpin(key)
-
-    def test_pin_unknown_entry_without_build_raises(self, cache_dir):
-        with pytest.raises(KeyError):
-            cache_module.pin("rmat_graph", dict(GRAPH_ARGS))
+    def test_a_direct_generator_call_holds_nothing(self, cache_dir):
+        tracer = Tracer()
+        with cache_module.use_tracer(tracer):
+            cold, warm = rmat_graph(**GRAPH_ARGS), rmat_graph(**GRAPH_ARGS)
+        assert instants(tracer) == [("dataset-cache-miss", False),
+                                    ("dataset-cache-store", False),
+                                    ("dataset-cache-hit", False)]
+        assert cold is not warm and cache_module.pinned() == []
 
     def test_stats_report_pins(self, cache_dir):
-        rmat_graph(**GRAPH_ARGS)
-        cache_module.pin("rmat_graph", dict(GRAPH_ARGS))
+        with cache_module.pinning():
+            rmat_graph(**GRAPH_ARGS)
         report = cache_stats()
         assert report["pinned"]["entries"] == 1
-        assert report["pinned"]["refcount"] == 1
         assert report["pinned"]["keys"][0]["generator"] == "rmat_graph"
 
     def test_pins_work_with_disk_cache_disabled(self, cache_dir,

@@ -3,7 +3,9 @@
 * ``TestPlacements`` — ``experiment_dataset`` against
   ``tests/frozen_placements.json``, recorded from the three resolvers it
   replaced (at the commit before they were folded; never regenerated
-  since), and against the ``lru_cache``d proxies it must hand back.
+  since), and against the one resident object it must hand back.
+* ``TestOneResidentSet`` — a dataset is one object per content, held by
+  ``harness.datasets`` alone; a name that cannot run is a typed error.
 * ``TestArtifactTable`` — a row added to ``ARTIFACTS`` is a sweep
   target, a served target, and part of ``regenerate`` and ``report``
   with no other edit.
@@ -24,9 +26,12 @@ import pytest
 
 from repro import errors
 from repro.cli import build_parser, main
+from repro.datagen import cache as cache_module
 from repro.harness import ARTIFACTS, Artifact, Sweep, paper_report
 from repro.harness import datasets
 from repro.harness.datasets import experiment_dataset
+from repro.harness.tables import table5
+from repro.observability import Tracer
 from repro.serve.api import ApiError, parse_sweep_request
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,7 +53,7 @@ class TestPlacements:
         name, nodes = (None if name == "None" else name), int(nodes)
         data, factor = experiment_dataset(algorithm, name, nodes)
         assert _describe(data, factor) == FROZEN[cell]
-        # No second build: the proxy is the memoised one.
+        # No second build: the proxy is the resident one.
         ratings = algorithm == "collaborative_filtering"
         if name is None:
             memo = datasets.weak_scaling_ratings(nodes) if ratings \
@@ -57,7 +62,7 @@ class TestPlacements:
             memo = datasets.single_node_ratings(name) if ratings \
                 else datasets.single_node_graph(name, algorithm)
         else:
-            return
+            memo = experiment_dataset(algorithm, name, nodes)[0]
         assert data is memo
 
     def test_frozen_file_covers_every_placement(self):
@@ -74,6 +79,91 @@ class TestPlacements:
     def test_a_dataset_without_a_paper_size_is_its_own_dataset(self):
         _data, factor = experiment_dataset("bfs", "rmat_mini")
         assert factor == 1.0
+
+
+def _cache_hits(tracer):
+    """``pinned`` of every dataset-cache hit a tracer saw, in order."""
+    return [bool(span.attrs.get("pinned")) for span in tracer.spans
+            if span.name == "dataset-cache-hit"]
+
+
+class TestOneResidentSet:
+    @pytest.mark.parametrize("nodes", [1, 4])
+    @pytest.mark.parametrize(
+        "name", [None, "synthetic", "livejournal", "facebook", "wikipedia"])
+    def test_the_undirected_algorithms_share_one_object(self, name, nodes):
+        first = experiment_dataset("bfs", name, nodes)[0]
+        for algorithm in datasets.UNDIRECTED_ALGORITHMS:
+            assert experiment_dataset(algorithm, name, nodes)[0] is first
+        assert experiment_dataset("pagerank", name, nodes)[0] is not first
+
+    def test_a_named_spec_runs_on_the_resident_catalog_proxy(self):
+        from repro.harness import ExperimentSpec, run
+
+        proxy = datasets.catalog_dataset("rmat_mini")
+        assert experiment_dataset("pagerank", "rmat_mini")[0] is proxy
+        tracer = Tracer()
+        with cache_module.use_tracer(tracer):
+            assert run(ExperimentSpec("bfs", "native", "rmat_mini")).ok
+        assert _cache_hits(tracer) == [True]
+
+    def test_a_sweep_loads_each_graph_once_and_derives_from_it_once(
+            self, monkeypatch):
+        from repro.graph import csr
+
+        built = []
+        real = csr.derived
+
+        def counting(graph, key, build):
+            def counted():
+                built.append((id(graph), key))
+                return build()
+            return real(graph, key, counted)
+
+        for module in list(sys.modules.values()):
+            if vars(module).get("derived") is real:
+                monkeypatch.setattr(module, "derived", counting)
+        algorithms, frameworks = ("bfs", "wcc", "sssp"), ("giraph",)
+        table5(frameworks, algorithms)               # warm the disk cache
+        datasets.clear_proxy_caches()
+        del built[:]
+        tracer = Tracer()
+        table5(frameworks, algorithms, sweep=Sweep("table5", tracer=tracer))
+        # 4 datasets x 3 algorithms x (native, giraph): the three
+        # algorithms share each dataset's symmetrized graph, so only
+        # its first cell reaches the disk.
+        hits = _cache_hits(tracer)
+        assert len(hits) == 24 and hits.count(False) == 4
+        assert len(cache_module.pinned()) == 4
+        assert len(built) == len(set(built))
+        assert len({graph for graph, _key in built}) == 4
+
+    def test_clearing_sends_the_next_lookup_to_the_disk_cache(self):
+        experiment_dataset("bfs", "synthetic")
+        tracer = Tracer()
+        with cache_module.use_tracer(tracer):
+            held = experiment_dataset("wcc", "synthetic")[0]
+            datasets.clear_proxy_caches()
+            assert cache_module.pinned() == []
+            reloaded = experiment_dataset("wcc", "synthetic")[0]
+        assert _cache_hits(tracer) == [True, False]
+        assert reloaded is not held
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bfs", "native", "--dataset", "nosuch"],
+         "bfs needs a graph dataset, got 'nosuch'; known: facebook"),
+        (["bfs", "native", "--dataset", "netflix"],
+         "bfs needs a graph dataset, got 'netflix'"),
+        (["collaborative_filtering", "native", "--dataset", "facebook"],
+         "needs a ratings dataset, got 'facebook'; known: netflix"),
+    ])
+    def test_a_name_that_cannot_run_is_one_error_line(self, argv, message,
+                                                      capsys):
+        assert main(["run", *argv]) == errors.EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
 
 
 def _stub_producer(sweep=None, frameworks=("left", "right")):

@@ -13,6 +13,7 @@ from repro.datagen import (
     triangle_variant,
     uniform_ratings,
 )
+from repro.errors import SpecError
 from repro.graph import EdgeList, gini_coefficient
 
 
@@ -100,7 +101,7 @@ class TestCatalog:
             assert name in CATALOG
 
     def test_unknown_dataset_raises(self):
-        with pytest.raises(KeyError, match="unknown dataset"):
+        with pytest.raises(SpecError, match="unknown dataset"):
             dataset("orkut")
 
     def test_graph_proxy_builds(self):
@@ -123,8 +124,10 @@ class TestCatalog:
         assert all((v, u) in pairs for u, v in pairs)
 
     def test_triangle_variant_rejects_ratings(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError, match="no triangle variant"):
             triangle_variant("netflix")
+        with pytest.raises(SpecError, match="no graph variant"):
+            bfs_variant("rmat_mini_triangles")
 
     def test_proxies_deterministic(self):
         a, b = dataset("facebook"), dataset("facebook")

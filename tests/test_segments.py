@@ -469,3 +469,21 @@ def test_every_file_write_is_atomic():
         "an interrupted write must leave the old file or the new one — "
         "use repro.harness.persistence.atomic_write_text:\n"
         + "\n".join(offenders))
+
+
+# ---------------------------------------------------------------------------
+# Keep the second memo tier from coming back.
+# ---------------------------------------------------------------------------
+
+
+def test_datasets_are_memoised_in_one_place():
+    """``harness/datasets.py`` holds objects in the cache's resident set
+    and nowhere else, and nothing in the program has to clear a memo to
+    reach it."""
+    assert "lru_cache" not in (SRC / "harness" / "datasets.py").read_text()
+    callers = [f"{path.relative_to(SRC).as_posix()}:{number}"
+               for path in sorted(SRC.rglob("*.py"))
+               for number, line in enumerate(path.read_text().splitlines(), 1)
+               if "clear_proxy_caches(" in line
+               and not line.startswith("def ")]
+    assert not callers, callers

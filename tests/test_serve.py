@@ -22,6 +22,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -29,6 +30,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.harness.sweep import Sweep
@@ -50,6 +52,7 @@ from repro.serve.api import (
     parse_perf_request,
     parse_sweep_request,
 )
+from repro.serve.app import MAX_BODY_BYTES
 from repro.serve.loadgen import build_plan
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -101,6 +104,12 @@ class TestApiParsing:
         _raises_api(parse_experiment_request,
                     {"spec": {"algorithm": "bfs", "framework": "nope",
                               "dataset": "rmat_mini"}})
+        for algorithm, dataset in (("bfs", "nosuch"), ("bfs", "netflix"),
+                                   ("collaborative_filtering", "facebook")):
+            error = _raises_api(parse_experiment_request, {
+                "spec": {"algorithm": algorithm, "framework": "native",
+                         "dataset": dataset}}, code="bad-request")
+            assert f"got {dataset!r}; known: " in str(error)
 
     def test_sweep_request_validation(self):
         parsed = parse_sweep_request({"target": "table5"})
@@ -390,6 +399,62 @@ class TestLiveServer:
                      "dataset": "rmat_mini", "params": {"source": -1}}})
         assert (status, payload["error"]) == (400, "bad-request")
         assert "source -1 out of range" in payload["message"]
+
+    def test_a_spec_that_cannot_run_is_a_400_and_no_job(self):
+        before = len(self.server.call("GET", "/jobs")[1]["jobs"])
+        for dataset in ("nosuch", "netflix"):
+            status, payload = self.server.call("POST", "/experiments", {
+                "spec": {"algorithm": "bfs", "framework": "native",
+                         "dataset": dataset}})
+            assert (status, payload["error"]) == (400, "bad-request")
+        assert len(self.server.call("GET", "/jobs")[1]["jobs"]) == before
+
+    def _raw(self, head: bytes, body: bytes = b"") -> bytes:
+        """Everything the server answers to one hand-written request."""
+        with socket.create_connection(
+                (self.server.service.host, self.server.service.port),
+                timeout=60) as conn:
+            conn.sendall(head + body)
+            chunks = []
+            while not b"".join(chunks).endswith(b"}\n"):
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    def test_an_unusable_content_length_is_a_400_and_a_close(self):
+        for value in ("abc", "-5", str(MAX_BODY_BYTES + 1)):
+            answer = self._raw(
+                f"POST /experiments HTTP/1.1\r\nContent-Length: {value}"
+                "\r\n\r\n".encode())
+            assert answer.startswith(b"HTTP/1.1 400 "), (value, answer)
+            assert b"Connection: close" in answer
+            assert b'"error": "bad-request"' in answer
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.integers(-3, 300).map(str),
+        st.text(st.characters(min_codepoint=32, max_codepoint=255),
+                max_size=8)))
+    def test_any_content_length_is_a_400_or_a_served_request(self, value):
+        unhandled = []
+        loop = self.server.service._loop
+        loop.call_soon_threadsafe(
+            loop.set_exception_handler,
+            lambda _loop, context: unhandled.append(context))
+        try:
+            length = int(value.strip() or 0)
+        except ValueError:
+            length = -1
+        served = 0 <= length <= MAX_BODY_BYTES
+        answer = self._raw(
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+            b"Content-Length: " + value.encode("latin-1") + b"\r\n\r\n",
+            b"x" * length if served else b"")
+        assert answer.startswith(
+            b"HTTP/1.1 200 " if served else b"HTTP/1.1 400 "), (value, answer)
+        assert not unhandled
 
     def test_dnf_outcome_is_a_result_not_an_error(self):
         status, job = self.server.call("POST", "/experiments", {
