@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import SimulationError
 from .hardware import NodeSpec
 
 #: Measured benefit of software prefetching on dependent random loads —
@@ -94,25 +95,39 @@ class CostModel:
 
     node: NodeSpec = field(default_factory=NodeSpec)
 
-    def memory_time(self, work: ComputeWork) -> float:
+    def charge(self, work: ComputeWork, factor: float = 1.0) -> tuple:
+        """``work`` at ``factor`` times the data size, counted and costed.
+
+        Returns ``(streamed_bytes, random_bytes, ops, memory_s, cpu_s)``
+        — the counters ``work.scaled(factor)`` would carry and the two
+        times they cost — without building the copy; like the copy's
+        constructor it refuses a counter that was mutated negative.
+        """
+        streamed = work.streamed_bytes * factor
+        random = work.random_bytes * factor
+        ops = work.ops * factor
+        if min(streamed, random, ops) < 0:
+            raise SimulationError("work counters must be non-negative")
         scale = work.memory_parallelism ** 0.7
         random_bw = self.node.random_bandwidth * scale
         if work.prefetch:
             random_bw = min(random_bw * PREFETCH_RANDOM_SPEEDUP,
                             self.node.stream_bandwidth * scale)
-        streamed = work.streamed_bytes / (self.node.stream_bandwidth * scale)
-        random = work.random_bytes / random_bw
-        return streamed + random
+        memory_s = (streamed / (self.node.stream_bandwidth * scale)
+                    + random / random_bw)
+        cpu_s = 0.0 if ops == 0 else ops / self.node.compute_rate(
+            work.cpu_efficiency, work.cores_fraction)
+        return streamed, random, ops, memory_s, cpu_s
+
+    def memory_time(self, work: ComputeWork) -> float:
+        return self.charge(work)[3]
 
     def cpu_time(self, work: ComputeWork) -> float:
-        if work.ops == 0:
-            return 0.0
-        rate = self.node.compute_rate(work.cpu_efficiency, work.cores_fraction)
-        return work.ops / rate
+        return self.charge(work)[4]
 
     def compute_time(self, work: ComputeWork) -> float:
         """Max of memory and CPU time: cores overlap loads with ALU work."""
-        return max(self.memory_time(work), self.cpu_time(work))
+        return max(self.charge(work)[3:])
 
     def bound_by(self, work: ComputeWork) -> str:
         """Which resource limits this work ('memory' or 'cpu')."""

@@ -95,12 +95,9 @@ class TrafficReport:
     bytes_out: np.ndarray           # wire bytes sent per node
     bytes_in: np.ndarray            # wire bytes received per node
     peak_bandwidth: float           # bytes/s while transferring
+    total_bytes: float              # wire bytes, all nodes
     #: Fault counters from an injected LinkDisruption, None when clean.
     faults: dict = None
-
-    @property
-    def total_bytes(self) -> float:
-        return float(self.bytes_out.sum())
 
 
 class Fabric:
@@ -139,8 +136,8 @@ class Fabric:
         if (traffic < 0).any():
             raise SimulationError("traffic bytes must be non-negative")
 
-        wire = layer.wire_bytes(traffic.copy())
-        np.fill_diagonal(wire, 0.0)
+        wire = layer.wire_bytes(traffic)
+        wire.flat[::self.num_nodes + 1] = 0.0    # the diagonal
         latency = layer.latency_s
         bandwidth = layer.sustained_bandwidth(self.node)
         peak_limit = layer.effective_bandwidth(self.node)
@@ -152,15 +149,21 @@ class Fabric:
             bandwidth /= disruption.latency_factor
             peak_limit /= disruption.latency_factor
         bytes_out = wire.sum(axis=1)
+        total = float(bytes_out.sum())
+        if total == 0 and disruption is None:
+            # Nothing crosses the wire: nothing is received or waited for.
+            return TrafficReport(comm_times=np.zeros(self.num_nodes),
+                                 bytes_out=bytes_out,
+                                 bytes_in=np.zeros(self.num_nodes),
+                                 peak_bandwidth=0.0, total_bytes=total)
         bytes_in = wire.sum(axis=0)
         volume = np.maximum(bytes_out, bytes_in)
         comm_times = np.where(volume > 0, volume / bandwidth + latency, 0.0)
         if stall is not None:
             comm_times = comm_times + stall
         peak = peak_limit if volume.max() > 0 else 0.0
-        total = float(bytes_out.sum())
         if total > 0:
             self.tracer.count("bytes_sent", total)
         return TrafficReport(comm_times=comm_times, bytes_out=bytes_out,
                              bytes_in=bytes_in, peak_bandwidth=peak,
-                             faults=fault_info)
+                             total_bytes=total, faults=fault_info)

@@ -18,6 +18,7 @@ dominate BFS exactly as in the paper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,9 +156,11 @@ class Cluster:
                 and self.recovery.checkpoint_due(step_index):
             self._write_checkpoint(step_index)
         work = self._normalize_work(work)
-        scaled = [w.scaled(self.scale_factor) for w in work]
-        memory_times = np.array([self.cost.memory_time(s) for s in scaled])
-        cpu_times = np.array([self.cost.cpu_time(s) for s in scaled])
+        # One pass over the nodes: each node's counters at paper scale
+        # and what they cost, as five per-node rows.
+        streamed_bytes, random_bytes, ops, memory_times, cpu_times = \
+            np.array(list(zip(*[self.cost.charge(w, self.scale_factor)
+                                for w in work])))
         compute_times = np.maximum(memory_times, cpu_times)
         if step_faults is not None and step_faults.compute_factors is not None:
             memory_times = memory_times * step_faults.compute_factors
@@ -172,61 +175,61 @@ class Cluster:
             else None,
         )
 
-        node_times = np.array([
-            CostModel.step_time(compute_times[i], report.comm_times[i], overlap)
-            for i in range(self.num_nodes)
-        ])
+        # Every reduction of the step, once: the metrics, the step
+        # record and the span below all read these.
+        node_times = np.maximum(compute_times, report.comm_times) \
+            if overlap else compute_times + report.comm_times
         step_time = float(node_times.max()) + overhead_s
+        compute_s = float(compute_times.max())
+        comm_s = float(report.comm_times.max())
+        memory_s = float(memory_times.max())
+        cpu_s = float(cpu_times.max())
+        streamed_total = float(streamed_bytes.sum())
+        random_total = float(random_bytes.sum())
+        ops_total = float(ops.sum())
+        if not math.isfinite(step_time + streamed_total + random_total
+                             + ops_total + report.total_bytes):
+            raise SimulationError(
+                f"superstep {step_index}: work, traffic and overhead must "
+                f"be finite")
 
         # -- bookkeeping ----------------------------------------------------
+        cores = self.spec.node.cores
         metrics = self._metrics
         metrics.total_time_s += step_time
-        metrics.compute_time_s += float(compute_times.max())
-        metrics.comm_time_s += float(report.comm_times.max())
-        busy = sum(
-            compute_times[i] * work[i].cores_fraction * self.spec.node.cores
-            for i in range(self.num_nodes)
-        )
-        metrics.busy_core_seconds += busy
-        metrics.total_core_seconds += step_time * self.num_nodes * self.spec.node.cores
+        metrics.compute_time_s += compute_s
+        metrics.comm_time_s += comm_s
+        metrics.busy_core_seconds += sum(
+            busy_s * w.cores_fraction * cores
+            for busy_s, w in zip(compute_times.tolist(), work))
+        metrics.total_core_seconds += step_time * self.num_nodes * cores
         metrics.bytes_sent_total += report.total_bytes
-        streamed_bytes = np.array([s.streamed_bytes for s in scaled])
-        random_bytes = np.array([s.random_bytes for s in scaled])
-        ops = np.array([s.ops for s in scaled])
-        metrics.memory_bytes_total += float(streamed_bytes.sum()
-                                            + random_bytes.sum())
-        metrics.ops_total += float(ops.sum())
-        metrics.streamed_bytes_total += float(streamed_bytes.sum())
-        metrics.random_bytes_total += float(random_bytes.sum())
+        metrics.memory_bytes_total += streamed_total + random_total
+        metrics.ops_total += ops_total
+        metrics.streamed_bytes_total += streamed_total
+        metrics.random_bytes_total += random_total
         metrics.node_streamed_bytes += streamed_bytes
         metrics.node_random_bytes += random_bytes
         metrics.node_ops += ops
-        metrics.node_bytes_sent += np.asarray(report.bytes_out,
-                                              dtype=np.float64)
-        metrics.memory_time_s += float(memory_times.max())
-        metrics.cpu_time_s += float(cpu_times.max())
+        metrics.node_bytes_sent += report.bytes_out
+        metrics.memory_time_s += memory_s
+        metrics.cpu_time_s += cpu_s
         metrics.overhead_time_s += overhead_s
         metrics.peak_network_bandwidth = max(
             metrics.peak_network_bandwidth, report.peak_bandwidth
         )
         metrics.steps.append(StepRecord(
-            index=self._steps, time_s=step_time,
-            compute_s=float(compute_times.max()),
-            comm_s=float(report.comm_times.max()),
-            bytes_sent=report.total_bytes,
-            peak_bandwidth=report.peak_bandwidth,
-            memory_s=float(memory_times.max()),
-            cpu_s=float(cpu_times.max()),
-            overhead_s=overhead_s,
-            overlap=overlap,
+            index=step_index, time_s=step_time, compute_s=compute_s,
+            comm_s=comm_s, bytes_sent=report.total_bytes,
+            peak_bandwidth=report.peak_bandwidth, memory_s=memory_s,
+            cpu_s=cpu_s, overhead_s=overhead_s, overlap=overlap,
         ))
 
         tracer = self.tracer
         if tracer.enabled:
             start = self._elapsed
-            with tracer.span("superstep", index=self._steps,
-                             compute_s=float(compute_times.max()),
-                             comm_s=float(report.comm_times.max()),
+            with tracer.span("superstep", index=step_index,
+                             compute_s=compute_s, comm_s=comm_s,
                              bytes_sent=report.total_bytes,
                              peak_bandwidth=report.peak_bandwidth,
                              overhead_s=overhead_s):

@@ -170,8 +170,9 @@ class MatrixEngine(Engine):
             self.cluster.mark_iteration()
 
     def round(self, active):
-        changed, _ = self.program.round(active)
-        flops, traffic = self.dist.spmv_cost(active, self.value_bytes)
+        changed, work = self.program.round(active)
+        flops, traffic = self.dist.spmv_cost(active, self.value_bytes,
+                                             gather=work.gather)
         self._multiplies += flops / 2.0
         _step(self.cluster, self._nnz_per_node, flops, traffic,
               touched_nnz=flops / 2.0,

@@ -41,6 +41,7 @@ from scipy import sparse
 
 from ...errors import PartitionError
 from ...graph import CSRGraph
+from ...kernels.segments import distinct
 from ...kernels.spmv import semiring_spmspv
 from ...observability import NULL_TRACER
 from .semiring import PLUS_TIMES, Semiring, semiring_spmv
@@ -187,7 +188,7 @@ class DistSpMat:
         return np.diff(np.searchsorted(present, self.bounds)).astype(np.float64)
 
     def spmv_cost(self, present: np.ndarray = None,
-                  value_bytes: float = 8.0):
+                  value_bytes: float = 8.0, gather=None):
         """``(flops, traffic)`` of one 2-D product, without running it.
 
         ``present`` is the ascending ids of the sparse vector's entries
@@ -195,17 +196,20 @@ class DistSpMat:
         ``None`` is a dense vector. The output's presence is structural —
         the out-neighbours of ``present`` — so an entry that cancels to
         the semiring zero is still folded and shipped, as the ranks
-        holding its partial sums cannot know it will.
+        holding its partial sums cannot know it will. ``gather`` is
+        ``graph.neighbors_of_many(present)`` when the caller's kernel
+        step already made it; the rows are gathered here otherwise.
         """
         if present is None:
             x_bands = y_bands = self.band_sizes().astype(np.float64)
             flops = 2.0 * float(self.nnz)
         else:
-            reached = np.zeros(self.graph.num_vertices, dtype=bool)
-            reached[self.graph.neighbors_of_many(present)[0]] = True
+            targets, _ = gather if gather is not None \
+                else self.graph.neighbors_of_many(present)
             x_bands = self._entries_per_band(present)
-            y_bands = self._entries_per_band(np.flatnonzero(reached))
-            flops = 2.0 * float(self._degrees[present].sum())
+            y_bands = self._entries_per_band(
+                distinct(targets, self.graph.num_vertices))
+            flops = 2.0 * float(targets.size)
         traffic = self.spmv_traffic(x_bands, y_bands, value_bytes)
         if self.tracer.enabled:
             self.tracer.count("flops", flops)

@@ -253,12 +253,13 @@ class NativeEngine(Engine):
 
     def _peel_wave(self, removed):
         nodes = self.cluster.num_nodes
+        next_wave, work = self.program.round(removed)
         owners = self.part.owner_of_many(removed)
         self._level_edges += np.bincount(
             owners, weights=self._out_degrees[removed], minlength=nodes)
         self._level_removed += np.bincount(owners, minlength=nodes)
         # Cross-partition degree decrements: one id per remote edge.
-        neighbors, lengths = self.graph.neighbors_of_many(removed)
+        neighbors, lengths = work.gather
         if neighbors.size:
             src_owner = np.repeat(owners, lengths)
             dst_owner = self.part.owner_of_many(neighbors)
@@ -271,7 +272,6 @@ class NativeEngine(Engine):
                           else 1.0)
             self._level_traffic += wire
             self._wire_bytes += wire.sum()
-        next_wave, _ = self.program.round(removed)
         return next_wave
 
     @contextlib.contextmanager

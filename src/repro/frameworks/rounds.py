@@ -204,8 +204,11 @@ class KCore(FrontierProgram):
     decrements their neighbors in one step, so the program runs it one
     step ahead: ``seeds`` / ``round`` return the wave the last step
     found, and ``round(wave)`` commits that wave before looking for the
-    next. The kernel is called exactly once per wave plus once per level
-    (the empty scan that ends it).
+    next — among the neighbors the committed wave just decremented, the
+    only vertices that can have dropped under ``k``. The kernel is
+    called exactly once per wave plus once per level (the empty scan
+    that ends it), and only the call that opens a level reads every
+    vertex.
     """
 
     algorithm = "k_core"
@@ -216,32 +219,33 @@ class KCore(FrontierProgram):
         self._degrees = graph.out_degrees().astype(np.int64)
         self.values = np.zeros(graph.num_vertices, dtype=np.int64)
         self.alive = np.ones(graph.num_vertices, dtype=bool)
+        self._live = graph.num_vertices
         self.k = 1
         self._waves = 0
 
     def seeds(self):
-        while self.alive.any():
-            yield self._scan()
+        while self._live:
+            yield self._scan(None)
             self.k += 1
 
-    def _scan(self):
-        (wave, self._peeled), self._work = self._peel.step(
-            self._degrees, self.alive, self.k)
+    def _scan(self, touched):
+        wave, self._work = self._peel.step(
+            self._degrees, self.alive, self.k, self._live, touched)
         return wave
 
     def round(self, active):
         self.values[active] = self.k - 1
         self.alive[active] = False
-        self._degrees = self._peeled
+        self._live -= active.size
         self._waves += 1
         work = self._work
-        return self._scan(), work
+        return self._scan(work.gather[0]), work
 
     def span_attrs(self, index: int, active) -> dict:
         return {"k": self.k, "removed": int(active.size)}
 
     def level_attrs(self) -> dict:
-        return {"k": self.k, "alive": int(self.alive.sum())}
+        return {"k": self.k, "alive": self._live}
 
     def extras(self) -> dict:
         return {"max_core": int(self.values.max()) if self.values.size

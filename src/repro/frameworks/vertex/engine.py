@@ -200,7 +200,8 @@ class BSPEngine:
 
     def edge_messages(self, senders: np.ndarray, message_bytes,
                       combine: bool = None,
-                      serialization_factor: float = None) -> ExchangeStats:
+                      serialization_factor: float = None,
+                      gather=None) -> ExchangeStats:
         """Messages from ``senders`` along all their out-edges.
 
         ``message_bytes`` is a scalar or a per-sender array (triangle
@@ -208,7 +209,10 @@ class BSPEngine:
         (profile.combines_messages, overridable per call for programs
         that install their own combiner) collapses messages from one
         node to one *target vertex* into a single message — the "local
-        reductions" of Section 6.1.1.
+        reductions" of Section 6.1.1. ``gather`` is the round's
+        ``graph.neighbors_of_many(senders)`` when the kernel step already
+        made it (``KernelWork.gather``); the edges are gathered here
+        otherwise.
         """
         senders = np.asarray(senders, dtype=np.int64)
         nodes = self.cluster.num_nodes
@@ -218,7 +222,8 @@ class BSPEngine:
         per_sender_bytes = np.broadcast_to(
             np.asarray(message_bytes, dtype=np.float64), senders.shape
         )
-        targets, lengths = self.graph.neighbors_of_many(senders)
+        targets, lengths = gather if gather is not None \
+            else self.graph.neighbors_of_many(senders)
         if targets.size == 0:
             return ExchangeStats(0.0, 0.0, np.zeros((nodes, nodes)))
         per_edge_bytes = np.repeat(per_sender_bytes, lengths)
@@ -246,13 +251,18 @@ class BSPEngine:
         if serialization_factor is None:
             serialization_factor = self.profile.message_overhead_factor
         traffic *= serialization_factor
+        return self.count_messages(
+            ExchangeStats(message_count, payload, traffic))
+
+    def count_messages(self, stats: ExchangeStats) -> ExchangeStats:
+        """Report one exchange's messages to the tracer; returns it."""
         tracer = self.cluster.tracer
         if tracer.enabled:
             # Counters report paper scale, like the byte totals do.
             scale = self.cluster.scale_factor
-            tracer.count("messages", message_count * scale)
-            tracer.count("payload_bytes", payload * scale)
-        return ExchangeStats(message_count, payload, traffic)
+            tracer.count("messages", stats.messages * scale)
+            tracer.count("payload_bytes", stats.payload_bytes * scale)
+        return stats
 
     def replication_sync_traffic(self, active: np.ndarray,
                                  value_bytes: float) -> np.ndarray:

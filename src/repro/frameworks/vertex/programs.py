@@ -122,18 +122,19 @@ class VertexEngine(Engine):
         if program.shape == "dense":
             self._all = np.arange(graph.num_vertices, dtype=np.int64)
             self._edges_per_node = self.bsp.edges_per_node.astype(float)
+            self._sweep_stats = None
         else:
             self._out_degrees = graph.out_degrees()
 
     def round(self, active):
         bsp, message_bytes = self.bsp, self.cost.message_bytes
-        stats = bsp.edge_messages(active, message_bytes)
+        changed, work = self.program.round(active)
+        stats = bsp.edge_messages(active, message_bytes, gather=work.gather)
         if bsp.vertex_cut is not None:
             # GAS: the wire carries mirror sync, not per-edge messages.
             local = np.diag(np.diag(stats.traffic))
             stats.traffic = local + bsp.replication_sync_traffic(
                 active, message_bytes)
-        changed, _ = self.program.round(active)
         edges_per_node = np.bincount(
             bsp.vertex_owner[active],
             weights=self._out_degrees[active].astype(float),
@@ -150,8 +151,13 @@ class VertexEngine(Engine):
             stats = ExchangeStats(messages=float(traffic.sum() / 8.0),
                                   payload_bytes=float(traffic.sum()),
                                   traffic=traffic)
+        elif self._sweep_stats is None:
+            # Every vertex messages every out-neighbor: the exchange is
+            # iteration-invariant, planned at the first sweep.
+            stats = self._sweep_stats = bsp.edge_messages(self._all,
+                                                          message_bytes)
         else:
-            stats = bsp.edge_messages(self._all, message_bytes)
+            stats = bsp.count_messages(self._sweep_stats)
         bsp.superstep(self._all, self._edges_per_node, stats, message_bytes,
                       ops_per_edge=self.cost.ops_per_edge)
 

@@ -17,7 +17,7 @@ Table 2 and Section 6.1.1 enumerate them:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,12 +29,20 @@ def _ranges_from_bounds(bounds: np.ndarray):
     return [(int(bounds[p]), int(bounds[p + 1])) for p in range(bounds.size - 1)]
 
 
+#: From this many ids on, ``owner_of_many`` indexes an owner table.
+_TABLE_MIN_IDS = 64
+
+
 @dataclass
 class Partition1D:
     """Contiguous vertex ranges; ``bounds`` has ``num_parts + 1`` entries."""
 
     num_vertices: int
     bounds: np.ndarray
+    #: Owner of every id in ``[0, num_vertices]``; built at the first
+    #: lookup large enough to repay it.
+    _owners: np.ndarray = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @property
     def num_parts(self) -> int:
@@ -48,6 +56,18 @@ class Partition1D:
 
     def owner_of_many(self, vertices) -> np.ndarray:
         vertices = np.asarray(vertices, dtype=np.int64)
+        # One table read per id beats one binary search per id; ids
+        # outside the table (negative ones are huge as unsigned) keep
+        # the search's answer.
+        if vertices.size >= _TABLE_MIN_IDS and \
+                int(vertices.view(np.uint64).max()) <= self.num_vertices:
+            if self._owners is None:
+                self._owners = self._search(
+                    np.arange(self.num_vertices + 1))
+            return self._owners[vertices]
+        return self._search(vertices)
+
+    def _search(self, vertices: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.bounds, vertices, side="right") - 1
 
     def part_range(self, part: int):

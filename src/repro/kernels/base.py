@@ -18,7 +18,7 @@ interpreted and vectorized backends charge identical simulated work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,12 @@ class KernelWork:
     edges: float = 0.0      #: adjacency entries the step visited
     vertices: float = 0.0   #: vertices whose state the step read/wrote
     frontier: float = 0.0   #: active input vertices (sparse steps)
+    #: The adjacency gather ``(targets, lengths)`` of the step's input
+    #: vertices, when the step made one (:meth:`CSRGraph.neighbors_of_many`
+    #: order): the engine's message accounting reads it instead of
+    #: gathering the same rows again. It lives as long as this record —
+    #: one round — and is never memoised anywhere else.
+    gather: tuple = field(default=None, compare=False, repr=False)
 
 
 class Kernel:

@@ -16,7 +16,7 @@ import numpy as np
 from ..graph.csr import edge_slots
 from .backend import interpreted
 from .base import Kernel, KernelWork
-from .segments import segment_mode
+from .segments import decrement_at, distinct, segment_mode
 
 
 class WCCPropagate(Kernel):
@@ -37,16 +37,18 @@ class WCCPropagate(Kernel):
         return self
 
     def step(self, labels, frontier):
-        work = KernelWork(edges=float(self.out_degrees[frontier].sum()),
-                          vertices=float(labels.size),
-                          frontier=float(frontier.size))
+        gather = None
         if interpreted():
             new = self._push_interpreted(labels, frontier)
         else:
-            neighbors, lengths = self.graph.neighbors_of_many(frontier)
+            neighbors, lengths = gather = \
+                self.graph.neighbors_of_many(frontier)
             new = labels.copy()
             np.minimum.at(new, neighbors, np.repeat(labels[frontier], lengths))
         changed = np.flatnonzero(new < labels)
+        work = KernelWork(edges=float(self.out_degrees[frontier].sum()),
+                          vertices=float(labels.size),
+                          frontier=float(frontier.size), gather=gather)
         return (new, changed), work
 
     def _push_interpreted(self, labels, frontier):
@@ -88,18 +90,22 @@ class SSSPRelax(Kernel):
         return self
 
     def step(self, distances, frontier):
-        work = KernelWork(edges=float(self.out_degrees[frontier].sum()),
-                          vertices=float(distances.size),
-                          frontier=float(frontier.size))
+        gather = None
         if interpreted():
             new = self._relax_interpreted(distances, frontier)
         else:
+            # The weights ride the same slots the targets come from.
             slots, lengths = edge_slots(self.graph.offsets, frontier)
+            targets = self.graph.targets[slots]
+            gather = targets, lengths
             new = distances.copy()
             candidates = (np.repeat(distances[frontier], lengths)
                           + self.weights[slots])
-            np.minimum.at(new, self.graph.targets[slots], candidates)
+            np.minimum.at(new, targets, candidates)
         changed = np.flatnonzero(new < distances)
+        work = KernelWork(edges=float(self.out_degrees[frontier].sum()),
+                          vertices=float(distances.size),
+                          frontier=float(frontier.size), gather=gather)
         return (new, changed), work
 
     def _relax_interpreted(self, distances, frontier):
@@ -118,13 +124,21 @@ class SSSPRelax(Kernel):
 
 
 class KCorePeel(Kernel):
-    """One k-core cascade wave: delete live vertices under degree k.
+    """One k-core cascade wave: find the live vertices under degree k
+    and delete them.
 
-    ``step(degrees, alive, k)`` returns ``(removed, new_degrees)`` —
-    the vertices peeled this wave (sorted) and the degrees after
-    decrementing their neighbors. Integer decrements commute, so both
-    backends agree exactly. Dead neighbors are decremented too; they are
-    never re-examined, and doing so keeps the numerics branch-free.
+    ``step(degrees, alive, k, live, touched=None)`` returns the wave —
+    the sorted live vertices with ``degrees < k`` — after decrementing
+    ``degrees`` *in place* once per edge out of it; ``work.gather`` is
+    those edges. A level opens with ``touched=None``, the one full scan;
+    inside a level the caller marks each wave dead and hands the next
+    step the last gather's targets as ``touched``: every live vertex
+    under ``k`` was in the last wave unless that wave just decremented
+    it, so nothing else can have dropped and a wave costs O(its edges),
+    not O(V). ``live`` is the number of live vertices, carried by the
+    caller. Integer decrements commute, so both backends agree exactly.
+    Dead neighbors are decremented too; they are never re-examined, and
+    doing so keeps the numerics branch-free.
     """
 
     algorithm = "k_core"
@@ -132,31 +146,40 @@ class KCorePeel(Kernel):
 
     def prepare(self, graph):
         self.graph = graph
-        self.out_degrees = graph.out_degrees()
         return self
 
-    def step(self, degrees, alive, k):
-        removed = np.flatnonzero(alive & (degrees < k))
-        work = KernelWork(edges=float(self.out_degrees[removed].sum()),
-                          vertices=float(alive.sum()),
-                          frontier=float(removed.size))
-        if removed.size == 0:
-            return (removed, degrees), work
+    def step(self, degrees, alive, k, live, touched=None):
         if interpreted():
-            new = self._peel_interpreted(degrees, removed)
+            removed, gather = self._peel_interpreted(degrees, alive, k,
+                                                     touched)
         else:
-            neighbors, _ = self.graph.neighbors_of_many(removed)
-            new = degrees - np.bincount(neighbors, minlength=degrees.size)
-        return (removed, new), work
+            if touched is None:
+                removed = np.flatnonzero(alive & (degrees < k))
+            else:
+                near = distinct(touched, degrees.size)
+                removed = near[alive[near] & (degrees[near] < k)]
+            neighbors, _ = gather = self.graph.neighbors_of_many(removed)
+            decrement_at(degrees, neighbors)
+        return removed, KernelWork(edges=float(gather[0].size),
+                                   vertices=float(live),
+                                   frontier=float(removed.size),
+                                   gather=gather)
 
-    def _peel_interpreted(self, degrees, removed):
-        offsets = self.graph.offsets.tolist()
-        targets = self.graph.targets.tolist()
-        new = degrees.copy()
-        for u in removed.tolist():
-            for e in range(offsets[u], offsets[u + 1]):
-                new[targets[e]] -= 1
-        return new
+    def _peel_interpreted(self, degrees, alive, k, touched):
+        offsets, targets = self.graph.offsets, self.graph.targets
+        near = range(degrees.size) if touched is None \
+            else sorted(set(touched.tolist()))
+        removed = [v for v in near if alive[v] and degrees[v] < k]
+        neighbors, lengths = [], []
+        for u in removed:
+            row = targets[offsets[u]:offsets[u + 1]].tolist()
+            lengths.append(len(row))
+            neighbors += row
+            for t in row:
+                degrees[t] -= 1
+        return np.array(removed, dtype=np.int64), (
+            np.array(neighbors, dtype=np.int64),
+            np.array(lengths, dtype=np.int64))
 
 
 class LPSync(Kernel):

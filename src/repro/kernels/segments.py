@@ -42,6 +42,14 @@ def distinct(ids: np.ndarray, universe: int) -> np.ndarray:
     return ordered[_run_starts(ordered)]
 
 
+def decrement_at(counts: np.ndarray, ids: np.ndarray) -> None:
+    """``counts[i] -= 1`` per occurrence of ``i`` in ``ids``, in place."""
+    if _dense(counts.size, ids.size):
+        counts -= np.bincount(ids, minlength=counts.size)
+    else:
+        np.subtract.at(counts, ids, 1)
+
+
 def first_occurrence(keys: np.ndarray, universe: int):
     """``(distinct keys ascending, index of each key's first appearance)``.
 
@@ -67,23 +75,33 @@ def segment_mode(segment_ids: np.ndarray, labels: np.ndarray, universe: int):
     each. One sort of the packed ``(segment, label)`` key groups equal
     pairs into runs; a run's length is its tally, and the per-segment
     maximum of ``(tally, -label)`` — one ``reduceat`` — is the mode.
+    Key and score are ``int32`` when their values fit (a size test on
+    the arguments, like :func:`_dense`); the results are ``int64``.
     """
     if segment_ids.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
     shift = max(int(universe) - 1, 1).bit_length()
-    low = np.int64((1 << shift) - 1)
-    packed = (segment_ids << shift) | labels
+    # A 32-bit key sorts in about half the time of a 64-bit one: pack
+    # narrow whenever the segments fit the bits the labels leave.
+    narrow = shift < 31 and int(segment_ids.max()) >> (31 - shift) == 0
+    key = np.int32 if narrow else np.int64
+    low = key((1 << shift) - 1)
+    packed = (segment_ids.astype(key, copy=False) << shift) \
+        | labels.astype(key, copy=False)
     packed.sort()
     run_at = np.flatnonzero(_run_starts(packed))
     tallies = np.diff(run_at, append=packed.size)
+    if narrow and int(tallies.max()) >> (31 - shift) == 0:
+        tallies = tallies.astype(key)       # else the score widens itself
     runs = packed[run_at]
     run_segment = runs >> shift
     # Larger tally first, then smaller label: rank both in one integer.
     score = (tallies << shift) | (low - (runs & low))
     segment_at = np.flatnonzero(_run_starts(run_segment))
     best = np.maximum.reduceat(score, segment_at)
-    return run_segment[segment_at], low - (best & low)
+    return (run_segment[segment_at].astype(np.int64, copy=False),
+            (low - (best & low)).astype(np.int64, copy=False))
 
 
 def pair_traffic(src_owner: np.ndarray, dst_owner: np.ndarray, weights,

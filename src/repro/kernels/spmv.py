@@ -108,8 +108,7 @@ class BFSPush(Kernel):
         return self
 
     def step(self, frontier):
-        work = KernelWork(edges=float(self.out_degrees[frontier].sum()),
-                          frontier=float(frontier.size))
+        gather = None
         if interpreted():
             candidates = self._expand_interpreted(frontier)
         elif hasattr(self.graph, "frontier_neighbors_unique"):
@@ -117,8 +116,10 @@ class BFSPush(Kernel):
             # the expansion never holds the whole frontier gather.
             candidates, _ = self.graph.frontier_neighbors_unique(frontier)
         else:
-            neighbors, _ = self.graph.neighbors_of_many(frontier)
+            neighbors, _ = gather = self.graph.neighbors_of_many(frontier)
             candidates = distinct(neighbors, self.graph.num_vertices)
+        work = KernelWork(edges=float(self.out_degrees[frontier].sum()),
+                          frontier=float(frontier.size), gather=gather)
         return candidates, work
 
     def _expand_interpreted(self, frontier):

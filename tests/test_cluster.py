@@ -278,6 +278,30 @@ class TestCluster:
         with pytest.raises(SimulationError):
             cluster.superstep([ComputeWork()])
 
+    @pytest.mark.parametrize("step", [
+        dict(work=ComputeWork(streamed_bytes=float("nan"))),
+        dict(work=ComputeWork(ops=float("inf"))),
+        dict(traffic=[[0.0, float("nan")], [0.0, 0.0]]),
+        dict(traffic=[[0.0, float("inf")], [0.0, 0.0]]),
+        dict(overhead_s=float("nan")),
+    ], ids=["nan-bytes", "inf-ops", "nan-traffic", "inf-traffic",
+            "nan-overhead"])
+    def test_non_finite_step_is_a_typed_error(self, step):
+        """``min(...) < 0`` and ``(traffic < 0).any()`` let these through:
+        the step used to return ``time_s = nan`` (or ``inf``), the cell
+        reported ``ok``, and a ``nan`` clock never passes a deadline."""
+        cluster = Cluster(paper_cluster(2), deadline_s=1.0)
+        with pytest.raises(SimulationError, match="finite"):
+            cluster.superstep(**step)
+        assert cluster.elapsed_s == 0.0 and not cluster.metrics().steps
+
+    def test_work_mutated_negative_is_a_typed_error(self):
+        # Was a bare ValueError out of the scaled copy's constructor.
+        work = ComputeWork(streamed_bytes=4.0)
+        work.streamed_bytes -= 8.0
+        with pytest.raises(SimulationError, match="non-negative"):
+            Cluster(paper_cluster(1)).superstep(work)
+
     def test_bound_by_classification(self):
         cluster = Cluster(paper_cluster(2))
         cluster.superstep(ComputeWork(streamed_bytes=1e9),

@@ -126,6 +126,45 @@ def test_segment_mode_is_unique_plus_lexsort(case):
         np.testing.assert_array_equal(got, want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2**15, 2**15 + 1]),
+       st.sampled_from([2**16 - 1, 2**16, 2**15 - 1, 2**15]),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=30),
+       st.booleans(), st.sampled_from([0, -1, 0]))
+@example(2**15, 2**16, [(0, 0)], False, -1)      # 2**16 << 15 wraps an int32
+@example(2**15, 2**16 - 1, [(0, 0), (3, 3)], True, -1)
+@example(2**15 + 1, 2**15, [(0, 1)], False, -1)
+@example(2**15 + 1, 2**15 - 1, [(0, 1)], True, 0)
+def test_segment_mode_at_the_narrow_key_boundaries(universe, parallel, extra,
+                                                   tie, wide_segment):
+    """Each side of every test ``segment_mode`` makes before packing int32.
+
+    Labels below 2**15 leave 16 bits of an int32 key for the segment
+    and of an int32 score for the tally, one label more leaves 15: a
+    segment id (``wide_segment``: the last that fits, or the first that
+    does not) or a run of parallel edges of 2**16 resp. 2**15 is the
+    first that needs 64 bits. Values sit at the corners of their ranges.
+    """
+    top = universe - 1
+    corner = (0, 1, top - 1, top)
+    pairs = [(corner[s], corner[label]) for s, label in extra]
+    pairs.append(((1 << 31 - top.bit_length()) + wide_segment, top))
+    # The long runs share segment 0 with the corner pairs; the smaller
+    # label wins a tie, so both runs must be counted exactly.
+    runs = [top, top - 1] if tie else [top]
+    segment_ids = np.array([s for s, _ in pairs] + [0] * len(runs),
+                           dtype=np.int64).repeat([1] * len(pairs)
+                                                  + [parallel] * len(runs))
+    labels = np.array([label for _, label in pairs] + runs,
+                      dtype=np.int64).repeat([1] * len(pairs)
+                                             + [parallel] * len(runs))
+    expected = mode_by_unique_lexsort(segment_ids, labels, universe)
+    found = segments.segment_mode(segment_ids, labels, universe)
+    for got, want in zip(found, expected):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda nodes: st.tuples(
     st.just(nodes),

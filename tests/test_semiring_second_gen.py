@@ -25,7 +25,7 @@ from repro.algorithms import (
     wcc_reference,
 )
 from repro.graph import CSRGraph, EdgeList
-from repro.kernels.backend import INTERPRETED, use_backend
+from repro.kernels.backend import INTERPRETED, VECTORIZED, use_backend
 from repro.kernels.registry import kernel
 
 SEEDS = tuple(range(20, 30))
@@ -155,21 +155,52 @@ class TestWCCProperties:
 class TestKCoreProperties:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_peel_kernel_matches_reference(self, seed):
+        """The incremental peel against the O(V)-per-wave formulas.
+
+        A level opens with ``touched=None`` (the full scan); after that
+        each step sees only the last wave's gathered neighbors, and must
+        still find exactly ``alive & (degrees < k)``, decrement exactly
+        one per gathered edge, and count what the full passes counted.
+        """
         graph = random_graph(seed)
-        peel = kernel("k_core", "peel")().prepare(graph)
-        degrees = graph.out_degrees().astype(np.int64)
-        core = np.zeros(graph.num_vertices, dtype=np.int64)
-        alive = np.ones(graph.num_vertices, dtype=bool)
-        k = 1
-        while alive.any():
-            while True:
-                (removed, degrees), _ = peel.step(degrees, alive, k)
-                if removed.size == 0:
-                    break
-                core[removed] = k - 1
-                alive[removed] = False
-            k += 1
-        np.testing.assert_array_equal(core, kcore_reference(graph))
+        out_degrees = graph.out_degrees()
+        for backend in (VECTORIZED, INTERPRETED):
+            with use_backend(backend):
+                peel = kernel("k_core", "peel")().prepare(graph)
+                degrees = out_degrees.astype(np.int64)
+                core = np.zeros(graph.num_vertices, dtype=np.int64)
+                alive = np.ones(graph.num_vertices, dtype=bool)
+                live, k, steps, waves, levels = graph.num_vertices, 1, 0, 0, 0
+                while live:
+                    levels += 1
+                    touched = None
+                    while True:
+                        expected = np.flatnonzero(alive & (degrees < k))
+                        before = degrees.copy()
+                        removed, work = peel.step(degrees, alive, k, live,
+                                                  touched)
+                        steps += 1
+                        np.testing.assert_array_equal(removed, expected)
+                        neighbors, lengths = work.gather
+                        gathered, rows = graph.neighbors_of_many(removed)
+                        np.testing.assert_array_equal(neighbors, gathered)
+                        np.testing.assert_array_equal(lengths, rows)
+                        np.testing.assert_array_equal(
+                            degrees, before - np.bincount(
+                                neighbors, minlength=degrees.size))
+                        assert work.edges == out_degrees[removed].sum()
+                        assert work.vertices == alive.sum()
+                        assert work.frontier == removed.size
+                        if removed.size == 0:
+                            break
+                        waves += 1
+                        core[removed] = k - 1
+                        alive[removed] = False
+                        live -= removed.size
+                        touched = neighbors
+                    k += 1
+                assert steps == waves + levels
+                np.testing.assert_array_equal(core, kcore_reference(graph))
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_core_numbers_validate(self, seed):
