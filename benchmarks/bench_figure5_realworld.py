@@ -1,6 +1,7 @@
 """Figure 5: large real-world graphs (Twitter / Yahoo Music) multi-node."""
 
 from repro.harness import ARTIFACTS, figure5
+from repro.harness.fidelity import assert_rows
 
 
 def test_figure5(regenerate):
@@ -17,8 +18,7 @@ def test_figure5(regenerate):
 
     # CombBLAS runs out of memory on Twitter triangle counting ("this
     # data point is not plotted").
-    tc = data["triangle_counting"]["runtimes"]
-    assert tc["combblas"] == "out-of-memory"
+    assert_rows("figure5", data)
 
     # Native completes everywhere and is fastest.
     for algorithm, panel in data.items():
@@ -31,6 +31,7 @@ def test_figure5(regenerate):
 
     # SociaLite beats GraphLab and Giraph on Twitter triangle counting
     # (it "performs best among our frameworks" there).
+    tc = data["triangle_counting"]["runtimes"]
     completed = {f: v for f, v in tc.items()
                  if isinstance(v, float) and f != "native"}
     assert min(completed, key=completed.get) == "socialite"

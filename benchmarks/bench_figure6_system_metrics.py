@@ -1,6 +1,7 @@
 """Figure 6: CPU utilization, network BW, memory footprint, bytes sent."""
 
 from repro.harness import ARTIFACTS, figure6
+from repro.harness.fidelity import assert_rows
 
 
 def test_figure6(regenerate):
@@ -8,29 +9,23 @@ def test_figure6(regenerate):
     print()
     print(ARTIFACTS["figure6"].text(data))
 
+    # Giraph's CPU cap and every framework's peak network rate.
+    assert_rows("figure6", data)
+
     for algorithm, panel in data.items():
         native = panel["native"]
         giraph = panel["giraph"]
         assert native is not None and giraph is not None
 
-        # "Giraph has especially low CPU utilization across the board"
-        # — capped near 4/24 ~ 16% by its worker count.
-        assert giraph["cpu_utilization"] <= 17.5, algorithm
-        for other in ("native", "combblas"):
-            if panel[other]["peak_network_bw"] > 0:
-                assert giraph["cpu_utilization"] <= \
-                    max(panel[other]["cpu_utilization"], 17.5)
-
+        completed = [cell for cell in panel.values() if cell]
+        # "Giraph has especially low CPU utilization across the board":
+        # below every framework that completed, native and CombBLAS too.
+        assert giraph["cpu_utilization"] == min(
+            cell["cpu_utilization"] for cell in completed)
         # Peak network rate ordering: MPI stacks highest, Giraph lowest.
-        if native["peak_network_bw"] > 0 and giraph["peak_network_bw"] > 0:
-            assert native["peak_network_bw"] > giraph["peak_network_bw"]
-            # Giraph under 10% of the network limit (Section 6.2).
-            assert giraph["peak_network_bw"] < 10.0
+        peaks = [cell["peak_network_bw"] for cell in completed]
+        assert native["peak_network_bw"] == max(peaks)
+        assert giraph["peak_network_bw"] == min(peaks)
 
-        # Bytes sent are normalized to Giraph = 100; nobody exceeds
-        # Giraph by much (its serialization overhead is the ceiling).
+        # Bytes sent are normalized to Giraph = 100.
         assert abs(giraph["network_bytes_sent"] - 100.0) < 1e-6
-
-    # Native peak network rate "over 5 GBps" -> >90 normalized, for the
-    # network-exercising algorithms.
-    assert data["pagerank"]["native"]["peak_network_bw"] > 90.0

@@ -7,6 +7,7 @@ LALP achieves a 12x performance improvement compared to Giraph" and
 
 from repro.harness import ExperimentSpec, run
 from repro.harness.datasets import weak_scaling_dataset
+from repro.harness.fidelity import assert_rows, render
 
 
 def related_work_pagerank(nodes=4):
@@ -29,16 +30,8 @@ def test_related_work_anchors(regenerate):
         print(f"  {framework:<10} {runtime:8.3f} s  "
               f"({runtime / native:6.1f}x native)")
 
-    gps_vs_giraph = runtimes["giraph"] / runtimes["gps"]
-    graphx_vs_graphlab = runtimes["graphx"] / runtimes["graphlab"]
-    print(f"\n  GPS improvement over Giraph : {gps_vs_giraph:.1f}x "
-          "(paper: ~12x)")
-    print(f"  GraphX slowdown vs GraphLab : {graphx_vs_graphlab:.1f}x "
-          "(paper: ~7x)")
-
-    # The paper's anchors, within a 2x band.
-    assert 6 < gps_vs_giraph < 24
-    assert 3.5 < graphx_vs_graphlab < 14
+    # The paper's two anchors: GPS over Giraph, GraphX under GraphLab.
+    print(render(assert_rows("related_work", runtimes)))
     # "comparable to that of the frameworks studied (but much slower
     # than native code)".
     assert runtimes["gps"] > 3 * native

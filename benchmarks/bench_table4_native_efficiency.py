@@ -1,38 +1,34 @@
 """Table 4: efficiency achieved by the native implementations."""
 
 from repro.harness import ARTIFACTS, table4
+from repro.harness.fidelity import assert_rows
 
 
 def test_table4(regenerate):
     data = regenerate(table4)
     print()
     print(ARTIFACTS["table4"].text(data))
+    # Bound class, achieved GB/s and efficiency of the paper's eight cells.
+    assert_rows("table4", data)
 
-    # Paper shape: every algorithm is memory-bandwidth bound on one node
-    # with zero network share.
+    # One node has no network on its critical path, and no cell achieves
+    # more than its hardware limit.
     for algorithm, per_nodes in data.items():
-        assert per_nodes[1]["bound_by"] == "memory", algorithm
         assert per_nodes[1]["network_fraction"] == 0.0, algorithm
+        for nodes, cell in per_nodes.items():
+            assert cell["efficiency"] <= 1.0, (algorithm, nodes)
 
     # At 4 nodes the network becomes a first-order cost for PageRank and
-    # triangle counting (the paper's network-bound pair), and stays
-    # minor for BFS and CF (the paper's memory-bound pair).
+    # triangle counting (the paper's network-bound pair; the robust form
+    # their four `gap` rows lean on), and stays minor for BFS and CF (the
+    # paper's memory-bound pair).
     for network_heavy in ("pagerank", "triangle_counting"):
         assert data[network_heavy][4]["network_fraction"] > 0.2, network_heavy
     for memory_bound in ("bfs", "collaborative_filtering"):
-        assert data[memory_bound][4]["bound_by"] == "memory"
         assert data[memory_bound][4]["network_fraction"] < \
             min(data["pagerank"][4]["network_fraction"],
                 data["triangle_counting"][4]["network_fraction"])
 
-    # "Efficiencies are generally within 2-2.5x off the ideal results."
-    for algorithm, per_nodes in data.items():
-        for nodes, cell in per_nodes.items():
-            assert cell["efficiency"] > 0.15, (algorithm, nodes)
-            assert cell["efficiency"] <= 1.0, (algorithm, nodes)
-
-    # PageRank is the most efficient single-node workload (92% in the
-    # paper); CF and TC sit lower, in the paper's 45-70% band.
-    assert data["pagerank"][1]["efficiency"] > 0.75
+    # PageRank is the most efficient single-node workload.
     assert data["triangle_counting"][1]["efficiency"] < \
         data["pagerank"][1]["efficiency"]

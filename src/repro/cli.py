@@ -277,7 +277,7 @@ def _cmd_artifact(args) -> int:
         numbers = sorted(int(name[len(kind):]) for name in ARTIFACTS
                          if name.startswith(kind))
         print(f"no {kind} {args.number}; the paper has {kind}s "
-              f"{numbers[0]}-{numbers[-1]}")
+              f"{numbers[0]}-{numbers[-1]}", file=sys.stderr)
         return EXIT_USAGE
     data = artifact.producer()
     print(artifact.text(data))
@@ -938,15 +938,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_report(args) -> int:
-    from .harness.paper_report import generate_report
+    from .harness.paper_report import FIDELITY_SECTION, generate_report
     from .harness.persistence import atomic_write_text
 
     text = generate_report()
     atomic_write_text(args.output, text)
-    passed_line = next(line for line in text.splitlines()
-                       if line.startswith("## Headline claims"))
+    headline = next(line for line in text.splitlines()
+                    if line.startswith(FIDELITY_SECTION))
     print(f"wrote {args.output}")
-    print(passed_line.lstrip("# "))
+    print(headline.lstrip("# "))
     return 0
 
 

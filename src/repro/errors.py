@@ -244,6 +244,10 @@ FAILURE_CLASSES = (
     FailureClass(NodeFailure, STATUS_FAILED, EXIT_NODE_FAILURE,
                  "node failure"),
     FailureClass(PerfRegression, None, EXIT_PERF_REGRESSION, "error"),
+    # A factorization whose RMSE left the floats: an answer about the
+    # step size, the same on every retry.
+    FailureClass(ConvergenceError, STATUS_FAILED, EXIT_FAILURE, "diverged",
+                 True),
     # With the supervised pool capping worker address space, a *real*
     # allocation blow-up is the paper's out-of-memory dash too.
     FailureClass(MemoryError, STATUS_OOM, EXIT_OOM, "out of memory"),

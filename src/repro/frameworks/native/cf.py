@@ -153,12 +153,7 @@ def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
 
             cluster.mark_iteration()
         gamma *= step_decay
-        rmse = kern.rmse(p_factors, q_factors)
-        rmse_curve.append(rmse)
-        if not np.isfinite(rmse):
-            raise ConvergenceError(
-                f"{method} diverged at iteration {iteration}: lower gamma0"
-            )
+        rmse_curve.append(kern.rmse(p_factors, q_factors))
 
     metrics = cluster.metrics()
     return AlgorithmResult(

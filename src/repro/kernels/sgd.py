@@ -17,8 +17,11 @@ byte-identical anyway.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..errors import ConvergenceError
 from .backend import interpreted
 from .base import Kernel, KernelWork
 
@@ -132,10 +135,22 @@ def _row_index(csr_matrix) -> np.ndarray:
     return np.repeat(np.arange(csr_matrix.shape[0]), np.diff(csr_matrix.indptr))
 
 
-class CFBlockedGD(Kernel):
+class _CFKernel(Kernel):
+    algorithm = "collaborative_filtering"
+
+    def rmse(self, p_factors, q_factors) -> float:
+        """Training RMSE; every CF driver calls this once an iteration."""
+        value = training_rmse(self.ratings, p_factors, q_factors)
+        if not math.isfinite(value):
+            raise ConvergenceError(
+                f"{self.direction} diverged (training RMSE {value}): "
+                "lower gamma0")
+        return value
+
+
+class CFBlockedGD(_CFKernel):
     """Full-gradient CF updates over a prepared ratings matrix."""
 
-    algorithm = "collaborative_filtering"
     direction = "blocked-gd"
 
     def prepare(self, ratings):
@@ -159,14 +174,10 @@ class CFBlockedGD(Kernel):
                                          + self.ratings.num_items))
         return (p_factors, q_factors), work
 
-    def rmse(self, p_factors, q_factors) -> float:
-        return training_rmse(self.ratings, p_factors, q_factors)
 
-
-class CFBlockedSGD(Kernel):
+class CFBlockedSGD(_CFKernel):
     """Mini-batch SGD sweeps (the Gemulla diagonal-block inner loop)."""
 
-    algorithm = "collaborative_filtering"
     direction = "blocked-sgd"
 
     def __init__(self, batch: int = _SGD_BATCH):
@@ -182,6 +193,3 @@ class CFBlockedSGD(Kernel):
                   lambda_p, lambda_q, batch=self.batch)
         work = KernelWork(edges=float(users.size))
         return (p_factors, q_factors), work
-
-    def rmse(self, p_factors, q_factors) -> float:
-        return training_rmse(self.ratings, p_factors, q_factors)

@@ -1,5 +1,4 @@
-"""Deeper engine-internal tests: datalog evaluator, 2-D matrix engine,
-report generator plumbing."""
+"""Deeper engine-internal tests: datalog evaluator, 2-D matrix engine."""
 
 import numpy as np
 import pytest
@@ -152,57 +151,3 @@ class TestDistSpMatInternals:
         product, _, _ = dist.spgemm_aa()
         _, flops = dist.ewise_mult_sum(product)
         assert flops == 2.0 * dist.nnz
-
-
-class TestPaperReportChecks:
-    def test_claim_checks_pass_on_paper_shaped_data(self):
-        from repro.harness.paper_report import _claim_checks
-
-        def cells(**kv):
-            return {k: {"slowdown": v, "statuses": ["ok"]}
-                    for k, v in kv.items()}
-
-        t4 = {a: {1: {"bound_by": "memory"}, 4: {"bound_by": "memory"}}
-              for a in ("pagerank", "bfs", "triangle_counting",
-                        "collaborative_filtering")}
-        t5 = {
-            a: cells(combblas=2.0, graphlab=4.0, socialite=3.0,
-                     giraph=100.0, galois=1.1)
-            for a in ("pagerank", "bfs", "triangle_counting",
-                      "collaborative_filtering")
-        }
-        t5["triangle_counting"]["combblas"]["statuses"] = \
-            ["out-of-memory", "out-of-memory", "ok"]
-        t6 = {"triangle_counting": cells(combblas=10.0, graphlab=3.0,
-                                         socialite=1.5, giraph=50.0)}
-        t7 = {"pagerank": {"speedup": 2.4},
-              "triangle_counting": {"speedup": 1.6}}
-        f5 = {"triangle_counting":
-              {"runtimes": {"combblas": "out-of-memory"}}}
-        f7 = {"pagerank": [("baseline", 1.0), ("all", 7.0)],
-              "bfs": [("baseline", 1.0), ("all", 4.0)]}
-
-        checks = _claim_checks(t4, t5, t6, t7, f5, f7)
-        assert all(ok for _, ok in checks)
-
-    def test_claim_checks_catch_regressions(self):
-        from repro.harness.paper_report import _claim_checks
-
-        t4 = {a: {1: {"bound_by": "network"}, 4: {"bound_by": "memory"}}
-              for a in ("pagerank",)}
-        t5 = {"pagerank": {f: {"slowdown": 1.0, "statuses": ["ok"]}
-                           for f in ("combblas", "graphlab", "socialite",
-                                     "giraph", "galois")},
-              "triangle_counting": {f: {"slowdown": 1.0, "statuses": ["ok"]}
-                                    for f in ("combblas", "graphlab",
-                                              "socialite", "giraph",
-                                              "galois")}}
-        t6 = {"triangle_counting": {f: {"slowdown": 1.0, "statuses": ["ok"]}
-                                    for f in ("combblas", "graphlab",
-                                              "socialite")}}
-        t7 = {"pagerank": {"speedup": 1.0},
-              "triangle_counting": {"speedup": 1.0}}
-        f5 = {"triangle_counting": {"runtimes": {"combblas": 12.0}}}
-        f7 = {"pagerank": [("baseline", 1.0)]}
-        checks = _claim_checks(t4, t5, t6, t7, f5, f7)
-        assert not all(ok for _, ok in checks)

@@ -22,12 +22,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import errors
 from repro.cli import build_parser, main
 from repro.datagen import cache as cache_module
-from repro.harness import ARTIFACTS, Artifact, Sweep, paper_report
+from repro.harness import ARTIFACTS, Artifact, Sweep, fidelity
 from repro.harness import datasets
 from repro.harness.datasets import experiment_dataset
 from repro.harness.tables import table5
@@ -186,7 +187,7 @@ def stub_row(monkeypatch):
             artifact, producer=lambda **_: {},
             render=lambda data, title: title))
     monkeypatch.setitem(ARTIFACTS, "stub", STUB)
-    monkeypatch.setattr(paper_report, "_claim_checks", lambda *data: [])
+    monkeypatch.setattr(fidelity, "ROWS", ())
 
 
 class TestArtifactTable:
@@ -225,9 +226,9 @@ class TestArtifactTable:
 
     def test_unknown_numbers_are_usage_errors(self, capsys):
         assert main(["table", "9"]) == 2
-        assert "the paper has tables 1-7" in capsys.readouterr().out
+        assert "the paper has tables 1-7" in capsys.readouterr().err
         assert main(["figure", "2"]) == 2
-        assert "the paper has figures 3-7" in capsys.readouterr().out
+        assert "the paper has figures 3-7" in capsys.readouterr().err
 
     def test_every_title_names_its_artifact(self):
         for name, artifact in ARTIFACTS.items():
@@ -252,9 +253,11 @@ class TestFailureTaxonomy:
         "DeadlineExceeded": ("timeout", 6, "deadline exceeded"),
         "NodeFailure": ("failed", 5, "node failure"),
         "PerfRegression": (None, 7, "error"),
+        "ConvergenceError": ("failed", 1, "diverged"),
     }
-    #: The three `run` hands back as a status instead of raising.
-    RESULTS = {"CapacityError", "ExpressibilityError", "DeadlineExceeded"}
+    #: The four `run` hands back as a status instead of raising.
+    RESULTS = {"CapacityError", "ExpressibilityError", "DeadlineExceeded",
+               "ConvergenceError"}
     STATUSES = {"ok": 0, "out-of-memory": 3, "unsupported": 4, "timeout": 6,
                 "failed": 5,
                 # A cell that killed its workers is an unclassified
@@ -278,6 +281,34 @@ class TestFailureTaxonomy:
         row = errors.failure_class(MemoryError())
         assert (row.status, row.is_result) == ("out-of-memory", False)
         assert errors.failure_class(ValueError("x")).status is None
+
+    def test_a_diverged_factorization_is_a_failed_result_everywhere(self):
+        """Not ``ok`` with an inf/nan curve, not an exception out of
+        ``run`` (which a sweep would retry with backoff and quarantine)."""
+        from repro.algorithms.registry import FRAMEWORKS
+        from repro.datagen import netflix_like_ratings
+        from repro.harness import ExperimentSpec, run
+        from repro.harness.sweep import CellPolicy, execute_cell
+
+        ratings = netflix_like_ratings(scale=9, num_items=48, seed=78)
+
+        def cell(framework, **params):
+            return run(ExperimentSpec(
+                "collaborative_filtering", framework, ratings,
+                params={"hidden_dim": 8, "iterations": 12, **params}))
+
+        with np.errstate(all="ignore"):
+            for framework in FRAMEWORKS:
+                diverged = cell(framework, gamma0=5.0)
+                assert diverged.status == "failed", framework
+                assert "diverged" in diverged.failure
+        assert all(np.isfinite(cell("native").result.extras["rmse_curve"]))
+
+        def raises(key, budget_s=None):
+            raise errors.ConvergenceError("gd diverged")
+        record = execute_cell({"framework": "x"}, raises, CellPolicy())
+        assert (record.status, record.attempts, record.quarantined) == \
+            ("failed", 1, False)
 
     def test_every_status_has_its_exit_code(self):
         assert errors.STATUS_EXIT_CODES == self.STATUSES
