@@ -10,7 +10,7 @@ paper's tables and figures.
 
 from __future__ import annotations
 
-from ..errors import ExpressibilityError, ReproError
+from ..errors import ExpressibilityError, SpecError
 from ..frameworks import native
 from ..frameworks.base import PROFILES, FrameworkProfile, runner_params
 from ..frameworks.datalog import socialite
@@ -80,6 +80,16 @@ _ENGINE_PARAMS = {
 #: Knobs two engines add to every workload: native's NativeOptions
 #: toggles and SociaLite's network stack.
 _FRAMEWORK_PARAMS = ("optimized", "options")
+#: The declared type of every parameter name above; an
+#: ``ExperimentSpec`` checks its ``params`` against it (``None`` = the
+#: runner's default) before any range check.
+PARAM_TYPES = {
+    "iterations": int, "hidden_dim": int, "source": int, "seed": int,
+    "superstep_splits": int, "damping": float, "tolerance": float,
+    "gamma0": float, "lambda_reg": float, "step_decay": float,
+    "method": str, "optimized": bool, "options": native.NativeOptions,
+    "profile_override": FrameworkProfile,
+}
 
 
 def valid_params(algorithm: str) -> tuple:
@@ -120,27 +130,24 @@ _EXTRA_PROFILES = {
 }
 
 
+def check_names(kind: str, names, known) -> None:
+    """Refuse any of ``names`` not in ``known``, naming the known ones."""
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise SpecError(f"unknown {kind} {', '.join(map(repr, unknown))}; "
+                        f"known: {', '.join(known)}")
+
+
 def profile_for(framework: str) -> FrameworkProfile:
     """The :class:`FrameworkProfile` a registry framework runs under."""
-    if framework in _EXTRA_PROFILES:
-        return _EXTRA_PROFILES[framework]
-    if framework in PROFILES:
-        return PROFILES[framework]
-    raise ReproError(
-        f"unknown framework {framework!r}; known: {FRAMEWORKS}"
-    )
+    check_names("framework", (framework,), FRAMEWORKS)
+    return _EXTRA_PROFILES.get(framework) or PROFILES[framework]
 
 
 def runner(algorithm: str, framework: str):
     """Look up the runner; raises for unknown or unsupported combos."""
-    if algorithm not in ALGORITHMS:
-        raise ReproError(
-            f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}"
-        )
-    if framework not in FRAMEWORKS:
-        raise ReproError(
-            f"unknown framework {framework!r}; known: {FRAMEWORKS}"
-        )
+    check_names("algorithm", (algorithm,), ALGORITHMS)
+    check_names("framework", (framework,), FRAMEWORKS)
     try:
         return _RUNNERS[(algorithm, framework)]
     except KeyError:

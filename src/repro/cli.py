@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .errors import (
     EXIT_FAILURE,
@@ -67,27 +68,78 @@ def _failure_exit(error, label: str = None) -> int:
     return failure.exit_code
 
 
+def _request_flags(command, cls, positional=(), required=()) -> None:
+    """One argparse argument per CLI-facing field of a request value.
+
+    All of it comes from the field's declaration (:func:`~repro.harness.
+    spec.declare`): spelling, help, choices, default, and ``int`` /
+    ``float`` / ``store_true`` from its type. A list field is one
+    comma-separated string whose items the value's constructor checks.
+    """
+    from dataclasses import MISSING
+
+    from .algorithms.registry import PARAM_TYPES
+    from .harness.spec import declared
+
+    for field, kind in declared(cls):
+        wire = field.metadata["wire"]
+        for name, text in wire.get("params", {}).items():
+            command.add_argument("--" + name.replace("_", "-"),
+                                 type=PARAM_TYPES[name], help=text)
+        if "params" in wire:
+            continue
+        default = wire.get("cli_default", field.default)
+        options = {"help": wire.get("help"),
+                   "default": None if default is MISSING else default}
+        if "choices" in wire:
+            options["choices"] = wire["choices"]()
+        if kind is bool:
+            options["action"] = "store_true"
+        elif kind in (int, float):
+            options["type"] = kind
+        if field.name in positional:
+            command.add_argument(field.name, nargs="?", **options)
+        elif default is MISSING:
+            command.add_argument(field.name, **options)
+        else:
+            flag = wire.get("flag", "--" + field.name.replace("_", "-"))
+            command.add_argument(flag, dest=field.name,
+                                 required=field.name in required, **options)
+
+
+def _request(cls, args):
+    """The request value the parsed flags name; the value checks them."""
+    from typing import get_args, get_origin
+
+    from .harness.spec import declared
+
+    given = {}
+    for field, kind in declared(cls):
+        params = field.metadata["wire"].get("params")
+        value = {name: getattr(args, name) for name in params
+                 if getattr(args, name) is not None} \
+            if params else getattr(args, field.name)
+        if isinstance(value, str) and get_origin(kind) is tuple:
+            value = tuple(_convert(part, get_args(kind)[0])
+                          for part in value.split(",") if part)
+        if value is not None:
+            given[field.name] = value
+    return cls(**given)
+
+
+def _convert(text: str, kind):
+    """``kind(text)``, or ``text`` itself for the value to refuse."""
+    try:
+        return kind(text)
+    except ValueError:
+        return text
+
+
 def _run_cell(args, trace=None):
     """Shared run/trace front half: build an ExperimentSpec and run it."""
-    from .harness import ExperimentSpec, run, valid_params
+    from .harness import ExperimentSpec, run
 
-    # Only pass what was given (the runner fills in default_params),
-    # and only to the algorithms that declare it.
-    accepted = valid_params(args.algorithm)
-    params = {name: getattr(args, name)
-              for name in ("iterations", "hidden_dim")
-              if name in accepted and getattr(args, name) is not None}
-    spec = ExperimentSpec(
-        algorithm=args.algorithm, framework=args.framework,
-        dataset=args.dataset, nodes=args.nodes,
-        scale_factor=args.scale_factor,
-        faults=getattr(args, "faults", None) or None,
-        fault_seed=getattr(args, "fault_seed", 0),
-        deadline_s=getattr(args, "deadline", None),
-        kernels=getattr(args, "kernels", None),
-        params=params,
-    )
-    return run(spec, trace=trace)
+    return run(_request(ExperimentSpec, args), trace=trace)
 
 
 def _print_run(result) -> None:
@@ -157,12 +209,13 @@ def _cmd_trace(args) -> int:
 
 def _cmd_chaos(args) -> int:
     """Same cell twice — fault-free, then under the schedule — and diff."""
-    faults, seed = args.faults, args.fault_seed
-    args.faults = None
-    baseline = _run_cell(args)
-    args.faults, args.fault_seed = faults, seed
+    from .harness import ExperimentSpec, run
+
+    spec = _request(ExperimentSpec, args)
+    faults, seed = spec.faults, spec.fault_seed
+    baseline = run(replace(spec, faults=None))
     try:
-        chaos = _run_cell(args)
+        chaos = run(spec)
     except NodeFailure as failure:
         if args.json:
             print(json.dumps({
@@ -223,34 +276,20 @@ def _cmd_sweep(args) -> int:
     """Durable, resumable regeneration of one sweep artifact."""
     from .harness import report
     from .harness.artifacts import ARTIFACTS
-    from .harness.sweep import Sweep
+    from .harness.sweep import SweepRequest
     from .observability import Tracer, write_chrome_trace
 
-    artifact = ARTIFACTS[args.target]
-    kwargs = {}
-    if args.frameworks:
-        kwargs["frameworks"] = tuple(args.frameworks.split(","))
-    if args.algorithms:
-        if not artifact.takes_algorithms:
-            print(f"{args.target} does not take --algorithms",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        kwargs["algorithms"] = tuple(args.algorithms.split(","))
+    request = _request(SweepRequest, args)
     tracer = Tracer()
-    engine = Sweep(args.target, journal=args.journal, resume=args.resume,
-                   deadline_s=args.deadline, max_retries=args.max_retries,
-                   jobs=args.jobs, tracer=tracer,
-                   wall_deadline_s=args.wall_deadline,
-                   max_crashes=args.max_crashes,
-                   memory_limit_mb=args.memory_limit_mb,
-                   real_chaos=args.real_chaos)
-    data = artifact.producer(sweep=engine, **kwargs)
-    completeness = engine.last.completeness()
+    data, completeness = request.run(
+        jobs=args.jobs, tracer=tracer, wall_deadline_s=args.wall_deadline,
+        max_crashes=args.max_crashes, memory_limit_mb=args.memory_limit_mb,
+        real_chaos=args.real_chaos)
     if args.json:
         print(json.dumps({"data": data, "completeness": completeness},
                          indent=2, sort_keys=True))
     else:
-        print(artifact.text(data))
+        print(ARTIFACTS[args.target].text(data))
         print()
         print(report.render_sweep_completeness(completeness))
     if args.save:
@@ -405,18 +444,11 @@ def _cmd_regenerate(_args) -> int:
     return EXIT_OK
 
 
-def _parse_node_counts(spec: str):
-    return tuple(int(part) for part in spec.split(",") if part)
-
-
 def _cmd_perf_analyze(args) -> int:
     """Roofline ratios for one framework; gap attribution when not native."""
     from . import perf
 
-    algorithms = tuple(args.algorithms.split(",")) if args.algorithms \
-        else None
-    analysis = perf.analyze(args.framework, algorithms,
-                            _parse_node_counts(args.nodes))
+    analysis = _request(perf.AnalysisRequest, args).run()
     if args.json:
         print(json.dumps(analysis.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
@@ -487,9 +519,10 @@ def _cmd_perf_baseline(args) -> int:
             else None
         frameworks = tuple(args.frameworks.split(",")) if args.frameworks \
             else perf.GATE_FRAMEWORKS
+        node_counts = tuple(int(part) for part in args.nodes.split(",")
+                            if part)
         payload = perf.record(path=args.out, algorithms=algorithms,
-                              frameworks=frameworks,
-                              node_counts=_parse_node_counts(args.nodes))
+                              frameworks=frameworks, node_counts=node_counts)
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
@@ -577,7 +610,9 @@ def _cmd_outofcore(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from .algorithms.registry import ALGORITHMS, FRAMEWORKS
-    from .harness.artifacts import sweep_targets
+    from .harness.spec import ExperimentSpec
+    from .harness.sweep import SweepRequest
+    from .perf.attribution import AnalysisRequest
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -588,55 +623,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _cell_arguments(command, positional_dataset=False):
-        command.add_argument("algorithm", choices=ALGORITHMS)
-        command.add_argument("framework", choices=FRAMEWORKS)
-        if positional_dataset:
-            command.add_argument("dataset", nargs="?", default="rmat_mini")
-        else:
-            command.add_argument("--dataset", default="rmat_mini")
-        command.add_argument("--nodes", type=int, default=1)
-        command.add_argument("--scale-factor", type=float, default=1.0)
-        command.add_argument("--iterations", type=int, default=None,
-                             help="override the harness default")
-        command.add_argument("--hidden-dim", type=int, default=None,
-                             help="CF hidden dimension (harness default: 32)")
-        command.add_argument("--deadline", type=float, default=None,
-                             help="simulated-seconds budget; exceeding it "
-                                  "is a 'timeout' result (exit 6)")
-        command.add_argument("--kernels", default=None,
-                             choices=("vectorized", "interpreted"),
-                             help="kernel backend for this run (default: "
-                                  "$REPRO_KERNELS or vectorized)")
+    cell_commands = {}
+    for name, func, text, options in (
+            ("run", _cmd_run, "run one experiment cell", {}),
+            ("trace", _cmd_trace,
+             "flight-record one cell and export the trace",
+             {"positional": ("dataset",)}),
+            ("chaos", _cmd_chaos,
+             "compare one cell fault-free vs under a fault schedule",
+             {"required": ("faults",)})):
+        command = cell_commands[name] = sub.add_parser(name, help=text)
+        _request_flags(command, ExperimentSpec, **options)
         command.add_argument("--json", action="store_true",
                              help="print the result as JSON")
-
-    def _fault_arguments(command, required=False):
-        command.add_argument(
-            "--faults", required=required, default=None,
-            help="fault schedule spec, e.g. "
-                 "'crash(node=2, superstep=3); drop(p=0.01)'")
-        command.add_argument("--fault-seed", type=int, default=0,
-                             help="seed for probabilistic faults")
-
-    run = sub.add_parser("run", help="run one experiment cell")
-    _cell_arguments(run)
-    _fault_arguments(run)
-    run.set_defaults(func=_cmd_run)
-
-    trace = sub.add_parser(
-        "trace", help="flight-record one cell and export the trace")
-    _cell_arguments(trace, positional_dataset=True)
-    _fault_arguments(trace)
-    trace.add_argument("--out", help="write Chrome trace_event JSON here")
-    trace.add_argument("--csv", help="write per-superstep CSV here")
-    trace.set_defaults(func=_cmd_trace)
-
-    chaos = sub.add_parser(
-        "chaos", help="compare one cell fault-free vs under a fault schedule")
-    _cell_arguments(chaos)
-    _fault_arguments(chaos, required=True)
-    chaos.set_defaults(func=_cmd_chaos)
+        command.set_defaults(func=func)
+    cell_commands["trace"].add_argument(
+        "--out", help="write Chrome trace_event JSON here")
+    cell_commands["trace"].add_argument(
+        "--csv", help="write per-superstep CSV here")
 
     sweep = sub.add_parser(
         "sweep",
@@ -654,20 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=EXIT_CODES_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sweep.add_argument("target", choices=sweep_targets())
-    sweep.add_argument("--journal",
-                       help="append-only JSONL journal; completed cells "
-                            "are replayed from it on --resume")
-    sweep.add_argument("--resume", action="store_true",
-                       help="continue an interrupted sweep from --journal "
-                            "instead of refusing to overwrite it")
-    sweep.add_argument("--deadline", type=float, default=None,
-                       help="per-cell budget in simulated seconds; cells "
-                            "over it become 'timeout' records")
-    sweep.add_argument("--max-retries", type=int, default=2,
-                       help="retries (with capped exponential backoff) "
-                            "before a cell with unexpected errors is "
-                            "quarantined (default: 2)")
+    _request_flags(sweep, SweepRequest)
     sweep.add_argument("--jobs", type=int, nargs="?", const=0, default=1,
                        help="worker processes for cell execution; bare "
                             "--jobs (or 0) means all cores, default 1 "
@@ -690,10 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'kill(cell=3); hang(cell=5, seconds=300); "
                             "oom(cell=2, mb=512)' (default: "
                             "$REPRO_CHAOS_REAL)")
-    sweep.add_argument("--frameworks",
-                       help="comma-separated framework subset")
-    sweep.add_argument("--algorithms",
-                       help="comma-separated algorithm subset")
     sweep.add_argument("--save", help="also save the data as JSON")
     sweep.add_argument("--trace-out",
                        help="write the sweep's Chrome trace_event JSON "
@@ -752,11 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="roofline ratios; plus the gap decomposition vs native "
              "for non-native frameworks")
-    analyze.add_argument("--framework", default="native", choices=FRAMEWORKS)
-    analyze.add_argument("--algorithms",
-                         help="comma-separated subset (default: all four)")
-    analyze.add_argument("--nodes", default="1,4",
-                         help="comma-separated node counts (default: 1,4)")
+    _request_flags(analyze, AnalysisRequest)
     analyze.add_argument("--json", action="store_true")
     analyze.set_defaults(func=_cmd_perf_analyze)
 

@@ -21,6 +21,7 @@ from ..datagen import (
     triangle_variant,
 )
 from ..datagen.cache import clear_pins, pinning
+from ..errors import SpecError
 
 #: Paper weak-scaling budgets (Figure 4 captions).
 PAPER_EDGES_PER_NODE = {
@@ -160,6 +161,8 @@ def _size(data) -> int:
 
 def weak_scaling_dataset(algorithm: str, nodes: int):
     """(dataset, scale_factor) for one weak-scaling point."""
+    if nodes < 1:
+        raise SpecError(f"nodes must be >= 1, got {nodes!r}")
     if algorithm == "collaborative_filtering":
         data = weak_scaling_ratings(nodes)
     else:

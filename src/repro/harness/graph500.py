@@ -19,6 +19,7 @@ import numpy as np
 
 from ..algorithms.bfs import UNREACHED, validate_distances
 from ..datagen import rmat_graph, rmat_graph_sharded
+from ..errors import SpecError
 from ..observability import peak_rss_bytes
 from .runner import run
 from .spec import ExperimentSpec
@@ -86,6 +87,10 @@ def run_graph500(scale: int = 12, edge_factor: int = 16, nodes: int = 1,
     dataset, bounded peak RSS) with shard working sets capped at
     ``memory_budget_mb``.
     """
+    if scale < 1:
+        raise SpecError(f"scale must be >= 1, got {scale}")
+    if num_roots < 1:
+        raise SpecError(f"roots must be >= 1, got {num_roots}")
     if streamed:
         graph = rmat_graph_sharded(
             scale, edge_factor=edge_factor, seed=seed, directed=False,

@@ -70,6 +70,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import stat
 import threading
 import time
 from collections import deque
@@ -224,6 +225,29 @@ class _BallooningExecute:
         return self.execute(key, budget_s=budget_s)
 
 
+def _drop_inherited_sockets() -> None:
+    """Point every socket a forked worker inherited at ``/dev/null``.
+
+    A worker ``repro serve`` forks lazily holds the listening socket and
+    every open client connection, so a connection the server closes
+    never reaches EOF at the client. Overwriting (not closing) each fd
+    keeps its number taken, so an inherited socket object that later
+    closes "its" fd cannot close a file the worker opened since.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in fds:
+        try:
+            if fd != null and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+        except OSError:
+            pass
+    os.close(null)
+
+
 def _worker_main(task_conn, result_conn, memory_limit_bytes,
                  mapped_allowance_bytes=0) -> None:
     """Long-lived *generic* worker loop: recv task, run cell, send record.
@@ -237,6 +261,7 @@ def _worker_main(task_conn, result_conn, memory_limit_bytes,
     frame or on EOF — which also covers a dead parent, so SIGKILLing
     the sweep never leaks orphan workers.
     """
+    _drop_inherited_sockets()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):

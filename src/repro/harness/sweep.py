@@ -41,9 +41,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Optional, Tuple
 
+from ..algorithms.registry import ALGORITHMS, FRAMEWORKS, check_names
 from ..datagen import cache as _dataset_cache
 from ..graph import sharded as _sharded_graphs
 from ..errors import (
@@ -53,11 +55,13 @@ from ..errors import (
     STATUS_OK,
     STATUS_TIMEOUT,
     ReproError,
+    SpecError,
     failure_class,
 )
 from ..observability import NULL_TRACER
 from .persistence import _jsonable, atomic_write_text, read_jsonl
 from .runner import run_cell
+from .spec import Request, declare
 
 JOURNAL_VERSION = 1
 
@@ -465,8 +469,6 @@ class Sweep:
                  pool=None, stop=None, on_cell=None):
         from ..chaos.real import resolve_real_chaos
 
-        if max_retries < 0:
-            raise ReproError("max_retries must be >= 0")
         if jobs is not None and jobs < 0:
             raise ReproError("jobs must be >= 0 (0 = all cores)")
         if wall_deadline_s is not None and wall_deadline_s <= 0:
@@ -480,10 +482,12 @@ class Sweep:
         self.name = name
         self.journal_path = Path(journal) if journal is not None else None
         self.resume = resume
-        self.deadline_s = deadline_s
-        self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
+        #: The per-cell policy every worker gets, and the journal
+        #: header's config — which deliberately excludes ``jobs``: a
+        #: parallel sweep's journal is byte-identical to (and resumable
+        #: as) a serial one's.
+        self.policy = CellPolicy(deadline_s, max_retries, backoff_base_s,
+                                 backoff_cap_s)
         self.sleep = sleep
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.jobs = jobs
@@ -503,12 +507,6 @@ class Sweep:
         #: (and journaled): ``on_cell(record)``.
         self.on_cell = on_cell
         self.last = None
-
-    def policy(self) -> CellPolicy:
-        return CellPolicy(deadline_s=self.deadline_s,
-                          max_retries=self.max_retries,
-                          backoff_base_s=self.backoff_base_s,
-                          backoff_cap_s=self.backoff_cap_s)
 
     def supervisor_policy(self):
         """The parent-side supervision policy for the worker pool."""
@@ -542,15 +540,6 @@ class Sweep:
             return os.cpu_count() or 1
         return self.jobs or 1
 
-    def _config(self) -> dict:
-        # Deliberately excludes ``jobs``: the journal of a parallel
-        # sweep must be byte-identical to (and resumable as) a serial
-        # one — scheduling is not part of the sweep's identity.
-        return {"deadline_s": self.deadline_s,
-                "max_retries": self.max_retries,
-                "backoff_base_s": self.backoff_base_s,
-                "backoff_cap_s": self.backoff_cap_s}
-
     def run(self, cells, execute) -> SweepResult:
         """Run (or resume) the sweep; returns every cell's record.
 
@@ -579,7 +568,7 @@ class Sweep:
                 # ignored (e.g. the frontier was narrowed between runs).
                 records = {cid: loaded[cid] for cid in ids if cid in loaded}
                 records = self._drop_real_faults(ids, records, journal)
-            journal.open(self.name, self._config())
+            journal.open(self.name, asdict(self.policy))
 
         result = SweepResult(self.name, keys, records)
         jobs = self.effective_jobs()
@@ -643,7 +632,7 @@ class Sweep:
 
     def _run_cell(self, key: dict, execute) -> CellRecord:
         """One cell behind its isolation boundary, with retry policy."""
-        return execute_cell(key, execute, self.policy(),
+        return execute_cell(key, execute, self.policy,
                             tracer=self.tracer, sleep=self.sleep)
 
     def _run_parallel(self, pending, execute, jobs, num_cells, records,
@@ -660,7 +649,7 @@ class Sweep:
         stats = SupervisorStats()
         try:
             for cell in run_cells_supervised(
-                    pending, execute, self.policy(), jobs,
+                    pending, execute, self.policy, jobs,
                     supervise=supervise, traced=self.tracer.enabled,
                     sleep=self.sleep, tracer=self.tracer, plan=plan,
                     stats=stats, pool=self.pool, stop=self.stop):
@@ -674,3 +663,72 @@ class Sweep:
         finally:
             result.worker_restarts += stats.restarts
             result.wall_timeouts += stats.wall_timeouts
+
+
+def _sweep_targets() -> list:
+    from .artifacts import sweep_targets
+
+    return sweep_targets()
+
+
+@dataclass(frozen=True)
+class SweepRequest(Request):
+    """One sweep as ``repro sweep`` and ``POST /sweeps`` both ask for it.
+
+    The simulated deadline is spelled ``--deadline`` on the CLI and
+    ``sim_deadline_s`` over HTTP, where ``deadline_s`` is the request's
+    wall-clock admission budget.
+    """
+
+    NOUN = "sweep"
+
+    target: str = declare(choices=_sweep_targets)
+    journal: Optional[str] = declare(
+        None, help="append-only JSONL journal; completed cells are "
+                   "replayed from it on --resume")
+    resume: bool = declare(
+        False, help="continue an interrupted sweep from --journal "
+                    "instead of refusing to overwrite it")
+    sim_deadline_s: Optional[float] = declare(
+        None, bound=(">", 0), flag="--deadline",
+        help="per-cell budget in simulated seconds; cells over it become "
+             "'timeout' records")
+    max_retries: int = declare(
+        2, bound=(">=", 0),
+        help="retries (with capped exponential backoff) before a cell with "
+             "unexpected errors is quarantined (default: 2)")
+    frameworks: Optional[Tuple[str, ...]] = declare(
+        None, help="comma-separated framework subset")
+    algorithms: Optional[Tuple[str, ...]] = declare(
+        None, help="comma-separated algorithm subset")
+
+    def __post_init__(self):
+        from .artifacts import ARTIFACTS
+
+        self._check_fields()
+        targets = _sweep_targets()
+        if self.target not in targets:
+            raise SpecError(f"unknown sweep target {self.target!r}; "
+                            f"valid: {', '.join(targets)}")
+        check_names("framework", self.frameworks or (), FRAMEWORKS)
+        check_names("algorithm", self.algorithms or (), ALGORITHMS)
+        if self.algorithms and not ARTIFACTS[self.target].takes_algorithms:
+            raise SpecError(f"{self.target} does not take 'algorithms'")
+
+    def run(self, **engine):
+        """Run it through its artifact's producer: ``(data, completeness)``.
+
+        The one place a :class:`Sweep` meets an artifact producer;
+        ``engine`` carries the caller's process knobs (``jobs``,
+        ``pool``, ``tracer``, ``wall_deadline_s``, ``on_cell``, ...).
+        """
+        from .artifacts import ARTIFACTS
+
+        sweep = Sweep(self.target, journal=self.journal, resume=self.resume,
+                      deadline_s=self.sim_deadline_s,
+                      max_retries=self.max_retries, **engine)
+        subset = {name: getattr(self, name)
+                  for name in ("frameworks", "algorithms")
+                  if getattr(self, name)}
+        data = ARTIFACTS[self.target].producer(sweep=sweep, **subset)
+        return data, sweep.last.completeness()

@@ -14,8 +14,8 @@ rest of the package already measures:
 """
 
 from .advisor import WHAT_IFS, Advice, advise, advise_cell
-from .attribution import Analysis, GapAttribution, GapFactor, analyze, \
-    attribute, attribute_cell, classify
+from .attribution import Analysis, AnalysisRequest, GapAttribution, \
+    GapFactor, analyze, attribute, attribute_cell, classify
 from .baselines import (
     DEFAULT_BASELINE,
     DEFAULT_TOLERANCE,
@@ -52,6 +52,7 @@ from .report import (
 __all__ = [
     "Advice",
     "Analysis",
+    "AnalysisRequest",
     "CellCheck",
     "DEFAULT_BASELINE",
     "DEFAULT_TOLERANCE",

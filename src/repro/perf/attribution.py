@@ -33,9 +33,13 @@ by which half of the cost model's max() dominates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
+from ..algorithms.registry import ALGORITHMS, FRAMEWORKS, check_names
 from ..cluster.hardware import PAPER_NODE
+from ..errors import SpecError
 from ..frameworks.base import profile
+from ..harness.spec import Request, declare
 
 #: Guard for ratios of simulated times (all >= 0; zero only on empty runs).
 _TINY = 1e-30
@@ -218,16 +222,43 @@ class Analysis:
                 "attributions": [a.to_dict() for a in self.attributions]}
 
 
+@dataclass(frozen=True)
+class AnalysisRequest(Request):
+    """One perf analysis as ``repro perf analyze`` and
+    ``POST /perf/analyze`` both ask for it, checked here."""
+
+    NOUN = "analysis"
+
+    framework: str = declare("native", choices=lambda: FRAMEWORKS)
+    algorithms: Optional[Tuple[str, ...]] = declare(
+        None, help="comma-separated subset (default: all four)")
+    node_counts: Tuple[int, ...] = declare(
+        (1,), bound=(">=", 1), flag="--nodes", cli_default="1,4",
+        help="comma-separated node counts (default: 1,4)")
+
+    def __post_init__(self):
+        self._check_fields()
+        check_names("framework", (self.framework,), FRAMEWORKS)
+        check_names("algorithm", self.algorithms or (), ALGORITHMS)
+        if not self.node_counts:
+            raise SpecError("node_counts must not be empty")
+
+    def run(self) -> Analysis:
+        """Roofline ratios for the framework; plus, when it is not
+        native, the gap attribution of every cell that completed."""
+        from .model import roofline_table
+
+        table = roofline_table(framework=self.framework,
+                               algorithms=self.algorithms,
+                               node_counts=self.node_counts)
+        attributions = () if self.framework == "native" else tuple(
+            attribute_cell(algorithm, self.framework, nodes=nodes)
+            for algorithm, by_nodes in table.items()
+            for nodes, cell in by_nodes.items() if "ratio" in cell)
+        return Analysis(self.framework, table, attributions)
+
+
 def analyze(framework: str = "native", algorithms=None,
             node_counts=(1, 4)) -> Analysis:
-    """Roofline ratios for one framework; plus, when it is not native,
-    the gap attribution of every cell that completed."""
-    from .model import roofline_table
-
-    table = roofline_table(framework=framework, algorithms=algorithms,
-                           node_counts=node_counts)
-    attributions = () if framework == "native" else tuple(
-        attribute_cell(algorithm, framework, nodes=nodes)
-        for algorithm, by_nodes in table.items()
-        for nodes, cell in by_nodes.items() if "ratio" in cell)
-    return Analysis(framework, table, attributions)
+    """:meth:`AnalysisRequest.run` — which checks the arguments first."""
+    return AnalysisRequest(framework, algorithms, node_counts).run()

@@ -1,8 +1,17 @@
 """Typed JSON-over-HTTP shapes for the experiment service.
 
-One module owns the wire contract: request parsing/validation, the
-HTTP error taxonomy, and the JSON renderings of jobs. The server and
-the load generator both import from here, so the two cannot drift.
+One module owns the wire contract: the HTTP envelope of a request
+(``wait``, ``deadline_s``, ``memory_mb``, and ``spec`` xor ``gate``),
+the HTTP error taxonomy, and the JSON renderings of jobs. The server
+and the load generator both import from here, so the two cannot drift.
+
+The request inside the envelope is one of the three values the CLI
+builds too — :class:`~repro.harness.spec.ExperimentSpec`,
+:class:`~repro.harness.sweep.SweepRequest`,
+:class:`~repro.perf.AnalysisRequest` — made by their ``from_dict``, which
+type-, range- and name-check every field. Their
+:class:`~repro.errors.SpecError` becomes a 400 in one place, so a 400
+is exactly what ``repro`` refuses, with the same message.
 
 Error taxonomy — every rejection is a typed :class:`ApiError` whose
 ``code`` reuses the PR-3 DNF vocabulary where one applies:
@@ -23,9 +32,15 @@ code               status  meaning
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import asdict
+from typing import Optional
 
-from ..errors import ReproError
+from ..errors import ReproError, SpecError
+from ..harness.spec import ExperimentSpec, check_value
+from ..harness.sweep import SweepRequest
+from ..perf.attribution import AnalysisRequest
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -72,43 +87,47 @@ def parse_body(raw: bytes) -> dict:
     return body
 
 
-def _field(body: dict, name: str, kind, default=None, required=False):
-    if name not in body:
-        if required:
-            raise bad_request(f"missing required field {name!r}")
-        return default
-    value = body[name]
-    if value is None and not required:
-        return default
-    if kind is float and isinstance(value, int) \
-            and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) \
-            and kind is not bool:
-        raise bad_request(
-            f"field {name!r} must be {getattr(kind, '__name__', kind)}, "
-            f"got {type(value).__name__}")
-    return value
+#: The HTTP envelope: what every POST route takes besides its request.
+#: ``wait=None`` is the route's default (wait, except for sweeps).
+ENVELOPE = {"wait": Optional[bool], "deadline_s": Optional[float],
+            "memory_mb": Optional[float]}
 
 
-def _names(body: dict, name: str):
-    value = body.get(name)
-    if value is None:
-        return None
-    if not isinstance(value, list) \
-            or not all(isinstance(item, str) for item in value):
-        raise bad_request(f"field {name!r} must be a list of strings")
-    return tuple(value)
+def _refusals_are_400s(parse):
+    """The one place a :class:`SpecError` from a request value becomes
+    a 400 ``bad-request`` carrying the message the CLI prints for it."""
+    @functools.wraps(parse)
+    def parse_or_400(body: dict) -> dict:
+        try:
+            return parse(body)
+        except SpecError as error:
+            raise bad_request(str(error)) from None
+    return parse_or_400
 
 
-#: Admission fields shared by every request kind.
-def parse_admission_fields(body: dict) -> dict:
-    return {
-        "deadline_s": _field(body, "deadline_s", float),
-        "memory_mb": _field(body, "memory_mb", float),
-    }
+def _envelope(body: dict, wait: bool) -> tuple:
+    """``(the envelope's fields, the rest of the body)``."""
+    out = {}
+    for name, hint in ENVELOPE.items():
+        check_value(name, body.get(name), hint)
+        out[name] = body.get(name)
+    if out["wait"] is None:
+        out["wait"] = wait
+    return out, {name: value for name, value in body.items()
+                 if name not in ENVELOPE}
 
 
+def _json(request) -> dict:
+    """A request value's fields as the job echoes them (lists, not tuples)."""
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(request).items()}
+
+
+#: A gate cell names these; its dataset is the weak-scaling placement.
+_GATE = ("algorithm", "framework", "nodes")
+
+
+@_refusals_are_400s
 def parse_experiment_request(body: dict) -> dict:
     """``POST /experiments``: a full spec, or a perf-gate cell.
 
@@ -119,91 +138,36 @@ def parse_experiment_request(body: dict) -> dict:
     form the load generator and warm-latency proof use. Either way the
     request is valid iff the :class:`ExperimentSpec` it will run is.
     """
-    from ..harness.spec import ExperimentSpec
-
-    spec = body.get("spec")
-    gate = body.get("gate")
-    if (spec is None) == (gate is None):
+    out, rest = _envelope(body, wait=True)
+    spec, gate = rest.pop("spec", None), rest.pop("gate", None)
+    if (spec is None) == (gate is None) or rest:
         raise bad_request(
-            "experiment request needs exactly one of 'spec' or 'gate'")
-    out = parse_admission_fields(body)
-    out["wait"] = _field(body, "wait", bool, default=True)
+            "experiment request needs exactly one of 'spec' or 'gate' "
+            f"(and optionally {', '.join(ENVELOPE)})")
     if spec is not None:
-        if not isinstance(spec, dict):
-            raise bad_request("field 'spec' must be an object")
-        try:
-            parsed = ExperimentSpec.from_dict(spec)
-        except ReproError as error:
-            raise bad_request(f"invalid experiment spec: {error}") from None
-        if not isinstance(parsed.dataset, str):
-            raise bad_request(
-                "served experiments need a catalog dataset name")
-        out["kind"] = "experiment"
-        out["spec"] = parsed.to_dict()
+        out.update(kind="experiment",
+                   spec=ExperimentSpec.from_dict(spec).to_dict())
         return out
-    if not isinstance(gate, dict):
-        raise bad_request("field 'gate' must be an object")
-    cell = {
-        "algorithm": _field(gate, "algorithm", str, required=True),
-        "framework": _field(gate, "framework", str, required=True),
-        "nodes": _field(gate, "nodes", int, default=1),
-    }
-    try:
-        # The worker places the dataset; every other field is checked here.
-        ExperimentSpec(dataset=None, **cell)
-    except ReproError as error:
-        raise bad_request(f"invalid gate cell: {error}") from None
-    out["kind"] = "gate"
-    out["gate"] = cell
+    if not isinstance(gate, dict) or set(gate) - set(_GATE):
+        raise bad_request(f"field 'gate' must be an object of "
+                          f"{', '.join(_GATE)}")
+    # The worker places the dataset; every other field is checked here.
+    cell = ExperimentSpec.from_dict({"nodes": 1, **gate, "dataset": None})
+    out.update(kind="gate",
+               gate={name: getattr(cell, name) for name in _GATE})
     return out
 
 
+@_refusals_are_400s
 def parse_sweep_request(body: dict) -> dict:
     """``POST /sweeps``: a durable sweep job (async by default)."""
-    from ..harness.artifacts import ARTIFACTS, sweep_targets
-
-    target = _field(body, "target", str, required=True)
-    if target not in sweep_targets():
-        raise bad_request(f"unknown sweep target {target!r}; valid: "
-                          f"{', '.join(sweep_targets())}")
-    out = parse_admission_fields(body)
-    out.update({
-        "kind": "sweep",
-        "target": target,
-        "algorithms": _names(body, "algorithms"),
-        "frameworks": _names(body, "frameworks"),
-        "journal": _field(body, "journal", str),
-        "resume": _field(body, "resume", bool, default=False),
-        "sim_deadline_s": _field(body, "sim_deadline_s", float),
-        "max_retries": _field(body, "max_retries", int, default=2),
-        "wait": _field(body, "wait", bool, default=False),
-    })
-    if out["algorithms"] and not ARTIFACTS[target].takes_algorithms:
-        raise bad_request(f"{target} does not take 'algorithms'")
-    if out["max_retries"] < 0:
-        raise bad_request("'max_retries' must be >= 0")
-    return out
+    out, rest = _envelope(body, wait=False)
+    return {"kind": "sweep", **out, **_json(SweepRequest.from_dict(rest))}
 
 
+@_refusals_are_400s
 def parse_perf_request(body: dict) -> dict:
     """``POST /perf/analyze``: roofline + gap attribution for a framework."""
-    from ..algorithms.registry import FRAMEWORKS
-
-    framework = _field(body, "framework", str, default="native")
-    if framework not in FRAMEWORKS:
-        raise bad_request(f"unknown framework {framework!r}; valid: "
-                          f"{', '.join(FRAMEWORKS)}")
-    nodes = body.get("node_counts", [1])
-    if not isinstance(nodes, list) or not nodes \
-            or not all(isinstance(n, int) and not isinstance(n, bool)
-                       and n >= 1 for n in nodes):
-        raise bad_request("'node_counts' must be a list of ints >= 1")
-    out = parse_admission_fields(body)
-    out.update({
-        "kind": "perf-analyze",
-        "framework": framework,
-        "algorithms": _names(body, "algorithms"),
-        "node_counts": list(nodes),
-        "wait": _field(body, "wait", bool, default=True),
-    })
-    return out
+    out, rest = _envelope(body, wait=True)
+    return {"kind": "perf-analyze", **out,
+            **_json(AnalysisRequest.from_dict(rest))}

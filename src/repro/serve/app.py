@@ -36,12 +36,13 @@ import json
 import signal
 import threading
 import time
+from dataclasses import fields, replace
 
 from ..datagen import cache as dataset_cache
 from ..errors import ReproError, SweepInterrupted
 from ..observability import current_rss_bytes, peak_rss_bytes
 from ..harness.supervisor import SupervisorPolicy, SupervisorPool
-from ..harness.sweep import CellPolicy, Sweep, cell_id, sweep_cell
+from ..harness.sweep import CellPolicy, SweepRequest, cell_id, sweep_cell
 from .admission import AdmissionController
 from .api import (
     ApiError,
@@ -97,6 +98,9 @@ def _perf_cell(key, budget_s=None):
 #: baseline gate measures (:func:`repro.perf.baselines.measure_cells`).
 _EXECUTORS = {"gate": sweep_cell, "experiment": _spec_cell,
               "perf-analyze": _perf_cell}
+
+#: What of a sweep job's request the sweep itself reads.
+_SWEEP_FIELDS = tuple(field.name for field in fields(SweepRequest))
 
 #: Served cells fail fast: every executor is deterministic, so retry
 #: backoff would only burn the request's wall deadline.
@@ -547,11 +551,9 @@ class ExperimentService:
         """Blocking sweep body; runs on a worker thread."""
         from pathlib import Path
 
-        from ..harness.artifacts import ARTIFACTS
-
-        kwargs = {name: tuple(request[name])
-                  for name in ("frameworks", "algorithms")
-                  if request.get(name)}
+        sweep = SweepRequest.from_dict(
+            {name: request[name] for name in _SWEEP_FIELDS
+             if name in request})
         Path(job.journal).parent.mkdir(parents=True, exist_ok=True)
 
         def _stop():
@@ -562,14 +564,10 @@ class ExperimentService:
                                 "cell": record.key,
                                 "status": record.status})
 
-        engine = Sweep(request["target"], journal=job.journal,
-                       resume=bool(request.get("resume")),
-                       deadline_s=request.get("sim_deadline_s"),
-                       max_retries=request.get("max_retries", 2),
-                       pool=self.pool, stop=_stop, on_cell=_on_cell)
-        data = ARTIFACTS[request["target"]].producer(sweep=engine, **kwargs)
-        return {"target": request["target"], "data": data,
-                "completeness": engine.last.completeness()}
+        data, completeness = replace(sweep, journal=job.journal).run(
+            pool=self.pool, stop=_stop, on_cell=_on_cell)
+        return {"target": sweep.target, "data": data,
+                "completeness": completeness}
 
     async def _run_sweep_job(self, job, request: dict, slot) -> None:
         try:
@@ -594,7 +592,6 @@ class ExperimentService:
 
 
 def _public(request: dict) -> dict:
-    """The request as echoed back on the job (JSON-safe, no Nones)."""
-    return {key: (list(value) if isinstance(value, tuple) else value)
-            for key, value in sorted(request.items())
+    """The request as echoed back on the job (no Nones)."""
+    return {key: value for key, value in sorted(request.items())
             if value is not None}

@@ -233,15 +233,19 @@ class TestCLI:
         assert captured.out == ""
 
     def test_iteration_flags_follow_declared_params(self, capsys):
-        # The flags are routed by valid_params, not a hand-kept list:
-        # label_propagation takes --iterations, bfs silently does not.
+        # The flags reach the spec as given, and the spec decides:
+        # label_propagation takes --iterations, bfs refuses it — as a
+        # served spec with the same params is refused.
         from repro.cli import main
 
         assert main(["run", "label_propagation", "native", "--dataset",
                      "rmat_mini", "--iterations", "2", "--json"]) == 0
         assert '"iterations": 2' in capsys.readouterr().out
         assert main(["run", "bfs", "native", "--dataset", "rmat_mini",
-                     "--iterations", "2"]) == 0
+                     "--iterations", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown parameter(s) 'iterations' for bfs; valid: "
+            "optimized, options, source\n")
 
     def test_datasets_command(self, capsys):
         from repro.cli import main

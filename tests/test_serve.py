@@ -409,6 +409,29 @@ class TestLiveServer:
             assert (status, payload["error"]) == (400, "bad-request")
         assert len(self.server.call("GET", "/jobs")[1]["jobs"]) == before
 
+    def test_the_request_grammar_probes_are_400s_and_no_job(self):
+        """Each of these used to close the connection with no answer
+        (and an unhandled exception in the daemon) or be journaled."""
+        unhandled = []
+        loop = self.server.service._loop
+        loop.call_soon_threadsafe(
+            loop.set_exception_handler,
+            lambda _loop, context: unhandled.append(context))
+        spec = {"algorithm": "bfs", "framework": "native",
+                "dataset": "rmat_mini"}
+        before = len(self.server.call("GET", "/jobs")[1]["jobs"])
+        for path, body in (
+                ("/experiments", {"spec": {**spec, "scale_factor": "x"}}),
+                ("/experiments", {"spec": {**spec, "faults": 5}}),
+                ("/experiments", {"spec": {**spec, "nodes": True}}),
+                ("/experiments", {"spec": {**spec, "fault_seed": "x"}}),
+                ("/sweeps", {"target": "table5", "algorithms": ["nosuch"]}),
+                ("/perf/analyze", {"node_counts": [0]})):
+            status, payload = self.server.call("POST", path, body)
+            assert (status, payload["error"]) == (400, "bad-request"), body
+        assert len(self.server.call("GET", "/jobs")[1]["jobs"]) == before
+        assert not unhandled
+
     def _raw(self, head: bytes, body: bytes = b"") -> bytes:
         """Everything the server answers to one hand-written request."""
         with socket.create_connection(
@@ -546,6 +569,26 @@ class TestLiveServer:
         assert build_plan(3, 40) != build_plan(4, 40)
         kinds = {kind for kind, _path, _body in build_plan(0, 200)}
         assert kinds == {"gate", "perf-analyze", "sweep"}
+
+
+def test_a_closed_connection_reaches_eof(tmp_path):
+    """A worker forked while a connection is open must not hold it: the
+    client of a ``Connection: close`` request reads to EOF."""
+    body = json.dumps({"gate": {"algorithm": "bfs",
+                                "framework": "native"}}).encode()
+    with _LiveServer(tmp_path / "state", warm=False) as live:
+        with socket.create_connection(
+                (live.service.host, live.service.port), timeout=10) as conn:
+            conn.sendall(b"POST /experiments HTTP/1.1\r\n"
+                         b"Connection: close\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body) + body)
+            answer = b""
+            while True:
+                chunk = conn.recv(65536)     # socket.timeout fails the test
+                if not chunk:
+                    break
+                answer += chunk
+    assert answer.startswith(b"HTTP/1.1 200 ") and answer.endswith(b"}\n")
 
 
 class TestLiveServerAdmission:
