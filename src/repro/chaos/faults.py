@@ -1,16 +1,11 @@
 """Deterministic fault injection for the simulated cluster.
 
-A :class:`FaultSchedule` is a seeded list of fault declarations the
-cluster consults once per superstep. Faults come in two flavours:
-
-* **scheduled** — fire at declared supersteps with declared parameters:
-  :class:`NodeCrash`, :class:`StragglerNode`, :class:`LatencySpike`,
-  :class:`NetworkPartition`;
-* **probabilistic** — :class:`MessageDrop` and
-  :class:`MessageCorruption` flip a coin per node-pair bulk transfer,
-  each on its *own* :mod:`repro.rng` stream, so the drop timeline is
-  bit-identical across runs with the same seed and unaffected by which
-  other faults are configured.
+A :class:`FaultSchedule` is a seeded list of faults the cluster
+consults once per superstep. Most fire at declared supersteps;
+:class:`MessageDrop` and :class:`MessageCorruption` flip a coin per
+node-pair bulk transfer, each on its *own* :mod:`repro.rng` stream, so
+the drop timeline is bit-identical across runs with the same seed and
+unaffected by which other faults are configured.
 
 Effects are expressed in the simulator's own currency — multipliers on
 compute/communication time, retransmitted wire bytes, retry-backoff
@@ -19,19 +14,46 @@ stalls — so the algorithm answers stay exact (the recovery protocols of
 completes) while the *cost* of surviving each fault lands on the clock
 and in the trace.
 
-Schedules parse from a compact spec string (the CLI's ``--faults``)::
+The fault grammar
+-----------------
+
+One grammar serves ``--faults`` (the first six clauses: this module's
+simulated faults) and ``--real-chaos`` (the last three: the process
+faults of :mod:`repro.chaos.real`). A spec is ``;``-separated clauses::
 
     crash(node=2, superstep=3); drop(p=0.01, at=0:20); latency(factor=8, at=4:6)
 
-Ranges are half-open ``start:stop`` supersteps (``at=3`` means step 3
-only; omitting ``at`` means every superstep); ``partition`` takes the
-isolated node group as ``nodes=0+1``.
+==========  ================================  ===========================
+clause      keys (default)                    bounds
+==========  ================================  ===========================
+crash       node, superstep                   node, superstep >= 0
+straggler   node, factor, at (every step)     node >= 0; factor > 0
+latency     factor, at (every step)           factor > 0
+partition   nodes, at (every step)            each node >= 0
+drop        p, at (every step)                0 < p <= 1
+corrupt     p, at (every step)                0 < p <= 1
+kill        cell, times (1)                   cell >= 0; times >= 1
+hang        cell, seconds (3600)              cell >= 0; seconds > 0
+oom         cell, mb (1024)                   cell >= 0; mb >= 1
+==========  ================================  ===========================
+
+Every float is finite. ``at`` is a half-open ``start:stop`` window of
+supersteps, ``start >= 0`` (``at=3`` is step 3 only, ``at=3:`` step 3
+onwards, ``at=:5`` steps 0..4); ``crash(node=1, at=4)`` means
+``superstep=4``; ``partition`` names its group as ``nodes=0+1``. Each
+row is a :class:`Clause` dataclass, parsed by :meth:`Clauses.from_spec`
+and printed by :meth:`Clause.spec` (keys in this order, defaults left
+out).
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -39,7 +61,15 @@ from ..errors import SimulationError
 from ..rng import derive
 
 #: A window of supersteps, half-open; ``stop=None`` means "forever".
-Window = tuple
+Window = Tuple[int, Optional[int]]
+
+#: A group of node ids.
+Nodes = Tuple[int, ...]
+
+#: The comparisons a declared ``bound`` may use.
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+_CLAUSE_RE = re.compile(r"^(\w+)\s*\(\s*(.*?)\s*\)$")
 
 
 def _in_window(window: Window, superstep: int) -> bool:
@@ -47,13 +77,151 @@ def _in_window(window: Window, superstep: int) -> bool:
     return superstep >= start and (stop is None or superstep < stop)
 
 
-def _window_spec(window: Window) -> str:
+def clause(bound, default=MISSING, **wire):
+    """A fault field: ``bound`` is one or more ``op, limit`` pairs
+    (``(">", 0, "<=", 1)``) applied to each number the field holds;
+    ``wire`` may give its ``key`` (default: its name) and an ``alias``."""
+    return field(default=default, metadata={"wire": dict(wire, bound=bound)})
+
+
+def _every_superstep():
+    return clause((">=", 0), (0, None), key="at")
+
+
+@functools.lru_cache(maxsize=None)
+def _declared(kind) -> tuple:
+    """``(field, type, key, wire)`` of every field of a fault kind."""
+    hints = get_type_hints(kind)
+    return tuple((f, hints[f.name], f.metadata["wire"].get("key", f.name),
+                  f.metadata["wire"]) for f in fields(kind))
+
+
+def _window(text: str) -> Window:
+    start, colon, stop = text.partition(":")
+    if not colon:
+        return (int(start), int(start) + 1)
+    window = (int(start or 0), int(stop) if stop else None)
+    if window[1] is not None and window[1] <= window[0]:
+        raise ValueError(f"is an empty window {text!r}")
+    return window
+
+
+def _window_text(window: Window) -> str:
     start, stop = window
     if stop is None:
-        return "" if start == 0 else f", at={start}:"
-    if stop == start + 1:
-        return f", at={start}"
-    return f", at={start}:{stop}"
+        return f"{start}:"
+    return f"{start}" if stop == start + 1 else f"{start}:{stop}"
+
+
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text}")
+    return value
+
+
+#: How a field of each type reads from and prints to clause text (a
+#: float prints ``%g`` where that reads back as the same float).
+_TEXT = {
+    int: (int, str),
+    float: (_float, lambda x: f"{x:g}" if float(f"{x:g}") == x else repr(x)),
+    Window: (_window, _window_text),
+    Nodes: (lambda text: tuple(map(int, text.split("+"))),
+            lambda nodes: "+".join(map(str, nodes))),
+}
+
+
+class Clause:
+    """A fault kind that declares its own clause: a frozen dataclass
+    with a clause ``NAME`` and fields declared with :func:`clause`."""
+
+    NAME = ""
+
+    def __post_init__(self):
+        """Read each field as clause text (a value given in Python is
+        printed first) and check it against its bound."""
+        for f, hint, key, wire in _declared(type(self)):
+            read, show = _TEXT[hint]
+            value = getattr(self, f.name)
+            try:
+                value = read(value if isinstance(value, str) else show(value))
+                items = value if isinstance(value, tuple) else (value,)
+                bound = wire["bound"]
+                for op, limit in zip(bound[::2], bound[1::2]):
+                    if not all(_BOUNDS[op](item, limit) for item in items
+                               if item is not None):
+                        raise ValueError(
+                            f"must be {op} {limit}, got {show(value)}")
+            except (TypeError, ValueError, OverflowError) as error:
+                raise SimulationError(f"{key}: {error}") from None
+            object.__setattr__(self, f.name, value)
+
+    def spec(self) -> str:
+        """The clause that parses back to this fault."""
+        given = ", ".join(
+            f"{key}={_TEXT[hint][1](getattr(self, f.name))}"
+            for f, hint, key, _ in _declared(type(self))
+            if getattr(self, f.name) != f.default)
+        return f"{self.NAME}({given})"
+
+
+class Clauses:
+    """Faults of the kinds in ``KINDS``, read from and printed as a spec
+    string."""
+
+    KINDS: tuple = ()
+
+    def __init__(self, faults=()):
+        self.faults = tuple(faults)
+        for fault in self.faults:
+            if type(fault) not in self.KINDS:
+                raise SimulationError(
+                    f"{type(self).__name__} cannot hold a "
+                    f"{type(fault).__name__!r}")
+
+    def __len__(self) -> int:
+        return len(self.faults)
+
+    def spec(self) -> str:
+        """The faults as a spec string (round-trips through
+        :meth:`from_spec`)."""
+        return "; ".join(fault.spec() for fault in self.faults)
+
+    @classmethod
+    def from_spec(cls, spec: str, **kwargs):
+        """Parse a spec string (see the grammar table above)."""
+        return cls([cls._parse(text.strip()) for text in spec.split(";")
+                    if text.strip()], **kwargs)
+
+    @classmethod
+    def _parse(cls, text: str) -> Clause:
+        try:
+            match = _CLAUSE_RE.match(text)
+            if not match:
+                raise ValueError("expected name(key=value, ...)")
+            kinds = {kind.NAME: kind for kind in cls.KINDS}
+            kind = kinds.get(match.group(1).lower())
+            if kind is None:
+                raise ValueError(f"unknown fault {match.group(1)!r}; known: "
+                                 f"{', '.join(kinds)}")
+            declared = _declared(kind)
+            keys = {name: f.name for f, _, key, wire in declared
+                    for name in (key, wire.get("alias")) if name}
+            given = {}
+            for item in match.group(2).split(",") if match.group(2) else ():
+                key, equals, value = item.partition("=")
+                if not equals or key.strip().lower() not in keys:
+                    raise ValueError(f"unexpected {item.strip()!r}; keys: "
+                                     f"{', '.join(keys)}")
+                given[keys[key.strip().lower()]] = value.strip()
+            missing = [key for f, _, key, _ in declared
+                       if f.name not in given and f.default is MISSING]
+            if missing:
+                raise ValueError(f"missing {', '.join(missing)}")
+            return kind(**given)
+        except (ValueError, SimulationError) as error:
+            raise SimulationError(
+                f"bad fault clause {text!r}: {error}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -62,43 +230,39 @@ def _window_spec(window: Window) -> str:
 
 
 @dataclass(frozen=True)
-class NodeCrash:
+class NodeCrash(Clause):
     """Node ``node`` dies during superstep ``superstep`` (fail-stop)."""
 
-    node: int
-    superstep: int
+    NAME = "crash"
 
-    def spec(self) -> str:
-        return f"crash(node={self.node}, superstep={self.superstep})"
+    node: int = clause((">=", 0))
+    superstep: int = clause((">=", 0), alias="at")
 
 
 @dataclass(frozen=True)
-class StragglerNode:
+class StragglerNode(Clause):
     """One node computes ``factor``x slower over a superstep window."""
 
-    node: int
-    factor: float
-    window: Window = (0, None)
+    NAME = "straggler"
 
-    def spec(self) -> str:
-        return (f"straggler(node={self.node}, factor={self.factor:g}"
-                f"{_window_spec(self.window)})")
+    node: int = clause((">=", 0))
+    factor: float = clause((">", 0))
+    window: Window = _every_superstep()
 
 
 @dataclass(frozen=True)
-class LatencySpike:
+class LatencySpike(Clause):
     """Fabric congestion: per-transfer latency x ``factor`` and
     sustained bandwidth / ``factor`` while the window is open."""
 
-    factor: float
-    window: Window = (0, None)
+    NAME = "latency"
 
-    def spec(self) -> str:
-        return f"latency(factor={self.factor:g}{_window_spec(self.window)})"
+    factor: float = clause((">", 0))
+    window: Window = _every_superstep()
 
 
 @dataclass(frozen=True)
-class NetworkPartition:
+class NetworkPartition(Clause):
     """Transient partition isolating ``nodes`` from the rest.
 
     Cross-partition transfers stall for the full retry-backoff budget
@@ -106,35 +270,31 @@ class NetworkPartition:
     complete while the partition is up, so the whole step waits).
     """
 
-    nodes: tuple
-    window: Window = (0, None)
+    NAME = "partition"
 
-    def spec(self) -> str:
-        group = "+".join(str(node) for node in self.nodes)
-        return f"partition(nodes={group}{_window_spec(self.window)})"
+    nodes: Nodes = clause((">=", 0))
+    window: Window = _every_superstep()
 
 
 @dataclass(frozen=True)
-class MessageDrop:
+class MessageDrop(Clause):
     """Each node-pair bulk transfer is lost with ``probability`` and
     retransmitted after one retry timeout."""
 
-    probability: float
-    window: Window = (0, None)
+    NAME = "drop"
 
-    def spec(self) -> str:
-        return f"drop(p={self.probability:g}{_window_spec(self.window)})"
+    probability: float = clause((">", 0, "<=", 1), key="p")
+    window: Window = _every_superstep()
 
 
 @dataclass(frozen=True)
-class MessageCorruption:
+class MessageCorruption(Clause):
     """Checksum-detected corruption: like a drop, but counted apart."""
 
-    probability: float
-    window: Window = (0, None)
+    NAME = "corrupt"
 
-    def spec(self) -> str:
-        return f"corrupt(p={self.probability:g}{_window_spec(self.window)})"
+    probability: float = clause((">", 0, "<=", 1), key="p")
+    window: Window = _every_superstep()
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +377,7 @@ class StepFaults:
 # ---------------------------------------------------------------------------
 
 
-_FAULT_KINDS = (NodeCrash, StragglerNode, LatencySpike, NetworkPartition,
-                MessageDrop, MessageCorruption)
-
-
-class FaultSchedule:
+class FaultSchedule(Clauses):
     """Seeded, deterministic fault plan for one simulated run.
 
     A schedule is single-use: probabilistic faults advance dedicated RNG
@@ -231,27 +387,18 @@ class FaultSchedule:
     schedule object see the same timeline.
     """
 
+    KINDS = (NodeCrash, StragglerNode, LatencySpike, NetworkPartition,
+             MessageDrop, MessageCorruption)
+
     def __init__(self, faults=(), seed: int = 0):
-        faults = tuple(faults)
-        for fault in faults:
-            if not isinstance(fault, _FAULT_KINDS):
-                raise SimulationError(
-                    f"unknown fault type {type(fault).__name__!r}")
-        self.faults = faults
+        super().__init__(faults)
         self.seed = int(seed)
         self._rngs = {"drop": derive(self.seed, "chaos", "drop"),
                       "corrupt": derive(self.seed, "chaos", "corrupt")}
 
-    def __len__(self) -> int:
-        return len(self.faults)
-
     def fresh(self) -> "FaultSchedule":
         """An unused copy with the same faults and seed."""
         return FaultSchedule(self.faults, self.seed)
-
-    def spec(self) -> str:
-        """The schedule as a ``--faults`` spec string (round-trips)."""
-        return "; ".join(fault.spec() for fault in self.faults)
 
     def validate(self, num_nodes: int) -> None:
         """Reject node ids outside the cluster before the run starts."""
@@ -280,7 +427,7 @@ class FaultSchedule:
                 continue
             if not _in_window(fault.window, superstep):
                 continue
-            opened = superstep == max(fault.window[0], 0)
+            opened = superstep == fault.window[0]
             if isinstance(fault, StragglerNode):
                 if step.compute_factors is None:
                     step.compute_factors = np.ones(num_nodes)
@@ -314,93 +461,3 @@ class FaultSchedule:
                 rngs=self._rngs,
             )
         return step
-
-    # -- spec parsing --------------------------------------------------------
-
-    @classmethod
-    def from_spec(cls, spec: str, seed: int = 0) -> "FaultSchedule":
-        """Parse a ``--faults`` spec string into a schedule."""
-        faults = []
-        for clause in spec.split(";"):
-            clause = clause.strip()
-            if not clause:
-                continue
-            faults.append(_parse_clause(clause))
-        return cls(faults, seed=seed)
-
-
-_CLAUSE_RE = re.compile(r"^(\w+)\s*\(\s*(.*?)\s*\)$")
-
-
-def _parse_window(text: str) -> Window:
-    if ":" in text:
-        start_text, stop_text = text.split(":", 1)
-        start = int(start_text) if start_text else 0
-        stop = int(stop_text) if stop_text else None
-        if stop is not None and stop <= start:
-            raise SimulationError(f"empty fault window {text!r}")
-        return (start, stop)
-    step = int(text)
-    return (step, step + 1)
-
-
-def _parse_clause(clause: str):
-    match = _CLAUSE_RE.match(clause)
-    if not match:
-        raise SimulationError(
-            f"cannot parse fault clause {clause!r}; expected "
-            "name(key=value, ...)")
-    name, body = match.group(1).lower(), match.group(2)
-    kwargs = {}
-    if body:
-        for item in body.split(","):
-            if "=" not in item:
-                raise SimulationError(
-                    f"cannot parse {item.strip()!r} in {clause!r}")
-            key, value = item.split("=", 1)
-            kwargs[key.strip().lower()] = value.strip()
-    try:
-        return _build_fault(name, kwargs)
-    except (KeyError, ValueError) as error:
-        raise SimulationError(
-            f"bad fault clause {clause!r}: {error}") from None
-
-
-def _build_fault(name: str, kwargs: dict):
-    has_at = "at" in kwargs
-    window = _parse_window(kwargs.pop("at")) if has_at else (0, None)
-    if name == "crash":
-        if "superstep" in kwargs:
-            superstep = int(kwargs.pop("superstep"))
-        elif has_at:
-            superstep = window[0]
-        else:
-            raise KeyError("'superstep' (or at=) is required")
-        fault = NodeCrash(node=int(kwargs.pop("node")), superstep=superstep)
-    elif name == "straggler":
-        fault = StragglerNode(node=int(kwargs.pop("node")),
-                              factor=float(kwargs.pop("factor")),
-                              window=window)
-    elif name == "latency":
-        fault = LatencySpike(factor=float(kwargs.pop("factor")),
-                             window=window)
-    elif name == "partition":
-        nodes = tuple(int(part) for part in kwargs.pop("nodes").split("+"))
-        fault = NetworkPartition(nodes=nodes, window=window)
-    elif name in ("drop", "corrupt"):
-        text = kwargs.pop("p", None)
-        if text is None:
-            text = kwargs.pop("probability")
-        probability = float(text)
-        if not 0.0 < probability <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {probability}")
-        cls = MessageDrop if name == "drop" else MessageCorruption
-        fault = cls(probability=probability, window=window)
-    else:
-        raise SimulationError(
-            f"unknown fault {name!r}; known: crash, straggler, latency, "
-            "partition, drop, corrupt")
-    if kwargs:
-        raise SimulationError(
-            f"unexpected keys {sorted(kwargs)} for fault {name!r}")
-    return fault

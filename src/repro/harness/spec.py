@@ -44,7 +44,7 @@ from ..algorithms.registry import (
 )
 from ..chaos import FaultSchedule, RecoveryPolicy
 from ..datagen import CATALOG
-from ..errors import SpecError
+from ..errors import SimulationError, SpecError
 from ..frameworks.rounds import check_params
 from ..kernels.backend import BACKENDS
 
@@ -233,6 +233,13 @@ class ExperimentSpec(Request):
             check_value(f"params[{name!r}]", value,
                         Optional[PARAM_TYPES[name]])
         check_params(**self.params)
+        try:
+            faults = FaultSchedule.from_spec(self.faults) \
+                if isinstance(self.faults, str) else self.faults
+            if faults is not None:
+                faults.validate(self.nodes)
+        except SimulationError as error:
+            raise SpecError(str(error)) from None
         if isinstance(self.dataset, str):
             wanted = "ratings" \
                 if self.algorithm == "collaborative_filtering" else "graph"

@@ -21,19 +21,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import (
+    BalloonMemory,
     FaultSchedule,
+    HangCell,
+    KillWorker,
     LatencySpike,
     MessageCorruption,
     MessageDrop,
     NetworkPartition,
     NodeCrash,
+    RealFaultPlan,
     RetryPolicy,
     StragglerNode,
     checkpointing,
     policy_for_profile,
 )
 from repro.datagen import rmat_graph
-from repro.errors import NodeFailure, ReproError, SimulationError
+from repro.errors import NodeFailure, ReproError, SimulationError, SpecError
 from repro.frameworks.base import PROFILES
 from repro.harness import ExperimentSpec, run
 from repro.rng import derive, spawn_key
@@ -94,29 +98,64 @@ class TestSpecParsing:
         "latency(factor=2, at=5:3)",        # empty window
         "latency(factor=2, nodes=1)",       # stray key
         "straggler(node=x, factor=2)",      # not an int
+        "straggler(node=0, factor=-3)",     # factor out of range
+        "crash(node=0, superstep=-1)",      # would never fire
+        "latency(factor=nan)",              # not finite
+        "drop(probability=0.1)",            # the key is p
     ))
     def test_bad_specs_raise_typed_errors(self, bad):
         with pytest.raises(SimulationError):
             FaultSchedule.from_spec(bad)
+
+    @pytest.mark.parametrize("build", (
+        lambda: StragglerNode(node=0, factor=-3),
+        lambda: NodeCrash(node=0, superstep=-1),
+        lambda: LatencySpike(factor=float("nan")),
+        lambda: MessageDrop(probability=1.5),
+        lambda: NetworkPartition(nodes=()),
+        lambda: HangCell(cell=0, seconds=0),
+    ))
+    def test_values_built_in_python_are_bounded_too(self, build):
+        with pytest.raises(SimulationError):
+            build()
+
+    def test_floats_round_trip_exactly(self):
+        for spec in ("straggler(node=0, factor=1.2345678)",
+                     "latency(factor=0.1)"):
+            assert FaultSchedule.from_spec(spec).spec() == spec
+        plan = RealFaultPlan.from_spec("hang(cell=0, seconds=0.1234567)")
+        assert plan.spec() == "hang(cell=0, seconds=0.1234567)"
+
+    def test_the_grammar_table_names_every_key(self):
+        """The module docstring's table lists each clause's keys in order."""
+        import repro.chaos.faults as grammar
+
+        rows = {line.split()[0]: line
+                for line in grammar.__doc__.splitlines() if line.split()}
+        for kind in FaultSchedule.KINDS + RealFaultPlan.KINDS:
+            listed = re.sub(r" \(.*?\)", "", rows[kind.NAME][12:44]).strip()
+            assert listed == ", ".join(
+                key for _, _, key, _ in grammar._declared(kind)), kind.NAME
 
     def test_unknown_fault_object_rejected(self):
         with pytest.raises(SimulationError):
             FaultSchedule([object()])
 
     def test_validate_rejects_out_of_cluster_nodes(self, graph):
-        with pytest.raises(SimulationError, match="nodes 0..3"):
+        with pytest.raises(SpecError, match="nodes 0..3"):
             giraph_bfs(graph, faults="crash(node=9, superstep=1)")
 
 
-# Strategies that survive the spec's %g float formatting exactly.
 _windows = st.one_of(
     st.just((0, None)),
     st.tuples(st.integers(0, 10), st.just(None)),
     st.integers(0, 10).flatmap(
         lambda start: st.tuples(st.just(start), st.integers(start + 1, 14))),
 )
-_probabilities = st.sampled_from((0.001, 0.01, 0.05, 0.25, 0.5, 1.0))
-_factors = st.sampled_from((1.5, 2.0, 4.0, 8.0, 16.0))
+_probabilities = st.floats(min_value=0.0, max_value=1.0,
+                           exclude_min=True)
+_factors = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
+_cells = st.integers(0, 50)
 _faults = st.one_of(
     st.builds(NodeCrash, node=st.integers(0, 3), superstep=st.integers(0, 12)),
     st.builds(StragglerNode, node=st.integers(0, 3), factor=_factors,
@@ -129,16 +168,65 @@ _faults = st.one_of(
                              unique=True).map(tuple),
               window=_windows),
 )
+_real_faults = st.one_of(
+    st.builds(KillWorker, cell=_cells, times=st.integers(1, 99)),
+    st.builds(HangCell, cell=_cells,
+              seconds=st.floats(min_value=0.0, max_value=1e4,
+                                exclude_min=True)),
+    st.builds(BalloonMemory, cell=_cells, mb=st.integers(1, 4096)),
+)
+
+
+def _edited(spec, edits):
+    for where, cut, insert in edits:
+        at = int(where * len(spec))
+        spec = spec[:at] + insert + spec[at + cut:]
+    return spec
+
+
+#: Any text, or a valid spec of either language with a few edits (so the
+#: fuzz reaches the key and value checks, not just the clause pattern).
+_clause_text = st.text(max_size=30) | st.builds(
+    _edited,
+    st.one_of(
+        st.lists(_faults, max_size=3).map(lambda f: FaultSchedule(f).spec()),
+        st.lists(_real_faults, max_size=3).map(
+            lambda f: RealFaultPlan(f).spec())),
+    st.lists(st.tuples(
+        st.floats(0, 1), st.integers(0, 3),
+        st.one_of(st.sampled_from(
+            ["-", "0", "9", ".5", "nan", "inf", "1e999", ":", "+", "=", ",",
+             ";", "(", ")", "x", "at", "p", "probability", "kill", "crash"]),
+            st.text(max_size=2))), max_size=2))
+
+#: The fixed profile of the grammar's property tests (well under 3 s).
+_GRAMMAR = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 class TestSpecProperties:
-    @settings(max_examples=40, deadline=None)
+    @_GRAMMAR
     @given(faults=st.lists(_faults, max_size=6), seed=st.integers(0, 2**31))
     def test_any_schedule_round_trips_through_spec(self, faults, seed):
         schedule = FaultSchedule(faults, seed=seed)
         reparsed = FaultSchedule.from_spec(schedule.spec(), seed=seed)
         assert reparsed.faults == schedule.faults
         assert reparsed.spec() == schedule.spec()
+
+    @_GRAMMAR
+    @given(faults=st.lists(_real_faults, max_size=6))
+    def test_any_real_plan_round_trips_through_spec(self, faults):
+        plan = RealFaultPlan(faults)
+        assert RealFaultPlan.from_spec(plan.spec()) == plan
+
+    @_GRAMMAR
+    @given(text=_clause_text)
+    def test_any_text_parses_or_is_refused(self, text):
+        for parse in (FaultSchedule.from_spec, RealFaultPlan.from_spec):
+            try:
+                parsed = parse(text)
+            except SimulationError:
+                continue
+            assert parse(parsed.spec()).faults == parsed.faults
 
     @settings(max_examples=40, deadline=None)
     @given(faults=st.lists(_faults, max_size=6), seed=st.integers(0, 2**31),

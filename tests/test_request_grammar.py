@@ -160,6 +160,15 @@ PAIRS = [
      {"spec": {**SPEC, "deadline_s": math.nan}}),
     (["run", "bfs", "native", "--dataset", "netflix"],
      parse_experiment_request, {"spec": {**SPEC, "dataset": "netflix"}}),
+    (["run", "bfs", "native", "--faults", "bogus("],
+     parse_experiment_request, {"spec": {**SPEC, "faults": "bogus("}}),
+    (["run", "bfs", "native", "--nodes", "2", "--faults",
+      "crash(node=9, superstep=1)"], parse_experiment_request,
+     {"spec": {**SPEC, "nodes": 2, "faults": "crash(node=9, superstep=1)"}}),
+    (["run", "bfs", "native", "--nodes", "2", "--faults",
+      "straggler(node=0, factor=-3)"], parse_experiment_request,
+     {"spec": {**SPEC, "nodes": 2,
+               "faults": "straggler(node=0, factor=-3)"}}),
     (["run", "bfs", "native", "--nodes", "4", "--kernels", "interpreted",
       "--faults", "drop(p=0.1)", "--fault-seed", "3", "--deadline", "2"],
      parse_experiment_request,
