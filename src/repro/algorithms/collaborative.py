@@ -51,16 +51,12 @@ def sgd_vs_gd_iterations(ratings: RatingsMatrix, target_rmse: float = None,
     ``{"sgd": n_sgd, "gd": n_gd, "ratio": n_gd / n_sgd}``; the paper's
     ratio on Netflix is ~40x.
     """
-    from ..cluster import Cluster, paper_cluster
-    from ..frameworks.native.cf import collaborative_filtering, iterations_to_rmse
+    from ..frameworks.native.cf import iterations_to_rmse, rmse_curve
 
     if target_rmse is None:
-        probe = collaborative_filtering(
-            ratings, Cluster(paper_cluster(1), enforce_memory=False),
-            hidden_dim=hidden_dim, iterations=3, method="sgd",
-            gamma0=0.02, step_decay=0.99, seed=seed,
-        )
-        target_rmse = probe.extras["rmse_curve"][-1] * 1.001
+        target_rmse = rmse_curve(ratings, 3, hidden_dim=hidden_dim,
+                                 method="sgd", gamma0=0.02,
+                                 seed=seed)[-1] * 1.001
 
     n_sgd = iterations_to_rmse(ratings, target_rmse, "sgd",
                                hidden_dim=hidden_dim,

@@ -50,9 +50,9 @@ def _socialite_published(function):
 
 
 # A framework module's runner for a workload is its attribute of that
-# name: the program-driven families (native, vertex, task) publish one
-# per round program, the matrix and Datalog modules write theirs by
-# hand. A module without the attribute has no implementation — runner()
+# name: the program-driven families (native, vertex, task, matrix)
+# publish one per round program, the Datalog module evaluates its own
+# rules (all but CF's, which is the round program too). A module without the attribute has no implementation — runner()
 # reports that as a typed ExpressibilityError. SociaLite's k_core /
 # label_propagation are stubs raising the same error with the reason the
 # language cannot express them (see their docstrings).
@@ -68,14 +68,13 @@ for _framework, _module in _MODULES.items():
             _RUNNERS[(_algorithm, "socialite-published")] = \
                 _socialite_published(_function)
 
-#: Parameters that engines, not round programs, declare: the one-shot /
-#: two-phase workloads' own, and SociaLite PageRank's roadmap profile.
+#: Parameters that engines, not round programs, declare: triangle
+#: counting's, the vertex family's CF message staggering, and SociaLite
+#: PageRank's roadmap profile.
 _ENGINE_PARAMS = {
     "pagerank": ("profile_override",),
     "triangle_counting": ("superstep_splits",),
-    "collaborative_filtering": (
-        "gamma0", "hidden_dim", "iterations", "lambda_reg", "method",
-        "seed", "step_decay", "superstep_splits"),
+    "collaborative_filtering": ("superstep_splits",),
 }
 #: Knobs two engines add to every workload: native's NativeOptions
 #: toggles and SociaLite's network stack.
@@ -96,7 +95,7 @@ def valid_params(algorithm: str) -> tuple:
     """Parameter names some registered runner of ``algorithm`` accepts.
 
     The workload's declared parameters (its round program's ``PARAMS``,
-    or the engine-declared ones for triangle counting and CF) plus the
+    or the engine-declared ones for triangle counting) plus the
     per-framework knobs, sorted.
     """
     declared = PROGRAMS[algorithm].PARAMS if algorithm in PROGRAMS else ()

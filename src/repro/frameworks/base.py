@@ -42,15 +42,16 @@ The numeric hot loops every engine executes for real live in
   counts.
 
 Kernels are looked up through :func:`repro.kernels.registry.kernel`
-by ``(algorithm, direction)`` — e.g. ``("pagerank", "pull")`` or
-``("collaborative_filtering", "blocked-gd")``. For the six iterative
-workloads the one caller is the workload's *round program* in
-:mod:`repro.frameworks.rounds`, which owns the state machine around
-``step`` (initial state, active set, termination, diagnostics) and
-hands each round's ``KernelWork`` to the engine; the engine keeps all
-accounting (:class:`~repro.cluster.ComputeWork` construction, traffic
-matrices, memory allocations) on its side, expressed as one row of cost
-constants per algorithm plus the profile constants from this module.
+by ``(algorithm, direction)`` — e.g. ``("pagerank", "pull")``. For the
+seven iterative workloads the one caller is the workload's *round
+program* in :mod:`repro.frameworks.rounds`, which owns the state machine
+around ``step`` (initial state, active set, termination, diagnostics —
+for collaborative filtering also the factor draw, the SGD block schedule
+and :func:`cf_density_correction`) and hands each round to the engine;
+the engine keeps all accounting (:class:`~repro.cluster.ComputeWork`
+construction, traffic matrices, memory allocations) on its side,
+expressed as one row of cost constants per graph algorithm (a small CF
+engine per family) plus the profile constants from this module.
 That split is what lets the ``REPRO_KERNELS`` backend knob (vectorized
 numpy vs the interpreted pure-Python oracle) change wall-clock time
 without moving a single simulated byte: counted work is analytic either
@@ -62,13 +63,13 @@ Adding an iterative workload is therefore: a golden reference, a kernel
 ``matrix/combblas.py`` plus KDT's boundary row in ``matrix/kdt.py``) and
 its name in ``algorithms.registry.ALGORITHMS`` — see "Where to extend"
 in ``docs/architecture.md``. Only SociaLite, whose rule evaluation is
-the thing modelled, needs its own formulation.
+the thing modelled, needs its own formulation of a graph workload.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cluster.network import (
     MPI,

@@ -20,7 +20,8 @@ The rules below are the ones printed in the paper:
 * Collaborative filtering: vector tables joined with the rating table;
   "it is helpful to transfer the tables to target machines in the
   beginning of each iteration, so that the rest of the computations do
-  not involve any communication" (Section 3.2) — modeled as a bulk
+  not involve any communication" (Section 3.2). The factorization is the
+  shared round program; :class:`TableCFEngine` charges it as a bulk
   prefetch of the needed factor rows.
 
 Two network stacks are provided (Section 6.1.3 / Table 7): the published
@@ -37,11 +38,10 @@ import numpy as np
 from ...cluster import Cluster, ComputeWork
 from ...errors import ExpressibilityError
 from ...frameworks.base import SOCIALITE, SOCIALITE_PUBLISHED, FrameworkProfile
-from ...graph import CSRGraph, RatingsMatrix
-from ...kernels import registry as kernel_registry
+from ...graph import CSRGraph, RatingsMatrix, partition_vertices_1d
 from ...kernels.segments import distinct, pair_traffic
 from ..results import AlgorithmResult
-from ..rounds import check_params
+from ..rounds import Engine, cf_runner, check_params
 from .engine import EvalStats, SocialiteEngine
 from .rules import Assign, Atom, Head, Rule, Var
 from .table import AggregateTable, TupleTable
@@ -272,99 +272,79 @@ def triangle_count(graph: CSRGraph, cluster: Cluster,
     )
 
 
-def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
-                            hidden_dim: int = 64, iterations: int = 10,
-                            gamma0: float = 0.002, step_decay: float = 0.95,
-                            lambda_reg: float = 0.05, seed: int = 0,
-                            optimized: bool = True) -> AlgorithmResult:
+class TableCFEngine(Engine):
     """Gradient descent with SociaLite's bulk table-transfer pattern.
 
-    Each iteration prefetches the item-vector table rows that each user
-    shard's ratings touch ("transfer the tables to target machines in
-    the beginning of each iteration"), computes locally, then ships the
-    updated item rows back.
+    Users are sharded by range, item rows owned by range too. Each
+    iteration prefetches the item-vector rows each user shard's ratings
+    touch ("transfer the tables to target machines in the beginning of
+    each iteration"), computes locally, then ships the updated rows
+    back: one superstep whose traffic is the unique (user shard, item)
+    pairs, vertex-proportional and so density-corrected.
     """
-    check_params(iterations=iterations, hidden_dim=hidden_dim)
-    profile = _profile(optimized)
-    nodes = cluster.num_nodes
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(hidden_dim)
-    p_factors = rng.random((ratings.num_users, hidden_dim)) * scale
-    q_factors = rng.random((ratings.num_items, hidden_dim)) * scale
 
-    # Shard users; items are owned round-robin by range as well.
-    from ...graph import partition_vertices_1d
-    user_part = partition_vertices_1d(max(ratings.num_users, 1), nodes)
-    item_part = partition_vertices_1d(max(ratings.num_items, 1), nodes)
-    user_shard = user_part.owner_of_many(ratings.users)
+    def __init__(self, program, ratings, cluster, optimized: bool = True):
+        super().__init__(program, ratings, cluster)
+        self.optimized = optimized
+        self.profile = profile = _profile(optimized)
+        nodes, density = cluster.num_nodes, program.density
+        user_part = partition_vertices_1d(max(ratings.num_users, 1), nodes)
+        item_part = partition_vertices_1d(max(ratings.num_items, 1), nodes)
+        user_shard = user_part.owner_of_many(ratings.users)
+        pair = user_shard * np.int64(ratings.num_items) + ratings.items
+        unique_pairs = distinct(pair, nodes * ratings.num_items)
+        pair_node = (unique_pairs // ratings.num_items).astype(np.int64)
+        pair_item_owner = item_part.owner_of_many(
+            unique_pairs % ratings.num_items)
+        row_bytes = 8.0 * program.hidden_dim
+        cross = pair_node != pair_item_owner
+        traffic = pair_traffic(pair_item_owner[cross], pair_node[cross],
+                               row_bytes, nodes)
+        self._traffic = traffic = (traffic + traffic.T) \
+            * profile.message_overhead_factor / density
+        per_node = np.bincount(user_shard, minlength=nodes).astype(float)
+        self._works = []
+        for node, count in enumerate(per_node):
+            cluster.allocate(node, "tables",
+                             row_bytes * (ratings.num_users / nodes) / density
+                             + row_bytes * (ratings.num_items / nodes) / density
+                             + 24.0 * count)
+            # Vector payloads live in Java object arrays: the profile's
+            # serialization factor inflates the touched bytes and half
+            # of the row accesses are effectively irregular.
+            factor_bytes = 4.0 * row_bytes * count \
+                * profile.message_overhead_factor
+            message_bytes = traffic[node, :].sum() + traffic[:, node].sum()
+            self._works.append(ComputeWork(
+                streamed_bytes=0.5 * factor_bytes + 24.0 * count
+                + 2.0 * message_bytes,
+                random_bytes=0.5 * factor_bytes,
+                ops=8.0 * program.hidden_dim * count,
+                cpu_efficiency=profile.cpu_efficiency,
+                cores_fraction=profile.cores_fraction,
+            ))
 
-    # Bulk transfer: unique (user-shard, item) pairs decide which q rows
-    # each node prefetches; the same volume returns as updates.
-    pair = user_shard * np.int64(ratings.num_items) + ratings.items
-    unique_pairs = distinct(pair, nodes * ratings.num_items)
-    pair_node = (unique_pairs // ratings.num_items).astype(np.int64)
-    pair_item_owner = item_part.owner_of_many(unique_pairs % ratings.num_items)
-    from ..base import cf_density_correction
+    def sweep(self) -> None:
+        profile = self.profile
+        self.cluster.superstep(self._works, self._traffic,
+                               overlap=profile.overlaps_communication,
+                               layer=profile.comm_layer,
+                               overhead_s=profile.superstep_overhead_s)
 
-    density = cf_density_correction(ratings)
-    row_bytes = 8.0 * hidden_dim
-    cross = pair_node != pair_item_owner
-    traffic = pair_traffic(pair_item_owner[cross], pair_node[cross],
-                           row_bytes, nodes)
-    # Bulk table transfers are per unique (shard, item) pair —
-    # vertex-proportional, so density-corrected.
-    traffic = (traffic + traffic.T) * profile.message_overhead_factor / density
+    def diagnostics(self) -> dict:
+        return {"optimized": self.optimized}
 
-    ratings_per_node = np.bincount(user_shard, minlength=nodes).astype(float)
-    for node in range(nodes):
-        cluster.allocate(node, "tables",
-                         row_bytes * (ratings.num_users / nodes) / density
-                         + row_bytes * (ratings.num_items / nodes) / density
-                         + 24.0 * ratings_per_node[node])
 
-    kern = kernel_registry.kernel("collaborative_filtering",
-                                  "blocked-gd")().prepare(ratings)
+def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
+                            optimized: bool = True,
+                            **params) -> AlgorithmResult:
+    """GD as vector tables joined with the rating table."""
+    return cf_runner(_profile(optimized).name, TableCFEngine, method="gd",
+                     optimized=optimized)(ratings, cluster, **params)
 
-    rmse_curve = []
-    gamma = gamma0
-    for iteration in range(iterations):
-        with cluster.trace_span("iteration", index=iteration):
-            kern.step(p_factors, q_factors, gamma, lambda_reg, lambda_reg)
-            gamma *= step_decay
-            rmse_curve.append(kern.rmse(p_factors, q_factors))
 
-            works = []
-            for node in range(nodes):
-                count = ratings_per_node[node]
-                # Vector payloads live in Java object arrays: the
-                # profile's serialization factor inflates the touched
-                # bytes and half of the row accesses are effectively
-                # irregular.
-                factor_bytes = (4.0 * row_bytes * count
-                                * profile.message_overhead_factor)
-                message_bytes = (traffic[node, :].sum()
-                                 + traffic[:, node].sum())
-                works.append(ComputeWork(
-                    streamed_bytes=0.5 * factor_bytes + 24.0 * count
-                    + 2.0 * message_bytes,
-                    random_bytes=0.5 * factor_bytes,
-                    ops=8.0 * hidden_dim * count,
-                    cpu_efficiency=profile.cpu_efficiency,
-                    cores_fraction=profile.cores_fraction,
-                ))
-            cluster.superstep(works, traffic,
-                              overlap=profile.overlaps_communication,
-                              layer=profile.comm_layer,
-                              overhead_s=profile.superstep_overhead_s)
-            cluster.mark_iteration()
-
-    return AlgorithmResult(
-        algorithm="collaborative_filtering", framework=profile.name,
-        values=(p_factors, q_factors), iterations=iterations,
-        metrics=cluster.metrics(),
-        extras={"rmse_curve": rmse_curve, "method": "gd",
-                "hidden_dim": hidden_dim, "optimized": optimized},
-    )
+collaborative_filtering.params = cf_runner(
+    "socialite", TableCFEngine, method="gd", optimized=True).params
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """CombBLAS front-end: the workloads as semiring linear algebra.
 
 A vertex program *is* a semiring SpMV (GraphMat's thesis, and Section
-3.2's mappings), so the six iterative workloads are the shared round
+3.2's mappings), so the seven iterative workloads are the shared round
 programs of :mod:`repro.frameworks.rounds` — the same values every other
 family computes — and this module supplies only what each round *costs*
 as a product on the 2-D process grid (:class:`MatrixEngine`, one
-:class:`MatrixCost` row per workload):
+:class:`MatrixCost` row per graph workload; :class:`MatrixCFEngine`):
 
 * PageRank — ``p' = r 1 + (1-r) A^T p~`` (equation 9): one dense-vector
   plus-times SpMV per iteration; label propagation likewise, with the
@@ -13,14 +13,14 @@ as a product on the 2-D process grid (:class:`MatrixEngine`, one
 * BFS — or-and SpMSpV per level (equation 10), no bit-vector compression
   (the roadmap item of Section 6.2); WCC and SSSP are min-plus SpMSpVs
   over the just-improved vertices, k-core a plus-times SpMSpV per
-  cascade wave over the removed-vertex indicator (LAGraph's shape).
+  cascade wave over the removed-vertex indicator (LAGraph's shape);
+* Collaborative filtering — a gradient-descent iteration as "K
+  matrix-vector multiplications where K is the size of the hidden
+  dimension", because "CombBLAS does not allow matrices with dimension
+  < number of processors" (Section 3.2) — the expressibility penalty.
 
-Written out by hand, because they are not round programs:
+Written out by hand, because it is not a round program:
 
-* Collaborative filtering — gradient descent as "K matrix-vector
-  multiplications where K is the size of the hidden dimension", both
-  directions, because "CombBLAS does not allow matrices with dimension
-  < number of processors" (Section 3.2) — the expressibility penalty;
 * Triangle counting — ``nnz(A .* A^2)``: the full ``A @ A`` product is
   materialized first, which both inflates flops and runs out of memory
   on large inputs (Sections 5.2, 5.3, 6.2).
@@ -34,12 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...cluster import Cluster, ComputeWork
-from ...graph import CSRGraph, RatingsMatrix
-from ...kernels import registry as kernel_registry
+from ...graph import CSRGraph, bipartite_graph
 from ..base import COMBBLAS
 from ..results import AlgorithmResult
-from ..rounds import PROGRAMS, Engine, check_params, run_program
-from ..vertex.programs import bipartite_graph
+from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, cf_runner, run_program
 from .spmat import DistSpMat, ProcessGrid
 
 _PROFILE = COMBBLAS
@@ -198,68 +196,48 @@ def _runner(algorithm: str):
 
 
 # combblas.pagerank(graph, cluster, ...) etc.: the round programs.
-globals().update({algorithm: _runner(algorithm) for algorithm in PROGRAMS})
+globals().update({algorithm: _runner(algorithm)
+                  for algorithm in GRAPH_PROGRAMS})
 
 
-def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
-                            hidden_dim: int = 64, iterations: int = 10,
-                            gamma0: float = 0.002, step_decay: float = 0.95,
-                            lambda_reg: float = 0.05,
-                            seed: int = 0) -> AlgorithmResult:
-    """GD via 2K per-dimension SpMVs (the Section 3.2 mapping)."""
-    check_params(iterations=iterations, hidden_dim=hidden_dim)
-    from ..base import cf_density_correction
+class MatrixCFEngine(Engine):
+    """A GD iteration: each factor column is the dense vector of one
+    SpMV over the bipartite ratings matrix. The exchanged vectors are
+    vertex-proportional, so density-corrected."""
 
-    graph = bipartite_graph(ratings)
-    dist, nnz_per_node = _build(graph, cluster)
-    n = graph.num_vertices
-    density = cf_density_correction(ratings)
-    # n already covers both user and item vertices of the bipartite
-    # graph; each node stores its band of the K factor columns.
-    cluster.allocate_all(
-        "factors", 8.0 * hidden_dim * n / cluster.num_nodes / density
-    )
+    def __init__(self, program, ratings, cluster):
+        super().__init__(program, ratings, cluster)
+        graph = bipartite_graph(ratings)
+        self.dist, self._nnz_per_node = _build(graph, cluster)
+        # n covers both user and item vertices of the bipartite graph;
+        # each node stores its band of the K factor columns.
+        n, nodes, density = graph.num_vertices, cluster.num_nodes, \
+            program.density
+        cluster.allocate_all("factors",
+                             8.0 * program.hidden_dim * n / nodes / density)
+        self._flops, traffic = self.dist.spmv_cost()
+        self._traffic = traffic / density
+        self._vector_bytes = 8.0 * n / nodes / density
 
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(hidden_dim)
-    p_factors = rng.random((ratings.num_users, hidden_dim)) * scale
-    q_factors = rng.random((ratings.num_items, hidden_dim)) * scale
+    def iteration_span(self, index: int):
+        return self.cluster.trace_span("iteration", index=index,
+                                       spmvs=self.program.hidden_dim)
 
-    kern = kernel_registry.kernel("collaborative_filtering",
-                                  "blocked-gd")().prepare(ratings)
+    def sweep(self) -> None:
+        # Gathering one 8-byte column entry per nonzero has mild
+        # irregularity (columns are dense).
+        for column in range(self.program.hidden_dim):
+            with self.cluster.trace_span("spmv", kind="dense", index=column):
+                _step(self.cluster, self._nnz_per_node, self._flops,
+                      self._traffic, vector_bytes=self._vector_bytes,
+                      gather_random_bytes=8.0)
 
-    # Traffic/flops template of one dense SpMV on this distribution; the
-    # exchanged vectors are vertex-proportional (density-corrected).
-    flops_one, traffic_one = dist.spmv_cost()
-    traffic_one = traffic_one / density
+    def diagnostics(self) -> dict:
+        return {"spmvs_per_iteration": self.program.hidden_dim}
 
-    rmse_curve = []
-    gamma = gamma0
-    for iteration in range(iterations):
-        with cluster.trace_span("iteration", index=iteration,
-                                spmvs=hidden_dim):
-            kern.step(p_factors, q_factors, gamma, lambda_reg, lambda_reg)
-            gamma *= step_decay
-            rmse_curve.append(kern.rmse(p_factors, q_factors))
-            # K per-dimension SpMVs, each re-scanning R with one factor
-            # column as the dense vector ("a single GD iteration consists
-            # of K matrix-vector multiplications"). Gathering one 8-byte
-            # column entry per nonzero has mild irregularity (columns are
-            # dense).
-            for _k in range(hidden_dim):
-                with cluster.trace_span("spmv", kind="dense", index=_k):
-                    _step(cluster, nnz_per_node, flops_one, traffic_one,
-                          vector_bytes=8.0 * n / cluster.num_nodes / density,
-                          gather_random_bytes=8.0)
-            cluster.mark_iteration()
 
-    return AlgorithmResult(
-        algorithm="collaborative_filtering", framework="combblas",
-        values=(p_factors, q_factors), iterations=iterations,
-        metrics=cluster.metrics(),
-        extras={"rmse_curve": rmse_curve, "method": "gd",
-                "hidden_dim": hidden_dim, "spmvs_per_iteration": hidden_dim},
-    )
+# GD via K per-dimension SpMVs an iteration (Section 3.2).
+collaborative_filtering = cf_runner("combblas", MatrixCFEngine, method="gd")
 
 
 def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:

@@ -1,7 +1,7 @@
 """Hand-optimized native implementations — the paper's reference point."""
 
 from ..rounds import DEFAULT_DAMPING
-from .cf import DEFAULT_K, collaborative_filtering, iterations_to_rmse
+from .cf import collaborative_filtering, iterations_to_rmse
 from .compression import (
     bitvector_decode,
     bitvector_encode,
@@ -19,7 +19,6 @@ globals().update(_RUNNERS)
 
 __all__ = [
     "DEFAULT_DAMPING",
-    "DEFAULT_K",
     "FIGURE7_LADDER",
     "NativeOptions",
     "bitvector_decode",

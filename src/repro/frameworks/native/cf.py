@@ -6,196 +6,123 @@ matrix is divided into n^2 2-D chunks. Each iteration involves n
 sub-steps where a subset of the updates (on n chunks) are applied" —
 blocks on a diagonal share no users or items, so nodes update lock-free.
 Gradient Descent (the fallback the other frameworks are limited to) is
-also provided, both for the framework engines and for the SGD-vs-GD
+also available, both as ``method="gd"`` and for the SGD-vs-GD
 convergence comparison the paper reports (~40x fewer iterations on
 Netflix).
 
-The update math itself lives in :mod:`repro.kernels.sgd` (re-exported
-here for compatibility): mini-batch vectorized sweeps rather than
-rating-at-a-time Python (reads within a batch see slightly stale
-factors, a standard Hogwild-style relaxation that preserves SGD's
-convergence behaviour). DESIGN.md records this substitution; the
-``REPRO_KERNELS=interpreted`` oracle runs the per-rating loops.
+The factorization itself — factor draw, block schedule, kernel steps,
+step decay, RMSE curve — is the shared round program
+:class:`~repro.frameworks.rounds.CollaborativeFiltering`; this module is
+what the native code *charges* for an iteration
+(:class:`NativeCFEngine`), and the convergence study, which needs only
+the program's curve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...cluster import Cluster, ComputeWork
+from ...cluster import ComputeWork
 from ...errors import ConvergenceError
-from ...graph import RatingsMatrix
-from ...kernels import registry as kernel_registry
-from ...kernels.sgd import (  # noqa: F401  (re-exported compatibility names)
-    _SGD_BATCH,
-    gd_step,
-    sgd_sweep,
-    training_rmse,
-)
-from ..results import AlgorithmResult
-from ..rounds import check_params
+from ..rounds import CollaborativeFiltering, Engine, cf_runner
 from .options import NativeOptions
 
-#: Default hidden dimension. The paper's message sizes (Table 1: 8 KB per
-#: vertex message) imply K near 1000; we default far lower so proxy-scale
-#: runs stay fast, and the Table 1 bench overrides it.
-DEFAULT_K = 64
-
-
-def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
-                            hidden_dim: int = DEFAULT_K, iterations: int = 10,
-                            method: str = "sgd", gamma0: float = 0.003,
-                            step_decay: float = 0.95,
-                            lambda_reg: float = 0.05, seed: int = 0,
-                            options: NativeOptions = None) -> AlgorithmResult:
-    """Factorize ``ratings`` into P (users) and Q (items) on the cluster.
-
-    ``method`` is ``"sgd"`` (native default, Gemulla diagonal blocks) or
-    ``"gd"`` (the frameworks' fallback). Returns ``(P, Q)`` in ``values``
-    and the per-iteration training RMSE in ``extras["rmse_curve"]``.
+class NativeCFEngine(Engine):
+    """Each node holds its user-factor chunk, one item-factor chunk at a
+    time and its ratings share (vertex-proportional sizes carry the
+    program's density correction). An SGD iteration is one superstep per
+    sub-step, after which every node passes its item chunk to the next
+    diagonal owner; a GD iteration is one superstep whose item factors
+    are aggregated all-to-all.
     """
-    check_params(iterations=iterations, hidden_dim=hidden_dim, method=method)
-    options = options or NativeOptions()
-    rng = np.random.default_rng(seed)
 
-    num_nodes = cluster.num_nodes
-    k = hidden_dim
-    scale = 1.0 / np.sqrt(k)
-    p_factors = rng.random((ratings.num_users, k)) * scale
-    q_factors = rng.random((ratings.num_items, k)) * scale
+    def __init__(self, program, ratings, cluster, options: NativeOptions = None):
+        super().__init__(program, ratings, cluster)
+        self.options = options or NativeOptions()
+        nodes, k, density = cluster.num_nodes, program.hidden_dim, \
+            program.density
+        per_node = program.blocks.sum(axis=0)
+        items_per_chunk = program.items_per_chunk
+        for node in range(nodes):
+            cluster.allocate(node, "user-factors",
+                             8 * k * ratings.num_users / nodes / density)
+            cluster.allocate(node, "item-factors",
+                             8 * k * items_per_chunk.max() / density)
+            cluster.allocate(node, "ratings", 16 * per_node[node])
+        if program.method == "gd":
+            traffic = np.full((nodes, nodes), 8.0 * k * ratings.num_items
+                              / max(nodes, 1) / density)
+            np.fill_diagonal(traffic, 0.0)
+            self._steps = [([self._work(count) for count in per_node],
+                            traffic)]
+            return
+        self._steps = []
+        for sub, counts in enumerate(program.blocks):
+            traffic = np.zeros((nodes, nodes))
+            if nodes > 1:
+                for node in range(nodes):
+                    traffic[node, (node - 1) % nodes] = 8.0 * k \
+                        * items_per_chunk[(node + sub) % nodes] / density
+            self._steps.append(([self._work(int(count)) for count in counts],
+                                traffic))
 
-    # Gemulla grid: users and items each cut into ``num_nodes`` chunks.
-    user_chunk = np.minimum(
-        (ratings.users * num_nodes) // max(ratings.num_users, 1), num_nodes - 1
-    )
-    item_chunk = np.minimum(
-        (ratings.items * num_nodes) // max(ratings.num_items, 1), num_nodes - 1
-    )
-    items_per_chunk = np.bincount(
-        np.minimum(np.arange(ratings.num_items) * num_nodes
-                   // max(ratings.num_items, 1), num_nodes - 1),
-        minlength=num_nodes,
-    )
+    def _work(self, ratings) -> ComputeWork:
+        k = self.program.hidden_dim
+        total = 4.0 * k * 8.0 * ratings     # read + write both factor rows
+        return ComputeWork(streamed_bytes=0.75 * total + 16 * ratings,
+                           random_bytes=0.25 * total, ops=8.0 * k * ratings,
+                           prefetch=self.options.prefetch)
 
-    # Memory: each node holds its user-factor chunk, one item-factor
-    # chunk at a time, and its ratings share. Vertex-proportional sizes
-    # carry the density correction (see cf_density_correction).
-    from ..base import cf_density_correction
-    density = cf_density_correction(ratings)
-    ratings_per_user_chunk = np.bincount(user_chunk, minlength=num_nodes)
-    for node in range(num_nodes):
-        cluster.allocate(node, "user-factors",
-                         8 * k * ratings.num_users / num_nodes / density)
-        cluster.allocate(node, "item-factors",
-                         8 * k * items_per_chunk.max() / density)
-        cluster.allocate(node, "ratings", 16 * ratings_per_user_chunk[node])
+    def iteration_span(self, index: int):
+        return self.cluster.trace_span("iteration", index=index,
+                                       method=self.program.method)
 
-    direction = "blocked-sgd" if method == "sgd" else "blocked-gd"
-    kern = kernel_registry.kernel("collaborative_filtering",
-                                  direction)().prepare(ratings)
-
-    order = rng.permutation(ratings.num_ratings)
-    users = ratings.users[order]
-    items = ratings.items[order]
-    values = ratings.ratings[order]
-    block_of = user_chunk[order] * num_nodes + item_chunk[order]
-
-    rmse_curve = []
-    gamma = gamma0
-    factor_bytes_per_rating = 4.0 * k * 8.0   # read + write both rows
-
-    def _work_for(num_ratings_node: float) -> ComputeWork:
-        total = factor_bytes_per_rating * num_ratings_node
-        return ComputeWork(
-            streamed_bytes=0.75 * total + 16 * num_ratings_node,
-            random_bytes=0.25 * total,
-            ops=8.0 * k * num_ratings_node,
-            prefetch=options.prefetch,
-        )
-
-    for iteration in range(iterations):
-        with cluster.trace_span("iteration", index=iteration,
-                                method=method):
-            if method == "sgd":
-                for sub in range(num_nodes):
-                    works = []
-                    traffic = np.zeros((num_nodes, num_nodes))
-                    for node in range(num_nodes):
-                        chunk = (node + sub) % num_nodes
-                        mask = block_of == node * num_nodes + chunk
-                        count = int(mask.sum())
-                        if count:
-                            kern.step(users[mask], items[mask], values[mask],
-                                      p_factors, q_factors, gamma,
-                                      lambda_reg, lambda_reg)
-                        works.append(_work_for(count))
-                        # Rotate the item chunk to the next diagonal owner
-                        # (vertex-proportional: density-corrected).
-                        if num_nodes > 1:
-                            succ = (node - 1) % num_nodes
-                            traffic[node, succ] = (8.0 * k
-                                                   * items_per_chunk[chunk]
-                                                   / density)
-                    cluster.superstep(works, traffic,
-                                      overlap=options.overlap)
-            else:
-                kern.step(p_factors, q_factors, gamma, lambda_reg, lambda_reg)
-                works = [_work_for(ratings_per_user_chunk[node])
-                         for node in range(num_nodes)]
-                # GD: item factors are aggregated across every node that
-                # rated the item — an all-to-all of the full Q matrix
-                # (vertex-proportional: density-corrected).
-                traffic = np.full((num_nodes, num_nodes),
-                                  8.0 * k * ratings.num_items
-                                  / max(num_nodes, 1) / density)
-                np.fill_diagonal(traffic, 0.0)
-                cluster.superstep(works, traffic, overlap=options.overlap)
-
-            cluster.mark_iteration()
-        gamma *= step_decay
-        rmse_curve.append(kern.rmse(p_factors, q_factors))
-
-    metrics = cluster.metrics()
-    return AlgorithmResult(
-        algorithm="collaborative_filtering", framework="native",
-        values=(p_factors, q_factors), iterations=iterations, metrics=metrics,
-        extras={"rmse_curve": rmse_curve, "method": method, "hidden_dim": k},
-    )
+    def sweep(self) -> None:
+        for works, traffic in self._steps:
+            self.cluster.superstep(works, traffic, overlap=self.options.overlap)
 
 
-def iterations_to_rmse(ratings: RatingsMatrix, target_rmse: float,
-                       method: str, hidden_dim: int = 16,
-                       max_iterations: int = 400, gamma0: float = None,
-                       seed: int = 0) -> int:
+#: ``native.collaborative_filtering(ratings, cluster, method=...,
+#: options=...)``: ``"sgd"`` (the default) on Gemulla's blocks over the
+#: cluster's nodes, or ``"gd"``; ``(P, Q)`` in ``values`` and the
+#: training RMSE per iteration in ``extras["rmse_curve"]``.
+collaborative_filtering = cf_runner("native", NativeCFEngine, options=None)
+
+
+def rmse_curve(ratings, iterations: int, **params) -> list:
+    """The study's curve: the program's training RMSE per iteration at
+    step decay 0.99. Nothing is charged, so no cluster is needed."""
+    program = CollaborativeFiltering(ratings, iterations=iterations,
+                                     step_decay=0.99, **params)
+    for _iteration in range(iterations):
+        program.round()
+    return program.rmse_curve
+
+
+def iterations_to_rmse(ratings, target_rmse: float, method: str,
+                       hidden_dim: int = 16, max_iterations: int = 400,
+                       gamma0: float = None, seed: int = 0) -> int:
     """Iterations needed to reach ``target_rmse`` (SGD-vs-GD study).
 
     The paper: "given a fixed convergence criterion, SGD converges in
     about 40x fewer iterations than GD", after "a coarse sweep over
     these parameters to obtain best convergence" — we likewise pick
-    per-method defaults tuned coarsely.
+    per-method defaults tuned coarsely. SGD is the one-node schedule.
     """
-    from ...cluster import paper_cluster
-
     if gamma0 is None:
         gamma0 = 0.02 if method == "sgd" else 0.002
     # A too-aggressive learning rate makes GD diverge on some datasets;
     # halve and retry — the coarse parameter sweep the paper describes.
-    curve = None
+    # The whole curve is run: a later divergence still counts.
     for _attempt in range(4):
-        cluster = Cluster(paper_cluster(1), enforce_memory=False)
         try:
-            result = collaborative_filtering(
-                ratings, cluster, hidden_dim=hidden_dim,
-                iterations=max_iterations, method=method, gamma0=gamma0,
-                step_decay=0.99, seed=seed,
-            )
+            curve = rmse_curve(ratings, max_iterations, hidden_dim=hidden_dim,
+                               method=method, gamma0=gamma0, seed=seed)
+            break
         except ConvergenceError:
-            gamma0 /= 2.0
-            continue
-        curve = result.extras["rmse_curve"]
-        break
-    if curve is None:
-        raise ConvergenceError(f"{method} diverged even at gamma0={gamma0}")
+            tried, gamma0 = gamma0, gamma0 / 2.0
+    else:
+        raise ConvergenceError(f"{method} diverged even at gamma0={tried}")
     for i, rmse in enumerate(curve):
         if rmse <= target_rmse:
             return i + 1

@@ -1,6 +1,6 @@
 """Native engine: what the hand-optimized code owns around a round program.
 
-The six iterative workloads themselves live in
+The six iterative graph workloads themselves live in
 :mod:`repro.frameworks.rounds`; this is the paper's native *machinery*
 (Sections 3, 6.1, after [28]) applied to all of them:
 
@@ -37,7 +37,7 @@ from ...cluster import ComputeWork
 from ...cluster.cost import CACHE_LINE_BYTES
 from ...graph import partition_edges_1d
 from ...kernels.segments import distinct
-from ..rounds import PROGRAMS, Engine, run_program
+from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, run_program
 from .compression import encoded_size
 from .options import NativeOptions
 
@@ -380,5 +380,5 @@ def _runner(algorithm: str):
     return run
 
 
-#: The native entry point of every round program.
-RUNNERS = {algorithm: _runner(algorithm) for algorithm in PROGRAMS}
+#: The native entry point of every graph round program (CF's: ``cf.py``).
+RUNNERS = {algorithm: _runner(algorithm) for algorithm in GRAPH_PROGRAMS}

@@ -1,26 +1,31 @@
-"""Round programs: the six iterative workloads, each defined once.
+"""Round programs: the seven iterative workloads, each defined once.
 
 The paper runs the *same* algorithm on every framework; what differs is
 partitioning, message routing and runtime overhead. This module is the
-"same algorithm" half. Each of pagerank, bfs, wcc, sssp, k_core and
-label_propagation is one class holding the workload's state machine:
+"same algorithm" half. Each of pagerank, bfs, wcc, sssp, k_core,
+label_propagation and collaborative_filtering is one class holding the
+workload's state machine:
 
 * construction validates the parameters (:func:`check_params`), binds
   the workload's kernel — the only kernel lookup outside
   :mod:`repro.kernels` — and builds the initial state;
-* ``round`` applies one ``Kernel.step`` and reports what changed plus
-  the step's analytic :class:`~repro.kernels.KernelWork`;
+* ``round`` applies one ``Kernel.step`` (a CF iteration: one per SGD
+  block) and reports what changed plus the step's analytic
+  :class:`~repro.kernels.KernelWork`;
 * ``values`` / ``extras()`` are the answer and its diagnostics.
 
 Two loops drive them. :func:`run_frontier` (bfs, wcc, sssp and k_core's
 cascade waves) repeats rounds over the active set until it is empty;
-:func:`run_dense` (pagerank, label_propagation) sweeps every vertex a
-fixed number of times. Neither loop knows a framework: an
+:func:`run_dense` (pagerank, label_propagation, and collaborative
+filtering's factorization iterations) sweeps every vertex a fixed number
+of times. Neither loop knows a framework: an
 :class:`Engine` — one subclass per engine family (native, vertex, task,
 matrix) — owns allocation, partition/owner routing, the spans around a
 round, and turning each round's counts into ``ComputeWork`` and traffic
-from its per-algorithm row of cost constants. :func:`run_program` ties
-a program, an engine and a cluster into an :class:`AlgorithmResult`.
+from its per-algorithm row of cost constants (CF, whose data is a
+ratings matrix, has a small engine per family instead, and
+:func:`cf_runner` builds its entry points). :func:`run_program` ties a
+program, an engine and a cluster into an :class:`AlgorithmResult`.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from ..algorithms.bfs import UNREACHED
 from ..algorithms.labelprop import initial_labels
 from ..errors import SpecError
 from ..kernels import registry as kernel_registry
-from ..kernels.segments import distinct
+from ..kernels.segments import distinct, stable_order
+from .base import cf_density_correction
 from .results import AlgorithmResult
 
 #: Paper value: "the probability of a random jump (we use 0.3)".
@@ -307,9 +313,94 @@ class LabelPropagation:
                                             self.values.size).size)}
 
 
+def _chunks(ids, universe: int, grid: int):
+    """Which of ``grid`` equal ranges of ``[0, universe)`` each id is in."""
+    return np.minimum(ids * grid // max(universe, 1), grid - 1)
+
+
+class CollaborativeFiltering:
+    """Factorize ratings into user factors P and item factors Q (§3.2).
+
+    ``method="sgd"`` is equations (5)-(8) on Gemulla's diagonal blocks,
+    what native code and Galois run; ``"gd"`` is the full-gradient step
+    (11)-(12) every other framework is limited to, and its ``gamma0``
+    defaults lower. Users and items are each cut into ``grid`` ranges,
+    one per node: ``blocks[s, u]`` counts the ratings of user range ``u``
+    and item range ``(u + s) % grid``, which node ``u`` updates in
+    sub-step ``s`` — a sub-step's blocks share no user or item, so the
+    nodes update lock-free. SGD deals its rating permutation into that
+    schedule once; a round runs one iteration's kernel steps, decays
+    ``gamma`` and appends the training RMSE. ``density`` divides the
+    vertex-proportional costs (:func:`~.base.cf_density_correction`).
+    """
+
+    algorithm = "collaborative_filtering"
+    shape = "dense"
+    PARAMS = ("hidden_dim", "iterations", "method", "gamma0", "step_decay",
+              "lambda_reg", "seed")
+
+    # The paper's messages (Table 1: 8 KB a vertex) imply K near 1000;
+    # the default is far lower so proxy-scale runs stay fast.
+    def __init__(self, ratings, hidden_dim: int = 64, iterations: int = 10,
+                 method: str = "sgd", gamma0: float = None,
+                 step_decay: float = 0.95, lambda_reg: float = 0.05,
+                 seed: int = 0, grid: int = 1):
+        check_params(iterations=iterations, hidden_dim=hidden_dim,
+                     method=method)
+        self.iterations, self.hidden_dim, self.method = \
+            iterations, hidden_dim, method
+        if gamma0 is None:
+            gamma0 = 0.003 if method == "sgd" else 0.002
+        self._gamma, self._decay, self._lambda = gamma0, step_decay, \
+            lambda_reg
+        rng = np.random.default_rng(seed)
+        scale = 1.0 / np.sqrt(hidden_dim)
+        self.values = (rng.random((ratings.num_users, hidden_dim)) * scale,
+                       rng.random((ratings.num_items, hidden_dim)) * scale)
+        self.density = cf_density_correction(ratings)
+        self._kernel = _kernel("collaborative_filtering", f"blocked-{method}",
+                               ratings)
+        users = _chunks(ratings.users, ratings.num_users, grid)
+        slot = (_chunks(ratings.items, ratings.num_items, grid) - users) \
+            % grid * grid + users
+        self.blocks = np.bincount(slot, minlength=grid * grid).reshape(
+            grid, grid)
+        self.items_per_chunk = np.bincount(
+            _chunks(np.arange(ratings.num_items), ratings.num_items, grid),
+            minlength=grid)
+        # A kernel step's leading arguments: GD steps once over every
+        # rating, SGD once per non-empty block in schedule order.
+        self._steps = [()]
+        if method == "sgd":
+            order = rng.permutation(ratings.num_ratings)
+            order = order[stable_order(slot[order], grid * grid)]
+            self._steps = [
+                (ratings.users[block], ratings.items[block],
+                 ratings.ratings[block])
+                for block in np.split(order, np.cumsum(self.blocks)[:-1])
+                if block.size]
+        self.rmse_curve = []
+
+    def round(self) -> bool:
+        for leading in self._steps:
+            self._kernel.step(*leading, *self.values, self._gamma,
+                              self._lambda, self._lambda)
+        self._gamma *= self._decay
+        self.rmse_curve.append(self._kernel.rmse(*self.values))
+        return False
+
+    def extras(self) -> dict:
+        return {"rmse_curve": self.rmse_curve, "method": self.method,
+                "hidden_dim": self.hidden_dim}
+
+
 PROGRAMS = {program.algorithm: program
             for program in (PageRank, BFS, WCC, SSSP, KCore,
-                            LabelPropagation)}
+                            LabelPropagation, CollaborativeFiltering)}
+#: The programs over a graph, which every family runs under its one
+#: ``Engine``; a ratings matrix gets a small CF engine per family.
+GRAPH_PROGRAMS = tuple(algorithm for algorithm in PROGRAMS
+                       if algorithm != CollaborativeFiltering.algorithm)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +413,8 @@ class Engine:
 
     ``cost`` is the family's row of constants for ``program.algorithm``;
     every row carries ``extras`` — the ordered diagnostic keys this
-    engine reports, drawn from the program's and the engine's own.
+    engine reports, drawn from the program's and the engine's own (a CF
+    engine has no row: it reports all of the program's, then its own).
     Subclasses allocate in ``__init__`` and implement ``round`` (frontier
     programs: run the program's round over ``active``, charge one
     superstep, return the next active set) and/or ``sweep`` (dense
@@ -342,7 +434,7 @@ class Engine:
         """
         return self.per_level
 
-    def __init__(self, program, graph, cluster, cost):
+    def __init__(self, program, graph, cluster, cost=None):
         self.program = program
         self.graph = graph
         self.cluster = cluster
@@ -411,6 +503,30 @@ def run_dense(program, engine, cluster) -> int:
 _LOOPS = {"frontier": run_frontier, "dense": run_dense}
 
 
+def cf_runner(framework: str, engine_type, method: str = None, **defaults):
+    """A family's collaborative-filtering entry point.
+
+    The program deals its blocks over the cluster's nodes and runs under
+    ``engine_type``. ``method`` fixes SGD or GD (native leaves it a
+    parameter); any parameter that is not the program's goes to the
+    engine, over the family's ``defaults``.
+    """
+    program_params = tuple(name for name in CollaborativeFiltering.PARAMS
+                           if not (method and name == "method"))
+    fixed = {"method": method} if method else {}
+
+    def run(ratings, cluster, **params):
+        engine = {**defaults, **params}
+        program = {name: engine.pop(name) for name in program_params
+                   if name in engine}
+        return run_program("collaborative_filtering", framework, engine_type,
+                           ratings, cluster,
+                           {**fixed, **program, "grid": cluster.num_nodes},
+                           **engine)
+    run.params = (*program_params, *defaults)
+    return run
+
+
 def run_program(algorithm: str, framework: str, engine_type, graph, cluster,
                 params: dict, **engine_options) -> AlgorithmResult:
     """Run one round program under one engine; the shared back half."""
@@ -421,5 +537,6 @@ def run_program(algorithm: str, framework: str, engine_type, graph, cluster,
     return AlgorithmResult(
         algorithm=algorithm, framework=framework, values=program.values,
         iterations=iterations, metrics=cluster.metrics(),
-        extras={key: known[key] for key in engine.cost.extras},
+        extras=known if engine.cost is None
+        else {key: known[key] for key in engine.cost.extras},
     )

@@ -24,10 +24,9 @@ from ...cluster import Cluster, ComputeWork
 from ...errors import ExpressibilityError
 from ...graph import CSRGraph, RatingsMatrix
 from ...kernels import registry as kernel_registry
-from ..base import GALOIS, runner_params
-from ..native.cf import collaborative_filtering as _native_cf
+from ..base import GALOIS
 from ..results import AlgorithmResult
-from ..rounds import PROGRAMS, Engine, run_program
+from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, cf_runner, run_program
 
 _PROFILE = GALOIS
 
@@ -169,7 +168,8 @@ def _runner(algorithm: str):
 
 
 # galois.pagerank(graph, cluster, ...) etc.: the round programs.
-globals().update({algorithm: _runner(algorithm) for algorithm in PROGRAMS})
+globals().update({algorithm: _runner(algorithm)
+                  for algorithm in GRAPH_PROGRAMS})
 
 
 def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
@@ -210,52 +210,41 @@ def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
     )
 
 
-def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
-                            hidden_dim: int = 64, iterations: int = 10,
-                            **kwargs) -> AlgorithmResult:
-    """True SGD, one work item per rating edge (Section 3.2).
+class GaloisCFEngine(Engine):
+    """One SGD work item per rating edge, one superstep an iteration.
 
     "Each work-item in Galois performs the SGD update on a single edge
-    (u, v) i.e. it updates both p_u and q_v" — identical math to the
-    native SGD, so we run the native kernel under Galois's cost profile.
+    (u, v) i.e. it updates both p_u and q_v" (Section 3.2) — the native
+    schedule on its one node, at Galois's per-op efficiency and small
+    scheduling overhead.
     """
+
+    def __init__(self, program, ratings, cluster, options=None):
+        # Native's toggles are accepted: they change nothing on one node.
+        super().__init__(program, ratings, cluster)
+        k, count = program.hidden_dim, float(ratings.num_ratings)
+        cluster.allocate(0, "factors+ratings",
+                         8.0 * k * (ratings.num_users + ratings.num_items)
+                         / program.density + 24.0 * count)
+        factor_bytes = 4.0 * k * 8.0 * count
+        self._charge = (0.75 * factor_bytes + 16.0 * count,
+                        0.25 * factor_bytes, 8.0 * k * count)
+
+    def iteration_span(self, index: int):
+        return self.cluster.trace_span("iteration", index=index, method="sgd")
+
+    def sweep(self) -> None:
+        _step(self.cluster, *self._charge)
+
+
+_sgd = cf_runner("galois", GaloisCFEngine, method="sgd", options=None)
+
+
+def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
+                            **params) -> AlgorithmResult:
+    """True SGD (Section 3.2), the only framework besides native to run it."""
     _require_single_node(cluster)
-    shadow = Cluster(cluster.spec, comm_layer=cluster.comm_layer,
-                     scale_factor=cluster.scale_factor, enforce_memory=False)
-    native_result = _native_cf(ratings, shadow, hidden_dim=hidden_dim,
-                               iterations=iterations, method="sgd", **kwargs)
-
-    # Replay the native compute under the Galois profile (its per-op
-    # efficiency and small scheduling overhead).
-    from ..base import cf_density_correction
-
-    count = float(ratings.num_ratings)
-    factor_bytes = 4.0 * hidden_dim * 8.0 * count
-    density = cf_density_correction(ratings)
-    cluster.allocate(0, "factors+ratings",
-                     8.0 * hidden_dim
-                     * (ratings.num_users + ratings.num_items) / density
-                     + 24.0 * count)
-    for iteration in range(iterations):
-        with cluster.trace_span("iteration", index=iteration,
-                                method="sgd"):
-            cluster.superstep(
-                _work(streamed=0.75 * factor_bytes + 16.0 * count,
-                      random=0.25 * factor_bytes,
-                      ops=8.0 * hidden_dim * count),
-                overhead_s=_PROFILE.superstep_overhead_s,
-            )
-            cluster.mark_iteration()
-
-    return AlgorithmResult(
-        algorithm="collaborative_filtering", framework="galois",
-        values=native_result.values, iterations=iterations,
-        metrics=cluster.metrics(),
-        extras={"rmse_curve": native_result.extras["rmse_curve"],
-                "method": "sgd", "hidden_dim": hidden_dim},
-    )
+    return _sgd(ratings, cluster, **params)
 
 
-# Everything native's CF takes rides ``**kwargs``, except the method.
-collaborative_filtering.params = tuple(
-    name for name in runner_params(_native_cf) if name != "method")
+collaborative_filtering.params = _sgd.params

@@ -18,8 +18,6 @@ from .programs import (
     BFSVertexProgram,
     PageRankVertexProgram,
     VertexEngine,
-    bipartite_graph,
-    cf_gd_vertex,
     triangle_vertex,
 )
 
@@ -37,8 +35,6 @@ __all__ = [
     "VertexContext",
     "VertexEngine",
     "VertexProgram",
-    "bipartite_graph",
-    "cf_gd_vertex",
     "giraph",
     "graphlab",
     "run_vertex_program",

@@ -7,11 +7,14 @@ Contains:
   :func:`~repro.frameworks.vertex.engine.run_vertex_program` interpreter
   and used as semantics oracles;
 * :class:`VertexEngine` — what the vertex family owns around the six
-  round programs of :mod:`repro.frameworks.rounds`: every active vertex
-  messages its out-neighbors through
+  graph round programs of :mod:`repro.frameworks.rounds`: every active
+  vertex messages its out-neighbors through
   :class:`~repro.frameworks.vertex.engine.BSPEngine`, which routes,
   combines and charges under the framework's profile;
-* the one-shot triangle-counting and two-phase CF drivers.
+* :class:`VertexCFEngine` — the same for collaborative filtering's
+  program: a gradient-descent iteration is two message phases over the
+  bipartite ratings graph;
+* the one-shot triangle-counting driver.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import numpy as np
 
 from ...algorithms.bfs import UNREACHED
 from ...cluster import Cluster
-from ...graph import CSRGraph, EdgeList, RatingsMatrix
+from ...graph import CSRGraph, bipartite_graph
 from ...kernels import registry as kernel_registry
 from ..base import FrameworkProfile, runner_params
 from ..results import AlgorithmResult
-from ..rounds import PROGRAMS, Engine, check_params, run_program
+from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, cf_runner, run_program
 from .engine import BSPEngine, ExchangeStats, VertexProgram
 
 # ---------------------------------------------------------------------------
@@ -214,31 +217,7 @@ def triangle_vertex(graph: CSRGraph, cluster: Cluster,
     )
 
 
-def bipartite_graph(ratings: RatingsMatrix) -> CSRGraph:
-    """Unified bipartite CSR over a hashed id space.
-
-    Users and items share one vertex universe, relabeled by a fixed
-    random permutation. This emulates the hash partitioning real engines
-    apply: with contiguous ids the (few, high-degree) item vertices
-    would all land in one range partition and destroy load balance —
-    a proxy artifact, not a property of the frameworks.
-    """
-    n = ratings.num_users + ratings.num_items
-    relabel = np.random.default_rng(0xB17A).permutation(n)
-    users = relabel[ratings.users]
-    items = relabel[ratings.items + ratings.num_users]
-    src = np.concatenate([users, items])
-    dst = np.concatenate([items, users])
-    return CSRGraph.from_edges(EdgeList(n, src, dst))
-
-
-def cf_gd_vertex(ratings: RatingsMatrix, cluster: Cluster,
-                 profile: FrameworkProfile, hidden_dim: int = 64,
-                 iterations: int = 10, gamma0: float = 0.002,
-                 step_decay: float = 0.95, lambda_reg: float = 0.05,
-                 seed: int = 0, partition_mode: str = "1d",
-                 superstep_splits: int = 1,
-                 combine_messages: bool = None) -> AlgorithmResult:
+class VertexCFEngine(Engine):
     """Gradient-descent CF as a vertex program on the bipartite graph.
 
     One GD iteration = two message phases (users -> items with p_u, then
@@ -247,77 +226,55 @@ def cf_gd_vertex(ratings: RatingsMatrix, cluster: Cluster,
     for Giraph's memory ceiling ("only 1/s vertices have to send
     messages in a given superstep", Section 3.2).
     """
-    check_params(iterations=iterations, hidden_dim=hidden_dim)
-    from ..base import cf_density_correction
 
-    graph = bipartite_graph(ratings)
-    engine = BSPEngine(graph, cluster, profile, partition_mode)
-    value_bytes = 8.0 * hidden_dim
-    density = cf_density_correction(ratings)
-    engine.allocate_graph(value_bytes, vertex_scale_correction=density)
+    def __init__(self, program, ratings, cluster, profile: FrameworkProfile,
+                 partition_mode: str, superstep_splits: int,
+                 combine_messages: bool = None):
+        super().__init__(program, ratings, cluster)
+        self.bsp = BSPEngine(bipartite_graph(ratings), cluster, profile,
+                             partition_mode)
+        self.value_bytes = 8.0 * program.hidden_dim
+        self.bsp.allocate_graph(self.value_bytes,
+                                vertex_scale_correction=program.density)
+        self.superstep_splits = superstep_splits
+        self.combine = profile.combines_messages if combine_messages is None \
+            else combine_messages
+        users = np.arange(ratings.num_users, dtype=np.int64)
+        items = np.arange(ratings.num_items, dtype=np.int64) \
+            + ratings.num_users
+        self._phases = (("users->items", users), ("items->users", items))
 
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(hidden_dim)
-    p_factors = rng.random((ratings.num_users, hidden_dim)) * scale
-    q_factors = rng.random((ratings.num_items, hidden_dim)) * scale
-
-    kern = kernel_registry.kernel("collaborative_filtering",
-                                  "blocked-gd")().prepare(ratings)
-
-    users = np.arange(ratings.num_users, dtype=np.int64)
-    items = np.arange(ratings.num_items, dtype=np.int64) + ratings.num_users
-    out_degrees = graph.out_degrees()
-
-    def _phase(senders, direction):
-        with cluster.trace_span("phase", direction=direction):
-            _phase_body(senders)
-
-    def _phase_body(senders):
-        stats = engine.edge_messages(senders, value_bytes,
-                                     combine=combine_messages)
-        combining = combine_messages if combine_messages is not None \
-            else profile.combines_messages
-        if combining:
+    def _phase(self, senders) -> None:
+        bsp, density, k = self.bsp, self.program.density, \
+            self.program.hidden_dim
+        stats = bsp.edge_messages(senders, self.value_bytes,
+                                  combine=self.combine)
+        if self.combine:
             # Combined messages are one-per-(node, target-vertex), i.e.
             # vertex-proportional — apply the density correction.
             stats.traffic = stats.traffic / density
-        if engine.vertex_cut is not None:
+        if bsp.vertex_cut is not None:
             # GAS wire traffic is the mirror gather/scatter sync, not
             # per-edge messages (those stay local on the mirrors); keep
             # only node-local buffering volume from the edge stats.
             local = np.diag(np.diag(stats.traffic))
-            stats.traffic = local + engine.replication_sync_traffic(
-                senders, value_bytes
-            ) / density
+            stats.traffic = local + bsp.replication_sync_traffic(
+                senders, self.value_bytes) / density
         edges_per_node = np.bincount(
-            engine.vertex_owner[senders],
-            weights=out_degrees[senders].astype(float),
-            minlength=cluster.num_nodes,
-        )
-        engine.superstep(senders, edges_per_node, stats, value_bytes,
-                         splits=superstep_splits,
-                         ops_per_edge=8.0 * hidden_dim,
-                         ops_per_vertex=4.0 * hidden_dim)
+            bsp.vertex_owner[senders],
+            weights=bsp.graph.out_degrees()[senders].astype(float),
+            minlength=self.cluster.num_nodes)
+        bsp.superstep(senders, edges_per_node, stats, self.value_bytes,
+                      splits=self.superstep_splits, ops_per_edge=8.0 * k,
+                      ops_per_vertex=4.0 * k)
 
-    rmse_curve = []
-    gamma = gamma0
-    for iteration in range(iterations):
-        with cluster.trace_span("iteration", index=iteration):
-            _phase(users, "users->items")
-            _phase(items, "items->users")
-            kern.step(p_factors, q_factors, gamma, lambda_reg, lambda_reg)
-            gamma *= step_decay
-            rmse_curve.append(kern.rmse(p_factors, q_factors))
-            cluster.mark_iteration()
+    def sweep(self) -> None:
+        for direction, senders in self._phases:
+            with self.cluster.trace_span("phase", direction=direction):
+                self._phase(senders)
 
-    return AlgorithmResult(
-        algorithm="collaborative_filtering", framework=profile.name,
-        values=(p_factors, q_factors), iterations=iterations,
-        metrics=cluster.metrics(),
-        extras={"rmse_curve": rmse_curve, "method": "gd",
-                "hidden_dim": hidden_dim,
-                "superstep_splits": superstep_splits},
-    )
+    def diagnostics(self) -> dict:
+        return {"superstep_splits": self.superstep_splits}
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +288,13 @@ def frontend(profile: FrameworkProfile, partition_mode: str,
     """One vertex framework's runners, keyed by entry-point name.
 
     Every round program of :data:`~repro.frameworks.rounds.PROGRAMS`
-    under :class:`VertexEngine`, plus ``triangle_count`` and
-    ``collaborative_filtering``. The two dicts are the framework's
-    default arguments to :func:`triangle_vertex` / :func:`cf_gd_vertex`
-    (superstep splitting, combiners, the cuckoo structure); callers may
-    still override them per call. Front-end modules publish the result
-    as their module attributes (``giraph.pagerank(graph, cluster)``).
+    under :class:`VertexEngine` (collaborative filtering, as gradient
+    descent, under :class:`VertexCFEngine`), plus ``triangle_count``.
+    The two dicts are the framework's default arguments to
+    :func:`triangle_vertex` / :class:`VertexCFEngine` (superstep
+    splitting, combiners, the cuckoo structure); callers may still
+    override them per call. Front-end modules publish the result as
+    their module attributes (``giraph.pagerank(graph, cluster)``).
     """
     def rounds(algorithm):
         def run(graph, cluster, **params):
@@ -351,13 +309,11 @@ def frontend(profile: FrameworkProfile, partition_mode: str,
                                partition_mode=partition_mode,
                                **{**(triangle_counting or {}), **params})
 
-    def cf(ratings, cluster, **params):
-        return cf_gd_vertex(ratings, cluster, profile,
-                            partition_mode=partition_mode,
-                            **{**(collaborative_filtering or {}), **params})
-
     triangle_count.params = runner_params(triangle_vertex)
-    cf.params = runner_params(cf_gd_vertex)
-    return {**{algorithm: rounds(algorithm) for algorithm in PROGRAMS},
+    return {**{algorithm: rounds(algorithm) for algorithm in GRAPH_PROGRAMS},
             "triangle_count": triangle_count,
-            "collaborative_filtering": cf}
+            "collaborative_filtering": cf_runner(
+                profile.name, VertexCFEngine, method="gd", profile=profile,
+                partition_mode=partition_mode,
+                **{"superstep_splits": 1, "combine_messages": None,
+                   **(collaborative_filtering or {})})}

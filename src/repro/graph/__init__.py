@@ -1,6 +1,6 @@
 """Graph substrate: storage formats, partitioners and graph statistics."""
 
-from .bipartite import RatingsMatrix
+from .bipartite import RatingsMatrix, bipartite_graph
 from .bitvector import BitVector
 from .csr import CSRGraph
 from .cuckoo import CuckooHashSet
@@ -46,6 +46,7 @@ __all__ = [
     "Partition2D",
     "PowerLawFit",
     "RatingsMatrix",
+    "bipartite_graph",
     "VertexCutPartition",
     "count_triangles_exact",
     "degree_histogram",

@@ -1,10 +1,10 @@
 """Bipartite ratings graph for collaborative filtering.
 
 The paper treats the ratings matrix ``R`` as "edge weights of a bipartite
-graph" between users and items (Figure 1). This module stores that graph in
-both orientations (by-user CSR and by-item CSR) because gradient descent
-aggregates over both sides, plus a flat COO triple view for SGD's
-random-order edge sweep.
+graph" between users and items (Figure 1). :class:`RatingsMatrix` holds
+it as flat COO triples; :func:`bipartite_graph` is the one CSR form, over
+a shared user + item vertex universe, that the engines distributing the
+graph (CombBLAS's matrix, the vertex family's BSP engine) place.
 """
 
 from __future__ import annotations
@@ -32,59 +32,16 @@ class RatingsMatrix:
                 raise GraphFormatError("user id out of range")
             if self.items.min() < 0 or self.items.max() >= self.num_items:
                 raise GraphFormatError("item id out of range")
-        self._by_user = None
-        self._by_item = None
 
     @property
     def num_ratings(self) -> int:
         return int(self.ratings.size)
-
-    def by_user(self) -> CSRGraph:
-        """CSR with one row per user; targets are item ids."""
-        if self._by_user is None:
-            # Users and items share no id space, so build a CSR over
-            # max(num_users, num_items) rows; only user rows are populated.
-            n = max(self.num_users, self.num_items)
-            edges = EdgeList(n, self.users, self.items, self.ratings)
-            self._by_user = CSRGraph.from_edges(edges)
-        return self._by_user
-
-    def by_item(self) -> CSRGraph:
-        """CSR with one row per item; targets are user ids."""
-        if self._by_item is None:
-            n = max(self.num_users, self.num_items)
-            edges = EdgeList(n, self.items, self.users, self.ratings)
-            self._by_item = CSRGraph.from_edges(edges)
-        return self._by_item
 
     def user_degrees(self) -> np.ndarray:
         return np.bincount(self.users, minlength=self.num_users).astype(np.int64)
 
     def item_degrees(self) -> np.ndarray:
         return np.bincount(self.items, minlength=self.num_items).astype(np.int64)
-
-    def shuffled(self, rng: np.random.Generator) -> "RatingsMatrix":
-        """Ratings in a uniformly random order (one SGD epoch's sweep)."""
-        order = rng.permutation(self.num_ratings)
-        return RatingsMatrix(
-            self.num_users, self.num_items,
-            self.users[order], self.items[order], self.ratings[order],
-        )
-
-    def split(self, rng: np.random.Generator, holdout_fraction: float = 0.1):
-        """Train/validation split for measuring generalization RMSE."""
-        if not 0.0 < holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in (0, 1)")
-        mask = rng.random(self.num_ratings) < holdout_fraction
-        train = RatingsMatrix(
-            self.num_users, self.num_items,
-            self.users[~mask], self.items[~mask], self.ratings[~mask],
-        )
-        held = RatingsMatrix(
-            self.num_users, self.num_items,
-            self.users[mask], self.items[mask], self.ratings[mask],
-        )
-        return train, held
 
     def nbytes(self) -> int:
         return self.users.nbytes + self.items.nbytes + self.ratings.nbytes
@@ -100,3 +57,21 @@ class RatingsMatrix:
             f"RatingsMatrix(num_users={self.num_users}, "
             f"num_items={self.num_items}, num_ratings={self.num_ratings})"
         )
+
+
+def bipartite_graph(ratings: RatingsMatrix) -> CSRGraph:
+    """Unified bipartite CSR over a hashed id space.
+
+    Users and items share one vertex universe, relabeled by a fixed
+    random permutation. This emulates the hash partitioning real engines
+    apply: with contiguous ids the (few, high-degree) item vertices
+    would all land in one range partition and destroy load balance —
+    a proxy artifact, not a property of the frameworks.
+    """
+    n = ratings.num_users + ratings.num_items
+    relabel = np.random.default_rng(0xB17A).permutation(n)
+    users = relabel[ratings.users]
+    items = relabel[ratings.items + ratings.num_users]
+    src = np.concatenate([users, items])
+    dst = np.concatenate([items, users])
+    return CSRGraph.from_edges(EdgeList(n, src, dst))

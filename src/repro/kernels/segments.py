@@ -67,6 +67,19 @@ def first_occurrence(keys: np.ndarray, universe: int):
     return ordered[starts], order[starts]
 
 
+def stable_order(keys: np.ndarray, universe: int) -> np.ndarray:
+    """Indices ordering ``keys`` ascending, equal keys in input order.
+
+    Equals ``np.argsort(keys, kind="stable")``: a binary radix sort, one
+    stable split per bit of ``universe``, so no comparison is made.
+    """
+    order = np.arange(keys.size)
+    for bit in range(max(int(universe) - 1, 1).bit_length()):
+        ones = ((keys[order] >> bit) & 1).astype(bool)
+        order = np.concatenate([order[~ones], order[ones]])
+    return order
+
+
 def segment_mode(segment_ids: np.ndarray, labels: np.ndarray, universe: int):
     """Most frequent label of each segment, smallest label on ties.
 

@@ -1,10 +1,10 @@
 """Blocked SGD / GD factor-update kernels for collaborative filtering.
 
-The numeric core every CF runner shares: equations (5)-(8) as mini-batch
-SGD sweeps and equations (11)-(12) as full gradient-descent steps.
-Moved here from ``frameworks/native/cf.py`` (which re-exports them) so
-the matrix, vertex, datalog and task front-ends all parameterize one
-kernel instead of re-implementing the update math.
+The numeric core of collaborative filtering: equations (5)-(8) as
+mini-batch SGD sweeps and equations (11)-(12) as full gradient-descent
+steps. Their one caller is the CF round program
+(:class:`repro.frameworks.rounds.CollaborativeFiltering`), which every
+framework runs.
 
 The interpreted backend processes the same mini-batches rating by
 rating with scalar loops. It preserves the vectorized accumulation
@@ -139,7 +139,7 @@ class _CFKernel(Kernel):
     algorithm = "collaborative_filtering"
 
     def rmse(self, p_factors, q_factors) -> float:
-        """Training RMSE; every CF driver calls this once an iteration."""
+        """Training RMSE; the CF program calls this once an iteration."""
         value = training_rmse(self.ratings, p_factors, q_factors)
         if not math.isfinite(value):
             raise ConvergenceError(

@@ -11,7 +11,7 @@ from repro.algorithms import (
 )
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import rmat_graph, rmat_triangle_graph, netflix_like_ratings
-from repro.errors import SpecError
+from repro.errors import ConvergenceError, SpecError
 from repro.frameworks.native import (
     NativeOptions,
     bfs,
@@ -248,6 +248,14 @@ class TestNativeCF:
         n = iterations_to_rmse(ratings_small, target_rmse=1.3, method="sgd",
                                hidden_dim=8, max_iterations=50, seed=0)
         assert 1 <= n <= 50
+
+    def test_iterations_to_rmse_names_the_last_gamma0_it_ran(self,
+                                                            ratings_small):
+        # All four attempts from 1000 diverge; the last one run is 125.
+        with np.errstate(all="ignore"), pytest.raises(
+                ConvergenceError, match=r"diverged even at gamma0=125\.0$"):
+            iterations_to_rmse(ratings_small, target_rmse=1.0, method="gd",
+                               hidden_dim=4, max_iterations=5, gamma0=1000.0)
 
     def test_validates_method(self, ratings_small):
         with pytest.raises(SpecError):

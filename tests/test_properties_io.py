@@ -131,33 +131,10 @@ class TestIO:
 
 
 class TestRatingsMatrix:
-    def test_by_user_by_item_views(self):
-        ratings = RatingsMatrix(2, 3, [0, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(ratings.by_user().neighbors(0), [0, 2])
-        np.testing.assert_array_equal(ratings.by_item().neighbors(1), [1])
-        np.testing.assert_array_equal(ratings.by_user().neighbor_weights(0), [1.0, 2.0])
-
     def test_degrees(self):
         ratings = RatingsMatrix(2, 3, [0, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(ratings.user_degrees(), [2, 1])
         np.testing.assert_array_equal(ratings.item_degrees(), [1, 1, 1])
-
-    def test_split_partitions_all_ratings(self):
-        rng = np.random.default_rng(0)
-        n = 1000
-        ratings = RatingsMatrix(
-            100, 50,
-            rng.integers(0, 100, n), rng.integers(0, 50, n),
-            rng.random(n),
-        )
-        train, held = ratings.split(rng, holdout_fraction=0.2)
-        assert train.num_ratings + held.num_ratings == n
-        assert 100 < held.num_ratings < 300
-
-    def test_split_validates_fraction(self):
-        ratings = RatingsMatrix(1, 1, [0], [0], [1.0])
-        with pytest.raises(ValueError):
-            ratings.split(np.random.default_rng(0), holdout_fraction=1.5)
 
     def test_id_range_validation(self):
         with pytest.raises(GraphFormatError):

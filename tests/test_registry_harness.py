@@ -32,17 +32,18 @@ class TestRegistry:
                 assert callable(runner(algorithm, framework))
 
     def test_every_workload_has_a_row_on_every_program_driven_family(self):
-        # A seventh round program missing a cost or boundary row fails
-        # here, not as a silent ``unsupported`` cell in some sweep.
+        # A new graph round program missing a cost or boundary row fails
+        # here, not as a silent ``unsupported`` cell in some sweep (CF's
+        # program has a small engine per family instead of a row).
         from repro.algorithms.registry import _ENTRY_POINTS
         from repro.frameworks.matrix import combblas, kdt
         from repro.frameworks.native import engine as native_engine
-        from repro.frameworks.rounds import PROGRAMS
+        from repro.frameworks.rounds import GRAPH_PROGRAMS
         from repro.frameworks.task import galois
         from repro.frameworks.vertex import programs as vertex_programs
 
         for family in (native_engine, vertex_programs, galois, combblas):
-            assert set(family.COSTS) == set(PROGRAMS), family.__name__
+            assert set(family.COSTS) == set(GRAPH_PROGRAMS), family.__name__
         assert set(kdt.BOUNDARIES) == {
             _ENTRY_POINTS.get(algorithm, algorithm)
             for algorithm in ALGORITHMS}

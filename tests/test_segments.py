@@ -108,6 +108,17 @@ def test_first_occurrence_is_stable_argsort(keys):
 
 
 @settings(max_examples=200, deadline=None)
+@given(ids_arrays)
+@example(np.zeros(0, dtype=np.int64))
+@example(np.array([0, 0], dtype=np.int64))
+@example(np.array([3, 0, 3, 0, 3], dtype=np.int64))
+def test_stable_order_is_stable_argsort(keys):
+    for universe in universes(keys):
+        np.testing.assert_array_equal(segments.stable_order(keys, universe),
+                                      np.argsort(keys, kind="stable"))
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 9).flatmap(lambda universe: st.tuples(
     st.just(universe),
     st.lists(st.tuples(st.integers(0, 11), st.integers(0, universe - 1)),

@@ -17,7 +17,6 @@ from repro.frameworks.vertex import (
     BFSVertexProgram,
     BSPEngine,
     PageRankVertexProgram,
-    bipartite_graph,
     giraph,
     graphlab,
     run_vertex_program,
