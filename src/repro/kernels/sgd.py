@@ -6,6 +6,11 @@ steps. Their one caller is the CF round program
 (:class:`repro.frameworks.rounds.CollaborativeFiltering`), which every
 framework runs.
 
+The vectorized backend keeps its inner loops on numpy's fast paths
+(flat row scatters, a GD transpose prepared once, predictions in
+cache-sized blocks) without moving a bit of any factor;
+``tests/test_cf_kernels.py`` holds the plain expressions as the oracle.
+
 The interpreted backend processes the same mini-batches rating by
 rating with scalar loops. It preserves the vectorized accumulation
 order for the gather/scatter structure, but per-rating K-vector dot
@@ -20,16 +25,57 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 
 from ..errors import ConvergenceError
 from .backend import interpreted
 from .base import Kernel, KernelWork
 
 _SGD_BATCH = 1024
+#: Bytes of each factor gather in a prediction pass: both gathers of a
+#: block stay in a core's L2 cache, where gathering every rating at once
+#: streams two ratings x K arrays through memory.
+_GATHER_BYTES = 256 * 1024
+
+
+def _predict(p_factors, q_factors, rows, cols) -> np.ndarray:
+    """``p_factors[rows[i]] . q_factors[cols[i]]`` for every i.
+
+    Gathered ``_GATHER_BYTES`` of factor rows at a time; a row's dot
+    product does not depend on the block it is in, so the result is
+    bitwise one ``einsum`` over all the ratings.
+    """
+    out = np.empty(rows.size)
+    block = max(1, _GATHER_BYTES // (p_factors.shape[1]
+                                     * p_factors.itemsize))
+    for start in range(0, rows.size, block):
+        stop = start + block
+        np.einsum("ij,ij->i", p_factors[rows[start:stop]],
+                  q_factors[cols[start:stop]], out=out[start:stop])
+    return out
+
+
+def _scatter_add(factors, rows, deltas) -> None:
+    """``np.add.at(factors, rows, deltas)`` through the 1-D loop.
+
+    numpy's ``ufunc.at`` has a fast loop only for a 1-D operand and
+    index; a row index into a 2-D array takes the generic one, several
+    times slower. The flat element index visits each element's addends
+    in the same order, so every sum is bitwise the 2-D form's.
+    ``factors`` must have a flat C-order view (a copying reshape would
+    drop the updates, so it raises ``ValueError`` instead).
+    """
+    width = factors.shape[1]
+    flat = (rows * width)[:, None] + np.arange(width)
+    np.add.at(np.reshape(factors, -1, copy=False), flat.reshape(-1),
+              deltas.reshape(-1))
 
 
 def training_rmse(ratings, p_factors, q_factors) -> float:
-    """RMSE over the observed ratings; inf when training has diverged."""
+    """RMSE over the observed ratings; inf when training has diverged.
+
+    No ratings is an RMSE of 0, as the interpreted loop computes it.
+    """
     if interpreted():
         total = 0.0
         users = ratings.users.tolist()
@@ -41,15 +87,16 @@ def training_rmse(ratings, p_factors, q_factors) -> float:
             error = values[i] - predicted
             total += error * error
         return float(np.sqrt(total / max(len(values), 1)))
+    if not ratings.num_ratings:
+        return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        predicted = np.einsum(
-            "ij,ij->i", p_factors[ratings.users], q_factors[ratings.items]
-        )
+        predicted = _predict(p_factors, q_factors, ratings.users,
+                             ratings.items)
         return float(np.sqrt(np.mean((ratings.ratings - predicted) ** 2)))
 
 
 def sgd_sweep(users, items, values, p_factors, q_factors, gamma,
-              lambda_p, lambda_q, batch=_SGD_BATCH):
+              lambda_p, lambda_q):
     """One pass over the given ratings in order, mini-batch vectorized.
 
     Implements equations (5)-(8): e = R - p.q; p += gamma(e q - lp p);
@@ -59,28 +106,28 @@ def sgd_sweep(users, items, values, p_factors, q_factors, gamma,
     """
     if interpreted():
         _sgd_sweep_interpreted(users, items, values, p_factors, q_factors,
-                               gamma, lambda_p, lambda_q, batch)
+                               gamma, lambda_p, lambda_q)
         return
-    for start in range(0, users.size, batch):
-        u = users[start:start + batch]
-        v = items[start:start + batch]
-        r = values[start:start + batch]
+    for start in range(0, users.size, _SGD_BATCH):
+        u = users[start:start + _SGD_BATCH]
+        v = items[start:start + _SGD_BATCH]
+        r = values[start:start + _SGD_BATCH]
         pu = p_factors[u]
         qv = q_factors[v]
         err = r - np.einsum("ij,ij->i", pu, qv)
         dp = gamma * (err[:, None] * qv - lambda_p * pu)
         dq = gamma * (err[:, None] * pu - lambda_q * qv)
-        np.add.at(p_factors, u, dp)
-        np.add.at(q_factors, v, dq)
+        _scatter_add(p_factors, u, dp)
+        _scatter_add(q_factors, v, dq)
 
 
 def _sgd_sweep_interpreted(users, items, values, p_factors, q_factors,
-                           gamma, lambda_p, lambda_q, batch):
+                           gamma, lambda_p, lambda_q):
     """Rating-at-a-time oracle with the same per-batch staleness."""
-    for start in range(0, users.size, batch):
-        u = users[start:start + batch]
-        v = items[start:start + batch]
-        r = values[start:start + batch]
+    for start in range(0, users.size, _SGD_BATCH):
+        u = users[start:start + _SGD_BATCH]
+        v = items[start:start + _SGD_BATCH]
+        r = values[start:start + _SGD_BATCH]
         pu = p_factors[u].copy()
         qv = q_factors[v].copy()
         for i in range(u.size):
@@ -93,22 +140,39 @@ def _sgd_sweep_interpreted(users, items, values, p_factors, q_factors,
 
 def gd_step(ratings_csr, ratings_csr_t, user_degrees, item_degrees,
             p_factors, q_factors, gamma, lambda_p, lambda_q):
-    """One full Gradient Descent step (equations 11-12), simultaneous."""
+    """One full Gradient Descent step (equations 11-12), simultaneous.
+
+    ``ratings_csr_t`` is :func:`transpose_positions` of ``ratings_csr``.
+    """
     if interpreted():
         _gd_step_interpreted(ratings_csr, user_degrees, item_degrees,
                              p_factors, q_factors, gamma, lambda_p, lambda_q)
         return
-    errors = ratings_csr.copy()
-    predicted = np.einsum(
-        "ij,ij->i",
-        p_factors[_row_index(ratings_csr)], q_factors[ratings_csr.indices]
-    )
-    errors.data = ratings_csr.data - predicted
-    grad_p = errors @ q_factors - lambda_p * user_degrees[:, None] * p_factors
-    errors_t = errors.T.tocsr()
-    grad_q = errors_t @ p_factors - lambda_q * item_degrees[:, None] * q_factors
+    errors = ratings_csr.data - _predict(
+        p_factors, q_factors, _row_index(ratings_csr), ratings_csr.indices)
+    grad_p = _with_data(ratings_csr, errors) @ q_factors \
+        - lambda_p * user_degrees[:, None] * p_factors
+    grad_q = _with_data(ratings_csr_t, errors[ratings_csr_t.data]) \
+        @ p_factors - lambda_q * item_degrees[:, None] * q_factors
     p_factors += gamma * grad_p
     q_factors += gamma * grad_q
+
+
+def transpose_positions(ratings_csr):
+    """The transpose of ``ratings_csr``, valued by position in it.
+
+    Entry ``(v, u)`` holds the index of ``(u, v)`` in ``ratings_csr.data``.
+    A GD step's errors share ``ratings_csr``'s structure, so their
+    transpose is this structure over ``errors[positions]``: one gather a
+    step in place of a CSR -> CSC conversion, and the same matrix.
+    """
+    return _with_data(ratings_csr, np.arange(ratings_csr.nnz)).T.tocsr()
+
+
+def _with_data(structure, data):
+    """A CSR matrix with ``structure``'s sparsity and ``data`` as values."""
+    return sparse.csr_matrix((data, structure.indices, structure.indptr),
+                             shape=structure.shape)
 
 
 def _gd_step_interpreted(ratings_csr, user_degrees, item_degrees,
@@ -154,14 +218,12 @@ class CFBlockedGD(_CFKernel):
     direction = "blocked-gd"
 
     def prepare(self, ratings):
-        from scipy import sparse
-
         self.ratings = ratings
         self.csr = sparse.csr_matrix(
             (ratings.ratings, (ratings.users, ratings.items)),
             shape=(ratings.num_users, ratings.num_items),
         )
-        self.csr_t = self.csr.T.tocsr()
+        self.csr_t = transpose_positions(self.csr)
         self.user_degrees = ratings.user_degrees().astype(np.float64)
         self.item_degrees = ratings.item_degrees().astype(np.float64)
         return self
@@ -180,9 +242,6 @@ class CFBlockedSGD(_CFKernel):
 
     direction = "blocked-sgd"
 
-    def __init__(self, batch: int = _SGD_BATCH):
-        self.batch = batch
-
     def prepare(self, ratings):
         self.ratings = ratings
         return self
@@ -190,6 +249,6 @@ class CFBlockedSGD(_CFKernel):
     def step(self, users, items, values, p_factors, q_factors, gamma,
              lambda_p, lambda_q):
         sgd_sweep(users, items, values, p_factors, q_factors, gamma,
-                  lambda_p, lambda_q, batch=self.batch)
+                  lambda_p, lambda_q)
         work = KernelWork(edges=float(users.size))
         return (p_factors, q_factors), work
