@@ -125,6 +125,13 @@ class SweepInterrupted(ReproError):
         )
 
 
+class KeyRangeError(ReproError):
+    """A Datalog fact's key lies outside its table's key universe.
+
+    The same on every retry, so a sweep journals it ``failed`` at once.
+    """
+
+
 class SimulationError(ReproError):
     """The cluster simulator was used inconsistently."""
 
@@ -248,6 +255,8 @@ FAILURE_CLASSES = (
     # step size, the same on every retry.
     FailureClass(ConvergenceError, STATUS_FAILED, EXIT_FAILURE, "diverged",
                  True),
+    FailureClass(KeyRangeError, STATUS_FAILED, EXIT_FAILURE,
+                 "key out of range"),
     # With the supervised pool capping worker address space, a *real*
     # allocation blow-up is the paper's out-of-memory dash too.
     FailureClass(MemoryError, STATUS_OOM, EXIT_OOM, "out of memory"),

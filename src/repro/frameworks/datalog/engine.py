@@ -91,8 +91,8 @@ class SocialiteEngine:
             bindings[assign.target] = np.asarray(assign.fn(*inputs),
                                                  dtype=np.float64)
 
-        stats.work_share = self._work_share(rule, bindings)
-        stats.changed = self._fold_head(rule, bindings, stats)
+        producers, stats.work_share = self._shard_accounting(rule, bindings)
+        stats.changed = self._fold_head(rule, bindings, producers, stats)
         if self.tracer.enabled:
             self.tracer.count("tuples_produced", stats.produced_tuples)
             self.tracer.count("tuples_scanned_bytes", stats.scanned_bytes)
@@ -101,49 +101,61 @@ class SocialiteEngine:
                                 join_rows=stats.join_output_rows)
         return stats
 
-    def _work_share(self, rule: Rule, bindings: dict) -> np.ndarray:
-        """How the rule's work spreads over shards (by the shard var)."""
-        uniform = np.full(self.num_shards, 1.0 / self.num_shards)
-        if rule.shard_var not in bindings:
-            return uniform
+    def _shard_accounting(self, rule: Rule, bindings: dict):
+        """Shard evaluating each binding, and the work share per shard.
+
+        A binding is evaluated by its shard var's owner. With one shard,
+        or the shard var unbound, there are no owners (``None``) and
+        the share is even.
+        """
+        share = np.full(self.num_shards, 1.0 / self.num_shards)
+        if self.num_shards == 1 or rule.shard_var not in bindings:
+            return None, share
         values = np.asarray(bindings[rule.shard_var], dtype=np.int64)
-        if values.size == 0:
-            return uniform
-        values = np.clip(values, 0, self.shard_partition.num_vertices - 1)
-        counts = np.bincount(self.shard_partition.owner_of_many(values),
-                             minlength=self.num_shards).astype(np.float64)
-        total = counts.sum()
-        return counts / total if total else uniform
+        producers = self.shard_partition.owner_of_many(
+            np.clip(values, 0, self.shard_partition.num_vertices - 1))
+        if producers.size:
+            counts = np.bincount(producers, minlength=self.num_shards)
+            share = counts.astype(np.float64) / counts.sum()
+        return producers, share
 
     # -- body handling ---------------------------------------------------------
 
     def _seed(self, atom, delta_keys, stats) -> dict:
         table = self.table(atom.table)
-        bindings = {}
         if isinstance(table, AggregateTable):
             key_term, value_term = atom.terms
             keys = table.defined_keys() if delta_keys is None \
                 else np.asarray(delta_keys, dtype=np.int64)
             stats.scanned_bytes += 16.0 * keys.size
-            bindings[key_term.name] = keys
+            bindings = {key_term.name: keys}
             if isinstance(value_term, Var):
                 bindings[value_term.name] = table.values[keys]
             return bindings
 
         rows = np.arange(table.num_rows)
         if delta_keys is not None:
-            mask = np.isin(table.columns[0], delta_keys)
-            rows = rows[mask]
+            rows = rows[np.isin(table.columns[0], delta_keys)]
         stats.scanned_bytes += self.tuple_bytes * rows.size * table.arity / 2
-        for position, term in enumerate(atom.terms):
+        return self._read(table, atom.terms, 0, rows, {})
+
+    @staticmethod
+    def _read(table, terms, start: int, rows, bindings) -> dict:
+        """Bind ``terms[start:]`` to ``table``'s columns at ``rows``.
+
+        A new variable binds its column; a constant or an already bound
+        variable filters the bindings and the rows later columns are
+        read at.
+        """
+        for position, term in enumerate(terms[start:], start=start):
             column = table.columns[position][rows]
-            if isinstance(term, Var):
+            if isinstance(term, Var) and term.name not in bindings:
                 bindings[term.name] = column
-            else:
-                keep = column == term
-                for name in bindings:
-                    bindings[name] = bindings[name][keep]
-                rows = rows[keep]
+                continue
+            keep = column == (bindings[term.name]
+                              if isinstance(term, Var) else term)
+            bindings = {name: col[keep] for name, col in bindings.items()}
+            rows = rows[keep]
         return bindings
 
     def _extend(self, atom, bindings, stats) -> dict:
@@ -162,10 +174,13 @@ class SocialiteEngine:
             present = table.present[keys]
             # Dense keyed array: one 8-byte value gather per probe.
             stats.scanned_bytes += 8.0 * keys.size
-            new_bindings = {name: col[present] for name, col in bindings.items()}
+            if not present.all():
+                bindings = {name: col[present]
+                            for name, col in bindings.items()}
+                keys = keys[present]
             if isinstance(value_term, Var):
-                new_bindings[value_term.name] = table.values[keys[present]]
-            return new_bindings
+                bindings = {**bindings, value_term.name: table.values[keys]}
+            return bindings
 
         if all(bound):
             return self._semi_join(table, atom, bindings, stats)
@@ -184,23 +199,9 @@ class SocialiteEngine:
         stats.scanned_bytes += self.tuple_bytes * row_idx.size
         stats.join_output_rows += row_idx.size
         stats.ops += 4.0 * row_idx.size
-
-        new_bindings = {
+        return self._read(table, terms, 1, row_idx, {
             name: np.repeat(col, match_counts) for name, col in bindings.items()
-        }
-        for position, term in enumerate(terms[1:], start=1):
-            column = table.columns[position][row_idx]
-            if isinstance(term, Var):
-                if term.name in new_bindings:        # shared var: filter
-                    keep = new_bindings[term.name] == column
-                    new_bindings = {n: c[keep] for n, c in new_bindings.items()}
-                    column = column[keep]
-                else:
-                    new_bindings[term.name] = column
-            else:
-                keep = column == term
-                new_bindings = {n: c[keep] for n, c in new_bindings.items()}
-        return new_bindings
+        })
 
     def _semi_join(self, table, atom, bindings, stats) -> dict:
         """Existence filter for an atom whose terms are all bound."""
@@ -209,8 +210,10 @@ class SocialiteEngine:
         universe = np.int64(max(table.key_universe,
                                 int(table.columns[1].max()) + 1
                                 if table.num_rows else 1))
-        have = np.sort(table.columns[0].astype(np.int64) * universe
-                       + table.columns[1].astype(np.int64))
+        have = (table.columns[0].astype(np.int64) * universe
+                + table.columns[1].astype(np.int64))
+        if not table.pairs_ascending:
+            have.sort()
 
         def column_of(term):
             if isinstance(term, Var):
@@ -219,17 +222,17 @@ class SocialiteEngine:
             return np.full(first.shape, term, dtype=np.int64)
 
         probe = column_of(atom.terms[0]) * universe + column_of(atom.terms[1])
-        position = np.searchsorted(have, probe)
-        position = np.minimum(position, max(have.size - 1, 0))
-        hit = have.size > 0
-        keep = (have[position] == probe) if hit else np.zeros(probe.shape, bool)
+        position = np.minimum(np.searchsorted(have, probe), have.size - 1)
+        keep = have[position] == probe if have.size \
+            else np.zeros(probe.shape, bool)
         stats.ops += 6.0 * probe.size
         stats.scanned_bytes += 8.0 * probe.size
         return {name: col[keep] for name, col in bindings.items()}
 
     # -- head -------------------------------------------------------------------
 
-    def _fold_head(self, rule: Rule, bindings: dict, stats) -> np.ndarray:
+    def _fold_head(self, rule: Rule, bindings: dict, producers,
+                   stats) -> np.ndarray:
         head: Head = rule.head
         table = self.table(head.table)
         if not isinstance(table, AggregateTable):
@@ -252,23 +255,21 @@ class SocialiteEngine:
 
         stats.produced_tuples += keys.size
         stats.ops += 2.0 * keys.size
+        changed = table.combine(keys, values)
+        if self.num_shards == 1:
+            return changed
 
         # Shipping: tuples travel from the shard evaluating the body (the
         # shard_var binding, mapped through the engine's vertex sharding)
         # to the shard owning the head key. Updates headed from one shard
         # to the same key are batched into one transfer ("merging
         # communication data for batch processing", Section 6.1.3).
-        if rule.shard_var in bindings:
-            shard_values = np.asarray(bindings[rule.shard_var], dtype=np.int64)
-            shard_values = np.clip(shard_values, 0,
-                                   self.shard_partition.num_vertices - 1)
-            producer = self.shard_partition.owner_of_many(shard_values)
-        else:
-            producer = np.zeros(keys.shape, dtype=np.int64)
+        if producers is None:
+            producers = np.zeros(keys.shape, dtype=np.int64)
         owner = table.partition.owner_of_many(keys)
-        cross = producer != owner
+        cross = producers != owner
         if cross.any():
-            pair = (producer[cross] * np.int64(table.key_universe)
+            pair = (producers[cross] * np.int64(table.key_universe)
                     + keys[cross])
             unique_pairs = distinct(pair,
                                     self.num_shards * table.key_universe)
@@ -279,4 +280,4 @@ class SocialiteEngine:
             # folded matrix equals folding into it.
             stats.traffic += pair_traffic(pair_producer, pair_owner,
                                           self.tuple_bytes, self.num_shards)
-        return table.combine(keys, values)
+        return changed

@@ -1,6 +1,8 @@
 """SociaLite front-end: the paper's Datalog programs, executed for real.
 
-The rules below are the ones printed in the paper:
+The rules below are the ones printed in the paper; each runner parses
+its rule from this notation and evaluates it over the graph's own CSR
+(:meth:`TupleTable.of_graph`):
 
 * PageRank (Section 3.1, distributed version)::
 
@@ -43,7 +45,8 @@ from ...kernels.segments import distinct, pair_traffic
 from ..results import AlgorithmResult
 from ..rounds import Engine, cf_runner, check_params
 from .engine import EvalStats, SocialiteEngine
-from .rules import Assign, Atom, Head, Rule, Var
+from .parser import parse_rule
+from .rules import Rule
 from .table import AggregateTable, TupleTable
 
 
@@ -87,9 +90,22 @@ def _charge(cluster: Cluster, profile: FrameworkProfile, stats: EvalStats,
                           overhead_s=profile.superstep_overhead_s)
 
 
-def _allocate_tables(cluster: Cluster, engine: SocialiteEngine) -> None:
+def _database(graph: CSRGraph, cluster: Cluster, edge: str, *tables,
+              weights=()) -> SocialiteEngine:
+    """The cell's engine: ``graph`` as the tail-nested table ``edge``
+    (``weights`` its third column, if given) plus ``tables``, allocated
+    on ``cluster``.
+    """
+    engine = SocialiteEngine(cluster.num_nodes,
+                             vertex_universe=graph.num_vertices,
+                             tracer=cluster.tracer)
+    engine.add(TupleTable.of_graph(edge, graph, *weights,
+                                   num_shards=cluster.num_nodes))
+    for table in tables:
+        engine.add(table)
     total = sum(table.nbytes() for table in engine.tables.values())
     cluster.allocate_all("tables", 1.5 * total / cluster.num_nodes)
+    return engine
 
 
 def _semi_naive(cluster: Cluster, profile: FrameworkProfile,
@@ -119,35 +135,21 @@ def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
     check_params(iterations=iterations, damping=damping)
     profile = _profile(optimized, profile_override)
     n = graph.num_vertices
-    engine = SocialiteEngine(cluster.num_nodes, vertex_universe=n,
-                             tracer=cluster.tracer)
-
-    out_degrees = graph.out_degrees().astype(np.float64)
-    engine.add(TupleTable("outedge", [graph.sources(), graph.targets],
-                          cluster.num_nodes, key_universe=n,
-                          tail_nested=True))
     outdeg = AggregateTable("outdeg", n, "sum", cluster.num_nodes)
-    outdeg.combine(np.arange(n), out_degrees)
-    engine.add(outdeg)
+    outdeg.combine(np.arange(n), graph.out_degrees().astype(np.float64))
     rank = AggregateTable("rank", n, "sum", cluster.num_nodes)
     rank.combine(np.arange(n), np.ones(n))
-    engine.add(rank)
     rank_next = AggregateTable("rank_next", n, "sum", cluster.num_nodes)
-    engine.add(rank_next)
-    _allocate_tables(cluster, engine)
+    engine = _database(graph, cluster, "outedge", outdeg, rank, rank_next)
 
-    s, v0, d, v, node_var = Var("s"), Var("v0"), Var("d"), Var("v"), Var("n")
-    main_rule = Rule(
-        head=Head("rank_next", node_var, v, agg="sum"),
-        body=[Atom("rank", s, v0), Atom("outedge", s, node_var),
-              Atom("outdeg", s, d)],
-        assigns=[Assign("v", lambda v0_, d_: (1.0 - damping) * v0_
-                        / np.maximum(d_, 1.0), ("v0", "d"))],
-    )
-    const_rule = Rule(
-        head=Head("rank_next", node_var, float(damping), agg="sum"),
-        body=[Atom("outdeg", node_var, Var("_d"))],
-    )
+    # RANK_NEXT double-buffers the paper's RANK[n](t+1, ...). A joined s
+    # has out-edges, so d >= 1.
+    constants = {"r": float(damping)}
+    main_rule = parse_rule("RANK_NEXT[n]($SUM(v)) :- RANK[s](v0), "
+                           "OUTEDGE[s](n), OUTDEG[s](d), v = (1-r)*v0/d.",
+                           constants)
+    const_rule = parse_rule("RANK_NEXT[n]($SUM(r)) :- OUTDEG[n](d).",
+                            constants)
 
     for iteration in range(iterations):
         with cluster.trace_span("iteration", index=iteration):
@@ -174,30 +176,17 @@ def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0,
     """The recursive BFS rule, evaluated semi-naively to fixpoint."""
     check_params(graph.num_vertices, source=source)
     profile = _profile(optimized)
-    n = graph.num_vertices
-    engine = SocialiteEngine(cluster.num_nodes, vertex_universe=n,
-                             tracer=cluster.tracer)
-    engine.add(TupleTable("edge", [graph.sources(), graph.targets],
-                          cluster.num_nodes, key_universe=n,
-                          tail_nested=True))
-    bfs_table = AggregateTable("bfs", n, "min", cluster.num_nodes)
-    engine.add(bfs_table)
-    _allocate_tables(cluster, engine)
-
-    s, t, d0 = Var("s"), Var("t"), Var("d0")
-    rule = Rule(
-        head=Head("bfs", t, Var("d"), agg="min"),
-        body=[Atom("bfs", s, d0), Atom("edge", s, t)],
-        assigns=[Assign("d", lambda d0_: d0_ + 1.0, ("d0",))],
-    )
-
+    bfs_table = AggregateTable("bfs", graph.num_vertices, "min",
+                               cluster.num_nodes)
+    engine = _database(graph, cluster, "edge", bfs_table)
+    rule = parse_rule("BFS(t, $MIN(d)) :- BFS(s, d0), EDGE(s, t), "
+                      "d = d0 + 1.")
     changed = bfs_table.combine(np.array([source]), np.array([0.0]))
     rounds = _semi_naive(cluster, profile, engine, rule, changed)
 
     from ...algorithms.bfs import UNREACHED
     distances = np.where(bfs_table.present,
                          bfs_table.values, UNREACHED).astype(np.int64)
-    distances = np.where(distances == UNREACHED, UNREACHED, distances)
     return AlgorithmResult(
         algorithm="bfs", framework=profile.name,
         values=distances.astype(np.int32), iterations=rounds,
@@ -212,21 +201,10 @@ def triangle_count(graph: CSRGraph, cluster: Cluster,
     """The three-way join TRIANGLE(0, $INC(1)) :- EDGE, EDGE, EDGE."""
     profile = _profile(optimized)
     n = graph.num_vertices
-    engine = SocialiteEngine(cluster.num_nodes, vertex_universe=n,
-                             tracer=cluster.tracer)
-    engine.add(TupleTable("edge", [graph.sources(), graph.targets],
-                          cluster.num_nodes, key_universe=n,
-                          tail_nested=True))
     triangle = AggregateTable("triangle", 1, "count", cluster.num_nodes)
-    engine.add(triangle)
-    _allocate_tables(cluster, engine)
-
-    x, y, z = Var("x"), Var("y"), Var("z")
-    rule = Rule(
-        head=Head("triangle", 0, None, agg="count"),
-        body=[Atom("edge", x, y), Atom("edge", y, z), Atom("edge", x, z)],
-    )
-    stats = engine.evaluate(rule)
+    engine = _database(graph, cluster, "edge", triangle)
+    stats = engine.evaluate(parse_rule(
+        "TRIANGLE(0, $INC(1)) :- EDGE(x, y), EDGE(y, z), EDGE(x, z)."))
 
     # Distributed join shipping, which the local evaluator cannot see.
     # EDGE is sharded by its first column, so the (x, y) bindings and the
@@ -364,21 +342,9 @@ def wcc(graph: CSRGraph, cluster: Cluster,
     """
     profile = _profile(optimized)
     n = graph.num_vertices
-    engine = SocialiteEngine(cluster.num_nodes, vertex_universe=n,
-                             tracer=cluster.tracer)
-    engine.add(TupleTable("edge", [graph.sources(), graph.targets],
-                          cluster.num_nodes, key_universe=n,
-                          tail_nested=True))
     comp = AggregateTable("comp", n, "min", cluster.num_nodes)
-    engine.add(comp)
-    _allocate_tables(cluster, engine)
-
-    s, t, c0 = Var("s"), Var("t"), Var("c0")
-    rule = Rule(
-        head=Head("comp", t, c0, agg="min"),
-        body=[Atom("comp", s, c0), Atom("edge", s, t)],
-    )
-
+    engine = _database(graph, cluster, "edge", comp)
+    rule = parse_rule("COMP(t, $MIN(c)) :- COMP(s, c), EDGE(s, t).")
     changed = comp.combine(np.arange(n), np.arange(n, dtype=np.float64))
     rounds = _semi_naive(cluster, profile, engine, rule, changed)
 
@@ -402,23 +368,12 @@ def sssp(graph: CSRGraph, cluster: Cluster, source: int = 0,
 
     check_params(graph.num_vertices, source=source)
     profile = _profile(optimized)
-    n = graph.num_vertices
-    engine = SocialiteEngine(cluster.num_nodes, vertex_universe=n,
-                             tracer=cluster.tracer)
-    engine.add(TupleTable(
-        "edge", [graph.sources(), graph.targets, edge_weights_for(graph)],
-        cluster.num_nodes, key_universe=n, tail_nested=True))
-    dist = AggregateTable("dist", n, "min", cluster.num_nodes)
-    engine.add(dist)
-    _allocate_tables(cluster, engine)
-
-    s, t, d0, w = Var("s"), Var("t"), Var("d0"), Var("w")
-    rule = Rule(
-        head=Head("dist", t, Var("d"), agg="min"),
-        body=[Atom("dist", s, d0), Atom("edge", s, t, w)],
-        assigns=[Assign("d", lambda d0_, w_: d0_ + w_, ("d0", "w"))],
-    )
-
+    dist = AggregateTable("dist", graph.num_vertices, "min",
+                          cluster.num_nodes)
+    engine = _database(graph, cluster, "edge", dist,
+                       weights=(edge_weights_for(graph),))
+    rule = parse_rule("DIST(t, $MIN(d)) :- DIST(s, d0), EDGE(s, t, w), "
+                      "d = d0 + w.")
     changed = dist.combine(np.array([source]), np.array([0.0]))
     rounds = _semi_naive(cluster, profile, engine, rule, changed)
 

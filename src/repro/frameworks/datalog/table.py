@@ -9,20 +9,38 @@ table kinds cover the paper's programs:
 * :class:`TupleTable` — a plain bag of rows (EDGE, OUTEDGE, INEDGE).
   Declared "tail-nested" tables are stored CSR-style: grouped and
   indexed by the first column, "effectively implementing a CSR format"
-  (Section 3.1).
+  (Section 3.1). A table over a graph (:meth:`TupleTable.of_graph`)
+  *is* that CSR: its index is the graph's ``offsets`` and its columns
+  the graph's own per-edge arrays, so nothing is sorted or copied.
 * :class:`AggregateTable` — a keyed table whose value column carries a
   lattice aggregation (``$SUM``, ``$MIN``, ``$INC``), e.g. ``RANK`` or
   ``BFS``. Stored densely over the key universe.
+
+A key outside its table's universe is a :class:`~repro.errors.
+KeyRangeError`, never a wrapped-around index.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...errors import ReproError
+from ...errors import KeyRangeError, ReproError
 from ...graph import partition_vertices_1d
 from ...graph.csr import edge_slots
-from ...kernels.segments import distinct
+from ...kernels.segments import distinct, stable_order
+
+
+def _check_keys(keys: np.ndarray, universe: int, table: str) -> None:
+    """Refuse keys outside ``[0, universe)`` with one reduction.
+
+    Viewed as ``uint64`` a negative id is huge, so one ``max`` finds
+    both ends of the range.
+    """
+    if keys.size and int(keys.astype(np.int64, copy=False)
+                         .view(np.uint64).max()) >= universe:
+        bad = keys[(keys < 0) | (keys >= universe)][0]
+        raise KeyRangeError(f"table {table}: key {int(bad)} outside "
+                            f"[0, {universe})")
 
 
 class TupleTable:
@@ -43,27 +61,40 @@ class TupleTable:
             key_universe = int(self.columns[0].max()) + 1 if length else 1
         self.key_universe = key_universe
         self.partition = partition_vertices_1d(key_universe, num_shards)
+        #: Rows ascend by ``(col 0, col 1)``: a CSR graph's order.
+        self.pairs_ascending = False
         self._index = None
         if tail_nested:
-            self._build_index()
+            keys = self.columns[0]
+            _check_keys(keys, key_universe, name)
+            order = stable_order(keys, key_universe)
+            self.columns = [col[order] for col in self.columns]
+            self._index = np.zeros(key_universe + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.columns[0], minlength=key_universe),
+                      out=self._index[1:])
 
-    def _build_index(self):
-        order = np.argsort(self.columns[0], kind="stable")
-        self.columns = [col[order] for col in self.columns]
-        counts = np.bincount(self.columns[0], minlength=self.key_universe)
-        self._index = np.zeros(self.key_universe + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._index[1:])
+    @classmethod
+    def of_graph(cls, name: str, graph, *extra_columns,
+                 num_shards: int = 1) -> "TupleTable":
+        """``graph`` as a tail-nested table: the graph is the table.
+
+        Columns are the graph's per-edge sources and targets (plus any
+        ``extra_columns`` aligned with them); the index is
+        ``graph.offsets``. No sort, copy or count is made.
+        """
+        table = cls(name, [graph.sources(), graph.targets, *extra_columns],
+                    num_shards, key_universe=graph.num_vertices)
+        table.tail_nested = table.pairs_ascending = True
+        table._index = graph.offsets
+        return table
 
     @property
     def arity(self) -> int:
         return len(self.columns)
 
-    def shard_of_rows(self) -> np.ndarray:
-        """Owning shard of every row (by the first column)."""
-        return self.partition.owner_of_many(self.columns[0])
-
     def rows_per_shard(self) -> np.ndarray:
-        return np.bincount(self.shard_of_rows(),
+        """Rows owned by each shard (a row by its first column)."""
+        return np.bincount(self.partition.owner_of_many(self.columns[0]),
                            minlength=self.partition.num_parts)
 
     def lookup(self, keys: np.ndarray):
@@ -93,9 +124,9 @@ class AggregateTable:
         self.agg = agg
         self.key_universe = int(key_universe)
         self.partition = partition_vertices_1d(self.key_universe, num_shards)
-        identity = np.inf if agg == "min" else 0.0
-        self.values = np.full(self.key_universe, identity)
-        self.present = np.zeros(self.key_universe, dtype=bool)
+        self.values = np.empty(self.key_universe)
+        self.present = np.empty(self.key_universe, dtype=bool)
+        self.reset()
 
     def combine(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Fold (key, value) pairs in; returns the keys whose value changed.
@@ -109,16 +140,17 @@ class AggregateTable:
             raise ReproError("keys and values must align")
         if keys.size == 0:
             return keys
-        before = self.values[keys]
+        _check_keys(keys, self.key_universe, self.name)
+        touched = distinct(keys, self.key_universe)
+        before = self.values[touched]
         if self.agg == "sum":
             np.add.at(self.values, keys, values)
         elif self.agg == "count":
             np.add.at(self.values, keys, 1.0)
         else:
             np.minimum.at(self.values, keys, values)
-        self.present[keys] = True
-        changed_mask = self.values[keys] != before
-        return distinct(keys[changed_mask], self.key_universe)
+        self.present[touched] = True
+        return touched[self.values[touched] != before]
 
     def reset(self) -> None:
         identity = np.inf if self.agg == "min" else 0.0

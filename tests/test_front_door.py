@@ -254,6 +254,7 @@ class TestFailureTaxonomy:
         "NodeFailure": ("failed", 5, "node failure"),
         "PerfRegression": (None, 7, "error"),
         "ConvergenceError": ("failed", 1, "diverged"),
+        "KeyRangeError": ("failed", 1, "key out of range"),
     }
     #: The four `run` hands back as a status instead of raising.
     RESULTS = {"CapacityError", "ExpressibilityError", "DeadlineExceeded",

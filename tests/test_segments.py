@@ -457,9 +457,6 @@ HOT_PATH = ("kernels", "frameworks/rounds.py", "frameworks/vertex/engine.py",
 ALLOWED_SORTS = {
     # The primitives themselves: the sort side of the size switch.
     "kernels/segments.py": None,
-    # A tail-nested table is sorted once, when the cell builds it.
-    "frameworks/datalog/table.py":
-        'order = np.argsort(self.columns[0], kind="stable")',
 }
 SORT_CALL = re.compile(r"np\.lexsort|np\.unique\(|argsort\(")
 
