@@ -68,8 +68,8 @@ for _framework, _module in _MODULES.items():
             _RUNNERS[(_algorithm, "socialite-published")] = \
                 _socialite_published(_function)
 
-#: Parameters that engines, not round programs, declare: triangle
-#: counting's, the vertex family's CF message staggering, and SociaLite
+#: Parameters that engines, not round programs, declare: the vertex
+#: family's triangle-counting and CF superstep splitting, and SociaLite
 #: PageRank's roadmap profile.
 _ENGINE_PARAMS = {
     "pagerank": ("profile_override",),
@@ -94,12 +94,11 @@ PARAM_TYPES = {
 def valid_params(algorithm: str) -> tuple:
     """Parameter names some registered runner of ``algorithm`` accepts.
 
-    The workload's declared parameters (its round program's ``PARAMS``,
-    or the engine-declared ones for triangle counting) plus the
-    per-framework knobs, sorted.
+    The workload's declared parameters (its round program's ``PARAMS``
+    and what its engines declare) plus the per-framework knobs, sorted.
     """
-    declared = PROGRAMS[algorithm].PARAMS if algorithm in PROGRAMS else ()
-    return tuple(sorted({*declared, *_ENGINE_PARAMS.get(algorithm, ()),
+    return tuple(sorted({*PROGRAMS[algorithm].PARAMS,
+                         *_ENGINE_PARAMS.get(algorithm, ()),
                          *_FRAMEWORK_PARAMS}))
 
 

@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...algorithms.triangles import require_oriented
 from ...cluster import Cluster, ComputeWork
 from ...errors import ExpressibilityError
 from ...frameworks.base import SOCIALITE, SOCIALITE_PUBLISHED, FrameworkProfile
 from ...graph import CSRGraph, RatingsMatrix, partition_vertices_1d
-from ...kernels.segments import distinct, pair_traffic
+from ...kernels.segments import distinct, list_traffic, pair_traffic
 from ..results import AlgorithmResult
 from ..rounds import Engine, cf_runner, check_params
 from .engine import EvalStats, SocialiteEngine
@@ -199,8 +200,8 @@ def bfs(graph: CSRGraph, cluster: Cluster, source: int = 0,
 def triangle_count(graph: CSRGraph, cluster: Cluster,
                    optimized: bool = True) -> AlgorithmResult:
     """The three-way join TRIANGLE(0, $INC(1)) :- EDGE, EDGE, EDGE."""
+    require_oriented(graph)
     profile = _profile(optimized)
-    n = graph.num_vertices
     triangle = AggregateTable("triangle", 1, "count", cluster.num_nodes)
     engine = _database(graph, cluster, "edge", triangle)
     stats = engine.evaluate(parse_rule(
@@ -215,24 +216,12 @@ def triangle_count(graph: CSRGraph, cluster: Cluster,
     # Java-serialized tuples (the profile's byte overhead applies in
     # ``_charge``), and it is what makes SociaLite's triangle counting
     # network-bound (Table 7) while staying best-in-class (Section 5.3).
-    src = graph.sources()
-    dst = graph.targets
+    # Both terms are whole numbers of bytes (16-byte head tuples, 8-byte
+    # ids), so their float64 sums are exact in any order.
     shard = engine.shard_partition
-    src_shard = shard.owner_of_many(src)
-    dst_shard = shard.owner_of_many(dst)
-    out_degrees = graph.out_degrees().astype(np.float64)
-    cross = src_shard != dst_shard
-    if cross.any():
-        pair_keys = dst[cross] * np.int64(cluster.num_nodes) + src_shard[cross]
-        unique_pairs = distinct(pair_keys, n * cluster.num_nodes)
-        needed_vertex = unique_pairs // cluster.num_nodes
-        requester = (unique_pairs % cluster.num_nodes).astype(np.int64)
-        list_owner = shard.owner_of_many(needed_vertex)
-        # Both terms are whole numbers of bytes (16-byte head tuples,
-        # 8-byte ids), so their float64 sums are exact in any order.
-        stats.traffic += pair_traffic(list_owner, requester,
-                                      8.0 * out_degrees[needed_vertex],
-                                      cluster.num_nodes)
+    stats.traffic += list_traffic(
+        graph.targets, shard.owner_of_many(graph.sources()),
+        shard.owner_of_many, 8.0 * graph.out_degrees(), cluster.num_nodes)
 
     # Each length-2-path binding is materialized as a fresh tuple before
     # the semi-join (allocation + copy + later scan): ~40 bytes of

@@ -17,13 +17,11 @@ as a product on the 2-D process grid (:class:`MatrixEngine`, one
 * Collaborative filtering — a gradient-descent iteration as "K
   matrix-vector multiplications where K is the size of the hidden
   dimension", because "CombBLAS does not allow matrices with dimension
-  < number of processors" (Section 3.2) — the expressibility penalty.
-
-Written out by hand, because it is not a round program:
-
-* Triangle counting — ``nnz(A .* A^2)``: the full ``A @ A`` product is
-  materialized first, which both inflates flops and runs out of memory
-  on large inputs (Sections 5.2, 5.3, 6.2).
+  < number of processors" (Section 3.2) — the expressibility penalty;
+* Triangle counting — ``nnz(A .* A^2)``, counted from CombBLAS's own
+  SUMMA blocks: the full ``A @ A`` product is materialized first, which
+  both inflates flops and runs out of memory on large inputs (Sections
+  5.2, 5.3, 6.2).
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import numpy as np
 from ...cluster import Cluster, ComputeWork
 from ...graph import CSRGraph, bipartite_graph
 from ..base import COMBBLAS
-from ..results import AlgorithmResult
 from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, cf_runner, run_program
 from .spmat import DistSpMat, ProcessGrid
 
@@ -187,9 +184,9 @@ class MatrixEngine(Engine):
         return {"grid": self.dist.grid.grid, "peeled_edges": self._multiplies}
 
 
-def _runner(algorithm: str):
+def _runner(algorithm: str, engine_type=MatrixEngine):
     def run(graph, cluster, **params):
-        return run_program(algorithm, "combblas", MatrixEngine, graph,
+        return run_program(algorithm, "combblas", engine_type, graph,
                            cluster, params)
     run.params = PROGRAMS[algorithm].PARAMS
     return run
@@ -240,50 +237,62 @@ class MatrixCFEngine(Engine):
 collaborative_filtering = cf_runner("combblas", MatrixCFEngine, method="gd")
 
 
-def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
+class MatrixTCEngine(Engine):
     """``nnz-weighted (A .* A^2)`` with the full product materialized.
 
-    Raises :class:`~repro.errors.CapacityError` when the A^2 blocks do
-    not fit — the paper's Twitter failure (Section 5.3).
+    The program's count is this engine's own SUMMA product and mask, not
+    the fused kernel. Raises :class:`~repro.errors.CapacityError` when
+    the A^2 blocks do not fit — the paper's Twitter failure (§5.3).
     """
-    dist, nnz_per_node = _build(graph, cluster)
 
-    with cluster.trace_span("spgemm") as spgemm_span:
-        product, flops, traffic = dist.spgemm_aa()
-        spgemm_span.set(flops=flops, product_nnz=int(product.nnz))
+    def __init__(self, program, graph, cluster):
+        super().__init__(program, graph, cluster)
+        self.dist, self._nnz_per_node = _build(graph, cluster)
+        program.count = self.count
+
+    def iteration_span(self, index: int):
+        self._span = self.cluster.trace_span("spgemm")
+        return self._span
+
+    def count(self, graph) -> tuple:
+        product, self._flops, self._traffic = self.dist.spgemm_aa()
+        self._product_nnz = int(product.nnz)
+        self._span.set(flops=self._flops, product_nnz=self._product_nnz)
         # The product must live in memory before the elementwise mask;
         # its nonzeros distribute like the blocks do (roughly evenly).
-        product_per_node = 16.0 * product.nnz / cluster.num_nodes
-        cluster.allocate_all("a-squared", product_per_node)
+        self._product_per_node = 16.0 * product.nnz / self.cluster.num_nodes
+        self.cluster.allocate_all("a-squared", self._product_per_node)
+        total, self._mult_flops = self.dist.ewise_mult_sum(product)
+        return int(total), None
 
-        count, mult_flops = dist.ewise_mult_sum(product)
+    def sweep(self) -> None:
         # SpGEMM pays for far more than the multiplies: heap/hash
         # accumulator maintenance per multiply (irregular, ~log d deep),
         # expanded-triple materialization that is re-merged once per
         # SUMMA stage, and the full A^2 written out and re-read for the
         # mask — work the fused native intersection never does (Section
         # 6.2's "inter-operation optimization" roadmap item).
-        multiplies = flops / 2.0
-        stages = dist.grid.grid
+        cluster = self.cluster
+        multiplies = self._flops / 2.0
+        stages = self.dist.grid.grid
         spa_random_bytes = 32.0 * multiplies / cluster.num_nodes
         expand_stream_bytes = (16.0 * min(stages, 8) * multiplies
                                / cluster.num_nodes)
-        product_stream_bytes = 4.0 * product_per_node
-        works = _works(cluster, nnz_per_node,
-                       100.0 * multiplies + mult_flops, traffic)
+        product_stream_bytes = 4.0 * self._product_per_node
+        works = _works(cluster, self._nnz_per_node,
+                       100.0 * multiplies + self._mult_flops, self._traffic)
         for work in works:
             work.random_bytes += spa_random_bytes
             work.streamed_bytes += product_stream_bytes + expand_stream_bytes
             work.prefetch = False   # pointer-chasing accumulators do not
-        cluster.superstep(works, traffic,
+        cluster.superstep(works, self._traffic,
                           overlap=_PROFILE.overlaps_communication,
                           layer=_PROFILE.comm_layer,
                           overhead_s=_PROFILE.superstep_overhead_s)
-        cluster.mark_iteration()
 
-    return AlgorithmResult(
-        algorithm="triangle_counting", framework="combblas",
-        values=int(count), iterations=1, metrics=cluster.metrics(),
-        extras={"a_squared_nnz": int(product.nnz),
-                "spgemm_flops": flops},
-    )
+    def diagnostics(self) -> dict:
+        return {"a_squared_nnz": self._product_nnz,
+                "spgemm_flops": self._flops}
+
+
+triangle_count = _runner("triangle_counting", MatrixTCEngine)

@@ -12,9 +12,9 @@ from .compression import (
 )
 from .engine import RUNNERS as _RUNNERS
 from .options import FIGURE7_LADDER, NativeOptions
-from .triangle import triangle_count
 
-# native.pagerank(graph, cluster, options=...) etc.: the round programs.
+# native.pagerank(graph, cluster, options=...) etc.: the round programs,
+# triangle counting's under its own engine.
 globals().update(_RUNNERS)
 
 __all__ = [
@@ -29,5 +29,4 @@ __all__ = [
     "encode_id_set",
     "encoded_size",
     "iterations_to_rmse",
-    "triangle_count",
 ]

@@ -1,13 +1,13 @@
-"""Round programs: the seven iterative workloads, each defined once.
+"""Round programs: the eight workloads, each defined once.
 
 The paper runs the *same* algorithm on every framework; what differs is
 partitioning, message routing and runtime overhead. This module is the
 "same algorithm" half. Each of pagerank, bfs, wcc, sssp, k_core,
-label_propagation and collaborative_filtering is one class holding the
-workload's state machine:
+label_propagation, triangle_counting and collaborative_filtering is one
+class holding the workload's state machine:
 
-* construction validates the parameters (:func:`check_params`), binds
-  the workload's kernel — the only kernel lookup outside
+* construction validates the parameters (:func:`check_params`) or the
+  input, binds the workload's kernel — the only kernel lookup outside
   :mod:`repro.kernels` — and builds the initial state;
 * ``round`` applies one ``Kernel.step`` (a CF iteration: one per SGD
   block) and reports what changed plus the step's analytic
@@ -16,28 +16,32 @@ workload's state machine:
 
 Two loops drive them. :func:`run_frontier` (bfs, wcc, sssp and k_core's
 cascade waves) repeats rounds over the active set until it is empty;
-:func:`run_dense` (pagerank, label_propagation, and collaborative
-filtering's factorization iterations) sweeps every vertex a fixed number
-of times. Neither loop knows a framework: an
+:func:`run_dense` (pagerank, label_propagation, triangle counting's one
+round and CF's factorization iterations) sweeps every vertex a fixed
+number of times. Neither loop knows a framework: an
 :class:`Engine` — one subclass per engine family (native, vertex, task,
 matrix) — owns allocation, partition/owner routing, the spans around a
 round, and turning each round's counts into ``ComputeWork`` and traffic
-from its per-algorithm row of cost constants (CF, whose data is a
-ratings matrix, has a small engine per family instead, and
-:func:`cf_runner` builds its entry points). :func:`run_program` ties a
-program, an engine and a cluster into an :class:`AlgorithmResult`.
+from its per-algorithm row of cost constants (triangle counting and CF
+have a small engine per family instead, and :func:`cf_runner` builds
+CF's entry points). :func:`run_program` ties a program, an engine and a
+cluster into an :class:`AlgorithmResult`.
 """
 
 from __future__ import annotations
 
 import contextlib
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..algorithms.bfs import UNREACHED
 from ..algorithms.labelprop import initial_labels
+from ..algorithms.triangles import require_oriented
 from ..errors import SpecError
+from ..graph.csr import derived
 from ..kernels import registry as kernel_registry
+from ..kernels.backend import active_backend
 from ..kernels.segments import distinct, stable_order
 from .base import cf_density_correction
 from .results import AlgorithmResult
@@ -313,6 +317,46 @@ class LabelPropagation:
                                             self.values.size).size)}
 
 
+def masked_triangles(graph) -> tuple:
+    """``(count, overlap nnz)`` of the fused masked SpGEMM, derived once
+    per graph and backend; the memo holds the two integers, no array."""
+    def count():
+        (total, overlap), _ = _kernel("triangle_counting", "masked-spgemm",
+                                      graph).step()
+        return SimpleNamespace(count=int(total), overlap_nnz=int(overlap.nnz))
+    facts = derived(graph, ("triangles", active_backend()), count)
+    return facts.count, facts.overlap_nnz
+
+
+class TriangleCounting:
+    """Equation 3 as one masked SpGEMM over the oriented CSR (GraphMat).
+
+    One round of :func:`masked_triangles`. An engine whose own product
+    is the count — CombBLAS's SUMMA, which cannot fuse the mask and
+    materializes A² first (Section 6.2) — points ``count`` at it
+    instead, so no cell counts twice. ``degrees`` (float64) size every
+    family's neighbour lists and probes.
+    """
+
+    algorithm = "triangle_counting"
+    shape = "dense"
+    PARAMS = ()
+    iterations = 1
+
+    def __init__(self, graph):
+        require_oriented(graph)
+        self.graph = graph
+        self.degrees = graph.out_degrees().astype(np.float64)
+        self.count = masked_triangles
+
+    def round(self) -> bool:
+        self.values, self.overlap_nnz = self.count(self.graph)
+        return True
+
+    def extras(self) -> dict:
+        return {}
+
+
 def _chunks(ids, universe: int, grid: int):
     """Which of ``grid`` equal ranges of ``[0, universe)`` each id is in."""
     return np.minimum(ids * grid // max(universe, 1), grid - 1)
@@ -396,11 +440,13 @@ class CollaborativeFiltering:
 
 PROGRAMS = {program.algorithm: program
             for program in (PageRank, BFS, WCC, SSSP, KCore,
-                            LabelPropagation, CollaborativeFiltering)}
-#: The programs over a graph, which every family runs under its one
-#: ``Engine``; a ratings matrix gets a small CF engine per family.
+                            LabelPropagation, TriangleCounting,
+                            CollaborativeFiltering)}
+#: The programs every family runs under its one ``Engine``; triangle
+#: counting and CF get a small engine per family.
 GRAPH_PROGRAMS = tuple(algorithm for algorithm in PROGRAMS
-                       if algorithm != CollaborativeFiltering.algorithm)
+                       if algorithm not in (TriangleCounting.algorithm,
+                                            CollaborativeFiltering.algorithm))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +460,7 @@ class Engine:
     ``cost`` is the family's row of constants for ``program.algorithm``;
     every row carries ``extras`` — the ordered diagnostic keys this
     engine reports, drawn from the program's and the engine's own (a CF
-    engine has no row: it reports all of the program's, then its own).
+    or TC engine has no row: it reports all of the program's, then its own).
     Subclasses allocate in ``__init__`` and implement ``round`` (frontier
     programs: run the program's round over ``active``, charge one
     superstep, return the next active set) and/or ``sweep`` (dense

@@ -18,12 +18,9 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
-import numpy as np
-
 from ...cluster import Cluster, ComputeWork
 from ...errors import ExpressibilityError
-from ...graph import CSRGraph, RatingsMatrix
-from ...kernels import registry as kernel_registry
+from ...graph import RatingsMatrix
 from ..base import GALOIS
 from ..results import AlgorithmResult
 from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, cf_runner, run_program
@@ -158,10 +155,42 @@ class GaloisEngine(Engine):
         self._charge(float(self.graph.num_edges), self._vertices, 0.0)
 
 
-def _runner(algorithm: str):
+class GaloisTCEngine(Engine):
+    """Algorithm 4: sorted-merge set intersections, one task per vertex.
+
+    The sorted adjacency lists make each intersection linear in
+    ``deg(u) + deg(v)`` — more element reads than the native bit-vector
+    probes, which is where the paper's 2.5x gap comes from.
+    """
+
+    def __init__(self, program, graph, cluster):
+        super().__init__(program, graph, cluster)
+        cluster.allocate(0, "graph",
+                         8.0 * graph.num_edges + 8.0 * (graph.num_vertices + 1))
+        degrees = program.degrees
+        self._probes = float(degrees[graph.sources()].sum())
+        self.merge_reads = self._probes + float(degrees[graph.targets].sum())
+
+    def iteration_span(self, index: int):
+        return self.cluster.trace_span("sorted-merge-intersect",
+                                       merge_reads=self.merge_reads)
+
+    def sweep(self) -> None:
+        # Sorted-merge intersections: the second list's elements are
+        # pulled from cold lines with partial reuse, costlier than the
+        # native bit-vector probes (Table 5's 2.5x TC gap).
+        _step(self.cluster,
+              streamed=8.0 * self.merge_reads + 8.0 * self.graph.num_edges,
+              random=24.0 * self._probes, ops=4.0 * self.merge_reads)
+
+    def diagnostics(self) -> dict:
+        return {"merge_reads": self.merge_reads}
+
+
+def _runner(algorithm: str, engine_type=GaloisEngine):
     def run(graph, cluster, **params):
         _require_single_node(cluster)
-        return run_program(algorithm, "galois", GaloisEngine, graph, cluster,
+        return run_program(algorithm, "galois", engine_type, graph, cluster,
                            params)
     run.params = PROGRAMS[algorithm].PARAMS
     return run
@@ -170,44 +199,7 @@ def _runner(algorithm: str):
 # galois.pagerank(graph, cluster, ...) etc.: the round programs.
 globals().update({algorithm: _runner(algorithm)
                   for algorithm in GRAPH_PROGRAMS})
-
-
-def triangle_count(graph: CSRGraph, cluster: Cluster) -> AlgorithmResult:
-    """Algorithm 4: sorted-merge set intersections, one task per vertex.
-
-    The sorted adjacency lists make each intersection linear in
-    ``deg(u) + deg(v)`` — more element reads than the native bit-vector
-    probes, which is where the paper's 2.5x gap comes from.
-    """
-    _require_single_node(cluster)
-    cluster.allocate(0, "graph",
-                     8.0 * graph.num_edges + 8.0 * (graph.num_vertices + 1))
-
-    masked = kernel_registry.kernel("triangle_counting",
-                                    "masked-spgemm")().prepare(graph)
-    (count, _overlap), _ = masked.step()
-
-    degrees = graph.out_degrees().astype(np.float64)
-    probes = float(degrees[graph.sources()].sum())
-    merge_reads = probes + float(degrees[graph.targets].sum())
-    # Sorted-merge intersections: the second list's elements are pulled
-    # from cold lines with partial reuse, costlier than the native
-    # bit-vector probes (Table 5's 2.5x TC gap).
-    with cluster.trace_span("sorted-merge-intersect",
-                            merge_reads=merge_reads):
-        cluster.superstep(
-            _work(streamed=8.0 * merge_reads + 8.0 * graph.num_edges,
-                  random=24.0 * probes,
-                  ops=4.0 * merge_reads),
-            overhead_s=_PROFILE.superstep_overhead_s,
-        )
-        cluster.mark_iteration()
-
-    return AlgorithmResult(
-        algorithm="triangle_counting", framework="galois", values=count,
-        iterations=1, metrics=cluster.metrics(),
-        extras={"merge_reads": merge_reads},
-    )
+triangle_count = _runner("triangle_counting", GaloisTCEngine)
 
 
 class GaloisCFEngine(Engine):

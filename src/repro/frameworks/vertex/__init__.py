@@ -18,7 +18,6 @@ from .programs import (
     BFSVertexProgram,
     PageRankVertexProgram,
     VertexEngine,
-    triangle_vertex,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "giraph",
     "graphlab",
     "run_vertex_program",
-    "triangle_vertex",
 ]

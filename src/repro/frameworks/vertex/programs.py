@@ -11,10 +11,10 @@ Contains:
   vertex messages its out-neighbors through
   :class:`~repro.frameworks.vertex.engine.BSPEngine`, which routes,
   combines and charges under the framework's profile;
-* :class:`VertexCFEngine` — the same for collaborative filtering's
-  program: a gradient-descent iteration is two message phases over the
-  bipartite ratings graph;
-* the one-shot triangle-counting driver.
+* :class:`VertexTCEngine` / :class:`VertexCFEngine` — the same for
+  triangle counting's program (one neighbour-list exchange) and
+  collaborative filtering's (a gradient-descent iteration is two message
+  phases over the bipartite ratings graph).
 """
 
 from __future__ import annotations
@@ -24,11 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...algorithms.bfs import UNREACHED
-from ...cluster import Cluster
-from ...graph import CSRGraph, bipartite_graph
-from ...kernels import registry as kernel_registry
-from ..base import FrameworkProfile, runner_params
-from ..results import AlgorithmResult
+from ...graph import bipartite_graph
+from ..base import FrameworkProfile
 from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, cf_runner, run_program
 from .engine import BSPEngine, ExchangeStats, VertexProgram
 
@@ -168,10 +165,7 @@ class VertexEngine(Engine):
         return {"partition_mode": self.partition_mode}
 
 
-def triangle_vertex(graph: CSRGraph, cluster: Cluster,
-                    profile: FrameworkProfile, partition_mode: str = "1d",
-                    superstep_splits: int = 1,
-                    use_cuckoo: bool = False) -> AlgorithmResult:
+class VertexTCEngine(Engine):
     """Triangle counting: every vertex ships its neighbor list.
 
     ``superstep_splits`` is Giraph's memory fix ("breaking up each
@@ -180,41 +174,43 @@ def triangle_vertex(graph: CSRGraph, cluster: Cluster,
     which costs a couple of extra ops per probe vs the native bit-vector
     but stays constant-time.
     """
-    engine = BSPEngine(graph, cluster, profile, partition_mode)
-    engine.allocate_graph(8.0)
 
-    degrees = graph.out_degrees()
-    senders = np.nonzero(degrees > 0)[0].astype(np.int64)
-    stats = engine.edge_messages(senders, 8.0 * degrees[senders],
-                                 serialization_factor=1.0)
+    def __init__(self, program, graph, cluster, profile: FrameworkProfile,
+                 partition_mode: str, superstep_splits: int = 1,
+                 use_cuckoo: bool = False):
+        super().__init__(program, graph, cluster)
+        self.bsp = BSPEngine(graph, cluster, profile, partition_mode)
+        self.bsp.allocate_graph(8.0)
+        self.superstep_splits = superstep_splits
+        self._ops_per_edge = 10.0 if use_cuckoo else 14.0
+        degrees = program.degrees
+        self._senders = np.flatnonzero(degrees > 0)
+        self._stats = self.bsp.edge_messages(
+            self._senders, 8.0 * degrees[self._senders],
+            serialization_factor=1.0)
+        # Probe work: each received list N(u) is checked against N(v) on
+        # the edge target's owner.
+        self._probe_edges = np.bincount(
+            self.bsp.vertex_owner[graph.targets],
+            weights=degrees[graph.sources()], minlength=cluster.num_nodes)
 
-    masked = kernel_registry.kernel("triangle_counting",
-                                    "masked-spgemm")().prepare(graph)
-    (count, _overlap), _ = masked.step()
+    def iteration_span(self, index: int):
+        return self.cluster.trace_span(
+            "neighborhood-exchange", payload_bytes=self._stats.payload_bytes)
 
-    # Probe work: each received list N(u) is checked against N(v) on the
-    # edge target's owner. The membership structure for the vertex under
-    # test (cuckoo table / hash set) is small and cache-resident, so the
-    # probes stream through the received lists — pass a small gather
-    # granularity instead of the engine's cold-line default.
-    dst_owner = engine.vertex_owner[graph.targets]
-    probe_edges = np.bincount(dst_owner, weights=degrees[graph.sources()],
-                              minlength=cluster.num_nodes)
-    ops_per_edge = 10.0 if use_cuckoo else 14.0
+    def sweep(self) -> None:
+        # The membership structure for the vertex under test (cuckoo
+        # table / hash set) is small and cache-resident, so the probes
+        # stream through the received lists — a small gather granularity
+        # instead of the engine's cold-line default.
+        self.bsp.superstep(self._senders, self._probe_edges, self._stats, 8.0,
+                           splits=self.superstep_splits,
+                           ops_per_edge=self._ops_per_edge,
+                           gather_bytes_override=24.0)
 
-    with cluster.trace_span("neighborhood-exchange",
-                            payload_bytes=stats.payload_bytes):
-        engine.superstep(senders, probe_edges, stats, 8.0,
-                         splits=superstep_splits, ops_per_edge=ops_per_edge,
-                         gather_bytes_override=24.0)
-        cluster.mark_iteration()
-
-    return AlgorithmResult(
-        algorithm="triangle_counting", framework=profile.name, values=count,
-        iterations=1, metrics=cluster.metrics(),
-        extras={"superstep_splits": superstep_splits,
-                "message_payload_bytes": stats.payload_bytes},
-    )
+    def diagnostics(self) -> dict:
+        return {"superstep_splits": self.superstep_splits,
+                "message_payload_bytes": self._stats.payload_bytes}
 
 
 class VertexCFEngine(Engine):
@@ -289,11 +285,11 @@ def frontend(profile: FrameworkProfile, partition_mode: str,
 
     Every round program of :data:`~repro.frameworks.rounds.PROGRAMS`
     under :class:`VertexEngine` (collaborative filtering, as gradient
-    descent, under :class:`VertexCFEngine`), plus ``triangle_count``.
-    The two dicts are the framework's default arguments to
-    :func:`triangle_vertex` / :class:`VertexCFEngine` (superstep
-    splitting, combiners, the cuckoo structure); callers may still
-    override them per call. Front-end modules publish the result as
+    descent, under :class:`VertexCFEngine`), plus ``triangle_count``
+    under :class:`VertexTCEngine`. The two dicts are the framework's
+    default arguments to :class:`VertexTCEngine` / :class:`VertexCFEngine`
+    (superstep splitting, combiners, the cuckoo structure); callers may
+    still override them per call. Front-end modules publish the result as
     their module attributes (``giraph.pagerank(graph, cluster)``).
     """
     def rounds(algorithm):
@@ -305,11 +301,12 @@ def frontend(profile: FrameworkProfile, partition_mode: str,
         return run
 
     def triangle_count(graph, cluster, **params):
-        return triangle_vertex(graph, cluster, profile,
-                               partition_mode=partition_mode,
-                               **{**(triangle_counting or {}), **params})
+        return run_program("triangle_counting", profile.name, VertexTCEngine,
+                           graph, cluster, {}, profile=profile,
+                           partition_mode=partition_mode,
+                           **{**(triangle_counting or {}), **params})
 
-    triangle_count.params = runner_params(triangle_vertex)
+    triangle_count.params = ("superstep_splits", "use_cuckoo")
     return {**{algorithm: rounds(algorithm) for algorithm in GRAPH_PROGRAMS},
             "triangle_count": triangle_count,
             "collaborative_filtering": cf_runner(

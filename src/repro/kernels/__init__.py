@@ -16,10 +16,10 @@ Engines resolve kernels through :mod:`repro.kernels.registry` by
 :mod:`repro.frameworks.base`.
 
 :mod:`repro.kernels.segments` holds what the superstep loops around the
-kernels share: ``distinct``, ``first_occurrence``, ``segment_mode`` and
-``pair_traffic`` over bounded integer ids. Dedups, sender-side combining
-and label modes go through those instead of a comparison sort of
-composite keys (a tier-1 test keeps it that way).
+kernels share: ``distinct``, ``first_occurrence``, ``segment_mode``,
+``pair_traffic`` and ``list_traffic`` over bounded integer ids. Dedups,
+sender-side combining and label modes go through those instead of a
+comparison sort of composite keys (a tier-1 test keeps it that way).
 """
 
 from . import registry

@@ -129,3 +129,20 @@ def pair_traffic(src_owner: np.ndarray, dst_owner: np.ndarray, weights,
                               src_owner.shape)
     return np.bincount(src_owner * nodes + dst_owner, weights=weights,
                        minlength=nodes * nodes).reshape(nodes, nodes)
+
+
+def list_traffic(vertices: np.ndarray, to_nodes: np.ndarray, owner_of,
+                 list_bytes: np.ndarray, nodes: int) -> np.ndarray:
+    """``(nodes, nodes)`` bytes of shipping neighbour lists on request.
+
+    Request ``i`` wants vertex ``vertices[i]``'s list on node
+    ``to_nodes[i]``; ``list_bytes[v]`` leaves ``owner_of(v)`` once per
+    distinct (vertex, node) pair, and a node never ships to itself —
+    triangle counting's neighbourhood exchange (native, SociaLite).
+    """
+    cross = owner_of(vertices) != to_nodes
+    pairs = distinct(vertices[cross] * np.int64(nodes) + to_nodes[cross],
+                     list_bytes.size * nodes)
+    sent = pairs // nodes
+    return pair_traffic(owner_of(sent), pairs % nodes, list_bytes[sent],
+                        nodes)

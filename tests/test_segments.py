@@ -196,6 +196,32 @@ def test_pair_traffic_is_add_at_bitwise(case):
         assert found.tobytes() == expected.tobytes()
 
 
+@given(st.integers(1, 5).flatmap(lambda nodes: st.tuples(
+    st.just(nodes), st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, nodes - 1), min_size=n, max_size=n),
+        st.lists(st.integers(0, 50), min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, n - 1),
+                           st.integers(0, nodes - 1)), max_size=40))))))
+@example((2, ([0, 1], [3, 0], [])))
+def test_list_traffic_is_the_native_shipping_bitwise(case):
+    """Triangle counting's list shipping, against the native code it
+    replaced: distinct cross-node (vertex, node) requests, one list each."""
+    nodes, (owner, sizes, requests) = case
+    owner = np.array(owner, dtype=np.int64)
+    list_bytes = 8.0 * np.array(sizes, dtype=np.float64)
+    vertices = np.array([r[0] for r in requests], dtype=np.int64)
+    to_nodes = np.array([r[1] for r in requests], dtype=np.int64)
+    expected = np.zeros((nodes, nodes))
+    cross = owner[vertices] != to_nodes
+    if cross.any():
+        pairs = np.unique(vertices[cross] * nodes + to_nodes[cross])
+        np.add.at(expected, (owner[pairs // nodes], pairs % nodes),
+                  list_bytes[pairs // nodes])
+    found = segments.list_traffic(vertices, to_nodes, owner.__getitem__,
+                                  list_bytes, nodes)
+    assert found.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Call sites whose body changed, against the body they had.
 # ---------------------------------------------------------------------------
