@@ -9,11 +9,14 @@ parent and on the change and compared:
     PYTHONPATH=src python scripts/strict_freeze.py record --out b.json
     PYTHONPATH=src python scripts/strict_freeze.py compare a.json b.json
 
-Each cell is frozen as its DNF status, or four sha256 digests: the
+Each cell is frozen as its DNF status, or five sha256 digests: the
 *unsorted* ``to_dict()`` JSON (so ``extras`` key order counts), the span
 list with attributes and simulated start/end times, the tracer's
-counters, and the raw answer bytes. ``compare`` prints each differing
-cell with the fields that differ and exits 1 if there are any.
+counters, the raw answer bytes, and the ``to_dict()`` JSON of the same
+cell run again untraced (a tracer charges every superstep as it comes;
+without one the cluster charges its step log in batches). ``compare``
+prints each differing cell with the fields that differ and exits 1 if
+there are any.
 """
 
 import argparse
@@ -71,16 +74,16 @@ def freeze(algorithm, framework, dataset, nodes, scale_factor,
     # CF's float accumulation order is backend-specific, as in
     # tests/test_golden_references.py.
     kernels = "vectorized" if algorithm == "collaborative_filtering" else None
+    spec = dict(algorithm=algorithm, framework=framework, dataset=dataset,
+                nodes=nodes, scale_factor=scale_factor,
+                enforce_memory=enforce_memory, kernels=kernels, params=params)
     try:
-        cell = run(ExperimentSpec(
-            algorithm=algorithm, framework=framework, dataset=dataset,
-            nodes=nodes, scale_factor=scale_factor,
-            enforce_memory=enforce_memory, kernels=kernels, params=params,
-        ), trace=Tracer())
+        cell = run(ExperimentSpec(**spec), trace=Tracer())
     except Exception as error:  # noqa: BLE001 - the refusal *is* the record
         return f"{type(error).__name__}: {error}"
     if not cell.ok:
         return f"{cell.status}: {cell.failure}"
+    untraced = run(ExperimentSpec(**spec))
     values = cell.result.values
     parts = values if isinstance(values, tuple) else (values,)
     return {
@@ -94,6 +97,7 @@ def freeze(algorithm, framework, dataset, nodes, scale_factor,
                           if name != "peak-rss"}),
         "values": _sha(b"".join(np.ascontiguousarray(part).tobytes()
                                 for part in parts)),
+        "untraced": _sha(untraced.to_dict()),
     }
 
 

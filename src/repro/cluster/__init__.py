@@ -14,8 +14,9 @@ from .network import (
     CommLayer,
     Fabric,
     TrafficReport,
+    node_volumes,
 )
-from .simulator import Cluster, StepReport
+from .simulator import Cluster
 from .timeline import (
     BottleneckReport,
     analyze,
@@ -48,7 +49,7 @@ __all__ = [
     "NodeSpec",
     "RunMetrics",
     "StepRecord",
-    "StepReport",
     "TrafficReport",
+    "node_volumes",
     "paper_cluster",
 ]

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import SimulationError
+import numpy as np
+
 from .hardware import NodeSpec
 
 #: Measured benefit of software prefetching on dependent random loads —
@@ -42,7 +43,13 @@ CACHE_LINE_BYTES = 64.0
 
 @dataclass
 class ComputeWork:
-    """Counted compute work of one node in one superstep."""
+    """Counted compute work of one superstep.
+
+    The three counters are per-node ``(P,)`` columns, or scalars every
+    node shares; the knobs are the framework profile's, one per step.
+    Scalar counters are checked here, columns when the cluster charges
+    them.
+    """
 
     streamed_bytes: float = 0.0
     random_bytes: float = 0.0
@@ -60,7 +67,8 @@ class ComputeWork:
     memory_parallelism: float = 1.0
 
     def __post_init__(self):
-        if min(self.streamed_bytes, self.random_bytes, self.ops) < 0:
+        counters = (self.streamed_bytes, self.random_bytes, self.ops)
+        if np.ndarray not in map(type, counters) and min(counters) < 0:
             raise ValueError("work counters must be non-negative")
 
     def scaled(self, factor: float) -> "ComputeWork":
@@ -75,18 +83,12 @@ class ComputeWork:
             memory_parallelism=self.memory_parallelism,
         )
 
-    def merged(self, other: "ComputeWork") -> "ComputeWork":
-        """Combine two pieces of work on the same node (same settings)."""
-        return ComputeWork(
-            streamed_bytes=self.streamed_bytes + other.streamed_bytes,
-            random_bytes=self.random_bytes + other.random_bytes,
-            ops=self.ops + other.ops,
-            cpu_efficiency=min(self.cpu_efficiency, other.cpu_efficiency),
-            cores_fraction=min(self.cores_fraction, other.cores_fraction),
-            prefetch=self.prefetch and other.prefetch,
-            memory_parallelism=min(self.memory_parallelism,
-                                   other.memory_parallelism),
-        )
+
+def negative(streamed, random, ops):
+    """Where ``min(streamed, random, ops) < 0``, elementwise, with
+    Python's ``min`` (a NaN in front wins, so it is not negative)."""
+    low = np.where(random < streamed, random, streamed)
+    return np.where(ops < low, ops, low) < 0
 
 
 @dataclass
@@ -95,39 +97,45 @@ class CostModel:
 
     node: NodeSpec = field(default_factory=NodeSpec)
 
-    def charge(self, work: ComputeWork, factor: float = 1.0) -> tuple:
-        """``work`` at ``factor`` times the data size, counted and costed.
-
-        Returns ``(streamed_bytes, random_bytes, ops, memory_s, cpu_s)``
-        — the counters ``work.scaled(factor)`` would carry and the two
-        times they cost — without building the copy; like the copy's
-        constructor it refuses a counter that was mutated negative.
-        """
-        streamed = work.streamed_bytes * factor
-        random = work.random_bytes * factor
-        ops = work.ops * factor
-        if min(streamed, random, ops) < 0:
-            raise SimulationError("work counters must be non-negative")
+    def rates(self, work: ComputeWork) -> tuple:
+        """``(stream_bw, random_bw, op_rate)`` one node gives ``work``'s
+        knobs: Python scalars, so ``memory_parallelism ** 0.7`` is one
+        libm ``pow`` per step, never a vector loop's."""
         scale = work.memory_parallelism ** 0.7
+        stream_bw = self.node.stream_bandwidth * scale
         random_bw = self.node.random_bandwidth * scale
         if work.prefetch:
-            random_bw = min(random_bw * PREFETCH_RANDOM_SPEEDUP,
-                            self.node.stream_bandwidth * scale)
-        memory_s = (streamed / (self.node.stream_bandwidth * scale)
-                    + random / random_bw)
-        cpu_s = 0.0 if ops == 0 else ops / self.node.compute_rate(
+            random_bw = min(random_bw * PREFETCH_RANDOM_SPEEDUP, stream_bw)
+        return stream_bw, random_bw, self.node.compute_rate(
             work.cpu_efficiency, work.cores_fraction)
-        return streamed, random, ops, memory_s, cpu_s
+
+    @staticmethod
+    def charge(streamed, random, ops, stream_bw, random_bw,
+               op_rate) -> tuple:
+        """``(memory_s, cpu_s)`` of paper-scale counters, elementwise.
+
+        The counters are scalars, ``(P,)`` columns or ``(S, P)`` step
+        rows; the rates (from :meth:`rates`) broadcast against them, as
+        scalars or ``(S, 1)`` columns. Zero ops cost exactly 0.
+        """
+        memory_s = streamed / stream_bw + random / random_bw
+        cpu_s = np.divide(ops, op_rate, out=np.zeros(np.shape(ops)),
+                          where=np.not_equal(ops, 0))
+        return memory_s, cpu_s
+
+    def _times(self, work: ComputeWork) -> tuple:
+        return self.charge(work.streamed_bytes, work.random_bytes, work.ops,
+                           *self.rates(work))
 
     def memory_time(self, work: ComputeWork) -> float:
-        return self.charge(work)[3]
+        return float(self._times(work)[0])
 
     def cpu_time(self, work: ComputeWork) -> float:
-        return self.charge(work)[4]
+        return float(self._times(work)[1])
 
     def compute_time(self, work: ComputeWork) -> float:
         """Max of memory and CPU time: cores overlap loads with ALU work."""
-        return max(self.charge(work)[3:])
+        return float(max(self._times(work)))
 
     def bound_by(self, work: ComputeWork) -> str:
         """Which resource limits this work ('memory' or 'cpu')."""

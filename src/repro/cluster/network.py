@@ -87,9 +87,19 @@ LAYERS = {layer.name: layer for layer in
           (MPI, TCP_SOCKETS, SINGLE_SOCKET, MULTI_SOCKET, NETTY_HADOOP)}
 
 
+def node_volumes(traffic: np.ndarray) -> np.ndarray:
+    """Bytes each node sends plus receives: ``traffic[i, :].sum() +
+    traffic[:, i].sum()`` for every ``i``. The transpose is copied so
+    both sums reduce along a contiguous axis: ``sum(0)`` adds row by
+    row, which rounds non-integer traffic differently from a per-node
+    slice."""
+    return traffic.sum(1) + np.ascontiguousarray(traffic.T).sum(1)
+
+
 @dataclass
 class TrafficReport:
-    """Network outcome of one superstep."""
+    """Network outcome of one superstep (or of a stack of them: every
+    field then gains a leading step axis)."""
 
     comm_times: np.ndarray          # seconds per node
     bytes_out: np.ndarray           # wire bytes sent per node
@@ -121,49 +131,63 @@ class Fabric:
                  disruption=None) -> TrafficReport:
         """One bulk exchange; ``disruption`` injects network faults.
 
-        A :class:`~repro.chaos.LinkDisruption` (chaos runs only) may
-        retransmit dropped/corrupted transfers (their wire bytes count
-        twice), stall senders for retry backoff, and congest the layer —
-        latency x factor, sustained bandwidth / factor — while a latency
-        spike is active.
+        ``traffic`` is one ``(P, P)`` matrix or a stack ``(S, P, P)`` of
+        supersteps' matrices, each reduced on its own exactly as alone.
+        A :class:`~repro.chaos.LinkDisruption` (chaos runs only, one
+        matrix) may retransmit dropped/corrupted transfers (their wire
+        bytes count twice), stall senders for retry backoff, and congest
+        the layer — latency x factor, sustained bandwidth / factor —
+        while a latency spike is active.
         """
         traffic = np.asarray(traffic, dtype=np.float64)
-        if traffic.shape != (self.num_nodes, self.num_nodes):
+        nodes = self.num_nodes
+        if traffic.ndim not in (2, 3) or traffic.shape[-2:] != (nodes, nodes):
             raise SimulationError(
-                f"traffic matrix must be {self.num_nodes}x{self.num_nodes}, "
+                f"traffic matrix must be {nodes}x{nodes}, "
                 f"got {traffic.shape}"
             )
         if (traffic < 0).any():
             raise SimulationError("traffic bytes must be non-negative")
 
-        wire = layer.wire_bytes(traffic)
-        wire.flat[::self.num_nodes + 1] = 0.0    # the diagonal
+        wire = layer.wire_bytes(traffic.reshape(-1, nodes, nodes))
+        wire.reshape(len(wire), -1)[:, ::nodes + 1] = 0.0   # the diagonals
         latency = layer.latency_s
         bandwidth = layer.sustained_bandwidth(self.node)
         peak_limit = layer.effective_bandwidth(self.node)
         stall = None
         fault_info = None
         if disruption is not None:
-            wire, stall, fault_info = disruption.apply(wire)
+            single, stall, fault_info = disruption.apply(wire[0])
+            wire = single[None]
             latency *= disruption.latency_factor
             bandwidth /= disruption.latency_factor
             peak_limit /= disruption.latency_factor
-        bytes_out = wire.sum(axis=1)
-        total = float(bytes_out.sum())
-        if total == 0 and disruption is None:
-            # Nothing crosses the wire: nothing is received or waited for.
-            return TrafficReport(comm_times=np.zeros(self.num_nodes),
-                                 bytes_out=bytes_out,
-                                 bytes_in=np.zeros(self.num_nodes),
-                                 peak_bandwidth=0.0, total_bytes=total)
-        bytes_in = wire.sum(axis=0)
-        volume = np.maximum(bytes_out, bytes_in)
-        comm_times = np.where(volume > 0, volume / bandwidth + latency, 0.0)
-        if stall is not None:
-            comm_times = comm_times + stall
-        peak = peak_limit if volume.max() > 0 else 0.0
-        if total > 0:
-            self.tracer.count("bytes_sent", total)
+        # Row sums reduce along the contiguous axis and column sums row
+        # by row, as they do on one matrix.
+        bytes_out = wire.sum(axis=-1)
+        total = bytes_out.sum(axis=-1)
+        if disruption is None and not total.any():
+            # Nothing crosses the wire (every matrix of a one-node run):
+            # nothing is received or waited for.
+            bytes_in = comm_times = np.zeros_like(bytes_out)
+            peak = np.zeros_like(total)
+        else:
+            bytes_in = wire.sum(axis=-2)
+            volume = np.maximum(bytes_out, bytes_in)
+            comm_times = np.where(volume > 0, volume / bandwidth + latency,
+                                  0.0)
+            if stall is not None:
+                comm_times = comm_times + stall
+            peak = np.where(volume.max(axis=-1) > 0, peak_limit, 0.0)
+            if self.tracer.enabled:
+                for sent in total[total > 0].tolist():
+                    self.tracer.count("bytes_sent", sent)
+        if traffic.ndim == 2:
+            return TrafficReport(comm_times=comm_times[0],
+                                 bytes_out=bytes_out[0], bytes_in=bytes_in[0],
+                                 peak_bandwidth=float(peak[0]),
+                                 total_bytes=float(total[0]),
+                                 faults=fault_info)
         return TrafficReport(comm_times=comm_times, bytes_out=bytes_out,
                              bytes_in=bytes_in, peak_bandwidth=peak,
                              total_bytes=total, faults=fault_info)

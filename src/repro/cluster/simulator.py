@@ -1,11 +1,17 @@
 """The simulated cluster: barriers, message exchange, byte counting.
 
 Engines drive a :class:`Cluster` superstep by superstep: they hand over
-per-node :class:`~repro.cluster.cost.ComputeWork` counters and a
-node-to-node traffic matrix of *payload* bytes, and the cluster advances
-a simulated wall clock using the cost model, the framework's
+one :class:`~repro.cluster.cost.ComputeWork` of per-node counter columns
+and a node-to-node traffic matrix of *payload* bytes, and the cluster
+advances a simulated wall clock using the cost model, the framework's
 communication layer and (optionally) compute/communication overlap. All
 Figure 6 observables accumulate as a side effect.
+
+A step is checked when it is taken and appended to a columnar step log;
+the log is charged in one vectorized pass — every row exactly as it
+would be alone — when something reads the clock or the metrics. Runs
+whose tracer, deadline or chaos schedule read the clock every row charge
+every row as it comes.
 
 Scale extrapolation: experiments run on downscaled proxy datasets but
 report paper-scale numbers. The cluster multiplies every counter (work,
@@ -18,30 +24,45 @@ dominate BFS exactly as in the paper.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..chaos.recovery import FAIL_FAST, RecoveryStats
 from ..errors import DeadlineExceeded, NodeFailure, SimulationError
 from ..observability import NULL_TRACER, sample_peak_rss
-from .cost import ComputeWork, CostModel
+from .cost import ComputeWork, CostModel, negative
 from .hardware import ClusterSpec
 from .memory import MemoryTracker
 from .metrics import RunMetrics, StepRecord
-from .network import MPI, CommLayer, Fabric, TrafficReport
+from .network import MPI, CommLayer, Fabric
 
 
-@dataclass
-class StepReport:
-    """Outcome of one superstep, visible to engines."""
+_STEP, _TICK, _MARK = 0, 1, 2
+#: Bytes of superstep rows the log holds before it charges them: a fixed
+#: cap, so a run's memory does not grow with its supersteps.
+_LOG_BYTES = 256 * 2**10
+_NO_WORK = ComputeWork()
+#: The RunMetrics totals a superstep adds to, in the order of rows 1-11
+#: of ``_charge_steps``' columns (row 0 is the step time); then the
+#: per-node ones.
+_TOTALS = ("compute_time_s", "comm_time_s", "bytes_sent_total",
+           "memory_time_s", "cpu_time_s", "overhead_time_s",
+           "busy_core_seconds", "memory_bytes_total", "ops_total",
+           "streamed_bytes_total", "random_bytes_total")
+_NODE_TOTALS = ("node_streamed_bytes", "node_random_bytes", "node_ops",
+                "node_bytes_sent")
 
-    index: int
-    time_s: float
-    compute_times: np.ndarray
-    comm_times: np.ndarray
-    traffic: TrafficReport
+
+def _fold(totals, columns) -> np.ndarray:
+    """Each of ``totals`` plus its column's values one at a time, left to
+    right (``np.add.accumulate``): the bits of a per-step ``+=`` loop,
+    never numpy's pairwise sum. ``columns`` is ``(k, S)`` or ``(k, S, P)``
+    for ``k`` totals of shape ``()`` or ``(P,)``."""
+    totals = np.asarray(totals, dtype=np.float64)[:, None]
+    return np.add.accumulate(np.concatenate((totals, columns), axis=1),
+                             axis=1)[:, -1]
 
 
 class Cluster:
@@ -93,6 +114,17 @@ class Cluster:
         self._recovery_stats = RecoveryStats()
         self._since_checkpoint_s = 0.0
         self._checkpoint_state_bytes = 0.0   # per-node max, paper scale
+        # -- the step log: rows are charged when something reads the
+        # clock or the metrics, the log is full, or the layer changes.
+        # A tracer, a deadline or chaos read the clock every row, so
+        # they charge every row as it comes (eager).
+        width = 3 * spec.num_nodes + spec.num_nodes ** 2
+        self._rows = np.empty((max(1, _LOG_BYTES // (8 * width)), width))
+        self._kinds, self._seconds, self._knobs = [], [], []
+        self._layer, self._rates = comm_layer, {}
+        self._suspect = False    # a pending row may fail a check
+        self._eager = self.tracer.enabled or deadline_s is not None \
+            or self.recovery is not None
 
     # -- basic accessors -----------------------------------------------------
 
@@ -102,6 +134,7 @@ class Cluster:
 
     @property
     def elapsed_s(self) -> float:
+        self._flush()
         return self._elapsed
 
     def memory(self, node_id: int) -> MemoryTracker:
@@ -114,153 +147,270 @@ class Cluster:
 
     def allocate_all(self, label: str, nbytes) -> None:
         """Allocate on every node; ``nbytes`` is scalar or per-node list."""
-        sizes = np.broadcast_to(np.asarray(nbytes, dtype=np.float64),
-                                (self.num_nodes,))
-        for node_id, size in enumerate(sizes):
-            self._memory[node_id].allocate(label, float(size))
+        sizes = np.asarray(nbytes, dtype=np.float64)
+        if sizes.shape != (self.num_nodes,):
+            sizes = np.broadcast_to(sizes, (self.num_nodes,))
+        for node_id, size in enumerate(sizes.tolist()):
+            self._memory[node_id].allocate(label, size)
 
-    # -- time advancement --------------------------------------------------------
+    # -- time advancement: rows appended to the step log ---------------------
 
-    def _normalize_work(self, work) -> list:
-        if work is None:
-            return [ComputeWork() for _ in range(self.num_nodes)]
-        if isinstance(work, ComputeWork):
-            return [work] * self.num_nodes
-        work = list(work)
-        if len(work) != self.num_nodes:
-            raise SimulationError(
-                f"expected {self.num_nodes} work entries, got {len(work)}"
-            )
-        return work
-
-    def superstep(self, work=None, traffic=None, overlap: bool = False,
-                  layer: CommLayer = None, overhead_s: float = 0.0) -> StepReport:
+    def superstep(self, work: ComputeWork = None, traffic=None,
+                  overlap: bool = False, layer: CommLayer = None,
+                  overhead_s: float = 0.0) -> None:
         """Advance the cluster by one bulk-synchronous superstep.
 
-        ``work`` — per-node :class:`ComputeWork` (or one shared instance);
+        ``work`` — one :class:`ComputeWork` whose counters are per-node
+        ``(P,)`` columns or shared scalars (None: no work);
         ``traffic`` — payload bytes, shape ``(P, P)``, ``traffic[i, j]``
         from node *i* to node *j*; ``overlap`` — hide communication under
         computation; ``overhead_s`` — unscaled fixed cost (framework
         barrier/scheduling). The step lasts as long as its slowest node
-        (BSP barrier semantics).
+        (BSP barrier semantics). It becomes a row of the step log, and
+        every check that can refuse it runs now.
         """
         if overhead_s < 0:
             raise SimulationError("overhead_s must be non-negative")
         layer = layer or self.comm_layer
-        step_index = self._steps
+        step_index, nodes = self._steps, self.num_nodes
         step_faults = None
         if self.faults is not None:
             retry = self.recovery.retry if self.recovery is not None else None
-            step_faults = self.faults.at(step_index, self.num_nodes, retry)
+            step_faults = self.faults.at(step_index, nodes, retry)
         if self.recovery is not None \
                 and self.recovery.checkpoint_due(step_index):
             self._write_checkpoint(step_index)
-        work = self._normalize_work(work)
-        # One pass over the nodes: each node's counters at paper scale
-        # and what they cost, as five per-node rows.
-        streamed_bytes, random_bytes, ops, memory_times, cpu_times = \
-            np.array(list(zip(*[self.cost.charge(w, self.scale_factor)
-                                for w in work])))
-        compute_times = np.maximum(memory_times, cpu_times)
-        if step_faults is not None and step_faults.compute_factors is not None:
-            memory_times = memory_times * step_faults.compute_factors
-            cpu_times = cpu_times * step_faults.compute_factors
-            compute_times = compute_times * step_faults.compute_factors
+        work = _NO_WORK if work is None else work
+        counters = (work.streamed_bytes, work.random_bytes, work.ops)
+        for column in counters:
+            shape = getattr(column, "shape", ())
+            if shape and shape != (nodes,):
+                raise SimulationError(
+                    f"expected {nodes} work entries, got shape {shape}")
+        if traffic is not None:
+            traffic = np.asarray(traffic, dtype=np.float64)
+            if traffic.shape != (nodes, nodes):
+                self._flush()
+                if negative(*(np.multiply(column, self.scale_factor)
+                              for column in counters)).any():
+                    raise SimulationError("work counters must be non-negative")
+                self.fabric.exchange(traffic, layer)   # refuses the shape
+        if layer is not self._layer:
+            self._flush()
+            self._layer, self._rates = layer, {}
+        knobs = (work.cpu_efficiency, work.cores_fraction, work.prefetch,
+                 work.memory_parallelism)
+        rates = self._rates.get(knobs)
+        if rates is None:
+            rates = self._rates[knobs] = self.cost.rates(work)
+        row = self._rows[len(self._knobs)]
+        row[:nodes], row[nodes:2 * nodes], row[2 * nodes:3 * nodes] = counters
+        row[3 * nodes:] = 0.0 if traffic is None else traffic.ravel()
+        self._knobs.append((step_index, *rates, work.cores_fraction,
+                            overlap, overhead_s))
+        self._kinds.append(_STEP)
+        self._seconds.append(0.0)
+        self._steps += 1
+        # Only a row with a negative or (at paper scale) non-finite entry
+        # can fail the counter and traffic checks: it is charged now, so
+        # it raises before any later step or allocation can.
+        suspect = not (np.minimum.reduce(row) >= 0 and overhead_s < math.inf
+                       and float(np.maximum.reduce(row)) * self.scale_factor
+                       < math.inf)
+        self._suspect = self._suspect or suspect
+        if self._eager:
+            info = self._flush(step_faults)
+            if step_faults is not None:
+                self._apply_step_faults(step_index, step_faults, info)
+        else:
+            self._flush_if(suspect)
 
-        if traffic is None:
-            traffic = np.zeros((self.num_nodes, self.num_nodes))
-        report = self.fabric.exchange(
-            np.asarray(traffic, dtype=np.float64) * self.scale_factor, layer,
-            disruption=step_faults.disruption if step_faults is not None
-            else None,
-        )
+    def tick(self, seconds: float) -> None:
+        """Advance wall clock by a fixed, unscaled amount (startup, I/O)."""
+        if seconds < 0:
+            raise SimulationError("tick must be non-negative")
+        self._kinds.append(_TICK)
+        self._seconds.append(seconds)
+        self._flush_if(self._eager)
 
-        # Every reduction of the step, once: the metrics, the step
-        # record and the span below all read these.
-        node_times = np.maximum(compute_times, report.comm_times) \
-            if overlap else compute_times + report.comm_times
-        step_time = float(node_times.max()) + overhead_s
-        compute_s = float(compute_times.max())
-        comm_s = float(report.comm_times.max())
-        memory_s = float(memory_times.max())
-        cpu_s = float(cpu_times.max())
-        streamed_total = float(streamed_bytes.sum())
-        random_total = float(random_bytes.sum())
-        ops_total = float(ops.sum())
-        if not math.isfinite(step_time + streamed_total + random_total
-                             + ops_total + report.total_bytes):
-            raise SimulationError(
-                f"superstep {step_index}: work, traffic and overhead must "
-                f"be finite")
+    def mark_iteration(self) -> None:
+        """Close the current algorithm iteration."""
+        self._kinds.append(_MARK)
+        self._seconds.append(0.0)
+        self._flush_if(self._eager)
 
-        # -- bookkeeping ----------------------------------------------------
-        cores = self.spec.node.cores
+    def _flush_if(self, now: bool) -> None:
+        """Charge the log now, or once it is full."""
+        if now or len(self._kinds) == len(self._rows):
+            self._flush()
+
+    # -- materializing the log ----------------------------------------------
+
+    def _flush(self, step_faults=None):
+        """Charge every pending row of the log in one vectorized pass:
+        the clock, :class:`RunMetrics`, the step records, the iteration
+        times and (with a tracer) the spans. Returns the network's fault
+        info of a lone chaos step.
+
+        A step a check refuses raises its ``SimulationError`` once the
+        rows before it are charged; it and any later rows are dropped,
+        as if it had raised when it was taken.
+        """
+        if not self._kinds:
+            return None
+        kinds = np.array(self._kinds, dtype=np.int8)
+        dt = np.array(self._seconds)
+        is_step = kinds == _STEP
+        steps = None
+        if self._knobs:
+            with (np.errstate(over="ignore", invalid="ignore")
+                  if self._suspect else contextlib.nullcontext()):
+                steps = self._charge_steps(step_faults)
+            if isinstance(steps, tuple):
+                row, message = steps
+                position = int(np.flatnonzero(is_step)[row])
+                del self._kinds[position:], self._seconds[position:]
+                self._steps = self._knobs[row][0]
+                del self._knobs[row:]
+                self._suspect = False
+                self._flush()
+                raise SimulationError(message)
+            dt[is_step] = steps["totals"][0]
+        elapsed = np.add.accumulate(np.concatenate(([self._elapsed], dt)))
         metrics = self._metrics
-        metrics.total_time_s += step_time
-        metrics.compute_time_s += compute_s
-        metrics.comm_time_s += comm_s
-        metrics.busy_core_seconds += sum(
-            busy_s * w.cores_fraction * cores
-            for busy_s, w in zip(compute_times.tolist(), work))
-        metrics.total_core_seconds += step_time * self.num_nodes * cores
-        metrics.bytes_sent_total += report.total_bytes
-        metrics.memory_bytes_total += streamed_total + random_total
-        metrics.ops_total += ops_total
-        metrics.streamed_bytes_total += streamed_total
-        metrics.random_bytes_total += random_total
-        metrics.node_streamed_bytes += streamed_bytes
-        metrics.node_random_bytes += random_bytes
-        metrics.node_ops += ops
-        metrics.node_bytes_sent += report.bytes_out
-        metrics.memory_time_s += memory_s
-        metrics.cpu_time_s += cpu_s
-        metrics.overhead_time_s += overhead_s
-        metrics.peak_network_bandwidth = max(
-            metrics.peak_network_bandwidth, report.peak_bandwidth
-        )
-        metrics.steps.append(StepRecord(
-            index=step_index, time_s=step_time, compute_s=compute_s,
-            comm_s=comm_s, bytes_sent=report.total_bytes,
-            peak_bandwidth=report.peak_bandwidth, memory_s=memory_s,
-            cpu_s=cpu_s, overhead_s=overhead_s, overlap=overlap,
-        ))
+        # One fold for every running total; a row adds 0.0 to the totals
+        # it does not touch, which is exact.
+        columns = np.zeros((3 + len(_TOTALS), len(kinds)))
+        columns[0] = dt * self.num_nodes * self.spec.node.cores
+        columns[1] = dt * (kinds == _TICK)
+        if steps is not None:
+            columns[2:, is_step] = steps["totals"]
+            for name, total in zip(_NODE_TOTALS, _fold(
+                    [getattr(metrics, name) for name in _NODE_TOTALS],
+                    steps["nodes"])):
+                getattr(metrics, name)[:] = total
+            metrics.peak_network_bandwidth = max(
+                [metrics.peak_network_bandwidth] + steps["peaks"])
+            metrics.steps.extend(map(StepRecord, *steps["records"]))
+        totals = _fold([metrics.total_core_seconds, metrics.tick_time_s,
+                        self._since_checkpoint_s]
+                       + [getattr(metrics, name) for name in _TOTALS],
+                       columns).tolist()
+        metrics.total_core_seconds, metrics.tick_time_s, \
+            self._since_checkpoint_s = totals[:3]
+        for name, total in zip(_TOTALS, totals[3:]):
+            setattr(metrics, name, total)
+        if _MARK in self._kinds:
+            marked = elapsed[1:][kinds == _MARK]
+            metrics.iteration_times.extend((marked - np.concatenate(
+                ([self._iteration_started_at], marked[:-1]))).tolist())
+            self._iteration_started_at = float(marked[-1])
+        if self.tracer.enabled:
+            self._trace_row(self._kinds[0], float(elapsed[-1]), steps)
+        self._elapsed = metrics.total_time_s = float(elapsed[-1])
+        last = self._kinds[-1]
+        self._kinds, self._seconds, self._knobs = [], [], []
+        self._suspect = False
+        if last == _STEP:
+            self._check_deadline(f"superstep {steps['records'][0][-1]}")
+        elif last == _TICK:
+            self._check_deadline("tick")
+        return None if steps is None else steps["report"].faults
 
-        tracer = self.tracer
-        if tracer.enabled:
-            start = self._elapsed
-            with tracer.span("superstep", index=step_index,
-                             compute_s=compute_s, comm_s=comm_s,
-                             bytes_sent=report.total_bytes,
-                             peak_bandwidth=report.peak_bandwidth,
-                             overhead_s=overhead_s):
-                for node in range(self.num_nodes):
-                    if compute_times[node] > 0:
-                        tracer.record("compute", start,
-                                      float(compute_times[node]), node=node)
-                    if report.comm_times[node] > 0:
+    def _charge_steps(self, step_faults) -> dict:
+        """The pending supersteps charged at once, each row computed as
+        it would be alone: ``(S,)`` and ``(S, P)`` columns, or
+        ``(row, message)`` for the first row a check refuses."""
+        nodes, knobs = self.num_nodes, np.array(self._knobs)
+        count, width = len(knobs), 3 * nodes
+        index = knobs[:, 0].astype(np.int64)
+        rows = self._rows[:count] * self.scale_factor
+        counters = rows[:, :width].reshape(count, 3, nodes)
+        streamed, random, ops = counters[:, 0], counters[:, 1], counters[:, 2]
+        traffic = rows[:, width:].reshape(count, nodes, nodes)
+        if self._suspect:
+            bad_work = negative(streamed, random, ops).any(axis=1)
+            bad = np.flatnonzero(bad_work | (traffic < 0).any(axis=(1, 2)))
+            if bad.size:
+                return int(bad[0]), ("work counters must be non-negative"
+                                     if bad_work[bad[0]]
+                                     else "traffic bytes must be non-negative")
+        memory, cpu = CostModel.charge(streamed, random, ops,
+                                       *knobs[:, 1:4].T[:, :, None])
+        compute = np.maximum(memory, cpu)
+        factors = None if step_faults is None else step_faults.compute_factors
+        if factors is not None:
+            memory, cpu, compute = memory * factors, cpu * factors, \
+                compute * factors
+        report = self.fabric.exchange(
+            traffic, self._layer,
+            disruption=None if step_faults is None else step_faults.disruption)
+        comm, overlap, overhead = report.comm_times, knobs[:, 5] != 0, \
+            knobs[:, 6]
+        time = np.where(overlap[:, None], np.maximum(compute, comm),
+                        compute + comm).max(axis=1) + overhead
+        # Each (step, counter) sum reduces one contiguous node row, as the
+        # per-step sums did.
+        streamed_total, random_total, ops_total = counters.sum(axis=2).T
+        finite = np.isfinite(time + streamed_total + random_total + ops_total
+                             + report.total_bytes)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite)[0])
+            return row, (f"superstep {index[row]}: work, traffic and "
+                         f"overhead must be finite")
+        compute_s, comm_s, memory_s, cpu_s = np.array(
+            [compute, comm, memory, cpu]).max(axis=2)
+        busy = np.add.accumulate(
+            compute * knobs[:, 4:5] * self.spec.node.cores, axis=1)[:, -1]
+        totals = np.array([time, compute_s, comm_s, report.total_bytes,
+                           memory_s, cpu_s, overhead, busy,
+                           streamed_total + random_total, ops_total,
+                           streamed_total, random_total])
+        lists = totals[:7].tolist()
+        peaks = report.peak_bandwidth.tolist()
+        return {
+            "totals": totals, "report": report, "compute": compute,
+            "nodes": np.array([streamed, random, ops, report.bytes_out]),
+            "peaks": peaks,
+            "records": [index.tolist(), *lists[:4], peaks, *lists[4:],
+                        overlap.tolist()],
+        }
+
+    def _trace_row(self, kind: int, end: float, steps) -> None:
+        """The spans of the log's lone row (a tracer charges every row as
+        it comes), on the clock as it stood: ``self._elapsed`` is the
+        row's start, and ``end`` its end."""
+        tracer, start = self.tracer, self._elapsed
+        if kind == _TICK:
+            tracer.record("tick", start, self._seconds[0])
+        elif kind == _MARK:
+            times = self._metrics.iteration_times
+            tracer.instant("iteration-mark", index=len(times) - 1,
+                           time_s=times[-1])
+        else:
+            (index, _time, compute_s, comm_s, sent, peak, _memory, _cpu,
+             overhead, overlap) = (column[0] for column in steps["records"])
+            with tracer.span("superstep", index=index, compute_s=compute_s,
+                             comm_s=comm_s, bytes_sent=sent,
+                             peak_bandwidth=peak, overhead_s=overhead):
+                report = steps["report"]
+                for node, (busy, comm, out) in enumerate(zip(
+                        steps["compute"][0].tolist(),
+                        report.comm_times[0].tolist(),
+                        report.bytes_out[0].tolist())):
+                    if busy > 0:
+                        tracer.record("compute", start, busy, node=node)
+                    if comm > 0:
                         # Overlapped communication hides under compute;
                         # otherwise it follows it (BSP phase order).
-                        comm_start = start if overlap \
-                            else start + float(compute_times[node])
-                        tracer.record("comm", comm_start,
-                                      float(report.comm_times[node]),
-                                      node=node,
-                                      bytes_out=float(report.bytes_out[node]))
-                self._elapsed += step_time
+                        tracer.record("comm", start if overlap
+                                      else start + busy, comm, node=node,
+                                      bytes_out=out)
+                self._elapsed = end
             # Superstep boundaries are where working sets turn over
             # (frontier gathers, partition loads), so they are where the
             # out-of-core memory claims get *measured*.
             sample_peak_rss(tracer)
-        else:
-            self._elapsed += step_time
-        self._steps += 1
-        self._since_checkpoint_s += step_time
-        self._check_deadline(f"superstep {step_index}")
-
-        if step_faults is not None:
-            self._apply_step_faults(step_index, step_faults, report)
-        return StepReport(step_index, step_time, compute_times,
-                          report.comm_times, report)
 
     def _check_deadline(self, what: str = "") -> None:
         """Stop the run once the simulated clock passes its budget."""
@@ -274,6 +424,7 @@ class Cluster:
 
     def _charge(self, seconds: float) -> None:
         """Advance the clock by an already-recorded out-of-band cost."""
+        self._flush()
         self._elapsed += seconds
         self._metrics.total_time_s += seconds
         self._metrics.charged_time_s += seconds
@@ -299,7 +450,7 @@ class Cluster:
         self._checkpoint_state_bytes = largest
         self._since_checkpoint_s = 0.0
 
-    def _apply_step_faults(self, superstep: int, step_faults, report) -> None:
+    def _apply_step_faults(self, superstep: int, step_faults, info) -> None:
         """Book transient-fault costs, then resolve crashes."""
         stats = self._recovery_stats
         tracer = self.tracer
@@ -308,7 +459,6 @@ class Cluster:
             stats.events.append(dict(event))
             tracer.instant("fault", **event)
             tracer.count("faults")
-        info = report.faults
         if info is not None and (info["messages_dropped"]
                                  or info["messages_corrupted"]
                                  or info["blocked_pairs"]):
@@ -362,29 +512,6 @@ class Cluster:
         stats.events.append({"kind": "recovery", "superstep": superstep,
                              "node": node, "time_s": total_s})
 
-    def tick(self, seconds: float) -> None:
-        """Advance wall clock by a fixed, unscaled amount (startup, I/O)."""
-        if seconds < 0:
-            raise SimulationError("tick must be non-negative")
-        self.tracer.record("tick", self._elapsed, seconds)
-        self._elapsed += seconds
-        self._metrics.total_time_s += seconds
-        self._metrics.tick_time_s += seconds
-        self._metrics.total_core_seconds += (
-            seconds * self.num_nodes * self.spec.node.cores
-        )
-        self._check_deadline("tick")
-
-    def mark_iteration(self) -> float:
-        """Close the current algorithm iteration; returns its duration."""
-        duration = self._elapsed - self._iteration_started_at
-        self._iteration_started_at = self._elapsed
-        self._metrics.iteration_times.append(duration)
-        self.tracer.instant("iteration-mark",
-                            index=len(self._metrics.iteration_times) - 1,
-                            time_s=duration)
-        return duration
-
     def trace_span(self, name: str, **attrs):
         """Open an engine-level span on this cluster's tracer."""
         return self.tracer.span(name, **attrs)
@@ -393,6 +520,7 @@ class Cluster:
 
     def metrics(self) -> RunMetrics:
         """Snapshot of the metrics accumulated so far."""
+        self._flush()
         self._metrics.memory_footprint_bytes = max(
             tracker.peak_bytes for tracker in self._memory
         )

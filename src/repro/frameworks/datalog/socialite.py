@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...algorithms.triangles import require_oriented
-from ...cluster import Cluster, ComputeWork
+from ...cluster import Cluster, ComputeWork, node_volumes
 from ...errors import ExpressibilityError
 from ...frameworks.base import SOCIALITE, SOCIALITE_PUBLISHED, FrameworkProfile
 from ...graph import CSRGraph, RatingsMatrix, partition_vertices_1d
@@ -68,24 +68,21 @@ def _charge(cluster: Cluster, profile: FrameworkProfile, stats: EvalStats,
                               scanned_bytes=stats.scanned_bytes,
                               join_rows=stats.join_output_rows,
                               produced=stats.produced_tuples)
-    works = []
-    for node in range(cluster.num_nodes):
-        message_bytes = traffic[node, :].sum() + traffic[:, node].sum()
-        works.append(ComputeWork(
-            # Tail-nested tables are CSR-shaped, so scans stream; the
-            # per-tuple head updates and dense-array probes are
-            # irregular at cache-line granularity.
-            streamed_bytes=(stats.scanned_bytes * share[node]
-                            + extra_streamed / cluster.num_nodes
-                            + 2.0 * message_bytes),
-            random_bytes=0.5 * stats.scanned_bytes * share[node],
-            ops=stats.ops * share[node],
-            cpu_efficiency=profile.cpu_efficiency,
-            cores_fraction=profile.cores_fraction,
-            prefetch=profile.prefetch,
-        ))
+    work = ComputeWork(
+        # Tail-nested tables are CSR-shaped, so scans stream; the
+        # per-tuple head updates and dense-array probes are irregular at
+        # cache-line granularity.
+        streamed_bytes=(stats.scanned_bytes * share
+                        + extra_streamed / cluster.num_nodes
+                        + 2.0 * node_volumes(traffic)),
+        random_bytes=0.5 * stats.scanned_bytes * share,
+        ops=stats.ops * share,
+        cpu_efficiency=profile.cpu_efficiency,
+        cores_fraction=profile.cores_fraction,
+        prefetch=profile.prefetch,
+    )
     with span:
-        cluster.superstep(works, traffic,
+        cluster.superstep(work, traffic,
                           overlap=profile.overlaps_communication,
                           layer=profile.comm_layer,
                           overhead_s=profile.superstep_overhead_s)
@@ -270,30 +267,27 @@ class TableCFEngine(Engine):
         self._traffic = traffic = (traffic + traffic.T) \
             * profile.message_overhead_factor / density
         per_node = np.bincount(user_shard, minlength=nodes).astype(float)
-        self._works = []
-        for node, count in enumerate(per_node):
-            cluster.allocate(node, "tables",
+        cluster.allocate_all("tables",
                              row_bytes * (ratings.num_users / nodes) / density
                              + row_bytes * (ratings.num_items / nodes) / density
-                             + 24.0 * count)
-            # Vector payloads live in Java object arrays: the profile's
-            # serialization factor inflates the touched bytes and half
-            # of the row accesses are effectively irregular.
-            factor_bytes = 4.0 * row_bytes * count \
-                * profile.message_overhead_factor
-            message_bytes = traffic[node, :].sum() + traffic[:, node].sum()
-            self._works.append(ComputeWork(
-                streamed_bytes=0.5 * factor_bytes + 24.0 * count
-                + 2.0 * message_bytes,
-                random_bytes=0.5 * factor_bytes,
-                ops=8.0 * program.hidden_dim * count,
-                cpu_efficiency=profile.cpu_efficiency,
-                cores_fraction=profile.cores_fraction,
-            ))
+                             + 24.0 * per_node)
+        # Vector payloads live in Java object arrays: the profile's
+        # serialization factor inflates the touched bytes and half of
+        # the row accesses are effectively irregular.
+        factor_bytes = 4.0 * row_bytes * per_node \
+            * profile.message_overhead_factor
+        self._work = ComputeWork(
+            streamed_bytes=0.5 * factor_bytes + 24.0 * per_node
+            + 2.0 * node_volumes(traffic),
+            random_bytes=0.5 * factor_bytes,
+            ops=8.0 * program.hidden_dim * per_node,
+            cpu_efficiency=profile.cpu_efficiency,
+            cores_fraction=profile.cores_fraction,
+        )
 
     def sweep(self) -> None:
         profile = self.profile
-        self.cluster.superstep(self._works, self._traffic,
+        self.cluster.superstep(self._work, self._traffic,
                                overlap=profile.overlaps_communication,
                                layer=profile.comm_layer,
                                overhead_s=profile.superstep_overhead_s)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...cluster import Cluster, ComputeWork
+from ...cluster import Cluster, ComputeWork, node_volumes
 from ...graph import CSRGraph, bipartite_graph
 from ..base import COMBBLAS
 from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, cf_runner, run_program
@@ -45,16 +45,15 @@ def _build(graph: CSRGraph, cluster: Cluster, bytes_per_nnz: float = 16.0):
     grid = ProcessGrid(cluster.num_nodes)
     dist = DistSpMat(graph, grid, tracer=cluster.tracer)
     nnz_per_node = dist.nnz_per_node()
-    for node in range(cluster.num_nodes):
-        cluster.allocate(node, "matrix",
-                         bytes_per_nnz * float(nnz_per_node[node]))
+    cluster.allocate_all("matrix", bytes_per_nnz
+                         * np.asarray(nnz_per_node, dtype=np.float64))
     return dist, nnz_per_node
 
 
-def _works(cluster: Cluster, nnz_per_node, flops_total: float,
-           traffic: np.ndarray, vector_bytes_per_node: float = 0.0,
-           touched_nnz: float = None, gather_random_bytes: float = 32.0):
-    """Per-node ComputeWork for one matrix kernel invocation.
+def _work(nnz_per_node, flops_total: float, traffic: np.ndarray,
+          vector_bytes_per_node: float = 0.0, touched_nnz: float = None,
+          gather_random_bytes: float = 32.0) -> ComputeWork:
+    """The ComputeWork (per-node columns) of one matrix kernel invocation.
 
     ``touched_nnz`` restricts the streamed matrix bytes to the nonzeros a
     sparse operation actually visits (an SpMSpV over a BFS frontier does
@@ -65,34 +64,25 @@ def _works(cluster: Cluster, nnz_per_node, flops_total: float,
     total_nnz = max(float(np.sum(nnz_per_node)), 1.0)
     if touched_nnz is None:
         touched_nnz = total_nnz
-    # Sent + received bytes per node. The transpose is copied so both
-    # sums reduce along a contiguous axis: ``sum(0)`` adds row by row,
-    # which rounds non-integer traffic differently from a per-node slice.
-    message_bytes = (traffic.sum(1)
-                     + np.ascontiguousarray(traffic.T).sum(1))
-    works = []
-    for node in range(cluster.num_nodes):
-        share = float(nnz_per_node[node]) / total_nnz
-        node_nnz = touched_nnz * share
-        works.append(ComputeWork(
-            # 16 B per visited nonzero (index + value) plus SPA re-reads.
-            streamed_bytes=(24.0 * node_nnz
-                            + vector_bytes_per_node
-                            + 2.0 * message_bytes[node]),
-            random_bytes=gather_random_bytes * node_nnz,
-            ops=flops_total * share,
-            cpu_efficiency=_PROFILE.cpu_efficiency,
-            cores_fraction=_PROFILE.cores_fraction,
-            prefetch=True,   # tuned C++ SpMV kernels prefetch their SPA
-        ))
-    return works
+    share = np.asarray(nnz_per_node, dtype=np.float64) / total_nnz
+    node_nnz = touched_nnz * share
+    return ComputeWork(
+        # 16 B per visited nonzero (index + value) plus SPA re-reads.
+        streamed_bytes=(24.0 * node_nnz + vector_bytes_per_node
+                        + 2.0 * node_volumes(traffic)),
+        random_bytes=gather_random_bytes * node_nnz,
+        ops=flops_total * share,
+        cpu_efficiency=_PROFILE.cpu_efficiency,
+        cores_fraction=_PROFILE.cores_fraction,
+        prefetch=True,   # tuned C++ SpMV kernels prefetch their SPA
+    )
 
 
 def _step(cluster, nnz_per_node, flops, traffic, vector_bytes=0.0,
           touched_nnz=None, gather_random_bytes=32.0):
     cluster.superstep(
-        _works(cluster, nnz_per_node, flops, traffic, vector_bytes,
-               touched_nnz, gather_random_bytes),
+        _work(nnz_per_node, flops, traffic, vector_bytes, touched_nnz,
+              gather_random_bytes),
         traffic, overlap=_PROFILE.overlaps_communication,
         layer=_PROFILE.comm_layer,
         overhead_s=_PROFILE.superstep_overhead_s,
@@ -279,13 +269,12 @@ class MatrixTCEngine(Engine):
         expand_stream_bytes = (16.0 * min(stages, 8) * multiplies
                                / cluster.num_nodes)
         product_stream_bytes = 4.0 * self._product_per_node
-        works = _works(cluster, self._nnz_per_node,
-                       100.0 * multiplies + self._mult_flops, self._traffic)
-        for work in works:
-            work.random_bytes += spa_random_bytes
-            work.streamed_bytes += product_stream_bytes + expand_stream_bytes
-            work.prefetch = False   # pointer-chasing accumulators do not
-        cluster.superstep(works, self._traffic,
+        work = _work(self._nnz_per_node, 100.0 * multiplies + self._mult_flops,
+                     self._traffic)
+        work.random_bytes += spa_random_bytes
+        work.streamed_bytes += product_stream_bytes + expand_stream_bytes
+        work.prefetch = False   # pointer-chasing accumulators do not
+        cluster.superstep(work, self._traffic,
                           overlap=_PROFILE.overlaps_communication,
                           layer=_PROFILE.comm_layer,
                           overhead_s=_PROFILE.superstep_overhead_s)

@@ -53,8 +53,7 @@ class NativeCFEngine(Engine):
             traffic = np.full((nodes, nodes), 8.0 * k * ratings.num_items
                               / max(nodes, 1) / density)
             np.fill_diagonal(traffic, 0.0)
-            self._steps = [([self._work(count) for count in per_node],
-                            traffic)]
+            self._steps = [(self._work(per_node), traffic)]
             return
         self._steps = []
         for sub, counts in enumerate(program.blocks):
@@ -63,10 +62,10 @@ class NativeCFEngine(Engine):
                 for node in range(nodes):
                     traffic[node, (node - 1) % nodes] = 8.0 * k \
                         * items_per_chunk[(node + sub) % nodes] / density
-            self._steps.append(([self._work(int(count)) for count in counts],
-                                traffic))
+            self._steps.append((self._work(counts), traffic))
 
     def _work(self, ratings) -> ComputeWork:
+        """The sub-step's work from each node's rating count."""
         k = self.program.hidden_dim
         total = 4.0 * k * 8.0 * ratings     # read + write both factor rows
         return ComputeWork(streamed_bytes=0.75 * total + 16 * ratings,
@@ -78,8 +77,8 @@ class NativeCFEngine(Engine):
                                        method=self.program.method)
 
     def sweep(self) -> None:
-        for works, traffic in self._steps:
-            self.cluster.superstep(works, traffic, overlap=self.options.overlap)
+        for work, traffic in self._steps:
+            self.cluster.superstep(work, traffic, overlap=self.options.overlap)
 
 
 #: ``native.collaborative_filtering(ratings, cluster, method=...,

@@ -13,8 +13,9 @@ The six iterative graph workloads themselves live in
 * a **bit-vector** visited set for BFS, software **prefetching** of the
   irregular probes, and **overlap** of computation with the exchange —
   the :class:`~.options.NativeOptions` toggles Figure 7 sweeps;
-* one row of cost constants per algorithm, turned into per-node
-  ``ComputeWork`` by :meth:`NativeEngine._works` / ``_dense_works``.
+* one row of cost constants per algorithm, turned into a
+  ``ComputeWork`` of per-node columns by :meth:`NativeEngine._work` /
+  ``_dense_work``.
 
 Dense programs (PageRank, label propagation) store *incoming* edges so
 the per-edge gather streams one contiguous edge array; each node
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...cluster import ComputeWork
+from ...cluster import ComputeWork, node_volumes
 from ...cluster.cost import CACHE_LINE_BYTES
 from ...graph import partition_edges_1d
 from ...kernels.segments import distinct, list_traffic
@@ -203,30 +204,29 @@ class NativeEngine(Engine):
 
     # -- frontier rounds ----------------------------------------------------
 
-    def _works(self, edges, active, changed) -> list:
-        """Per-node ``ComputeWork`` of one round from the cost row."""
+    def _work(self, edges, active, changed) -> ComputeWork:
+        """One round's ``ComputeWork`` from the cost row (per-node
+        columns)."""
         cost = self.cost
         edge_random = 8.0 * self._visited_bytes_per_vertex() \
             if cost.visited_set else cost.edge_random
-        return [ComputeWork(
-            streamed_bytes=cost.edge_stream * edges[node] + 8 * active[node],
-            random_bytes=(edge_random * edges[node]
-                          + cost.changed_random * changed[node]),
-            ops=cost.edge_ops * edges[node],
+        return ComputeWork(
+            streamed_bytes=cost.edge_stream * edges + 8 * active,
+            random_bytes=edge_random * edges + cost.changed_random * changed,
+            ops=cost.edge_ops * edges,
             prefetch=self.options.prefetch,
-        ) for node in range(self.cluster.num_nodes)]
+        )
 
     def _receive(self, traffic, window: bool) -> None:
         """Receive-side buffers sized by the round's incoming traffic."""
-        cluster = self.cluster
-        for node in range(cluster.num_nodes):
-            incoming = traffic[:, node].sum()
-            if window and self.options.overlap:
-                # The 16 MB blocking window is a physical buffer size;
-                # divide by the extrapolation factor since allocations
-                # are scaled back up by the memory tracker.
-                incoming = min(incoming, 16 * 2**20 / cluster.scale_factor)
-            cluster.allocate(node, "recv-buffers", incoming)
+        incoming = np.ascontiguousarray(traffic.T).sum(1)
+        if window and self.options.overlap:
+            # The 16 MB blocking window is a physical buffer size; divide
+            # by the extrapolation factor since allocations are scaled
+            # back up by the memory tracker.
+            incoming = np.minimum(incoming,
+                                  16 * 2**20 / self.cluster.scale_factor)
+        self.cluster.allocate_all("recv-buffers", incoming)
 
     def round(self, active):
         if self.per_level:
@@ -246,7 +246,7 @@ class NativeEngine(Engine):
             edges[node], sizes[node], changed[node] = \
                 work.edges, mine.size, improved.size
         self._receive(traffic, window=True)
-        self.cluster.superstep(self._works(edges, sizes, changed), traffic,
+        self.cluster.superstep(self._work(edges, sizes, changed), traffic,
                                overlap=self.options.overlap)
         return self.program.commit(proposals)
 
@@ -286,14 +286,13 @@ class NativeEngine(Engine):
             self._level_removed = np.zeros(nodes)
             self._level_traffic = np.zeros((nodes, nodes))
             yield
-            works = self._works(self._level_edges, self._level_removed,
-                                np.zeros(nodes))
-            for node, work in enumerate(works):
-                verts = self._verts_per_node[node]
-                work.streamed_bytes += cost.rescan_vertex_stream * verts
-                work.ops += cost.rescan_vertex_ops * verts
+            work = self._work(self._level_edges, self._level_removed,
+                              np.zeros(nodes))
+            work.streamed_bytes += cost.rescan_vertex_stream \
+                * self._verts_per_node
+            work.ops += cost.rescan_vertex_ops * self._verts_per_node
             self._receive(self._level_traffic, window=False)
-            cluster.superstep(works, self._level_traffic,
+            cluster.superstep(work, self._level_traffic,
                               overlap=self.options.overlap)
             cluster.mark_iteration()
 
@@ -329,27 +328,20 @@ class NativeEngine(Engine):
         # constant reproduces the paper's ~122 bytes/edge (640M edges/s
         # at 78 GB/s).
         gather_bytes = CACHE_LINE_BYTES * self._edges_per_node
-        self._dense_works = []
-        for node in range(nodes):
-            edges, verts = self._edges_per_node[node], \
-                self._verts_per_node[node]
-            message_bytes = self._traffic[node, :].sum() \
-                + self._traffic[:, node].sum()
-            if options.prefetch:
-                streamed_gather = gather_bytes[node]
-                random_gather = 0.05 * gather_bytes[node]
-            else:
-                streamed_gather = 0.0
-                random_gather = gather_bytes[node]
-            self._dense_works.append(ComputeWork(
-                streamed_bytes=(8 * edges              # edge array scan
-                                + streamed_gather      # prefetched gather
-                                + 16 * verts           # state read+write
-                                + 2 * message_bytes),  # pack + unpack
-                random_bytes=random_gather + cost.tally_random * edges,
-                ops=cost.edge_ops * edges + cost.vertex_ops * verts,
-                prefetch=options.prefetch,
-            ))
+        edges, verts = self._edges_per_node, self._verts_per_node
+        if options.prefetch:
+            streamed_gather, random_gather = gather_bytes, 0.05 * gather_bytes
+        else:
+            streamed_gather, random_gather = 0.0, gather_bytes
+        self._dense_work = ComputeWork(
+            streamed_bytes=(8 * edges                # edge array scan
+                            + streamed_gather        # prefetched gather
+                            + 16 * verts             # state read+write
+                            + 2 * node_volumes(self._traffic)),  # pack+unpack
+            random_bytes=random_gather + cost.tally_random * edges,
+            ops=cost.edge_ops * edges + cost.vertex_ops * verts,
+            prefetch=options.prefetch,
+        )
 
     def iteration_span(self, index: int):
         if self.program.algorithm == "pagerank":
@@ -359,7 +351,7 @@ class NativeEngine(Engine):
         return super().iteration_span(index)
 
     def sweep(self) -> None:
-        self.cluster.superstep(self._dense_works, self._traffic,
+        self.cluster.superstep(self._dense_work, self._traffic,
                                overlap=self.options.overlap)
 
     def diagnostics(self) -> dict:
@@ -429,13 +421,10 @@ class NativeTCEngine(Engine):
             # Baseline hash-set membership probes: a full cold line per
             # lookup half the time, plus bucket chasing.
             random_bytes, ops = 32.0 * probes, 6 * probes + builds
-        traffic = self._traffic
-        self._works = [ComputeWork(
-            streamed_bytes=(8 * probes[node] + 8 * edges_per_node[node]
-                            + 2 * (traffic[node, :].sum()
-                                   + traffic[:, node].sum())),
-            random_bytes=random_bytes[node], ops=ops[node],
-            prefetch=options.prefetch) for node in range(nodes)]
+        self._work = ComputeWork(
+            streamed_bytes=(8 * probes + 8 * edges_per_node
+                            + 2 * node_volumes(self._traffic)),
+            random_bytes=random_bytes, ops=ops, prefetch=options.prefetch)
 
     def iteration_span(self, index: int):
         return self.cluster.trace_span(
@@ -447,7 +436,7 @@ class NativeTCEngine(Engine):
         if tracer.enabled:
             # Successful membership probes = one per counted triangle.
             tracer.count("cache_hits", float(self.program.values))
-        self.cluster.superstep(self._works, self._traffic,
+        self.cluster.superstep(self._work, self._traffic,
                                overlap=self.options.overlap)
 
     def diagnostics(self) -> dict:

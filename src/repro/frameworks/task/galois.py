@@ -36,18 +36,13 @@ def _require_single_node(cluster: Cluster) -> None:
         )
 
 
-def _work(streamed, random, ops) -> ComputeWork:
-    return ComputeWork(
-        streamed_bytes=streamed, random_bytes=random, ops=ops,
-        cpu_efficiency=_PROFILE.cpu_efficiency,
-        cores_fraction=_PROFILE.cores_fraction,
-        prefetch=_PROFILE.prefetch,
-    )
-
-
 def _step(cluster: Cluster, streamed, random, ops) -> None:
-    cluster.superstep(_work(streamed, random, ops),
-                      overhead_s=_PROFILE.superstep_overhead_s)
+    cluster.superstep(
+        ComputeWork(streamed_bytes=streamed, random_bytes=random, ops=ops,
+                    cpu_efficiency=_PROFILE.cpu_efficiency,
+                    cores_fraction=_PROFILE.cores_fraction,
+                    prefetch=_PROFILE.prefetch),
+        overhead_s=_PROFILE.superstep_overhead_s)
 
 
 @dataclass(frozen=True)

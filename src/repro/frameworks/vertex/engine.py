@@ -184,17 +184,13 @@ class BSPEngine:
         if self.vertex_cut is not None:
             edges_per_node = self.vertex_cut.edges_per_part()
             # Mirrors replicate vertex state.
-            mirrors = np.zeros(nodes)
-            replication = self.vertex_cut.replication_factor()
-            mirrors[:] = replication * self.graph.num_vertices / nodes
-            verts_per_node = mirrors
-        object_factor = self.profile.message_overhead_factor
-        for node in range(nodes):
-            self.cluster.allocate(
-                node, "graph",
-                (8 * float(edges_per_node[node])
-                 + state * float(verts_per_node[node])) * object_factor,
-            )
+            verts_per_node = np.full(
+                nodes, self.vertex_cut.replication_factor()
+                * self.graph.num_vertices / nodes)
+        self.cluster.allocate_all(
+            "graph", (8 * np.asarray(edges_per_node, dtype=np.float64)
+                      + state * np.asarray(verts_per_node, dtype=np.float64))
+            * self.profile.message_overhead_factor)
 
     # -- message exchange -----------------------------------------------------
 
@@ -320,28 +316,21 @@ class BSPEngine:
         per_node_vertices = np.bincount(
             self.vertex_owner[compute_vertices], minlength=nodes
         ).astype(np.float64)
-        edges_processed = np.broadcast_to(
-            np.asarray(edges_processed, dtype=np.float64), (nodes,)
-        )
+        edges_processed = np.asarray(edges_processed, dtype=np.float64)
+        if edges_processed.shape != (nodes,):
+            edges_processed = np.broadcast_to(edges_processed, (nodes,))
 
         # Buffering: Giraph keeps the whole (per-split) outgoing volume in
         # memory; streaming frameworks keep a bounded window.
-        send_bytes_per_node = stats.traffic.sum(axis=1)
-        recv_bytes_per_node = stats.traffic.sum(axis=0)
-        for node in range(nodes):
-            if profile.buffers_all_messages:
-                buffered = (send_bytes_per_node[node]
-                            + recv_bytes_per_node[node]) / splits
-            else:
-                # Streaming engines keep a bounded window (64 MB is a
-                # physical buffer size, so express it at proxy scale).
-                buffered = min(
-                    send_bytes_per_node[node] + recv_bytes_per_node[node],
-                    64 * 2**20 / cluster.scale_factor,
-                )
-            cluster.allocate(node, label, buffered)
-
-        message_bytes_per_node = send_bytes_per_node + recv_bytes_per_node
+        message_bytes_per_node = stats.traffic.sum(axis=1) \
+            + stats.traffic.sum(axis=0)
+        if profile.buffers_all_messages:
+            cluster.allocate_all(label, message_bytes_per_node / splits)
+        else:
+            # Streaming engines keep a bounded window (64 MB is a physical
+            # buffer size, so express it at proxy scale).
+            cluster.allocate_all(label, np.minimum(
+                message_bytes_per_node, 64 * 2**20 / cluster.scale_factor))
         split_traffic = stats.traffic / splits
         # Vertex-cut engines execute the GAS decomposition; 1d engines a
         # plain exchange-then-apply phase. Either way the cluster-level
@@ -351,46 +340,41 @@ class BSPEngine:
         with cluster.tracer.span(phase, splits=splits,
                                  messages=stats.messages,
                                  payload_bytes=stats.payload_bytes):
+            # Per-edge gather granularity: small values pull part of a
+            # cold line (denser state arrays -> more reuse), large vector
+            # values stream after the first line.
+            if gather_bytes_override is not None:
+                gather_bytes = gather_bytes_override
+            elif value_bytes <= CACHE_LINE_BYTES:
+                gather_bytes = min(CACHE_LINE_BYTES, 8.0 * value_bytes)
+            else:
+                gather_bytes = value_bytes
+            ops_per_edge_total = (ops_per_edge + profile.per_message_ops
+                                  + profile.per_byte_ops * value_bytes)
+            vertices = per_node_vertices / splits
+            edges = edges_processed / splits
+            # Vertex programs materialize a message per edge (write into
+            # the outbox, read at the target) on top of the adjacency
+            # scan — the per-edge cost native code avoids.
+            touched = (8 * edges                   # adjacency scan
+                       + 2 * value_bytes * edges   # msg write + read
+                       + value_bytes * vertices    # state update
+                       + 2 * message_bytes_per_node / splits)
+            work = ComputeWork(
+                streamed_bytes=touched * profile.message_overhead_factor,
+                # Per-edge gathers of neighbor state land on cold cache
+                # lines about half the time (graph order, not memory
+                # order).
+                random_bytes=0.5 * gather_bytes * edges,
+                ops=ops_per_edge_total * edges + ops_per_vertex * vertices,
+                cpu_efficiency=profile.cpu_efficiency,
+                cores_fraction=profile.cores_fraction,
+                prefetch=profile.prefetch,
+                memory_parallelism=profile.cores_fraction,
+            )
             for _ in range(splits):
-                works = []
-                # Per-edge gather granularity: small values pull part of a
-                # cold line (denser state arrays -> more reuse), large
-                # vector values stream after the first line.
-                if gather_bytes_override is not None:
-                    gather_bytes = gather_bytes_override
-                elif value_bytes <= CACHE_LINE_BYTES:
-                    gather_bytes = min(CACHE_LINE_BYTES, 8.0 * value_bytes)
-                else:
-                    gather_bytes = value_bytes
-                ops_per_edge_total = (ops_per_edge + profile.per_message_ops
-                                      + profile.per_byte_ops * value_bytes)
-                for node in range(nodes):
-                    vertices = per_node_vertices[node] / splits
-                    edges = edges_processed[node] / splits
-                    # Vertex programs materialize a message per edge (write
-                    # into the outbox, read at the target) on top of the
-                    # adjacency scan — the per-edge cost native code
-                    # avoids.
-                    touched = (8 * edges                   # adjacency scan
-                               + 2 * value_bytes * edges   # msg write + read
-                               + value_bytes * vertices    # state update
-                               + 2 * message_bytes_per_node[node] / splits)
-                    works.append(ComputeWork(
-                        streamed_bytes=(touched
-                                        * profile.message_overhead_factor),
-                        # Per-edge gathers of neighbor state land on cold
-                        # cache lines about half the time (graph order, not
-                        # memory order).
-                        random_bytes=0.5 * gather_bytes * edges,
-                        ops=(ops_per_edge_total * edges
-                             + ops_per_vertex * vertices),
-                        cpu_efficiency=profile.cpu_efficiency,
-                        cores_fraction=profile.cores_fraction,
-                        prefetch=profile.prefetch,
-                        memory_parallelism=profile.cores_fraction,
-                    ))
                 cluster.superstep(
-                    works, split_traffic,
+                    work, split_traffic,
                     overlap=profile.overlaps_communication,
                     layer=profile.comm_layer,
                     overhead_s=profile.superstep_overhead_s,

@@ -181,27 +181,26 @@ class TestCostModel:
         with pytest.raises(ValueError):
             ComputeWork(streamed_bytes=-1)
 
-    def test_work_scaled_and_merged(self):
+    def test_work_scaled(self):
         a = ComputeWork(streamed_bytes=10, ops=4, cpu_efficiency=0.5)
-        b = ComputeWork(random_bytes=6, cpu_efficiency=0.25)
         scaled = a.scaled(3)
         assert scaled.streamed_bytes == 30 and scaled.ops == 12
-        merged = a.merged(b)
-        assert merged.streamed_bytes == 10 and merged.random_bytes == 6
-        assert merged.cpu_efficiency == 0.25
+        assert scaled.cpu_efficiency == 0.5
 
 
 class TestCluster:
     def test_superstep_advances_clock(self):
         cluster = Cluster(paper_cluster(2))
-        report = cluster.superstep(ComputeWork(streamed_bytes=86e9))
+        cluster.superstep(ComputeWork(streamed_bytes=86e9))
+        report = cluster.metrics().steps[-1]
         assert report.time_s == pytest.approx(1.0, rel=0.05)
         assert cluster.elapsed_s == report.time_s
 
     def test_barrier_waits_for_slowest(self):
         cluster = Cluster(paper_cluster(2))
-        work = [ComputeWork(streamed_bytes=86e9), ComputeWork(streamed_bytes=8.6e9)]
-        report = cluster.superstep(work)
+        work = ComputeWork(streamed_bytes=np.array([86e9, 8.6e9]))
+        cluster.superstep(work)
+        report = cluster.metrics().steps[-1]
         assert report.time_s == pytest.approx(1.0, rel=0.05)
 
     def test_traffic_counted(self):
@@ -217,8 +216,11 @@ class TestCluster:
         # 2.87e9 payload bytes take ~1 s at MPI's sustained rate.
         traffic = np.array([[0.0, 2.87e9], [0.0, 0.0]])
         work = ComputeWork(streamed_bytes=86e9)
-        serial = Cluster(spec).superstep(work, traffic, overlap=False).time_s
-        overlapped = Cluster(spec).superstep(work, traffic, overlap=True).time_s
+        serial, overlapped = Cluster(spec), Cluster(spec)
+        serial.superstep(work, traffic, overlap=False)
+        overlapped.superstep(work, traffic, overlap=True)
+        serial = serial.metrics().steps[-1].time_s
+        overlapped = overlapped.metrics().steps[-1].time_s
         assert overlapped == pytest.approx(1.0, rel=0.1)
         assert serial == pytest.approx(2.0, rel=0.1)
 
@@ -227,15 +229,18 @@ class TestCluster:
         scaled = Cluster(paper_cluster(2), scale_factor=100.0)
         work = ComputeWork(streamed_bytes=1e8)
         traffic = np.array([[0.0, 1e7], [0.0, 0.0]])
-        t1 = base.superstep(work, traffic).time_s
-        t2 = scaled.superstep(work, traffic).time_s
+        base.superstep(work, traffic)
+        scaled.superstep(work, traffic)
+        t1 = base.metrics().steps[-1].time_s
+        t2 = scaled.metrics().steps[-1].time_s
         # Fixed latency is (correctly) not scaled, so allow 1% slack.
         assert t2 == pytest.approx(100 * t1, rel=0.01)
         assert scaled.metrics().bytes_sent_total == pytest.approx(1e9)
 
     def test_overhead_not_scaled(self):
         cluster = Cluster(paper_cluster(1), scale_factor=1000.0)
-        report = cluster.superstep(overhead_s=2.0)
+        cluster.superstep(overhead_s=2.0)
+        report = cluster.metrics().steps[-1]
         assert report.time_s == pytest.approx(2.0)
 
     def test_iterations(self):
@@ -276,7 +281,7 @@ class TestCluster:
     def test_work_list_length_validated(self):
         cluster = Cluster(paper_cluster(2))
         with pytest.raises(SimulationError):
-            cluster.superstep([ComputeWork()])
+            cluster.superstep(ComputeWork(ops=np.ones(1)))
 
     @pytest.mark.parametrize("step", [
         dict(work=ComputeWork(streamed_bytes=float("nan"))),

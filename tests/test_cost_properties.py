@@ -142,13 +142,3 @@ class TestScalingProperties:
                 factor * cost.memory_time(work))
             assert cost.cpu_time(scaled) == pytest.approx(
                 factor * cost.cpu_time(work))
-
-    def test_merged_work_superadditive_in_time(self, cost):
-        works = list(random_works(seed=12, n=100))
-        for left, right in zip(works[::2], works[1::2]):
-            merged = left.merged(right)
-            # Merging takes the worst settings of either piece, so the
-            # merged time can only beat the sum if settings improved —
-            # which merged() forbids (min of efficiencies/fractions).
-            assert cost.compute_time(merged) >= max(
-                cost.compute_time(left), cost.compute_time(right)) - 1e-12

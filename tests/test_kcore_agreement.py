@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.algorithms import kcore_reference
 from repro.algorithms.registry import FRAMEWORKS, runner
 from repro.cluster import Cluster, paper_cluster
-from repro.cluster.network import Fabric
+from repro.cluster.network import Fabric, TrafficReport
 from repro.errors import ExpressibilityError
 from repro.frameworks.rounds import KCore
 from repro.graph import CSRGraph, EdgeList
@@ -85,7 +85,15 @@ def observed():
 
     def recording_exchange(self, *args, **kwargs):
         report = exchange(self, *args, **kwargs)
-        reports.append(report)
+        if np.ndim(report.total_bytes):
+            # A stack of supersteps charged at once: one report per step.
+            reports.extend(
+                TrafficReport(*(getattr(report, name)[row] for name in (
+                    "comm_times", "bytes_out", "bytes_in", "peak_bandwidth",
+                    "total_bytes")))
+                for row in range(len(report.total_bytes)))
+        else:
+            reports.append(report)
         return report
 
     KCore.extras, Fabric.exchange = recording_extras, recording_exchange
