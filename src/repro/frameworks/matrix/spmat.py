@@ -40,7 +40,7 @@ import numpy as np
 from scipy import sparse
 
 from ...errors import PartitionError
-from ...graph import CSRGraph
+from ...graph import CSRGraph, iter_csr_blocks
 from ...kernels.segments import distinct
 from ...kernels.spmv import semiring_spmspv
 from ...observability import NULL_TRACER
@@ -138,9 +138,11 @@ class DistSpMat:
         band = np.minimum(
             np.searchsorted(self.bounds, np.arange(n), "right") - 1, g - 1)
         self._degrees = graph.out_degrees()
-        self.block_nnz = np.bincount(
-            np.repeat(band * g, self._degrees) + band[graph.targets],
-            minlength=g * g,
+        # Block by block, so an out-of-core graph is never materialized.
+        self.block_nnz = sum(
+            np.bincount(np.repeat(band[lo:hi] * g, self._degrees[lo:hi])
+                        + band[targets], minlength=g * g)
+            for lo, hi, _, targets in iter_csr_blocks(graph)
         ).reshape(g, g)
 
     @property

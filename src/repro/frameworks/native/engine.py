@@ -37,7 +37,7 @@ import numpy as np
 
 from ...cluster import ComputeWork, node_volumes
 from ...cluster.cost import CACHE_LINE_BYTES
-from ...graph import partition_edges_1d
+from ...graph import iter_csr_blocks, partition_edges_1d
 from ...kernels.segments import distinct, list_traffic
 from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, run_program
 from .compression import encoded_size
@@ -120,18 +120,28 @@ COSTS = {
 
 
 def _exchange_plan(in_csr, part) -> dict:
-    """Which remote values each node needs, as {(owner, consumer): ids}."""
+    """Which remote values each node needs, as {(owner, consumer): ids}.
+
+    The in-edges are read block by block (one partition of an
+    out-of-core graph at a time) into one consumer's vertex mask.
+    """
     plan = {}
-    for consumer in range(part.num_parts):
-        lo, hi = part.part_range(consumer)
-        sources = in_csr.targets[in_csr.offsets[lo]:in_csr.offsets[hi]]
-        needed = distinct(sources, in_csr.num_vertices)
-        owners = part.owner_of_many(needed)
-        for owner in distinct(owners, part.num_parts):
-            owner = int(owner)
-            if owner == consumer:
-                continue
-            plan[(owner, consumer)] = needed[owners == owner]
+    consumer = 0
+    seen = np.zeros(in_csr.num_vertices, dtype=bool)
+    for lo, hi, offsets, targets in iter_csr_blocks(in_csr):
+        while consumer < part.num_parts:
+            first, last = part.part_range(consumer)
+            seen[targets[offsets[max(first, lo) - lo]:
+                         offsets[min(last, hi) - lo]]] = True
+            if last > hi:
+                break           # the range goes on in the next block
+            needed = np.flatnonzero(seen)
+            seen[:] = False
+            owners = part.owner_of_many(needed)
+            for owner in distinct(owners, part.num_parts).tolist():
+                if owner != consumer:
+                    plan[(owner, consumer)] = needed[owners == owner]
+            consumer += 1
     return plan
 
 

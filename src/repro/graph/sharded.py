@@ -43,7 +43,7 @@ import numpy as np
 
 from ..errors import GraphFormatError
 from ..observability import NULL_TRACER
-from .csr import CSRGraph
+from .csr import CSRGraph, edge_slots
 from .edgelist import EdgeList
 from .keys import csr_rows, prepared_keys, sort_unique
 
@@ -160,9 +160,6 @@ class CSRPartition:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._owner.offsets[self.lo:self.hi + 1])
 
-    def sha256(self) -> str:
-        return _sha256_of(self.targets)
-
     def release(self) -> None:
         self._owner.release(self.index)
 
@@ -202,13 +199,16 @@ class ShardedCSRGraph:
         for part in self._partition_meta:
             _check_npy_size(os.path.join(self.root, part["file"]),
                             part["edges"])
+        # Plain-ndarray views of the mappings: a gather indexes them
+        # without ``np.memmap.__getitem__``'s per-call wrapping.
         self.offsets = np.load(os.path.join(self.root, OFFSETS_FILE),
-                               mmap_mode="r")
+                               mmap_mode="r").view(np.ndarray)
         if self.offsets.shape != (self.num_vertices + 1,):
             raise GraphFormatError("offsets must have num_vertices + 1 entries")
+        self._edge_bounds = self.offsets[self.bounds]
         self.edge_weights = None
         self.memory_budget_mb = memory_budget_mb
-        self._loaded = OrderedDict()  # partition index -> np.memmap
+        self._loaded = OrderedDict()  # partition index -> mapped targets
         self._flat_targets = None
         self._in_view = None
 
@@ -247,7 +247,7 @@ class ShardedCSRGraph:
         if budget is not None:
             while loaded and self.mapped_nbytes() + incoming > budget:
                 self._evict(next(iter(loaded)))
-        array = np.load(path, mmap_mode="r")
+        array = np.load(path, mmap_mode="r").view(np.ndarray)
         loaded[index] = array
         _TRACER.instant("partition-load", partition=index,
                         nbytes=int(array.nbytes))
@@ -282,27 +282,45 @@ class ShardedCSRGraph:
     def num_edges(self) -> int:
         return self._num_edges
 
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    def degree(self, v: int) -> int:
-        v = int(v)
-        return int(self.offsets[v + 1] - self.offsets[v])
+    # Read only ``offsets`` and ``neighbors``, so they are CSRGraph's own.
+    out_degrees, degree = CSRGraph.out_degrees, CSRGraph.degree
+    has_edge = CSRGraph.has_edge
 
     def neighbors(self, v: int) -> np.ndarray:
         v = int(v)
         if not 0 <= v < self.num_vertices:
             raise IndexError(f"vertex {v} out of range")
-        pid = int(self.partition_ids(np.array([v], dtype=np.int64))[0])
-        base = int(self.offsets[self.bounds[pid]])
-        start = int(self.offsets[v]) - base
-        stop = int(self.offsets[v + 1]) - base
-        return self._targets_of(pid)[start:stop]
+        pid = int(self.partition_ids(v))
+        base = self._edge_bounds[pid]
+        return self._targets_of(pid)[self.offsets[v] - base:
+                                     self.offsets[v + 1] - base]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        seg = self.neighbors(u)
-        pos = np.searchsorted(seg, v)
-        return bool(pos < seg.size and seg[pos] == v)
+    def _runs(self, vertices, slots, lengths):
+        """Yield ``(pid, output positions, partition-local slots)`` per
+        partition with edges, ascending: ``slots`` cut at the partition
+        bounds and shifted in place. The positions are a slice when the
+        partitions of ``vertices`` ascend (every caller's case), else
+        indices from a radix sort of the partition ids."""
+        from ..kernels.segments import stable_order  # kernels import us
+
+        pids = self.partition_ids(vertices)
+        begins = np.concatenate(([0], np.cumsum(lengths)))
+        order = None
+        if np.any(pids[1:] < pids[:-1]):
+            by_pid = stable_order(pids, self.num_partitions)
+            # The output rows, partition-major: a gather over ``begins``.
+            order, _ = edge_slots(begins, by_pid)
+            pids = pids[by_pid]
+            begins = np.concatenate(([0], np.cumsum(lengths[by_pid])))
+        cuts = begins[np.searchsorted(
+            pids, np.arange(self.num_partitions + 1))]
+        for pid in np.flatnonzero(cuts[1:] > cuts[:-1]).tolist():
+            at = slice(cuts[pid], cuts[pid + 1])
+            if order is not None:
+                at = order[at]
+            local = slots[at]
+            local -= self._edge_bounds[pid]
+            yield pid, at, local
 
     def neighbors_of_many(self, vertices) -> "tuple[np.ndarray, np.ndarray]":
         """Concatenated adjacency in input order, gathered shard by shard.
@@ -310,60 +328,28 @@ class ShardedCSRGraph:
         Identical output to ``CSRGraph.neighbors_of_many``; peak extra
         memory is one partition's gather plus the O(result) output.
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        starts = np.asarray(self.offsets[vertices])
-        lengths = np.asarray(self.offsets[vertices + 1]) - starts
-        total = int(lengths.sum())
-        out = np.empty(total, dtype=np.int64)
-        if total == 0:
-            return out, lengths
-        out_starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        pids = self.partition_ids(vertices)
-        for pid in np.unique(pids):
-            sel = pids == pid
-            seg_lengths = lengths[sel]
-            seg_total = int(seg_lengths.sum())
-            if seg_total == 0:
-                continue
-            base = int(self.offsets[self.bounds[pid]])
-            prefix = np.concatenate([[0], np.cumsum(seg_lengths)[:-1]])
-            ramp = np.arange(seg_total, dtype=np.int64)
-            flat = np.repeat(starts[sel] - base - prefix, seg_lengths) + ramp
-            dest = np.repeat(out_starts[sel] - prefix, seg_lengths) + ramp
-            out[dest] = self._targets_of(int(pid))[flat]
+        slots, lengths = edge_slots(self.offsets, vertices)
+        out = np.empty(slots.size, dtype=np.int64)
+        for pid, at, local in self._runs(vertices, slots, lengths):
+            out[at] = self._targets_of(pid)[local]
         return out, lengths
 
     def frontier_neighbors_unique(self, frontier) -> "tuple[np.ndarray, int]":
         """Sorted unique neighbors of ``frontier`` plus edges traversed.
 
-        Equals ``np.unique(neighbors_of_many(frontier)[0])`` but holds
-        only one partition's gather at a time (a running sorted union
-        replaces the global O(frontier-edges) sort), which is what keeps
-        BFS supersteps inside the memory budget.
+        The distinct values of ``neighbors_of_many(frontier)[0]``, one
+        partition's gather at a time:
+        :func:`~repro.kernels.segments.distinct_union` marks them in a
+        vertex mask (or sorts them, when few next to the vertex count),
+        which keeps BFS supersteps inside the memory budget.
         """
-        frontier = np.asarray(frontier, dtype=np.int64)
-        if frontier.size == 0:
-            return np.zeros(0, dtype=np.int64), 0
-        starts = np.asarray(self.offsets[frontier])
-        lengths = np.asarray(self.offsets[frontier + 1]) - starts
-        traversed = int(lengths.sum())
-        pids = self.partition_ids(frontier)
-        union = np.zeros(0, dtype=np.int64)
-        for pid in np.unique(pids):
-            sel = pids == pid
-            seg_lengths = lengths[sel]
-            seg_total = int(seg_lengths.sum())
-            if seg_total == 0:
-                continue
-            base = int(self.offsets[self.bounds[pid]])
-            prefix = np.concatenate([[0], np.cumsum(seg_lengths)[:-1]])
-            flat = (np.repeat(starts[sel] - base - prefix, seg_lengths)
-                    + np.arange(seg_total, dtype=np.int64))
-            gathered = self._targets_of(int(pid))[flat]
-            union = np.union1d(union, gathered)
-        return union, traversed
+        from ..kernels.segments import distinct_union
+
+        slots, lengths = edge_slots(self.offsets, frontier)
+        gathers = (self._targets_of(pid)[local]
+                   for pid, _, local in self._runs(frontier, slots, lengths))
+        return (distinct_union(gathers, self.num_vertices, slots.size),
+                slots.size)
 
     def sources(self) -> np.ndarray:
         """Per-edge source vertex — materializes O(num_edges) memory."""
@@ -380,12 +366,8 @@ class ShardedCSRGraph:
         if self._flat_targets is None:
             _TRACER.instant("sharded-materialize", what="targets",
                             nbytes=self._num_edges * 8)
-            parts = []
-            for part in self.partitions():
-                parts.append(np.asarray(part.targets))
-                part.release()
-            self._flat_targets = (np.concatenate(parts) if parts
-                                  else np.zeros(0, dtype=np.int64))
+            self._flat_targets = np.concatenate(
+                [targets for *_, targets in iter_csr_blocks(self)])
         return self._flat_targets
 
     def reverse(self):
@@ -395,16 +377,12 @@ class ShardedCSRGraph:
         if self._in_view is None:
             reverse_root = os.path.join(self.root, "reverse")
             if not os.path.isdir(reverse_root):
-                def transposed_blocks():
-                    for part in self.partitions():
-                        rows = np.repeat(
-                            np.arange(part.lo, part.hi, dtype=np.int64),
-                            part.out_degrees())
-                        yield EdgeList(self.num_vertices,
-                                       np.asarray(part.targets), rows)
-                        part.release()
+                transposed_blocks = (
+                    EdgeList(self.num_vertices, targets, np.repeat(
+                        np.arange(lo, hi, dtype=np.int64), np.diff(offsets)))
+                    for lo, hi, offsets, targets in iter_csr_blocks(self))
                 publish_dir(reverse_root, lambda staging: build_sharded_csr(
-                    transposed_blocks(), self.num_vertices, staging,
+                    transposed_blocks, self.num_vertices, staging,
                     num_partitions=self.num_partitions,
                     drop_self_loops=False))
             self._in_view = ShardedCSRGraph(
@@ -436,12 +414,9 @@ class ShardedCSRGraph:
 
     def digests(self) -> dict:
         """sha256 of the offsets array and of each partition's targets."""
-        parts = []
-        for part in self.partitions():
-            parts.append(part.sha256())
-            part.release()
-        return {"offsets": _sha256_of(np.asarray(self.offsets)),
-                "partitions": parts}
+        return {"offsets": _sha256_of(self.offsets),
+                "partitions": [_sha256_of(targets) for *_, targets
+                               in iter_csr_blocks(self)]}
 
     def __repr__(self) -> str:
         return (f"ShardedCSRGraph(num_vertices={self.num_vertices}, "

@@ -42,6 +42,18 @@ def distinct(ids: np.ndarray, universe: int) -> np.ndarray:
     return ordered[_run_starts(ordered)]
 
 
+def distinct_union(chunks, universe: int, size: int) -> np.ndarray:
+    """:func:`distinct` of the concatenated int64 ``chunks`` (``size``
+    ids in all); the dense scratch takes one chunk at a time."""
+    if not _dense(universe, size):
+        return distinct(np.concatenate([np.zeros(0, dtype=np.int64),
+                                        *chunks]), universe)
+    seen = np.zeros(universe, dtype=bool)
+    for chunk in chunks:
+        seen[chunk] = True
+    return np.flatnonzero(seen)
+
+
 def decrement_at(counts: np.ndarray, ids: np.ndarray) -> None:
     """``counts[i] -= 1`` per occurrence of ``i`` in ``ids``, in place."""
     if _dense(counts.size, ids.size):

@@ -112,8 +112,8 @@ class BFSPush(Kernel):
         if interpreted():
             candidates = self._expand_interpreted(frontier)
         elif hasattr(self.graph, "frontier_neighbors_unique"):
-            # Out-of-core path: running sorted union per partition, so
-            # the expansion never holds the whole frontier gather.
+            # Out-of-core path: the union fills one partition's gather
+            # at a time, never holding the whole frontier gather.
             candidates, _ = self.graph.frontier_neighbors_unique(frontier)
         else:
             neighbors, _ = gather = self.graph.neighbors_of_many(frontier)

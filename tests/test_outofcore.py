@@ -20,6 +20,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datagen import (
     OUT_OF_CORE_ENV,
@@ -42,6 +44,7 @@ from repro.graph import (
 )
 from repro.graph import sharded as sharded_module
 from repro.harness import ExperimentSpec, run
+from repro.kernels.backend import interpreted
 from repro.observability import Tracer, peak_rss_bytes, reset_peak_rss
 
 GRAPH_ARGS = dict(scale=8, edge_factor=8, seed=7)
@@ -186,6 +189,67 @@ class TestShardedGraphApi:
         want = dense.reverse()
         assert reverse.digests() == graph_digests(
             want, num_partitions=reverse.num_partitions)
+
+
+@pytest.fixture(scope="module")
+def sharded_by_count(tmp_path_factory):
+    """The undirected test graph, dense and sharded 1, 3 and 8 ways."""
+    root = tmp_path_factory.mktemp("gathers")
+    return dense_graph(), {count: sharded_graph(root, num_partitions=count)
+                           for count in (1, 3, 8)}
+
+
+class _WorkingSet:
+    """Tracer stand-in: the most shard bytes mapped at any partition load."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.peak = 0
+
+    def instant(self, name, **attrs):
+        if name == "partition-load":
+            self.peak = max(self.peak, self.graph.mapped_nbytes())
+
+
+class TestGatherProperties:
+    """The one-pass gathers against the dense ones, for any input."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), count=st.sampled_from([1, 3, 8]),
+           ascending=st.booleans(),
+           budget=st.sampled_from([None, 1e-6, 0.5, 2.5]))
+    def test_sharded_gathers_equal_the_dense_ones(
+            self, sharded_by_count, data, count, ascending, budget):
+        dense, by_count = sharded_by_count
+        sharded = by_count[count]
+        isolated = np.flatnonzero(dense.out_degrees() == 0).tolist()
+        assert isolated
+        vertex = (st.integers(0, dense.num_vertices - 1)
+                  | st.sampled_from(isolated))
+        vertices = np.array(data.draw(st.lists(vertex, max_size=80)),
+                            dtype=np.int64)
+        if ascending:
+            vertices.sort()
+        # Budgets in units of the smallest non-empty partition: 1e-6 and
+        # 0.5 are below one partition, 2.5 holds a few.
+        sizes = [part.num_edges * 8 for part in sharded.partitions()]
+        if budget is not None:
+            budget *= min(size for size in sizes if size) / 2**20
+        sharded.release()
+        sharded.memory_budget_mb = budget
+        working = _WorkingSet(sharded)
+        with sharded_module.use_tracer(working):
+            got_targets, got_lengths = sharded.neighbors_of_many(vertices)
+            unique, traversed = sharded.frontier_neighbors_unique(vertices)
+        sharded.release()
+        want_targets, want_lengths = dense.neighbors_of_many(vertices)
+        assert got_targets.dtype == want_targets.dtype
+        np.testing.assert_array_equal(got_targets, want_targets)
+        np.testing.assert_array_equal(got_lengths, want_lengths)
+        np.testing.assert_array_equal(unique, np.unique(want_targets))
+        assert traversed == want_targets.size
+        if budget is not None:
+            assert working.peak <= max(budget * 2**20, max(sizes))
 
 
 class TestMemoryBudget:
@@ -355,6 +419,30 @@ class TestEngineEquivalence:
         else:
             assert np.array_equal(got_values, want_values)
 
+    @pytest.mark.parametrize("framework,nodes", [
+        ("native", 1), ("native", 4), ("galois", 1), ("combblas", 4)])
+    @pytest.mark.parametrize("algorithm", ["bfs", "wcc", "pagerank",
+                                           "k_core"])
+    def test_cold_sharded_cells_never_materialize(self, cache_dir,
+                                                  algorithm, framework,
+                                                  nodes):
+        directed = algorithm == "pagerank"
+        dense = dense_graph(directed=directed)
+        sharded = rmat_graph_sharded(**GRAPH_ARGS, directed=directed,
+                                     chunk_edges=512, num_partitions=3)
+        # ``cold_sharded``'s LRU: a quarter of the target bytes.
+        sharded.memory_budget_mb = sharded.num_edges * 8 / 4 / 2**20
+        spec = dict(algorithm=algorithm, framework=framework, nodes=nodes)
+        tracer = Tracer()
+        with sharded_module.use_tracer(tracer):
+            got = run(ExperimentSpec(dataset=sharded, **spec))
+        want = run(ExperimentSpec(dataset=dense, **spec))
+        assert got.ok and got.runtime() == want.runtime()
+        assert np.array_equal(got.result.values, want.result.values)
+        # The interpreted oracle walks the flat edge array on purpose.
+        if not interpreted():
+            assert not tracer.spans_named("sharded-materialize")
+
 
 class TestPeakRss:
     def test_peak_rss_is_positive_and_resets(self):
@@ -379,7 +467,8 @@ class TestOutOfCoreDemo:
         # on --memory-limit-mb with the other knobs as below: the
         # streamed cell fails at 1 and completes from 2; the dense cell
         # is out-of-memory up to 11 and completes from 12. 7 sits
-        # mid-way between the two failure points.
+        # mid-way between the two failure points. The calibration is the
+        # vectorized backend's: the interpreted oracle walks flat arrays.
         journal = tmp_path / "outofcore.jsonl"
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "outofcore", "demo",
@@ -388,7 +477,8 @@ class TestOutOfCoreDemo:
              "--chunk-edges", str(1 << 16), "--partitions", "16",
              "--roots", "2", "--journal", str(journal), "--json"],
             capture_output=True, text=True, timeout=300,
-            env={**os.environ, "PYTHONPATH": "src"})
+            env={**os.environ, "PYTHONPATH": "src",
+                 "REPRO_KERNELS": "vectorized"})
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["in_memory"]["status"] == "out-of-memory"

@@ -93,6 +93,17 @@ def test_distinct_is_unique(ids):
         np.testing.assert_array_equal(found, np.unique(ids))
 
 
+@settings(max_examples=100, deadline=None)
+@given(ids_arrays, st.integers(1, 4))
+@example(np.zeros(0, dtype=np.int64), 3)
+def test_distinct_union_is_unique_of_the_concatenation(ids, pieces):
+    chunks = np.array_split(ids, pieces)
+    for universe in universes(ids):
+        found = segments.distinct_union(iter(chunks), universe, ids.size)
+        assert found.dtype == np.int64
+        np.testing.assert_array_equal(found, np.unique(ids))
+
+
 @settings(max_examples=200, deadline=None)
 @given(ids_arrays)
 @example(np.zeros(0, dtype=np.int64))
@@ -478,13 +489,14 @@ def test_nothing_is_memoised_on_a_sharded_graph(tmp_path, monkeypatch):
 #: Where a dedup or a mode must go through ``kernels/segments.py``.
 HOT_PATH = ("kernels", "frameworks/rounds.py", "frameworks/vertex/engine.py",
             "frameworks/datalog/engine.py", "frameworks/datalog/table.py",
-            "frameworks/native/engine.py", "graph/partition.py")
+            "frameworks/native/engine.py", "graph/partition.py",
+            "graph/sharded.py")
 #: ``file: line fragment`` that may keep a comparison sort, and why.
 ALLOWED_SORTS = {
     # The primitives themselves: the sort side of the size switch.
     "kernels/segments.py": None,
 }
-SORT_CALL = re.compile(r"np\.lexsort|np\.unique\(|argsort\(")
+SORT_CALL = re.compile(r"np\.lexsort|np\.unique\(|argsort\(|np\.union1d")
 
 
 def test_no_comparison_sort_on_the_hot_path():
