@@ -71,18 +71,6 @@ class ComputeWork:
         if np.ndarray not in map(type, counters) and min(counters) < 0:
             raise ValueError("work counters must be non-negative")
 
-    def scaled(self, factor: float) -> "ComputeWork":
-        """The same work at ``factor`` times the data size."""
-        return ComputeWork(
-            streamed_bytes=self.streamed_bytes * factor,
-            random_bytes=self.random_bytes * factor,
-            ops=self.ops * factor,
-            cpu_efficiency=self.cpu_efficiency,
-            cores_fraction=self.cores_fraction,
-            prefetch=self.prefetch,
-            memory_parallelism=self.memory_parallelism,
-        )
-
 
 def negative(streamed, random, ops):
     """Where ``min(streamed, random, ops) < 0``, elementwise, with
@@ -123,32 +111,13 @@ class CostModel:
                           where=np.not_equal(ops, 0))
         return memory_s, cpu_s
 
-    def _times(self, work: ComputeWork) -> tuple:
-        return self.charge(work.streamed_bytes, work.random_bytes, work.ops,
-                           *self.rates(work))
-
-    def memory_time(self, work: ComputeWork) -> float:
-        return float(self._times(work)[0])
-
-    def cpu_time(self, work: ComputeWork) -> float:
-        return float(self._times(work)[1])
-
-    def compute_time(self, work: ComputeWork) -> float:
-        """Max of memory and CPU time: cores overlap loads with ALU work."""
-        return float(max(self._times(work)))
-
-    def bound_by(self, work: ComputeWork) -> str:
-        """Which resource limits this work ('memory' or 'cpu')."""
-        return "memory" if self.memory_time(work) >= self.cpu_time(work) else "cpu"
-
     # -- speed-of-light floors (repro.perf roofline) ------------------------
     #
-    # Same formulas as memory_time/cpu_time but with every software knob
-    # at its physical best: all cores, full efficiency and memory
-    # parallelism, prefetch on. For any ComputeWork carrying these byte
-    # and op counts, memory_time(work) >= memory_floor_s(...) and
-    # cpu_time(work) >= cpu_floor_s(...) — the roofline ratio is >= 1 by
-    # construction.
+    # Same formulas as charge() but with every software knob at its
+    # physical best: all cores, full efficiency and memory parallelism,
+    # prefetch on. For any ComputeWork carrying these byte and op counts,
+    # charge()'s memory and cpu seconds are >= memory_floor_s(...) and
+    # cpu_floor_s(...) — the roofline ratio is >= 1 by construction.
 
     def memory_floor_s(self, streamed_bytes: float,
                        random_bytes: float) -> float:
@@ -163,10 +132,3 @@ class CostModel:
         if ops == 0:
             return 0.0
         return ops / self.node.compute_rate(1.0, 1.0)
-
-    @staticmethod
-    def step_time(compute_s: float, comm_s: float, overlap: bool) -> float:
-        """Combine compute and communication for one node's superstep."""
-        if compute_s < 0 or comm_s < 0:
-            raise ValueError("times must be non-negative")
-        return max(compute_s, comm_s) if overlap else compute_s + comm_s

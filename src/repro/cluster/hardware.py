@@ -43,10 +43,6 @@ class NodeSpec:
     #: protocols writing/restoring checkpoints (repro.chaos).
     disk_bandwidth: float = 200e6
 
-    @property
-    def hardware_threads(self) -> int:
-        return self.cores * self.smt
-
     def compute_rate(self, cpu_efficiency: float = 1.0,
                      cores_fraction: float = 1.0) -> float:
         """Sustainable scalar-op throughput (ops/second).
@@ -74,10 +70,6 @@ class ClusterSpec:
     def __post_init__(self):
         if self.num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
-
-    @property
-    def total_memory(self) -> int:
-        return self.num_nodes * self.node.dram_bytes
 
 
 #: The exact platform of the paper, for convenience.

@@ -98,14 +98,14 @@ def node_volumes(traffic: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrafficReport:
-    """Network outcome of one superstep (or of a stack of them: every
-    field then gains a leading step axis)."""
+    """Network outcome of a stack of supersteps: every field has a
+    leading step axis."""
 
-    comm_times: np.ndarray          # seconds per node
-    bytes_out: np.ndarray           # wire bytes sent per node
-    bytes_in: np.ndarray            # wire bytes received per node
-    peak_bandwidth: float           # bytes/s while transferring
-    total_bytes: float              # wire bytes, all nodes
+    comm_times: np.ndarray          # seconds per step and node
+    bytes_out: np.ndarray           # wire bytes sent per step and node
+    bytes_in: np.ndarray            # wire bytes received per step and node
+    peak_bandwidth: np.ndarray      # bytes/s per step while transferring
+    total_bytes: np.ndarray         # wire bytes per step, all nodes
     #: Fault counters from an injected LinkDisruption, None when clean.
     faults: dict = None
 
@@ -129,27 +129,19 @@ class Fabric:
 
     def exchange(self, traffic: np.ndarray, layer: CommLayer,
                  disruption=None) -> TrafficReport:
-        """One bulk exchange; ``disruption`` injects network faults.
+        """Bulk exchanges; ``disruption`` injects network faults.
 
-        ``traffic`` is one ``(P, P)`` matrix or a stack ``(S, P, P)`` of
-        supersteps' matrices, each reduced on its own exactly as alone.
-        A :class:`~repro.chaos.LinkDisruption` (chaos runs only, one
-        matrix) may retransmit dropped/corrupted transfers (their wire
-        bytes count twice), stall senders for retry backoff, and congest
-        the layer — latency x factor, sustained bandwidth / factor —
-        while a latency spike is active.
+        ``traffic`` is a stack ``(S, P, P)`` of supersteps' non-negative
+        matrices, each reduced on its own exactly as alone (the caller
+        checks shape and sign). A :class:`~repro.chaos.LinkDisruption`
+        (chaos runs only, a stack of one) may retransmit
+        dropped/corrupted transfers (their wire bytes count twice), stall
+        senders for retry backoff, and congest the layer — latency x
+        factor, sustained bandwidth / factor — while a latency spike is
+        active.
         """
-        traffic = np.asarray(traffic, dtype=np.float64)
         nodes = self.num_nodes
-        if traffic.ndim not in (2, 3) or traffic.shape[-2:] != (nodes, nodes):
-            raise SimulationError(
-                f"traffic matrix must be {nodes}x{nodes}, "
-                f"got {traffic.shape}"
-            )
-        if (traffic < 0).any():
-            raise SimulationError("traffic bytes must be non-negative")
-
-        wire = layer.wire_bytes(traffic.reshape(-1, nodes, nodes))
+        wire = layer.wire_bytes(traffic)
         wire.reshape(len(wire), -1)[:, ::nodes + 1] = 0.0   # the diagonals
         latency = layer.latency_s
         bandwidth = layer.sustained_bandwidth(self.node)
@@ -182,12 +174,6 @@ class Fabric:
             if self.tracer.enabled:
                 for sent in total[total > 0].tolist():
                     self.tracer.count("bytes_sent", sent)
-        if traffic.ndim == 2:
-            return TrafficReport(comm_times=comm_times[0],
-                                 bytes_out=bytes_out[0], bytes_in=bytes_in[0],
-                                 peak_bandwidth=float(peak[0]),
-                                 total_bytes=float(total[0]),
-                                 faults=fault_info)
         return TrafficReport(comm_times=comm_times, bytes_out=bytes_out,
                              bytes_in=bytes_in, peak_bandwidth=peak,
                              total_bytes=total, faults=fault_info)

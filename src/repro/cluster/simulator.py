@@ -194,7 +194,8 @@ class Cluster:
                 if negative(*(np.multiply(column, self.scale_factor)
                               for column in counters)).any():
                     raise SimulationError("work counters must be non-negative")
-                self.fabric.exchange(traffic, layer)   # refuses the shape
+                raise SimulationError(f"traffic matrix must be {nodes}x"
+                                      f"{nodes}, got {traffic.shape}")
         if layer is not self._layer:
             self._flush()
             self._layer, self._rates = layer, {}

@@ -110,9 +110,6 @@ class RMATStream:
             yield index, self.chunk(start,
                                     min(start + chunk_edges, self.num_edges))
 
-    def num_chunks(self, chunk_edges: int = DEFAULT_CHUNK_EDGES) -> int:
-        return -(-self.num_edges // chunk_edges)
-
     def __repr__(self) -> str:
         return (f"RMATStream(scale={self.scale}, "
                 f"edge_factor={self.edge_factor}, seed={self.seed}, "

@@ -1,6 +1,5 @@
-"""Task/worklist engine and the Galois front-end."""
+"""Task engine and the Galois front-end."""
 
 from . import galois
-from .worklist import BulkSynchronousExecutor, parallel_for_each
 
-__all__ = ["BulkSynchronousExecutor", "galois", "parallel_for_each"]
+__all__ = ["galois"]

@@ -3,7 +3,6 @@
 from .bipartite import RatingsMatrix, bipartite_graph
 from .bitvector import BitVector
 from .csr import CSRGraph
-from .cuckoo import CuckooHashSet
 from .edgelist import EdgeList
 from .partition import (
     Partition1D,
@@ -35,7 +34,6 @@ __all__ = [
     "BitVector",
     "CSRGraph",
     "CSRPartition",
-    "CuckooHashSet",
     "EdgeList",
     "ShardedCSRGraph",
     "build_sharded_csr",

@@ -126,9 +126,6 @@ class BitVector:
         """Population count (number of set bits)."""
         return int(np.unpackbits(self._words.view(np.uint8)).sum())
 
-    def clear_all(self) -> None:
-        self._words[:] = 0
-
     # -- set algebra ------------------------------------------------------
 
     def _binary(self, other: "BitVector", op) -> "BitVector":

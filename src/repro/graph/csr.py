@@ -190,12 +190,6 @@ class CSRGraph:
             raise IndexError(f"vertex {v} out of range")
         return self.targets[self.offsets[v]:self.offsets[v + 1]]
 
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        if self.edge_weights is None:
-            raise GraphFormatError("graph has no edge weights")
-        v = int(v)
-        return self.edge_weights[self.offsets[v]:self.offsets[v + 1]]
-
     def degree(self, v: int) -> int:
         v = int(v)
         return int(self.offsets[v + 1] - self.offsets[v])

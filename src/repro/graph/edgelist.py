@@ -109,18 +109,6 @@ class EdgeList:
         oriented = EdgeList(self.num_vertices, lo[keep], hi[keep])
         return oriented.deduplicate()
 
-    def relabel_compact(self) -> "tuple[EdgeList, np.ndarray]":
-        """Renumber vertices so only those with incident edges remain.
-
-        Returns the compacted edge list and the array mapping new id ->
-        old id. Used by the ratings generator after its degree filter.
-        """
-        used = np.unique(np.concatenate([self.src, self.dst]))
-        remap = np.full(self.num_vertices, -1, dtype=np.int64)
-        remap[used] = np.arange(used.size)
-        compact = EdgeList(int(used.size), remap[self.src], remap[self.dst], self.weights)
-        return compact, used
-
     def permuted(self, rng: np.random.Generator) -> "EdgeList":
         """Edges in a uniformly random order (SGD requires this)."""
         order = rng.permutation(self.num_edges)

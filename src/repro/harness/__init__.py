@@ -14,7 +14,7 @@ from .datasets import (
 from .figures import figure3, figure4, figure5, figure6, figure7, sgd_vs_gd
 from .graph500 import Graph500Result, graph500_protocol, run_graph500
 from .outofcore import OutOfCoreCell, run_outofcore_demo
-from .persistence import compare_artifacts, load_artifact, save_artifact
+from .persistence import load_artifact, save_artifact
 from ..errors import (
     CELL_STATUSES,
     STATUS_CRASHED,
@@ -66,7 +66,6 @@ __all__ = [
     "SupervisorStats",
     "Sweep",
     "SweepResult",
-    "compare_artifacts",
     "outcome_of",
     "load_artifact",
     "parallel_efficiency",

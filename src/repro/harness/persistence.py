@@ -1,9 +1,9 @@
-"""Persist regenerated artifacts and compare runs across versions.
+"""Persist regenerated artifacts, and what the harness' journals share.
 
-Reproduction studies live or die by tracked drift: this module writes
-the harness' table/figure data to JSON (with environment stamps) and
-diffs two saved runs, flagging cells that moved beyond a tolerance —
-the regression check a maintainer runs before accepting a model change.
+This module writes the harness' table/figure data to JSON with an
+environment stamp. It also holds the one JSON normalizer that artifacts,
+sweep journals and ``RunResult.to_dict`` use, and the crash-safe write
+and journal-read primitives.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ from ..errors import ReproError
 
 
 def _jsonable(value):
-    """Recursively convert harness outputs (numpy scalars etc.) to JSON."""
+    """Recursively convert harness outputs (numpy arrays and scalars
+    etc.) to JSON."""
     if isinstance(value, dict):
         return {str(key): _jsonable(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
-    if hasattr(value, "item"):          # numpy scalar
-        value = value.item()
+    if hasattr(value, "tolist"):        # numpy array or scalar
+        return _jsonable(value.tolist())
     if isinstance(value, float) and not math.isfinite(value):
         return None                      # NaN and +/-inf -> null
     return value
@@ -114,45 +115,3 @@ def load_artifact(path) -> dict:
         if key not in payload:
             raise ReproError(f"{path} is not a saved artifact (missing {key})")
     return payload
-
-
-def _walk_numbers(data, prefix=""):
-    if isinstance(data, dict):
-        for key, value in data.items():
-            yield from _walk_numbers(value, f"{prefix}/{key}")
-    elif isinstance(data, list):
-        for index, value in enumerate(data):
-            yield from _walk_numbers(value, f"{prefix}[{index}]")
-    elif isinstance(data, (int, float)) and not isinstance(data, bool):
-        yield prefix, float(data)
-
-
-def compare_artifacts(old: dict, new: dict, tolerance: float = 0.25) -> dict:
-    """Diff two saved artifacts; returns drifted/added/removed cells.
-
-    ``tolerance`` is the allowed relative change for numeric leaves.
-    """
-    if old["artifact"] != new["artifact"]:
-        raise ReproError(
-            f"artifact mismatch: {old['artifact']} vs {new['artifact']}"
-        )
-    old_values = dict(_walk_numbers(old["data"]))
-    new_values = dict(_walk_numbers(new["data"]))
-
-    drifted = {}
-    for key in old_values.keys() & new_values.keys():
-        before, after = old_values[key], new_values[key]
-        if before == after:
-            continue
-        denominator = max(abs(before), 1e-12)
-        change = abs(after - before) / denominator
-        if change > tolerance:
-            drifted[key] = {"before": before, "after": after,
-                            "relative_change": change}
-    return {
-        "artifact": old["artifact"],
-        "drifted": drifted,
-        "added": sorted(new_values.keys() - old_values.keys()),
-        "removed": sorted(old_values.keys() - new_values.keys()),
-        "clean": not drifted and old_values.keys() == new_values.keys(),
-    }

@@ -8,22 +8,6 @@ which renderer draws which artifact) live in
 from __future__ import annotations
 
 
-def _format_cell(value, width: int = 10) -> str:
-    if value is None:
-        return "-".rjust(width)
-    if isinstance(value, str):
-        return value.rjust(width)
-    if isinstance(value, float):
-        if value != value:  # NaN
-            return "n/a".rjust(width)
-        if value >= 100:
-            return f"{value:.0f}".rjust(width)
-        if value >= 1:
-            return f"{value:.1f}".rjust(width)
-        return f"{value:.3g}".rjust(width)
-    return str(value).rjust(width)
-
-
 def render_rows(rows: list, columns: list, title: str = "") -> str:
     """Generic fixed-width table from a list of row dicts."""
     widths = {

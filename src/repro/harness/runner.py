@@ -32,6 +32,7 @@ from .datasets import (
     catalog_dataset,
     experiment_dataset,
 )
+from .persistence import _jsonable
 from .spec import ExperimentSpec
 
 
@@ -53,23 +54,6 @@ def default_params(algorithm: str, dataset=None) -> dict:
     if algorithm == "label_propagation":
         return {"iterations": HARNESS_ITERATIONS}
     return {}
-
-
-def _json_safe(value):
-    """Recursively convert numpy containers/scalars for json.dump."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
 
 
 @dataclass
@@ -131,14 +115,14 @@ class RunResult:
             "framework": self.framework,
             "nodes": self.nodes,
             "status": self.status,
-            "config": _json_safe(self.config),
+            "config": _jsonable(self.config),
         }
         if self.failure:
             out["failure"] = self.failure
         if self.ok:
             out["runtime_s"] = self.result.runtime_for_comparison()
             out["result"] = self.result.to_dict()
-        out["recovery"] = (_json_safe(self.recovery.to_dict())
+        out["recovery"] = (_jsonable(self.recovery.to_dict())
                            if self.recovery is not None else None)
         return out
 

@@ -41,7 +41,7 @@ from .baselines import (
     render_kernel_report,
     render_outofcore_report,
 )
-from .model import Roofline, roofline_of, roofline_of_run, roofline_table
+from .model import Roofline, roofline_of, roofline_table
 from .report import (
     render_advice,
     render_attribution,
@@ -91,6 +91,5 @@ __all__ = [
     "render_outofcore_report",
     "render_roofline",
     "roofline_of",
-    "roofline_of_run",
     "roofline_table",
 ]

@@ -113,11 +113,6 @@ def roofline_of(metrics, node: NodeSpec = PAPER_NODE) -> Roofline:
     )
 
 
-def roofline_of_run(run, node: NodeSpec = PAPER_NODE) -> Roofline:
-    """Roofline for a :class:`~repro.harness.runner.RunResult`."""
-    return roofline_of(run.metrics(), node=node)
-
-
 def roofline_table(framework: str = "native", algorithms=None,
                    node_counts=(1, 4)) -> dict:
     """Achieved-vs-bound efficiency in Table-4 form.

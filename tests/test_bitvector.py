@@ -90,11 +90,6 @@ class TestBulk:
         vec = BitVector(10)
         assert vec.test_many([]).size == 0
 
-    def test_clear_all(self):
-        vec = BitVector.from_indices(70, range(70))
-        vec.clear_all()
-        assert vec.count() == 0
-
 
 class TestAlgebra:
     def test_or_and_xor(self):

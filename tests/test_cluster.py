@@ -26,7 +26,6 @@ class TestHardware:
     def test_paper_node_defaults(self):
         node = NodeSpec()
         assert node.cores == 24
-        assert node.hardware_threads == 48
         assert node.dram_bytes == 64 * 2**30
         assert node.link_bandwidth == 5.5e9
 
@@ -46,7 +45,6 @@ class TestHardware:
     def test_cluster_spec_validates(self):
         with pytest.raises(ValueError):
             ClusterSpec(num_nodes=0)
-        assert paper_cluster(4).total_memory == 4 * 64 * 2**30
 
 
 class TestCommLayers:
@@ -79,34 +77,50 @@ class TestCommLayers:
 class TestFabric:
     def test_diagonal_is_free(self):
         fabric = Fabric(NodeSpec(), 2)
-        traffic = np.array([[1e9, 0.0], [0.0, 1e9]])
+        traffic = np.array([[[1e9, 0.0], [0.0, 1e9]]])
         report = fabric.exchange(traffic, MPI)
-        assert report.total_bytes == 0
-        np.testing.assert_array_equal(report.comm_times, [0.0, 0.0])
+        np.testing.assert_array_equal(report.total_bytes, [0.0])
+        np.testing.assert_array_equal(report.comm_times, [[0.0, 0.0]])
 
     def test_send_receive_bottleneck(self):
         fabric = Fabric(NodeSpec(), 3)
         # Node 0 sends 1 GB to each of nodes 1 and 2 — its send side (2 GB)
         # is the bottleneck, not either receiver's 1 GB.
-        traffic = np.zeros((3, 3))
-        traffic[0, 1] = traffic[0, 2] = 1e9
+        traffic = np.zeros((1, 3, 3))
+        traffic[0, 0, 1] = traffic[0, 0, 2] = 1e9
         report = fabric.exchange(traffic, MPI)
         bandwidth = MPI.sustained_bandwidth(NodeSpec())
-        assert report.comm_times[0] == pytest.approx(2e9 / bandwidth, rel=0.01)
-        assert report.comm_times[1] == pytest.approx(1e9 / bandwidth, rel=0.01)
+        assert report.comm_times[0, 0] == pytest.approx(2e9 / bandwidth,
+                                                        rel=0.01)
+        assert report.comm_times[0, 1] == pytest.approx(1e9 / bandwidth,
+                                                        rel=0.01)
+
+    def test_stack_reduces_each_step_alone(self):
+        fabric = Fabric(NodeSpec(), 2)
+        steps = np.array([[[0.0, 1e9], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+                          [[0.0, 3e9], [2e9, 0.0]]])
+        stacked = fabric.exchange(steps, MPI)
+        assert stacked.comm_times.shape == (3, 2)
+        for row, traffic in enumerate(steps):
+            alone = fabric.exchange(traffic[None], MPI)
+            for name in ("comm_times", "bytes_out", "bytes_in",
+                         "peak_bandwidth", "total_bytes"):
+                np.testing.assert_array_equal(
+                    getattr(stacked, name)[row], getattr(alone, name)[0])
 
     def test_shape_validation(self):
-        fabric = Fabric(NodeSpec(), 2)
-        with pytest.raises(SimulationError):
-            fabric.exchange(np.zeros((3, 3)), MPI)
-        with pytest.raises(SimulationError):
-            fabric.exchange(np.array([[0.0, -1.0], [0.0, 0.0]]), MPI)
+        cluster = Cluster(paper_cluster(2))
+        with pytest.raises(SimulationError,
+                           match=r"traffic matrix must be 2x2, got \(3, 3\)"):
+            cluster.superstep(traffic=np.zeros((3, 3)))
+        with pytest.raises(SimulationError, match="traffic bytes"):
+            cluster.superstep(traffic=np.array([[0.0, -1.0], [0.0, 0.0]]))
 
     def test_slower_layer_takes_longer(self):
         fabric = Fabric(NodeSpec(), 2)
-        traffic = np.array([[0.0, 1e9], [0.0, 0.0]])
-        fast = fabric.exchange(traffic, MPI).comm_times[0]
-        slow = fabric.exchange(traffic, NETTY_HADOOP).comm_times[0]
+        traffic = np.array([[[0.0, 1e9], [0.0, 0.0]]])
+        fast = fabric.exchange(traffic, MPI).comm_times[0, 0]
+        slow = fabric.exchange(traffic, NETTY_HADOOP).comm_times[0, 0]
         assert slow > 5 * fast
 
 
@@ -147,45 +161,56 @@ class TestMemory:
             tracker.free("nope")
 
 
+def step_of(work, traffic=None, overlap=False, nodes=1, scale_factor=1.0):
+    """The record of a one-superstep run."""
+    cluster = Cluster(paper_cluster(nodes), scale_factor=scale_factor)
+    cluster.superstep(work, traffic, overlap=overlap)
+    return cluster.metrics().steps[-1]
+
+
 class TestCostModel:
     def test_streaming_vs_random(self):
-        model = CostModel(NodeSpec())
-        streamed = ComputeWork(streamed_bytes=1e9)
-        random = ComputeWork(random_bytes=1e9)
-        assert model.compute_time(random) > 5 * model.compute_time(streamed)
+        streamed = step_of(ComputeWork(streamed_bytes=1e9))
+        random = step_of(ComputeWork(random_bytes=1e9))
+        assert random.compute_s > 5 * streamed.compute_s
 
     def test_prefetch_speeds_random(self):
-        model = CostModel(NodeSpec())
-        plain = ComputeWork(random_bytes=1e9)
-        prefetched = ComputeWork(random_bytes=1e9, prefetch=True)
-        ratio = model.compute_time(plain) / model.compute_time(prefetched)
+        plain = step_of(ComputeWork(random_bytes=1e9))
+        prefetched = step_of(ComputeWork(random_bytes=1e9, prefetch=True))
+        ratio = plain.compute_s / prefetched.compute_s
         assert 2.0 < ratio < 4.0
 
     def test_compute_overlaps_memory_and_cpu(self):
-        model = CostModel(NodeSpec())
-        work = ComputeWork(streamed_bytes=1e9, ops=1e9)
-        assert model.compute_time(work) == pytest.approx(
-            max(model.memory_time(work), model.cpu_time(work))
-        )
+        step = step_of(ComputeWork(streamed_bytes=1e9, ops=1e9))
+        assert step.memory_s > 0 and step.cpu_s > 0
+        assert step.compute_s == max(step.memory_s, step.cpu_s)
 
     def test_bound_by(self):
-        model = CostModel(NodeSpec())
-        assert model.bound_by(ComputeWork(streamed_bytes=1e12, ops=1)) == "memory"
-        assert model.bound_by(ComputeWork(streamed_bytes=1, ops=1e12)) == "cpu"
+        memory = step_of(ComputeWork(streamed_bytes=1e12, ops=1))
+        assert memory.memory_s > memory.cpu_s
+        cpu = step_of(ComputeWork(streamed_bytes=1, ops=1e12))
+        assert cpu.cpu_s > cpu.memory_s
 
     def test_step_time_overlap(self):
-        assert CostModel.step_time(2.0, 3.0, overlap=True) == 3.0
-        assert CostModel.step_time(2.0, 3.0, overlap=False) == 5.0
+        work = ComputeWork(streamed_bytes=86e9)
+        traffic = np.array([[0.0, 5e9], [0.0, 0.0]])
+        hidden = step_of(work, traffic, overlap=True, nodes=2)
+        serial = step_of(work, traffic, overlap=False, nodes=2)
+        assert hidden.time_s == max(hidden.compute_s, hidden.comm_s)
+        assert serial.time_s == serial.compute_s + serial.comm_s
+        assert hidden.time_s < serial.time_s
 
     def test_work_validation(self):
         with pytest.raises(ValueError):
             ComputeWork(streamed_bytes=-1)
 
     def test_work_scaled(self):
-        a = ComputeWork(streamed_bytes=10, ops=4, cpu_efficiency=0.5)
-        scaled = a.scaled(3)
-        assert scaled.streamed_bytes == 30 and scaled.ops == 12
-        assert scaled.cpu_efficiency == 0.5
+        # The cluster's scale factor multiplies every counter, so the
+        # same work at 3x the data size costs 3x.
+        work = ComputeWork(streamed_bytes=10, ops=4, cpu_efficiency=0.5)
+        base, scaled = step_of(work), step_of(work, scale_factor=3)
+        assert scaled.memory_s == pytest.approx(3 * base.memory_s)
+        assert scaled.cpu_s == pytest.approx(3 * base.cpu_s)
 
 
 class TestCluster:
@@ -332,5 +357,10 @@ def test_compute_time_monotone_in_work(streamed, random, ops):
     base = ComputeWork(streamed_bytes=streamed, random_bytes=random, ops=ops)
     bigger = ComputeWork(streamed_bytes=streamed * 2 + 1,
                          random_bytes=random * 2 + 1, ops=ops * 2 + 1)
-    assert model.compute_time(bigger) >= model.compute_time(base)
-    assert model.compute_time(base) >= 0
+
+    def compute_s(work):
+        return max(model.charge(work.streamed_bytes, work.random_bytes,
+                                work.ops, *model.rates(work)))
+
+    assert compute_s(bigger) >= compute_s(base)
+    assert compute_s(base) >= 0

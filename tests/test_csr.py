@@ -50,11 +50,8 @@ class TestConstruction:
                          weights=np.array([9.0, 4.0]))
         graph = CSRGraph.from_edges(edges)
         np.testing.assert_array_equal(graph.neighbors(0), [1, 2])
-        np.testing.assert_array_equal(graph.neighbor_weights(0), [4.0, 9.0])
-
-    def test_neighbor_weights_without_weights_raises(self):
-        with pytest.raises(GraphFormatError):
-            paper_example_graph().neighbor_weights(0)
+        np.testing.assert_array_equal(
+            graph.edge_weights[graph.offsets[0]:graph.offsets[1]], [4.0, 9.0])
 
 
 class TestViews:

@@ -86,13 +86,6 @@ class TestPreprocessing:
         assert pairs == {(0, 1), (1, 2)}
         assert all(u < v for u, v in pairs)
 
-    def test_relabel_compact(self):
-        edges = EdgeList.from_pairs(10, [(2, 7), (7, 9)])
-        compact, mapping = edges.relabel_compact()
-        assert compact.num_vertices == 3
-        np.testing.assert_array_equal(mapping, [2, 7, 9])
-        assert set(map(tuple, compact.pairs())) == {(0, 1), (1, 2)}
-
     def test_permuted_preserves_multiset(self):
         rng = np.random.default_rng(3)
         edges = EdgeList.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])

@@ -23,11 +23,7 @@ from repro.harness.graph500 import (
     run_graph500,
     traversed_edges,
 )
-from repro.harness.persistence import (
-    compare_artifacts,
-    load_artifact,
-    save_artifact,
-)
+from repro.harness.persistence import _jsonable, load_artifact, save_artifact
 from repro.harness.strong_scaling import parallel_efficiency, strong_scaling
 
 
@@ -172,31 +168,19 @@ class TestPersistence:
                              {"v": float("nan")})
         assert json.loads(path.read_text())["data"]["v"] is None
 
+    def test_arrays_become_lists(self, tmp_path):
+        # One normalizer serves artifacts, journals and RunResult.to_dict:
+        # numpy arrays become (nested) lists, their NaNs null.
+        value = {"a": np.arange(3), "b": np.array([[1.5, np.nan]]),
+                 "c": (np.int64(2), np.bool_(True))}
+        assert _jsonable(value) == {"a": [0, 1, 2], "b": [[1.5, None]],
+                                    "c": [2, True]}
+        path = save_artifact(tmp_path / "x.json", "t", value)
+        assert load_artifact(path)["data"]["a"] == [0, 1, 2]
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ReproError):
             load_artifact(tmp_path / "missing.json")
-
-    def test_compare_clean(self, tmp_path):
-        a = save_artifact(tmp_path / "a.json", "table5", {"x": 2.0})
-        b = save_artifact(tmp_path / "b.json", "table5", {"x": 2.1})
-        diff = compare_artifacts(load_artifact(a), load_artifact(b),
-                                 tolerance=0.25)
-        assert diff["clean"]
-
-    def test_compare_flags_drift(self, tmp_path):
-        a = save_artifact(tmp_path / "a.json", "table5", {"x": 2.0})
-        b = save_artifact(tmp_path / "b.json", "table5",
-                          {"x": 4.0, "y": 1.0})
-        diff = compare_artifacts(load_artifact(a), load_artifact(b))
-        assert not diff["clean"]
-        assert "/x" in diff["drifted"]
-        assert diff["added"] == ["/y"]
-
-    def test_compare_artifact_mismatch(self, tmp_path):
-        a = save_artifact(tmp_path / "a.json", "table5", {})
-        b = save_artifact(tmp_path / "b.json", "table6", {})
-        with pytest.raises(ReproError):
-            compare_artifacts(load_artifact(a), load_artifact(b))
 
 
 class TestCLI:

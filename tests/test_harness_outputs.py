@@ -139,10 +139,3 @@ class TestReportRendering:
                                     "statuses": ["out-of-memory"]}}}
         text = report.render_slowdown_table(data, "T")
         assert "out-of-mem" in text
-
-    def test_format_cell(self):
-        assert report._format_cell(None).strip() == "-"
-        assert report._format_cell(float("nan")).strip() == "n/a"
-        assert report._format_cell(123.4).strip() == "123"
-        assert report._format_cell(3.21).strip() == "3.2"
-        assert report._format_cell(0.0123).strip() == "0.0123"

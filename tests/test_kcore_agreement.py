@@ -85,15 +85,12 @@ def observed():
 
     def recording_exchange(self, *args, **kwargs):
         report = exchange(self, *args, **kwargs)
-        if np.ndim(report.total_bytes):
-            # A stack of supersteps charged at once: one report per step.
-            reports.extend(
-                TrafficReport(*(getattr(report, name)[row] for name in (
-                    "comm_times", "bytes_out", "bytes_in", "peak_bandwidth",
-                    "total_bytes")))
-                for row in range(len(report.total_bytes)))
-        else:
-            reports.append(report)
+        # A stack of supersteps charged at once: one report per step.
+        reports.extend(
+            TrafficReport(*(getattr(report, name)[row] for name in (
+                "comm_times", "bytes_out", "bytes_in", "peak_bandwidth",
+                "total_bytes")))
+            for row in range(len(report.total_bytes)))
         return report
 
     KCore.extras, Fabric.exchange = recording_extras, recording_exchange

@@ -109,7 +109,7 @@ class TestStreamBitIdentity:
         stream = RMATStream(6, 4, seed=1)
         for chunk_edges in (1, 100, stream.num_edges, 10 * stream.num_edges):
             blocks = [block for _, block in stream.chunks(chunk_edges)]
-            assert len(blocks) == stream.num_chunks(chunk_edges)
+            assert len(blocks) == -(-stream.num_edges // chunk_edges)
             assert sum(b.num_edges for b in blocks) == stream.num_edges
 
 

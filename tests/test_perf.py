@@ -20,7 +20,6 @@ from repro.perf import (
     classify,
     parse_injection,
     roofline_of,
-    roofline_of_run,
     roofline_table,
 )
 
@@ -51,7 +50,7 @@ class TestRoofline:
         # A framework run moves more bytes and wastes cores, so its
         # achieved time sits far above the same hardware's floor.
         run = run_cell("bfs", "giraph", 4)
-        assert roofline_of_run(run).ratio > 5.0
+        assert roofline_of(run.metrics()).ratio > 5.0
 
     def test_binding_and_ratio_properties(self):
         roofline = Roofline(memory_floor_s=2.0, cpu_floor_s=1.0,
@@ -84,7 +83,7 @@ class TestRoofline:
         # achieved/bound ratio stays ~1 (the run really is limited by
         # the overloaded node's DRAM).
         run = run_cell("triangle_counting", "native", 4)
-        roofline = roofline_of_run(run)
+        roofline = roofline_of(run.metrics())
         assert roofline.imbalance > 1.5
         assert roofline.ratio < 1.5
 

@@ -1,4 +1,4 @@
-"""Tests for graph statistics and edge-list persistence."""
+"""Tests for graph statistics and the ratings matrix."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,6 @@ from repro.graph import (
     fit_power_law,
     gini_coefficient,
     tail_distance,
-)
-from repro.graph.io import (
-    load_edgelist_npz,
-    load_edgelist_text,
-    load_ratings_npz,
-    save_edgelist_npz,
-    save_edgelist_text,
-    save_ratings_npz,
 )
 
 
@@ -78,56 +70,6 @@ class TestProperties:
             EdgeList.from_pairs(4, [(0, 1), (1, 2), (2, 3)]).orient_by_id()
         )
         assert count_triangles_exact(graph) == 0
-
-
-class TestIO:
-    def test_text_round_trip(self, tmp_path):
-        edges = EdgeList.from_pairs(5, [(0, 1), (3, 4)])
-        path = tmp_path / "graph.txt"
-        save_edgelist_text(path, edges)
-        loaded = load_edgelist_text(path)
-        assert loaded.num_vertices == 5
-        np.testing.assert_array_equal(loaded.src, edges.src)
-        np.testing.assert_array_equal(loaded.dst, edges.dst)
-        assert loaded.weights is None
-
-    def test_text_round_trip_weighted(self, tmp_path):
-        edges = EdgeList(3, np.array([0, 1]), np.array([1, 2]),
-                         weights=np.array([0.5, 2.25]))
-        path = tmp_path / "weighted.txt"
-        save_edgelist_text(path, edges)
-        loaded = load_edgelist_text(path)
-        np.testing.assert_allclose(loaded.weights, edges.weights)
-
-    def test_text_num_vertices_override(self, tmp_path):
-        path = tmp_path / "plain.txt"
-        path.write_text("0 1\n1 2\n")
-        loaded = load_edgelist_text(path, num_vertices=10)
-        assert loaded.num_vertices == 10
-        inferred = load_edgelist_text(path)
-        assert inferred.num_vertices == 3
-
-    def test_text_bad_columns(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 1 2 3\n")
-        with pytest.raises(GraphFormatError):
-            load_edgelist_text(path)
-
-    def test_npz_round_trip(self, tmp_path):
-        edges = EdgeList.from_pairs(4, [(0, 3), (2, 1)])
-        path = tmp_path / "graph.npz"
-        save_edgelist_npz(path, edges)
-        loaded = load_edgelist_npz(path)
-        assert loaded.num_vertices == 4
-        np.testing.assert_array_equal(loaded.pairs(), edges.pairs())
-
-    def test_ratings_round_trip(self, tmp_path):
-        ratings = RatingsMatrix(3, 2, [0, 1, 2], [0, 1, 0], [5.0, 3.0, 1.0])
-        path = tmp_path / "ratings.npz"
-        save_ratings_npz(path, ratings)
-        loaded = load_ratings_npz(path)
-        assert loaded.num_users == 3 and loaded.num_items == 2
-        np.testing.assert_allclose(loaded.ratings, ratings.ratings)
 
 
 class TestRatingsMatrix:

@@ -1,23 +1,17 @@
-"""Tests for the Galois worklist engine and front-end."""
+"""Tests for the Galois task engine and front-end."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import (
-    UNREACHED,
     bfs_reference,
     pagerank_reference,
     triangle_count_reference,
 )
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import netflix_like_ratings, rmat_graph, rmat_triangle_graph
-from repro.errors import ExpressibilityError, ReproError, SpecError
-from repro.frameworks.task import (
-    BulkSynchronousExecutor,
-    galois,
-    parallel_for_each,
-)
-from repro.graph import EdgeList
+from repro.errors import ExpressibilityError, SpecError
+from repro.frameworks.task import galois
 
 
 @pytest.fixture(scope="module")
@@ -37,44 +31,6 @@ def graph_triangles():
 
 def make_cluster(**kwargs):
     return Cluster(paper_cluster(1), **kwargs)
-
-
-class TestWorklist:
-    def test_bfs_via_executor_matches_reference(self):
-        # Algorithm 3 of the paper, literally: worklists per level.
-        graph = rmat_graph(scale=6, edge_factor=4, seed=7, directed=False)
-        levels = np.full(graph.num_vertices, UNREACHED, dtype=np.int64)
-        levels[0] = 0
-
-        def work(vertex, push):
-            for neighbor in graph.neighbors(vertex):
-                neighbor = int(neighbor)
-                if levels[neighbor] == UNREACHED:
-                    levels[neighbor] = levels[vertex] + 1
-                    push(neighbor)
-
-        executor = BulkSynchronousExecutor(work)
-        rounds = executor.run([0])
-        np.testing.assert_array_equal(levels, bfs_reference(graph, 0))
-        finite = levels[levels != UNREACHED]
-        assert rounds == finite.max() + 1
-
-    def test_executor_counts_items(self):
-        executor = BulkSynchronousExecutor(lambda item, push: None)
-        executor.run([1, 2, 3])
-        assert executor.items_processed == 3
-
-    def test_executor_round_limit(self):
-        def ping(item, push):
-            push(item)  # never quiesces
-
-        with pytest.raises(ReproError):
-            BulkSynchronousExecutor(ping).run([0], max_rounds=5)
-
-    def test_parallel_for_each(self):
-        seen = []
-        count = parallel_for_each([5, 6], seen.append)
-        assert count == 2 and seen == [5, 6]
 
 
 class TestGalois:
