@@ -190,7 +190,8 @@ def _scalars_of(data) -> dict:
     from ..graph import CSRGraph
 
     if isinstance(data, CSRGraph):
-        return {"kind": "csr", "num_vertices": data.num_vertices}
+        return {"kind": "csr", "num_vertices": data.num_vertices,
+                "symmetric": data.symmetric}
     return {"kind": "ratings", "num_users": data.num_users,
             "num_items": data.num_items}
 
@@ -200,7 +201,8 @@ def _materialize(meta: dict, arrays: dict):
 
     if meta["kind"] == "csr":
         return CSRGraph(meta["num_vertices"], arrays["offsets"],
-                        arrays["targets"], arrays.get("edge_weights"))
+                        arrays["targets"], arrays.get("edge_weights"),
+                        symmetric=meta.get("symmetric", False))
     return RatingsMatrix(meta["num_users"], meta["num_items"],
                          arrays["users"], arrays["items"],
                          arrays["ratings"])

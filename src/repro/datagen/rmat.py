@@ -17,6 +17,7 @@ million-edge graphs generate in well under a second.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -45,6 +46,8 @@ class RMATParams:
     c: float = 0.19
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c))):
+            raise ValueError("RMAT probabilities must be finite")
         if min(self.a, self.b, self.c) < 0:
             raise ValueError("RMAT probabilities must be non-negative")
         if self.a + self.b + self.c >= 1.0:
@@ -53,6 +56,17 @@ class RMATParams:
     @property
     def d(self) -> float:
         return 1.0 - self.a - self.b - self.c
+
+
+def check_rmat_args(scale: int, edge_factor: int, noise: float) -> None:
+    """Refuse arguments that would descend into a degenerate graph: a NaN
+    or out-of-range ``noise`` makes the quadrant cuts NaN or unordered."""
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {scale}")
+    if edge_factor < 1:
+        raise ValueError(f"edge_factor must be >= 1, got {edge_factor}")
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise must be in [0, 1], got {noise}")
 
 
 def rmat_edges(scale: int, edge_factor: int = 16, params: RMATParams = None,
@@ -68,10 +82,7 @@ def rmat_edges(scale: int, edge_factor: int = 16, params: RMATParams = None,
     (the Graph500 "smooth" tweak) to avoid artefactual degree spikes at
     powers of two.
     """
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
-    if edge_factor < 1:
-        raise ValueError(f"edge_factor must be >= 1, got {edge_factor}")
+    check_rmat_args(scale, edge_factor, noise)
     params = params or RMATParams()
     rng = np.random.default_rng(seed)
     num_vertices = 1 << scale
@@ -94,12 +105,17 @@ def descend_levels(scale: int, count: int, params: RMATParams, noise: float,
     slices, so it is fixed: per level, 4 doubles then one per edge.
 
     Returns the unpermuted ``(src, dst)`` ids, most significant bit
-    (level 0) first.
+    (level 0) first, in the narrowest unsigned lanes that hold them
+    (``uint32`` up to scale 32). Nothing is allocated per level: the
+    comparisons write into two bool buffers and the bits shift in place.
     """
     base = np.array([params.a, params.b, params.c, params.d])
-    src = np.zeros(count, dtype=np.int64)
-    dst = np.zeros(count, dtype=np.int64)
+    lane = np.uint32 if scale <= 32 else np.uint64
+    src = np.zeros(count, dtype=lane)
+    dst = np.zeros(count, dtype=lane)
     draw = np.empty(count)
+    src_bit = np.empty(count, dtype=bool)
+    dst_bit = np.empty(count, dtype=bool)
     for level in range(scale):
         jitter_rng, draw_rng = generators(level)
         # Jitter probabilities per level, renormalized to sum to 1.
@@ -108,11 +124,15 @@ def descend_levels(scale: int, count: int, params: RMATParams, noise: float,
         a, ab, abc = np.cumsum(probs)[:3]
         draw_rng.random(out=draw)
         # Quadrants in draw order are A | B | C | D, cut at a, a+b and
-        # a+b+c: the src bit is set in C and D, the dst bit in B and D.
-        src_bit = draw > ab
-        dst_bit = ((draw > a) ^ src_bit) | (draw > abc)
+        # a+b+c: the src bit is set in C and D, the dst bit in B and D,
+        # i.e. dst_bit = ((draw > a) ^ src_bit) | (draw > abc).
+        np.greater(draw, ab, out=src_bit)
+        np.greater(draw, a, out=dst_bit)
+        dst_bit ^= src_bit
         src <<= 1
         src |= src_bit
+        np.greater(draw, abc, out=src_bit)
+        dst_bit |= src_bit
         dst <<= 1
         dst |= dst_bit
     return src, dst

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import EdgeList
-from .rmat import RMATParams, descend_levels
+from .rmat import RMATParams, check_rmat_args, descend_levels
 
 #: Default streaming block: 2**18 edges = 4 MB of (src, dst) int64 pairs.
 DEFAULT_CHUNK_EDGES = 1 << 18
@@ -46,10 +46,7 @@ class RMATStream:
     def __init__(self, scale: int, edge_factor: int = 16,
                  params: RMATParams = None, seed: int = 0,
                  noise: float = 0.1):
-        if scale < 1:
-            raise ValueError(f"scale must be >= 1, got {scale}")
-        if edge_factor < 1:
-            raise ValueError(f"edge_factor must be >= 1, got {edge_factor}")
+        check_rmat_args(scale, edge_factor, noise)
         self.scale = scale
         self.edge_factor = edge_factor
         self.params = params or RMATParams()

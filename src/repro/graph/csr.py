@@ -97,13 +97,17 @@ class CSRGraph:
     ``offsets`` has length ``num_vertices + 1``; the out-neighbors of
     vertex ``v`` are ``targets[offsets[v]:offsets[v+1]]``, sorted
     ascending. ``edge_weights`` (optional) is aligned with ``targets``.
+    ``symmetric`` records that the graph was built from a symmetrized,
+    unweighted edge set, so it is its own transpose.
     """
 
     __slots__ = ("num_vertices", "offsets", "targets", "edge_weights",
-                 "_in_view", "_derived")
+                 "symmetric", "_in_view", "_derived")
 
-    def __init__(self, num_vertices, offsets, targets, edge_weights=None):
+    def __init__(self, num_vertices, offsets, targets, edge_weights=None,
+                 symmetric=False):
         self.num_vertices = int(num_vertices)
+        self.symmetric = bool(symmetric)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.targets = np.asarray(targets, dtype=np.int64)
         self.edge_weights = (
@@ -139,7 +143,8 @@ class CSRGraph:
         :func:`~repro.graph.sharded.build_sharded_csr`
         (:func:`~repro.graph.keys.prepared_keys`), and ``symmetrize`` /
         ``orient_by_id`` imply ``deduplicate``. A duplicate keeps the
-        first weight seen.
+        first weight seen — so a weighted symmetrized graph is not marked
+        ``symmetric``: w(u, v) and w(v, u) may differ.
         """
         num_vertices = edges.num_vertices
         keys, weights = prepared_keys(
@@ -151,12 +156,16 @@ class CSRGraph:
             unique=deduplicate or symmetrize or orient_by_id)
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(degrees, out=offsets[1:])
-        return cls(num_vertices, offsets, targets, weights)
+        return cls(num_vertices, offsets, targets, weights,
+                   symmetric=symmetrize and weights is None)
 
     # -- views ----------------------------------------------------------------
 
     def reverse(self) -> "CSRGraph":
-        """CSR of the transposed graph (in-edges); cached after first call."""
+        """CSR of the transposed graph (in-edges); cached after first call.
+        A symmetric graph's is ``self``, not held, so it counts once."""
+        if self.symmetric:
+            return self
         if self._in_view is None:
             # A transient expansion: one build must not pin E row ids.
             edges = EdgeList(self.num_vertices, self.targets, self._row_ids(),
@@ -176,7 +185,7 @@ class CSRGraph:
         # The reverse view and the derived arrays are rebuilt on demand:
         # a pickled or copied graph carries only what defines it.
         return (CSRGraph, (self.num_vertices, self.offsets, self.targets,
-                           self.edge_weights))
+                           self.edge_weights, self.symmetric))
 
     # -- accessors --------------------------------------------------------------
 

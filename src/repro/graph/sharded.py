@@ -207,6 +207,7 @@ class ShardedCSRGraph:
             raise GraphFormatError("offsets must have num_vertices + 1 entries")
         self._edge_bounds = self.offsets[self.bounds]
         self.edge_weights = None
+        self.symmetric = bool(sharded.get("symmetric", False))
         self.memory_budget_mb = memory_budget_mb
         self._loaded = OrderedDict()  # partition index -> mapped targets
         self._flat_targets = None
@@ -373,7 +374,10 @@ class ShardedCSRGraph:
     def reverse(self):
         """Sharded CSR of the transposed graph, built on disk next to
         this one (``<root>/reverse``, atomically published, reused on
-        later calls)."""
+        later calls) — or ``self``, when the manifest says the build
+        symmetrized the edges."""
+        if self.symmetric:
+            return self
         if self._in_view is None:
             reverse_root = os.path.join(self.root, "reverse")
             if not os.path.isdir(reverse_root):
@@ -394,7 +398,7 @@ class ShardedCSRGraph:
         _TRACER.instant("sharded-materialize", what="csr",
                         nbytes=self.nbytes())
         return CSRGraph(self.num_vertices, np.asarray(self.offsets),
-                        self.targets)
+                        self.targets, symmetric=self.symmetric)
 
     # -- sizes and digests -----------------------------------------------------
 
@@ -452,7 +456,9 @@ def build_sharded_csr(blocks, num_vertices: int, out_dir, *,
     every run — the sorted unique adjacency ``CSRGraph.from_edges``
     produces from the same keys, so shard bytes are independent of
     block size, block order and partition count. Writes shard files
-    plus ``meta.json`` into ``out_dir`` and returns the manifest dict.
+    plus ``meta.json`` into ``out_dir`` and returns the manifest dict;
+    its ``symmetric`` records ``symmetrize`` (the graph is then its own
+    transpose).
     """
     bounds = partition_bounds(num_vertices, num_partitions)
     os.makedirs(out_dir, exist_ok=True)
@@ -507,6 +513,7 @@ def build_sharded_csr(blocks, num_vertices: int, out_dir, *,
         "num_vertices": int(num_vertices),
         "num_edges": int(offsets[-1]),
         "raw_edges": int(raw_edges),
+        "symmetric": bool(symmetrize),
         "offsets_sha256": _sha256_of(offsets),
         "partitions": partitions,
     }

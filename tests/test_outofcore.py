@@ -379,7 +379,9 @@ class TestTornShards:
 
     def test_reverse_lost_publish_race_reuses_the_winner(self, tmp_path,
                                                          monkeypatch):
-        sharded = sharded_graph(tmp_path)
+        # Directed: a symmetrized graph is its own transpose and never
+        # publishes a reverse directory.
+        sharded = sharded_graph(tmp_path, directed=True)
         winner = tmp_path / "winner"
         os.rename(ShardedCSRGraph(sharded.root).reverse().root, winner)
         (winner / "won").write_text("first replace wins")
@@ -395,7 +397,7 @@ class TestTornShards:
         assert os.path.exists(os.path.join(reverse.root, "won"))
         assert not [name for name in os.listdir(sharded.root)
                     if ".tmp." in name]
-        dense = dense_graph().reverse()
+        dense = dense_graph(directed=True).reverse()
         assert reverse.digests() == graph_digests(
             dense, num_partitions=reverse.num_partitions)
 
