@@ -26,7 +26,6 @@ import time
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.perf.baselines import cell_key
 from repro.serve import ExperimentService, ServeClient
 from repro.serve.loadgen import run_loadgen
 
@@ -105,33 +104,36 @@ async def _warm_latencies(host, port) -> dict:
                     raise ReproError(
                         f"warm gate request failed: {status} {payload}")
                 best = elapsed if best is None else min(best, elapsed)
-            out[cell_key(algorithm, framework, nodes)] = best
+            out[f"{algorithm}/{framework}/{nodes}"] = best
     finally:
         await client.close()
     return out
 
 
-def _cold_latencies(scratch) -> dict:
-    """The same cells as fresh single-shot CLI processes (seconds).
+#: One gate cell in a fresh interpreter, exactly as the daemon runs it.
+_COLD_CELL = ("import sys; from repro.harness import run_cell; "
+              "run_cell({'algorithm': sys.argv[1], 'framework': sys.argv[2], "
+              "'nodes': int(sys.argv[3])})")
 
-    ``repro perf baseline record`` restricted to one cell is the cold
-    path being amortized: interpreter start, imports, dataset
-    generation, one measured run.
+
+def _cold_latencies() -> dict:
+    """The same cells as fresh single-shot processes (seconds).
+
+    A new interpreter that runs one gate cell is the cold path being
+    amortized: interpreter start, imports, dataset generation, one
+    measured run.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_REPO_ROOT / "src") + os.pathsep \
         + env.get("PYTHONPATH", "")
     out = {}
     for algorithm, framework, nodes in WARM_COLD_CELLS:
-        target = Path(scratch) / f"cold-{algorithm}-{framework}-{nodes}.json"
-        command = [sys.executable, "-m", "repro.cli", "perf", "baseline",
-                   "record", "--out", str(target),
-                   "--algorithms", algorithm, "--frameworks", framework,
-                   "--nodes", str(nodes)]
+        command = [sys.executable, "-c", _COLD_CELL, algorithm, framework,
+                   str(nodes)]
         started = time.perf_counter()
         subprocess.run(command, check=True, env=env, cwd=_REPO_ROOT,
                        stdout=subprocess.DEVNULL)
-        out[cell_key(algorithm, framework, nodes)] = \
+        out[f"{algorithm}/{framework}/{nodes}"] = \
             time.perf_counter() - started
     return out
 
@@ -162,7 +164,7 @@ def measure_serve(requests=None, concurrency=None, seed=None) -> dict:
         if server.exit_code != 0:
             raise ReproError(f"serve benchmark: drain exited "
                              f"{server.exit_code}, expected 0")
-        cold = _cold_latencies(tmp)
+        cold = _cold_latencies()
 
     if report["failed"]:
         raise ReproError(f"serve loadgen: {report['failed']} of "

@@ -15,8 +15,9 @@ Commands:
 * ``cache`` — inspect or clear the content-addressed dataset cache;
 * ``table N`` / ``figure N`` — regenerate one paper artifact;
 * ``perf`` — roofline bounds + gap attribution (``analyze``), ranked
-  optimization what-ifs (``advise``) and the perf-regression gate
-  (``baseline record|check``);
+  optimization what-ifs (``advise``) and the host-time gates
+  (``kernels``, ``outofcore``);
+* ``freeze`` — record or check every frozen simulated number;
 * ``datasets`` — list the catalog and proxy sizes;
 * ``frameworks`` — list frameworks and their profiles;
 * ``graph500`` — the Graph500 BFS protocol on the simulator;
@@ -34,7 +35,6 @@ from dataclasses import replace
 from .errors import (
     EXIT_FAILURE,
     EXIT_OK,
-    EXIT_PERF_REGRESSION,
     EXIT_USAGE,
     STATUS_EXIT_CODES,
     NodeFailure,
@@ -52,7 +52,8 @@ exit codes:
   4  unsupported by the framework's programming model
   5  node failure the framework could not recover (status `failed`)
   6  simulated deadline exceeded (timeout)
-  7  perf gate failed: cells regressed beyond the baseline tolerance
+  7  perf gate failed: a frozen simulated number moved, or a host-time
+     gate fell short
   8  sweep drained on SIGINT/SIGTERM: journal flushed, finish via --resume
 """
 
@@ -511,31 +512,17 @@ def _cmd_loadgen(args) -> int:
     return EXIT_FAILURE if report["failed"] else EXIT_OK
 
 
-def _cmd_perf_baseline(args) -> int:
-    from . import perf
+def _cmd_freeze(args) -> int:
+    from .harness import freeze
 
+    path = args.file or freeze.DEFAULT_FILE
     if args.action == "record":
-        algorithms = tuple(args.algorithms.split(",")) if args.algorithms \
-            else None
-        frameworks = tuple(args.frameworks.split(",")) if args.frameworks \
-            else perf.GATE_FRAMEWORKS
-        node_counts = tuple(int(part) for part in args.nodes.split(",")
-                            if part)
-        payload = perf.record(path=args.out, algorithms=algorithms,
-                              frameworks=frameworks, node_counts=node_counts)
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(f"recorded {len(payload['cells'])} cells to {args.out}")
-        return EXIT_OK
-    # check
-    report = perf.check(path=args.baseline, tolerance=args.tolerance,
-                        inject=args.inject)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        fresh = freeze.record(path, only=args.only)
+        statuses = sum(entry["runtime_s"] is None for entry in fresh.values())
+        print(f"froze {len(fresh)} cells ({statuses} as a status) -> {path}")
     else:
-        print(perf.render_gate(report))
-    return EXIT_OK if report.ok else EXIT_PERF_REGRESSION
+        freeze.check(path, inject=args.inject)
+    return EXIT_OK
 
 
 def _cmd_perf_kernels(args) -> int:
@@ -722,14 +709,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("regenerate", help="regenerate every table and figure") \
         .set_defaults(func=_cmd_regenerate)
 
+    freeze = sub.add_parser(
+        "freeze",
+        help="record or check the frozen simulated numbers",
+        description="Every simulated number, frozen: record the cells to "
+                    "one file, or re-record them in memory and compare "
+                    "(any difference exits 7).",
+        epilog=EXIT_CODES_HELP,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    freeze_sub = freeze.add_subparsers(dest="action", required=True)
+    freeze_record = freeze_sub.add_parser(
+        "record", help="freeze the cells and write the file")
+    freeze_record.add_argument(
+        "--only", metavar="GLOB",
+        help="re-freeze just the keys this glob matches, e.g. "
+             "'bfs/combblas/*'; the file's other records stay")
+    freeze_check = freeze_sub.add_parser(
+        "check", help="re-record the file's cells; exit 7 if any differs")
+    freeze_check.add_argument(
+        "--inject", metavar="PATTERN=FACTOR",
+        help="multiply the runtime of every cell whose key contains "
+             "PATTERN before comparing (the check's self-test), e.g. "
+             "'bfs/giraph=2.0'")
+    for action in (freeze_record, freeze_check):
+        action.add_argument("--file", metavar="PATH",
+                            help="the freeze file (default: "
+                                 "tests/frozen_cells.json in the source "
+                                 "tree)")
+        action.set_defaults(func=_cmd_freeze)
+
     perf = sub.add_parser(
         "perf",
-        help="rooflines, gap attribution, what-if advice, regression gate",
+        help="rooflines, gap attribution, what-if advice, host-time gates",
         description="The repro.perf subsystem: compare runs against "
                     "hardware speed-of-light bounds (analyze), rank the "
                     "Section 6.1 optimizations by predicted speedup "
-                    "(advise), and defend per-cell runtimes over time "
-                    "(baseline record/check; a failed check exits 7).",
+                    "(advise), and gate the kernel backends and the "
+                    "out-of-core ingest on host time (a failed gate "
+                    "exits 7).",
         epilog=EXIT_CODES_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -749,29 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--nodes", type=int, default=4)
     advise.add_argument("--json", action="store_true")
     advise.set_defaults(func=_cmd_perf_advise)
-
-    baseline = perf_sub.add_parser(
-        "baseline", help="record/check BENCH_*.json perf baselines")
-    baseline.add_argument("action", choices=("record", "check"))
-    baseline.add_argument("--out", default="BENCH_perf.json",
-                          help="baseline file to record (default: "
-                               "BENCH_perf.json)")
-    baseline.add_argument("--baseline", default="BENCH_perf.json",
-                          help="baseline file to check against")
-    baseline.add_argument("--tolerance", type=float, default=0.05,
-                          help="allowed relative slowdown (default: 0.05)")
-    baseline.add_argument("--inject", default=None,
-                          help="synthetic slowdowns for gate self-tests, "
-                               "e.g. 'bfs/giraph=2.0' (';'-separated)")
-    baseline.add_argument("--algorithms",
-                          help="comma-separated subset (record only)")
-    baseline.add_argument("--frameworks",
-                          help="comma-separated subset (record only; "
-                               "default: native,combblas,graphlab,giraph)")
-    baseline.add_argument("--nodes", default="1,4",
-                          help="comma-separated node counts (record only)")
-    baseline.add_argument("--json", action="store_true")
-    baseline.set_defaults(func=_cmd_perf_baseline)
 
     kernels = perf_sub.add_parser(
         "kernels",

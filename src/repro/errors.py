@@ -155,26 +155,13 @@ class KernelError(ReproError):
 
 
 class PerfRegression(ReproError):
-    """The perf gate found cells slower than the recorded baseline.
+    """A perf gate failed; exit code 7.
 
-    Raised by :meth:`repro.perf.baselines.GateReport.raise_if_failed`;
-    carries the full typed report so CI logs and tooling can name the
-    regressed cells without parsing the message.
+    Raised when ``repro freeze check`` finds a frozen simulated number
+    that moved (the differing cells are printed before it), and by the
+    host-time gates on the kernel backends and the out-of-core ingest.
+    It carries only its message.
     """
-
-    def __init__(self, report):
-        if isinstance(report, str):
-            # Gates without a GateReport (e.g. the kernel-backend
-            # check) raise with a ready-made message.
-            self.report = None
-            super().__init__(report)
-            return
-        self.report = report
-        cells = ", ".join(check.cell for check in report.regressions)
-        super().__init__(
-            f"{len(report.regressions)} cell(s) regressed beyond "
-            f"{100 * report.tolerance:.0f}% tolerance: {cells}"
-        )
 
 
 # ---------------------------------------------------------------------------

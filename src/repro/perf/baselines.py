@@ -1,48 +1,27 @@
-"""Perf-regression gate: record per-cell baselines, fail on slowdowns.
+"""Host-time gates, and the gate cells' simulated runtimes.
 
-A reproduction study defends its numbers over time or loses them to
-drift: a cost-model tweak that silently doubles Giraph's BFS time is as
-much a regression as a broken test. This module records the simulated
-runtime of every gate cell (algorithm x framework x nodes on the
-standard weak-scaling datasets) to a ``BENCH_*.json`` baseline, and
-compares later runs against it with a configurable tolerance.
+Two gates on the host clock: the kernel backends must agree on every
+cell and the vectorized one must be faster (``repro perf kernels``), and
+the streamed out-of-core ingest must reproduce the dense graph at a
+useful fraction of its throughput (``repro perf outofcore``). Both
+thresholds are generous, because wall-clock time is machine-dependent.
 
-The recorded ``cells`` are simulated runtimes: deterministic by
-construction (the simulator has no wall-clock inputs), so an unchanged
-tree reproduces the baseline *byte-for-byte* and any drift is a real
-model change. The baseline holds no host time: that is measured by one
-harness, ``python3 -m bench``.
-
-``inject`` multiplies matching current cells by a factor before
-comparison — the CI self-test that proves the gate actually fires.
+The simulated numbers are not gated here: ``repro freeze`` holds every
+one of them, the gate cells below included, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
 
-from ..errors import PerfRegression, ReproError
+from ..errors import PerfRegression
 from ..harness.persistence import atomic_write_text
-
-#: Default baseline file, at the repo root by convention.
-DEFAULT_BASELINE = "BENCH_perf.json"
-
-#: Allowed relative slowdown before a cell fails the gate.
-DEFAULT_TOLERANCE = 0.05
 
 #: The gate's framework suite: the native yardstick plus one framework
 #: per engine family that completes every workload.
 GATE_FRAMEWORKS = ("native", "combblas", "graphlab", "giraph")
 GATE_NODE_COUNTS = (1, 4)
-
-_BASELINE_KIND = "perf-baseline"
-
-
-def cell_key(algorithm: str, framework: str, nodes: int) -> str:
-    return f"{algorithm}/{framework}/{nodes}"
 
 
 def measure_cells(algorithms=None, frameworks=GATE_FRAMEWORKS,
@@ -58,7 +37,7 @@ def measure_cells(algorithms=None, frameworks=GATE_FRAMEWORKS,
             for nodes in node_counts:
                 run = run_cell({"algorithm": algorithm,
                                 "framework": framework, "nodes": nodes})
-                cells[cell_key(algorithm, framework, nodes)] = {
+                cells[f"{algorithm}/{framework}/{nodes}"] = {
                     "status": run.status,
                     "runtime_s": run.runtime_or_none(),
                 }
@@ -273,168 +252,3 @@ def record_outofcore(path=OUTOFCORE_BASELINE, subset=None) -> dict:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True)
                       + "\n")
     return payload
-
-
-def record(path=DEFAULT_BASELINE, algorithms=None,
-           frameworks=GATE_FRAMEWORKS, node_counts=GATE_NODE_COUNTS) -> dict:
-    """Measure every gate cell and write the baseline file.
-
-    Everything recorded is deterministic, so recording twice on an
-    unchanged tree produces byte-identical files.
-    """
-    from ..algorithms.registry import ALGORITHMS
-
-    algorithms = tuple(algorithms) if algorithms else ALGORITHMS
-    payload = {
-        "kind": _BASELINE_KIND,
-        "version": 1,
-        "config": {
-            "algorithms": list(algorithms),
-            "frameworks": list(frameworks),
-            "node_counts": list(node_counts),
-        },
-        "cells": measure_cells(algorithms, frameworks, node_counts),
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True)
-                      + "\n")
-    return payload
-
-
-def load_baseline(path=DEFAULT_BASELINE) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ReproError(f"no perf baseline at {path}; record one with "
-                         f"'repro perf baseline record --out {path}'")
-    payload = json.loads(path.read_text())
-    if payload.get("kind") != _BASELINE_KIND:
-        raise ReproError(f"{path} is not a perf baseline file")
-    return payload
-
-
-def parse_injection(spec) -> dict:
-    """``"pattern=factor"`` (``;``-separated) -> ``{pattern: factor}``."""
-    if not spec:
-        return {}
-    if isinstance(spec, dict):
-        return {str(key): float(value) for key, value in spec.items()}
-    out = {}
-    for part in str(spec).split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ReproError(
-                f"bad injection {part!r}; expected 'pattern=factor', e.g. "
-                "'bfs/giraph=2.0'")
-        pattern, factor = part.rsplit("=", 1)
-        out[pattern.strip()] = float(factor)
-    return out
-
-
-@dataclass(frozen=True)
-class CellCheck:
-    """One gate cell's comparison against its baseline."""
-
-    cell: str
-    kind: str              # ok | regression | improvement | status-change
-    baseline: object       # seconds, or a status string
-    current: object
-    ratio: float = 1.0     # current / baseline seconds (1.0 for statuses)
-
-    def to_dict(self) -> dict:
-        return {"cell": self.cell, "kind": self.kind,
-                "baseline": self.baseline, "current": self.current,
-                "ratio": self.ratio}
-
-
-@dataclass
-class GateReport:
-    """Typed outcome of one gate check."""
-
-    path: str
-    tolerance: float
-    checks: list = field(default_factory=list)
-    injected: dict = field(default_factory=dict)
-
-    @property
-    def regressions(self) -> list:
-        return [check for check in self.checks
-                if check.kind in ("regression", "status-change")]
-
-    @property
-    def improvements(self) -> list:
-        return [check for check in self.checks if check.kind == "improvement"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def raise_if_failed(self) -> "GateReport":
-        if not self.ok:
-            raise PerfRegression(self)
-        return self
-
-    def to_dict(self) -> dict:
-        return {
-            "path": str(self.path),
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-            "checked": len(self.checks),
-            "regressions": [check.to_dict() for check in self.regressions],
-            "improvements": [check.to_dict() for check in self.improvements],
-            "injected": self.injected,
-        }
-
-
-def check(path=DEFAULT_BASELINE, tolerance: float = DEFAULT_TOLERANCE,
-          inject=None) -> GateReport:
-    """Re-measure every baselined cell and compare against the file.
-
-    A cell regresses when its simulated runtime grows by more than
-    ``tolerance`` (relative), or when its DNF status changes at all
-    (an OOM cell that starts completing is as suspicious as the
-    reverse). Cells faster by more than the tolerance are reported as
-    improvements — worth re-recording, but not failures. Only the
-    ``config`` and ``cells`` sections of the file are read.
-    """
-    baseline = load_baseline(path)
-    config = baseline.get("config", {})
-    injections = parse_injection(inject)
-    current = measure_cells(config.get("algorithms") or None,
-                            tuple(config.get("frameworks",
-                                             GATE_FRAMEWORKS)),
-                            tuple(config.get("node_counts",
-                                             GATE_NODE_COUNTS)))
-
-    report = GateReport(path=str(path), tolerance=tolerance,
-                        injected=injections)
-    for cell, recorded in sorted(baseline["cells"].items()):
-        measured = current.get(cell)
-        if measured is None:
-            report.checks.append(CellCheck(
-                cell, "status-change", recorded["status"], "missing"))
-            continue
-        runtime = measured["runtime_s"]
-        for pattern, factor in injections.items():
-            if pattern in cell and runtime is not None:
-                runtime = runtime * factor
-        if recorded["status"] != measured["status"]:
-            report.checks.append(CellCheck(
-                cell, "status-change", recorded["status"],
-                measured["status"]))
-            continue
-        if recorded["runtime_s"] is None:
-            report.checks.append(CellCheck(
-                cell, "ok", recorded["status"], measured["status"]))
-            continue
-        ratio = runtime / recorded["runtime_s"]
-        if ratio > 1.0 + tolerance:
-            kind = "regression"
-        elif ratio < 1.0 - tolerance:
-            kind = "improvement"
-        else:
-            kind = "ok"
-        report.checks.append(CellCheck(cell, kind, recorded["runtime_s"],
-                                       runtime, ratio))
-
-    return report

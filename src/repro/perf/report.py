@@ -3,14 +3,6 @@
 from __future__ import annotations
 
 
-def _fmt_seconds(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, str):
-        return value
-    return f"{value:.4g} s"
-
-
 def render_roofline(table: dict, title: str = "Roofline") -> str:
     """Table-4-form achieved-vs-bound report."""
     lines = [title, "=" * len(title), "",
@@ -74,32 +66,4 @@ def render_advice(advice_list, algorithm: str = "") -> str:
     for advice in advice_list:
         lines.append(f"{advice.option:<14} {advice.speedup:>7.2f}x  "
                      f"{advice.rationale}")
-    return "\n".join(lines)
-
-
-def render_gate(report) -> str:
-    """Pass/fail summary naming every out-of-tolerance cell."""
-    lines = [f"perf gate vs {report.path} "
-             f"(tolerance {100 * report.tolerance:.0f}%): "
-             f"{len(report.checks)} cells checked"]
-    if report.injected:
-        inject = ", ".join(f"{pattern} x{factor:g}"
-                           for pattern, factor in report.injected.items())
-        lines.append(f"  injected slowdowns: {inject}")
-    for check in report.regressions:
-        if check.kind == "status-change":
-            lines.append(f"  REGRESSED {check.cell}: status "
-                         f"{check.baseline} -> {check.current}")
-        else:
-            lines.append(f"  REGRESSED {check.cell}: "
-                         f"{_fmt_seconds(check.baseline)} -> "
-                         f"{_fmt_seconds(check.current)} "
-                         f"({check.ratio:.2f}x)")
-    for check in report.improvements:
-        lines.append(f"  improved  {check.cell}: "
-                     f"{_fmt_seconds(check.baseline)} -> "
-                     f"{_fmt_seconds(check.current)} ({check.ratio:.2f}x; "
-                     f"re-record to lock in)")
-    lines.append("PASS: no cell regressed" if report.ok else
-                 f"FAIL: {len(report.regressions)} cell(s) regressed")
     return "\n".join(lines)

@@ -94,8 +94,8 @@ def _perf_cell(key, budget_s=None):
                         key["node_counts"]).to_dict()
 
 
-#: A gate cell is the sweep's own executor — byte-identical to what the
-#: baseline gate measures (:func:`repro.perf.baselines.measure_cells`).
+#: A gate cell is the sweep's own executor — byte-identical to the
+#: ``gate/<algorithm>/<framework>/<nodes>`` cells ``repro freeze`` holds.
 _EXECUTORS = {"gate": sweep_cell, "experiment": _spec_cell,
               "perf-analyze": _perf_cell}
 

@@ -112,6 +112,7 @@ def test_native_sgd_is_the_block_schedule(ratings, nodes):
     ("galois", 1, {}),
     ("combblas", 2, {}),
     ("giraph", 2, {}),
+    ("graphlab", 4, {}),
 ])
 def test_interpreted_backend_agrees(ratings, framework, nodes, params):
     with use_backend("vectorized"):

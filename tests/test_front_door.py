@@ -337,19 +337,20 @@ class TestAnyWorkingDirectory:
         assert STUB.title in capsys.readouterr().out
 
     def test_the_perf_gate_runs_away_from_the_repo(self, tmp_path):
-        """Only ``src/`` is importable: the gate needs nothing else."""
+        """Only ``src/`` is importable: the freeze needs nothing else."""
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        gate = [sys.executable, "-m", "repro", "perf", "baseline"]
+        gate = [sys.executable, "-m", "repro", "freeze"]
         record = subprocess.run(
-            gate + ["record", "--algorithms", "bfs", "--frameworks",
-                    "native", "--nodes", "1"],
+            gate + ["record", "--only", "gate/bfs/native/1",
+                    "--file", "x.json"],
             cwd=tmp_path, env=env, capture_output=True, text=True)
         assert record.returncode == 0, record.stderr
-        assert (tmp_path / "BENCH_perf.json").exists()
-        check = subprocess.run(gate + ["check"], cwd=tmp_path, env=env,
-                               capture_output=True, text=True)
+        assert (tmp_path / "x.json").exists()
+        check = subprocess.run(gate + ["check", "--file", "x.json"],
+                               cwd=tmp_path, env=env, capture_output=True,
+                               text=True)
         assert check.returncode == 0, check.stderr
-        assert "PASS" in check.stdout
+        assert "0 of 1 frozen cells differ" in check.stdout
 
     def test_src_never_mentions_the_benchmarks_package(self):
         """Installed code must not reach for the repo's test packages."""

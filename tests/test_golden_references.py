@@ -321,117 +321,52 @@ class TestFrozenSecondGenOutputs:
 
 
 # ---------------------------------------------------------------------------
-# Frozen end-to-end cells: every (algorithm, framework, nodes) outcome.
+# Frozen end-to-end cells: every simulated number (``repro freeze check``).
 # ---------------------------------------------------------------------------
 
-import hashlib  # noqa: E402
-import json  # noqa: E402
-from pathlib import Path  # noqa: E402
+import itertools  # noqa: E402
 
 from repro.algorithms.registry import ALGORITHMS, FRAMEWORKS  # noqa: E402
-from repro.datagen import netflix_like_ratings  # noqa: E402
-from repro.harness import ExperimentSpec, run  # noqa: E402
-from repro.observability import Tracer  # noqa: E402
-
-FROZEN_CELLS_PATH = Path(__file__).with_name("frozen_cells.json")
-FROZEN_NODES = (1, 4)
-#: Large enough that the proxy-scale buffer windows (16/64 MB divided by
-#: the extrapolation factor) actually clamp, so those branches are pinned.
-FROZEN_SCALE_FACTOR = 20000.0
+from repro.harness import freeze  # noqa: E402
 
 
-def _frozen_dataset(algorithm):
-    if algorithm == "collaborative_filtering":
-        return netflix_like_ratings(8, num_items=48, seed=97)
-    if algorithm == "triangle_counting":
-        return rmat_triangle_graph(scale=8, edge_factor=6, seed=97)
-    return rmat_graph(scale=8, edge_factor=6, seed=97,
-                      directed=algorithm == "pagerank")
-
-
-def _sha(payload):
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _values_digest(values):
-    parts = values if isinstance(values, tuple) else (values,)
-    return _sha(b"".join(np.ascontiguousarray(part).tobytes()
-                         for part in parts))
-
-
-def freeze_cell(algorithm, framework, nodes):
-    """What one cell is frozen as: its DNF status, or three digests.
-
-    ``result`` is everything ``--json`` / ``POST /experiments``
-    serialize (config, metrics, extras); ``spans`` the ordered
-    ``(name, depth)`` list of the traced run; ``values`` the raw answer
-    bytes, which ``to_dict`` only summarizes by shape.
-    """
-    # CF's float accumulation order is backend-specific (its rmse_curve
-    # differs in the last bits), so those cells pin the default backend;
-    # every other cell must freeze identically under either one.
-    kernels = "vectorized" if algorithm == "collaborative_filtering" else None
-    spec = ExperimentSpec(algorithm=algorithm, framework=framework,
-                          dataset=_frozen_dataset(algorithm), nodes=nodes,
-                          scale_factor=FROZEN_SCALE_FACTOR,
-                          enforce_memory=False, kernels=kernels)
-    cell = run(spec, trace=Tracer())
-    if not cell.ok:
-        return cell.status
-    spans = [[span.name, span.depth] for span in cell.trace.spans]
-    return {
-        "result": _sha(json.dumps(cell.to_dict(),
-                                  sort_keys=True).encode()),
-        "spans": _sha(json.dumps(spans).encode()),
-        "values": _values_digest(cell.result.values),
-    }
-
-
-def regenerate_frozen_cells(only):
-    """Rewrite the ``only`` keys of ``frozen_cells.json``, nothing else.
-
-    For an intended model change: name the ``algorithm/framework/nodes``
-    cells it is meant to move, so the rest cannot be rewritten along the
-    way — ``TestFrozenCells`` still holds them to the committed digests.
-
-    ``PYTHONPATH=src python -c "from tests.test_golden_references import
-    regenerate_frozen_cells as r; r(['bfs/combblas/1', 'bfs/kdt/1'])"``
-    """
-    frozen = json.loads(FROZEN_CELLS_PATH.read_text())
-    for key in only:
-        algorithm, framework, nodes = key.split("/")
-        frozen[key] = freeze_cell(algorithm, framework, int(nodes))
-    FROZEN_CELLS_PATH.write_text(json.dumps(frozen, indent=1,
-                                            sort_keys=True) + "\n")
+def _group(key):
+    """The ``(algorithm, framework, nodes)`` a frozen cell belongs to."""
+    parts = key.split("/")
+    if parts[0] == "gate":
+        parts = parts[1:]
+    return parts[0], parts[1], int(parts[2])
 
 
 class TestFrozenCells:
-    """All 8 x 10 x {1, 4} registry cells, pinned byte-for-byte.
+    """``repro freeze check`` on the committed file, one test per
+    algorithm x framework x nodes, so a failure names what moved.
 
     The engine refactors promise that no simulated number, ``extras``
     key or trace span moves; this is where that promise is checked.
     """
 
-    FROZEN = json.loads(FROZEN_CELLS_PATH.read_text())
+    FROZEN = freeze.load()
 
     def test_covers_the_whole_registry(self):
-        assert set(self.FROZEN) == {
-            f"{algorithm}/{framework}/{nodes}"
-            for algorithm in ALGORITHMS for framework in FRAMEWORKS
-            for nodes in FROZEN_NODES
-        }
+        assert set(self.FROZEN) == {key for key, _ in freeze.cells()}
+        assert {_group(key) for key in self.FROZEN} == set(
+            itertools.product(ALGORITHMS, FRAMEWORKS, freeze.NODES))
 
-    @pytest.mark.parametrize("nodes", FROZEN_NODES)
+    @pytest.mark.parametrize("nodes", freeze.NODES)
     @pytest.mark.parametrize("framework", FRAMEWORKS)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_cell_unchanged(self, algorithm, framework, nodes):
-        assert freeze_cell(algorithm, framework, nodes) == \
-            self.FROZEN[f"{algorithm}/{framework}/{nodes}"]
+        cells = {key: entry for key, entry in self.FROZEN.items()
+                 if _group(key) == (algorithm, framework, nodes)}
+        assert freeze.differences(cells) == []
 
 
 # ---------------------------------------------------------------------------
 # Frozen generated datasets: every generator and graph build, byte-for-byte.
 # ---------------------------------------------------------------------------
+
+import hashlib  # noqa: E402
 
 from repro.datagen import RMATParams, RMATStream, rmat_edges  # noqa: E402
 from repro.datagen.rmat import TRIANGLE_PARAMS  # noqa: E402
@@ -439,6 +374,10 @@ from repro.datagen.uniform import (  # noqa: E402
     erdos_renyi_graph,
     watts_strogatz_graph,
 )
+
+
+def _sha(payload):
+    return hashlib.sha256(payload).hexdigest()
 
 
 def _int64_digest(*arrays):

@@ -1,24 +1,21 @@
-"""Tests for repro.perf: roofline, attribution, advisor, regression gate."""
+"""Tests for repro.perf (roofline, attribution, advisor) and the freeze gate."""
 
 import json
 
 import pytest
 
-from repro import perf
 from repro.cli import main
 from repro.cluster.metrics import RunMetrics
 from repro.errors import PerfRegression, ReproError
+from repro.harness import freeze
 from repro.harness.runner import run_cell as _run_cell
 from repro.observability import Tracer
 from repro.perf import (
-    GateReport,
     Roofline,
     advise_cell,
     attribute,
     attribute_cell,
-    cell_key,
     classify,
-    parse_injection,
     roofline_of,
     roofline_table,
 )
@@ -192,89 +189,120 @@ class TestAdvisor:
         assert "exposed" in advice["overlap"].rationale
 
 
+#: The four single-node BFS gate cells: a freeze file recorded in ~0.1 s.
+SUBSET = "gate/bfs/*/1"
+
+
+@pytest.fixture(scope="module")
+def frozen_subset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("freeze") / "frozen.json"
+    freeze.record(path, only=SUBSET)
+    return path
+
+
 class TestBaselineGate:
-    CONFIG = dict(algorithms=("bfs",), frameworks=("native", "giraph"),
-                  node_counts=(1,))
+    """The gate's baseline is the frozen file: ``repro freeze``."""
 
-    def test_record_then_check_passes(self, tmp_path):
-        path = tmp_path / "BENCH_perf.json"
-        payload = perf.record(path, **self.CONFIG)
-        assert payload["cells"][cell_key("bfs", "giraph", 1)]["status"] == "ok"
-        report = perf.check(path)
-        assert report.ok
-        assert len(report.checks) == 2
-        report.raise_if_failed()  # must not raise
+    def test_record_then_check_passes(self, frozen_subset, capsys):
+        assert freeze.check(frozen_subset) == 4
+        assert "0 of 4 frozen cells differ" in capsys.readouterr().out
 
-    def test_rerecord_is_byte_identical(self, tmp_path):
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        perf.record(first, **self.CONFIG)
-        perf.record(second, **self.CONFIG)
-        assert first.read_bytes() == second.read_bytes()
+    def test_rerecord_is_byte_identical(self, frozen_subset, tmp_path):
+        again = tmp_path / "again.json"
+        freeze.record(again, only=SUBSET)
+        assert again.read_bytes() == frozen_subset.read_bytes()
 
-    def test_injected_slowdown_fails_and_names_cell(self, tmp_path):
-        path = tmp_path / "BENCH_perf.json"
-        perf.record(path, **self.CONFIG)
-        report = perf.check(path, inject="bfs/giraph=2.0")
-        assert not report.ok
-        regressed = {check.cell for check in report.regressions}
-        assert regressed == {cell_key("bfs", "giraph", 1)}
-        assert report.regressions[0].ratio == pytest.approx(2.0)
-        with pytest.raises(PerfRegression) as excinfo:
-            report.raise_if_failed()
-        assert "bfs/giraph/1" in str(excinfo.value)
-        assert excinfo.value.report is report
+    def test_injected_slowdown_fails_and_names_cell(self, frozen_subset,
+                                                    capsys):
+        with pytest.raises(PerfRegression,
+                           match="1 of 4 frozen cells differ"):
+            freeze.check(frozen_subset, inject="bfs/giraph=2.0")
+        assert capsys.readouterr().out.splitlines() == [
+            "gate/bfs/giraph/1: runtime_s (2.00x runtime)"]
 
-    def test_tolerance_absorbs_small_drift(self, tmp_path):
-        path = tmp_path / "BENCH_perf.json"
-        perf.record(path, **self.CONFIG)
-        assert perf.check(path, tolerance=0.05, inject="bfs=1.04").ok
-        assert not perf.check(path, tolerance=0.05, inject="bfs=1.06").ok
-
-    def test_speedup_reports_improvement_not_failure(self, tmp_path):
-        path = tmp_path / "BENCH_perf.json"
-        perf.record(path, **self.CONFIG)
-        report = perf.check(path, inject="bfs/native=0.5")
-        assert report.ok
-        assert {check.cell for check in report.improvements} == \
-            {cell_key("bfs", "native", 1)}
+    def test_a_tampered_digest_names_cell_and_field(self, frozen_subset,
+                                                    tmp_path, capsys):
+        frozen = freeze.load(frozen_subset)
+        frozen["gate/bfs/native/1"]["spans"] = "0" * 64
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(frozen))
+        with pytest.raises(PerfRegression):
+            freeze.check(tampered)
+        assert capsys.readouterr().out.splitlines()[0] == \
+            "gate/bfs/native/1: spans (1.00x runtime)"
 
     def test_missing_baseline_raises(self, tmp_path):
-        with pytest.raises(ReproError, match="no perf baseline"):
-            perf.check(tmp_path / "absent.json")
+        with pytest.raises(ReproError, match="no frozen cells at"):
+            freeze.check(tmp_path / "absent.json")
 
     def test_non_baseline_file_rejected(self, tmp_path):
         path = tmp_path / "other.json"
-        path.write_text(json.dumps({"kind": "something-else"}))
-        with pytest.raises(ReproError, match="not a perf baseline"):
-            perf.load_baseline(path)
+        for payload in ({}, [], {"bfs/native/1": "ok"},
+                        {"bfs/native/1": {"status": "ok"}}):
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ReproError, match="not a freeze file"):
+                freeze.check(path)
 
-    def test_parse_injection(self):
-        assert parse_injection(None) == {}
-        assert parse_injection("bfs/giraph=2.0; pagerank=1.5") == \
-            {"bfs/giraph": 2.0, "pagerank": 1.5}
-        assert parse_injection({"bfs": 3}) == {"bfs": 3.0}
-        with pytest.raises(ReproError, match="expected 'pattern=factor'"):
-            parse_injection("bfs/giraph")
+    def test_parse_injection(self, frozen_subset):
+        frozen = freeze.load(frozen_subset)
+        assert freeze.parse_injection(" bfs/giraph = 2.0", frozen) == \
+            ("bfs/giraph", 2.0)
+        assert freeze.parse_injection("bfs=0.5", frozen) == ("bfs", 0.5)
 
-    def test_report_to_dict_roundtrips_through_json(self, tmp_path):
-        path = tmp_path / "BENCH_perf.json"
-        perf.record(path, **self.CONFIG)
-        report = perf.check(path, inject="bfs/giraph=2.0")
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["ok"] is False
-        assert payload["regressions"][0]["cell"] == "bfs/giraph/1"
+    @pytest.mark.parametrize("inject, message", [
+        ("bfs=abc", "expected a number"),
+        ("bfs=nan", "finite number > 0"),
+        ("bfs=inf", "finite number > 0"),
+        ("bfs=-1", "finite number > 0"),
+        ("bfs=0", "finite number > 0"),
+        ("=2", "non-empty pattern"),
+        ("bfs/giraph", "non-empty pattern"),
+        ("pagerank=2", "matches no frozen cell"),
+    ])
+    def test_a_lying_injection_is_refused(self, frozen_subset, capsys,
+                                          inject, message):
+        """A factor or pattern under which the check could not fire (or
+        would fire everywhere) is one typed error line, exit 1."""
+        code = main(["freeze", "check", "--file", str(frozen_subset),
+                     "--inject", inject])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1
 
-    def test_empty_report_is_ok(self):
-        assert GateReport(path="x", tolerance=0.05).ok
+    def test_an_only_glob_that_matches_nothing_is_refused(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "frozen.json"
+        assert main(["freeze", "record", "--only", "bfs/nosuch/*",
+                     "--file", str(path)]) == 1
+        assert "matches no frozen cell" in capsys.readouterr().err
+        assert not path.exists()
 
-    def test_payload_and_report_key_sets_are_pinned(self, tmp_path):
-        """Everything recorded and reported is on the simulated clock."""
-        payload = perf.record(tmp_path / "BENCH_perf.json", **self.CONFIG)
-        assert set(payload) == {"kind", "version", "config", "cells"}
-        assert set(GateReport(path="x", tolerance=0.05).to_dict()) == {
-            "path", "tolerance", "ok", "checked", "regressions",
-            "improvements", "injected"}
+    def test_only_rewrites_just_the_matching_keys(self, frozen_subset,
+                                                  tmp_path):
+        copy = tmp_path / "frozen.json"
+        frozen = freeze.load(frozen_subset)
+        frozen["gate/bfs/native/1"]["spans"] = "0" * 64
+        frozen["gate/bfs/giraph/1"]["spans"] = "0" * 64
+        copy.write_text(json.dumps(frozen))
+        freeze.record(copy, only="gate/bfs/native/*")
+        refrozen = freeze.load(copy)
+        assert refrozen["gate/bfs/native/1"] == \
+            freeze.load(frozen_subset)["gate/bfs/native/1"]
+        assert refrozen["gate/bfs/giraph/1"]["spans"] == "0" * 64
+
+    def test_payload_and_report_key_sets_are_pinned(self, frozen_subset):
+        """A record is the status, the simulated runtime and five digests;
+        a cell that does not complete is its status and failure."""
+        frozen = freeze.load(frozen_subset)
+        assert {frozenset(entry) for entry in frozen.values()} == {
+            frozenset({"status", "runtime_s", "result", "spans", "counters",
+                       "values", "untraced"})}
+        committed = freeze.load()
+        assert committed["bfs/galois/4/x1/mem"] == {
+            "status": "unsupported: Galois is a single-node framework "
+                      "(paper Section 3); got a 4-node cluster",
+            "runtime_s": None}
 
 
 class TestPerfCLI:
@@ -306,51 +334,20 @@ class TestPerfCLI:
 
     def test_baseline_record_check_and_gate_exit_code(self, tmp_path,
                                                       capsys):
-        path = tmp_path / "BENCH_perf.json"
-        args = ["--algorithms", "bfs", "--frameworks", "native,giraph",
-                "--nodes", "1"]
-        assert main(["perf", "baseline", "record", "--out", str(path)]
-                    + args) == 0
-        assert path.exists()
-        assert main(["perf", "baseline", "check", "--baseline",
-                     str(path)]) == 0
+        path = tmp_path / "frozen.json"
+        assert main(["freeze", "record", "--only", "gate/bfs/giraph/*",
+                     "--file", str(path)]) == 0
+        assert "froze 2 cells" in capsys.readouterr().out
+        assert main(["freeze", "check", "--file", str(path)]) == 0
         # The injected slowdown must flip the exit code to 7 (the
-        # perf-gate failure class) and the report must name the cell.
-        code = main(["perf", "baseline", "check", "--baseline", str(path),
-                     "--inject", "bfs/giraph=2.0"])
+        # perf-gate failure class) and the output must name the cell.
+        code = main(["freeze", "check", "--file", str(path),
+                     "--inject", "bfs/giraph/4=2.0"])
         assert code == 7
-        assert "bfs/giraph/1" in capsys.readouterr().out
-
-    def test_a_baseline_with_the_retired_sections_still_gates(self, tmp_path,
-                                                               capsys):
-        """The shape ``BENCH_serve.json`` was committed in: the advisory
-        ``serve`` / ``wall_clock`` sections are ignored, the cells gate."""
-        path = tmp_path / "BENCH_serve.json"
-        payload = perf.record(path, algorithms=("bfs",),
-                              frameworks=("native", "giraph"),
-                              node_counts=(1,))
-        payload["wall_clock"] = {
-            "table2": {"seconds": 1.2e-05, "artifact": "table2",
-                       "advisory": True}}
-        payload["serve"] = {
-            "advisory": True,
-            "loadgen": {"requests": 1000, "completed": 1000, "failed": 0,
-                        "latency_s": {"p50_s": 0.281, "p99_s": 0.9},
-                        "throughput_rps": 17.0},
-            "warm_cold": {"min_speedup": 3.5,
-                          "cache_hits": {"total": 9, "pinned": 9}}}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-        assert perf.load_baseline(path)["serve"]["advisory"] is True
-        report = perf.check(path)
-        assert report.ok and len(report.checks) == 2
-        assert main(["perf", "baseline", "check", "--baseline",
-                     str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "advisory" not in out
-        assert main(["perf", "baseline", "check", "--baseline", str(path),
-                     "--inject", "bfs/giraph=2.0"]) == 7
-        assert "bfs/giraph/1" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "gate/bfs/giraph/4: runtime_s (2.00x runtime)" in captured.out
+        assert "gate/bfs/giraph/1" not in captured.out
+        assert captured.err == "error: 1 of 2 frozen cells differ\n"
 
     def test_exit_code_documented(self, capsys):
         with pytest.raises(SystemExit):
