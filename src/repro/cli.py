@@ -529,7 +529,7 @@ def _cmd_perf_kernels(args) -> int:
     from . import perf
 
     try:
-        report = perf.check_kernel_backends(min_speedup=args.min_speedup)
+        report = perf.check_kernel_backends()
     except PerfRegression as error:
         return _failure_exit(error, "kernel gate")
     if args.json:
@@ -542,22 +542,18 @@ def _cmd_perf_kernels(args) -> int:
 def _cmd_perf_outofcore(args) -> int:
     from . import perf
 
-    subset = dict(perf.OUTOFCORE_SUBSET)
-    if args.scale is not None:
-        subset["scale"] = args.scale
     try:
-        report = perf.check_outofcore(min_ratio=args.min_ratio,
-                                      subset=subset)
+        report = perf.check_outofcore()
     except PerfRegression as error:
         return _failure_exit(error, "outofcore gate")
     if args.record:
-        perf.record_outofcore(path=args.out, subset=subset)
+        perf.record_outofcore(report)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(perf.render_outofcore_report(report))
         if args.record:
-            print(f"recorded baseline to {args.out}")
+            print(f"recorded baseline to {perf.OUTOFCORE_BASELINE}")
     return EXIT_OK
 
 
@@ -600,6 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
     from .harness.spec import ExperimentSpec
     from .harness.sweep import SweepRequest
     from .perf.attribution import AnalysisRequest
+    from .perf.baselines import (MIN_KERNEL_SPEEDUP, OUTOFCORE_BASELINE,
+                                 OUTOFCORE_MIN_RATIO)
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -774,10 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the kernel report subset under both "
                     "REPRO_KERNELS backends; fail (exit 7) if simulated "
                     "results differ or the vectorized speedup is below "
-                    "--min-speedup.")
-    kernels.add_argument("--min-speedup", type=float, default=2.0,
-                         help="required vectorized-over-interpreted "
-                              "wall-clock factor (default: 2.0)")
+                    f"{MIN_KERNEL_SPEEDUP:g}x.")
     kernels.add_argument("--json", action="store_true")
     kernels.set_defaults(func=_cmd_perf_kernels)
 
@@ -788,17 +783,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build the same R-MAT graph through the in-memory "
                     "and streamed sharded paths; fail (exit 7) if the "
                     "partition digests differ or streamed ingest falls "
-                    "below --min-ratio of the in-memory throughput.")
-    ooc_gate.add_argument("--min-ratio", type=float, default=0.5,
-                          help="required streamed/in-memory ingest "
-                               "throughput (default: 0.5)")
-    ooc_gate.add_argument("--scale", type=int, default=None,
-                          help="override the gate workload scale")
+                    f"below {OUTOFCORE_MIN_RATIO:g}x the in-memory "
+                    "throughput.")
     ooc_gate.add_argument("--record", action="store_true",
-                          help="also write the measured report as the "
-                               "baseline file")
-    ooc_gate.add_argument("--out", default="BENCH_outofcore.json",
-                          help="baseline file for --record")
+                          help="also write the measured report to "
+                               f"{OUTOFCORE_BASELINE}")
     ooc_gate.add_argument("--json", action="store_true")
     ooc_gate.set_defaults(func=_cmd_perf_outofcore)
 

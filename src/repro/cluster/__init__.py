@@ -1,4 +1,7 @@
-"""Simulated cluster: hardware model, network layers, cost model, metrics."""
+"""Simulated cluster: hardware model, network layers, cost model, metrics.
+
+It only simulates a run; :mod:`repro.perf` explains where the time went.
+"""
 
 from .cost import PREFETCH_RANDOM_SPEEDUP, ComputeWork, CostModel
 from .hardware import PAPER_NODE, ClusterSpec, NodeSpec, paper_cluster
@@ -17,20 +20,8 @@ from .network import (
     node_volumes,
 )
 from .simulator import Cluster
-from .timeline import (
-    BottleneckReport,
-    analyze,
-    metrics_from_trace,
-    render_timeline,
-    steps_from_trace,
-)
 
 __all__ = [
-    "BottleneckReport",
-    "analyze",
-    "metrics_from_trace",
-    "render_timeline",
-    "steps_from_trace",
     "LAYERS",
     "MPI",
     "MULTI_SOCKET",

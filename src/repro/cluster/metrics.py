@@ -61,7 +61,7 @@ class RunMetrics:
     random_bytes_total: float = 0.0    # irregular DRAM bytes, all nodes
     # -- the same counters per node (np arrays, shape (num_nodes,)); the
     # -- roofline's critical-node floors come from these. None when the
-    # -- metrics were reconstructed (e.g. from a trace) without them.
+    # -- metrics were built by hand without them.
     node_streamed_bytes: object = None
     node_random_bytes: object = None
     node_ops: object = None

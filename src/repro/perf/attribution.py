@@ -58,6 +58,19 @@ def classify(metrics) -> str:
     return "compute"
 
 
+#: The Section 6-style advice for each of :func:`classify`'s labels.
+ADVICE = {
+    "compute": "ALU bound: raise per-core efficiency and occupancy, "
+               "cut instructions per edge",
+    "memory": "memory-bandwidth bound: improve data layout, add software "
+              "prefetching, shrink working sets with bit-vectors",
+    "network": "network bound: use a faster communication layer, compress "
+               "messages, overlap compute with communication",
+    "latency": "fixed-cost bound: reduce per-superstep scheduling latency "
+               "or batch supersteps together",
+}
+
+
 @dataclass(frozen=True)
 class GapFactor:
     """One multiplicative slice of the gap."""

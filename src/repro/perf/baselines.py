@@ -91,13 +91,18 @@ def measure_kernel_backends(subset=None) -> dict:
     }
 
 
-def check_kernel_backends(min_speedup: float = 2.0, subset=None) -> dict:
+#: Minimum vectorized-over-interpreted wall-clock speedup the kernel
+#: gate accepts.
+MIN_KERNEL_SPEEDUP = 2.0
+
+
+def check_kernel_backends(subset=None) -> dict:
     """Run :func:`measure_kernel_backends` and gate on the result.
 
     Raises :class:`~repro.errors.PerfRegression` when the backends
     disagree on any cell payload (a correctness bug in a kernel's
     vectorized/interpreted pair) or when the vectorized speedup falls
-    below ``min_speedup``.
+    below :data:`MIN_KERNEL_SPEEDUP`.
     """
     report = measure_kernel_backends(subset)
     if not report["identical"]:
@@ -107,10 +112,11 @@ def check_kernel_backends(min_speedup: float = 2.0, subset=None) -> dict:
             f"cell(s): {cells} — vectorized and interpreted must produce "
             f"identical simulated results"
         )
-    if report["speedup"] < min_speedup:
+    if report["speedup"] < MIN_KERNEL_SPEEDUP:
         raise PerfRegression(
             f"vectorized kernels are only {report['speedup']:.2f}x faster "
-            f"than the interpreted oracle (required: {min_speedup:.2f}x)"
+            f"than the interpreted oracle (required: "
+            f"{MIN_KERNEL_SPEEDUP:.2f}x)"
         )
     return report
 
@@ -201,28 +207,27 @@ def measure_outofcore(subset=None) -> dict:
     }
 
 
-def check_outofcore(min_ratio: float = OUTOFCORE_MIN_RATIO,
-                    subset=None) -> dict:
+def check_outofcore() -> dict:
     """Run :func:`measure_outofcore` and gate on the result.
 
     Raises :class:`~repro.errors.PerfRegression` when the sharded build
     is not byte-identical to the dense CSR (a correctness bug, never
     tolerable) or when streamed ingest throughput falls below
-    ``min_ratio`` of the in-memory path.
+    :data:`OUTOFCORE_MIN_RATIO` of the in-memory path.
     """
-    report = measure_outofcore(subset)
+    report = measure_outofcore()
     if not report["identical"]:
         raise PerfRegression(
             f"sharded build at scale {report['scale']} is not "
             f"byte-identical to the in-memory CSR — the out-of-core "
             f"pipeline must reproduce the dense graph exactly"
         )
-    if report["ratio"] < min_ratio:
+    if report["ratio"] < OUTOFCORE_MIN_RATIO:
         raise PerfRegression(
             f"streamed ingest runs at {report['ratio']:.2f}x the "
             f"in-memory path ({report['streamed_eps']:.2e} vs "
             f"{report['in_memory_eps']:.2e} edges/s; required: "
-            f"{min_ratio:.2f}x)"
+            f"{OUTOFCORE_MIN_RATIO:.2f}x)"
         )
     return report
 
@@ -238,17 +243,13 @@ def render_outofcore_report(report: dict) -> str:
             f"({report['ratio']:.2f}x)")
 
 
-def record_outofcore(path=OUTOFCORE_BASELINE, subset=None) -> dict:
-    """Measure the ingest paths and write ``BENCH_outofcore.json``.
+def record_outofcore(report: dict) -> dict:
+    """Write a gate report to :data:`OUTOFCORE_BASELINE`.
 
     The digest-identity half is deterministic; the throughput half is
     wall-clock, recorded for trend-watching (the gate re-measures).
     """
-    payload = {
-        "kind": _OUTOFCORE_KIND,
-        "version": 1,
-        "report": measure_outofcore(subset),
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True)
-                      + "\n")
+    payload = {"kind": _OUTOFCORE_KIND, "version": 1, "report": report}
+    atomic_write_text(OUTOFCORE_BASELINE,
+                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .attribution import ADVICE, classify
+
 
 def render_roofline(table: dict, title: str = "Roofline") -> str:
     """Table-4-form achieved-vs-bound report."""
@@ -55,6 +57,44 @@ def render_attribution(attribution) -> str:
     lines.append("")
     lines.append(f"  product of factors = {a.product():.1f}x "
                  f"(measured gap {a.gap:.1f}x; exact by construction)")
+    return "\n".join(lines)
+
+
+def render_timeline(metrics, width: int = 60, max_rows: int = 20) -> str:
+    """ASCII per-superstep timeline, then where the run's time went.
+
+    Each bar is one step's duration, split into '=' compute, '~' exposed
+    communication and '.' overhead. The footer is the run's exact split
+    (compute + exposed comm + fixed == total) under :func:`classify`'s
+    label, and that label's advice.
+    """
+    steps = metrics.steps
+    if not steps:
+        return "(no supersteps recorded)"
+    longest = max(step.time_s for step in steps)
+    lines = [
+        f"{len(steps)} supersteps, {metrics.total_time_s:.4g}s total "
+        f"('=' compute, '~' exposed comm, '.' overhead; "
+        f"bar = step duration)"
+    ]
+    for step in steps[:max_rows]:
+        cells = max(round(width * step.time_s / longest), 1) \
+            if longest > 0 else 1
+        per_s = cells / step.time_s if step.time_s > 0 else 0.0
+        compute = round(per_s * step.compute_s)
+        busy = round(per_s * (step.time_s - step.overhead_s))
+        bar = "=" * compute + "~" * (busy - compute) + "." * (cells - busy)
+        lines.append(f"  step {step.index:>4} {step.time_s:>10.4g}s  {bar}")
+    if len(steps) > max_rows:
+        lines.append(f"  ... {len(steps) - max_rows} more steps")
+    total = metrics.total_time_s or 1.0
+    label = classify(metrics)
+    lines.append(
+        f"bound: {label} "
+        f"(compute {100 * metrics.compute_time_s / total:.1f}% / "
+        f"exposed comm {100 * metrics.exposed_comm_time_s / total:.1f}% / "
+        f"fixed {100 * metrics.fixed_time_s / total:.1f}%)")
+    lines.append(f"advice: {ADVICE[label]}")
     return "\n".join(lines)
 
 

@@ -1,16 +1,19 @@
-"""Tests for the async vertex engine and the timeline analyzer."""
+"""Tests for the async vertex engine and the timeline renderer."""
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.cluster import paper_cluster
-from repro.cluster.timeline import analyze, render_timeline
 from repro.datagen import rmat_graph
 from repro.frameworks.vertex.async_engine import (
     AsyncScheduler,
     pagerank_delta_async,
     pagerank_sync_to_tolerance,
 )
+from repro.perf import classify, render_timeline
+from repro.perf.attribution import ADVICE
 
 
 @pytest.fixture(scope="module")
@@ -88,35 +91,58 @@ class TestTimeline:
         return run(ExperimentSpec("bfs", "giraph", graph, nodes=nodes,
                                   scale_factor=1e3, params={"source": source}))
 
-    def test_analyze_decomposition_sums_to_one(self):
+    def test_exact_split_sums_to_total(self):
         metrics = self._run().metrics()
-        report = analyze(metrics)
-        total = (report.compute_fraction + report.comm_fraction
-                 + report.overhead_fraction)
-        assert total == pytest.approx(1.0, abs=1e-6)
+        assert (metrics.compute_time_s + metrics.exposed_comm_time_s
+                + metrics.fixed_time_s) == pytest.approx(
+                    metrics.total_time_s, rel=1e-12)
 
     def test_giraph_bfs_is_overhead_bound(self):
-        # Small frontiers + 0.9 s Hadoop supersteps: the timeline must
-        # blame fixed overhead, matching the paper's Giraph analysis.
-        report = analyze(self._run().metrics())
-        assert report.dominant == "overhead"
-        assert "scheduling" in report.recommendation()
+        # Small frontiers + 0.9 s Hadoop supersteps: fixed overhead binds
+        # the run, matching the paper's Giraph analysis.
+        label = classify(self._run().metrics())
+        assert label == "latency"
+        assert "scheduling" in ADVICE[label]
 
-    def test_native_pagerank_is_compute_bound(self):
+    def test_native_pagerank_is_memory_bound(self):
         from repro.harness import ExperimentSpec, run
 
         graph = rmat_graph(scale=9, edge_factor=6, seed=96)
         cell = run(ExperimentSpec("pagerank", "native", graph, nodes=1,
                                   scale_factor=1e3, params={"iterations": 3}))
-        report = analyze(cell.metrics())
-        assert report.dominant == "compute"
-        assert "prefetch" in report.recommendation()
+        label = classify(cell.metrics())
+        assert label == "memory"
+        assert "prefetch" in ADVICE[label]
+
+    @pytest.mark.parametrize("algorithm, directed", [("k_core", False),
+                                                     ("pagerank", True)])
+    def test_footer_is_the_exact_split(self, algorithm, directed):
+        # Multi-node native runs overlap communication under compute;
+        # the footer must report only the exposed part of it.
+        from repro.harness import ExperimentSpec, run
+
+        graph = rmat_graph(scale=9, edge_factor=6, seed=96,
+                           directed=directed)
+        metrics = run(ExperimentSpec(algorithm, "native", graph, nodes=4,
+                                     scale_factor=1e3)).metrics()
+        footer = render_timeline(metrics).splitlines()[-2]
+        match = re.fullmatch(r"bound: (\w+) \(compute ([\d.]+)% / exposed "
+                             r"comm ([\d.]+)% / fixed ([\d.]+)%\)", footer)
+        assert match, footer
+        shares = [float(share) for share in match.groups()[1:]]
+        exact = [100 * part / metrics.total_time_s for part in (
+            metrics.compute_time_s, metrics.exposed_comm_time_s,
+            metrics.fixed_time_s)]
+        assert shares == [round(share, 1) for share in exact]
+        assert sum(exact) == pytest.approx(100.0, rel=1e-12)
+        assert sum(shares) == pytest.approx(100.0, abs=0.15)
+        assert match.group(1) == classify(metrics)
 
     def test_render_timeline(self):
         metrics = self._run(nodes=2).metrics()
         text = render_timeline(metrics, width=30, max_rows=5)
         assert "supersteps" in text
-        assert "dominant:" in text
+        assert f"bound: {classify(metrics)}" in text
         assert "advice:" in text
 
     def test_render_empty(self):

@@ -172,14 +172,15 @@ class TestKernelDifferential:
 
 
 class TestKernelGate:
-    def test_impossible_floor_raises_with_message(self):
+    def test_impossible_floor_raises_with_message(self, monkeypatch):
         from repro.errors import PerfRegression
-        from repro.perf import check_kernel_backends
+        from repro.perf import baselines, check_kernel_backends
 
+        monkeypatch.setattr(baselines, "MIN_KERNEL_SPEEDUP", 1e9)
         subset = {"algorithms": ("bfs",), "frameworks": ("native",),
                   "node_counts": (1,)}
         with pytest.raises(PerfRegression, match="only .*x faster"):
-            check_kernel_backends(min_speedup=1e9, subset=subset)
+            check_kernel_backends(subset=subset)
 
     def test_clean_report_shape(self):
         from repro.perf import measure_kernel_backends

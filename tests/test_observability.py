@@ -219,13 +219,6 @@ class TestChaosTracing:
         assert stepped == pytest.approx(metrics.total_time_s, rel=1e-9)
         assert tracer.total_duration("recovery") > 0
 
-    def test_metrics_from_trace_includes_recovery(self, chaos_run):
-        from repro.cluster.timeline import metrics_from_trace
-
-        rebuilt = metrics_from_trace(chaos_run.trace, num_nodes=4)
-        assert rebuilt.total_time_s == pytest.approx(
-            chaos_run.metrics().total_time_s, rel=1e-9)
-
     def test_chrome_export_carries_fault_events(self, chaos_run):
         doc = json.loads(json.dumps(chrome_trace(chaos_run.trace)))
         names = {event["name"] for event in doc["traceEvents"]}
