@@ -407,16 +407,20 @@ def _cmd_frameworks(_args) -> int:
 
 
 def _cmd_graph500(args) -> int:
-    from .harness.graph500 import run_graph500
+    from .harness.graph500 import SearchDidNotFinish, run_graph500
 
-    result = run_graph500(scale=args.scale, nodes=args.nodes,
-                          framework=args.framework,
-                          num_roots=args.roots,
-                          scale_factor=args.scale_factor,
-                          streamed=args.streamed,
-                          memory_budget_mb=args.memory_budget_mb,
-                          chunk_edges=args.chunk_edges,
-                          num_partitions=args.partitions)
+    try:
+        result = run_graph500(scale=args.scale, nodes=args.nodes,
+                              framework=args.framework,
+                              num_roots=args.roots,
+                              scale_factor=args.scale_factor,
+                              streamed=args.streamed,
+                              memory_budget_mb=args.memory_budget_mb,
+                              chunk_edges=args.chunk_edges,
+                              num_partitions=args.partitions)
+    except SearchDidNotFinish as dnf:
+        print(f"status: {dnf}")
+        return STATUS_EXIT_CODES[dnf.status]
     mode = "streamed (out-of-core)" if result.streamed else "in-memory"
     print(f"Graph500 BFS, scale {result.scale} "
           f"({result.num_edges:,} undirected edges), "

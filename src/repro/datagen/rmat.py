@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import SpecError
 from ..graph import CSRGraph, EdgeList, build_sharded_csr
 from .cache import disk_cached, get_or_build_dir
 
@@ -162,6 +163,12 @@ def _rmat_csr(rmat, flags, shard=None):
     from .stream import RMATStream
 
     generator, chunk_edges, num_partitions, memory_budget_mb = shard
+    if chunk_edges < 1:
+        raise SpecError(f"chunk_edges must be >= 1, got {chunk_edges}")
+    if memory_budget_mb is not None and not (
+            math.isfinite(memory_budget_mb) and memory_budget_mb > 0):
+        raise SpecError("memory_budget_mb must be finite and > 0, got "
+                        f"{memory_budget_mb}")
     stream = RMATStream(*rmat)
     if num_partitions is None:
         # ~8 MB of target ids a partition: the finalize pass's transient

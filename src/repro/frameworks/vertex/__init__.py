@@ -1,12 +1,6 @@
 """Vertex-programming engine and the GraphLab / Giraph front-ends."""
 
 from . import giraph, gps, graphlab, graphx
-from .async_engine import (
-    AsyncScheduler,
-    AsyncStats,
-    pagerank_delta_async,
-    pagerank_sync_to_tolerance,
-)
 from .engine import (
     BSPEngine,
     ExchangeStats,
@@ -21,14 +15,10 @@ from .programs import (
 )
 
 __all__ = [
-    "AsyncScheduler",
-    "AsyncStats",
     "BFSVertexProgram",
     "BSPEngine",
     "gps",
     "graphx",
-    "pagerank_delta_async",
-    "pagerank_sync_to_tolerance",
     "ExchangeStats",
     "PageRankVertexProgram",
     "VertexContext",

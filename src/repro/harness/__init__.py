@@ -31,7 +31,6 @@ from .runner import (
     run_cell,
 )
 from .spec import ExperimentSpec, valid_params
-from .strong_scaling import parallel_efficiency, strong_scaling
 from .supervisor import SupervisorPolicy, SupervisorPool, SupervisorStats
 from .sweep import (
     CellOutcome,
@@ -68,10 +67,8 @@ __all__ = [
     "SweepResult",
     "outcome_of",
     "load_artifact",
-    "parallel_efficiency",
     "run_graph500",
     "save_artifact",
-    "strong_scaling",
     "HARNESS_HIDDEN_DIM",
     "HARNESS_ITERATIONS",
     "PAPER_EDGES_PER_NODE",

@@ -19,10 +19,21 @@ import numpy as np
 
 from ..algorithms.bfs import UNREACHED, validate_distances
 from ..datagen import rmat_graph, rmat_graph_sharded
-from ..errors import SpecError
+from ..errors import ReproError, SpecError
 from ..observability import peak_rss_bytes
 from .runner import run
 from .spec import ExperimentSpec
+
+
+class SearchDidNotFinish(ReproError):
+    """A search's BFS cell ended with a DNF status (the paper's dash)."""
+
+    def __init__(self, status: str, failure: str):
+        super().__init__(status, failure)
+        self.status, self.failure = status, failure
+
+    def __str__(self) -> str:
+        return f"{self.status} ({self.failure})"
 
 
 @dataclass
@@ -124,9 +135,7 @@ def graph500_protocol(graph, scale: int, framework: str = "native",
                                   scale_factor=scale_factor,
                                   params={"source": int(root)}))
         if not cell.ok:
-            raise RuntimeError(
-                f"{framework} BFS failed on root {root}: {cell.status}"
-            )
+            raise SearchDidNotFinish(cell.status, cell.failure)
         distances = cell.result.values
         all_valid &= validate_distances(graph, int(root), distances)
         edges = traversed_edges(graph, distances) * scale_factor

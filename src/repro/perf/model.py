@@ -81,9 +81,8 @@ class Roofline:
 def roofline_of(metrics, node: NodeSpec = PAPER_NODE) -> Roofline:
     """Roofline for one run's :class:`~repro.cluster.metrics.RunMetrics`.
 
-    Uses the per-node counted totals when the metrics carry them
-    (critical-node floors + imbalance); falls back to perfect-balance
-    floors for metrics reconstructed without per-node counters.
+    Floors come from the critical node's counted totals; ``imbalance``
+    is that bound over the perfect-balance one.
     """
     cost = CostModel(node)
     nodes = metrics.num_nodes
@@ -92,11 +91,6 @@ def roofline_of(metrics, node: NodeSpec = PAPER_NODE) -> Roofline:
         metrics.random_bytes_total / nodes)
     balanced_cpu = cost.cpu_floor_s(metrics.ops_total / nodes)
     balanced_wire = metrics.bytes_sent_total / nodes / node.link_bandwidth
-    if metrics.node_streamed_bytes is None:
-        return Roofline(memory_floor_s=balanced_memory,
-                        cpu_floor_s=balanced_cpu,
-                        wire_floor_s=balanced_wire,
-                        achieved_s=metrics.total_time_s)
     memory_floor = max(
         cost.memory_floor_s(streamed, random) for streamed, random in
         zip(metrics.node_streamed_bytes, metrics.node_random_bytes))

@@ -1,5 +1,5 @@
 """Tests for the extension modules: roadmap, GPS/GraphX, Graph500,
-strong scaling, persistence, CLI."""
+persistence, CLI."""
 
 import json
 
@@ -24,7 +24,6 @@ from repro.harness.graph500 import (
     traversed_edges,
 )
 from repro.harness.persistence import _jsonable, load_artifact, save_artifact
-from repro.harness.strong_scaling import parallel_efficiency, strong_scaling
 
 
 @pytest.fixture(scope="module")
@@ -131,26 +130,6 @@ class TestGraph500:
         giraph = run_graph500(scale=9, edge_factor=8, num_roots=3,
                               framework="giraph", scale_factor=100.0)
         assert native.harmonic_mean_teps > 10 * giraph.harmonic_mean_teps
-
-
-class TestStrongScaling:
-    def test_native_speeds_up_with_nodes(self):
-        data = strong_scaling(frameworks=("native",), node_counts=(1, 4),
-                              scale=12, scale_factor=5e3)
-        curve = data["native"]
-        assert curve[4] < curve[1]
-
-    def test_parallel_efficiency(self):
-        assert parallel_efficiency({1: 8.0, 4: 2.0})[4] == pytest.approx(1.0)
-        assert parallel_efficiency({1: 8.0, 4: 4.0})[4] == pytest.approx(0.5)
-        assert parallel_efficiency({1: "out-of-memory"}) == {}
-
-    def test_giraph_overhead_prevents_scaling(self):
-        data = strong_scaling(frameworks=("giraph",), node_counts=(1, 4),
-                              scale=11, scale_factor=1e3)
-        efficiency = parallel_efficiency(data["giraph"])
-        # Fixed superstep overheads do not parallelize.
-        assert efficiency[4] < 0.6
 
 
 class TestPersistence:
@@ -262,3 +241,14 @@ class TestCLI:
 
         assert main(["graph500", "--scale", "9", "--roots", "3"]) == 0
         assert "TEPS" in capsys.readouterr().out
+
+    def test_graph500_dnf_is_one_status_line_and_its_exit_code(self, capsys):
+        from repro.cli import main
+
+        # Galois is single-node, so every search is the paper's dash: one
+        # status line and the unsupported exit code, as `run` gives.
+        assert main(["graph500", "--scale", "8", "--roots", "2",
+                     "--framework", "galois", "--nodes", "4"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.startswith("status: unsupported (")
+        assert captured.out.count("\n") == 1 and captured.err == ""

@@ -61,18 +61,6 @@ class TestRoofline:
                             wire_floor_s=0.0, achieved_s=0.0)
         assert roofline.ratio == 1.0
 
-    def test_fallback_without_per_node_counters(self):
-        # Metrics reconstructed without per-node arrays (e.g. from a
-        # trace) still get a roofline: perfectly-balanced floors.
-        metrics = RunMetrics(num_nodes=2, total_time_s=10.0,
-                             streamed_bytes_total=86e9 * 2,
-                             random_bytes_total=0.0, ops_total=0.0,
-                             bytes_sent_total=0.0)
-        roofline = roofline_of(metrics)
-        assert roofline.memory_floor_s == pytest.approx(1.0)
-        assert roofline.imbalance == 1.0
-        assert roofline.ratio == pytest.approx(10.0)
-
     def test_imbalance_reported_for_skewed_partitions(self):
         # Triangle counting at 4 nodes is the known skewed cell: RMAT
         # hub vertices pile counted bytes onto one node. The

@@ -100,6 +100,11 @@ class TestProbes:
         ["perf", "advise", "bfs", "--nodes", "0"],
         ["graph500", "--scale", "0"],
         ["graph500", "--scale", "6", "--roots", "0"],
+        ["graph500", "--scale", "8", "--streamed", "--chunk-edges", "0"],
+        ["graph500", "--scale", "8", "--streamed", "--memory-budget-mb",
+         "nan"],
+        ["graph500", "--scale", "8", "--streamed", "--memory-budget-mb",
+         "-5"],
     ])
     def test_a_bad_command_is_one_error_line(self, argv, capsys):
         _cli_error(argv, capsys)

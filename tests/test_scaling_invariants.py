@@ -1,16 +1,22 @@
-"""Weak-scaling and network-layer invariants the figures depend on."""
+"""Scaling, hardware and network-layer invariants the figures depend on."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import runner
 from repro.cluster import (
     LAYERS,
     MPI,
     NETTY_HADOOP,
     SINGLE_SOCKET,
     TCP_SOCKETS,
+    Cluster,
+    ClusterSpec,
     NodeSpec,
 )
+from repro.datagen import rmat_graph
 from repro.harness import ExperimentSpec, run
 from repro.harness.datasets import weak_scaling_dataset
 
@@ -90,3 +96,55 @@ class TestWeakScalingInvariants:
         linear = 32e6 / (data1.num_edges / 1)
         assert factor1 > 2 * linear
         assert factorp == pytest.approx(128e6 / datap.num_edges, rel=0.01)
+
+
+class TestFixedGraphScaling:
+    """The same graph on more nodes (strong scaling, not a paper figure)."""
+
+    @staticmethod
+    def _pagerank(framework, scale, nodes, scale_factor):
+        graph = rmat_graph(scale, edge_factor=16, seed=31, directed=True)
+        return run(ExperimentSpec("pagerank", framework, graph, nodes=nodes,
+                                  scale_factor=scale_factor)).runtime()
+
+    def test_native_speeds_up_with_nodes(self):
+        one, four = (self._pagerank("native", 12, nodes, 5e3)
+                     for nodes in (1, 4))
+        assert four < one
+
+    def test_giraph_overhead_prevents_scaling(self):
+        one, four = (self._pagerank("giraph", 11, nodes, 1e3)
+                     for nodes in (1, 4))
+        # Fixed superstep overheads do not parallelize: 4-node parallel
+        # efficiency (speedup / 4) stays well under 1.
+        assert (one / four) / 4 < 0.6
+
+
+class TestHardwareScaling:
+    """PageRank on a node with scaled link or DRAM bandwidth."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat_graph(scale=9, edge_factor=6, seed=97)
+
+    @staticmethod
+    def _pagerank(framework, graph, nodes, **bandwidths):
+        stock = NodeSpec()
+        node = replace(stock, **{name: getattr(stock, name) * scale
+                                 for name, scale in bandwidths.items()})
+        cluster = Cluster(ClusterSpec(num_nodes=nodes, node=node),
+                          scale_factor=1e4, enforce_memory=False)
+        result = runner("pagerank", framework)(graph, cluster, iterations=2)
+        return result.runtime_for_comparison()
+
+    def test_faster_link_never_hurts(self, graph):
+        runtimes = [self._pagerank("graphlab", graph, 4, link_bandwidth=scale)
+                    for scale in (0.5, 1.0, 4.0)]
+        assert runtimes == sorted(runtimes, reverse=True)
+
+    def test_faster_memory_speeds_up_memory_bound_run(self, graph):
+        stock, doubled = (
+            self._pagerank("native", graph, 1, stream_bandwidth=scale,
+                           random_bandwidth=scale)
+            for scale in (1.0, 2.0))
+        assert doubled < stock
