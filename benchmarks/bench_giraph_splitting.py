@@ -7,9 +7,9 @@ messages are created at any time), at the cost of finer grained
 synchronization."
 """
 
+from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import rmat_triangle_graph
-from repro.frameworks.vertex import giraph
 
 
 def sweep_splits(splits_list=(1, 10, 100)):
@@ -17,8 +17,8 @@ def sweep_splits(splits_list=(1, 10, 100)):
     rows = []
     for splits in splits_list:
         cluster = Cluster(paper_cluster(4), enforce_memory=False)
-        result = giraph.triangle_count(graph, cluster,
-                                       superstep_splits=splits)
+        result = runner("triangle_counting", "giraph")(graph, cluster,
+                                                       superstep_splits=splits)
         rows.append({
             "splits": splits,
             "buffer_bytes": cluster.memory(0).breakdown().get(

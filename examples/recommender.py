@@ -10,9 +10,11 @@ Run:  python examples/recommender.py
 
 import numpy as np
 
+from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import netflix_like_ratings
-from repro.frameworks.native import collaborative_filtering
+
+collaborative_filtering = runner("collaborative_filtering", "native")
 
 
 def main():

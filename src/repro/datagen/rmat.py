@@ -144,6 +144,17 @@ def out_of_core_enabled() -> bool:
         in ("1", "on", "true", "yes")
 
 
+def check_shard_args(chunk_edges: int, memory_budget_mb: float) -> None:
+    """Refuse a streamed build's chunking or working-set cap before any
+    edge is drawn."""
+    if chunk_edges < 1:
+        raise SpecError(f"chunk_edges must be >= 1, got {chunk_edges}")
+    if memory_budget_mb is not None and not (
+            math.isfinite(memory_budget_mb) and memory_budget_mb > 0):
+        raise SpecError("memory_budget_mb must be finite and > 0, got "
+                        f"{memory_budget_mb}")
+
+
 def _rmat_csr(rmat, flags, shard=None):
     """The one path from a seed to a CSR graph, in either storage.
 
@@ -163,12 +174,7 @@ def _rmat_csr(rmat, flags, shard=None):
     from .stream import RMATStream
 
     generator, chunk_edges, num_partitions, memory_budget_mb = shard
-    if chunk_edges < 1:
-        raise SpecError(f"chunk_edges must be >= 1, got {chunk_edges}")
-    if memory_budget_mb is not None and not (
-            math.isfinite(memory_budget_mb) and memory_budget_mb > 0):
-        raise SpecError("memory_budget_mb must be finite and > 0, got "
-                        f"{memory_budget_mb}")
+    check_shard_args(chunk_edges, memory_budget_mb)
     stream = RMATStream(*rmat)
     if num_partitions is None:
         # ~8 MB of target ids a partition: the finalize pass's transient

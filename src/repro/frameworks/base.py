@@ -68,7 +68,6 @@ the thing modelled, needs its own formulation of a graph workload.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 from ..cluster.network import (
@@ -295,19 +294,3 @@ def profile(name: str) -> FrameworkProfile:
     except KeyError:
         known = ", ".join(sorted(PROFILES))
         raise ReproError(f"unknown framework {name!r}; known: {known}") from None
-
-
-def runner_params(function) -> tuple:
-    """Keyword names a runner takes after ``(dataset, cluster)``.
-
-    A plain function answers with its signature. A ``**params`` closure
-    cannot, so it declares the names it forwards as a ``params``
-    attribute; that is what lets a spec naming a parameter its framework
-    does not take fail as a typed error instead of inside the call.
-    """
-    declared = getattr(function, "params", None)
-    if declared is not None:
-        return tuple(declared)
-    keywords = list(inspect.signature(function).parameters.values())[2:]
-    return tuple(parameter.name for parameter in keywords
-                 if parameter.kind is not parameter.VAR_KEYWORD)

@@ -41,10 +41,10 @@ from ...algorithms.triangles import require_oriented
 from ...cluster import Cluster, ComputeWork, node_volumes
 from ...errors import ExpressibilityError
 from ...frameworks.base import SOCIALITE, SOCIALITE_PUBLISHED, FrameworkProfile
-from ...graph import CSRGraph, RatingsMatrix, partition_vertices_1d
+from ...graph import CSRGraph, partition_vertices_1d
 from ...kernels.segments import distinct, list_traffic, pair_traffic
 from ..results import AlgorithmResult
-from ..rounds import Engine, cf_runner, check_params
+from ..rounds import Engine, check_params
 from .engine import EvalStats, SocialiteEngine
 from .parser import parse_rule
 from .rules import Rule
@@ -294,18 +294,6 @@ class TableCFEngine(Engine):
 
     def diagnostics(self) -> dict:
         return {"optimized": self.optimized}
-
-
-def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
-                            optimized: bool = True,
-                            **params) -> AlgorithmResult:
-    """GD as vector tables joined with the rating table."""
-    return cf_runner(_profile(optimized).name, TableCFEngine, method="gd",
-                     optimized=optimized)(ratings, cluster, **params)
-
-
-collaborative_filtering.params = cf_runner(
-    "socialite", TableCFEngine, method="gd", optimized=True).params
 
 
 # ---------------------------------------------------------------------------

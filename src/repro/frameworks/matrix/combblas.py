@@ -34,7 +34,7 @@ import numpy as np
 from ...cluster import Cluster, ComputeWork, node_volumes
 from ...graph import CSRGraph, bipartite_graph
 from ..base import COMBBLAS
-from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, cf_runner, run_program
+from ..rounds import Engine
 from .spmat import DistSpMat, ProcessGrid
 
 _PROFILE = COMBBLAS
@@ -174,19 +174,6 @@ class MatrixEngine(Engine):
         return {"grid": self.dist.grid.grid, "peeled_edges": self._multiplies}
 
 
-def _runner(algorithm: str, engine_type=MatrixEngine):
-    def run(graph, cluster, **params):
-        return run_program(algorithm, "combblas", engine_type, graph,
-                           cluster, params)
-    run.params = PROGRAMS[algorithm].PARAMS
-    return run
-
-
-# combblas.pagerank(graph, cluster, ...) etc.: the round programs.
-globals().update({algorithm: _runner(algorithm)
-                  for algorithm in GRAPH_PROGRAMS})
-
-
 class MatrixCFEngine(Engine):
     """A GD iteration: each factor column is the dense vector of one
     SpMV over the bipartite ratings matrix. The exchanged vectors are
@@ -221,10 +208,6 @@ class MatrixCFEngine(Engine):
 
     def diagnostics(self) -> dict:
         return {"spmvs_per_iteration": self.program.hidden_dim}
-
-
-# GD via K per-dimension SpMVs an iteration (Section 3.2).
-collaborative_filtering = cf_runner("combblas", MatrixCFEngine, method="gd")
 
 
 class MatrixTCEngine(Engine):
@@ -282,6 +265,3 @@ class MatrixTCEngine(Engine):
     def diagnostics(self) -> dict:
         return {"a_squared_nnz": self._product_nnz,
                 "spgemm_flops": self._flops}
-
-
-triangle_count = _runner("triangle_counting", MatrixTCEngine)

@@ -8,8 +8,8 @@ CombBLAS speed, but any *semiring callback crossing into Python* pays
 interpreter cost per nonzero (the published KDT/CombBLAS gap is ~3-10x
 for callback-bearing operations, and near-1x for built-in semirings).
 
-The front-end delegates to the CombBLAS engine and adds the measured
-Python-boundary costs:
+KDT's registry row is CombBLAS's plus one :data:`BOUNDARIES` row per
+workload, charged after the CombBLAS run (:func:`add_python_overhead`):
 
 * built-in semirings (PageRank's plus-times) — a small constant setup
   cost per kernel call;
@@ -20,9 +20,6 @@ Python-boundary costs:
 from __future__ import annotations
 
 from ...cluster import Cluster
-from ..base import runner_params
-from ..results import AlgorithmResult
-from . import combblas
 
 #: Per-nonzero cost of a user-defined semiring callback, per node.
 #: Raw CPython dispatch would be ~100x worse; KDT's answer is SEJITS —
@@ -34,8 +31,8 @@ CALLBACK_SECONDS_PER_NNZ = 2e-9
 PYTHON_CALL_OVERHEAD_S = 2e-3
 
 
-def _add_python_overhead(cluster: Cluster, callback_nnz: float,
-                         kernel_calls: int) -> None:
+def add_python_overhead(cluster: Cluster, callback_nnz: float,
+                        kernel_calls: int) -> None:
     """Charge the Python-boundary cost on top of a CombBLAS run.
 
     Callback work is proxy-scale (counted nonzeros) and must be
@@ -47,30 +44,15 @@ def _add_python_overhead(cluster: Cluster, callback_nnz: float,
                  + kernel_calls * PYTHON_CALL_OVERHEAD_S)
 
 
-def _through_python(run, boundary):
-    """A CombBLAS runner plus the Python-boundary cost of its kernels.
-
-    ``boundary(dataset, result)`` gives ``(callback_nnz, kernel_calls)``:
-    the nonzeros whose semiring callback crosses into Python, and how
-    many kernel invocations the Python driver issued.
-    """
-    def runner(dataset, cluster: Cluster, **params) -> AlgorithmResult:
-        result = run(dataset, cluster, **params)
-        callback_nnz, kernel_calls = boundary(dataset, result)
-        _add_python_overhead(cluster, callback_nnz, kernel_calls)
-        result.metrics = cluster.metrics()
-        result.framework = "kdt"
-        return result
-    runner.params = runner_params(run)
-    return runner
-
-
 def _per_round(graph, result):
     """Built-in semirings: near-CombBLAS speed, driver cost per round."""
     return 0.0, result.iterations
 
 
-#: One row per CombBLAS entry point: what crosses the Python boundary.
+#: One row per workload: what crosses the Python boundary, as
+#: ``boundary(dataset, result) -> (callback_nnz, kernel_calls)`` — the
+#: nonzeros whose semiring callback crosses into Python, and how many
+#: kernel invocations the Python driver issued.
 BOUNDARIES = {
     "pagerank": _per_round,     # plus-times
     "wcc": _per_round,          # min
@@ -83,7 +65,7 @@ BOUNDARIES = {
                            / max(graph.num_vertices, 1)),
         result.iterations),
     # The masked-multiply filter is a per-multiply Python callback.
-    "triangle_count": lambda graph, result: (
+    "triangle_counting": lambda graph, result: (
         result.extras["spgemm_flops"] / 2.0, 3),
     # Dense-vector updates between SpMVs run in the Python driver.
     "collaborative_filtering": lambda ratings, result: (
@@ -95,7 +77,3 @@ BOUNDARIES = {
     "label_propagation": lambda graph, result: (
         float(graph.num_edges) * result.iterations, result.iterations),
 }
-
-# kdt.pagerank(graph, cluster, ...) etc.: CombBLAS's runner of that name.
-globals().update({name: _through_python(getattr(combblas, name), boundary)
-                  for name, boundary in BOUNDARIES.items()})

@@ -24,7 +24,7 @@ import numpy as np
 
 from ...cluster import ComputeWork
 from ...errors import ConvergenceError
-from ..rounds import CollaborativeFiltering, Engine, cf_runner
+from ..rounds import CollaborativeFiltering, Engine
 from .options import NativeOptions
 
 class NativeCFEngine(Engine):
@@ -79,13 +79,6 @@ class NativeCFEngine(Engine):
     def sweep(self) -> None:
         for work, traffic in self._steps:
             self.cluster.superstep(work, traffic, overlap=self.options.overlap)
-
-
-#: ``native.collaborative_filtering(ratings, cluster, method=...,
-#: options=...)``: ``"sgd"`` (the default) on Gemulla's blocks over the
-#: cluster's nodes, or ``"gd"``; ``(P, Q)`` in ``values`` and the
-#: training RMSE per iteration in ``extras["rmse_curve"]``.
-collaborative_filtering = cf_runner("native", NativeCFEngine, options=None)
 
 
 def rmse_curve(ratings, iterations: int, **params) -> list:

@@ -39,7 +39,7 @@ from ...cluster import ComputeWork, node_volumes
 from ...cluster.cost import CACHE_LINE_BYTES
 from ...graph import iter_csr_blocks, partition_edges_1d
 from ...kernels.segments import distinct, list_traffic
-from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, run_program
+from ..rounds import Engine
 from .compression import encoded_size
 from .options import NativeOptions
 
@@ -453,16 +453,3 @@ class NativeTCEngine(Engine):
         return {"traffic_bytes": float(self._traffic.sum()),
                 "compression_ratio": 1.0,   # raw lists (see __init__)
                 "intersection_nnz": self.program.overlap_nnz}
-
-
-def _runner(algorithm: str, engine_type=NativeEngine):
-    def run(graph, cluster, *, options: NativeOptions = None, **params):
-        return run_program(algorithm, "native", engine_type, graph, cluster,
-                           params, options=options)
-    run.params = ("options", *PROGRAMS[algorithm].PARAMS)
-    return run
-
-
-#: The native entry point of every graph round program (CF's: ``cf.py``).
-RUNNERS = {algorithm: _runner(algorithm) for algorithm in GRAPH_PROGRAMS}
-RUNNERS["triangle_count"] = _runner("triangle_counting", NativeTCEngine)

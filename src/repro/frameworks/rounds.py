@@ -23,9 +23,10 @@ number of times. Neither loop knows a framework: an
 matrix) — owns allocation, partition/owner routing, the spans around a
 round, and turning each round's counts into ``ComputeWork`` and traffic
 from its per-algorithm row of cost constants (triangle counting and CF
-have a small engine per family instead, and :func:`cf_runner` builds
-CF's entry points). :func:`run_program` ties a program, an engine and a
-cluster into an :class:`AlgorithmResult`.
+have a small engine per family instead). :func:`run_program` ties a
+program, an engine and a cluster into an :class:`AlgorithmResult`; which
+engine runs each (algorithm, framework) is one row of
+:mod:`repro.algorithms.registry`.
 """
 
 from __future__ import annotations
@@ -380,6 +381,8 @@ class CollaborativeFiltering:
 
     algorithm = "collaborative_filtering"
     shape = "dense"
+    #: ``run_program`` sets ``grid`` to the cluster's node count.
+    dealt = True
     PARAMS = ("hidden_dim", "iterations", "method", "gamma0", "step_decay",
               "lambda_reg", "seed")
 
@@ -549,34 +552,17 @@ def run_dense(program, engine, cluster) -> int:
 _LOOPS = {"frontier": run_frontier, "dense": run_dense}
 
 
-def cf_runner(framework: str, engine_type, method: str = None, **defaults):
-    """A family's collaborative-filtering entry point.
-
-    The program deals its blocks over the cluster's nodes and runs under
-    ``engine_type``. ``method`` fixes SGD or GD (native leaves it a
-    parameter); any parameter that is not the program's goes to the
-    engine, over the family's ``defaults``.
-    """
-    program_params = tuple(name for name in CollaborativeFiltering.PARAMS
-                           if not (method and name == "method"))
-    fixed = {"method": method} if method else {}
-
-    def run(ratings, cluster, **params):
-        engine = {**defaults, **params}
-        program = {name: engine.pop(name) for name in program_params
-                   if name in engine}
-        return run_program("collaborative_filtering", framework, engine_type,
-                           ratings, cluster,
-                           {**fixed, **program, "grid": cluster.num_nodes},
-                           **engine)
-    run.params = (*program_params, *defaults)
-    return run
-
-
 def run_program(algorithm: str, framework: str, engine_type, graph, cluster,
                 params: dict, **engine_options) -> AlgorithmResult:
-    """Run one round program under one engine; the shared back half."""
-    program = PROGRAMS[algorithm](graph, **params)
+    """Run one round program under one engine; the shared back half.
+
+    A program that deals its work over the nodes (CF's blocks) is told
+    the cluster's node count as its ``grid``.
+    """
+    program_type = PROGRAMS[algorithm]
+    if getattr(program_type, "dealt", False):
+        params = {**params, "grid": cluster.num_nodes}
+    program = program_type(graph, **params)
     engine = engine_type(program, graph, cluster, **engine_options)
     iterations = _LOOPS[program.shape](program, engine, cluster)
     known = {**program.extras(), **engine.diagnostics()}

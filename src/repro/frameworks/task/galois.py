@@ -2,8 +2,9 @@
 
 Paper characteristics bound here (Sections 3, 5.2, 6.2):
 
-* single node only — multi-node clusters are rejected ("Galois is
-  currently only a single node framework");
+* single node only ("Galois is currently only a single node
+  framework"): the profile's ``multinode=False``, so the registry
+  refuses a multi-node cluster before any work;
 * within 1.1-1.2x of native for PageRank/BFS/CF and ~2.5x for triangle
   counting (Table 5): Galois prefetches and uses scalable data
   structures, but its triangle counting uses sorted-merge intersections
@@ -19,21 +20,10 @@ import contextlib
 from dataclasses import dataclass
 
 from ...cluster import Cluster, ComputeWork
-from ...errors import ExpressibilityError
-from ...graph import RatingsMatrix
 from ..base import GALOIS
-from ..results import AlgorithmResult
-from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, cf_runner, run_program
+from ..rounds import Engine
 
 _PROFILE = GALOIS
-
-
-def _require_single_node(cluster: Cluster) -> None:
-    if cluster.num_nodes != 1:
-        raise ExpressibilityError(
-            "Galois is a single-node framework (paper Section 3); "
-            f"got a {cluster.num_nodes}-node cluster"
-        )
 
 
 def _step(cluster: Cluster, streamed, random, ops) -> None:
@@ -182,21 +172,6 @@ class GaloisTCEngine(Engine):
         return {"merge_reads": self.merge_reads}
 
 
-def _runner(algorithm: str, engine_type=GaloisEngine):
-    def run(graph, cluster, **params):
-        _require_single_node(cluster)
-        return run_program(algorithm, "galois", engine_type, graph, cluster,
-                           params)
-    run.params = PROGRAMS[algorithm].PARAMS
-    return run
-
-
-# galois.pagerank(graph, cluster, ...) etc.: the round programs.
-globals().update({algorithm: _runner(algorithm)
-                  for algorithm in GRAPH_PROGRAMS})
-triangle_count = _runner("triangle_counting", GaloisTCEngine)
-
-
 class GaloisCFEngine(Engine):
     """One SGD work item per rating edge, one superstep an iteration.
 
@@ -222,16 +197,3 @@ class GaloisCFEngine(Engine):
 
     def sweep(self) -> None:
         _step(self.cluster, *self._charge)
-
-
-_sgd = cf_runner("galois", GaloisCFEngine, method="sgd", options=None)
-
-
-def collaborative_filtering(ratings: RatingsMatrix, cluster: Cluster,
-                            **params) -> AlgorithmResult:
-    """True SGD (Section 3.2), the only framework besides native to run it."""
-    _require_single_node(cluster)
-    return _sgd(ratings, cluster, **params)
-
-
-collaborative_filtering.params = _sgd.params

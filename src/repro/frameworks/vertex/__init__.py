@@ -1,6 +1,12 @@
-"""Vertex-programming engine and the GraphLab / Giraph front-ends."""
+"""Vertex-programming engine, the GPS and GraphX profiles and Giraph's
+superstep splits.
 
-from . import giraph, gps, graphlab, graphx
+GraphLab's and Giraph's profiles are in :mod:`repro.frameworks.base`;
+which engine each vertex framework runs, and with what arguments, is
+its row of :mod:`repro.algorithms.registry`.
+"""
+
+from . import giraph, gps, graphx
 from .engine import (
     BSPEngine,
     ExchangeStats,
@@ -25,6 +31,5 @@ __all__ = [
     "VertexEngine",
     "VertexProgram",
     "giraph",
-    "graphlab",
     "run_vertex_program",
 ]

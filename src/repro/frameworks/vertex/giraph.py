@@ -14,23 +14,8 @@ The paper's Giraph characteristics bound here:
 
 from __future__ import annotations
 
-from ..base import GIRAPH
-from .programs import frontend
-
 #: "breaking up each superstep into 100 smaller supersteps" (Section 6.1.3).
 TRIANGLE_SPLITS = 100
 #: CF messages are staggered the same way (Section 3.2); the paper leaves
 #: s unspecified — 10 keeps the buffer within the same budget.
 CF_SPLITS = 10
-
-
-# giraph.pagerank(graph, cluster, ...) etc.: one runner per workload.
-globals().update(frontend(
-    GIRAPH, "1d",
-    triangle_counting={"superstep_splits": TRIANGLE_SPLITS},
-    # The paper's Giraph CF staggers senders in phases and deduplicates
-    # the factor vector sent towards each node (Section 3.2) — i.e. a
-    # combiner is installed for this program, unlike the defaults.
-    collaborative_filtering={"superstep_splits": CF_SPLITS,
-                             "combine_messages": True},
-))

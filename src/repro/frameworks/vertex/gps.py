@@ -21,7 +21,6 @@ from dataclasses import replace
 
 from ...cluster.network import CommLayer
 from ..base import GIRAPH, FrameworkProfile
-from .programs import frontend
 
 #: GPS's custom sockets-over-Java stack: better than Hadoop/Netty but
 #: below the C sockets of GraphLab.
@@ -50,11 +49,3 @@ GPS: FrameworkProfile = replace(
     notes="Related work (Section 7): ~12x faster than Giraph, still far "
           "from native.",
 )
-
-
-# gps.pagerank(graph, cluster, ...) etc.: one runner per workload.
-globals().update(frontend(
-    GPS, "vertex-cut",
-    triangle_counting={"superstep_splits": 10},
-    collaborative_filtering={"superstep_splits": 4},
-))

@@ -17,7 +17,6 @@ from dataclasses import replace
 
 from ...cluster.network import CommLayer
 from ..base import GRAPHLAB, FrameworkProfile
-from .programs import frontend
 
 #: Spark block-transfer service: netty-based shuffle, better tuned than
 #: Hadoop RPC but with shuffle-file spill overheads.
@@ -47,12 +46,3 @@ GRAPHX: FrameworkProfile = replace(
     notes="Related work (Section 7): ~7x slower than GraphLab on "
           "PageRank; slower end of the studied spectrum.",
 )
-
-
-# graphx.pagerank(graph, cluster, ...) etc.: one runner per workload.
-globals().update(frontend(
-    GRAPHX, "1d",
-    triangle_counting={"superstep_splits": 4},
-    collaborative_filtering={"superstep_splits": 4,
-                             "combine_messages": True},
-))

@@ -26,7 +26,7 @@ import numpy as np
 from ...algorithms.bfs import UNREACHED
 from ...graph import bipartite_graph
 from ..base import FrameworkProfile
-from ..rounds import GRAPH_PROGRAMS, PROGRAMS, Engine, cf_runner, run_program
+from ..rounds import Engine
 from .engine import BSPEngine, ExchangeStats, VertexProgram
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ class VertexCFEngine(Engine):
     """
 
     def __init__(self, program, ratings, cluster, profile: FrameworkProfile,
-                 partition_mode: str, superstep_splits: int,
+                 partition_mode: str, superstep_splits: int = 1,
                  combine_messages: bool = None):
         super().__init__(program, ratings, cluster)
         self.bsp = BSPEngine(bipartite_graph(ratings), cluster, profile,
@@ -271,46 +271,3 @@ class VertexCFEngine(Engine):
 
     def diagnostics(self) -> dict:
         return {"superstep_splits": self.superstep_splits}
-
-
-# ---------------------------------------------------------------------------
-# A framework = a profile, a partitioning, and a few argument overrides.
-# ---------------------------------------------------------------------------
-
-
-def frontend(profile: FrameworkProfile, partition_mode: str,
-             triangle_counting: dict = None,
-             collaborative_filtering: dict = None) -> dict:
-    """One vertex framework's runners, keyed by entry-point name.
-
-    Every round program of :data:`~repro.frameworks.rounds.PROGRAMS`
-    under :class:`VertexEngine` (collaborative filtering, as gradient
-    descent, under :class:`VertexCFEngine`), plus ``triangle_count``
-    under :class:`VertexTCEngine`. The two dicts are the framework's
-    default arguments to :class:`VertexTCEngine` / :class:`VertexCFEngine`
-    (superstep splitting, combiners, the cuckoo structure); callers may
-    still override them per call. Front-end modules publish the result as
-    their module attributes (``giraph.pagerank(graph, cluster)``).
-    """
-    def rounds(algorithm):
-        def run(graph, cluster, **params):
-            return run_program(algorithm, profile.name, VertexEngine, graph,
-                               cluster, params, profile=profile,
-                               partition_mode=partition_mode)
-        run.params = PROGRAMS[algorithm].PARAMS
-        return run
-
-    def triangle_count(graph, cluster, **params):
-        return run_program("triangle_counting", profile.name, VertexTCEngine,
-                           graph, cluster, {}, profile=profile,
-                           partition_mode=partition_mode,
-                           **{**(triangle_counting or {}), **params})
-
-    triangle_count.params = ("superstep_splits", "use_cuckoo")
-    return {**{algorithm: rounds(algorithm) for algorithm in GRAPH_PROGRAMS},
-            "triangle_count": triangle_count,
-            "collaborative_filtering": cf_runner(
-                profile.name, VertexCFEngine, method="gd", profile=profile,
-                partition_mode=partition_mode,
-                **{"superstep_splits": 1, "combine_messages": None,
-                   **(collaborative_filtering or {})})}

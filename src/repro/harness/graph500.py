@@ -84,6 +84,14 @@ def traversed_edges(graph, distances) -> float:
     return float((graph.out_degrees() * reached).sum()) / 2.0
 
 
+def check_graph500_args(scale: int, num_roots: int) -> None:
+    """Refuse a scale or root count the protocol cannot run."""
+    if scale < 1:
+        raise SpecError(f"scale must be >= 1, got {scale}")
+    if num_roots < 1:
+        raise SpecError(f"roots must be >= 1, got {num_roots}")
+
+
 def run_graph500(scale: int = 12, edge_factor: int = 16, nodes: int = 1,
                  framework: str = "native", num_roots: int = 16,
                  scale_factor: float = 1.0, seed: int = 1,
@@ -98,10 +106,7 @@ def run_graph500(scale: int = 12, edge_factor: int = 16, nodes: int = 1,
     dataset, bounded peak RSS) with shard working sets capped at
     ``memory_budget_mb``.
     """
-    if scale < 1:
-        raise SpecError(f"scale must be >= 1, got {scale}")
-    if num_roots < 1:
-        raise SpecError(f"roots must be >= 1, got {num_roots}")
+    check_graph500_args(scale, num_roots)
     if streamed:
         graph = rmat_graph_sharded(
             scale, edge_factor=edge_factor, seed=seed, directed=False,

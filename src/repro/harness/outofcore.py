@@ -28,9 +28,11 @@ reclaimable, which is the whole point of the sharded layout.
 from __future__ import annotations
 
 from ..datagen import DEFAULT_CHUNK_EDGES, rmat_graph, rmat_graph_sharded
+from ..datagen.rmat import check_shard_args
 from ..errors import STATUS_OK, STATUS_OOM
+from ..graph.sharded import partition_bounds
 from ..observability import reset_peak_rss
-from .graph500 import graph500_protocol
+from .graph500 import check_graph500_args, graph500_protocol
 from .sweep import Sweep
 
 #: Sweep/journal name of the demonstration.
@@ -111,9 +113,14 @@ def run_outofcore_demo(scale: int = 18, edge_factor: int = 16,
 
     The returned dict carries both cell records plus ``transition`` —
     True exactly when the in-memory cell recorded ``out-of-memory`` and
-    the streamed cell recorded ``ok``.
+    the streamed cell recorded ``ok``. Arguments either build would
+    refuse are refused first, before any cell runs.
     """
+    check_graph500_args(scale, num_roots)
+    check_shard_args(chunk_edges, memory_budget_mb)
     num_vertices = 1 << scale
+    if num_partitions is not None:
+        partition_bounds(num_vertices, num_partitions)
     directed_edges = 2 * edge_factor * num_vertices  # symmetrized
     if mapped_allowance_mb is None:
         csr_bytes = 8 * (num_vertices + 1) + 8 * directed_edges

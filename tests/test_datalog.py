@@ -8,6 +8,7 @@ from repro.algorithms import (
     pagerank_reference,
     triangle_count_reference,
 )
+from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import netflix_like_ratings, rmat_graph, rmat_triangle_graph
 from repro.errors import ReproError, SpecError
@@ -189,7 +190,7 @@ class TestSociaLite:
 
     def test_cf_converges(self):
         ratings = netflix_like_ratings(scale=9, num_items=48, seed=43)
-        result = socialite.collaborative_filtering(
+        result = runner("collaborative_filtering", "socialite")(
             ratings, make_cluster(2), hidden_dim=8, iterations=3
         )
         curve = result.extras["rmse_curve"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import bfs_reference, pagerank_reference
+from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import rmat_graph
 from repro.errors import ReproError
@@ -16,7 +17,6 @@ from repro.frameworks.roadmap import (
     improved_giraph,
     improved_graphlab,
 )
-from repro.frameworks.vertex import gps, graphx
 from repro.harness.graph500 import (
     Graph500Result,
     choose_search_keys,
@@ -70,14 +70,14 @@ class TestRoadmap:
 
 class TestRelatedWorkFrameworks:
     def test_gps_pagerank_correct(self, graph_small):
-        result = gps.pagerank(graph_small, Cluster(paper_cluster(2)),
-                              iterations=3)
+        result = runner("pagerank", "gps")(graph_small, Cluster(paper_cluster(2)),
+                                           iterations=3)
         np.testing.assert_allclose(result.values,
                                    pagerank_reference(graph_small, 3),
                                    rtol=1e-10)
 
     def test_graphx_bfs_correct(self, graph_undirected):
-        result = graphx.bfs(graph_undirected, Cluster(paper_cluster(2)))
+        result = runner("bfs", "graphx")(graph_undirected, Cluster(paper_cluster(2)))
         np.testing.assert_array_equal(result.values,
                                       bfs_reference(graph_undirected, 0))
 

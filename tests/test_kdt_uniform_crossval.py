@@ -8,6 +8,7 @@ from repro.algorithms import (
     pagerank_reference,
     triangle_count_reference,
 )
+from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import rmat_graph, rmat_triangle_graph
 from repro.datagen.uniform import (
@@ -16,7 +17,6 @@ from repro.datagen.uniform import (
     watts_strogatz_graph,
 )
 from repro.frameworks.base import GIRAPH
-from repro.frameworks.matrix import combblas, kdt
 from repro.frameworks.vertex import (
     BSPEngine,
     PageRankVertexProgram,
@@ -36,7 +36,7 @@ def make_cluster(nodes=1, **kwargs):
 
 class TestKDT:
     def test_pagerank_matches_reference(self, graph_small):
-        result = kdt.pagerank(graph_small, make_cluster(2), iterations=3)
+        result = runner("pagerank", "kdt")(graph_small, make_cluster(2), iterations=3)
         np.testing.assert_allclose(result.values,
                                    pagerank_reference(graph_small, 3),
                                    rtol=1e-10)
@@ -44,12 +44,12 @@ class TestKDT:
 
     def test_bfs_matches_reference(self):
         graph = rmat_graph(scale=9, edge_factor=6, seed=102, directed=False)
-        result = kdt.bfs(graph, make_cluster(2))
+        result = runner("bfs", "kdt")(graph, make_cluster(2))
         np.testing.assert_array_equal(result.values, bfs_reference(graph, 0))
 
     def test_triangles_match_reference(self):
         graph = rmat_triangle_graph(scale=8, edge_factor=6, seed=103)
-        result = kdt.triangle_count(graph, make_cluster(2))
+        result = runner("triangle_counting", "kdt")(graph, make_cluster(2))
         assert result.values == triangle_count_reference(graph)
 
     def test_callback_ops_cost_more_than_builtin(self, graph_small):
@@ -59,19 +59,19 @@ class TestKDT:
         graph = rmat_graph(scale=9, edge_factor=6, seed=102, directed=False)
         source = int(np.argmax(graph.out_degrees()))
 
-        cb_pr = combblas.pagerank(graph_small,
-                                  make_cluster(2, scale_factor=scale),
-                                  iterations=3)
-        kdt_pr = kdt.pagerank(graph_small,
-                              make_cluster(2, scale_factor=scale),
-                              iterations=3)
+        cb_pr = runner("pagerank", "combblas")(graph_small,
+                                               make_cluster(2, scale_factor=scale),
+                                               iterations=3)
+        kdt_pr = runner("pagerank", "kdt")(graph_small,
+                                           make_cluster(2, scale_factor=scale),
+                                           iterations=3)
         pagerank_ratio = (kdt_pr.metrics.total_time_s
                           / cb_pr.metrics.total_time_s)
 
-        cb_bfs = combblas.bfs(graph, make_cluster(2, scale_factor=scale),
-                              source=source)
-        kdt_bfs = kdt.bfs(graph, make_cluster(2, scale_factor=scale),
-                          source=source)
+        cb_bfs = runner("bfs", "combblas")(graph, make_cluster(2, scale_factor=scale),
+                                           source=source)
+        kdt_bfs = runner("bfs", "kdt")(graph, make_cluster(2, scale_factor=scale),
+                                       source=source)
         bfs_ratio = kdt_bfs.metrics.total_time_s / cb_bfs.metrics.total_time_s
 
         assert pagerank_ratio < 1.5

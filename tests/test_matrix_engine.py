@@ -9,6 +9,7 @@ from repro.algorithms import (
     pagerank_reference,
     triangle_count_reference,
 )
+from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import netflix_like_ratings, rmat_graph, rmat_triangle_graph
 from repro.errors import CapacityError, SpecError
@@ -18,7 +19,6 @@ from repro.frameworks.matrix import (
     PLUS_TIMES,
     DistSpMat,
     ProcessGrid,
-    combblas,
     semiring_spmv,
 )
 from repro.graph import CSRGraph, EdgeList
@@ -291,24 +291,24 @@ class TestDistSpMat:
 
 class TestCombBLAS:
     def test_pagerank_matches_reference(self, graph_small):
-        result = combblas.pagerank(graph_small, make_cluster(4), iterations=4)
+        result = runner("pagerank", "combblas")(graph_small, make_cluster(4), iterations=4)
         np.testing.assert_allclose(
             result.values, pagerank_reference(graph_small, 4), rtol=1e-12
         )
 
     def test_bfs_matches_reference(self, graph_small_undirected):
-        result = combblas.bfs(graph_small_undirected, make_cluster(4))
+        result = runner("bfs", "combblas")(graph_small_undirected, make_cluster(4))
         np.testing.assert_array_equal(
             result.values, bfs_reference(graph_small_undirected, 0)
         )
 
     def test_bfs_unreached(self):
         graph = CSRGraph.from_edges(EdgeList.from_pairs(3, [(0, 1), (1, 0)]))
-        result = combblas.bfs(graph, make_cluster(1))
+        result = runner("bfs", "combblas")(graph, make_cluster(1))
         assert result.values[2] == UNREACHED
 
     def test_triangles_match_reference(self, graph_triangles):
-        result = combblas.triangle_count(graph_triangles, make_cluster(4))
+        result = runner("triangle_counting", "combblas")(graph_triangles, make_cluster(4))
         assert result.values == triangle_count_reference(graph_triangles)
 
     def test_triangle_oom_on_large_scale_factor(self, graph_triangles):
@@ -316,24 +316,23 @@ class TestCombBLAS:
         # the paper's "ran out of memory for the Twitter data set".
         cluster = Cluster(paper_cluster(4), scale_factor=10_000_000.0)
         with pytest.raises(CapacityError):
-            combblas.triangle_count(graph_triangles, cluster)
+            runner("triangle_counting", "combblas")(graph_triangles, cluster)
 
     def test_triangle_expressibility_penalty(self, graph_triangles):
         # The unfused A^2 materialization makes CombBLAS far slower than
         # the native intersection kernel (Table 5: 33.9x single node).
-        from repro.frameworks import native
         scale = {"scale_factor": 1e5}
-        native_result = native.triangle_count(
+        native_result = runner("triangle_counting", "native")(
             graph_triangles, Cluster(paper_cluster(1), **scale)
         )
-        comb_result = combblas.triangle_count(
+        comb_result = runner("triangle_counting", "combblas")(
             graph_triangles, Cluster(paper_cluster(1), **scale)
         )
         assert comb_result.total_time_s > 2.5 * native_result.total_time_s
 
     def test_cf_converges(self):
         ratings = netflix_like_ratings(scale=9, num_items=48, seed=33)
-        result = combblas.collaborative_filtering(
+        result = runner("collaborative_filtering", "combblas")(
             ratings, make_cluster(4), hidden_dim=8, iterations=3
         )
         curve = result.extras["rmse_curve"]
@@ -344,12 +343,11 @@ class TestCombBLAS:
         # Table 5: CombBLAS PageRank ~1.9x native on one node. Run at a
         # paper-scale extrapolation factor so fixed per-superstep costs
         # do not swamp the proxy-sized compute.
-        from repro.frameworks import native
-        native_result = native.pagerank(
+        native_result = runner("pagerank", "native")(
             graph_small, Cluster(paper_cluster(1), scale_factor=1e5),
             iterations=3,
         )
-        comb_result = combblas.pagerank(
+        comb_result = runner("pagerank", "combblas")(
             graph_small, Cluster(paper_cluster(1), scale_factor=1e5),
             iterations=3,
         )
@@ -399,7 +397,7 @@ class TestCombBLAS:
         monkeypatch.setattr(DistSpMat, "spmv_cost", counting_cost)
         graph = graph_small_undirected
         with use_backend("vectorized"):     # the oracle walks, not gathers
-            result = getattr(combblas, algorithm)(graph, make_cluster(4))
+            result = runner(algorithm, "combblas")(graph, make_cluster(4))
         assert gathered == reported == charged
         assert len(charged) == result.iterations
         if algorithm == "k_core":           # every vertex is peeled once
@@ -411,6 +409,6 @@ class TestCombBLAS:
 
     def test_validates_arguments(self, graph_small):
         with pytest.raises(SpecError):
-            combblas.pagerank(graph_small, make_cluster(1), iterations=0)
+            runner("pagerank", "combblas")(graph_small, make_cluster(1), iterations=0)
         with pytest.raises(SpecError):
-            combblas.bfs(graph_small, make_cluster(1), source=-2)
+            runner("bfs", "combblas")(graph_small, make_cluster(1), source=-2)

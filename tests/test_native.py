@@ -9,17 +9,16 @@ from repro.algorithms import (
     triangle_count_reference,
     validate_distances,
 )
+from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import rmat_graph, rmat_triangle_graph, netflix_like_ratings
 from repro.errors import ConvergenceError, SpecError
-from repro.frameworks.native import (
-    NativeOptions,
-    bfs,
-    collaborative_filtering,
-    iterations_to_rmse,
-    pagerank,
-    triangle_count,
-)
+from repro.frameworks.native import NativeOptions, iterations_to_rmse
+
+bfs, collaborative_filtering, pagerank, triangle_count = (
+    runner(algorithm, "native")
+    for algorithm in ("bfs", "collaborative_filtering", "pagerank",
+                      "triangle_counting"))
 
 
 @pytest.fixture(scope="module")

@@ -11,9 +11,14 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import rmat_graph, rmat_triangle_graph
-from repro.frameworks.native import NativeOptions, bfs, pagerank, triangle_count
+from repro.frameworks.native import NativeOptions
+
+bfs, pagerank, triangle_count = (
+    runner(algorithm, "native")
+    for algorithm in ("bfs", "pagerank", "triangle_counting"))
 
 ALL_OPTIONS = [
     NativeOptions(prefetch=p, compression=c, overlap=o, bitvector=b)

@@ -32,21 +32,27 @@ class TestRegistry:
                 assert callable(runner(algorithm, framework))
 
     def test_every_workload_has_a_row_on_every_program_driven_family(self):
-        # A new graph round program missing a cost or boundary row fails
-        # here, not as a silent ``unsupported`` cell in some sweep (CF's
-        # program has a small engine per family instead of a row).
-        from repro.algorithms.registry import _ENTRY_POINTS
-        from repro.frameworks.matrix import combblas, kdt
-        from repro.frameworks.native import engine as native_engine
-        from repro.frameworks.rounds import GRAPH_PROGRAMS
-        from repro.frameworks.task import galois
-        from repro.frameworks.vertex import programs as vertex_programs
+        # A new graph round program missing a plan, cost or boundary row
+        # fails here, not as a silent ``unsupported`` cell in some sweep
+        # (triangle counting and CF have a small engine per family
+        # instead of a cost row).
+        import sys
 
-        for family in (native_engine, vertex_programs, galois, combblas):
-            assert set(family.COSTS) == set(GRAPH_PROGRAMS), family.__name__
-        assert set(kdt.BOUNDARIES) == {
-            _ENTRY_POINTS.get(algorithm, algorithm)
-            for algorithm in ALGORITHMS}
+        from repro.algorithms.registry import ROWS, Plan
+        from repro.frameworks.matrix import kdt
+        from repro.frameworks.rounds import GRAPH_PROGRAMS
+
+        engines = set()
+        for framework, row in ROWS.items():
+            assert set(row.plans) == set(ALGORITHMS), framework
+            engines.update(row.plans[algorithm].engine
+                           for algorithm in GRAPH_PROGRAMS
+                           if isinstance(row.plans[algorithm], Plan))
+        assert len(engines) == 4                # native, vertex, task, matrix
+        for engine in engines:
+            costs = sys.modules[engine.__module__].COSTS
+            assert set(costs) == set(GRAPH_PROGRAMS), engine.__name__
+        assert set(kdt.BOUNDARIES) == set(ALGORITHMS)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ReproError, match="unknown algorithm") as info:

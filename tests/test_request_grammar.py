@@ -105,6 +105,12 @@ class TestProbes:
          "nan"],
         ["graph500", "--scale", "8", "--streamed", "--memory-budget-mb",
          "-5"],
+        # Refused before the demo's in-memory cell runs.
+        ["outofcore", "demo", "--scale", "10", "--chunk-edges", "0"],
+        ["outofcore", "demo", "--scale", "10", "--memory-budget-mb", "nan"],
+        ["outofcore", "demo", "--scale", "10", "--partitions", "0"],
+        ["outofcore", "demo", "--scale", "10", "--roots", "0"],
+        ["outofcore", "demo", "--scale", "0"],
     ])
     def test_a_bad_command_is_one_error_line(self, argv, capsys):
         _cli_error(argv, capsys)

@@ -8,10 +8,10 @@ from repro.algorithms import (
     pagerank_reference,
     triangle_count_reference,
 )
+from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import netflix_like_ratings, rmat_graph, rmat_triangle_graph
 from repro.errors import ExpressibilityError, SpecError
-from repro.frameworks.task import galois
 
 
 @pytest.fixture(scope="module")
@@ -38,27 +38,27 @@ class TestGalois:
         # Typed, so the harness reports ``unsupported`` without reading
         # the message.
         with pytest.raises(ExpressibilityError, match="single-node"):
-            galois.pagerank(graph_small, Cluster(paper_cluster(4)))
+            runner("pagerank", "galois")(graph_small, Cluster(paper_cluster(4)))
 
     def test_pagerank_matches_reference(self, graph_small):
-        result = galois.pagerank(graph_small, make_cluster(), iterations=4)
+        result = runner("pagerank", "galois")(graph_small, make_cluster(), iterations=4)
         np.testing.assert_allclose(
             result.values, pagerank_reference(graph_small, 4), rtol=1e-12
         )
 
     def test_bfs_matches_reference(self, graph_small_undirected):
-        result = galois.bfs(graph_small_undirected, make_cluster())
+        result = runner("bfs", "galois")(graph_small_undirected, make_cluster())
         np.testing.assert_array_equal(
             result.values, bfs_reference(graph_small_undirected, 0)
         )
 
     def test_triangles_match_reference(self, graph_triangles):
-        result = galois.triangle_count(graph_triangles, make_cluster())
+        result = runner("triangle_counting", "galois")(graph_triangles, make_cluster())
         assert result.values == triangle_count_reference(graph_triangles)
 
     def test_cf_sgd_converges(self):
         ratings = netflix_like_ratings(scale=9, num_items=48, seed=53)
-        result = galois.collaborative_filtering(
+        result = runner("collaborative_filtering", "galois")(
             ratings, make_cluster(), hidden_dim=8, iterations=4, seed=1
         )
         curve = result.extras["rmse_curve"]
@@ -67,12 +67,11 @@ class TestGalois:
 
     def test_close_to_native_pagerank(self, graph_small):
         # Table 5: Galois PageRank within ~1.2x of native.
-        from repro.frameworks import native
         scale = 1e5
-        native_result = native.pagerank(
+        native_result = runner("pagerank", "native")(
             graph_small, make_cluster(scale_factor=scale), iterations=3
         )
-        galois_result = galois.pagerank(
+        galois_result = runner("pagerank", "galois")(
             graph_small, make_cluster(scale_factor=scale), iterations=3
         )
         ratio = (galois_result.time_per_iteration_s
@@ -82,12 +81,11 @@ class TestGalois:
     def test_triangle_gap_larger_than_pagerank_gap(self, graph_triangles):
         # Table 5: the TC gap (2.5x) exceeds the PageRank gap (1.2x)
         # because merges read more than bit-vector probes.
-        from repro.frameworks import native
         scale = 1e5
-        native_tc = native.triangle_count(
+        native_tc = runner("triangle_counting", "native")(
             graph_triangles, make_cluster(scale_factor=scale)
         )
-        galois_tc = galois.triangle_count(
+        galois_tc = runner("triangle_counting", "galois")(
             graph_triangles, make_cluster(scale_factor=scale)
         )
         tc_ratio = galois_tc.total_time_s / native_tc.total_time_s
@@ -95,6 +93,6 @@ class TestGalois:
 
     def test_validates_arguments(self, graph_small):
         with pytest.raises(SpecError):
-            galois.pagerank(graph_small, make_cluster(), iterations=0)
+            runner("pagerank", "galois")(graph_small, make_cluster(), iterations=0)
         with pytest.raises(SpecError):
-            galois.bfs(graph_small, make_cluster(), source=-1)
+            runner("bfs", "galois")(graph_small, make_cluster(), source=-1)

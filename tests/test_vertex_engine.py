@@ -9,6 +9,7 @@ from repro.algorithms import (
     pagerank_reference,
     triangle_count_reference,
 )
+from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import netflix_like_ratings, rmat_graph, rmat_triangle_graph
 from repro.errors import CapacityError, SimulationError
@@ -17,8 +18,6 @@ from repro.frameworks.vertex import (
     BFSVertexProgram,
     BSPEngine,
     PageRankVertexProgram,
-    giraph,
-    graphlab,
     run_vertex_program,
 )
 from repro.graph import CSRGraph, EdgeList
@@ -115,7 +114,7 @@ class TestBSPEngine:
         stats = engine.edge_messages(np.arange(graph_small.num_vertices), 8.0)
         off_diagonal = stats.traffic.sum() - np.trace(stats.traffic)
         assert off_diagonal == 0
-        result = giraph.pagerank(graph_small, make_cluster(1), iterations=2)
+        result = runner("pagerank", "giraph")(graph_small, make_cluster(1), iterations=2)
         assert result.metrics.bytes_sent_total == 0
 
     def test_serialization_overhead_applied(self, graph_small):
@@ -148,78 +147,76 @@ class TestBSPEngine:
 
 class TestGraphLab:
     def test_pagerank_matches_reference(self, graph_small):
-        result = graphlab.pagerank(graph_small, make_cluster(2), iterations=4)
+        result = runner("pagerank", "graphlab")(graph_small, make_cluster(2), iterations=4)
         np.testing.assert_allclose(
             result.values, pagerank_reference(graph_small, 4), rtol=1e-12
         )
 
     def test_bfs_matches_reference(self, graph_small_undirected):
-        result = graphlab.bfs(graph_small_undirected, make_cluster(2))
+        result = runner("bfs", "graphlab")(graph_small_undirected, make_cluster(2))
         np.testing.assert_array_equal(
             result.values, bfs_reference(graph_small_undirected, 0)
         )
 
     def test_triangles_match_reference(self, graph_triangles):
-        result = graphlab.triangle_count(graph_triangles, make_cluster(2))
+        result = runner("triangle_counting", "graphlab")(graph_triangles, make_cluster(2))
         assert result.values == triangle_count_reference(graph_triangles)
 
     def test_cf_rmse_decreases(self, ratings_small):
-        result = graphlab.collaborative_filtering(
+        result = runner("collaborative_filtering", "graphlab")(
             ratings_small, make_cluster(2), hidden_dim=8, iterations=4
         )
         curve = result.extras["rmse_curve"]
         assert curve[-1] < curve[0]
 
     def test_slower_than_native(self, graph_small):
-        from repro.frameworks import native
-        native_result = native.pagerank(graph_small, make_cluster(1),
-                                        iterations=4)
-        graphlab_result = graphlab.pagerank(graph_small, make_cluster(1),
-                                            iterations=4)
+        native_result = runner("pagerank", "native")(graph_small, make_cluster(1),
+                                                     iterations=4)
+        graphlab_result = runner("pagerank", "graphlab")(graph_small, make_cluster(1),
+                                                         iterations=4)
         assert graphlab_result.time_per_iteration_s > \
             native_result.time_per_iteration_s
 
 
 class TestGiraph:
     def test_pagerank_matches_reference(self, graph_small):
-        result = giraph.pagerank(graph_small, make_cluster(2), iterations=3)
+        result = runner("pagerank", "giraph")(graph_small, make_cluster(2), iterations=3)
         np.testing.assert_allclose(
             result.values, pagerank_reference(graph_small, 3), rtol=1e-12
         )
 
     def test_bfs_matches_reference(self, graph_small_undirected):
-        result = giraph.bfs(graph_small_undirected, make_cluster(2))
+        result = runner("bfs", "giraph")(graph_small_undirected, make_cluster(2))
         np.testing.assert_array_equal(
             result.values, bfs_reference(graph_small_undirected, 0)
         )
 
     def test_triangles_match_reference(self, graph_triangles):
-        result = giraph.triangle_count(graph_triangles, make_cluster(2))
+        result = runner("triangle_counting", "giraph")(graph_triangles, make_cluster(2))
         assert result.values == triangle_count_reference(graph_triangles)
 
     def test_cpu_utilization_capped_by_workers(self, graph_small):
-        result = giraph.pagerank(graph_small, make_cluster(2), iterations=3)
+        result = runner("pagerank", "giraph")(graph_small, make_cluster(2), iterations=3)
         # 4 workers on 24 cores: utilization can never exceed ~17%.
         assert result.metrics.cpu_utilization <= 4 / 24 + 0.01
 
     def test_orders_of_magnitude_slower_than_native(self, graph_small):
-        from repro.frameworks import native
-        native_result = native.pagerank(graph_small, make_cluster(1),
-                                        iterations=3)
-        giraph_result = giraph.pagerank(graph_small, make_cluster(1),
-                                        iterations=3)
+        native_result = runner("pagerank", "native")(graph_small, make_cluster(1),
+                                                     iterations=3)
+        giraph_result = runner("pagerank", "giraph")(graph_small, make_cluster(1),
+                                                     iterations=3)
         assert giraph_result.time_per_iteration_s > \
             10 * native_result.time_per_iteration_s
 
     def test_superstep_splitting_bounds_memory(self, graph_triangles):
         # Without splitting, Giraph buffers the entire O(sum d^2) message
         # volume; with 100 splits the footprint shrinks ~100x.
-        unsplit = giraph.triangle_count(
+        unsplit = runner("triangle_counting", "giraph")(
             graph_triangles,
             Cluster(paper_cluster(2), enforce_memory=False),
             superstep_splits=1,
         )
-        split = giraph.triangle_count(
+        split = runner("triangle_counting", "giraph")(
             graph_triangles,
             Cluster(paper_cluster(2), enforce_memory=False),
             superstep_splits=100,
@@ -234,10 +231,10 @@ class TestGiraph:
         # volume exceeds 64 GB/node: the Section 6.1.3 failure.
         cluster = Cluster(paper_cluster(2), scale_factor=1_000_000.0)
         with pytest.raises(CapacityError):
-            giraph.triangle_count(graph_triangles, cluster,
-                                  superstep_splits=1)
+            runner("triangle_counting", "giraph")(graph_triangles, cluster,
+                                                  superstep_splits=1)
         # With the 100-way split the same run fits.
-        ok = giraph.triangle_count(
+        ok = runner("triangle_counting", "giraph")(
             graph_triangles,
             Cluster(paper_cluster(2), scale_factor=1_000_000.0),
             superstep_splits=100,
@@ -245,11 +242,11 @@ class TestGiraph:
         assert ok.values >= 0
 
     def test_split_supersteps_cost_overhead(self, graph_triangles):
-        few = giraph.triangle_count(
+        few = runner("triangle_counting", "giraph")(
             graph_triangles, Cluster(paper_cluster(2), enforce_memory=False),
             superstep_splits=1,
         )
-        many = giraph.triangle_count(
+        many = runner("triangle_counting", "giraph")(
             graph_triangles, Cluster(paper_cluster(2), enforce_memory=False),
             superstep_splits=100,
         )
@@ -257,7 +254,7 @@ class TestGiraph:
         assert many.total_time_s > few.total_time_s + 50
 
     def test_cf_converges(self, ratings_small):
-        result = giraph.collaborative_filtering(
+        result = runner("collaborative_filtering", "giraph")(
             ratings_small, make_cluster(2), hidden_dim=8, iterations=3
         )
         curve = result.extras["rmse_curve"]
