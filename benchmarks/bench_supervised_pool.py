@@ -3,8 +3,8 @@
 Two claims ride on this file:
 
 * supervision is (nearly) free — a clean warm-cache table5 subset
-  through the supervised pool at ``jobs=4`` costs within ~10% of the
-  same cells through a bare ``multiprocessing.Pool`` (the PR-5
+  through ``Sweep(jobs=4)`` and its supervised pool costs within ~10%
+  of the same cells through a bare ``multiprocessing.Pool`` (the PR-5
   executor, reconstructed here as the reference); asserted only on
   machines with >=4 cores, advisory elsewhere;
 * recovery is fast — a single injected SIGKILL costs one worker
@@ -19,7 +19,6 @@ import multiprocessing
 import os
 import time
 
-from repro.harness.supervisor import run_cells_supervised
 from repro.harness.sweep import CellPolicy, Sweep, execute_cell
 from repro.harness.tables import table5
 
@@ -77,12 +76,13 @@ def test_supervised_pool_overhead_vs_raw_pool(regenerate):
 
     start = time.perf_counter()
     supervised = regenerate(
-        lambda: list(run_cells_supervised(pending, execute, policy, jobs=4)))
+        lambda: Sweep("table5", jobs=4).run(keys, execute))
     supervised_s = time.perf_counter() - start
 
-    assert [c.record.status for c in supervised] \
+    assert [record.status for record in supervised] \
         == [r.status for _i, _c, r in raw]
-    assert [c.index for c in supervised] == [i for i, _c, _r in raw]
+    assert [record.key for record in supervised] == \
+        [keys[i] for i, _c, _r in raw]
 
     overhead = supervised_s / max(raw_s, 1e-9) - 1.0
     print(f"\nsupervised pool: raw {raw_s:.2f} s, "

@@ -28,23 +28,24 @@ explicit per-worker pipes:
   space (``RLIMIT_AS``, as headroom above the interpreter's footprint
   at fork), so a real allocation blow-up raises ``MemoryError`` — the
   ``out-of-memory`` DNF status — instead of invoking the OOM killer.
-* **Graceful drain.** SIGINT/SIGTERM stop dispatch, flush the merged
-  prefix to the journal, leave in-flight cells pending and raise
+* **Graceful drain.** SIGINT/SIGTERM (caught by the sweep driving the
+  pool) stop dispatch, flush the merged prefix to the journal, leave
+  in-flight cells pending and raise
   :class:`~repro.errors.SweepInterrupted` (CLI exit code 8), so
   ``--resume`` continues byte-identically.
 
-Since PR-9 the pool is a **long-lived object**:
-:class:`SupervisorPool` owns the workers and a supervision thread, and
-each *task* ships its own executor, cell policy, tracer and chaos plan
-over the pipe. That makes the pool generic — the ``repro serve``
-daemon keeps one warm pool across requests, and repeated
+The pool is a **long-lived object**: :class:`SupervisorPool` owns the
+workers and a supervision thread, and each *task* ships its own
+executor, cell policy, wall deadline, tracer and chaos plan over the
+pipe. That makes the pool generic — the ``repro serve`` daemon keeps
+one warm pool across requests, and repeated
 :class:`~repro.harness.sweep.Sweep` runs in one process reuse workers
 instead of paying fork + import per sweep. The lifecycle is explicit:
 ``start()`` → ``submit()`` (returns a :class:`Ticket`) → ``drain()`` →
-``close()``. :func:`run_cells_supervised` keeps its PR-8 signature and
-semantics, implemented on top: it submits every pending cell, waits on
-tickets in enumeration order, and — when it owns the pool — tears it
-down afterwards.
+``close()``. The pool has two drivers and no layer between them and
+it: ``Sweep`` submits its pending cells, waits on the tickets in
+enumeration order and owns the drain signals; the daemon submits one
+cell per request and hops each ticket onto its event loop.
 
 Every PR-5 durability guarantee is preserved: workers run the exact
 :func:`~repro.harness.sweep.execute_cell` semantics, the parent remains
@@ -77,14 +78,15 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
 
-from ..errors import (
-    STATUS_CRASHED,
-    STATUS_TIMEOUT,
-    ReproError,
-    SweepInterrupted,
-)
+from ..errors import STATUS_CRASHED, STATUS_TIMEOUT, ReproError
 from ..observability import NULL_TRACER, Tracer
 from .sweep import CellRecord, execute_cell
+
+
+#: Supervision poll period (real seconds): the upper bound on how stale
+#: liveness/deadline checks, and a sweep's drain check, can be when no
+#: pipe event fires.
+HEARTBEAT_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -94,13 +96,10 @@ class SupervisorPolicy:
     Distinct from :class:`~repro.harness.sweep.CellPolicy` on purpose:
     the cell policy travels *into* workers and defines what a cell
     records; this policy stays in the parent and defines what happens
-    to the worker processes around it. ``wall_deadline_s`` is the pool
-    default — :meth:`SupervisorPool.submit` may override it per task
-    (the serving layer's per-request deadlines ride on that).
+    to the worker processes around it. The wall deadline is not here:
+    every caller passes its own per task to :meth:`SupervisorPool.submit`.
     """
 
-    #: Real-seconds budget per cell dispatch; None = no wall deadline.
-    wall_deadline_s: float = None
     #: Worker deaths a single cell may cause before quarantine.
     max_crashes: int = 2
     #: RLIMIT_AS headroom (bytes) above the worker's footprint at fork;
@@ -112,9 +111,6 @@ class SupervisorPolicy:
     #: an out-of-core cell's read-only mmaps would eat the budget meant
     #: for its working set. Ignored when ``memory_limit_bytes`` is None.
     mapped_allowance_bytes: int = 0
-    #: Supervision poll period (real seconds): the upper bound on how
-    #: stale liveness/deadline checks can be when no pipe event fires.
-    heartbeat_s: float = 0.1
 
 
 @dataclass
@@ -128,10 +124,8 @@ class SupervisorStats:
 
 @dataclass
 class CompletedCell:
-    """One merged result the parent consumes in enumeration order."""
+    """What a :class:`Ticket` completes with: one cell's record."""
 
-    index: int
-    cid: str
     record: object          # CellRecord
     spans: list             # worker-side Span objects (may be empty)
     worker: str             # supervised worker name, e.g. "sweep-worker-2"
@@ -241,23 +235,30 @@ def _keep_heap() -> None:
     mallopt(-1, 128 * 2**20)    # M_TRIM_THRESHOLD
 
 
-def _drop_inherited_sockets() -> None:
-    """Point every socket a forked worker inherited at ``/dev/null``.
+def _drop_inherited(parent_ends) -> None:
+    """Point what a forked worker must not hold at ``/dev/null``.
 
-    A worker ``repro serve`` forks lazily holds the listening socket and
-    every open client connection, so a connection the server closes
-    never reaches EOF at the client. Overwriting (not closing) each fd
-    keeps its number taken, so an inherited socket object that later
-    closes "its" fd cannot close a file the worker opened since.
+    That is every inherited socket — a worker ``repro serve`` forks
+    lazily holds the listening socket and every open client connection,
+    so a connection the server closes would never reach EOF at the
+    client — and ``parent_ends``, the pool's parent-side pipe ends: this
+    worker's own task-pipe write end, other workers' ends and the wake
+    pipe. A task pipe whose write end a worker holds never reads EOF, so
+    the worker would outlive a dead parent. multiprocessing's sentinel
+    pipe is not among them: closing it would make the parent's
+    ``process.sentinel`` ready while the worker lives. Overwriting (not
+    closing) each fd keeps its number taken, so an inherited object that
+    later closes "its" fd cannot close a file the worker opened since.
     """
     try:
-        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+        fds = {int(name) for name in os.listdir("/proc/self/fd")}
     except OSError:
-        return
+        fds = set()
     null = os.open(os.devnull, os.O_RDWR)
-    for fd in fds:
+    for fd in fds | set(parent_ends):
         try:
-            if fd != null and stat.S_ISSOCK(os.fstat(fd).st_mode):
+            if fd != null and (fd in parent_ends
+                               or stat.S_ISSOCK(os.fstat(fd).st_mode)):
                 os.dup2(null, fd)
         except OSError:
             pass
@@ -265,7 +266,7 @@ def _drop_inherited_sockets() -> None:
 
 
 def _worker_main(task_conn, result_conn, memory_limit_bytes,
-                 mapped_allowance_bytes=0) -> None:
+                 mapped_allowance_bytes, parent_ends) -> None:
     """Long-lived *generic* worker loop: recv task, run cell, send record.
 
     Each task frame carries its own executor, cell policy and chaos
@@ -273,19 +274,22 @@ def _worker_main(task_conn, result_conn, memory_limit_bytes,
     sweeps — and the serving layer's mixed request stream — without
     restarting. The parent owns shutdown: SIGINT is ignored (a terminal
     Ctrl-C hits the whole process group; the parent's drain logic
-    decides what it means), and the loop exits on the empty sentinel
-    frame or on EOF — which also covers a dead parent, so SIGKILLing
-    the sweep never leaks orphan workers.
+    decides what it means), SIGTERM is reset to its default (the
+    parent's drain handler, inherited through fork, would make it a
+    no-op here), and the loop exits on the empty sentinel frame or on
+    EOF. The parent is the only holder of the task pipe's write end
+    (:func:`_drop_inherited`), so EOF also covers a dead parent:
+    SIGKILLing the sweep leaves no orphan workers.
     """
-    _drop_inherited_sockets()
+    _drop_inherited(parent_ends)
     _keep_heap()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):
         pass
     if memory_limit_bytes:
-        _apply_memory_limit(memory_limit_bytes
-                            + int(mapped_allowance_bytes or 0))
+        _apply_memory_limit(memory_limit_bytes + mapped_allowance_bytes)
     while True:
         try:
             frame = task_conn.recv_bytes()
@@ -293,8 +297,8 @@ def _worker_main(task_conn, result_conn, memory_limit_bytes,
             break
         if not frame:
             break
-        (ticket_id, index, key, _cid, crashes, execute, policy, traced,
-         sleep, plan) = pickle.loads(frame)
+        (ticket_id, index, key, crashes, execute, policy, traced,
+         plan) = pickle.loads(frame)
         run_execute = execute
         if plan is not None:
             if plan.kill_now(index, crashes):
@@ -306,8 +310,7 @@ def _worker_main(task_conn, result_conn, memory_limit_bytes,
             if balloon is not None and crashes == 0:
                 run_execute = _BallooningExecute(execute, balloon)
         tracer = Tracer() if traced else NULL_TRACER
-        record = execute_cell(key, run_execute, policy, tracer=tracer,
-                              sleep=sleep)
+        record = execute_cell(key, run_execute, policy, tracer=tracer)
         spans = list(tracer.spans) if traced else []
         try:
             result_conn.send((ticket_id, record, spans))
@@ -380,43 +383,49 @@ class Ticket:
 class _Task:
     """Parent-side dispatch state for one submitted cell."""
 
-    __slots__ = ("ticket", "index", "key", "cid", "crashes", "execute",
-                 "policy", "traced", "sleep", "plan", "wall_deadline_s",
-                 "tracer", "stats")
+    __slots__ = ("ticket", "index", "key", "crashes", "execute", "policy",
+                 "traced", "plan", "wall_deadline_s", "tracer", "stats")
 
-    def __init__(self, ticket, execute, policy, traced, sleep, plan,
+    def __init__(self, ticket, execute, policy, traced, plan,
                  wall_deadline_s, tracer, stats):
         self.ticket = ticket
         self.index = ticket.index
         self.key = ticket.key
-        self.cid = ticket.cid
         self.crashes = 0
         self.execute = execute
         self.policy = policy
         self.traced = traced
-        self.sleep = sleep
         self.plan = plan
         self.wall_deadline_s = wall_deadline_s
         self.tracer = tracer
         self.stats = stats
 
     def frame(self) -> bytes:
-        return pickle.dumps((self.ticket.id, self.index, self.key, self.cid,
+        return pickle.dumps((self.ticket.id, self.index, self.key,
                              self.crashes, self.execute, self.policy,
-                             self.traced, self.sleep, self.plan))
+                             self.traced, self.plan))
 
 
 class _WorkerHandle:
-    """One supervised worker: process + its two pipe endpoints."""
+    """One supervised worker: process + its two pipe endpoints.
+
+    ``parent_ends`` are the pool's other parent-side pipe fds a forked
+    child inherits; the worker drops them, and its own, at start.
+    """
 
     def __init__(self, context, name, memory_limit_bytes,
-                 mapped_allowance_bytes=0):
+                 mapped_allowance_bytes, parent_ends):
         task_recv, self.task_conn = context.Pipe(duplex=False)
         self.result_conn, result_send = context.Pipe(duplex=False)
+        if context.get_start_method() == "fork":
+            parent_ends = (*parent_ends, self.task_conn.fileno(),
+                           self.result_conn.fileno())
+        else:                         # a spawned child inherits none
+            parent_ends = ()
         self.process = context.Process(
             target=_worker_main, name=name,
             args=(task_recv, result_send, memory_limit_bytes,
-                  mapped_allowance_bytes), daemon=True)
+                  mapped_allowance_bytes, parent_ends), daemon=True)
         self.process.start()
         # Close the child's ends in the parent so a dead worker reads
         # as EOF on result_conn instead of blocking forever.
@@ -447,10 +456,6 @@ class _WorkerHandle:
                 pass
 
 
-#: Sentinel: "use the pool policy's wall deadline" (None means "none").
-POOL_DEADLINE = object()
-
-
 class SupervisorPool:
     """A long-lived supervised worker pool reused across submissions.
 
@@ -468,13 +473,13 @@ class SupervisorPool:
     and in the per-submission ``stats`` object passed to ``submit``.
     """
 
-    def __init__(self, jobs, supervise=None, tracer=None, context=None):
+    def __init__(self, jobs, supervise=None, tracer=None):
         self.jobs = max(int(jobs), 1)
         self.supervise = supervise if supervise is not None \
             else SupervisorPolicy()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = SupervisorStats()
-        self._context = context
+        self._context = _mp_context()
         self._lock = threading.RLock()
         self._idle = threading.Condition(self._lock)
         self._queue = deque()         # _Task awaiting (re-)dispatch
@@ -493,8 +498,6 @@ class SupervisorPool:
         with self._lock:
             if self._started:
                 return self
-            if self._context is None:
-                self._context = _mp_context()
             self._wake_recv, self._wake_send = self._context.Pipe(
                 duplex=False)
             self._started = True
@@ -504,23 +507,21 @@ class SupervisorPool:
         return self
 
     def submit(self, key, cid, execute, policy, *, index=0, traced=False,
-               sleep=None, plan=None, wall_deadline_s=POOL_DEADLINE,
-               tracer=None, stats=None) -> Ticket:
+               plan=None, wall_deadline_s=None, tracer=None,
+               stats=None) -> Ticket:
         """Enqueue one cell; returns its completion :class:`Ticket`.
 
-        ``wall_deadline_s`` overrides the pool policy's default per
-        task (pass ``None`` for "no deadline" explicitly). ``tracer``
-        and ``stats`` scope fault events to this submission; the
-        pool-wide accounting is updated regardless.
+        ``index`` is the cell's position in its sweep (what a chaos
+        ``plan`` names); ``wall_deadline_s`` bounds this task in real
+        seconds (``None``: no deadline). ``tracer`` and ``stats`` scope
+        fault events to this submission; the pool-wide accounting is
+        updated regardless.
         """
         if not self._started or self._closing:
             raise ReproError("SupervisorPool.submit on a pool that is "
                              "not running (call start(), not after close())")
         ticket = Ticket(index, key, cid)
-        if wall_deadline_s is POOL_DEADLINE:
-            wall_deadline_s = self.supervise.wall_deadline_s
-        task = _Task(ticket, execute, policy, traced, sleep, plan,
-                     wall_deadline_s,
+        task = _Task(ticket, execute, policy, traced, plan, wall_deadline_s,
                      tracer if tracer is not None else NULL_TRACER,
                      stats if stats is not None else SupervisorStats())
         try:
@@ -626,10 +627,14 @@ class SupervisorPool:
 
     def _start_worker(self) -> _WorkerHandle:
         self._spawned += 1
+        conns = [self._wake_recv, self._wake_send]
+        for other in self._workers:
+            conns += [other.task_conn, other.result_conn]
         worker = _WorkerHandle(self._context,
                                f"sweep-worker-{self._spawned}",
                                self.supervise.memory_limit_bytes,
-                               self.supervise.mapped_allowance_bytes)
+                               self.supervise.mapped_allowance_bytes,
+                               [conn.fileno() for conn in conns])
         self._workers.append(worker)
         return worker
 
@@ -651,9 +656,7 @@ class SupervisorPool:
             return                    # stale frame from a raced dispatch
         if task.ticket.cancelled:
             return
-        task.ticket._finish(cell=CompletedCell(
-            index=task.index, cid=task.cid, record=record, spans=spans,
-            worker=worker.name))
+        task.ticket._finish(cell=CompletedCell(record, spans, worker.name))
 
     def _reap(self, worker) -> None:
         """A worker died: classify, re-dispatch or quarantine, restart."""
@@ -675,9 +678,8 @@ class SupervisorPool:
                     failure=f"wall-clock deadline of "
                             f"{task.wall_deadline_s:g} s exceeded; "
                             "worker killed")
-                task.ticket._finish(cell=CompletedCell(
-                    index=task.index, cid=task.cid, record=record,
-                    spans=[], worker=worker.name))
+                task.ticket._finish(cell=CompletedCell(record, [],
+                                                       worker.name))
             else:
                 task.crashes += 1
                 if task.crashes >= self.supervise.max_crashes:
@@ -692,9 +694,8 @@ class SupervisorPool:
                         failure=f"cell killed its worker {task.crashes} "
                                 f"time(s); quarantined as poison "
                                 f"(last death: {describe_exit(exitcode)})")
-                    task.ticket._finish(cell=CompletedCell(
-                        index=task.index, cid=task.cid, record=record,
-                        spans=[], worker=worker.name))
+                    task.ticket._finish(cell=CompletedCell(record, [],
+                                                           worker.name))
                 else:
                     self._queue.appendleft(task)
         if self._queue and len(self._workers) < self.jobs \
@@ -745,7 +746,6 @@ class SupervisorPool:
             self._idle.notify_all()
 
     def _supervise_loop(self) -> None:
-        heartbeat = self.supervise.heartbeat_s
         while True:
             with self._lock:
                 if self._closing and (self._force
@@ -755,7 +755,7 @@ class SupervisorPool:
                 self._dispatch_locked()
                 workers = list(self._workers)
                 wake = self._wake_recv
-                timeout = heartbeat
+                timeout = HEARTBEAT_S
                 now = time.monotonic()
                 for worker in workers:
                     if worker.deadline_at is not None:
@@ -806,97 +806,6 @@ class SupervisorPool:
                         worker.process.kill()
                 if not self._outstanding_locked():
                     self._idle.notify_all()
-
-
-def run_cells_supervised(pending, execute, policy, jobs, supervise=None,
-                         traced=False, sleep=None, tracer=None, plan=None,
-                         stats=None, pool=None, stop=None):
-    """Yield :class:`CompletedCell` for ``pending`` in enumeration order.
-
-    ``pending`` is a list of ``(index, key, cid)`` triples; ``policy``
-    is the picklable :class:`~repro.harness.sweep.CellPolicy` every
-    worker applies; ``supervise`` the parent-side
-    :class:`SupervisorPolicy`; ``plan`` an optional
-    :class:`~repro.chaos.RealFaultPlan`; ``stats`` an optional
-    :class:`SupervisorStats` the caller reads afterwards. Workers pull
-    cells greedily while this generator yields strictly in submission
-    order — the property the byte-identical-journal guarantee rests on.
-
-    ``pool`` reuses an externally owned, already-started
-    :class:`SupervisorPool` (warm workers persist afterwards; the
-    pool's ``max_crashes`` / ``memory_limit_bytes`` apply, while this
-    call's ``wall_deadline_s`` rides along per task). ``stop`` is a
-    cooperative drain probe for non-main threads where signal handlers
-    cannot be installed: a callable returning a truthy signal number to
-    drain, checked once per heartbeat.
-    """
-    supervise = supervise if supervise is not None else SupervisorPolicy()
-    tracer = tracer if tracer is not None else NULL_TRACER
-    stats = stats if stats is not None else SupervisorStats()
-    pending = [tuple(task) for task in pending]
-    if not pending:
-        return
-    owned = pool is None
-    drain_signal = [None]             # set by the signal handlers
-
-    def _drain_handler(signum, _frame):
-        drain_signal[0] = signum
-
-    def _install(signum, handler):
-        try:
-            return signal.signal(signum, handler)
-        except (ValueError, OSError):
-            return None               # not the main thread
-
-    def _requested_drain():
-        if drain_signal[0] is not None:
-            return drain_signal[0]
-        if stop is not None:
-            signum = stop()
-            if signum:
-                return signal.SIGTERM if signum is True else signum
-        return None
-
-    old_int = _install(signal.SIGINT, _drain_handler)
-    old_term = _install(signal.SIGTERM, _drain_handler)
-    clean = False
-    tickets = []
-    if owned:
-        pool = SupervisorPool(jobs, supervise=supervise,
-                              tracer=tracer).start()
-    try:
-        for index, key, cid in pending:
-            tickets.append(pool.submit(
-                key, cid, execute, policy, index=index, traced=traced,
-                sleep=sleep, plan=plan,
-                wall_deadline_s=supervise.wall_deadline_s,
-                tracer=tracer, stats=stats))
-        heartbeat = supervise.heartbeat_s
-        for position, ticket in enumerate(tickets):
-            while True:
-                signum = _requested_drain()
-                if signum is not None:
-                    # Drain: everything merged so far is already
-                    # yielded (and journaled by the caller); in-flight
-                    # cells simply stay pending for --resume.
-                    still_pending = len(tickets) - position
-                    tracer.instant("drain", signum=signum,
-                                   pending=still_pending)
-                    raise SweepInterrupted(signum, still_pending)
-                cell = ticket.wait(heartbeat)
-                if cell is not None:
-                    break
-            yield cell
-        clean = True
-    finally:
-        if owned:
-            pool.close(force=not clean)
-        elif not clean:
-            pool.cancel(tickets)
-        if old_int is not None:
-            signal.signal(signal.SIGINT, old_int)
-        if old_term is not None:
-            signal.signal(signal.SIGTERM, old_term)
 
 
 def _shutdown(workers, clean: bool) -> None:

@@ -40,7 +40,10 @@ sweep":
 from __future__ import annotations
 
 import json
+import math
 import os
+import signal
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
@@ -56,6 +59,7 @@ from ..errors import (
     STATUS_TIMEOUT,
     ReproError,
     SpecError,
+    SweepInterrupted,
     failure_class,
 )
 from ..observability import NULL_TRACER
@@ -290,15 +294,17 @@ class CellPolicy:
 
 
 def execute_cell(key: dict, execute, policy: CellPolicy,
-                 tracer=None, sleep=None) -> CellRecord:
+                 tracer=None) -> CellRecord:
     """One cell behind its isolation boundary, with the retry policy.
 
     The single implementation of the engine's failure semantics —
     typed-failure classification, capped-exponential-backoff retries,
     quarantine — used verbatim by :class:`Sweep` in-process and by
     every :mod:`repro.harness.supervisor` worker, so scheduling can never
-    change what a cell records. Dataset-cache instants emitted while
-    the cell runs land on ``tracer``.
+    change what a cell records. A retry's backoff is recorded in
+    ``CellRecord.backoff_s``, never waited out: the executor computes on
+    a simulated clock. Dataset-cache instants emitted while the cell
+    runs land on ``tracer``.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     attempts = 0
@@ -333,8 +339,6 @@ def execute_cell(key: dict, execute, policy: CellPolicy,
                 backoffs.append(delay)
                 tracer.instant("cell-retry", attempt=attempts,
                                backoff_s=delay, error=failure, **key)
-                if sleep is not None:
-                    sleep(delay)
                 continue
         if isinstance(outcome, CellOutcome):
             status, value, failure = \
@@ -429,10 +433,9 @@ class Sweep:
     ``resume=True`` to replay a previous journal, ``deadline_s=`` for a
     per-cell simulated-time budget, and ``max_retries=`` /
     ``backoff_base_s`` / ``backoff_cap_s`` for the transient-failure
-    policy. ``sleep`` is the backoff clock — ``None`` (the default)
-    records the schedule without real-time waiting, which is the right
-    choice for a simulator; pass ``time.sleep`` when the executor talks
-    to real systems.
+    policy. The backoff schedule is recorded on each record
+    (``backoff_s``), never waited out: every executor here runs on a
+    simulated clock.
 
     ``jobs`` fans cells out over the **supervised worker pool**
     (:mod:`repro.harness.supervisor`): ``None``/``1`` run in-process,
@@ -462,7 +465,7 @@ class Sweep:
     def __init__(self, name: str, journal=None, resume: bool = False,
                  deadline_s: float = None, max_retries: int = 2,
                  backoff_base_s: float = 0.5, backoff_cap_s: float = 8.0,
-                 sleep=None, tracer=None, jobs=None,
+                 tracer=None, jobs=None,
                  wall_deadline_s: float = None, max_crashes: int = 2,
                  memory_limit_mb: float = None,
                  mapped_allowance_mb: float = 0.0, real_chaos=None,
@@ -471,14 +474,17 @@ class Sweep:
 
         if jobs is not None and jobs < 0:
             raise ReproError("jobs must be >= 0 (0 = all cores)")
-        if wall_deadline_s is not None and wall_deadline_s <= 0:
-            raise ReproError("wall_deadline_s must be > 0")
+        # Written so that NaN fails each comparison: a NaN wall deadline
+        # would make the supervisor's wait timeout 0 and kill nothing.
+        if wall_deadline_s is not None and not 0 < wall_deadline_s < math.inf:
+            raise ReproError("wall_deadline_s must be a finite number > 0")
         if max_crashes < 1:
             raise ReproError("max_crashes must be >= 1")
-        if memory_limit_mb is not None and memory_limit_mb <= 0:
-            raise ReproError("memory_limit_mb must be > 0")
-        if mapped_allowance_mb < 0:
-            raise ReproError("mapped_allowance_mb must be >= 0")
+        if memory_limit_mb is not None and not 0 < memory_limit_mb < math.inf:
+            raise ReproError("memory_limit_mb must be a finite number > 0")
+        if not 0 <= mapped_allowance_mb < math.inf:
+            raise ReproError("mapped_allowance_mb must be a finite number "
+                             ">= 0")
         self.name = name
         self.journal_path = Path(journal) if journal is not None else None
         self.resume = resume
@@ -488,20 +494,20 @@ class Sweep:
         #: as) a serial one's.
         self.policy = CellPolicy(deadline_s, max_retries, backoff_base_s,
                                  backoff_cap_s)
-        self.sleep = sleep
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.jobs = jobs
         self.wall_deadline_s = wall_deadline_s
         self.max_crashes = max_crashes
         self.memory_limit_mb = memory_limit_mb
         self.mapped_allowance_mb = mapped_allowance_mb
-        self.real_chaos = resolve_real_chaos(real_chaos)
+        #: The real-fault plan, or None (an empty plan is None too).
+        self.real_chaos = resolve_real_chaos(real_chaos) or None
         #: Externally owned, already-started SupervisorPool to reuse
         #: (warm workers persist across runs); None = own a fresh pool.
         self.pool = pool
         #: Cooperative drain probe for non-main threads (returns a
-        #: truthy signal number to drain) — the serving layer's SIGTERM
-        #: path, where real signal handlers cannot be installed.
+        #: signal number to drain, else None) — the serving layer's
+        #: SIGTERM path, where real signal handlers cannot be installed.
         self.stop = stop
         #: Optional per-record hook, called after each cell is merged
         #: (and journaled): ``on_cell(record)``.
@@ -515,8 +521,7 @@ class Sweep:
         limit_bytes = int(self.memory_limit_mb * 2**20) \
             if self.memory_limit_mb else None
         allowance = int(self.mapped_allowance_mb * 2**20)
-        return SupervisorPolicy(wall_deadline_s=self.wall_deadline_s,
-                                max_crashes=self.max_crashes,
+        return SupervisorPolicy(max_crashes=self.max_crashes,
                                 memory_limit_bytes=limit_bytes,
                                 mapped_allowance_bytes=allowance)
 
@@ -529,8 +534,7 @@ class Sweep:
         """
         return bool(self.wall_deadline_s is not None
                     or self.memory_limit_mb is not None
-                    or (self.real_chaos is not None
-                        and len(self.real_chaos)))
+                    or self.real_chaos is not None)
 
     def effective_jobs(self) -> int:
         """The worker count ``run`` will use (resolves ``jobs=0``)."""
@@ -586,13 +590,19 @@ class Sweep:
                 if pending and (self.supervised()
                                 or self.pool is not None
                                 or (jobs > 1 and len(pending) > 1)):
-                    self._run_parallel(pending, execute, jobs, len(keys),
-                                       records, result, journal)
+                    merged = self._pooled(pending, execute, jobs, result)
                 else:
-                    for _index, key, cid in pending:
-                        record = self._run_cell(key, execute)
+                    merged = ((cid, execute_cell(key, execute, self.policy,
+                                                 tracer=tracer), [], None)
+                              for _index, key, cid in pending)
+                # One merge for both paths, in enumeration order;
+                # closing() shuts the pool down at once if a merge step
+                # (a journal append, ``on_cell``) raises.
+                with closing(merged):
+                    for cid, record, spans, worker in merged:
                         records[cid] = record
                         result.executed += 1
+                        tracer.merge_spans(spans, worker=worker)
                         if journal is not None:
                             journal.append(record)
                         if self.on_cell is not None:
@@ -630,39 +640,73 @@ class Sweep:
         journal.retain_prefix(len(kept))
         return kept
 
-    def _run_cell(self, key: dict, execute) -> CellRecord:
-        """One cell behind its isolation boundary, with retry policy."""
-        return execute_cell(key, execute, self.policy,
-                            tracer=self.tracer, sleep=self.sleep)
+    def _pooled(self, pending, execute, jobs, result):
+        """Run ``pending`` on the supervised pool; yield in enumeration order.
 
-    def _run_parallel(self, pending, execute, jobs, num_cells, records,
-                      result, journal) -> None:
-        """Fan pending cells over the supervised pool; merge in order."""
-        from .supervisor import SupervisorStats, run_cells_supervised
+        Yields ``(cid, record, worker spans, worker name)`` per cell.
+        Around the pool it owns three things for this run: the SIGINT /
+        SIGTERM drain handlers (a drain stops the in-order wait and
+        raises :class:`~repro.errors.SweepInterrupted`; in-flight cells
+        stay pending for ``--resume``), the wait itself, and shutdown —
+        close an owned pool, or cancel this run's tickets on a shared
+        one if it did not finish.
+        """
+        from .supervisor import HEARTBEAT_S, SupervisorPool, SupervisorStats
 
-        plan = self.real_chaos if self.real_chaos is not None \
-            and len(self.real_chaos) else None
-        supervise = self.supervisor_policy()
-        if plan is not None:
-            plan.validate(num_cells,
-                          supervise.memory_limit_bytes is not None)
+        if self.real_chaos is not None:
+            self.real_chaos.validate(len(result.keys),
+                                     self.memory_limit_mb is not None)
         stats = SupervisorStats()
+        pool = self.pool if self.pool is not None else SupervisorPool(
+            jobs, supervise=self.supervisor_policy(),
+            tracer=self.tracer).start()
+        signals = []                  # drain signals the handlers caught
+
+        def _drain(signum, _frame):
+            signals.append(signum)
+
+        previous = {signum: _install(signum, _drain)
+                    for signum in (signal.SIGINT, signal.SIGTERM)}
+        tickets, clean = [], False
         try:
-            for cell in run_cells_supervised(
-                    pending, execute, self.policy, jobs,
-                    supervise=supervise, traced=self.tracer.enabled,
-                    sleep=self.sleep, tracer=self.tracer, plan=plan,
-                    stats=stats, pool=self.pool, stop=self.stop):
-                records[cell.cid] = cell.record
-                result.executed += 1
-                self.tracer.merge_spans(cell.spans, worker=cell.worker)
-                if journal is not None:
-                    journal.append(cell.record)
-                if self.on_cell is not None:
-                    self.on_cell(cell.record)
+            for index, key, cid in pending:
+                tickets.append(pool.submit(
+                    key, cid, execute, self.policy, index=index,
+                    traced=self.tracer.enabled, plan=self.real_chaos,
+                    wall_deadline_s=self.wall_deadline_s,
+                    tracer=self.tracer, stats=stats))
+            for position, ticket in enumerate(tickets):
+                while True:
+                    signum = signals[0] if signals \
+                        else self.stop() if self.stop is not None else None
+                    if signum is not None:
+                        still_pending = len(tickets) - position
+                        self.tracer.instant("drain", signum=signum,
+                                            pending=still_pending)
+                        raise SweepInterrupted(signum, still_pending)
+                    cell = ticket.wait(HEARTBEAT_S)
+                    if cell is not None:
+                        break
+                yield ticket.cid, cell.record, cell.spans, cell.worker
+            clean = True
         finally:
+            if self.pool is None:
+                pool.close(force=not clean)
+            elif not clean:
+                pool.cancel(tickets)
+            for signum, handler in previous.items():
+                if handler is not None:
+                    signal.signal(signum, handler)
             result.worker_restarts += stats.restarts
             result.wall_timeouts += stats.wall_timeouts
+
+
+def _install(signum, handler):
+    """``signal.signal`` that returns None off the main thread."""
+    try:
+        return signal.signal(signum, handler)
+    except (ValueError, OSError):
+        return None
 
 
 def _sweep_targets() -> list:

@@ -41,7 +41,7 @@ from dataclasses import fields, replace
 from ..datagen import cache as dataset_cache
 from ..errors import ReproError, SweepInterrupted
 from ..observability import current_rss_bytes, peak_rss_bytes
-from ..harness.supervisor import SupervisorPolicy, SupervisorPool
+from ..harness.supervisor import SupervisorPool
 from ..harness.sweep import CellPolicy, SweepRequest, cell_id, sweep_cell
 from .admission import AdmissionController
 from .api import (
@@ -122,8 +122,7 @@ class ExperimentService:
         self.tracer = tracer
         self.registry = JobRegistry(state_dir)
         self.admission = AdmissionController(policy)
-        self.pool = SupervisorPool(jobs, supervise=SupervisorPolicy(),
-                                   tracer=tracer)
+        self.pool = SupervisorPool(jobs, tracer=tracer)
         self.started_s = None
         self.on_ready = None         # callback(host, port) once bound
         self.requests = 0

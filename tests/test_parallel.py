@@ -14,11 +14,8 @@ import pytest
 
 from repro.errors import CapacityError, ReproError
 from repro.harness import Sweep
-from repro.harness.supervisor import (
-    _looks_like_pickling_error,
-    run_cells_supervised,
-)
-from repro.harness.sweep import CellPolicy
+from repro.harness.supervisor import _looks_like_pickling_error
+from repro.harness.sweep import cell_id
 from repro.harness.tables import table5
 from repro.observability import Tracer
 
@@ -126,15 +123,14 @@ class TestParallelEngine:
             Sweep("s", jobs=-1)
 
     def test_run_cells_parallel_yields_in_enumeration_order(self):
-        pending = [(index, {"cell": index}, str(index))
-                   for index in range(6)]
-        completed = list(run_cells_supervised(pending, ok_executor,
-                                            CellPolicy(), jobs=3))
-        assert [cell.index for cell in completed] == list(range(6))
-        assert [cell.cid for cell in completed] == \
-            [str(index) for index in range(6)]
-        assert all(cell.record.ok for cell in completed)
-        assert all(cell.worker for cell in completed)
+        merged, tracer = [], Tracer()
+        result = Sweep("s", jobs=3, tracer=tracer,
+                       on_cell=merged.append).run(keys(6), ok_executor)
+        assert [record.key for record in merged] == keys(6)
+        assert list(result.records) == [cell_id(key) for key in keys(6)]
+        assert all(record.ok for record in merged)
+        cells = tracer.spans_named("cell")
+        assert len(cells) == 6 and all(span.attrs["worker"] for span in cells)
 
 
 class TestPicklingErrorDetection:

@@ -111,6 +111,14 @@ class TestProbes:
         ["outofcore", "demo", "--scale", "10", "--partitions", "0"],
         ["outofcore", "demo", "--scale", "10", "--roots", "0"],
         ["outofcore", "demo", "--scale", "0"],
+        # A supervisor limit must be a finite number.
+        ["outofcore", "demo", "--scale", "10", "--memory-limit-mb", "nan"],
+        ["outofcore", "demo", "--scale", "10", "--mapped-allowance-mb",
+         "nan"],
+        ["sweep", "table5", "--algorithms", "bfs", "--frameworks", "native",
+         "--memory-limit-mb", "inf"],
+        ["sweep", "table5", "--algorithms", "bfs", "--frameworks", "native",
+         "--wall-deadline", "nan"],
     ])
     def test_a_bad_command_is_one_error_line(self, argv, capsys):
         _cli_error(argv, capsys)

@@ -264,8 +264,8 @@ def _stalling_executor(key, budget_s=None):
 def _launch(journal, jobs):
     script = _DRIVER.format(src=SRC, journal=str(journal), jobs=jobs)
     return subprocess.Popen([sys.executable, "-c", script],
-                            stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
 
 
 def _wait_for_records(journal, n, timeout_s=30.0):
@@ -317,6 +317,59 @@ class TestProcessDurability:
         assert all(record.ok for record in resumed)
         assert resumed.replayed >= 2
         assert journal.read_bytes() == self._clean_reference(tmp_path)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads worker pids from /proc")
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_workers_die_with_a_sigkilled_parent(self, tmp_path, jobs):
+        journal = tmp_path / "orphans.jsonl"
+        child = _launch(journal, jobs=jobs)
+        workers = []
+        try:
+            _wait_for_records(journal, 1)
+            workers = _children(child.pid)
+            assert len(workers) == jobs
+            os.kill(child.pid, signal.SIGKILL)
+            child.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while any(map(_running, workers)) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            if child.poll() is None:
+                child.kill()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+
+def _children(pid) -> list:
+    """Pids of ``pid``'s live children (its supervised workers)."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            stat = _stat_fields(int(entry.name))
+            if stat and int(stat[1]) == pid and stat[0] != "Z":
+                children.append(int(entry.name))
+    return children
+
+
+def _stat_fields(pid) -> list:
+    """``/proc/<pid>/stat`` after the command name (state, ppid, ...);
+    empty once the process is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return []
+
+
+def _running(pid) -> bool:
+    """Is ``pid`` a live process (gone or a zombie counts as dead)?"""
+    stat = _stat_fields(pid)
+    return bool(stat) and stat[0] != "Z"
 
 
 def _pid_executor(key, budget_s=None):
@@ -376,18 +429,19 @@ class TestSupervisorPoolReuse:
         ]
         assert pool.drain(timeout=30.0)
         cells = [ticket.wait(timeout=10.0) for ticket in tickets]
-        assert [cell.index for cell in cells] == list(range(5))
+        assert [cell.record.key for cell in cells] == keys(5)
         assert all(cell.record.ok for cell in cells)
         assert pool.outstanding() == 0
         pool.close()
         with pytest.raises(ReproError):
             pool.submit({"i": 9}, "late", ok_executor, CellPolicy())
 
-    def test_per_task_wall_deadline_overrides_pool_default(self):
+    def test_per_task_wall_deadline_on_a_default_pool(self):
         from repro.harness import CellPolicy, SupervisorPool
 
         pool = SupervisorPool(jobs=1).start()
         try:
+            # A pool has no deadline of its own: each task brings one.
             ticket = pool.submit(
                 {"i": 0}, "hung", _stalling_sleep_executor, CellPolicy(),
                 wall_deadline_s=0.5)
