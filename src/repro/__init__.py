@@ -23,8 +23,4 @@ Quickstart::
     print(result.runtime())
 """
 
-from . import errors, graph
-
 __version__ = "1.0.0"
-
-__all__ = ["errors", "graph", "__version__"]

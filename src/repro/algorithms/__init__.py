@@ -1,12 +1,7 @@
 """Golden references and algorithm-level utilities for the workloads."""
 
 from .bfs import UNREACHED, bfs_reference, validate_distances
-from .collaborative import (
-    predictions,
-    regularized_loss,
-    rmse,
-    sgd_vs_gd_iterations,
-)
+from .collaborative import regularized_loss, rmse
 from .kcore import kcore_reference, validate_kcore
 from .labelprop import (
     initial_labels,
@@ -20,11 +15,7 @@ from .sssp import (
     sssp_reference,
     validate_sssp,
 )
-from .triangles import (
-    per_vertex_triangles,
-    require_oriented,
-    triangle_count_reference,
-)
+from .triangles import per_vertex_triangles, triangle_count_reference
 from .wcc import validate_components, wcc_reference
 
 __all__ = [
@@ -39,11 +30,8 @@ __all__ = [
     "pagerank_matrix_form",
     "pagerank_reference",
     "per_vertex_triangles",
-    "predictions",
     "regularized_loss",
-    "require_oriented",
     "rmse",
-    "sgd_vs_gd_iterations",
     "sssp_reference",
     "triangle_count_reference",
     "validate_components",

@@ -27,7 +27,9 @@ from ..frameworks.base import (
     COMBBLAS,
     GALOIS,
     GIRAPH,
+    GPS,
     GRAPHLAB,
+    GRAPHX,
     NATIVE,
     SOCIALITE,
     SOCIALITE_PUBLISHED,
@@ -46,8 +48,6 @@ from ..frameworks.native.options import NativeOptions
 from ..frameworks.rounds import GRAPH_PROGRAMS, PROGRAMS, run_program
 from ..frameworks.task.galois import GaloisCFEngine, GaloisEngine, GaloisTCEngine
 from ..frameworks.vertex import giraph
-from ..frameworks.vertex.gps import GPS
-from ..frameworks.vertex.graphx import GRAPHX
 from ..frameworks.vertex.programs import (
     VertexCFEngine,
     VertexEngine,

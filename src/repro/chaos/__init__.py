@@ -25,18 +25,14 @@ from .real import (
 from .faults import (
     FaultSchedule,
     LatencySpike,
-    LinkDisruption,
     MessageCorruption,
     MessageDrop,
     NetworkPartition,
     NodeCrash,
-    StepFaults,
     StragglerNode,
 )
 from .recovery import (
-    FAIL_FAST,
     RecoveryPolicy,
-    RecoveryStats,
     RetryPolicy,
     checkpointing,
     policy_for_profile,
@@ -44,21 +40,17 @@ from .recovery import (
 
 __all__ = [
     "BalloonMemory",
-    "FAIL_FAST",
     "FaultSchedule",
     "HangCell",
     "KillWorker",
     "RealFaultPlan",
     "LatencySpike",
-    "LinkDisruption",
     "MessageCorruption",
     "MessageDrop",
     "NetworkPartition",
     "NodeCrash",
     "RecoveryPolicy",
-    "RecoveryStats",
     "RetryPolicy",
-    "StepFaults",
     "StragglerNode",
     "checkpointing",
     "policy_for_profile",

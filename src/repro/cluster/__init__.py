@@ -6,17 +6,15 @@ It only simulates a run; :mod:`repro.perf` explains where the time went.
 from .cost import PREFETCH_RANDOM_SPEEDUP, ComputeWork, CostModel
 from .hardware import PAPER_NODE, ClusterSpec, NodeSpec, paper_cluster
 from .memory import MemoryTracker
-from .metrics import RunMetrics, StepRecord
+from .metrics import RunMetrics
 from .network import (
     LAYERS,
     MPI,
-    MULTI_SOCKET,
     NETTY_HADOOP,
     SINGLE_SOCKET,
     TCP_SOCKETS,
     CommLayer,
     Fabric,
-    TrafficReport,
     node_volumes,
 )
 from .simulator import Cluster
@@ -24,7 +22,6 @@ from .simulator import Cluster
 __all__ = [
     "LAYERS",
     "MPI",
-    "MULTI_SOCKET",
     "NETTY_HADOOP",
     "PAPER_NODE",
     "PREFETCH_RANDOM_SPEEDUP",
@@ -39,8 +36,6 @@ __all__ = [
     "MemoryTracker",
     "NodeSpec",
     "RunMetrics",
-    "StepRecord",
-    "TrafficReport",
     "node_volumes",
     "paper_cluster",
 ]

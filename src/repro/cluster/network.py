@@ -133,7 +133,7 @@ class Fabric:
 
         ``traffic`` is a stack ``(S, P, P)`` of supersteps' non-negative
         matrices, each reduced on its own exactly as alone (the caller
-        checks shape and sign). A :class:`~repro.chaos.LinkDisruption`
+        checks shape and sign). A :class:`~repro.chaos.faults.LinkDisruption`
         (chaos runs only, a stack of one) may retransmit
         dropped/corrupted transfers (their wire bytes count twice), stall
         senders for retry backoff, and congest the layer — latency x

@@ -1,16 +1,9 @@
 """Synthetic data generators and the dataset catalog (paper Section 4.1)."""
 
 from .cache import (
-    cache_enabled,
-    cache_root,
     clear as clear_cache,
     clear_report as clear_cache_report,
-    code_version,
-    disk_cached,
     entries as cache_entries,
-    freeze_dataset,
-    get_or_build,
-    get_or_build_dir,
     pinned_memory,
     stats as cache_stats,
 )
@@ -20,23 +13,13 @@ from .ratings import (
     netflix_like_ratings,
     uniform_ratings,
 )
-from .reference import (
-    CATALOG,
-    DOWNSCALE,
-    SINGLE_NODE_GRAPHS,
-    SINGLE_NODE_RATINGS,
-    DatasetSpec,
-    bfs_variant,
-    dataset,
-    triangle_variant,
-)
+from .reference import CATALOG, bfs_variant, dataset, triangle_variant
 from .rmat import (
     GRAPH500_PARAMS,
     OUT_OF_CORE_ENV,
     RATINGS_PARAMS,
     TRIANGLE_PARAMS,
     RMATParams,
-    out_of_core_enabled,
     rmat_edges,
     rmat_graph,
     rmat_graph_sharded,
@@ -48,30 +31,18 @@ from .stream import DEFAULT_CHUNK_EDGES, RMATStream
 __all__ = [
     "CATALOG",
     "DEFAULT_CHUNK_EDGES",
-    "DOWNSCALE",
     "OUT_OF_CORE_ENV",
     "RMATStream",
-    "cache_enabled",
     "cache_entries",
-    "cache_root",
     "cache_stats",
     "clear_cache",
     "clear_cache_report",
-    "code_version",
-    "disk_cached",
-    "freeze_dataset",
-    "get_or_build",
-    "get_or_build_dir",
-    "out_of_core_enabled",
     "pinned_memory",
     "rmat_graph_sharded",
     "rmat_triangle_graph_sharded",
     "GRAPH500_PARAMS",
     "RATINGS_PARAMS",
-    "SINGLE_NODE_GRAPHS",
-    "SINGLE_NODE_RATINGS",
     "TRIANGLE_PARAMS",
-    "DatasetSpec",
     "RMATParams",
     "bfs_variant",
     "dataset",

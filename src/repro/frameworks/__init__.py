@@ -1,37 +1,1 @@
 """Framework engines and profiles for the five systems of the paper."""
-
-from .base import (
-    COMBBLAS,
-    COMPARISON_FRAMEWORKS,
-    GALOIS,
-    GIRAPH,
-    GRAPHLAB,
-    NATIVE,
-    PROFILES,
-    SOCIALITE,
-    SOCIALITE_PUBLISHED,
-    FrameworkProfile,
-    profile,
-)
-from .results import AlgorithmResult
-from .vertex.gps import GPS
-from .vertex.graphx import GRAPHX
-
-# Related-work systems (paper Section 7) join the profile registry.
-PROFILES.setdefault("gps", GPS)
-PROFILES.setdefault("graphx", GRAPHX)
-
-__all__ = [
-    "COMBBLAS",
-    "COMPARISON_FRAMEWORKS",
-    "GALOIS",
-    "GIRAPH",
-    "GRAPHLAB",
-    "NATIVE",
-    "PROFILES",
-    "SOCIALITE",
-    "SOCIALITE_PUBLISHED",
-    "AlgorithmResult",
-    "FrameworkProfile",
-    "profile",
-]

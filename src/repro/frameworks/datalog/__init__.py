@@ -1,8 +1,6 @@
 """Datalog engine and the SociaLite front-end."""
 
-from . import socialite
-from .engine import EvalStats, SocialiteEngine
-from .parser import RuleSyntaxError, parse_program, parse_rule
+from .engine import SocialiteEngine
 from .rules import Assign, Atom, Head, Rule, Var
 from .table import AggregateTable, TupleTable
 
@@ -10,14 +8,9 @@ __all__ = [
     "AggregateTable",
     "Assign",
     "Atom",
-    "EvalStats",
     "Head",
     "Rule",
-    "RuleSyntaxError",
     "SocialiteEngine",
     "TupleTable",
     "Var",
-    "parse_program",
-    "parse_rule",
-    "socialite",
 ]

@@ -1,25 +1,13 @@
 """Sparse-matrix semiring engine and the CombBLAS front-end."""
 
-from . import combblas
-from .semiring import (
-    MIN_PLUS,
-    OR_AND,
-    PLUS_TIMES,
-    SEMIRINGS,
-    Semiring,
-    semiring_spmv,
-)
-from .spmat import PROCS_PER_NODE, DistSpMat, ProcessGrid
+from .semiring import MIN_PLUS, OR_AND, PLUS_TIMES, semiring_spmv
+from .spmat import DistSpMat, ProcessGrid
 
 __all__ = [
     "MIN_PLUS",
     "OR_AND",
     "PLUS_TIMES",
-    "PROCS_PER_NODE",
-    "SEMIRINGS",
     "DistSpMat",
     "ProcessGrid",
-    "Semiring",
-    "combblas",
     "semiring_spmv",
 ]

@@ -89,7 +89,7 @@ def semiring_spmv(graph: CSRGraph, x: np.ndarray,
     entries with no incident edges get the semiring zero. ``edge_values``
     defaults to 1 for every edge (unweighted adjacency).
 
-    The numeric work is delegated to :func:`repro.kernels.semiring_spmv`
+    The numeric work is delegated to :func:`repro.kernels.spmv.semiring_spmv`
     (imported lazily — ``repro.kernels`` must not be a hard import-time
     dependency of the semiring definitions it duck-types).
     """

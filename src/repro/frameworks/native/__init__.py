@@ -1,6 +1,5 @@
 """Hand-optimized native implementations — the paper's reference point."""
 
-from ..rounds import DEFAULT_DAMPING
 from .cf import iterations_to_rmse
 from .compression import (
     bitvector_decode,
@@ -13,7 +12,6 @@ from .compression import (
 from .options import FIGURE7_LADDER, NativeOptions
 
 __all__ = [
-    "DEFAULT_DAMPING",
     "FIGURE7_LADDER",
     "NativeOptions",
     "bitvector_decode",

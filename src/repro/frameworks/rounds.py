@@ -11,7 +11,7 @@ class holding the workload's state machine:
   :mod:`repro.kernels` — and builds the initial state;
 * ``round`` applies one ``Kernel.step`` (a CF iteration: one per SGD
   block) and reports what changed plus the step's analytic
-  :class:`~repro.kernels.KernelWork`;
+  :class:`~repro.kernels.base.KernelWork`;
 * ``values`` / ``extras()`` are the answer and its diagnostics.
 
 Two loops drive them. :func:`run_frontier` (bfs, wcc, sssp and k_core's

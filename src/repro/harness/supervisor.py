@@ -41,11 +41,12 @@ pipe. That makes the pool generic — the ``repro serve`` daemon keeps
 one warm pool across requests, and repeated
 :class:`~repro.harness.sweep.Sweep` runs in one process reuse workers
 instead of paying fork + import per sweep. The lifecycle is explicit:
-``start()`` → ``submit()`` (returns a :class:`Ticket`) → ``drain()`` →
-``close()``. The pool has two drivers and no layer between them and
-it: ``Sweep`` submits its pending cells, waits on the tickets in
-enumeration order and owns the drain signals; the daemon submits one
-cell per request and hops each ticket onto its event loop.
+``start()`` → ``submit()`` (returns a :class:`Ticket`) →
+``Ticket.wait()`` → ``close()``. The pool has two drivers and no
+layer between them and it: ``Sweep`` submits its pending cells, waits
+on the tickets in enumeration order and owns the drain signals; the
+daemon submits one cell per request and hops each ticket onto its
+event loop.
 
 Every PR-5 durability guarantee is preserved: workers run the exact
 :func:`~repro.harness.sweep.execute_cell` semantics, the parent remains
@@ -461,9 +462,9 @@ class SupervisorPool:
 
     ``start()`` spins up the supervision thread (workers spawn lazily,
     up to ``jobs``, as tasks arrive); ``submit()`` enqueues one cell and
-    returns a :class:`Ticket`; ``drain()`` blocks until everything
-    submitted so far has settled; ``close()`` shuts the pool down —
-    cleanly (sentinel + join) by default, ``force=True`` terminates.
+    returns a :class:`Ticket` whose ``wait()`` blocks until that cell
+    settled; ``close()`` shuts the pool down — cleanly (sentinel +
+    join) by default, ``force=True`` terminates.
 
     All supervision — dispatch, death detection, restart, poison
     quarantine, wall-deadline kills — happens on one internal thread,
@@ -481,7 +482,6 @@ class SupervisorPool:
         self.stats = SupervisorStats()
         self._context = _mp_context()
         self._lock = threading.RLock()
-        self._idle = threading.Condition(self._lock)
         self._queue = deque()         # _Task awaiting (re-)dispatch
         self._workers = []
         self._spawned = 0
@@ -557,22 +557,7 @@ class SupervisorPool:
                 if worker.inflight is not None \
                         and worker.inflight.ticket.id in wanted:
                     worker.inflight.ticket.cancelled = True
-            if not self._outstanding_locked():
-                self._idle.notify_all()
         self._wake()
-
-    def drain(self, timeout=None) -> bool:
-        """Block until every submitted task settled; False on timeout."""
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        with self._idle:
-            while self._outstanding_locked():
-                remaining = None if deadline is None \
-                    else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._idle.wait(timeout=remaining
-                                if remaining is not None else 0.5)
-        return True
 
     def close(self, force: bool = False) -> None:
         """Shut down: clean close finishes queued work first,
@@ -730,7 +715,6 @@ class SupervisorPool:
                 for task in abandoned:
                     if not task.ticket.cancelled:
                         task.ticket._finish(error=error)
-            self._idle.notify_all()
         _shutdown(workers, clean)
 
     def _fail_all(self, error) -> None:
@@ -743,7 +727,6 @@ class SupervisorPool:
                     worker.inflight = None
             for task in tasks:
                 task.ticket._finish(error=error)
-            self._idle.notify_all()
 
     def _supervise_loop(self) -> None:
         while True:
@@ -804,8 +787,6 @@ class SupervisorPool:
                             continue  # finished just in time
                         worker.killed_for_timeout = True
                         worker.process.kill()
-                if not self._outstanding_locked():
-                    self._idle.notify_all()
 
 
 def _shutdown(workers, clean: bool) -> None:

@@ -22,39 +22,22 @@ sender-side combining and label modes go through those instead of a
 comparison sort of composite keys (a tier-1 test keeps it that way).
 """
 
-from . import registry
 from .backend import (
     BACKENDS,
-    ENV_VAR,
     INTERPRETED,
     VECTORIZED,
     active_backend,
-    set_backend,
     use_backend,
 )
-from .base import Kernel, KernelWork
 from .registry import kernel
-from .sgd import gd_step, sgd_sweep, training_rmse
-from .spmv import semiring_spmspv, semiring_spmv
-from .triangles import aa_product, masked_sum
+from .spmv import semiring_spmspv
 
 __all__ = [
     "BACKENDS",
-    "ENV_VAR",
     "INTERPRETED",
-    "Kernel",
-    "KernelWork",
     "VECTORIZED",
-    "aa_product",
     "active_backend",
-    "gd_step",
     "kernel",
-    "masked_sum",
-    "registry",
     "semiring_spmspv",
-    "semiring_spmv",
-    "set_backend",
-    "sgd_sweep",
-    "training_rmse",
     "use_backend",
 ]

@@ -10,8 +10,8 @@ Every numeric primitive in :mod:`repro.kernels` has two implementations:
   oracle. Deliberately slow; its only job is to agree bit-for-bit.
 
 The active backend is process-global: the ``REPRO_KERNELS`` environment
-variable sets the default, :func:`set_backend` overrides it, and
-:func:`use_backend` scopes an override to a ``with`` block. Counted
+variable sets the default, and :func:`use_backend` scopes an override to
+a ``with`` block (``ExperimentSpec.kernels`` runs a cell under one). Counted
 work, traffic and memory are analytic (derived from sizes and degrees,
 never from loop trip counts), so the backend choice can change wall
 clock only — simulated runtimes, BENCH baselines and sweep journals are
@@ -51,12 +51,6 @@ def active_backend() -> str:
     if env:
         return _validate(env)
     return VECTORIZED
-
-
-def set_backend(name) -> None:
-    """Set (or with ``None`` clear) the process-wide backend override."""
-    global _override
-    _override = None if name is None else _validate(name)
 
 
 @contextmanager

@@ -27,12 +27,11 @@ from .memory import (
     reset_peak_rss,
     sample_peak_rss,
 )
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer
+from .tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
-    "Span",
     "Tracer",
     "chrome_trace",
     "current_rss_bytes",

@@ -22,20 +22,13 @@ The simulated numbers themselves are frozen by ``repro freeze``
 (:mod:`repro.harness.freeze`), not here.
 """
 
-from .advisor import WHAT_IFS, Advice, advise, advise_cell
-from .attribution import Analysis, AnalysisRequest, GapAttribution, \
-    GapFactor, analyze, attribute, attribute_cell, classify
+from .advisor import advise_cell
+from .attribution import AnalysisRequest, analyze, attribute, \
+    attribute_cell, classify
 from .baselines import (
-    GATE_FRAMEWORKS,
-    GATE_NODE_COUNTS,
-    KERNEL_REPORT_SUBSET,
-    MIN_KERNEL_SPEEDUP,
     OUTOFCORE_BASELINE,
-    OUTOFCORE_MIN_RATIO,
-    OUTOFCORE_SUBSET,
     check_kernel_backends,
     check_outofcore,
-    measure_cells,
     measure_kernel_backends,
     measure_outofcore,
     record_outofcore,
@@ -51,21 +44,9 @@ from .report import (
 )
 
 __all__ = [
-    "Advice",
-    "Analysis",
     "AnalysisRequest",
-    "GATE_FRAMEWORKS",
-    "GATE_NODE_COUNTS",
-    "GapAttribution",
-    "GapFactor",
-    "KERNEL_REPORT_SUBSET",
-    "MIN_KERNEL_SPEEDUP",
     "OUTOFCORE_BASELINE",
-    "OUTOFCORE_MIN_RATIO",
-    "OUTOFCORE_SUBSET",
     "Roofline",
-    "WHAT_IFS",
-    "advise",
     "advise_cell",
     "analyze",
     "attribute",
@@ -73,7 +54,6 @@ __all__ = [
     "check_kernel_backends",
     "check_outofcore",
     "classify",
-    "measure_cells",
     "measure_kernel_backends",
     "measure_outofcore",
     "record_outofcore",

@@ -27,33 +27,16 @@ from .admission import AdmissionController, AdmissionPolicy
 from .api import ApiError
 from .app import ExperimentService
 from .client import ServeClient
-from .jobs import (
-    STATE_DONE,
-    STATE_FAILED,
-    STATE_INTERRUPTED,
-    STATE_QUEUED,
-    STATE_RUNNING,
-    Job,
-    JobConflict,
-    JobRegistry,
-)
-from .loadgen import build_plan, render_loadgen, run_loadgen
+from .jobs import STATE_DONE, STATE_INTERRUPTED, JobConflict, JobRegistry
 
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
     "ApiError",
     "ExperimentService",
-    "Job",
     "JobConflict",
     "JobRegistry",
     "STATE_DONE",
-    "STATE_FAILED",
     "STATE_INTERRUPTED",
-    "STATE_QUEUED",
-    "STATE_RUNNING",
     "ServeClient",
-    "build_plan",
-    "render_loadgen",
-    "run_loadgen",
 ]

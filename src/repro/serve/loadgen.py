@@ -17,10 +17,12 @@ from ``python3 -m bench --workload serve_mixed``.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 
 import numpy as np
 
+from ..errors import ReproError, SpecError
 from ..rng import derive
 from .client import ServeClient
 
@@ -120,6 +122,32 @@ def _percentiles(latencies) -> dict:
     }
 
 
+def _check(port, requests, concurrency, timeout_s) -> None:
+    """Refuse a load run that could not measure anything."""
+    if not 0 < port < 65536:
+        raise SpecError(f"port must be in 1..65535, got {port}")
+    if requests < 1:
+        raise SpecError(f"requests must be >= 1, got {requests}")
+    if concurrency < 1:
+        raise SpecError(f"concurrency must be >= 1, got {concurrency}")
+    if not (math.isfinite(timeout_s) and timeout_s > 0):
+        raise SpecError(f"timeout must be a finite number > 0, "
+                        f"got {timeout_s}")
+
+
+async def _healthz(host, port, timeout_s) -> None:
+    """One ``GET /healthz``: a server that does not answer is an error
+    before the first timed request, not a report of failed ones."""
+    client = ServeClient(host, port, timeout_s=timeout_s)
+    try:
+        await client.request("GET", "/healthz")
+    except (OSError, asyncio.TimeoutError) as error:
+        raise ReproError(f"no server answers at {host}:{port}: "
+                         f"{str(error) or type(error).__name__}") from None
+    finally:
+        await client.close()
+
+
 async def _settle(host, port, timeout_s) -> None:
     """Wait until the server has no queued/running jobs left.
 
@@ -144,10 +172,12 @@ def run_loadgen(host: str, port: int, *, requests: int = 200,
                 concurrency: int = 8, seed: int = 0, mix=None,
                 timeout_s: float = 120.0, settle: bool = True) -> dict:
     """Run the seeded load test; returns the benchmark report dict."""
+    _check(port, requests, concurrency, timeout_s)
+    asyncio.run(_healthz(host, port, timeout_s))
     plan = build_plan(seed, requests, mix=mix)
     samples, failures = [], []
     started = time.perf_counter()
-    asyncio.run(_drive(host, port, plan, max(1, concurrency), timeout_s,
+    asyncio.run(_drive(host, port, plan, concurrency, timeout_s,
                        samples, failures))
     duration_s = time.perf_counter() - started
     if settle:

@@ -25,7 +25,6 @@ from repro.kernels import (
     active_backend,
     kernel,
     registry,
-    set_backend,
     use_backend,
 )
 from repro.kernels.spmv import semiring_spmv
@@ -68,9 +67,10 @@ class TestBackendKnob:
             assert active_backend() == INTERPRETED
         assert active_backend() == VECTORIZED
 
-    def test_set_backend_rejects_unknown(self):
+    def test_use_backend_rejects_unknown(self):
         with pytest.raises(KernelError, match="known"):
-            set_backend("simd")
+            with use_backend("simd"):
+                pass
         assert active_backend() == VECTORIZED
 
     def test_backends_constant(self):

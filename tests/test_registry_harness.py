@@ -5,14 +5,8 @@ import pytest
 
 from repro.algorithms.registry import ALGORITHMS, FRAMEWORKS, runner
 from repro.datagen import rmat_graph, rmat_triangle_graph
-from repro.errors import ReproError
-from repro.harness import (
-    STATUS_OK,
-    STATUS_OOM,
-    STATUS_UNSUPPORTED,
-    ExperimentSpec,
-    run,
-)
+from repro.errors import STATUS_OK, STATUS_OOM, STATUS_UNSUPPORTED, ReproError
+from repro.harness import ExperimentSpec, run
 from repro.harness.datasets import (
     scale_factor_for,
     single_node_graph,

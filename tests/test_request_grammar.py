@@ -17,6 +17,7 @@ the daemon maps the constructor's ``SpecError`` to a 400.
 
 import json
 import math
+import socket
 
 import numpy as np
 import pytest
@@ -119,9 +120,24 @@ class TestProbes:
          "--memory-limit-mb", "inf"],
         ["sweep", "table5", "--algorithms", "bfs", "--frameworks", "native",
          "--wall-deadline", "nan"],
+        # A load run refuses what could not measure anything before its
+        # first request (no server needs to be listening).
+        ["loadgen", "--requests", "0"],
+        ["loadgen", "--requests", "-1"],
+        ["loadgen", "--concurrency", "0"],
+        ["loadgen", "--concurrency", "-1"],
+        ["loadgen", "--timeout", "nan"],
+        ["loadgen", "--port", "99999"],
     ])
     def test_a_bad_command_is_one_error_line(self, argv, capsys):
         _cli_error(argv, capsys)
+
+    def test_loadgen_without_a_server_is_one_error_line(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        message = _cli_error(["loadgen", "--port", str(port)], capsys)
+        assert f"127.0.0.1:{port}" in message
 
     def test_numpy_scalars_from_internal_callers_still_pass(self):
         from repro.harness import ExperimentSpec
@@ -140,7 +156,7 @@ class TestProbes:
 def _accepting(monkeypatch):
     """Stub every request's run: an accepted request raises ``Accepted``
     carrying the value the CLI built, instead of running it."""
-    import repro.harness
+    from repro.harness import runner
     from repro.harness.sweep import SweepRequest
     from repro.perf import AnalysisRequest
 
@@ -150,7 +166,7 @@ def _accepting(monkeypatch):
     def accept(value, *_args, **_kwargs):
         raise Accepted(value)
 
-    monkeypatch.setattr(repro.harness, "run", accept)
+    monkeypatch.setattr(runner, "run", accept)
     monkeypatch.setattr(SweepRequest, "run", accept)
     monkeypatch.setattr(AnalysisRequest, "run", accept)
     return Accepted

@@ -5,7 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.algorithms.registry import ALGORITHMS, FRAMEWORKS, accepted_params
+from repro.algorithms.registry import (
+    ALGORITHMS,
+    FRAMEWORKS,
+    accepted_params,
+    valid_params,
+)
 from repro.datagen import netflix_like_ratings, rmat_graph, rmat_triangle_graph
 from repro.errors import ReproError, SpecError
 from repro.frameworks.native import NativeOptions
@@ -15,7 +20,6 @@ from repro.harness import (
     experiment_dataset,
     run,
     run_cell,
-    valid_params,
 )
 
 

@@ -27,8 +27,13 @@ from repro.chaos import (
     RealFaultPlan,
     resolve_real_chaos,
 )
-from repro.errors import ReproError, SimulationError, SweepInterrupted
-from repro.harness import STATUS_CRASHED, Sweep
+from repro.errors import (
+    STATUS_CRASHED,
+    ReproError,
+    SimulationError,
+    SweepInterrupted,
+)
+from repro.harness import Sweep
 from repro.observability import Tracer
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -418,7 +423,7 @@ class TestSupervisorPoolReuse:
         # between runs.
         assert pids_second <= pids_first
 
-    def test_submit_drain_close_lifecycle(self):
+    def test_submit_wait_close_lifecycle(self):
         from repro.harness import CellPolicy, SupervisorPool
 
         pool = SupervisorPool(jobs=2).start()
@@ -427,8 +432,7 @@ class TestSupervisorPoolReuse:
                         index=i)
             for i in range(5)
         ]
-        assert pool.drain(timeout=30.0)
-        cells = [ticket.wait(timeout=10.0) for ticket in tickets]
+        cells = [ticket.wait(timeout=30.0) for ticket in tickets]
         assert [cell.record.key for cell in cells] == keys(5)
         assert all(cell.record.ok for cell in cells)
         assert pool.outstanding() == 0
