@@ -14,9 +14,8 @@ Commands:
   byte-identical journal;
 * ``cache`` — inspect or clear the content-addressed dataset cache;
 * ``table N`` / ``figure N`` — regenerate one paper artifact;
-* ``perf`` — roofline bounds + gap attribution (``analyze``), ranked
-  optimization what-ifs (``advise``) and the host-time gates
-  (``kernels``, ``outofcore``);
+* ``perf`` — roofline bounds + gap attribution (``analyze``) and ranked
+  optimization what-ifs (``advise``);
 * ``freeze`` — record or check every frozen simulated number;
 * ``datasets`` — list the catalog and proxy sizes;
 * ``frameworks`` — list frameworks and their profiles;
@@ -38,7 +37,6 @@ from .errors import (
     EXIT_USAGE,
     STATUS_EXIT_CODES,
     NodeFailure,
-    PerfRegression,
     ReproError,
     failure_class,
 )
@@ -52,20 +50,19 @@ exit codes:
   4  unsupported by the framework's programming model
   5  node failure the framework could not recover (status `failed`)
   6  simulated deadline exceeded (timeout)
-  7  perf gate failed: a frozen simulated number moved, or a host-time
-     gate fell short
+  7  `freeze check`: a frozen simulated number moved
   8  sweep drained on SIGINT/SIGTERM: journal flushed, finish via --resume
 """
 
 
-def _failure_exit(error, label: str = None) -> int:
+def _failure_exit(error) -> int:
     """Report a typed failure on stderr; returns its exit code.
 
     The single place every command funnels typed failures through; the
     label and the code both come from ``errors.FAILURE_CLASSES``.
     """
     failure = failure_class(error)
-    print(f"{label or failure.label}: {error}", file=sys.stderr)
+    print(f"{failure.label}: {error}", file=sys.stderr)
     return failure.exit_code
 
 
@@ -485,8 +482,7 @@ def _cmd_serve(args) -> int:
     from .serve import ExperimentService
     from .serve.admission import AdmissionPolicy
 
-    policy = AdmissionPolicy(max_running=args.max_running,
-                             max_queue=args.max_queue,
+    policy = AdmissionPolicy(max_jobs=args.max_jobs,
                              max_deadline_s=args.max_deadline,
                              memory_budget_mb=args.memory_budget_mb)
     service = ExperimentService(args.host, args.port, jobs=args.jobs,
@@ -529,38 +525,6 @@ def _cmd_freeze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_perf_kernels(args) -> int:
-    from . import perf
-
-    try:
-        report = perf.check_kernel_backends()
-    except PerfRegression as error:
-        return _failure_exit(error, "kernel gate")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(perf.render_kernel_report(report))
-    return EXIT_OK
-
-
-def _cmd_perf_outofcore(args) -> int:
-    from . import perf
-
-    try:
-        report = perf.check_outofcore()
-    except PerfRegression as error:
-        return _failure_exit(error, "outofcore gate")
-    if args.record:
-        perf.record_outofcore(report)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(perf.render_outofcore_report(report))
-        if args.record:
-            print(f"recorded baseline to {perf.OUTOFCORE_BASELINE}")
-    return EXIT_OK
-
-
 def _cmd_outofcore(args) -> int:
     """The OOM -> ok demonstration (``repro outofcore demo``)."""
     from .harness.outofcore import run_outofcore_demo
@@ -600,8 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     from .harness.spec import ExperimentSpec
     from .harness.sweep import SweepRequest
     from .perf.attribution import AnalysisRequest
-    from .perf.baselines import (MIN_KERNEL_SPEEDUP, OUTOFCORE_BASELINE,
-                                 OUTOFCORE_MIN_RATIO)
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -743,13 +705,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="rooflines, gap attribution, what-if advice, host-time gates",
+        help="rooflines, gap attribution, what-if advice",
         description="The repro.perf subsystem: compare runs against "
-                    "hardware speed-of-light bounds (analyze), rank the "
-                    "Section 6.1 optimizations by predicted speedup "
-                    "(advise), and gate the kernel backends and the "
-                    "out-of-core ingest on host time (a failed gate "
-                    "exits 7).",
+                    "hardware speed-of-light bounds (analyze) and rank "
+                    "the Section 6.1 optimizations by predicted speedup "
+                    "(advise).",
         epilog=EXIT_CODES_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -769,31 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--nodes", type=int, default=4)
     advise.add_argument("--json", action="store_true")
     advise.set_defaults(func=_cmd_perf_advise)
-
-    kernels = perf_sub.add_parser(
-        "kernels",
-        help="differential + speedup gate for the kernel backends",
-        description="Run the kernel report subset under both "
-                    "REPRO_KERNELS backends; fail (exit 7) if simulated "
-                    "results differ or the vectorized speedup is below "
-                    f"{MIN_KERNEL_SPEEDUP:g}x.")
-    kernels.add_argument("--json", action="store_true")
-    kernels.set_defaults(func=_cmd_perf_kernels)
-
-    ooc_gate = perf_sub.add_parser(
-        "outofcore",
-        help="ingest-throughput + digest-identity gate for the "
-             "out-of-core pipeline",
-        description="Build the same R-MAT graph through the in-memory "
-                    "and streamed sharded paths; fail (exit 7) if the "
-                    "partition digests differ or streamed ingest falls "
-                    f"below {OUTOFCORE_MIN_RATIO:g}x the in-memory "
-                    "throughput.")
-    ooc_gate.add_argument("--record", action="store_true",
-                          help="also write the measured report to "
-                               f"{OUTOFCORE_BASELINE}")
-    ooc_gate.add_argument("--json", action="store_true")
-    ooc_gate.set_defaults(func=_cmd_perf_outofcore)
 
     cache = sub.add_parser(
         "cache",
@@ -864,11 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--state-dir", default=".repro_serve",
                        help="job journal + auto sweep journals "
                             "(default: .repro_serve)")
-    serve.add_argument("--max-running", type=int, default=8,
-                       help="admission: concurrent jobs (default: 8)")
-    serve.add_argument("--max-queue", type=int, default=64,
-                       help="admission: queued jobs beyond running "
-                            "(default: 64)")
+    serve.add_argument("--max-jobs", type=int, default=72,
+                       help="admission: jobs in flight, running or "
+                            "queued (default: 72)")
     serve.add_argument("--max-deadline", type=float, default=600.0,
                        help="admission: largest accepted per-request "
                             "wall deadline in seconds (default: 600)")

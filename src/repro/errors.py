@@ -155,12 +155,10 @@ class KernelError(ReproError):
 
 
 class PerfRegression(ReproError):
-    """A perf gate failed; exit code 7.
+    """A frozen simulated number moved; exit code 7.
 
-    Raised when ``repro freeze check`` finds a frozen simulated number
-    that moved (the differing cells are printed before it), and by the
-    host-time gates on the kernel backends and the out-of-core ingest.
-    It carries only its message.
+    Raised only by ``repro freeze check`` (the differing cells are
+    printed before it). It carries only its message.
     """
 
 

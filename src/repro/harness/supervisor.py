@@ -79,7 +79,7 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
 
-from ..errors import STATUS_CRASHED, STATUS_TIMEOUT, ReproError
+from ..errors import STATUS_CRASHED, STATUS_TIMEOUT, ReproError, SpecError
 from ..observability import NULL_TRACER, Tracer
 from .sweep import CellRecord, execute_cell
 
@@ -475,7 +475,9 @@ class SupervisorPool:
     """
 
     def __init__(self, jobs, supervise=None, tracer=None):
-        self.jobs = max(int(jobs), 1)
+        if jobs < 1:
+            raise SpecError(f"a worker pool needs jobs >= 1, got {jobs}")
+        self.jobs = int(jobs)
         self.supervise = supervise if supervise is not None \
             else SupervisorPolicy()
         self.tracer = tracer if tracer is not None else NULL_TRACER

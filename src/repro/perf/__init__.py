@@ -1,4 +1,4 @@
-"""Performance subsystem: rooflines, gap attribution, advice, host gates.
+"""Performance subsystem: rooflines, gap attribution, advice.
 
 The one place that explains a run (the cluster only simulates it). Five
 parts, all built on the run metrics and calibrated constants the rest
@@ -11,30 +11,21 @@ of the package already measures:
   and :func:`classify`, the one label for what bound a run;
 * :mod:`~repro.perf.advisor` — simulate the Figure 7 what-ifs and rank
   them by predicted speedup;
-* :mod:`~repro.perf.baselines` — the host-time gates on the kernel
-  backends and the out-of-core ingest (``repro perf kernels``,
-  ``repro perf outofcore``);
+* :mod:`~repro.perf.baselines` — the gate cells (``GATE_FRAMEWORKS`` x
+  ``GATE_NODE_COUNTS``) the freeze, the load generator and the
+  benchmark share;
 * :func:`~repro.perf.report.render_timeline` — one run's supersteps as
   ASCII bars, footed by its exact compute / exposed-comm / fixed split,
   :func:`classify`'s label and that label's advice.
 
 The simulated numbers themselves are frozen by ``repro freeze``
-(:mod:`repro.harness.freeze`), not here.
+(:mod:`repro.harness.freeze`), not here, and host time is measured by
+``python3 -m bench`` only.
 """
 
 from .advisor import advise_cell
 from .attribution import AnalysisRequest, analyze, attribute, \
     attribute_cell, classify
-from .baselines import (
-    OUTOFCORE_BASELINE,
-    check_kernel_backends,
-    check_outofcore,
-    measure_kernel_backends,
-    measure_outofcore,
-    record_outofcore,
-    render_kernel_report,
-    render_outofcore_report,
-)
 from .model import Roofline, roofline_of, roofline_table
 from .report import (
     render_advice,
@@ -45,22 +36,14 @@ from .report import (
 
 __all__ = [
     "AnalysisRequest",
-    "OUTOFCORE_BASELINE",
     "Roofline",
     "advise_cell",
     "analyze",
     "attribute",
     "attribute_cell",
-    "check_kernel_backends",
-    "check_outofcore",
     "classify",
-    "measure_kernel_backends",
-    "measure_outofcore",
-    "record_outofcore",
     "render_advice",
     "render_attribution",
-    "render_kernel_report",
-    "render_outofcore_report",
     "render_roofline",
     "render_timeline",
     "roofline_of",

@@ -5,8 +5,8 @@ decides *before* a request becomes a job whether the server can honor
 it, and rejects with a typed :class:`~repro.serve.api.ApiError` whose
 code reuses the PR-3 DNF vocabulary:
 
-* ``overloaded`` (503) — running + queued jobs at capacity, or the
-  server is draining after SIGTERM.
+* ``overloaded`` (503) — ``max_jobs`` jobs already in flight (running
+  or queued), or the server is draining after SIGTERM.
 * ``out-of-memory`` — the request's memory budget does not fit the
   currently reserved headroom (503: retry later) or can *never* fit
   the server budget (400: don't bother retrying).
@@ -20,22 +20,34 @@ reservation to the request's lifetime.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
+from ..errors import SpecError
 from .api import ApiError
+
+#: What a request that names no ``deadline_s`` / ``memory_mb`` reserves.
+DEFAULT_DEADLINE_S = 60.0
+DEFAULT_MEMORY_MB = 256.0
 
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
     """Capacity knobs; defaults sized for a small shared box."""
 
-    max_running: int = 8          # jobs executing concurrently
-    max_queue: int = 64           # admitted-but-waiting jobs
-    default_deadline_s: float = 60.0
+    max_jobs: int = 72            # jobs in flight, running or queued
     max_deadline_s: float = 600.0
-    default_memory_mb: float = 256.0
     memory_budget_mb: float = 4096.0
+
+    def __post_init__(self):
+        if self.max_jobs < 1:
+            raise SpecError(f"max_jobs must be >= 1, got {self.max_jobs}")
+        for name in ("max_deadline_s", "memory_budget_mb"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise SpecError(f"{name} must be a finite number > 0, "
+                                f"got {value}")
 
 
 class Slot:
@@ -102,9 +114,9 @@ class AdmissionController:
         """Reserve capacity or raise a typed rejection."""
         policy = self.policy
         if deadline_s is None:
-            deadline_s = policy.default_deadline_s
+            deadline_s = DEFAULT_DEADLINE_S
         if memory_mb is None:
-            memory_mb = policy.default_memory_mb
+            memory_mb = DEFAULT_MEMORY_MB
         if deadline_s <= 0:
             raise self._reject(ApiError(
                 400, "bad-request",
@@ -133,7 +145,7 @@ class AdmissionController:
                     503, "overloaded",
                     "server is draining; retry against a fresh "
                     "instance"))
-            capacity = policy.max_running + policy.max_queue
+            capacity = policy.max_jobs
             if self._active >= capacity:
                 raise self._reject_locked(ApiError(
                     503, "overloaded",
@@ -175,8 +187,7 @@ class AdmissionController:
         with self._lock:
             return {
                 "active": self._active,
-                "capacity": self.policy.max_running
-                + self.policy.max_queue,
+                "capacity": self.policy.max_jobs,
                 "reserved_mb": self._reserved_mb,
                 "baseline_mb": self._baseline_mb,
                 "budget_mb": self.policy.memory_budget_mb,

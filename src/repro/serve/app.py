@@ -39,7 +39,7 @@ import time
 from dataclasses import fields, replace
 
 from ..datagen import cache as dataset_cache
-from ..errors import ReproError, SweepInterrupted
+from ..errors import ReproError, SpecError, SweepInterrupted
 from ..observability import current_rss_bytes, peak_rss_bytes
 from ..harness.supervisor import SupervisorPool
 from ..harness.sweep import CellPolicy, SweepRequest, cell_id, sweep_cell
@@ -114,15 +114,19 @@ class ExperimentService:
     def __init__(self, host="127.0.0.1", port=8750, *, jobs=2,
                  state_dir=None, policy=None, warm=True,
                  warm_node_counts=WARM_NODE_COUNTS, tracer=None):
+        if not 0 <= port <= 65535:
+            raise SpecError(f"port must be in 0..65535 (0 picks a free "
+                            f"one), got {port}")
         self.host = host
         self.port = port
         self.jobs = jobs
         self.warm = warm
         self.warm_node_counts = tuple(warm_node_counts)
         self.tracer = tracer
+        # Before the registry: a refused pool size writes no state dir.
+        self.pool = SupervisorPool(jobs, tracer=tracer)
         self.registry = JobRegistry(state_dir)
         self.admission = AdmissionController(policy)
-        self.pool = SupervisorPool(jobs, tracer=tracer)
         self.started_s = None
         self.on_ready = None         # callback(host, port) once bound
         self.requests = 0

@@ -24,6 +24,8 @@ from repro.datagen import (
 from repro.datagen import cache as cache_module
 from repro.datagen import rmat as rmat_module
 from repro.graph import graph_digests
+from repro.harness.sweep import Sweep
+from repro.harness.tables import table5
 from repro.observability import Tracer
 
 GRAPH_ARGS = dict(scale=6, edge_factor=4, seed=11)
@@ -159,6 +161,25 @@ class TestObservability:
         assert len(tracer.spans_named("dataset-cache-miss")) == 1
         assert len(tracer.spans_named("dataset-cache-store")) == 1
         assert len(tracer.spans_named("dataset-cache-hit")) == 1
+
+    @pytest.mark.usefixtures("fresh_pins")
+    def test_a_warm_table5_rerun_generates_nothing(self, cache_dir):
+        """Every dataset a sweep reads comes through the cache, so a
+        rerun on a warm disk cache generates and stores nothing."""
+        subset = {"algorithms": ("pagerank", "bfs"),
+                  "frameworks": ("galois",)}
+        cold = Tracer()
+        cold_data = table5(sweep=Sweep("table5", tracer=cold), **subset)
+        assert cold.spans_named("dataset-cache-miss")
+        assert cold.spans_named("dataset-cache-store")
+
+        cache_module.clear_pins()        # the rerun reaches the disk cache
+        warm = Tracer()
+        warm_data = table5(sweep=Sweep("table5", tracer=warm), **subset)
+        assert warm_data == cold_data
+        assert warm.spans_named("dataset-cache-hit")
+        assert not warm.spans_named("dataset-cache-miss")
+        assert not warm.spans_named("dataset-cache-store")
 
 
 def instants(tracer):

@@ -171,29 +171,6 @@ class TestKernelDifferential:
         assert rv == pytest.approx(ri, abs=1e-9)
 
 
-class TestKernelGate:
-    def test_impossible_floor_raises_with_message(self, monkeypatch):
-        from repro.errors import PerfRegression
-        from repro.perf import baselines, check_kernel_backends
-
-        monkeypatch.setattr(baselines, "MIN_KERNEL_SPEEDUP", 1e9)
-        subset = {"algorithms": ("bfs",), "frameworks": ("native",),
-                  "node_counts": (1,)}
-        with pytest.raises(PerfRegression, match="only .*x faster"):
-            check_kernel_backends(subset=subset)
-
-    def test_clean_report_shape(self):
-        from repro.perf import measure_kernel_backends
-
-        subset = {"algorithms": ("bfs",), "frameworks": ("native",),
-                  "node_counts": (1,)}
-        report = measure_kernel_backends(subset)
-        assert report["identical"]
-        assert report["mismatched"] == []
-        assert report["cells"] == 1
-        assert report["speedup"] > 0
-
-
 class TestEngineDifferential:
     """Full tier-1 cells: identical values and byte-identical metrics."""
 

@@ -128,6 +128,17 @@ class TestProbes:
         ["loadgen", "--concurrency", "-1"],
         ["loadgen", "--timeout", "nan"],
         ["loadgen", "--port", "99999"],
+        # A server refuses what it could not honour before it binds a
+        # port, forks a worker or writes its state directory.
+        ["serve", "--no-warm", "--port", "70000"],
+        ["serve", "--no-warm", "--port", "-1"],
+        ["serve", "--no-warm", "--jobs", "-1"],
+        ["serve", "--no-warm", "--jobs", "0"],
+        ["serve", "--no-warm", "--max-jobs", "0"],
+        ["serve", "--no-warm", "--max-deadline", "nan"],
+        ["serve", "--no-warm", "--max-deadline", "0"],
+        ["serve", "--no-warm", "--memory-budget-mb", "-5"],
+        ["serve", "--no-warm", "--memory-budget-mb", "inf"],
     ])
     def test_a_bad_command_is_one_error_line(self, argv, capsys):
         _cli_error(argv, capsys)

@@ -142,8 +142,7 @@ class TestApiParsing:
 
 class TestAdmission:
     def test_bounded_queue_overflows_to_503(self):
-        controller = AdmissionController(
-            AdmissionPolicy(max_running=1, max_queue=0))
+        controller = AdmissionController(AdmissionPolicy(max_jobs=1))
         slot = controller.admit(None, None)
         error = _raises_api(controller.admit, None, None,
                             status=503, code="overloaded")
@@ -593,7 +592,7 @@ def test_a_closed_connection_reaches_eof(tmp_path):
 
 class TestLiveServerAdmission:
     def test_overloaded_and_draining_rejections_over_http(self, tmp_path):
-        policy = AdmissionPolicy(max_running=1, max_queue=0)
+        policy = AdmissionPolicy(max_jobs=1)
         with _LiveServer(tmp_path / "state", policy=policy,
                          warm=False) as live:
             status, job = live.call("POST", "/sweeps", {
