@@ -2,8 +2,8 @@
 
 This module writes the harness' table/figure data to JSON with an
 environment stamp. It also holds the one JSON normalizer that artifacts,
-sweep journals and ``RunResult.to_dict`` use, and the crash-safe write
-and journal-read primitives.
+sweep journals and ``RunResult.to_dict`` use, the crash-safe write, and
+the one append-only :class:`Journal` the sweep and job journals share.
 """
 
 from __future__ import annotations
@@ -60,33 +60,75 @@ def atomic_write_text(path, text: str) -> Path:
     return path
 
 
-def read_jsonl(path) -> tuple:
-    """Parse an append-only JSONL journal -> ``(entries, intact_prefix)``.
+class Journal:
+    """One append-only JSONL file; the sweep and job journals share it.
 
-    A crash mid-append tears at most the final line: it is cut short, or
-    complete but for its newline. When that happened, ``intact_prefix``
-    is the text of the complete lines — what the file must be rewritten
-    to (:func:`atomic_write_text`) before the next append, or that
-    record would land *on* the fragment; otherwise it is ``None``.
-    Garbage anywhere but the tail is not a crash signature and is
-    refused.
+    A crash mid-append tears at most the last line (cut short, or whole
+    but for its newline), so :meth:`read` drops a torn tail and refuses
+    any other line that is not a JSON object. :meth:`open` restores the
+    intact lines (or what :meth:`retain` kept) with one
+    :func:`atomic_write_text`, so no record lands on a fragment.
+    :meth:`append` is one ``O_APPEND`` ``os.write`` per record, which
+    never interleaves with another, then ``os.fsync`` if ``fsync``.
     """
-    path = Path(path)
-    text = path.read_text()
-    lines = [line for line in text.split("\n") if line.strip()]
-    entries = []
-    for index, line in enumerate(lines, start=1):
-        try:
-            entries.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index < len(lines):
+
+    def __init__(self, path, fsync: bool):
+        self.path = Path(path)
+        self.fsync = fsync
+        self._fd = None
+        self._lines = []          # the intact lines read() found
+        self._rewrite = False     # must open() restore them first?
+
+    def read(self) -> list:
+        """Every intact line, parsed; the torn tail is left out."""
+        text = self.path.read_text()
+        lines = [line for line in text.split("\n") if line.strip()]
+        entries = []
+        for index, line in enumerate(lines, start=1):
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                if index == len(lines):
+                    break                 # the torn tail
+                entry = None
+            if not isinstance(entry, dict):
                 raise ReproError(
-                    f"{path}:{index} is corrupt mid-journal; "
-                    "refusing to resume from it") from None
-            # The last line: the torn tail, left out of the prefix below.
-    if len(entries) == len(lines) and (text.endswith("\n") or not lines):
-        return entries, None
-    return entries, "".join(line + "\n" for line in lines[:len(entries)])
+                    f"{self.path}:{index} is corrupt mid-journal; "
+                    "refusing to resume from it")
+            entries.append(entry)
+        self._lines = lines[:len(entries)]
+        self._rewrite = len(entries) < len(lines) \
+            or (bool(lines) and not text.endswith("\n"))
+        return entries
+
+    def retain(self, count: int) -> None:
+        """Keep only the first ``count`` lines :meth:`read` returned."""
+        self._lines = self._lines[:count]
+        self._rewrite = True
+
+    def open(self, header: dict = None) -> None:
+        """Start appending; a new file begins with ``header``."""
+        if not self.path.exists():
+            if header is not None:
+                atomic_write_text(self.path, json.dumps(header) + "\n")
+        elif self._rewrite:
+            atomic_write_text(self.path,
+                              "".join(line + "\n" for line in self._lines))
+        self._lines, self._rewrite = [], False
+        self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                           0o644)
+
+    def append(self, entry: dict) -> None:
+        if self._fd is None:
+            self.open()
+        os.write(self._fd, (json.dumps(entry, sort_keys=True) + "\n").encode())
+        if self.fsync:
+            os.fsync(self._fd)
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
 
 def save_artifact(path, name: str, data, metadata: dict = None) -> Path:

@@ -27,8 +27,8 @@ sweep":
   backoff, and quarantined as ``failed`` after ``max_retries`` retries
   so one bad configuration cannot sink the sweep.
 * **Durable journal.** Every finished cell is appended to a JSONL
-  journal (header written atomically, records flushed+fsynced line by
-  line). An interrupted sweep resumed from its journal *replays*
+  journal (header written atomically, each record one ``write`` +
+  ``fsync``). An interrupted sweep resumed from its journal *replays*
   completed cells — it never recomputes them — and tolerates a
   torn (partially written) final line from a mid-write crash.
 * **Completeness report.** :meth:`SweepResult.completeness` summarizes
@@ -63,7 +63,7 @@ from ..errors import (
     failure_class,
 )
 from ..observability import NULL_TRACER
-from .persistence import _jsonable, atomic_write_text, read_jsonl
+from .persistence import Journal, _jsonable
 from .runner import run_cell
 from .spec import Request, declare
 
@@ -179,12 +179,17 @@ class CellRecord:
             raise ReproError(
                 f"journal record has unknown status {payload['status']!r}"
             )
+        attempts = payload.get("attempts", 1)
+        if not isinstance(payload["key"], dict) or type(attempts) is not int \
+                or not isinstance(payload.get("backoff_s", []), list):
+            raise ReproError("corrupt journal record (key must be an object, "
+                             f"attempts an int, backoff_s a list): {payload!r}")
         return cls(
             key=dict(payload["key"]),
             status=payload["status"],
             value=payload.get("value"),
             failure=payload.get("failure", ""),
-            attempts=int(payload.get("attempts", 1)),
+            attempts=attempts,
             backoff_s=list(payload.get("backoff_s", [])),
             quarantined=bool(payload.get("quarantined", False)),
             wall_clock=bool(payload.get("wall_clock", False)),
@@ -195,38 +200,26 @@ class CellRecord:
 class SweepJournal:
     """Append-only JSONL run store for one sweep.
 
-    Line 1 is a header (sweep name, journal version, engine config),
-    written atomically via temp-file + ``os.replace``; every line after
-    it is one completed :class:`CellRecord`. Appends go through an
-    ``O_APPEND`` descriptor with exactly **one** ``write`` + ``fsync``
-    per record: POSIX appends of one buffer do not interleave, so even
-    a burst of completions (the parallel executor draining its merge
-    buffer) can tear at most the final record mid-write — never
-    interleave two. The loader drops a torn trailing line (the
-    mid-write crash signature) but refuses garbage anywhere else.
+    Line 1 is a header (sweep name, journal version, engine config);
+    every line after it is one completed :class:`CellRecord`. The bytes
+    go through :class:`~repro.harness.persistence.Journal` with
+    ``fsync=True``: one ``write`` + ``fsync`` per record, and a torn
+    final line repaired before the next append.
     """
 
     def __init__(self, path):
-        self.path = Path(path)
-        self._fd = None
-        # Set by load() when the file ends in a torn line: the intact
-        # prefix that open() must restore before appending, so a new
-        # record never concatenates onto the partial one.
-        self._repaired_text = None
-
-    def exists(self) -> bool:
-        return self.path.exists()
+        self._file = Journal(path, fsync=True)
 
     def load(self, name: str) -> dict:
         """Read back ``{cell_id: CellRecord}``; validates the header."""
-        entries, self._repaired_text = read_jsonl(self.path)
+        entries = self._file.read()
         if not entries:
-            raise ReproError(f"{self.path} has no valid journal header")
+            raise ReproError(f"{self._file.path} has no valid journal header")
         header = entries[0]
         if header.get("journal") != name \
                 or header.get("version") != JOURNAL_VERSION:
             raise ReproError(
-                f"{self.path} is a journal for "
+                f"{self._file.path} is a journal for "
                 f"{header.get('journal')!r} v{header.get('version')}, "
                 f"not {name!r} v{JOURNAL_VERSION}"
             )
@@ -237,45 +230,20 @@ class SweepJournal:
         return records
 
     def retain_prefix(self, count: int) -> None:
-        """Keep only the header and the first ``count`` record lines.
-
-        Called on resume when the journal tail holds real-fault records
-        (``crashed``, wall-clock ``timeout``): merge order equals
-        enumeration order, so truncating to the clean prefix and
-        re-executing everything after it reconverges the journal to the
-        bytes a fault-free run writes. The rewrite happens in
-        :meth:`open`, through the same atomic path torn-tail repair
-        uses.
-        """
-        text = self._repaired_text if self._repaired_text is not None \
-            else self.path.read_text()
-        lines = [line for line in text.split("\n") if line.strip()]
-        self._repaired_text = "\n".join(lines[:1 + count]) + "\n"
+        """Keep only the header and the first ``count`` record lines;
+        :meth:`open` rewrites the file as it repairs a torn tail."""
+        self._file.retain(1 + count)
 
     def open(self, name: str, config: dict) -> None:
         """Start (or continue) appending; writes the header if new."""
-        if not self.path.exists():
-            header = {"journal": name, "version": JOURNAL_VERSION,
-                      "config": _jsonable(config)}
-            atomic_write_text(self.path, json.dumps(header) + "\n")
-        elif self._repaired_text is not None:
-            atomic_write_text(self.path, self._repaired_text)
-            self._repaired_text = None
-        self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
-                           0o644)
+        self._file.open({"journal": name, "version": JOURNAL_VERSION,
+                         "config": _jsonable(config)})
 
     def append(self, record: CellRecord) -> None:
-        line = json.dumps(_jsonable(record.to_dict()), sort_keys=True)
-        # One write per record: an O_APPEND write of a single buffer is
-        # atomic with respect to other appends, so a crash mid-burst
-        # tears at most this line and never splices two records.
-        os.write(self._fd, (line + "\n").encode())
-        os.fsync(self._fd)
+        self._file.append(_jsonable(record.to_dict()))
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self._file.close()
 
 
 @dataclass(frozen=True)
@@ -560,7 +528,7 @@ class Sweep:
         journal, records = None, {}
         if self.journal_path is not None:
             journal = SweepJournal(self.journal_path)
-            if journal.exists():
+            if self.journal_path.exists():
                 if not self.resume:
                     raise ReproError(
                         f"journal {self.journal_path} already exists; pass "

@@ -1,14 +1,15 @@
 """Journal-backed job registry: request state that survives restarts.
 
-Every request the service admits becomes a :class:`Job` with the same
-durability discipline the sweep engine established in PR-3: state
-transitions are appended to a JSONL journal (``jobs.jsonl`` in the
-server's state directory) as they happen, so a SIGTERM — or a SIGKILL —
-loses nothing already recorded. On startup the registry replays the
-journal; jobs the previous process left ``queued``/``running`` are
-folded to ``interrupted`` (their sweep journals hold the completed
-prefix, and the server resubmits them with ``resume=true`` so a
-restart converges byte-identically with a clean run).
+Every request the service admits becomes a :class:`Job`. Its state
+transitions are appended to ``jobs.jsonl`` in the server's state
+directory as they happen, through the sweeps'
+:class:`~repro.harness.persistence.Journal` but with ``fsync=False``: a
+SIGTERM or SIGKILL loses nothing already written, an OS crash may lose
+the last entries. On startup the registry replays the journal; jobs the
+previous process left ``queued``/``running`` are folded to
+``interrupted`` (their sweep journals hold the completed prefix, and the
+server resubmits them with ``resume=true`` so a restart converges
+byte-identically with a clean run).
 
 The registry is also where the duplicate-writer bug is closed: two
 in-flight sweeps pointing at one journal path would interleave appends
@@ -21,13 +22,12 @@ state.
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 import time
 from pathlib import Path
 
 from ..errors import ReproError
-from ..harness.persistence import atomic_write_text, read_jsonl
+from ..harness.persistence import Journal
 
 STATE_QUEUED = "queued"
 STATE_RUNNING = "running"
@@ -109,12 +109,11 @@ class JobRegistry:
         self._jobs = {}
         self._active_journals = {}    # normalized path -> job id
         self._counter = itertools.count(1)
-        self._journal_file = None
+        self._journal = None
         if self.state_dir is not None:
             self.state_dir.mkdir(parents=True, exist_ok=True)
-            self._journal_path = self.state_dir / "jobs.jsonl"
-        else:
-            self._journal_path = None
+            self._journal = Journal(self.state_dir / "jobs.jsonl",
+                                    fsync=False)
 
     # -- persistence --------------------------------------------------
 
@@ -123,16 +122,11 @@ class JobRegistry:
 
         Returns how many jobs were recovered.
         """
-        if self._journal_path is None or not self._journal_path.exists():
+        if self._journal is None or not self._journal.path.exists():
             return 0
         highest = 0
         with self._lock:
-            entries, intact_prefix = read_jsonl(self._journal_path)
-            if intact_prefix is not None:
-                # Torn tail from a mid-write crash: drop it now, or the
-                # next append lands on the fragment and is lost with it.
-                atomic_write_text(self._journal_path, intact_prefix)
-            for entry in entries:
+            for entry in self._journal.read():
                 job_id = entry.get("job")
                 if entry.get("event") == "created":
                     job = Job(job_id, entry.get("kind", "?"),
@@ -173,19 +167,13 @@ class JobRegistry:
             return len(self._jobs)
 
     def _append_locked(self, entry: dict) -> None:
-        if self._journal_path is None:
-            return
-        if self._journal_file is None:
-            self._journal_file = open(self._journal_path, "a",
-                                      encoding="utf-8")
-        self._journal_file.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._journal_file.flush()
+        if self._journal is not None:
+            self._journal.append(entry)
 
     def close(self) -> None:
         with self._lock:
-            if self._journal_file is not None:
-                self._journal_file.close()
-                self._journal_file = None
+            if self._journal is not None:
+                self._journal.close()
 
     # -- lifecycle ----------------------------------------------------
 

@@ -337,17 +337,6 @@ class TestPerfCLI:
         assert "gate/bfs/giraph/1" not in captured.out
         assert captured.err == "error: 1 of 2 frozen cells differ\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["perf", "kernels", "--min-speedup", "2"],
-        ["perf", "outofcore", "--scale", "8"],
-    ])
-    def test_host_gate_thresholds_are_not_settable(self, argv):
-        # The gates' floors and workloads are constants: a flag that
-        # could loosen or break them is a usage error, before any work.
-        with pytest.raises(SystemExit) as refused:
-            main(argv)
-        assert refused.value.code == 2
-
     def test_exit_code_documented(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])

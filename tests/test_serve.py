@@ -266,12 +266,19 @@ class TestJobRegistry:
         lines = journal.read_text().splitlines()
         assert len(lines) >= 4 and all(json.loads(line) for line in lines)
 
-    def test_garbage_mid_journal_is_a_typed_error(self, tmp_path):
+    @pytest.mark.parametrize("line, first", [
+        ("{garbage", True), ("5", True), ("[1]", True), ("null", True),
+        ("5", False),
+    ], ids=["garbage", "int", "list", "null", "last-int"])
+    def test_garbage_mid_journal_is_a_typed_error(self, tmp_path, line,
+                                                   first):
         registry = JobRegistry(tmp_path)
         registry.create("gate", {})
         registry.close()
         journal = tmp_path / "jobs.jsonl"
-        journal.write_text("{garbage\n" + journal.read_text())
+        text = journal.read_text()
+        journal.write_text(line + "\n" + text if first
+                           else text + line + "\n")
         with pytest.raises(ReproError, match="corrupt mid-journal"):
             JobRegistry(tmp_path).load()
 

@@ -10,6 +10,7 @@ zero completed cells recomputed.
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -133,14 +134,69 @@ class TestJournal:
             Sweep("table6", journal=journal, resume=True).run(keys(1),
                                                               ok_executor)
 
-    def test_corrupt_mid_journal_rejected(self, tmp_path):
+    @pytest.mark.parametrize("index, line", [
+        (2, "{garbage"),
+        (2, "7"), (2, "null"), (2, "[1]"),
+        (0, "7"), (0, "null"), (0, "[1]"),
+        (-1, "7"),
+        (2, '{"key": [1], "status": "ok"}'),
+        (2, '{"key": {"cell": 1}, "status": "ok", "attempts": "x"}'),
+        (2, '{"key": {"cell": 1}, "status": "ok", "backoff_s": 3}'),
+    ], ids=["garbage", "int", "null", "list", "header-int", "header-null",
+            "header-list", "last-int", "key-list", "attempts-str",
+            "backoff-int"])
+    def test_corrupt_mid_journal_rejected(self, tmp_path, index, line):
+        """A line that is not a record is a typed refusal wherever it
+        sits; only an unparseable last line is a torn tail."""
         journal = tmp_path / "s.jsonl"
         Sweep("s", journal=journal).run(keys(3), ok_executor)
         lines = journal.read_text().splitlines()
-        lines[2] = "{garbage"
+        lines[index] = line
         journal.write_text("\n".join(lines) + "\n")
         with pytest.raises(ReproError, match="corrupt"):
             SweepJournal(journal).load("s")
+
+    def test_cli_refuses_a_non_record_line_in_one_line(self, tmp_path,
+                                                       capsys):
+        from repro.cli import main
+
+        journal = tmp_path / "t.jsonl"
+        args = ["sweep", "table5", "--algorithms", "bfs", "--frameworks",
+                "native", "--journal", str(journal)]
+        assert main(args) == 0
+        lines = journal.read_text().splitlines()
+        lines[1] = "7"
+        journal.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") \
+            and "corrupt mid-journal" in err[0]
+
+    def test_one_write_per_record_and_fsync_for_sweeps_only(
+            self, tmp_path, monkeypatch):
+        """One appender, two durability values: a sweep record is one
+        write + fsync, a job-registry entry one write and no fsync."""
+        from repro.serve import JobRegistry
+
+        calls = []
+
+        def counted(name, call):
+            def wrapper(*args):
+                calls.append(name)
+                return call(*args)
+            return wrapper
+
+        monkeypatch.setattr(os, "write", counted("write", os.write))
+        monkeypatch.setattr(os, "fsync", counted("fsync", os.fsync))
+        Sweep("s", journal=tmp_path / "s.jsonl").run(keys(3), ok_executor)
+        # The header is one atomic replace (its temp file is fsynced).
+        assert calls == ["fsync"] + ["write", "fsync"] * 3
+        calls.clear()
+        registry = JobRegistry(tmp_path / "state")
+        registry.transition(registry.create("gate", {}), "running")
+        registry.close()
+        assert calls == ["write", "write"]
 
     def test_torn_final_line_dropped(self, tmp_path):
         journal = tmp_path / "s.jsonl"
