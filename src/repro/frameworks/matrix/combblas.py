@@ -129,7 +129,7 @@ class MatrixEngine(Engine):
 
     def __init__(self, program, graph, cluster):
         super().__init__(program, graph, cluster, COSTS[program.algorithm])
-        self.per_level = hasattr(program, "level_attrs")
+        self.per_level = program.algorithm == "k_core"
         self.dist, self._nnz_per_node = _build(graph, cluster,
                                                self.cost.bytes_per_nnz)
         self._vector_bytes = (8.0 * self.cost.vectors * graph.num_vertices

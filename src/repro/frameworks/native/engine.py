@@ -172,6 +172,12 @@ class NativeEngine(Engine):
                                  self._visited_bytes_per_vertex()
                                  * graph.num_vertices)
 
+    @classmethod
+    def whole_rounds(cls, algorithm: str, cluster) -> bool:
+        # bfs / wcc / sssp propose once per owner (see ``round``).
+        return cluster.num_nodes == 1 or algorithm == "k_core" \
+            or isinstance(COSTS[algorithm], DenseCost)
+
     def _allocate_state(self, node: int, graph_edge_bytes: float) -> None:
         """This node's CSR share, then the program's per-vertex arrays."""
         verts = self._verts_per_node[node]

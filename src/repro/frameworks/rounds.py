@@ -27,6 +27,12 @@ have a small engine per family instead). :func:`run_program` ties a
 program, an engine and a cluster into an :class:`AlgorithmResult`; which
 engine runs each (algorithm, framework) is one row of
 :mod:`repro.algorithms.registry`.
+
+A graph program's run depends only on (graph, algorithm, params, kernel
+backend), so it runs once per resident graph: ``run_program`` records
+the first run that completes on a dense ``CSRGraph`` (the active ids and
+``KernelWork`` counters of every round, and the final values) and
+replays the record to every later engine instead of calling the kernel.
 """
 
 from __future__ import annotations
@@ -40,9 +46,10 @@ from ..algorithms.bfs import UNREACHED
 from ..algorithms.labelprop import initial_labels
 from ..algorithms.triangles import require_oriented
 from ..errors import SpecError
-from ..graph.csr import derived
+from ..graph.csr import CSRGraph, derived, held
 from ..kernels import registry as kernel_registry
 from ..kernels.backend import active_backend
+from ..kernels.base import KernelWork
 from ..kernels.segments import distinct, stable_order
 from .base import cf_density_correction
 from .results import AlgorithmResult
@@ -93,11 +100,18 @@ class FrontierProgram:
     it once per owner to see what each node would send — and
     ``commit(proposals)`` merges the proposals into the state and
     returns the next active set. ``round`` is the one-partition case.
+    ``extras()`` reads only ``values``, ``sizes`` (the size of the
+    active set each round handed on) and ``edges`` (the edges its steps
+    visited), which a replayed run (:class:`_Replay`) also carries.
     """
 
     shape = "frontier"
     span = "round"
     PARAMS = ()
+
+    def __init__(self):
+        self.sizes = []
+        self.edges = 0.0
 
     def seeds(self):
         """Initial active set of each level (one level unless k_core)."""
@@ -120,17 +134,16 @@ class BFS(FrontierProgram):
 
     def __init__(self, graph, source: int = 0):
         check_params(graph.num_vertices, source=source)
+        super().__init__()
         self._expand = _kernel("bfs", "push", graph)
         self.values = np.full(graph.num_vertices, UNREACHED, dtype=np.int32)
         self.values[source] = 0
         self._seed = np.array([source], dtype=np.int64)
         self._level = 0
-        self._frontier_sizes = [1]
-        self._edges = 0.0
 
     def propose(self, active):
         candidates, work = self._expand.step(active)
-        self._edges += work.edges
+        self.edges += work.edges
         fresh = candidates[self.values[candidates] == UNREACHED]
         return fresh, fresh, work
 
@@ -140,12 +153,12 @@ class BFS(FrontierProgram):
             np.concatenate([found for found, _ in proposals]),
             self.values.size)
         self.values[fresh] = self._level
-        self._frontier_sizes.append(int(fresh.size))
+        self.sizes.append(int(fresh.size))
         return fresh
 
     def extras(self) -> dict:
-        return {"frontier_sizes": self._frontier_sizes,
-                "edges_examined": self._edges,
+        return {"frontier_sizes": [1, *self.sizes],
+                "edges_examined": self.edges,
                 "reached": int((self.values != UNREACHED).sum())}
 
 
@@ -154,19 +167,19 @@ class _MinFixpoint(FrontierProgram):
 
     def propose(self, active):
         (proposal, improved), work = self._push.step(self.values, active)
-        self._edges += work.edges
+        self.edges += work.edges
         return proposal, improved, work
 
     def commit(self, proposals):
-        self._rounds += 1
         if len(proposals) == 1:
             self.values, changed = proposals[0]
-            return changed
-        merged = proposals[0][0]
-        for proposal, _ in proposals[1:]:
-            merged = np.minimum(merged, proposal)
-        changed = np.flatnonzero(merged < self.values)
-        self.values = merged
+        else:
+            merged = proposals[0][0]
+            for proposal, _ in proposals[1:]:
+                merged = np.minimum(merged, proposal)
+            changed = np.flatnonzero(merged < self.values)
+            self.values = merged
+        self.sizes.append(int(changed.size))
         return changed
 
 
@@ -176,11 +189,10 @@ class WCC(_MinFixpoint):
     algorithm = "wcc"
 
     def __init__(self, graph):
+        super().__init__()
         self._push = _kernel("wcc", "propagate", graph)
         self.values = np.arange(graph.num_vertices, dtype=np.int64)
         self._seed = np.arange(graph.num_vertices, dtype=np.int64)
-        self._rounds = 0
-        self._edges = 0.0
 
     def extras(self) -> dict:
         return {"components": int(distinct(self.values,
@@ -195,16 +207,15 @@ class SSSP(_MinFixpoint):
 
     def __init__(self, graph, source: int = 0):
         check_params(graph.num_vertices, source=source)
+        super().__init__()
         self._push = _kernel("sssp", "relax", graph)
         self.values = np.full(graph.num_vertices, np.inf, dtype=np.float64)
         self.values[source] = 0.0
         self._seed = np.array([source], dtype=np.int64)
-        self._rounds = 0
-        self._edges = 0.0
 
     def extras(self) -> dict:
-        return {"relaxations": self._edges,
-                "frontier_rounds": self._rounds,
+        return {"relaxations": self.edges,
+                "frontier_rounds": len(self.sizes),
                 "reached": int(np.isfinite(self.values).sum())}
 
 
@@ -226,42 +237,43 @@ class KCore(FrontierProgram):
     span = "wave"
 
     def __init__(self, graph):
+        super().__init__()
         self._peel = _kernel("k_core", "peel", graph)
         self._degrees = graph.out_degrees().astype(np.int64)
         self.values = np.zeros(graph.num_vertices, dtype=np.int64)
         self.alive = np.ones(graph.num_vertices, dtype=bool)
-        self._live = graph.num_vertices
+        self.live = graph.num_vertices
         self.k = 1
-        self._waves = 0
 
     def seeds(self):
-        while self._live:
+        while self.live:
             yield self._scan(None)
             self.k += 1
 
     def _scan(self, touched):
         wave, self._work = self._peel.step(
-            self._degrees, self.alive, self.k, self._live, touched)
+            self._degrees, self.alive, self.k, self.live, touched)
         return wave
 
     def round(self, active):
         self.values[active] = self.k - 1
         self.alive[active] = False
-        self._live -= active.size
-        self._waves += 1
+        self.live -= active.size
         work = self._work
-        return self._scan(work.gather[0]), work
+        wave = self._scan(work.gather[0])
+        self.sizes.append(int(wave.size))
+        return wave, work
 
     def span_attrs(self, index: int, active) -> dict:
         return {"k": self.k, "removed": int(active.size)}
 
     def level_attrs(self) -> dict:
-        return {"k": self.k, "alive": self._live}
+        return {"k": self.k, "alive": self.live}
 
     def extras(self) -> dict:
         return {"max_core": int(self.values.max()) if self.values.size
                 else 0,
-                "cascade_waves": self._waves}
+                "cascade_waves": len(self.sizes)}
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +501,13 @@ class Engine:
         self.cluster = cluster
         self.cost = cost
 
+    @classmethod
+    def whole_rounds(cls, algorithm: str, cluster) -> bool:
+        """Whether each round this engine runs takes the whole active
+        set at once — what a recorded run can stand in for. An engine
+        that proposes a round owner by owner needs the live program."""
+        return True
+
     def iteration_span(self, index: int):
         """Span around one dense sweep."""
         return self.cluster.trace_span("iteration", index=index)
@@ -552,19 +571,211 @@ def run_dense(program, engine, cluster) -> int:
 _LOOPS = {"frontier": run_frontier, "dense": run_dense}
 
 
+# ---------------------------------------------------------------------------
+# One run per resident graph: recorded live, replayed for every engine.
+# ---------------------------------------------------------------------------
+
+
+def _empty():
+    return np.zeros(0, dtype=np.int64)
+
+
+class _Recording:
+    """A live frontier program that writes its run down as it goes.
+
+    Engines drive it exactly as they drive the program (every other
+    attribute is the program's). Per round it keeps the active ids and
+    the step's three ``KernelWork`` counters — not the gather, which
+    would pin every round's edges; per level, the round it starts at
+    and (k_core) its ``k`` and live count.
+    """
+
+    def __init__(self, program):
+        self._program = program
+        self._levelled = program.algorithm == KCore.algorithm
+        self._active, self._work, self._levels, self._level_attrs = \
+            [], [], [], []
+        self._gathers = False
+
+    def __getattr__(self, name):
+        return getattr(self._program, name)
+
+    def seeds(self):
+        program = self._program
+        for seed in program.seeds():
+            self._levels.append(len(self._active))
+            if self._levelled:
+                self._level_attrs.append((program.k, program.live))
+            yield seed
+
+    def round(self, active):
+        following, work = self._program.round(active)
+        self._ran(active, work)
+        return following, work
+
+    def propose(self, active):
+        proposal, improved, work = self._program.propose(active)
+        self._ran(active, work)
+        return proposal, improved, work
+
+    def _ran(self, active, work) -> None:
+        self._active.append(active)
+        self._work.append((work.edges, work.vertices, work.frontier))
+        self._gathers = work.gather is not None
+
+    def record(self) -> SimpleNamespace:
+        """The run as plain arrays."""
+        k, live = np.array(self._level_attrs, dtype=np.int64).reshape(-1, 2).T
+        return SimpleNamespace(
+            values=self._program.values.copy(),
+            active=np.concatenate(self._active) if self._active
+            else _empty(),
+            bounds=np.cumsum([0, *(active.size for active in self._active)],
+                             dtype=np.int64),
+            work=np.array(self._work, dtype=np.float64).reshape(-1, 3),
+            levels=np.array([*self._levels, len(self._active)],
+                            dtype=np.int64),
+            level_k=k.copy() if self._levelled else None,
+            level_live=live.copy() if self._levelled else None,
+            gathers=self._gathers)
+
+
+class _Replay:
+    """A recorded frontier run, served to an engine round by round.
+
+    It answers the program's own ``span_attrs``, ``level_attrs`` and
+    ``extras`` from the attributes they read, kept as the live program
+    keeps them (``values``, ``sizes``, ``edges``, and k_core's ``k`` and
+    ``live``). A round's ``KernelWork`` carries the recorded counters
+    and, when the live step made one, a fresh gather of the round's
+    active rows.
+    """
+
+    shape = "frontier"
+
+    def __init__(self, program_type, record, graph):
+        self._type, self._record, self._graph = program_type, record, graph
+        self.algorithm, self.span = program_type.algorithm, program_type.span
+        self.values = record.values.copy()
+        self._work = record.work.tolist()
+        self.sizes = []
+        self.edges = 0.0
+
+    def _ids(self, index: int):
+        bounds = self._record.bounds
+        return self._record.active[bounds[index]:bounds[index + 1]]
+
+    def seeds(self):
+        record = self._record
+        for level, (first, end) in enumerate(
+                zip(record.levels[:-1].tolist(), record.levels[1:].tolist())):
+            if record.level_k is not None:
+                self.k = int(record.level_k[level])
+                self.live = int(record.level_live[level])
+            self._next, self._end = first, end
+            yield self._ids(first) if first < end else _empty()
+
+    def round(self, active):
+        index = self._next
+        self._next += 1
+        gather = self._graph.neighbors_of_many(active) \
+            if self._record.gathers else None
+        following = self._ids(self._next) if self._next < self._end \
+            else _empty()
+        work = KernelWork(*self._work[index], gather=gather)
+        self.sizes.append(int(following.size))
+        self.edges += work.edges
+        return following, work
+
+    def propose(self, active):
+        following, work = self.round(active)
+        return None, following, work
+
+    def commit(self, proposals):
+        ((_, following),) = proposals
+        return following
+
+    def span_attrs(self, index: int, active) -> dict:
+        return self._type.span_attrs(self, index, active)
+
+    def level_attrs(self) -> dict:
+        return self._type.level_attrs(self)
+
+    def extras(self) -> dict:
+        return self._type.extras(self)
+
+
+class _Swept:
+    """A recorded dense run: how many sweeps it took, and its values."""
+
+    shape = "dense"
+
+    def __init__(self, program_type, record):
+        self._type = program_type
+        self.algorithm = program_type.algorithm
+        self.iterations = record.sweeps
+        self.values = record.values.copy()
+
+    def round(self) -> bool:
+        return False
+
+    def extras(self) -> dict:
+        return self._type.extras(self)
+
+
+def _nbytes(record) -> int:
+    return sum(field.nbytes for field in vars(record).values()
+               if isinstance(field, np.ndarray))
+
+
+def _trajectory_key(algorithm: str, params: dict) -> tuple:
+    # ``repr`` keeps apart values that compare equal but run differently
+    # (``True`` and ``1`` as a source).
+    return ("trajectory", algorithm,
+            tuple(sorted((name, repr(value))
+                         for name, value in params.items())),
+            active_backend())
+
+
 def run_program(algorithm: str, framework: str, engine_type, graph, cluster,
                 params: dict, **engine_options) -> AlgorithmResult:
     """Run one round program under one engine; the shared back half.
 
     A program that deals its work over the nodes (CF's blocks) is told
     the cluster's node count as its ``grid``.
+
+    A graph program's run depends only on (graph, algorithm, params,
+    kernel backend), so on a dense :class:`CSRGraph` the first run that
+    completes is recorded (:func:`~repro.graph.csr.derived`) and every
+    later run replays the record instead of calling the kernel; engines
+    cannot tell the two apart. A record larger than the graph's own
+    arrays is not kept, a run that raises keeps nothing, and an engine
+    that splits rounds by owner (:meth:`Engine.whole_rounds`) runs live.
     """
     program_type = PROGRAMS[algorithm]
     if getattr(program_type, "dealt", False):
         params = {**params, "grid": cluster.num_nodes}
-    program = program_type(graph, **params)
+    memo = record = None
+    if algorithm in GRAPH_PROGRAMS and isinstance(graph, CSRGraph) \
+            and engine_type.whole_rounds(algorithm, cluster):
+        memo = _trajectory_key(algorithm, params)
+        record = held(graph, memo)
+    if record is not None:
+        program = _Replay(program_type, record, graph) \
+            if program_type.shape == "frontier" \
+            else _Swept(program_type, record)
+    else:
+        program = program_type(graph, **params)
+        if memo is not None and program.shape == "frontier":
+            program = _Recording(program)
     engine = engine_type(program, graph, cluster, **engine_options)
     iterations = _LOOPS[program.shape](program, engine, cluster)
+    if memo is not None and record is None:
+        record = program.record() if program.shape == "frontier" \
+            else SimpleNamespace(values=program.values.copy(),
+                                 sweeps=iterations)
+        if _nbytes(record) <= graph.nbytes():
+            derived(graph, memo, lambda: record)
     known = {**program.extras(), **engine.diagnostics()}
     return AlgorithmResult(
         algorithm=algorithm, framework=framework, values=program.values,

@@ -68,27 +68,47 @@ def _arrays_in(value) -> list:
     return [field for field in fields if isinstance(field, np.ndarray)]
 
 
+#: What a derived value's attributes may be besides arrays: nothing that
+#: could hold an array :meth:`CSRGraph.resident_nbytes` would not count.
+_SCALARS = (type(None), bool, int, float, str, np.generic)
+
+
 def derived(graph, key, build):
     """``build()``, computed once per dense graph object and then shared.
 
-    For structure that depends only on the graph and ``key`` — per-edge
-    sources, the study's hash weights, a partition — which every cell on
-    a resident graph would otherwise rebuild. The value (an array, or an
-    object whose attributes are arrays) is held on the
-    :class:`CSRGraph` beside its reverse view and dies with it;
-    its arrays are made read-only, because every later caller receives
-    the same object. Nothing is held for other graph types: an
-    out-of-core graph must not pin O(edges) arrays.
+    For what depends only on the graph and ``key`` — per-edge sources,
+    the study's hash weights, a partition, a round program's recorded
+    run (:func:`repro.frameworks.rounds.run_program` replays it for
+    every later engine) — which every cell on a resident graph would
+    otherwise rebuild. The value (an array, or an object whose
+    attributes are arrays or scalars) is held on the :class:`CSRGraph`
+    beside its reverse view and dies with it; its arrays are made
+    read-only, because every later caller receives the same object. A
+    value with any other attribute (a list, tuple or dict, which may hold
+    arrays ``resident_nbytes`` cannot see) is refused with a
+    ``TypeError`` and not held. Nothing is held for other graph types:
+    an out-of-core graph must not pin O(edges) arrays.
     """
     if not isinstance(graph, CSRGraph):
         return build()
-    try:
+    if key in graph._derived:
         return graph._derived[key]
-    except KeyError:
-        value = graph._derived[key] = build()
+    value = build()
+    if not isinstance(value, np.ndarray):
+        for name, field in vars(value).items():
+            if not isinstance(field, (np.ndarray, *_SCALARS)):
+                raise TypeError(
+                    f"derived value {key!r} holds {type(field).__name__} "
+                    f"{name!r}: only arrays and scalars are counted")
     for array in _arrays_in(value):
         array.setflags(write=False)
+    graph._derived[key] = value
     return value
+
+
+def held(graph, key):
+    """What :func:`derived` holds on ``graph`` for ``key``, or None."""
+    return graph._derived.get(key) if isinstance(graph, CSRGraph) else None
 
 
 class CSRGraph:

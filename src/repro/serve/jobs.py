@@ -120,13 +120,17 @@ class JobRegistry:
     def load(self) -> int:
         """Replay the journal; stale active jobs fold to interrupted.
 
-        Returns how many jobs were recovered.
+        Returns how many jobs were recovered. A job event whose ``job``
+        is not a string, or whose ``state`` is not a known state, is the
+        journal's "corrupt" :class:`ReproError`, like a line that is not
+        an object.
         """
         if self._journal is None or not self._journal.path.exists():
             return 0
         highest = 0
         with self._lock:
-            for entry in self._journal.read():
+            for index, entry in enumerate(self._journal.read(), start=1):
+                self._check(index, entry)
                 job_id = entry.get("job")
                 if entry.get("event") == "created":
                     job = Job(job_id, entry.get("kind", "?"),
@@ -165,6 +169,18 @@ class JobRegistry:
                     })
             self._counter = itertools.count(highest + 1)
             return len(self._jobs)
+
+    def _check(self, index: int, entry: dict) -> None:
+        problem = None
+        if entry.get("event") in ("created", "journal", "state") \
+                and not isinstance(entry.get("job"), str):
+            problem = f"job must be a string, got {entry.get('job')!r}"
+        elif entry.get("event") == "state" and "state" in entry \
+                and entry["state"] not in ACTIVE_STATES + TERMINAL_STATES:
+            problem = f"unknown state {entry['state']!r}"
+        if problem is not None:
+            raise ReproError(f"{self._journal.path}:{index} is corrupt "
+                             f"({problem}); refusing to load it")
 
     def _append_locked(self, entry: dict) -> None:
         if self._journal is not None:

@@ -395,7 +395,11 @@ class TestCombBLAS:
         monkeypatch.setattr(CSRGraph, "neighbors_of_many", counting_gather)
         monkeypatch.setattr(kernel, "step", counting_step)
         monkeypatch.setattr(DistSpMat, "spmv_cost", counting_cost)
-        graph = graph_small_undirected
+        # A fresh object: the fixture's graph replays its recorded runs.
+        graph = CSRGraph(graph_small_undirected.num_vertices,
+                         graph_small_undirected.offsets,
+                         graph_small_undirected.targets,
+                         symmetric=graph_small_undirected.symmetric)
         with use_backend("vectorized"):     # the oracle walks, not gathers
             result = runner(algorithm, "combblas")(graph, make_cluster(4))
         assert gathered == reported == charged

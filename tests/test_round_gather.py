@@ -5,7 +5,9 @@ gathers the active rows and hands that gather to the engine's message
 accounting through ``KernelWork.gather``. These tests count calls, not
 seconds, so they cannot flake: one ``edge_slots`` per ``propose`` (one
 per round on one partition), and for k_core one peel step — hence one
-gather — per cascade wave plus one per level.
+gather — per cascade wave plus one per level. Each test runs on a fresh
+graph object: a graph that has run a program replays the recorded run
+(``tests/test_round_replay.py``), and these count the live one.
 """
 
 import pytest
@@ -14,15 +16,21 @@ from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import rmat_graph
 from repro.frameworks import rounds
-from repro.graph import csr
+from repro.graph import CSRGraph, csr
 from repro.kernels import propagation, use_backend
 
 FRAMEWORKS = ("giraph", "graphlab", "combblas", "native")
 
 
 @pytest.fixture(scope="module")
-def graph():
+def built():
     return rmat_graph(scale=8, edge_factor=6, seed=31, directed=False)
+
+
+@pytest.fixture
+def graph(built):
+    return CSRGraph(built.num_vertices, built.offsets, built.targets,
+                    symmetric=built.symmetric)
 
 
 def counting(monkeypatch, owner, name, calls):

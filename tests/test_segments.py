@@ -14,6 +14,7 @@ import json
 import pickle
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.datagen import rmat_graph, rmat_graph_sharded
 from repro.frameworks.base import GIRAPH
 from repro.frameworks.vertex.engine import BSPEngine
 from repro.graph import CSRGraph, EdgeList, partition_vertex_cut
-from repro.graph.csr import edge_slots
+from repro.graph.csr import derived, edge_slots
 from repro.graph.partition import VertexCutPartition
 from repro.harness import ExperimentSpec, run
 from repro.kernels import BACKENDS, kernel, segments, use_backend
@@ -458,6 +459,22 @@ def test_resident_nbytes_counts_what_the_memo_holds(skewed):
     assert graph.resident_nbytes() == (
         base + sources.nbytes + weights.nbytes + cut.edge_part.nbytes
         + cut.masters.nbytes + cut.mirror_counts.nbytes)
+
+
+@pytest.mark.parametrize("field", [[np.zeros(3)], (np.zeros(3),),
+                                   {"a": np.zeros(3)}, [1, 2]],
+                         ids=["list", "tuple", "dict", "list-of-ints"])
+def test_a_value_resident_nbytes_cannot_count_is_refused(skewed, field):
+    graph = copy.deepcopy(skewed)
+    before = graph.resident_nbytes()
+    with pytest.raises(TypeError, match="only arrays and scalars"):
+        derived(graph, "hidden",
+                lambda: SimpleNamespace(kept=np.zeros(4), hidden=field))
+    assert "hidden" not in graph._derived
+    assert graph.resident_nbytes() == before
+    held = derived(graph, "plain", lambda: SimpleNamespace(
+        kept=np.zeros(4), count=3, label="x", none=None))
+    assert graph.resident_nbytes() == before + held.kept.nbytes
 
 
 def test_the_memo_is_never_pickled_or_copied(skewed):

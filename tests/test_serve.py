@@ -282,6 +282,22 @@ class TestJobRegistry:
         with pytest.raises(ReproError, match="corrupt mid-journal"):
             JobRegistry(tmp_path).load()
 
+    @pytest.mark.parametrize("line", [
+        {"event": "created", "job": ["x"], "t": 1},
+        {"event": "state", "job": "JOB", "state": [1], "t": 1},
+    ], ids=["list-job", "list-state"])
+    def test_a_mistyped_field_is_a_typed_error(self, tmp_path, line):
+        # Unrefused, the first raised a raw TypeError in load() and the
+        # second one in counts(), behind /stats.
+        registry = JobRegistry(tmp_path)
+        job = registry.create("gate", {})
+        registry.close()
+        entry = {**line, "job": job.id} if line["job"] == "JOB" else line
+        with (tmp_path / "jobs.jsonl").open("a") as handle:
+            handle.write(json.dumps(entry) + "\n")
+        with pytest.raises(ReproError, match="corrupt"):
+            JobRegistry(tmp_path).load()
+
 
 # ---------------------------------------------------------------------------
 # Live in-process server
