@@ -89,11 +89,12 @@ LAYERS = {layer.name: layer for layer in
 
 def node_volumes(traffic: np.ndarray) -> np.ndarray:
     """Bytes each node sends plus receives: ``traffic[i, :].sum() +
-    traffic[:, i].sum()`` for every ``i``. The transpose is copied so
-    both sums reduce along a contiguous axis: ``sum(0)`` adds row by
-    row, which rounds non-integer traffic differently from a per-node
-    slice."""
-    return traffic.sum(1) + np.ascontiguousarray(traffic.T).sum(1)
+    traffic[:, i].sum()`` for every ``i`` (of every matrix of an
+    ``(S, P, P)`` stack). The transpose is copied so both sums reduce
+    along a contiguous axis: ``sum(0)`` adds row by row, which rounds
+    non-integer traffic differently from a per-node slice."""
+    return traffic.sum(-1) + np.ascontiguousarray(
+        np.swapaxes(traffic, -1, -2)).sum(-1)
 
 
 @dataclass

@@ -9,9 +9,10 @@ Figure 6 observables accumulate as a side effect.
 
 A step is checked when it is taken and appended to a columnar step log;
 the log is charged in one vectorized pass — every row exactly as it
-would be alone — when something reads the clock or the metrics. Runs
-whose tracer, deadline or chaos schedule read the clock every row charge
-every row as it comes.
+would be alone — when something reads the clock or the metrics. An
+engine hands a chunk of rows over in one :meth:`Cluster.supersteps`
+call. Runs whose tracer, deadline or chaos schedule read the clock every
+row charge every row as it comes.
 
 Scale extrapolation: experiments run on downscaled proxy datasets but
 report paper-scale numbers. The cluster multiplies every counter (work,
@@ -25,12 +26,18 @@ dominate BFS exactly as in the paper.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
 
 from ..chaos.recovery import FAIL_FAST, RecoveryStats
-from ..errors import DeadlineExceeded, NodeFailure, SimulationError
+from ..errors import (
+    DeadlineExceeded,
+    NodeFailure,
+    ReproError,
+    SimulationError,
+)
 from ..observability import NULL_TRACER, sample_peak_rss
 from .cost import ComputeWork, CostModel, negative
 from .hardware import ClusterSpec
@@ -171,7 +178,6 @@ class Cluster:
         """
         if overhead_s < 0:
             raise SimulationError("overhead_s must be non-negative")
-        layer = layer or self.comm_layer
         step_index, nodes = self._steps, self.num_nodes
         step_faults = None
         if self.faults is not None:
@@ -196,19 +202,11 @@ class Cluster:
                     raise SimulationError("work counters must be non-negative")
                 raise SimulationError(f"traffic matrix must be {nodes}x"
                                       f"{nodes}, got {traffic.shape}")
-        if layer is not self._layer:
-            self._flush()
-            self._layer, self._rates = layer, {}
-        knobs = (work.cpu_efficiency, work.cores_fraction, work.prefetch,
-                 work.memory_parallelism)
-        rates = self._rates.get(knobs)
-        if rates is None:
-            rates = self._rates[knobs] = self.cost.rates(work)
+        tail = self._tail(work, layer, overlap, overhead_s)
         row = self._rows[len(self._knobs)]
         row[:nodes], row[nodes:2 * nodes], row[2 * nodes:3 * nodes] = counters
         row[3 * nodes:] = 0.0 if traffic is None else traffic.ravel()
-        self._knobs.append((step_index, *rates, work.cores_fraction,
-                            overlap, overhead_s))
+        self._knobs.append((step_index, *tail))
         self._kinds.append(_STEP)
         self._seconds.append(0.0)
         self._steps += 1
@@ -226,6 +224,137 @@ class Cluster:
         else:
             self._flush_if(suspect)
 
+    def supersteps(self, work: ComputeWork, traffic=None,
+                   overlap: bool = False, layer: CommLayer = None,
+                   overhead_s: float = 0.0, buffers=None, marks=(),
+                   trace=None) -> None:
+        """S supersteps in one call, bit for bit what S :meth:`superstep`
+        calls do, each after ``allocate_all(*buffers)`` of its row.
+
+        ``work``'s counters are ``(S, P)`` (or broadcast to it) and
+        ``traffic`` is ``(S, P, P)`` or None; ``buffers`` is ``(label,
+        (S, P) sizes)`` or None. A mark at position ``p`` of ``marks``
+        closes an iteration once ``p`` rows are taken. Without a tracer,
+        deadline or recovery policy the rows join the log in a few array
+        copies; otherwise each is taken as it comes, inside ``trace``
+        (built only while the tracer is on): ``("open", name, attrs)``,
+        ``("close",)``, ``("count", name, value)``, ``("instant", name,
+        attrs)``, ``("alloc", row)``, ``("step", row)`` and ``("mark",)``.
+        """
+        nodes = self.num_nodes
+        counters = np.broadcast_arrays(*(
+            np.asarray(column, dtype=np.float64) for column in
+            (work.streamed_bytes, work.random_bytes, work.ops)))
+        count = counters[0].shape[0]
+        counters = [np.broadcast_to(column, (count, nodes))
+                    for column in counters]
+        at = np.bincount(np.asarray(marks, dtype=np.int64),
+                         minlength=count + 1).tolist()
+        if self._eager:
+            if trace is None or not self.tracer.enabled:
+                trace = [event for row in range(count) for event in
+                         [("mark",)] * at[row] + [("alloc", row),
+                                                  ("step", row)]] \
+                    + [("mark",)] * at[count]
+            self._play(trace, work, counters, traffic, buffers,
+                       dict(overlap=overlap, layer=layer,
+                            overhead_s=overhead_s))
+            return
+        if overhead_s < 0:
+            raise SimulationError("overhead_s must be non-negative")
+        tail = self._tail(work, layer, overlap, overhead_s)
+        parts = counters if traffic is None \
+            else [*counters, traffic.reshape(count, nodes * nodes)]
+        # The rows :meth:`superstep` would charge as soon as they come.
+        suspect = ~((np.minimum.reduce([part.min(1) for part in parts]) >= 0)
+                    & (np.maximum.reduce([part.max(1) for part in parts])
+                       * self.scale_factor < math.inf)
+                    & (overhead_s < math.inf))
+        row = 0
+        while row < count:
+            end = min(count, row + len(self._rows) - len(self._knobs))
+            if suspect[row:end].any():
+                end = row + int(np.argmax(suspect[row:end])) + 1
+            for taken in range(row, end if buffers is not None else row):
+                try:
+                    self.allocate_all(buffers[0], buffers[1][taken])
+                except ReproError:      # the rows before it are taken
+                    self._append(counters, traffic, row, taken, at, tail)
+                    self._kinds.extend([_MARK] * at[taken])
+                    self._seconds.extend([0.0] * at[taken])
+                    raise
+            self._append(counters, traffic, row, end, at, tail)
+            self._suspect = self._suspect or suspect[end - 1]
+            self._flush_if(suspect[end - 1]
+                           or len(self._knobs) == len(self._rows))
+            row = end
+        self._kinds.extend([_MARK] * at[count])
+        self._seconds.extend([0.0] * at[count])
+        self._flush_if(False)
+
+    def _tail(self, work, layer, overlap, overhead_s) -> tuple:
+        """A step's knobs after its index, on the log of its layer."""
+        layer = layer or self.comm_layer
+        if layer is not self._layer:
+            self._flush()
+            self._layer, self._rates = layer, {}
+        knobs = (work.cpu_efficiency, work.cores_fraction, work.prefetch,
+                 work.memory_parallelism)
+        rates = self._rates.get(knobs)
+        if rates is None:
+            rates = self._rates[knobs] = self.cost.rates(work)
+        return (*rates, work.cores_fraction, overlap, overhead_s)
+
+    def _append(self, counters, traffic, row, end, at, tail) -> None:
+        """Rows ``row:end`` of a :meth:`supersteps` chunk onto the log,
+        each after the marks ``at`` its position."""
+        start, nodes = len(self._knobs), self.num_nodes
+        if end == row:
+            return
+        block = self._rows[start:start + end - row]
+        for offset, column in enumerate(counters):
+            block[:, offset * nodes:(offset + 1) * nodes] = column[row:end]
+        block[:, 3 * nodes:] = 0.0 if traffic is None \
+            else traffic[row:end].reshape(end - row, nodes * nodes)
+        spaced = np.add.accumulate(np.add(at[row:end], 1))
+        kinds = np.full(int(spaced[-1]), _MARK, dtype=np.int8)
+        kinds[spaced - 1] = _STEP
+        self._kinds.extend(kinds.tolist())
+        self._seconds.extend([0.0] * kinds.size)
+        self._knobs.extend((index, *tail) for index in
+                           range(self._steps, self._steps + end - row))
+        self._steps += end - row
+
+    def _play(self, events, work, counters, traffic, buffers, step) -> None:
+        """:meth:`supersteps`' rows taken one call at a time, with the
+        tracer's events between them; a span still open when a row
+        raises closes as a ``with`` block would."""
+        tracer, spans = self.tracer, []
+        try:
+            for event in events:
+                kind = event[0]
+                if kind == "step":
+                    row = event[1]
+                    self.superstep(dataclasses.replace(
+                        work, streamed_bytes=counters[0][row],
+                        random_bytes=counters[1][row], ops=counters[2][row]),
+                        None if traffic is None else traffic[row], **step)
+                elif kind == "alloc" and buffers is not None:
+                    self.allocate_all(buffers[0], buffers[1][event[1]])
+                elif kind == "mark":
+                    self.mark_iteration()
+                elif kind == "open":
+                    spans.append(tracer.span(event[1], **event[2]))
+                elif kind == "close":
+                    spans.pop().__exit__(None, None, None)
+                elif kind == "count":
+                    tracer.count(event[1], event[2])
+                elif kind == "instant":
+                    tracer.instant(event[1], **event[2])
+        finally:
+            while spans:
+                spans.pop().__exit__(None, None, None)
+
     def tick(self, seconds: float) -> None:
         """Advance wall clock by a fixed, unscaled amount (startup, I/O)."""
         if seconds < 0:
@@ -242,7 +371,7 @@ class Cluster:
 
     def _flush_if(self, now: bool) -> None:
         """Charge the log now, or once it is full."""
-        if now or len(self._kinds) == len(self._rows):
+        if now or len(self._kinds) >= len(self._rows):
             self._flush()
 
     # -- materializing the log ----------------------------------------------

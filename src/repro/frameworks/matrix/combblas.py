@@ -26,7 +26,6 @@ as a product on the 2-D process grid (:class:`MatrixEngine`, one
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,28 +64,32 @@ def _work(nnz_per_node, flops_total: float, traffic: np.ndarray,
     if touched_nnz is None:
         touched_nnz = total_nnz
     share = np.asarray(nnz_per_node, dtype=np.float64) / total_nnz
-    node_nnz = touched_nnz * share
+    # ``(S,)`` flops and touched counts charge a stack of S products.
+    node_nnz = np.multiply.outer(touched_nnz, share)
+    flops_total = np.multiply.outer(flops_total, share)
     return ComputeWork(
         # 16 B per visited nonzero (index + value) plus SPA re-reads.
         streamed_bytes=(24.0 * node_nnz + vector_bytes_per_node
                         + 2.0 * node_volumes(traffic)),
         random_bytes=gather_random_bytes * node_nnz,
-        ops=flops_total * share,
+        ops=flops_total,
         cpu_efficiency=_PROFILE.cpu_efficiency,
         cores_fraction=_PROFILE.cores_fraction,
         prefetch=True,   # tuned C++ SpMV kernels prefetch their SPA
     )
 
 
+#: How every CombBLAS superstep is taken.
+_STEP = dict(overlap=_PROFILE.overlaps_communication,
+             layer=_PROFILE.comm_layer,
+             overhead_s=_PROFILE.superstep_overhead_s)
+
+
 def _step(cluster, nnz_per_node, flops, traffic, vector_bytes=0.0,
           touched_nnz=None, gather_random_bytes=32.0):
     cluster.superstep(
         _work(nnz_per_node, flops, traffic, vector_bytes, touched_nnz,
-              gather_random_bytes),
-        traffic, overlap=_PROFILE.overlaps_communication,
-        layer=_PROFILE.comm_layer,
-        overhead_s=_PROFILE.superstep_overhead_s,
-    )
+              gather_random_bytes), traffic, **_STEP)
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,7 @@ class MatrixEngine(Engine):
     """
 
     reports_levels = False
+    reads_edges = True
     #: Bytes per shipped vector entry.
     value_bytes = 8.0
 
@@ -136,36 +140,47 @@ class MatrixEngine(Engine):
                               / cluster.num_nodes)
         cluster.allocate_all("vectors", self._vector_bytes)
         self._multiplies = 0.0
+        self._dense = None
 
     def iteration_span(self, index: int):
         return self.cluster.trace_span("spmv", kind="dense", index=index)
 
-    def round_span(self, index: int, active):
-        return self.cluster.trace_span(
-            "spmv", kind="sparse", **self.program.span_attrs(index, active))
+    def charge(self, rounds) -> None:
+        """An SpMSpV superstep per round over its active ids; k_core's
+        levels each mark the iteration after their waves."""
+        cluster, count = self.cluster, rounds.count
+        flops, traffic = self.dist.spmspv_costs(rounds, self.value_bytes)
+        self._multiplies = sum((flops / 2.0).tolist(), self._multiplies)
+        work = _work(self._nnz_per_node, flops, traffic,
+                     touched_nnz=flops / 2.0,
+                     gather_random_bytes=self.cost.gather_random_bytes)
+        marks = rounds.level_bounds()[1:] if self.per_level \
+            else np.arange(1, count + 1)
+        trace = None
+        if cluster.tracer.enabled:
+            flops = flops.tolist()
 
-    @contextlib.contextmanager
-    def level(self):
-        if not self.per_level:
-            yield
-            return
-        with self.cluster.trace_span("peel-level",
-                                     **self.program.level_attrs()):
-            yield
-            self.cluster.mark_iteration()
-
-    def round(self, active):
-        changed, work = self.program.round(active)
-        flops, traffic = self.dist.spmv_cost(active, self.value_bytes,
-                                             gather=work.gather)
-        self._multiplies += flops / 2.0
-        _step(self.cluster, self._nnz_per_node, flops, traffic,
-              touched_nnz=flops / 2.0,
-              gather_random_bytes=self.cost.gather_random_bytes)
-        return changed
+            def product(row):
+                return [("count", "flops", flops[row]),
+                        ("instant", "spmv-kernel",
+                         {"flops": flops[row], "sparse": True}),
+                        ("step", row)]
+            if self.per_level:
+                trace = rounds.level_frames("peel-level", lambda row: [
+                    ("open", "spmv", {"kind": "sparse",
+                                      **rounds.span_attrs(row)}),
+                    *product(row), ("close",)], lambda level: [])
+            else:
+                trace = rounds.frames("spmv", product, kind="sparse")
+        cluster.supersteps(work, traffic, marks=marks, trace=trace, **_STEP)
 
     def sweep(self) -> None:
-        flops, traffic = self.dist.spmv_cost(value_bytes=self.value_bytes)
+        # A dense product costs the same every iteration.
+        if self._dense is None:
+            self._dense = self.dist.spmv_cost(value_bytes=self.value_bytes)
+        else:
+            self.dist.report(self._dense[0], sparse=False)
+        flops, traffic = self._dense
         _step(self.cluster, self._nnz_per_node, flops, traffic,
               vector_bytes=self._vector_bytes,
               gather_random_bytes=self.cost.gather_random_bytes)
@@ -257,10 +272,7 @@ class MatrixTCEngine(Engine):
         work.random_bytes += spa_random_bytes
         work.streamed_bytes += product_stream_bytes + expand_stream_bytes
         work.prefetch = False   # pointer-chasing accumulators do not
-        cluster.superstep(work, self._traffic,
-                          overlap=_PROFILE.overlaps_communication,
-                          layer=_PROFILE.comm_layer,
-                          overhead_s=_PROFILE.superstep_overhead_s)
+        cluster.superstep(work, self._traffic, **_STEP)
 
     def diagnostics(self) -> dict:
         return {"a_squared_nnz": self._product_nnz,

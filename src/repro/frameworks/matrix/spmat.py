@@ -41,6 +41,7 @@ from scipy import sparse
 
 from ...errors import PartitionError
 from ...graph import CSRGraph, iter_csr_blocks
+from ...graph.csr import derived
 from ...kernels.segments import distinct
 from ...kernels.spmv import semiring_spmspv
 from ...observability import NULL_TRACER
@@ -135,14 +136,20 @@ class DistSpMat:
         g = grid.grid
         # Band boundaries of the block distribution.
         self.bounds = np.linspace(0, n, g + 1).astype(np.int64)
-        band = np.minimum(
-            np.searchsorted(self.bounds, np.arange(n), "right") - 1, g - 1)
+        #: The band of every vertex.
+        self.band = derived(graph, ("spmat-bands", g), lambda: np.minimum(
+            np.searchsorted(self.bounds, np.arange(n), "right") - 1, g - 1))
         self._degrees = graph.out_degrees()
-        # Block by block, so an out-of-core graph is never materialized.
-        self.block_nnz = sum(
+        self.block_nnz = derived(graph, ("spmat-blocks", g), self._blocks)
+
+    def _blocks(self) -> np.ndarray:
+        """Nonzeros per (row band, column band) block, read block by
+        block so an out-of-core graph is never materialized."""
+        g, band = self.grid.grid, self.band
+        return sum(
             np.bincount(np.repeat(band[lo:hi] * g, self._degrees[lo:hi])
                         + band[targets], minlength=g * g)
-            for lo, hi, _, targets in iter_csr_blocks(graph)
+            for lo, hi, _, targets in iter_csr_blocks(self.graph)
         ).reshape(g, g)
 
     @property
@@ -190,7 +197,7 @@ class DistSpMat:
         return np.diff(np.searchsorted(present, self.bounds)).astype(np.float64)
 
     def spmv_cost(self, present: np.ndarray = None,
-                  value_bytes: float = 8.0, gather=None):
+                  value_bytes: float = 8.0):
         """``(flops, traffic)`` of one 2-D product, without running it.
 
         ``present`` is the ascending ids of the sparse vector's entries
@@ -198,26 +205,47 @@ class DistSpMat:
         ``None`` is a dense vector. The output's presence is structural —
         the out-neighbours of ``present`` — so an entry that cancels to
         the semiring zero is still folded and shipped, as the ranks
-        holding its partial sums cannot know it will. ``gather`` is
-        ``graph.neighbors_of_many(present)`` when the caller's kernel
-        step already made it; the rows are gathered here otherwise.
+        holding its partial sums cannot know it will.
         """
         if present is None:
             x_bands = y_bands = self.band_sizes().astype(np.float64)
             flops = 2.0 * float(self.nnz)
         else:
-            targets, _ = gather if gather is not None \
-                else self.graph.neighbors_of_many(present)
+            targets, _ = self.graph.neighbors_of_many(present)
             x_bands = self._entries_per_band(present)
             y_bands = self._entries_per_band(
                 distinct(targets, self.graph.num_vertices))
             flops = 2.0 * float(targets.size)
         traffic = self.spmv_traffic(x_bands, y_bands, value_bytes)
+        self.report(flops, present is not None)
+        return flops, traffic
+
+    def report(self, flops: float, sparse: bool) -> None:
+        """Tell the tracer one product's flops."""
         if self.tracer.enabled:
             self.tracer.count("flops", flops)
-            self.tracer.instant("spmv-kernel", flops=flops,
-                                sparse=present is not None)
-        return flops, traffic
+            self.tracer.instant("spmv-kernel", flops=flops, sparse=sparse)
+
+    def spmspv_costs(self, rounds, value_bytes: float = 8.0):
+        """``(flops, traffic)`` of one SpMSpV per round of a chunk
+        (:class:`~repro.frameworks.rounds.Rounds`, each round's ids
+        ascending), as ``(S,)`` and ``(S, P, P)`` stacks: each round's
+        :meth:`spmv_cost`, bit for bit (entry counts are integers, so
+        with a whole ``value_bytes`` every sum is exact in any order),
+        without the tracer."""
+        g, n, count = self.grid.grid, self.graph.num_vertices, rounds.count
+        targets, lengths = rounds.gather()
+        row = rounds.round_of_ids()
+        x_bands = np.bincount(row * g + self.band[rounds.active],
+                              minlength=count * g)
+        present = distinct(rounds.round_of_edges(lengths) * np.int64(n)
+                           + targets, count * n)
+        y_bands = np.bincount(present // n * g + self.band[present % n],
+                              minlength=count * g)
+        flops = 2.0 * np.bincount(row, weights=lengths, minlength=count)
+        return flops, self.spmv_traffic(
+            x_bands.reshape(count, g).astype(np.float64),
+            y_bands.reshape(count, g).astype(np.float64), value_bytes)
 
     def spmv(self, x: np.ndarray, semiring: Semiring = PLUS_TIMES,
              edge_values: np.ndarray = None, sparse_x: bool = False,

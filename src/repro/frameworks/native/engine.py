@@ -30,7 +30,6 @@ round is the neighbourhood exchange of :class:`NativeTCEngine`.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ import numpy as np
 from ...cluster import ComputeWork, node_volumes
 from ...cluster.cost import CACHE_LINE_BYTES
 from ...graph import iter_csr_blocks, partition_edges_1d
+from ...kernels.base import KernelWork
 from ...kernels.segments import distinct, list_traffic
 from ..rounds import Engine
 from .compression import encoded_size
@@ -152,6 +152,8 @@ class NativeEngine(Engine):
         super().__init__(program, graph, cluster, COSTS[program.algorithm])
         self.options = options or NativeOptions()
         self.per_level = program.algorithm == "k_core"
+        # Only k_core's cross-partition decrements read the edges.
+        self.reads_edges = self.per_level and cluster.num_nodes > 1
         self._raw_bytes = 0.0
         self._wire_bytes = 0.0
         dense = program.shape == "dense"
@@ -174,7 +176,7 @@ class NativeEngine(Engine):
 
     @classmethod
     def whole_rounds(cls, algorithm: str, cluster) -> bool:
-        # bfs / wcc / sssp propose once per owner (see ``round``).
+        # bfs / wcc / sssp propose once per owner (``owner_round``).
         return cluster.num_nodes == 1 or algorithm == "k_core" \
             or isinstance(COSTS[algorithm], DenseCost)
 
@@ -233,20 +235,23 @@ class NativeEngine(Engine):
             prefetch=self.options.prefetch,
         )
 
-    def _receive(self, traffic, window: bool) -> None:
-        """Receive-side buffers sized by the round's incoming traffic."""
-        incoming = np.ascontiguousarray(traffic.T).sum(1)
+    def _buffers(self, traffic, window: bool) -> tuple:
+        """Receive-side buffers sized by each row's incoming traffic."""
+        incoming = np.ascontiguousarray(np.swapaxes(traffic, -1, -2)).sum(-1)
         if window and self.options.overlap:
             # The 16 MB blocking window is a physical buffer size; divide
             # by the extrapolation factor since allocations are scaled
             # back up by the memory tracker.
             incoming = np.minimum(incoming,
                                   16 * 2**20 / self.cluster.scale_factor)
-        self.cluster.allocate_all("recv-buffers", incoming)
+        return "recv-buffers", incoming
 
-    def round(self, active):
-        if self.per_level:
-            return self._peel_wave(active)
+    def owner_round(self, active):
+        """A bfs / wcc / sssp round on several nodes, proposed owner by
+        owner (each node routes its own improved set, which a recorded
+        run does not hold): the next active set, the edges visited, and
+        the round's per-node edges, active and improved counts and
+        traffic."""
         nodes = self.cluster.num_nodes
         owners = self.part.owner_of_many(active)
         traffic = np.zeros((nodes, nodes))
@@ -261,56 +266,82 @@ class NativeEngine(Engine):
             self._route(node, improved, traffic)
             edges[node], sizes[node], changed[node] = \
                 work.edges, mine.size, improved.size
-        self._receive(traffic, window=True)
-        self.cluster.superstep(self._work(edges, sizes, changed), traffic,
-                               overlap=self.options.overlap)
-        return self.program.commit(proposals)
+        return (self.program.commit(proposals),
+                KernelWork(edges=float(edges.sum())),
+                (edges, sizes, changed, traffic))
+
+    def charge(self, rounds) -> None:
+        """A superstep per round, or (k_core) per level."""
+        if self.per_level:
+            return self._charge_levels(rounds)
+        if rounds.rows is not None:
+            edges, sizes, changed, traffic = map(np.array, zip(*rounds.rows))
+        else:       # one node: the whole round is node 0's
+            edges, sizes, changed = (
+                column.astype(np.float64)[:, None] for column in
+                (rounds.edges, rounds.sizes, rounds.handed))
+            traffic = np.zeros((rounds.count, 1, 1))
+        self.cluster.supersteps(
+            self._work(edges, sizes, changed), traffic,
+            overlap=self.options.overlap,
+            buffers=self._buffers(traffic, window=True),
+            marks=np.arange(1, rounds.count + 1),
+            trace=rounds.frames(self.program.span, lambda row: [
+                ("alloc", row), ("step", row)])
+            if self.cluster.tracer.enabled else None)
 
     # -- k_core: waves accumulate into one superstep per level ---------------
 
-    def _peel_wave(self, removed):
-        nodes = self.cluster.num_nodes
-        next_wave, work = self.program.round(removed)
-        owners = self.part.owner_of_many(removed)
-        self._level_edges += np.bincount(
-            owners, weights=self._out_degrees[removed], minlength=nodes)
-        self._level_removed += np.bincount(owners, minlength=nodes)
-        # Cross-partition degree decrements: one id per remote edge.
-        neighbors, lengths = work.gather
-        if neighbors.size:
+    def _charge_levels(self, rounds) -> None:
+        cluster, cost, nodes = self.cluster, self.cost, self.cluster.num_nodes
+        bounds = rounds.level_bounds()
+        levels, waves = bounds.size - 1, rounds.count
+        wave_of = rounds.round_of_ids()
+        owners = self.part.owner_of_many(rounds.active)
+        key = np.repeat(np.arange(levels), np.diff(bounds))[wave_of] * nodes \
+            + owners
+        edges, removed = (np.bincount(
+            key, weights=weights, minlength=levels * nodes).reshape(
+                levels, nodes) for weights in
+            (self._out_degrees[rounds.active], np.ones(key.size)))
+        traffic = np.zeros((levels, nodes, nodes))
+        if self.reads_edges and waves:
+            # Cross-partition degree decrements: one id per remote edge.
+            neighbors, lengths = rounds.gather()
             src_owner = np.repeat(owners, lengths)
             dst_owner = self.part.owner_of_many(neighbors)
             remote = src_owner != dst_owner
-            pairs = np.bincount(src_owner[remote] * nodes
-                                + dst_owner[remote], minlength=nodes ** 2)
-            raw = _ID_BYTES * pairs.reshape(nodes, -1)
-            self._raw_bytes += raw.sum()
+            pairs = np.bincount(
+                (np.repeat(wave_of, lengths)[remote] * nodes
+                 + src_owner[remote]) * nodes + dst_owner[remote],
+                minlength=waves * nodes ** 2).reshape(waves, nodes, nodes)
+            raw = _ID_BYTES * pairs
             wire = raw * (_PEEL_COMPRESSION if self.options.compression
                           else 1.0)
-            self._level_traffic += wire
-            self._wire_bytes += wire.sum()
-        return next_wave
-
-    @contextlib.contextmanager
-    def level(self):
-        if not self.per_level:
-            yield
-            return
-        cluster, cost, nodes = self.cluster, self.cost, self.cluster.num_nodes
-        with cluster.trace_span("level", **self.program.level_attrs()):
-            self._level_edges = np.zeros(nodes)
-            self._level_removed = np.zeros(nodes)
-            self._level_traffic = np.zeros((nodes, nodes))
-            yield
-            work = self._work(self._level_edges, self._level_removed,
-                              np.zeros(nodes))
-            work.streamed_bytes += cost.rescan_vertex_stream \
-                * self._verts_per_node
-            work.ops += cost.rescan_vertex_ops * self._verts_per_node
-            self._receive(self._level_traffic, window=False)
-            cluster.superstep(work, self._level_traffic,
-                              overlap=self.options.overlap)
-            cluster.mark_iteration()
+            # Each wave with edges adds its totals in wave order.
+            visited = rounds.edges > 0
+            self._raw_bytes, self._wire_bytes = (np.add.accumulate(
+                np.concatenate(([total], stack.reshape(waves, -1).sum(1)
+                                [visited])))[-1] for total, stack in
+                ((self._raw_bytes, raw), (self._wire_bytes, wire)))
+            # ``reduce`` along the wave axis adds wave after wave, as the
+            # per-wave ``+=`` did (``reduceat`` does not).
+            for level, (lo, hi) in enumerate(zip(bounds[:-1].tolist(),
+                                                 bounds[1:].tolist())):
+                if hi > lo:
+                    traffic[level] = np.add.reduce(wire[lo:hi], axis=0)
+        work = self._work(edges, removed, np.zeros(nodes))
+        work.streamed_bytes += cost.rescan_vertex_stream \
+            * self._verts_per_node
+        work.ops += cost.rescan_vertex_ops * self._verts_per_node
+        cluster.supersteps(
+            work, traffic, overlap=self.options.overlap,
+            buffers=self._buffers(traffic, window=False),
+            marks=np.arange(1, levels + 1),
+            trace=rounds.level_frames(
+                "level", lambda row: [],
+                lambda level: [("alloc", level), ("step", level)])
+            if cluster.tracer.enabled else None)
 
     # -- dense sweeps ---------------------------------------------------------
 

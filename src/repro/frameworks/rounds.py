@@ -15,29 +15,31 @@ class holding the workload's state machine:
 * ``values`` / ``extras()`` are the answer and its diagnostics.
 
 Two loops drive them. :func:`run_frontier` (bfs, wcc, sssp and k_core's
-cascade waves) repeats rounds over the active set until it is empty;
+cascade waves) charges the run's rounds a chunk at a time;
 :func:`run_dense` (pagerank, label_propagation, triangle counting's one
 round and CF's factorization iterations) sweeps every vertex a fixed
 number of times. Neither loop knows a framework: an
 :class:`Engine` — one subclass per engine family (native, vertex, task,
-matrix) — owns allocation, partition/owner routing, the spans around a
-round, and turning each round's counts into ``ComputeWork`` and traffic
-from its per-algorithm row of cost constants (triangle counting and CF
-have a small engine per family instead). :func:`run_program` ties a
-program, an engine and a cluster into an :class:`AlgorithmResult`; which
-engine runs each (algorithm, framework) is one row of
-:mod:`repro.algorithms.registry`.
+matrix) — owns allocation, partition/owner routing, and turning rounds
+into ``ComputeWork`` and traffic from its per-algorithm row of cost
+constants: ``charge`` makes all the superstep rows of a chunk of
+:class:`Rounds` (and their spans) at once, with a few ``bincount`` calls
+over (round, owner) keys, and hands them to
+:meth:`~repro.cluster.Cluster.supersteps` in one call (triangle counting
+and CF have a small engine per family instead). :func:`run_program`
+ties a program, an engine and a cluster into an
+:class:`AlgorithmResult`; which engine runs each (algorithm, framework)
+is one row of :mod:`repro.algorithms.registry`.
 
 A graph program's run depends only on (graph, algorithm, params, kernel
 backend), so it runs once per resident graph: ``run_program`` records
 the first run that completes on a dense ``CSRGraph`` (the active ids and
-``KernelWork`` counters of every round, and the final values) and
-replays the record to every later engine instead of calling the kernel.
+visited edge counts of every round, and the final values) and replays
+the record to every later engine instead of calling the kernel.
 """
 
 from __future__ import annotations
 
-import contextlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,7 +51,6 @@ from ..errors import SpecError
 from ..graph.csr import CSRGraph, derived, held
 from ..kernels import registry as kernel_registry
 from ..kernels.backend import active_backend
-from ..kernels.base import KernelWork
 from ..kernels.segments import distinct, stable_order
 from .base import cf_density_correction
 from .results import AlgorithmResult
@@ -117,8 +118,11 @@ class FrontierProgram:
         """Initial active set of each level (one level unless k_core)."""
         yield self._seed
 
-    def span_attrs(self, index: int, active) -> dict:
-        return {"index": index, "frontier": int(active.size)}
+    @staticmethod
+    def span_attrs(index: int, size: int, k=None) -> dict:
+        """Attributes of the span of round ``index`` over ``size`` ids
+        (``k`` is its k_core level's)."""
+        return {"index": index, "frontier": size}
 
     def round(self, active):
         proposal, improved, work = self.propose(active)
@@ -264,11 +268,13 @@ class KCore(FrontierProgram):
         self.sizes.append(int(wave.size))
         return wave, work
 
-    def span_attrs(self, index: int, active) -> dict:
-        return {"k": self.k, "removed": int(active.size)}
+    @staticmethod
+    def span_attrs(index: int, size: int, k=None) -> dict:
+        return {"k": k, "removed": size}
 
-    def level_attrs(self) -> dict:
-        return {"k": self.k, "alive": self.live}
+    @staticmethod
+    def level_attrs(k: int, live: int) -> dict:
+        return {"k": k, "alive": live}
 
     def extras(self) -> dict:
         return {"max_core": int(self.values.max()) if self.values.size
@@ -476,15 +482,17 @@ class Engine:
     every row carries ``extras`` — the ordered diagnostic keys this
     engine reports, drawn from the program's and the engine's own (a CF
     or TC engine has no row: it reports all of the program's, then its own).
-    Subclasses allocate in ``__init__`` and implement ``round`` (frontier
-    programs: run the program's round over ``active``, charge one
-    superstep, return the next active set) and/or ``sweep`` (dense
-    programs: charge one all-vertex iteration).
+    Subclasses allocate in ``__init__`` and implement ``charge`` (frontier
+    programs: turn a chunk of :class:`Rounds` into all of its superstep
+    rows, one :meth:`~repro.cluster.Cluster.supersteps` call) and/or
+    ``sweep`` (dense programs: charge one all-vertex iteration).
     """
 
     #: k_core on engines that charge a whole k level at once: the
-    #: engine's ``level()``, not each wave, marks the iteration.
+    #: level, not each wave, marks the iteration.
     per_level = False
+    #: Whether ``charge`` reads the rounds' edges (:meth:`Rounds.gather`).
+    reads_edges = False
 
     @property
     def reports_levels(self) -> bool:
@@ -505,25 +513,15 @@ class Engine:
     def whole_rounds(cls, algorithm: str, cluster) -> bool:
         """Whether each round this engine runs takes the whole active
         set at once — what a recorded run can stand in for. An engine
-        that proposes a round owner by owner needs the live program."""
+        that proposes a round owner by owner (``owner_round``) needs the
+        live program."""
         return True
 
     def iteration_span(self, index: int):
         """Span around one dense sweep."""
         return self.cluster.trace_span("iteration", index=index)
 
-    def round_span(self, index: int, active):
-        """Span around one frontier round (none inside a batched level)."""
-        if self.per_level:
-            return contextlib.nullcontext()
-        return self.cluster.trace_span(
-            self.program.span, **self.program.span_attrs(index, active))
-
-    def level(self):
-        """Context around one level's rounds (k_core's per-k charging)."""
-        return contextlib.nullcontext()
-
-    def round(self, active):
+    def charge(self, rounds: "Rounds") -> None:
         raise NotImplementedError
 
     def sweep(self) -> None:
@@ -534,26 +532,102 @@ class Engine:
         return {}
 
 
-def run_frontier(program, engine, cluster) -> int:
-    """Rounds over the active set until it is empty, level by level.
+class Rounds:
+    """Consecutive rounds of one frontier run, as arrays: what
+    :meth:`Engine.charge` turns into superstep rows.
 
+    Round ``s`` is round ``first + s + 1`` of the run: it ran over
+    ``active[bounds[s]:bounds[s + 1]]``, visited ``edges[s]`` edges and
+    handed ``handed[s]`` ids on (none after its level's last round).
+    The run's levels start at rounds ``levels`` (k_core's ``k`` and live
+    count in ``level_k`` / ``level_live``); only per-level engines read
+    them, and only for k_core, whose whole peel visits every edge once
+    and so is one chunk. ``rows`` are an engine's own per-round charges
+    when it proposes rounds owner by owner.
+    """
+
+    def __init__(self, program_type, graph, first, active, bounds, edges,
+                 handed, levels, level_k, level_live, gathers=None,
+                 rows=None):
+        self._type, self.graph, self.first = program_type, graph, first
+        self.active, self.bounds, self.edges = active, bounds, edges
+        self.handed, self.levels = handed, levels
+        self.level_k, self.level_live = level_k, level_live
+        self._gathers, self.rows = gathers, rows
+        self.sizes = np.diff(bounds)
+        self.count = self.sizes.size
+
+    def gather(self):
+        """``(targets, lengths)`` of every active id's out-edges in
+        order: the kernel's own gathers on a live run, one gather of the
+        whole chunk on a replay."""
+        if self._gathers is None:
+            return self.graph.neighbors_of_many(self.active)
+        if len(self._gathers) == 1:
+            return self._gathers[0]
+        targets, lengths = zip(*self._gathers)
+        return np.concatenate(targets), np.concatenate(lengths)
+
+    def round_of_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(self.count), self.sizes)
+
+    def round_of_edges(self, lengths) -> np.ndarray:
+        """The row of every edge of :meth:`gather` (of its ``lengths``)."""
+        return np.repeat(np.arange(self.count), np.add.reduceat(
+            lengths, self.bounds[:-1])) if self.count else _empty()
+
+    def level_bounds(self) -> np.ndarray:
+        return np.append(self.levels, self.count)
+
+    def frames(self, name: str, body, **attrs) -> list:
+        """A tracer's events for an engine that charges a row per round:
+        each round's frontier count, then its span (``attrs`` first)
+        around ``body(row)`` and the iteration mark."""
+        events = []
+        for row, size in enumerate(self.sizes.tolist()):
+            events += [("count", "frontier_size", size),
+                       ("open", name, {**attrs, **self.span_attrs(row)}),
+                       *body(row), ("mark",), ("close",)]
+        return events
+
+    def span_attrs(self, row: int) -> dict:
+        level = int(np.searchsorted(self.levels, row, "right")) - 1
+        return self._type.span_attrs(
+            self.first + row + 1, int(self.sizes[row]),
+            None if self.level_k is None else int(self.level_k[level]))
+
+    def level_frames(self, name: str, wave, tail) -> list:
+        """A tracer's events for a per-level engine: each level's span
+        around its waves (a frontier count, then ``wave(row)``), then
+        ``tail(level)`` and the iteration mark."""
+        events, bounds = [], self.level_bounds().tolist()
+        for level, (k, live) in enumerate(zip(self.level_k.tolist(),
+                                              self.level_live.tolist())):
+            events.append(("open", name, self._type.level_attrs(k, live)))
+            for row in range(bounds[level], bounds[level + 1]):
+                events += [("count", "frontier_size", int(self.sizes[row])),
+                           *wave(row)]
+            events += [*tail(level), ("mark",), ("close",)]
+        return events
+
+
+def run_frontier(run, engine, cluster) -> int:
+    """Charge a frontier run chunk by chunk, each chunk's rounds in one
+    ``engine.charge``.
+
+    The run is the recorded one (:class:`_Replay`) or the live program
+    (:class:`_Live`), which runs alone round by round. A chunk is as
+    many consecutive rounds as visit, together, at most the graph's
+    edge count, and at least one round: that bounds the edges a chunk
+    holds and how far a live run gets ahead of a deadline.
     ``frontier_size`` counts every round's active set, so its total is
     the number of vertex activations (for BFS: the vertices reached).
     Returns the rounds run, or the levels on engines that report those.
     """
-    tracer = cluster.tracer
-    rounds = levels = 0
-    for active in program.seeds():
-        levels += 1
-        with engine.level():
-            while active.size:
-                rounds += 1
-                tracer.count("frontier_size", int(active.size))
-                with engine.round_span(rounds, active):
-                    active = engine.round(active)
-                    if not engine.per_level:
-                        cluster.mark_iteration()
-    return levels if engine.reports_levels else rounds
+    for rounds in run.chunks(engine):
+        if rounds.count or rounds.levels.size:
+            engine.charge(rounds)
+    return run.level_count if engine.reports_levels else run.rounds
 
 
 def run_dense(program, engine, cluster) -> int:
@@ -580,75 +654,98 @@ def _empty():
     return np.zeros(0, dtype=np.int64)
 
 
-class _Recording:
-    """A live frontier program that writes its run down as it goes.
+def _bounds(active: list) -> np.ndarray:
+    return np.cumsum([0, *(ids.size for ids in active)], dtype=np.int64)
 
-    Engines drive it exactly as they drive the program (every other
-    attribute is the program's). Per round it keeps the active ids and
-    the step's three ``KernelWork`` counters — not the gather, which
-    would pin every round's edges; per level, the round it starts at
-    and (k_core) its ``k`` and live count.
+
+class _Live:
+    """The live frontier program, run round by round and handed on a
+    chunk at a time; with ``keep`` it writes the run down as it goes.
+
+    Every other attribute is the program's. Per round it keeps the
+    active ids and the edges visited — not the gather, which would pin
+    every round's edges; per level, the round it starts at and (k_core)
+    its ``k`` and live count.
     """
 
-    def __init__(self, program):
-        self._program = program
-        self._levelled = program.algorithm == KCore.algorithm
-        self._active, self._work, self._levels, self._level_attrs = \
+    def __init__(self, program, graph, keep: bool):
+        self._program, self._graph, self._keep = program, graph, keep
+        self._active, self._edges, self._levels, self._level_attrs = \
             [], [], [], []
-        self._gathers = False
+        self.rounds = 0
 
     def __getattr__(self, name):
         return getattr(self._program, name)
 
-    def seeds(self):
-        program = self._program
+    @property
+    def level_count(self) -> int:
+        return len(self._levels)
+
+    def _level_columns(self) -> tuple:
+        if not isinstance(self._program, KCore):
+            return None, None
+        return np.array(self._level_attrs, dtype=np.int64).reshape(-1, 2).T
+
+    def chunks(self, engine):
+        program, limit = self._program, self._graph.num_edges
+        owners = not engine.whole_rounds(program.algorithm, engine.cluster)
+        total, pending = 0.0, ([], [], [], [], [])
+
+        def chunk():
+            active, edges, handed, gathers, rows = pending
+            return Rounds(
+                type(program), self._graph, self.rounds - len(active),
+                np.concatenate(active) if active else _empty(),
+                _bounds(active), np.array(edges), np.array(handed),
+                np.array(self._levels) - (self.rounds - len(active)),
+                *self._level_columns(),
+                None if not engine.reads_edges or None in gathers
+                else gathers, rows if owners else None)
+
         for seed in program.seeds():
-            self._levels.append(len(self._active))
-            if self._levelled:
+            self._levels.append(self.rounds)
+            if isinstance(program, KCore):
                 self._level_attrs.append((program.k, program.live))
-            yield seed
-
-    def round(self, active):
-        following, work = self._program.round(active)
-        self._ran(active, work)
-        return following, work
-
-    def propose(self, active):
-        proposal, improved, work = self._program.propose(active)
-        self._ran(active, work)
-        return proposal, improved, work
-
-    def _ran(self, active, work) -> None:
-        self._active.append(active)
-        self._work.append((work.edges, work.vertices, work.frontier))
-        self._gathers = work.gather is not None
+            active = seed
+            while active.size:
+                if owners:
+                    following, work, row = engine.owner_round(active)
+                else:
+                    (following, work), row = program.round(active), None
+                if pending[0] and total + work.edges > limit:
+                    yield chunk()
+                    total, pending = 0.0, ([], [], [], [], [])
+                for column, value in zip(pending, (
+                        active, work.edges, following.size, work.gather, row)):
+                    column.append(value)
+                total += work.edges
+                self.rounds += 1
+                if self._keep:
+                    self._active.append(active)
+                    self._edges.append(work.edges)
+                active = following
+        yield chunk()
 
     def record(self) -> SimpleNamespace:
         """The run as plain arrays."""
-        k, live = np.array(self._level_attrs, dtype=np.int64).reshape(-1, 2).T
+        k, live = self._level_columns()
         return SimpleNamespace(
             values=self._program.values.copy(),
             active=np.concatenate(self._active) if self._active
-            else _empty(),
-            bounds=np.cumsum([0, *(active.size for active in self._active)],
-                             dtype=np.int64),
-            work=np.array(self._work, dtype=np.float64).reshape(-1, 3),
-            levels=np.array([*self._levels, len(self._active)],
-                            dtype=np.int64),
-            level_k=k.copy() if self._levelled else None,
-            level_live=live.copy() if self._levelled else None,
-            gathers=self._gathers)
+            else _empty(), bounds=_bounds(self._active),
+            edges=np.array(self._edges, dtype=np.float64),
+            levels=np.array([*self._levels, self.rounds], dtype=np.int64),
+            level_k=k, level_live=live)
 
 
 class _Replay:
-    """A recorded frontier run, served to an engine round by round.
+    """A recorded frontier run, handed to the engine in the chunks the
+    live run makes.
 
-    It answers the program's own ``span_attrs``, ``level_attrs`` and
-    ``extras`` from the attributes they read, kept as the live program
-    keeps them (``values``, ``sizes``, ``edges``, and k_core's ``k`` and
-    ``live``). A round's ``KernelWork`` carries the recorded counters
-    and, when the live step made one, a fresh gather of the round's
-    active rows.
+    It answers the program's own ``extras`` from the attributes they
+    read, kept as the live program keeps them (``values``, ``sizes``
+    and ``edges``). A chunk carries no gather: an engine that reads
+    edges gathers the chunk once.
     """
 
     shape = "frontier"
@@ -657,49 +754,30 @@ class _Replay:
         self._type, self._record, self._graph = program_type, record, graph
         self.algorithm, self.span = program_type.algorithm, program_type.span
         self.values = record.values.copy()
-        self._work = record.work.tolist()
-        self.sizes = []
-        self.edges = 0.0
+        sizes, starts = np.diff(record.bounds), record.levels[:-1]
+        self._handed = np.append(sizes[1:], 0)
+        self._handed[record.levels[1:][record.levels[1:] > starts] - 1] = 0
+        self.sizes = self._handed.tolist()
+        self.edges = sum(record.edges.tolist(), 0.0)
+        self.rounds, self.level_count = sizes.size, starts.size
 
-    def _ids(self, index: int):
-        bounds = self._record.bounds
-        return self._record.active[bounds[index]:bounds[index + 1]]
-
-    def seeds(self):
-        record = self._record
-        for level, (first, end) in enumerate(
-                zip(record.levels[:-1].tolist(), record.levels[1:].tolist())):
-            if record.level_k is not None:
-                self.k = int(record.level_k[level])
-                self.live = int(record.level_live[level])
-            self._next, self._end = first, end
-            yield self._ids(first) if first < end else _empty()
-
-    def round(self, active):
-        index = self._next
-        self._next += 1
-        gather = self._graph.neighbors_of_many(active) \
-            if self._record.gathers else None
-        following = self._ids(self._next) if self._next < self._end \
-            else _empty()
-        work = KernelWork(*self._work[index], gather=gather)
-        self.sizes.append(int(following.size))
-        self.edges += work.edges
-        return following, work
-
-    def propose(self, active):
-        following, work = self.round(active)
-        return None, following, work
-
-    def commit(self, proposals):
-        ((_, following),) = proposals
-        return following
-
-    def span_attrs(self, index: int, active) -> dict:
-        return self._type.span_attrs(self, index, active)
-
-    def level_attrs(self) -> dict:
-        return self._type.level_attrs(self)
+    def chunks(self, engine):
+        record, cum = self._record, np.cumsum(self._record.edges)
+        first = 0
+        while True:
+            end = min(self.rounds, max(first + 1, int(np.searchsorted(
+                cum, (cum[first - 1] if first else 0.0)
+                + self._graph.num_edges, "right"))))
+            lo, hi = record.bounds[first], record.bounds[end]
+            yield Rounds(self._type, self._graph, first,
+                         record.active[lo:hi],
+                         record.bounds[first:end + 1] - lo,
+                         record.edges[first:end], self._handed[first:end],
+                         record.levels[:-1] - first, record.level_k,
+                         record.level_live)
+            if end == self.rounds:
+                return
+            first = end
 
     def extras(self) -> dict:
         return self._type.extras(self)
@@ -766,8 +844,8 @@ def run_program(algorithm: str, framework: str, engine_type, graph, cluster,
             else _Swept(program_type, record)
     else:
         program = program_type(graph, **params)
-        if memo is not None and program.shape == "frontier":
-            program = _Recording(program)
+        if program.shape == "frontier":
+            program = _Live(program, graph, keep=memo is not None)
     engine = engine_type(program, graph, cluster, **engine_options)
     iterations = _LOOPS[program.shape](program, engine, cluster)
     if memo is not None and record is None:

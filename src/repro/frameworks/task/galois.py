@@ -16,8 +16,9 @@ Paper characteristics bound here (Sections 3, 5.2, 6.2):
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from ...cluster import Cluster, ComputeWork
 from ..base import GALOIS
@@ -26,13 +27,16 @@ from ..rounds import Engine
 _PROFILE = GALOIS
 
 
+def _work(streamed, random, ops) -> ComputeWork:
+    return ComputeWork(streamed_bytes=streamed, random_bytes=random, ops=ops,
+                       cpu_efficiency=_PROFILE.cpu_efficiency,
+                       cores_fraction=_PROFILE.cores_fraction,
+                       prefetch=_PROFILE.prefetch)
+
+
 def _step(cluster: Cluster, streamed, random, ops) -> None:
-    cluster.superstep(
-        ComputeWork(streamed_bytes=streamed, random_bytes=random, ops=ops,
-                    cpu_efficiency=_PROFILE.cpu_efficiency,
-                    cores_fraction=_PROFILE.cores_fraction,
-                    prefetch=_PROFILE.prefetch),
-        overhead_s=_PROFILE.superstep_overhead_s)
+    cluster.superstep(_work(streamed, random, ops),
+                      overhead_s=_PROFILE.superstep_overhead_s)
 
 
 @dataclass(frozen=True)
@@ -109,35 +113,42 @@ class GaloisEngine(Engine):
                          + 8.0 * (graph.num_vertices + 1))
         cluster.allocate(0, label, per_vertex * graph.num_vertices)
 
-    def _charge(self, edges: float, active: float, changed: float) -> None:
+    def _columns(self, edges, active, changed) -> tuple:
         cost = self.cost
-        _step(self.cluster,
-              streamed=cost.edge_stream * edges + cost.active_stream * active,
-              random=(cost.edge_random * edges
-                      + cost.changed_random * changed
-                      + cost.tally_random * edges),
-              ops=cost.edge_ops * edges + cost.vertex_ops * self._vertices)
+        return (cost.edge_stream * edges + cost.active_stream * active,
+                cost.edge_random * edges + cost.changed_random * changed
+                + cost.tally_random * edges,
+                cost.edge_ops * edges + cost.vertex_ops * self._vertices)
 
-    def round(self, active):
-        changed, work = self.program.round(active)
-        self._charge(work.edges, active.size, changed.size)
-        return changed
-
-    @contextlib.contextmanager
-    def level(self):
-        if not self.per_level:
-            yield
-            return
-        cluster = self.cluster
-        with cluster.trace_span("level", **self.program.level_attrs()):
-            yield
-            _step(cluster,
-                  streamed=self.cost.rescan_vertex_stream * self._vertices,
-                  random=0.0, ops=self._vertices)
-            cluster.mark_iteration()
+    def charge(self, rounds) -> None:
+        """A superstep per round; k_core's levels each add a rescan of
+        the live degrees after their waves and mark the iteration."""
+        columns = self._columns(rounds.edges, rounds.sizes, rounds.handed)
+        tracer, count = self.cluster.tracer, rounds.count
+        marks, trace = np.arange(1, count + 1), None
+        if self.per_level:
+            ends = rounds.level_bounds()[1:]
+            rescans = ends + np.arange(ends.size)
+            marks = rescans + 1
+            columns = np.insert(np.array(columns), ends, [
+                [self.cost.rescan_vertex_stream * self._vertices], [0.0],
+                [self._vertices]], axis=1)
+            if tracer.enabled:
+                waves = np.delete(np.arange(count + ends.size), rescans)
+                trace = rounds.level_frames(
+                    "level", lambda row: [("step", waves[row])],
+                    lambda level: [("step", rescans[level])])
+        elif tracer.enabled:
+            trace = rounds.frames(self.program.span,
+                                  lambda row: [("step", row)])
+        self.cluster.supersteps(
+            _work(*(np.asarray(column)[:, None] for column in columns)),
+            marks=marks, trace=trace,
+            overhead_s=_PROFILE.superstep_overhead_s)
 
     def sweep(self) -> None:
-        self._charge(float(self.graph.num_edges), self._vertices, 0.0)
+        _step(self.cluster, *self._columns(float(self.graph.num_edges),
+                                           self._vertices, 0.0))
 
 
 class GaloisTCEngine(Engine):

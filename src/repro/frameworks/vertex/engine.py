@@ -25,7 +25,7 @@ from ...cluster.cost import CACHE_LINE_BYTES
 from ...errors import SimulationError
 from ...graph import CSRGraph, partition_vertex_cut, partition_vertices_1d
 from ...graph.csr import derived
-from ...kernels.segments import first_occurrence, pair_traffic
+from ...kernels.segments import distinct, first_occurrence, pair_traffic
 from ...observability import NULL_TRACER
 from ..base import FrameworkProfile
 
@@ -158,10 +158,13 @@ class BSPEngine:
                 np.arange(graph.num_vertices)))
         #: Out-edges per owner; ranges are contiguous, so no edge scan.
         self.edges_per_node = np.diff(graph.offsets[self.partition.bounds])
-        if partition_mode == "vertex-cut":
-            self.vertex_cut = partition_vertex_cut(graph, cluster.num_nodes)
-        else:
-            self.vertex_cut = None
+        self.vertex_cut = partition_vertex_cut(graph, cluster.num_nodes) \
+            if partition_mode == "vertex-cut" else None
+        # Vertex-cut engines execute the GAS decomposition; 1d engines a
+        # plain exchange-then-apply phase. Either way the cluster-level
+        # superstep spans nest underneath.
+        self.phase = "exchange-apply" if self.vertex_cut is None \
+            else "gather/apply/scatter"
 
     # -- static structures -------------------------------------------------
 
@@ -196,8 +199,7 @@ class BSPEngine:
 
     def edge_messages(self, senders: np.ndarray, message_bytes,
                       combine: bool = None,
-                      serialization_factor: float = None,
-                      gather=None) -> ExchangeStats:
+                      serialization_factor: float = None) -> ExchangeStats:
         """Messages from ``senders`` along all their out-edges.
 
         ``message_bytes`` is a scalar or a per-sender array (triangle
@@ -205,10 +207,7 @@ class BSPEngine:
         (profile.combines_messages, overridable per call for programs
         that install their own combiner) collapses messages from one
         node to one *target vertex* into a single message — the "local
-        reductions" of Section 6.1.1. ``gather`` is the round's
-        ``graph.neighbors_of_many(senders)`` when the kernel step already
-        made it (``KernelWork.gather``); the edges are gathered here
-        otherwise.
+        reductions" of Section 6.1.1.
         """
         senders = np.asarray(senders, dtype=np.int64)
         nodes = self.cluster.num_nodes
@@ -218,8 +217,7 @@ class BSPEngine:
         per_sender_bytes = np.broadcast_to(
             np.asarray(message_bytes, dtype=np.float64), senders.shape
         )
-        targets, lengths = gather if gather is not None \
-            else self.graph.neighbors_of_many(senders)
+        targets, lengths = self.graph.neighbors_of_many(senders)
         if targets.size == 0:
             return ExchangeStats(0.0, 0.0, np.zeros((nodes, nodes)))
         per_edge_bytes = np.repeat(per_sender_bytes, lengths)
@@ -260,38 +258,124 @@ class BSPEngine:
             tracer.count("payload_bytes", stats.payload_bytes * scale)
         return stats
 
-    def replication_sync_traffic(self, active: np.ndarray,
-                                 value_bytes: float) -> np.ndarray:
-        """Vertex-cut gather/scatter traffic (GraphLab).
+    def round_messages(self, rounds, message_bytes: float) -> tuple:
+        """``(messages, payload_bytes, traffic)`` of every round of a
+        chunk (:class:`~repro.frameworks.rounds.Rounds`): what
+        :meth:`edge_messages` of each round's active ids returns, bit for
+        bit, for a whole-byte scalar ``message_bytes`` (every round
+        program's: Table 1's 4 and 8 bytes). Each per-pair sum is then a
+        count times that size, exact in any order; combining keeps the
+        distinct (round, source node, target vertex) triples. On one node without combining a
+        round's messages are its edges, so nothing is gathered."""
+        nodes, n, count = self.cluster.num_nodes, self.graph.num_vertices, \
+            rounds.count
+        combine = self.profile.combines_messages
+        if nodes == 1 and not combine:
+            counts = rounds.edges.astype(np.int64)
+        else:
+            targets, lengths = rounds.gather()
+            sources = rounds.round_of_edges(lengths)
+            if nodes > 1:
+                sources = sources * nodes + np.repeat(
+                    self.vertex_owner[rounds.active], lengths)
+            if combine:
+                kept = distinct(sources * np.int64(n) + targets,
+                                count * nodes * n)
+                sources, targets = kept // n, kept % n
+            counts = np.bincount(
+                sources if nodes == 1
+                else sources * nodes + self.vertex_owner[targets],
+                minlength=count * nodes * nodes)
+        messages = counts.reshape(count, nodes * nodes).sum(1).astype(
+            np.float64)
+        traffic = counts.reshape(count, nodes, nodes) * message_bytes \
+            * self.profile.message_overhead_factor
+        return messages, messages * message_bytes, traffic
+
+    def replication_sync_traffic(self, active: np.ndarray, value_bytes: float,
+                                 row: np.ndarray = None,
+                                 rows: int = 1) -> np.ndarray:
+        """Vertex-cut gather/scatter traffic (GraphLab), or with ``row``
+        (each active id's round) the ``(rows, P, P)`` stack of each
+        round's.
 
         Each active vertex with m mirrors sends m-1 partial aggregates to
-        its master and receives m-1 state updates back.
+        its master and receives m-1 state updates back. Mirrors are
+        spread across nodes, so each vertex's mirror traffic is modelled
+        as uniformly sourced from non-master nodes: pair ``(i, j)``
+        carries master ``j``'s share (gather partials) plus master
+        ``i``'s (scatter updates).
         """
         if self.vertex_cut is None:
             raise SimulationError("replication sync requires a vertex cut")
         nodes = self.cluster.num_nodes
-        traffic = np.zeros((nodes, nodes))
         active = np.asarray(active, dtype=np.int64)
-        if active.size == 0:
-            return traffic
-        mirrors = self.vertex_cut.mirror_counts[active]
         masters = self.vertex_cut.masters[active]
-        extra = np.maximum(mirrors - 1, 0).astype(np.float64)
-        # Mirrors are spread across nodes; model each vertex's mirror
-        # traffic as uniformly sourced from non-master nodes.
-        per_master = np.bincount(masters, weights=extra * value_bytes,
-                                 minlength=nodes)
+        extra = np.maximum(self.vertex_cut.mirror_counts[active] - 1,
+                           0).astype(np.float64)
+        per_master = np.bincount(
+            masters if row is None else row * nodes + masters,
+            weights=extra * value_bytes, minlength=rows * nodes).reshape(
+                rows, nodes)
+        traffic = np.zeros((rows, nodes, nodes))
         if nodes > 1:
-            for master in range(nodes):
-                share = per_master[master] / (nodes - 1)
-                for other in range(nodes):
-                    if other != master:
-                        traffic[other, master] += share      # gather partials
-                        traffic[master, other] += share      # scatter updates
+            share = per_master / (nodes - 1)
+            traffic = share[:, :, None] + share[:, None, :]
+            traffic[:, np.arange(nodes), np.arange(nodes)] = 0.0
         traffic *= self.profile.message_overhead_factor
-        return traffic
+        return traffic[0] if row is None else traffic
 
     # -- superstep -----------------------------------------------------------
+
+    def buffers(self, volume, splits: int = 1):
+        """Message buffer bytes per node for ``volume`` bytes sent plus
+        received: Giraph keeps the whole (per-split) outgoing volume in
+        memory; streaming frameworks keep a bounded window (64 MB is a
+        physical buffer size, so express it at proxy scale)."""
+        if self.profile.buffers_all_messages:
+            return volume / splits
+        return np.minimum(volume, 64 * 2**20 / self.cluster.scale_factor)
+
+    def work(self, vertices, edges, volume, value_bytes: float,
+             splits: int = 1, ops_per_edge: float = 8.0,
+             ops_per_vertex: float = 16.0,
+             gather_bytes_override: float = None) -> ComputeWork:
+        """The ``ComputeWork`` of one superstep (of one of ``splits``),
+        from per-node columns — or ``(S, P)`` stacks of them — of the
+        vertices computed, edges processed and bytes sent plus
+        received."""
+        profile = self.profile
+        # Per-edge gather granularity: small values pull part of a cold
+        # line (denser state arrays -> more reuse), large vector values
+        # stream after the first line.
+        if gather_bytes_override is not None:
+            gather_bytes = gather_bytes_override
+        elif value_bytes <= CACHE_LINE_BYTES:
+            gather_bytes = min(CACHE_LINE_BYTES, 8.0 * value_bytes)
+        else:
+            gather_bytes = value_bytes
+        ops_per_edge_total = (ops_per_edge + profile.per_message_ops
+                              + profile.per_byte_ops * value_bytes)
+        vertices = vertices / splits
+        edges = edges / splits
+        # Vertex programs materialize a message per edge (write into the
+        # outbox, read at the target) on top of the adjacency scan — the
+        # per-edge cost native code avoids.
+        touched = (8 * edges                   # adjacency scan
+                   + 2 * value_bytes * edges   # msg write + read
+                   + value_bytes * vertices    # state update
+                   + 2 * volume / splits)
+        return ComputeWork(
+            streamed_bytes=touched * profile.message_overhead_factor,
+            # Per-edge gathers of neighbor state land on cold cache lines
+            # about half the time (graph order, not memory order).
+            random_bytes=0.5 * gather_bytes * edges,
+            ops=ops_per_edge_total * edges + ops_per_vertex * vertices,
+            cpu_efficiency=profile.cpu_efficiency,
+            cores_fraction=profile.cores_fraction,
+            prefetch=profile.prefetch,
+            memory_parallelism=profile.cores_fraction,
+        )
 
     def superstep(self, compute_vertices: np.ndarray, edges_processed,
                   stats: ExchangeStats, value_bytes: float,
@@ -319,59 +403,15 @@ class BSPEngine:
         edges_processed = np.asarray(edges_processed, dtype=np.float64)
         if edges_processed.shape != (nodes,):
             edges_processed = np.broadcast_to(edges_processed, (nodes,))
-
-        # Buffering: Giraph keeps the whole (per-split) outgoing volume in
-        # memory; streaming frameworks keep a bounded window.
-        message_bytes_per_node = stats.traffic.sum(axis=1) \
-            + stats.traffic.sum(axis=0)
-        if profile.buffers_all_messages:
-            cluster.allocate_all(label, message_bytes_per_node / splits)
-        else:
-            # Streaming engines keep a bounded window (64 MB is a physical
-            # buffer size, so express it at proxy scale).
-            cluster.allocate_all(label, np.minimum(
-                message_bytes_per_node, 64 * 2**20 / cluster.scale_factor))
+        volume = stats.traffic.sum(axis=1) + stats.traffic.sum(axis=0)
+        cluster.allocate_all(label, self.buffers(volume, splits))
         split_traffic = stats.traffic / splits
-        # Vertex-cut engines execute the GAS decomposition; 1d engines a
-        # plain exchange-then-apply phase. Either way the cluster-level
-        # superstep spans nest underneath.
-        phase = "gather/apply/scatter" if self.vertex_cut is not None \
-            else "exchange-apply"
-        with cluster.tracer.span(phase, splits=splits,
+        with cluster.tracer.span(self.phase, splits=splits,
                                  messages=stats.messages,
                                  payload_bytes=stats.payload_bytes):
-            # Per-edge gather granularity: small values pull part of a
-            # cold line (denser state arrays -> more reuse), large vector
-            # values stream after the first line.
-            if gather_bytes_override is not None:
-                gather_bytes = gather_bytes_override
-            elif value_bytes <= CACHE_LINE_BYTES:
-                gather_bytes = min(CACHE_LINE_BYTES, 8.0 * value_bytes)
-            else:
-                gather_bytes = value_bytes
-            ops_per_edge_total = (ops_per_edge + profile.per_message_ops
-                                  + profile.per_byte_ops * value_bytes)
-            vertices = per_node_vertices / splits
-            edges = edges_processed / splits
-            # Vertex programs materialize a message per edge (write into
-            # the outbox, read at the target) on top of the adjacency
-            # scan — the per-edge cost native code avoids.
-            touched = (8 * edges                   # adjacency scan
-                       + 2 * value_bytes * edges   # msg write + read
-                       + value_bytes * vertices    # state update
-                       + 2 * message_bytes_per_node / splits)
-            work = ComputeWork(
-                streamed_bytes=touched * profile.message_overhead_factor,
-                # Per-edge gathers of neighbor state land on cold cache
-                # lines about half the time (graph order, not memory
-                # order).
-                random_bytes=0.5 * gather_bytes * edges,
-                ops=ops_per_edge_total * edges + ops_per_vertex * vertices,
-                cpu_efficiency=profile.cpu_efficiency,
-                cores_fraction=profile.cores_fraction,
-                prefetch=profile.prefetch,
-                memory_parallelism=profile.cores_fraction,
-            )
+            work = self.work(per_node_vertices, edges_processed, volume,
+                             value_bytes, splits, ops_per_edge,
+                             ops_per_vertex, gather_bytes_override)
             for _ in range(splits):
                 cluster.superstep(
                     work, split_traffic,

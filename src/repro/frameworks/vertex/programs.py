@@ -116,6 +116,9 @@ class VertexEngine(Engine):
     def __init__(self, program, graph, cluster, profile: FrameworkProfile,
                  partition_mode: str = "1d"):
         super().__init__(program, graph, cluster, COSTS[program.algorithm])
+        # See ``BSPEngine.round_messages``.
+        self.reads_edges = profile.combines_messages \
+            or cluster.num_nodes > 1
         self.partition_mode = partition_mode
         self.bsp = BSPEngine(graph, cluster, profile, partition_mode)
         self.bsp.allocate_graph(self.cost.message_bytes)
@@ -126,23 +129,49 @@ class VertexEngine(Engine):
         else:
             self._out_degrees = graph.out_degrees()
 
-    def round(self, active):
-        bsp, message_bytes = self.bsp, self.cost.message_bytes
-        changed, work = self.program.round(active)
-        stats = bsp.edge_messages(active, message_bytes, gather=work.gather)
+    def charge(self, rounds) -> None:
+        """A superstep per round: each round's active ids message all
+        their out-neighbors (on a vertex cut, the wire carries the
+        mirror sync instead)."""
+        bsp, cluster, message_bytes = self.bsp, self.cluster, \
+            self.cost.message_bytes
+        nodes, count, profile = cluster.num_nodes, rounds.count, bsp.profile
+        messages, payload, traffic = bsp.round_messages(rounds, message_bytes)
+        row = rounds.round_of_ids()
         if bsp.vertex_cut is not None:
             # GAS: the wire carries mirror sync, not per-edge messages.
-            local = np.diag(np.diag(stats.traffic))
-            stats.traffic = local + bsp.replication_sync_traffic(
-                active, message_bytes)
-        edges_per_node = np.bincount(
-            bsp.vertex_owner[active],
-            weights=self._out_degrees[active].astype(float),
-            minlength=self.cluster.num_nodes,
-        )
-        bsp.superstep(active, edges_per_node, stats, message_bytes,
-                      ops_per_edge=self.cost.ops_per_edge)
-        return changed
+            traffic = traffic * np.eye(nodes) + bsp.replication_sync_traffic(
+                rounds.active, message_bytes, row, count)
+        owners = row * nodes + bsp.vertex_owner[rounds.active]
+        vertices = np.bincount(owners, minlength=count * nodes).reshape(
+            count, nodes).astype(np.float64)
+        edges = np.bincount(
+            owners, weights=self._out_degrees[rounds.active].astype(float),
+            minlength=count * nodes).reshape(count, nodes)
+        volume = traffic.sum(-1) + traffic.sum(1)
+        trace = None
+        if cluster.tracer.enabled:
+            # Counters report paper scale, like the byte totals do.
+            scale = cluster.scale_factor
+            messages, payload = messages.tolist(), payload.tolist()
+
+            def body(row):
+                counted = [("count", "messages", messages[row] * scale),
+                           ("count", "payload_bytes", payload[row] * scale)] \
+                    if rounds.edges[row] else []
+                return [*counted, ("alloc", row),
+                        ("open", bsp.phase, {"splits": 1,
+                                         "messages": messages[row],
+                                         "payload_bytes": payload[row]}),
+                        ("step", row), ("close",)]
+            trace = rounds.frames(self.program.span, body)
+        cluster.supersteps(
+            bsp.work(vertices, edges, volume, message_bytes,
+                     ops_per_edge=self.cost.ops_per_edge), traffic,
+            overlap=profile.overlaps_communication, layer=profile.comm_layer,
+            overhead_s=profile.superstep_overhead_s,
+            buffers=("message-buffers", bsp.buffers(volume)),
+            marks=np.arange(1, count + 1), trace=trace)
 
     def sweep(self) -> None:
         bsp, message_bytes = self.bsp, self.cost.message_bytes

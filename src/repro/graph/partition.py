@@ -16,6 +16,7 @@ Table 2 and Section 6.1.1 enumerate them:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -178,7 +179,15 @@ class VertexCutPartition:
         return float(self.mirror_counts[present].mean())
 
     def edges_per_part(self) -> np.ndarray:
-        return np.bincount(self.edge_part, minlength=self.num_parts).astype(np.int64)
+        """Edges placed on each part, counted once per placement (which
+        a dense graph keeps for every later cell)."""
+        return self._edge_counts
+
+    @functools.cached_property
+    def _edge_counts(self) -> np.ndarray:
+        counts = np.bincount(self.edge_part, minlength=self.num_parts)
+        counts.flags.writeable = False
+        return counts
 
 
 def partition_vertex_cut(graph: CSRGraph, num_parts: int,

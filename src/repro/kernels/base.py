@@ -36,8 +36,8 @@ class KernelWork:
     #: The adjacency gather ``(targets, lengths)`` of the step's input
     #: vertices, when the step made one (:meth:`CSRGraph.neighbors_of_many`
     #: order): the engine's message accounting reads it instead of
-    #: gathering the same rows again. It lives as long as this record —
-    #: one round — and is never memoised anywhere else.
+    #: gathering the same rows again. It lives until the chunk of rounds
+    #: holding it is charged, and is never memoised anywhere else.
     gather: tuple = field(default=None, compare=False, repr=False)
 
 

@@ -370,7 +370,7 @@ class TestCombBLAS:
         kernel = {"k_core": KCorePeel, "bfs": BFSPush}[algorithm]
         gathered, reported, charged, in_step = [], [], [], []
         gather, step = CSRGraph.neighbors_of_many, kernel.step
-        cost = DistSpMat.spmv_cost
+        cost = DistSpMat.spmspv_costs
 
         def counting_gather(self, vertices):
             neighbors, lengths = gather(self, vertices)
@@ -389,12 +389,12 @@ class TestCombBLAS:
 
         def counting_cost(self, *args, **kwargs):
             flops, traffic = cost(self, *args, **kwargs)
-            charged.append(flops / 2.0)
+            charged.extend((flops / 2.0).tolist())
             return flops, traffic
 
         monkeypatch.setattr(CSRGraph, "neighbors_of_many", counting_gather)
         monkeypatch.setattr(kernel, "step", counting_step)
-        monkeypatch.setattr(DistSpMat, "spmv_cost", counting_cost)
+        monkeypatch.setattr(DistSpMat, "spmspv_costs", counting_cost)
         # A fresh object: the fixture's graph replays its recorded runs.
         graph = CSRGraph(graph_small_undirected.num_vertices,
                          graph_small_undirected.offsets,

@@ -1,13 +1,18 @@
 """Count-based guards of the round-gather contract.
 
-A frontier round touches its edges once on the host: the kernel step
-gathers the active rows and hands that gather to the engine's message
-accounting through ``KernelWork.gather``. These tests count calls, not
-seconds, so they cannot flake: one ``edge_slots`` per ``propose`` (one
-per round on one partition), and for k_core one peel step — hence one
-gather — per cascade wave plus one per level. Each test runs on a fresh
-graph object: a graph that has run a program replays the recorded run
-(``tests/test_round_replay.py``), and these count the live one.
+A frontier round touches its edges once on the host. On a live run the
+kernel step gathers the active rows, and the chunk of rounds an engine
+charges keeps those gathers (``KernelWork.gather``) until it is charged:
+one ``edge_slots`` per ``propose`` (one per round on one partition), and
+for k_core one peel step — hence one gather — per cascade wave plus one
+per level. On a replay a family that reads edges gathers each chunk
+once, and one that reads none (Galois, native at one node, and Giraph at
+one node, whose uncombined messages are its edges) gathers nothing. A
+chunk is as many rounds as visit at most the graph's edge count, so no
+chunk holds more gathered edges than the graph has. These tests count
+calls, not seconds, so they cannot flake. Each runs on a fresh graph
+object: a graph that has run a program replays the recorded run
+(``tests/test_round_replay.py``).
 """
 
 import pytest
@@ -20,6 +25,7 @@ from repro.graph import CSRGraph, csr
 from repro.kernels import propagation, use_backend
 
 FRAMEWORKS = ("giraph", "graphlab", "combblas", "native")
+ALGORITHMS = ("bfs", "wcc", "sssp", "k_core")
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +93,64 @@ def test_k_core_steps_once_per_wave_and_once_per_level(framework, nodes, graph,
     levels = int(result.values.max()) + 1
     assert len(steps) == waves[0] + levels
     assert len(gathers) == len(steps)
+
+
+def reads_edges(framework, nodes, algorithm) -> bool:
+    """Which engines read a chunk's edges when they charge it."""
+    if framework == "native":
+        return algorithm == "k_core" and nodes > 1
+    return framework != "galois" and (framework != "giraph" or nodes > 1)
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """The edges each round visited, of every chunk handed to an engine."""
+    made = []
+
+    class Counted(rounds.Rounds):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self.edges.tolist())
+
+    monkeypatch.setattr(rounds, "Rounds", Counted)
+    return made
+
+
+@pytest.mark.parametrize("nodes", (1, 4))
+@pytest.mark.parametrize("framework", (*FRAMEWORKS, "galois"))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_replayed_chunk_gathers_once(algorithm, framework, nodes, graph,
+                                       gathers, chunks):
+    if framework == "galois" and nodes > 1 \
+            or framework == "native" and nodes > 1 and algorithm != "k_core":
+        pytest.skip("single-node only, or proposed owner by owner (live)")
+    with use_backend("vectorized"):
+        runner(algorithm, "giraph")(graph, Cluster(paper_cluster(nodes),
+                                                   enforce_memory=False))
+        gathers.clear()
+        chunks.clear()
+        runner(algorithm, framework)(graph, Cluster(paper_cluster(nodes),
+                                                    enforce_memory=False))
+    assert chunks
+    expected = len(chunks) if reads_edges(framework, nodes, algorithm) else 0
+    assert len(gathers) == expected
+
+
+@pytest.mark.parametrize("framework", ("graphlab", "native"))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_chunk_holds_at_most_the_graphs_edges(algorithm, framework, graph,
+                                               chunks):
+    with use_backend("vectorized"):
+        for _ in ("live", "replayed"):
+            runner(algorithm, framework)(graph, Cluster(paper_cluster(1),
+                                                        enforce_memory=False))
+    live, replayed = chunks[:len(chunks) // 2], chunks[len(chunks) // 2:]
+    assert live == replayed
+    limit = graph.num_edges
+    for chunk, following in zip(live, live[1:]):
+        # As many rounds as fit: the next chunk's first round does not.
+        assert sum(chunk) + following[0] > limit
+    for chunk in live:
+        assert chunk and sum(chunk) <= limit
+    if algorithm == "k_core":           # the peel visits every edge once
+        assert len(live) == 1 and sum(live[0]) == limit

@@ -370,6 +370,124 @@ def test_edge_messages_equal_the_argsort_body(skewed, nodes, combine,
     assert stats.traffic.flags.writeable
 
 
+def replication_sync_by_loop(engine, active, value_bytes):
+    """The P x P double loop ``BSPEngine.replication_sync_traffic`` ran
+    before its closed form: each master's share onto every other pair."""
+    nodes = engine.cluster.num_nodes
+    traffic = np.zeros((nodes, nodes))
+    if active.size == 0:
+        return traffic
+    cut = engine.vertex_cut
+    extra = np.maximum(cut.mirror_counts[active] - 1, 0).astype(np.float64)
+    per_master = np.bincount(cut.masters[active], weights=extra * value_bytes,
+                             minlength=nodes)
+    if nodes > 1:
+        for master in range(nodes):
+            share = per_master[master] / (nodes - 1)
+            for other in range(nodes):
+                if other != master:
+                    traffic[other, master] += share
+                    traffic[master, other] += share
+    traffic *= engine.profile.message_overhead_factor
+    return traffic
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, 4, 9, 64])
+def test_replication_sync_is_the_double_loop_bitwise(skewed, nodes):
+    from repro.frameworks.base import GRAPHLAB
+
+    engine = BSPEngine(skewed, Cluster(paper_cluster(nodes)), GRAPHLAB,
+                       "vertex-cut")
+    rng = np.random.default_rng(nodes)
+    chosen = [rng.permutation(skewed.num_vertices)[:size]
+              for size in (0, 1, 40, skewed.num_vertices)]
+    for active in chosen:
+        # Irregular, non-integer sizes: a changed fold order would show.
+        value_bytes = 8.0 + rng.random()
+        found = engine.replication_sync_traffic(active, value_bytes)
+        assert found.tobytes() == replication_sync_by_loop(
+            engine, active, value_bytes).tobytes()
+    # A chunk's stack is each round's matrix.
+    active = np.concatenate(chosen)
+    row = np.repeat(np.arange(len(chosen)), [ids.size for ids in chosen])
+    stack = engine.replication_sync_traffic(active, 4.0, row, len(chosen))
+    assert stack.tobytes() == np.array([
+        replication_sync_by_loop(engine, ids, 4.0) for ids in chosen]).tobytes()
+
+
+@pytest.mark.parametrize("nodes", [1, 4])
+@pytest.mark.parametrize("profile", ["giraph", "graphlab"])
+@pytest.mark.parametrize("message_bytes", [4.0, 8.0])
+def test_round_messages_equal_edge_messages_per_round(skewed, nodes, profile,
+                                                      message_bytes):
+    from repro.frameworks import rounds
+    from repro.frameworks.base import GRAPHLAB
+
+    engine = BSPEngine(skewed, Cluster(paper_cluster(nodes)),
+                       {"giraph": GIRAPH, "graphlab": GRAPHLAB}[profile])
+    rng = np.random.default_rng(3)
+    degrees = skewed.out_degrees()
+    chosen = [np.sort(rng.permutation(skewed.num_vertices)[:size])
+              for size in (1, 300, 7, skewed.num_vertices, 50)]
+    bounds = np.cumsum([0, *(ids.size for ids in chosen)])
+    chunk = rounds.Rounds(
+        rounds.BFS, skewed, 0, np.concatenate(chosen), bounds,
+        np.array([float(degrees[ids].sum()) for ids in chosen]),
+        np.zeros(len(chosen), dtype=np.int64), np.zeros(1, dtype=np.int64),
+        None, None)
+    messages, payload, traffic = engine.round_messages(chunk, message_bytes)
+    for row, ids in enumerate(chosen):
+        stats = engine.edge_messages(ids, message_bytes)
+        assert (messages[row], payload[row]) == (stats.messages,
+                                                 stats.payload_bytes)
+        assert traffic[row].tobytes() == stats.traffic.tobytes()
+
+
+def _counting(monkeypatch, owner, name, calls, when=lambda *args: True):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if when(*args):
+            calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("algorithm", ["pagerank", "bfs"])
+def test_per_graph_structure_is_computed_once_per_graph(skewed, algorithm,
+                                                        monkeypatch):
+    """A vertex cut's edge counts and a matrix's block counts are
+    computed by the first cell on a graph and reused by the next."""
+    from repro.frameworks.matrix import spmat
+
+    graph = copy.deepcopy(skewed)
+    cut = partition_vertex_cut(graph, 4)
+    counts, blocks = [], []
+    _counting(monkeypatch, np, "bincount", counts,
+              lambda ids, *_: ids is cut.edge_part)
+    _counting(monkeypatch, spmat, "iter_csr_blocks", blocks)
+    for framework in ("graphlab", "combblas") * 2:
+        assert run(ExperimentSpec(algorithm=algorithm, framework=framework,
+                                  dataset=graph, nodes=4)).ok
+    assert (len(counts), len(blocks)) == (1, 1)
+
+
+def test_a_dense_product_is_costed_once_per_run(skewed, monkeypatch):
+    from repro.frameworks.matrix.spmat import DistSpMat
+    from repro.observability import Tracer
+
+    costed = []
+    _counting(monkeypatch, DistSpMat, "spmv_traffic", costed)
+    tracer = Tracer()
+    result = run(ExperimentSpec(algorithm="pagerank", framework="combblas",
+                                dataset=skewed, nodes=4,
+                                params={"iterations": 6}), trace=tracer)
+    assert result.ok and len(costed) == 1
+    # Every sweep still reports its product to the tracer.
+    assert len(tracer.spans_named("spmv-kernel")) == 6
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_graphs, st.lists(st.integers(0, 11), max_size=20))
 def test_edge_slots_walk_each_row_in_input_order(case, picks):

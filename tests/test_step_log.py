@@ -10,8 +10,13 @@ a check must raise the same error at the same superstep either way.
 
 The reductions the batch uses are pinned too: each ``(S, P)`` or
 ``(S, P, P)`` form must equal the per-row form it replaces, bit for bit.
+So must :meth:`~repro.cluster.Cluster.supersteps`, which takes a chunk of
+S rows (with their buffers, iteration marks and traced spans) in one
+call: it equals the S ``superstep`` calls it stands for, with a tracer,
+a deadline and a fault schedule too.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -19,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import FaultSchedule
+from repro.chaos.recovery import checkpointing
 from repro.cluster import (
     MPI,
     PREFETCH_RANDOM_SPEEDUP,
@@ -28,7 +35,12 @@ from repro.cluster import (
     node_volumes,
     paper_cluster,
 )
-from repro.errors import CapacityError, DeadlineExceeded, SimulationError
+from repro.errors import (
+    CapacityError,
+    DeadlineExceeded,
+    ReproError,
+    SimulationError,
+)
 from repro.observability import NULL_TRACER, Tracer
 
 NODES = (1, 3, 9, 17)
@@ -393,3 +405,200 @@ def test_overflow_of_finite_entries_raises_when_charged():
         outcomes.append(snapshot(cluster))
     assert outcomes[0] == outcomes[1]
     assert len(outcomes[0]["steps"]) == 1
+
+
+# -- many rows in one call equal one call per row ---------------------------
+
+BATCH_NODES = (1, 3, 17, 64)
+BADNESS = ("negative-work", "nan-work", "huge-work", "negative-traffic",
+           "inf-traffic", "nan-overhead")
+
+
+def _chunk(nodes: int, seed: int, rows: int, bad=None, huge=None) -> dict:
+    """``Cluster.supersteps`` arguments for ``rows`` rows, drawn from
+    ``seed``: ``bad`` is ``(row, badness)`` for one poisoned row, ``huge``
+    a row whose buffer cannot fit."""
+    rng = np.random.default_rng(seed)
+    knobs = KNOBS[rng.integers(len(KNOBS))]
+    columns = [_values(rng, (rows, nodes)) % 1e12 for _ in range(3)]
+    traffic = _values(rng, (rows, nodes, nodes)) % 1e10
+    traffic[rng.random((rows, nodes, nodes)) < 0.3] = 0.0
+    sizes = _values(rng, (rows, nodes)) % 1e6
+    args = dict(overlap=bool(rng.random() < 0.5),
+                layer=(MPI, TCP_SOCKETS)[int(rng.random() < 0.2)],
+                overhead_s=float(rng.choice([0.0, 1e-4, 0.9])))
+    if bad is not None:
+        row, badness = bad
+        node = int(rng.integers(nodes))
+        if badness == "negative-work":
+            columns[rng.integers(3)][row, node] = -1.0
+        elif badness == "nan-work":
+            columns[rng.integers(3)][row, node] = np.nan
+        elif badness == "huge-work":
+            columns[0][row, node] = 1e306
+        elif badness == "negative-traffic":
+            traffic[row, node, (node + 1) % nodes] = -5.0
+        elif badness == "inf-traffic":
+            traffic[row, node, (node + 1) % nodes] = np.inf
+        else:
+            args["overhead_s"] = float("nan")
+    if huge is not None:
+        sizes[huge, rng.integers(nodes)] = 1e18
+    args["work"] = ComputeWork(
+        streamed_bytes=columns[0], random_bytes=columns[1], ops=columns[2],
+        cpu_efficiency=knobs[0], cores_fraction=knobs[1], prefetch=knobs[2],
+        memory_parallelism=knobs[3])
+    args["traffic"] = traffic
+    args["buffers"] = ("message-buffers", sizes)
+    args["marks"] = np.sort(rng.integers(0, rows + 1,
+                                         int(rng.integers(0, rows + 1))))
+    return args
+
+
+def _trace(rows: int, marks) -> list:
+    """The tracer events ``one_call_per_row`` opens and counts."""
+    at = np.bincount(marks, minlength=rows + 1)
+    events = []
+    for row in range(rows):
+        events += [("mark",)] * at[row] + [
+            ("count", "rows", 1.0), ("open", "round", {"index": row}),
+            ("alloc", row), ("instant", "taken", {"row": row}),
+            ("step", row), ("close",)]
+    return events + [("mark",)] * at[rows]
+
+
+def one_call_per_row(cluster: Cluster, args: dict) -> None:
+    """What ``cluster.supersteps(**args)`` stands for, row by row."""
+    work, (label, sizes), tracer = args["work"], args["buffers"], \
+        cluster.tracer
+    rows = len(sizes)
+    at = np.bincount(args["marks"], minlength=rows + 1)
+    for row in range(rows):
+        for _ in range(at[row]):
+            cluster.mark_iteration()
+        tracer.count("rows", 1.0)
+        with tracer.span("round", index=row):
+            cluster.allocate_all(label, sizes[row])
+            tracer.instant("taken", row=row)
+            cluster.superstep(
+                dataclasses.replace(work, streamed_bytes=work.streamed_bytes[row],
+                                    random_bytes=work.random_bytes[row],
+                                    ops=work.ops[row]),
+                args["traffic"][row], overlap=args["overlap"],
+                layer=args["layer"], overhead_s=args["overhead_s"])
+    for _ in range(at[rows]):
+        cluster.mark_iteration()
+
+
+def state(cluster: Cluster) -> dict:
+    """The snapshot plus memory, spans, counters and recovery."""
+    tracer = cluster.tracer
+    out = {"memory": [(cluster.memory(node).peak_bytes.hex(),
+                       cluster.memory(node).breakdown())
+                      for node in range(cluster.num_nodes)],
+           "recovery": cluster.recovery_stats().to_dict()}
+    if tracer.enabled:
+        out["spans"] = [[span.name, span.depth, span.node,
+                         _bits(span.start_s), _bits(span.end_s),
+                         _bits(list(span.attrs.items()))]
+                        for span in tracer.spans]
+        out["counters"] = {name: _bits(total) for name, total
+                           in tracer.counters.items() if name != "peak-rss"}
+    with contextlib.suppress(ReproError):
+        out.update(snapshot(cluster))
+    return out
+
+
+def both_ways(make, args: dict, prefix=()) -> list:
+    """``(error, state)`` of the rows taken in one call and one call per
+    row, each on a fresh ``make()`` cluster after the ``prefix`` ops."""
+    outcomes = []
+    for batched in (True, False):
+        cluster = make()
+        play(cluster, prefix)
+        error = None
+        try:
+            if batched:
+                cluster.supersteps(**args, trace=_trace(
+                    len(args["buffers"][1]), args["marks"]))
+            else:
+                one_call_per_row(cluster, args)
+        except ReproError as caught:
+            error = (type(caught).__name__, str(caught),
+                     getattr(caught, "elapsed_s", 0.0).hex())
+        outcomes.append((error, state(cluster)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def _maker(nodes, tracer=False, faults=None, **kwargs):
+    def make():
+        return _cluster(nodes, 2e4, tracer=Tracer() if tracer else None,
+                        faults=None if faults is None
+                        else FaultSchedule.from_spec(faults, seed=3),
+                        recovery=None if faults is None else checkpointing(),
+                        enforce_memory=True, **kwargs)
+    return make
+
+
+@settings(max_examples=40, deadline=None)
+@given(nodes=st.sampled_from(BATCH_NODES), seed=st.integers(0, 2**31 - 1),
+       rows=st.integers(0, 40), prefix=programs, tracer=st.booleans())
+def test_one_call_equals_a_call_per_row(nodes, seed, rows, prefix, tracer):
+    error, _ = both_ways(_maker(nodes, tracer), _chunk(nodes, seed, rows),
+                         prefix)
+    assert error is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(nodes=st.sampled_from(BATCH_NODES), seed=st.integers(0, 2**31 - 1),
+       rows=st.integers(1, 30), fraction=st.floats(0.05, 0.95),
+       tracer=st.booleans())
+def test_a_deadline_raises_at_the_same_row(nodes, seed, rows, fraction,
+                                           tracer):
+    args = _chunk(nodes, seed, rows)
+    free = _cluster(nodes, 2e4)
+    free.supersteps(**args)
+    error, _ = both_ways(_maker(nodes, tracer,
+                                deadline_s=fraction * free.elapsed_s), args)
+    assert error[0] == "DeadlineExceeded"
+
+
+@settings(max_examples=40, deadline=None)
+@given(nodes=st.sampled_from(BATCH_NODES), seed=st.integers(0, 2**31 - 1),
+       rows=st.integers(1, 30), where=st.integers(0, 29),
+       badness=st.sampled_from(BADNESS), tracer=st.booleans())
+def test_a_bad_row_raises_at_the_same_superstep(nodes, seed, rows, where,
+                                                badness, tracer):
+    if badness == "inf-traffic" and nodes == 1:
+        badness = "huge-work"       # the diagonal never reaches the wire
+    bad = where % rows
+    error, after = both_ways(_maker(nodes, tracer),
+                             _chunk(nodes, seed, rows, (bad, badness)))
+    assert error[0] == "SimulationError"
+    if badness != "nan-overhead":
+        assert len(after["steps"]) == bad
+
+
+@settings(max_examples=30, deadline=None)
+@given(nodes=st.sampled_from(BATCH_NODES), seed=st.integers(0, 2**31 - 1),
+       rows=st.integers(1, 30), where=st.integers(0, 29),
+       tracer=st.booleans())
+def test_an_oversized_buffer_raises_the_same_capacity_error(
+        nodes, seed, rows, where, tracer):
+    huge = where % rows
+    error, after = both_ways(_maker(nodes, tracer),
+                             _chunk(nodes, seed, rows, huge=huge))
+    assert error[0] == "CapacityError"
+    assert len(after["steps"]) == huge
+
+
+@settings(max_examples=20, deadline=None)
+@given(nodes=st.sampled_from((3, 17)), seed=st.integers(0, 2**31 - 1),
+       rows=st.integers(1, 30), tracer=st.booleans(),
+       faults=st.sampled_from([
+           "straggler(node=1, factor=3)", "latency(factor=2, at=2:)",
+           "drop(p=0.2)", "crash(node=2, superstep=3)"]))
+def test_a_fault_schedule_sees_the_same_rows(nodes, seed, rows, tracer,
+                                             faults):
+    both_ways(_maker(nodes, tracer, faults), _chunk(nodes, seed, rows))
