@@ -265,11 +265,14 @@ class Cluster:
         tail = self._tail(work, layer, overlap, overhead_s)
         parts = counters if traffic is None \
             else [*counters, traffic.reshape(count, nodes * nodes)]
-        # The rows :meth:`superstep` would charge as soon as they come.
-        suspect = ~((np.minimum.reduce([part.min(1) for part in parts]) >= 0)
-                    & (np.maximum.reduce([part.max(1) for part in parts])
-                       * self.scale_factor < math.inf)
-                    & (overhead_s < math.inf))
+        # The rows :meth:`superstep` would charge as soon as they come
+        # (a row whose scaled maximum overflows is one of them).
+        with np.errstate(over="ignore"):
+            suspect = ~(
+                (np.minimum.reduce([part.min(1) for part in parts]) >= 0)
+                & (np.maximum.reduce([part.max(1) for part in parts])
+                   * self.scale_factor < math.inf)
+                & (overhead_s < math.inf))
         row = 0
         while row < count:
             end = min(count, row + len(self._rows) - len(self._knobs))

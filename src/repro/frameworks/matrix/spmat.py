@@ -232,20 +232,19 @@ class DistSpMat:
         ascending), as ``(S,)`` and ``(S, P, P)`` stacks: each round's
         :meth:`spmv_cost`, bit for bit (entry counts are integers, so
         with a whole ``value_bytes`` every sum is exact in any order),
-        without the tracer."""
-        g, n, count = self.grid.grid, self.graph.num_vertices, rounds.count
-        targets, lengths = rounds.gather()
+        without the tracer. The y counts are the chunk's target census
+        (:meth:`~repro.frameworks.rounds.Rounds.census`) at this grid's
+        bands, and the flops its rows' degrees, so a chunk whose census
+        the graph holds gathers nothing."""
+        g, count = self.grid.grid, rounds.count
         row = rounds.round_of_ids()
         x_bands = np.bincount(row * g + self.band[rounds.active],
                               minlength=count * g)
-        present = distinct(rounds.round_of_edges(lengths) * np.int64(n)
-                           + targets, count * n)
-        y_bands = np.bincount(present // n * g + self.band[present % n],
-                              minlength=count * g)
-        flops = 2.0 * np.bincount(row, weights=lengths, minlength=count)
+        flops = 2.0 * np.bincount(row, weights=self._degrees[rounds.active],
+                                  minlength=count)
         return flops, self.spmv_traffic(
             x_bands.reshape(count, g).astype(np.float64),
-            y_bands.reshape(count, g).astype(np.float64), value_bytes)
+            rounds.census(self.bounds).astype(np.float64), value_bytes)
 
     def spmv(self, x: np.ndarray, semiring: Semiring = PLUS_TIMES,
              edge_values: np.ndarray = None, sparse_x: bool = False,

@@ -48,7 +48,7 @@ from ..algorithms.bfs import UNREACHED
 from ..algorithms.labelprop import initial_labels
 from ..algorithms.triangles import require_oriented
 from ..errors import SpecError
-from ..graph.csr import CSRGraph, derived, held
+from ..graph.csr import CSRGraph, derived, held, held_keys
 from ..kernels import registry as kernel_registry
 from ..kernels.backend import active_backend
 from ..kernels.segments import distinct, stable_order
@@ -543,13 +543,15 @@ class Rounds:
     count in ``level_k`` / ``level_live``); only per-level engines read
     them, and only for k_core, whose whole peel visits every edge once
     and so is one chunk. ``rows`` are an engine's own per-round charges
-    when it proposes rounds owner by owner.
+    when it proposes rounds owner by owner. ``key`` is the recorded
+    run's (:func:`run_program`) on a replay, else None.
     """
 
     def __init__(self, program_type, graph, first, active, bounds, edges,
                  handed, levels, level_k, level_live, gathers=None,
-                 rows=None):
+                 rows=None, key=None):
         self._type, self.graph, self.first = program_type, graph, first
+        self.key = key
         self.active, self.bounds, self.edges = active, bounds, edges
         self.handed, self.levels = handed, levels
         self.level_k, self.level_live = level_k, level_live
@@ -567,6 +569,36 @@ class Rounds:
             return self._gathers[0]
         targets, lengths = zip(*self._gathers)
         return np.concatenate(targets), np.concatenate(lengths)
+
+    def census(self, cuts) -> np.ndarray:
+        """``(count, len(cuts) - 1)``: the distinct targets of each
+        round's out-edges in each band between consecutive ``cuts``
+        (ascending, 0 to the vertex count) — an SpMSpV's y entries per
+        band, or with one band a combining vertex program's messages on
+        one node. A replay counts it once per chunk and cut set and
+        holds it with the graph (:func:`derived`); a request whose cuts
+        are among a held entry's sums that entry's bands. A live run
+        holds none, so one that raises leaves none."""
+        cuts = tuple(int(cut) for cut in cuts)
+        if self.key is None:
+            return np.diff(self._below(cuts), axis=1)
+        base = ("census", self.key, self.first)
+        at = next((key[3] for key in held_keys(self.graph)
+                   if key[:3] == base and set(cuts) <= set(key[3])), cuts)
+        below = derived(self.graph, (*base, at), lambda: self._below(at))
+        return np.diff(below[:, np.searchsorted(at, cuts)], axis=1)
+
+    def _below(self, cuts: tuple) -> np.ndarray:
+        """How many distinct targets each round has below each cut."""
+        targets, lengths = self.gather()
+        n, width = self.graph.num_vertices, len(cuts)
+        present = distinct(self.round_of_edges(lengths) * np.int64(n)
+                           + targets, self.count * n)
+        return np.bincount(
+            present // n * width + np.searchsorted(cuts, present % n,
+                                                   "right"),
+            minlength=self.count * width).reshape(
+                self.count, width).cumsum(1)
 
     def round_of_ids(self) -> np.ndarray:
         return np.repeat(np.arange(self.count), self.sizes)
@@ -750,8 +782,9 @@ class _Replay:
 
     shape = "frontier"
 
-    def __init__(self, program_type, record, graph):
+    def __init__(self, program_type, record, graph, key):
         self._type, self._record, self._graph = program_type, record, graph
+        self._key = key
         self.algorithm, self.span = program_type.algorithm, program_type.span
         self.values = record.values.copy()
         sizes, starts = np.diff(record.bounds), record.levels[:-1]
@@ -774,7 +807,7 @@ class _Replay:
                          record.bounds[first:end + 1] - lo,
                          record.edges[first:end], self._handed[first:end],
                          record.levels[:-1] - first, record.level_k,
-                         record.level_live)
+                         record.level_live, key=self._key)
             if end == self.rounds:
                 return
             first = end
@@ -839,7 +872,7 @@ def run_program(algorithm: str, framework: str, engine_type, graph, cluster,
         memo = _trajectory_key(algorithm, params)
         record = held(graph, memo)
     if record is not None:
-        program = _Replay(program_type, record, graph) \
+        program = _Replay(program_type, record, graph, memo) \
             if program_type.shape == "frontier" \
             else _Swept(program_type, record)
     else:

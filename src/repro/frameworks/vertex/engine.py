@@ -265,27 +265,26 @@ class BSPEngine:
         bit, for a whole-byte scalar ``message_bytes`` (every round
         program's: Table 1's 4 and 8 bytes). Each per-pair sum is then a
         count times that size, exact in any order; combining keeps the
-        distinct (round, source node, target vertex) triples. On one node without combining a
-        round's messages are its edges, so nothing is gathered."""
+        distinct (round, source node, target vertex) triples. On one node
+        a round's messages are its edges, or combined its distinct
+        targets: the chunk's one-band census
+        (:meth:`~repro.frameworks.rounds.Rounds.census`)."""
         nodes, n, count = self.cluster.num_nodes, self.graph.num_vertices, \
             rounds.count
         combine = self.profile.combines_messages
-        if nodes == 1 and not combine:
-            counts = rounds.edges.astype(np.int64)
+        if nodes == 1:
+            counts = rounds.census((0, n)) if combine \
+                else rounds.edges.astype(np.int64)
         else:
             targets, lengths = rounds.gather()
-            sources = rounds.round_of_edges(lengths)
-            if nodes > 1:
-                sources = sources * nodes + np.repeat(
-                    self.vertex_owner[rounds.active], lengths)
+            sources = rounds.round_of_edges(lengths) * nodes + np.repeat(
+                self.vertex_owner[rounds.active], lengths)
             if combine:
                 kept = distinct(sources * np.int64(n) + targets,
                                 count * nodes * n)
                 sources, targets = kept // n, kept % n
-            counts = np.bincount(
-                sources if nodes == 1
-                else sources * nodes + self.vertex_owner[targets],
-                minlength=count * nodes * nodes)
+            counts = np.bincount(sources * nodes + self.vertex_owner[targets],
+                                 minlength=count * nodes * nodes)
         messages = counts.reshape(count, nodes * nodes).sum(1).astype(
             np.float64)
         traffic = counts.reshape(count, nodes, nodes) * message_bytes \

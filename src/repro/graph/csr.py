@@ -111,6 +111,11 @@ def held(graph, key):
     return graph._derived.get(key) if isinstance(graph, CSRGraph) else None
 
 
+def held_keys(graph) -> tuple:
+    """The keys :func:`derived` holds values for on ``graph``."""
+    return tuple(graph._derived) if isinstance(graph, CSRGraph) else ()
+
+
 class CSRGraph:
     """Immutable directed graph in CSR form.
 

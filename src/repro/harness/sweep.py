@@ -626,8 +626,7 @@ class Sweep:
                                      self.memory_limit_mb is not None)
         stats = SupervisorStats()
         pool = self.pool if self.pool is not None else SupervisorPool(
-            jobs, supervise=self.supervisor_policy(),
-            tracer=self.tracer).start()
+            jobs, supervise=self.supervisor_policy(), tracer=self.tracer)
         signals = []                  # drain signals the handlers caught
 
         def _drain(signum, _frame):
@@ -643,6 +642,9 @@ class Sweep:
                     traced=self.tracer.enabled, plan=self.real_chaos,
                     wall_deadline_s=self.wall_deadline_s,
                     tracer=self.tracer, stats=stats))
+            # An owned pool starts with every cell queued, so its first
+            # dispatch sees every group.
+            pool.start()
             for position, ticket in enumerate(tickets):
                 while True:
                     signum = signals[0] if signals \

@@ -564,6 +564,7 @@ def test_a_deadline_raises_at_the_same_row(nodes, seed, rows, fraction,
     assert error[0] == "DeadlineExceeded"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(nodes=st.sampled_from(BATCH_NODES), seed=st.integers(0, 2**31 - 1),
        rows=st.integers(1, 30), where=st.integers(0, 29),

@@ -463,3 +463,91 @@ class TestSupervisorPoolReuse:
 def _stalling_sleep_executor(key, budget_s=None):
     time.sleep(3600)
     return {"x": 0}
+
+
+def _sleeping_pid_executor(key, budget_s=None):
+    at = time.monotonic()
+    time.sleep(0.02)
+    return {"pid": os.getpid(), "at": at}
+
+
+def _groups(g, c):
+    """``g`` groups of ``c`` cells; a group is a key without framework."""
+    return [{"group": group, "framework": f"f{cell}"}
+            for group in range(g) for cell in range(c)]
+
+
+class TestGroupAffinity:
+    """An idle worker takes the oldest task of a group it holds, else of
+    a group no worker holds (and then holds it), else the oldest."""
+
+    def test_a_burst_splits_at_most_jobs_minus_one_groups(self):
+        result = Sweep("s", jobs=2).run(_groups(6, 4),
+                                        _sleeping_pid_executor)
+        ran_on = {}
+        for record in result:
+            ran_on.setdefault(record.key["group"], set()).add(
+                record.value["pid"])
+        assert len({pid for pids in ran_on.values() for pid in pids}) == 2
+        assert sum(len(pids) > 1 for pids in ran_on.values()) <= 2 - 1
+
+    def test_no_worker_idles_while_a_task_is_queued(self):
+        # One group: the worker that does not hold it steals.
+        result = Sweep("s", jobs=2).run(_groups(1, 4), _stalling_pid)
+        assert len({record.value["pid"] for record in result}) == 2
+
+    def test_a_restarted_worker_holds_no_groups(self):
+        from repro.harness import CellPolicy, SupervisorPool
+
+        pool = SupervisorPool(jobs=2)
+        started = []
+        start_worker = pool._start_worker
+
+        def recording():
+            worker = start_worker()
+            started.append((worker.name, set(worker.groups)))
+            return worker
+
+        pool._start_worker = recording
+        plan = RealFaultPlan.from_spec("kill(cell=0)")
+        tickets = [pool.submit(key, str(index), _pid_executor, CellPolicy(),
+                               index=index, plan=plan)
+                   for index, key in enumerate(_groups(2, 3))]
+        pool.start()
+        try:
+            cells = [ticket.wait(timeout=30.0) for ticket in tickets]
+            assert all(cell.record.ok for cell in cells)
+            assert pool.stats.restarts == 1 and len(started) == 3
+            assert started[-1] == ("sweep-worker-3", set())
+            # Held groups live only as long as their work does.
+            deadline = time.monotonic() + 10.0
+            while any(worker.groups for worker in pool._workers) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(worker.groups for worker in pool._workers)
+        finally:
+            pool.close()
+
+    def test_one_at_a_time_submissions_run_in_fifo_order(self):
+        from repro.harness import CellPolicy, SupervisorPool
+
+        pool = SupervisorPool(jobs=1).start()
+        try:
+            # As the daemon submits: each cell on its own, here while
+            # the worker is busy, so they queue behind one another.
+            blocker = pool.submit({"group": "busy", "framework": "f"},
+                                  "busy", _stalling_pid, CellPolicy())
+            tickets = [pool.submit({"group": i, "framework": "f"}, str(i),
+                                   _sleeping_pid_executor, CellPolicy())
+                       for i in range(6)]
+            starts = [ticket.wait(timeout=30.0).record.value["at"]
+                      for ticket in tickets]
+            assert blocker.wait(timeout=30.0).record.ok
+        finally:
+            pool.close()
+        assert starts == sorted(starts)
+
+
+def _stalling_pid(key, budget_s=None):
+    time.sleep(0.3)
+    return {"pid": os.getpid()}
