@@ -268,11 +268,10 @@ class Cluster:
         # The rows :meth:`superstep` would charge as soon as they come
         # (a row whose scaled maximum overflows is one of them).
         with np.errstate(over="ignore"):
-            suspect = ~(
-                (np.minimum.reduce([part.min(1) for part in parts]) >= 0)
-                & (np.maximum.reduce([part.max(1) for part in parts])
-                   * self.scale_factor < math.inf)
-                & (overhead_s < math.inf))
+            suspect = ~((np.minimum.reduce([part.min(1) for part in parts]) >= 0)
+                        & (np.maximum.reduce([part.max(1) for part in parts])
+                           * self.scale_factor < math.inf)
+                        & (overhead_s < math.inf))
         row = 0
         while row < count:
             end = min(count, row + len(self._rows) - len(self._knobs))

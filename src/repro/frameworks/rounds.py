@@ -571,21 +571,19 @@ class Rounds:
         return np.concatenate(targets), np.concatenate(lengths)
 
     def census(self, cuts) -> np.ndarray:
-        """``(count, len(cuts) - 1)``: the distinct targets of each
-        round's out-edges in each band between consecutive ``cuts``
-        (ascending, 0 to the vertex count) — an SpMSpV's y entries per
-        band, or with one band a combining vertex program's messages on
-        one node. A replay counts it once per chunk and cut set and
-        holds it with the graph (:func:`derived`); a request whose cuts
-        are among a held entry's sums that entry's bands. A live run
-        holds none, so one that raises leaves none."""
+        """``(count, len(cuts) - 1)``: each round's distinct out-edge
+        targets in each band between consecutive ``cuts`` (ascending, 0
+        to the vertex count): an SpMSpV's y entries per band, or with one
+        band a combining vertex program's messages on one node. A replay
+        holds it with the graph (:func:`derived`) per chunk and cut set,
+        and a request whose cuts are among a held entry's sums its
+        bands; a live run holds none, so one that raises leaves none."""
         cuts = tuple(int(cut) for cut in cuts)
-        if self.key is None:
-            return np.diff(self._below(cuts), axis=1)
         base = ("census", self.key, self.first)
         at = next((key[3] for key in held_keys(self.graph)
                    if key[:3] == base and set(cuts) <= set(key[3])), cuts)
-        below = derived(self.graph, (*base, at), lambda: self._below(at))
+        below = self._below(at) if self.key is None \
+            else derived(self.graph, (*base, at), lambda: self._below(at))
         return np.diff(below[:, np.searchsorted(at, cuts)], axis=1)
 
     def _below(self, cuts: tuple) -> np.ndarray:

@@ -1,60 +1,79 @@
 """Supervised worker pool: parallel sweeps that survive real faults.
 
-A bare ``multiprocessing.Pool`` defends against nothing long sweeps
-meet: a worker that segfaults or is OOM-killed stalls ``imap`` forever,
-a cell that spins wedges the run, a poison cell is re-dispatched until
-the machine gives up. Ammar & Özsu's eight-system study reports jobs
-that *fail or never return* as the dominant result at scale. A
-parent-side **supervisor** thread drives long-lived workers over
-per-worker pipes:
+The PR-5 executor fanned cells over a bare ``multiprocessing.Pool``,
+which defends against nothing the real world does to long sweeps: a
+worker that segfaults or is OOM-killed stalls ``imap`` forever, a cell
+that spins past any reasonable wall time wedges the whole run, and a
+poison cell would be re-dispatched until the machine gives up. Ammar &
+Özsu's eight-system study reports exactly this failure class — jobs
+that *fail or never return* — as the dominant result at scale, and the
+PR-3 DNF taxonomy exists to record it honestly. This module closes the
+gap with a parent-side **supervisor** driving long-lived workers over
+explicit per-worker pipes:
 
-* **Death detection + restart.** It waits on each worker's result pipe
-  *and* its process sentinel, so a dead worker (any exit code or
-  signal) is noticed at once, its in-flight cell re-queued first and a
-  replacement started.
+* **Death detection + restart.** The supervisor waits on each worker's
+  result pipe *and* its process sentinel
+  (``multiprocessing.connection.wait``), so a dead worker — any exit
+  code, any signal — is noticed immediately, its in-flight cell is
+  re-dispatched, and a replacement worker is started.
 * **Poison-cell quarantine.** A cell that kills its worker
-  ``max_crashes`` times records the DNF status ``crashed``.
-* **Wall-clock deadlines.** ``wall_deadline_s`` bounds a cell in *real*
-  seconds (not the simulated ``deadline_s``); the hung worker is
-  SIGKILLed and the cell records ``timeout`` with ``wall_clock=true``.
-* **Memory caps.** ``memory_limit_bytes`` caps a worker's address space
-  (``RLIMIT_AS``, as headroom above its footprint at fork), so a real
-  blow-up raises ``MemoryError``: the ``out-of-memory`` status.
-* **Graceful drain.** SIGINT/SIGTERM (caught by the sweep) stop the
-  wait, flush the merged prefix and raise
-  :class:`~repro.errors.SweepInterrupted` (exit 8), so ``--resume``
-  continues byte-identically.
+  ``max_crashes`` times is quarantined with the typed DNF status
+  ``crashed`` (exit signal/code recorded) instead of crash-looping the
+  pool.
+* **Wall-clock deadlines.** ``wall_deadline_s`` bounds each cell in
+  *real* seconds — distinct from the PR-3 simulated-clock
+  ``deadline_s`` — after which the hung worker is SIGKILLed and the
+  cell records DNF ``timeout`` with ``wall_clock=true``.
+* **Memory caps.** ``memory_limit_bytes`` caps each worker's address
+  space (``RLIMIT_AS``, as headroom above the interpreter's footprint
+  at fork), so a real allocation blow-up raises ``MemoryError`` — the
+  ``out-of-memory`` DNF status — instead of invoking the OOM killer.
+* **Graceful drain.** SIGINT/SIGTERM (caught by the sweep driving the
+  pool) stop dispatch, flush the merged prefix to the journal, leave
+  in-flight cells pending and raise
+  :class:`~repro.errors.SweepInterrupted` (CLI exit code 8), so
+  ``--resume`` continues byte-identically.
 
-**Dispatch keeps a group on one worker.** A cell's *group* is its key
-without ``framework``: what its dataset and recorded run depend on —
-(algorithm, dataset) for Table 5, (algorithm, nodes) for Table 6. An
-idle worker takes the oldest queued task of a group it holds; else the
-oldest of a group no worker holds, and then holds that group; else the
-oldest task (a steal), so no worker idles while anything is queued. A
-worker holds a group only while the group has a task queued or in
-flight, and a worker that dies takes its groups with it. So each
-worker builds a dataset's derived structures and records its run once,
-and the steals at a burst's end split at most ``jobs - 1`` groups.
-The daemon submits one cell at a time, so its dispatch stays FIFO.
+The pool is a **long-lived object**: :class:`SupervisorPool` owns the
+workers and a supervision thread, and each *task* ships its own
+executor, cell policy, wall deadline, tracer and chaos plan over the
+pipe. That makes the pool generic — the ``repro serve`` daemon keeps
+one warm pool across requests, and repeated
+:class:`~repro.harness.sweep.Sweep` runs in one process reuse workers
+instead of paying fork + import per sweep. The lifecycle is explicit:
+``start()`` → ``submit()`` (returns a :class:`Ticket`) →
+``Ticket.wait()`` → ``close()``; a ``submit()`` before ``start()``
+only queues. The pool has two drivers and no layer between them and
+it: ``Sweep`` submits its pending cells (then starts a pool it owns),
+waits on the tickets in enumeration order and owns the drain signals;
+the daemon submits one cell per request and hops each ticket onto its
+event loop.
 
-The pool is **long-lived and generic**: each *task* ships its own
-executor, cell policy, wall deadline, tracer and chaos plan, so the
-``repro serve`` daemon keeps one warm pool across requests. Lifecycle:
-``submit()`` (returns a :class:`Ticket`; before ``start()`` it only
-queues) → ``start()`` → ``Ticket.wait()`` → ``close()``. ``Sweep``
-submits its pending cells, starts a pool it owns, waits on the tickets
-in enumeration order and owns the drain signals; the daemon submits one
-cell per request and hops each ticket onto its event loop.
+Dispatch is first in, first out, but the tasks queued before
+``start()`` keep a *group* (a cell's key without ``framework``: what
+its dataset and recorded run depend on) on one worker. An idle worker
+takes the oldest such task of a group it holds, else of a group no
+worker holds (and then holds it), else the oldest task. A worker holds
+a group while it has a task queued or in flight, and not after dying.
+So at most ``jobs - 1`` of an owned pool's groups split; the daemon's
+and a shared pool's tasks come after ``start()`` and run in order.
 
-Workers run the exact :func:`~repro.harness.sweep.execute_cell`
-semantics, the parent is the sole journal writer and merges in
-**enumeration order** (a ``jobs=N`` journal is byte-identical to a
-serial one), and worker spans graft under the parent's sweep span.
-Supervisor events (``worker-restart``, ``wall-timeout``,
-``poison-quarantine``, ``drain``) are parent-side tracer instants; no
-fault bookkeeping reaches the journal. A clean close sends each worker
-the sentinel task and joins it; ``terminate()`` is for the error and
-drain path.
+Every PR-5 durability guarantee is preserved: workers run the exact
+:func:`~repro.harness.sweep.execute_cell` semantics, the parent remains
+the sole journal writer, results merge in **enumeration order** (so a
+``jobs=N`` journal is byte-identical to a serial one), and worker
+tracer spans graft under the parent's sweep span. Supervisor events —
+``worker-restart``, ``wall-timeout``, ``poison-quarantine``, ``drain``
+— are parent-side tracer instants, and none of the fault bookkeeping
+(worker names, crash counts for cells that eventually complete) leaks
+into the journal: a cell that survives a worker kill journals the same
+bytes a clean run writes — and so does a cell that ran on a reused
+warm worker instead of a fresh one.
+
+Shutdown semantics (the old pool got this wrong): on the clean path
+workers are asked to exit (sentinel task), then joined — the
+``close()``/``join()`` idiom; ``terminate()`` is reserved for the
+error/drain path.
 """
 
 from __future__ import annotations
@@ -384,10 +403,7 @@ class _Task:
         self.ticket = ticket
         self.index = ticket.index
         self.key = ticket.key
-        # What the cell's dataset and recorded run depend on: its key
-        # without the framework.
-        self.group = cell_id({name: value for name, value in self.key.items()
-                              if name != "framework"})
+        self.group = None             # set if queued before start()
         self.crashes = 0
         self.execute = execute
         self.policy = policy
@@ -461,9 +477,8 @@ class SupervisorPool:
     up to ``jobs``, as tasks arrive); ``submit()`` enqueues one cell and
     returns a :class:`Ticket` whose ``wait()`` blocks until that cell
     settled; ``close()`` shuts the pool down — cleanly (sentinel +
-    join) by default, ``force=True`` terminates. Dispatch keeps each
-    group of cells on the worker that holds it, for as long as the group
-    has work queued or in flight (the module docstring).
+    join) by default, ``force=True`` terminates. Dispatch: the module
+    docstring.
 
     All supervision — dispatch, death detection, restart, poison
     quarantine, wall-deadline kills — happens on one internal thread,
@@ -534,6 +549,10 @@ class SupervisorPool:
                     f"closure); run with jobs=1: {error}") from error
             raise
         with self._lock:
+            if not self._started:
+                task.group = cell_id({name: value
+                                      for name, value in key.items()
+                                      if name != "framework"})
             self._queue.append(task)
         self._wake()
         return ticket
@@ -634,16 +653,18 @@ class SupervisorPool:
             if worker.inflight is not None}
         for worker in self._workers:
             worker.groups &= live
-        for worker in self._workers:
             if worker.inflight is not None or not self._queue:
                 continue
-            held = set().union(*(other.groups for other in self._workers))
-            task = next((task for task in self._queue
-                         if task.group in worker.groups), None) \
-                or next((task for task in self._queue
-                         if task.group not in held), self._queue[0])
-            if task.group not in held:
-                worker.groups.add(task.group)
+            task = self._queue[0]
+            if task.group is not None:
+                held = {None}.union(*(other.groups
+                                      for other in self._workers))
+                task = next((task for task in self._queue
+                             if task.group in worker.groups), None) \
+                    or next((task for task in self._queue
+                             if task.group not in held), task)
+                if task.group not in held:
+                    worker.groups.add(task.group)
             self._queue.remove(task)
             worker.dispatch(task)
 

@@ -642,8 +642,8 @@ class Sweep:
                     traced=self.tracer.enabled, plan=self.real_chaos,
                     wall_deadline_s=self.wall_deadline_s,
                     tracer=self.tracer, stats=stats))
-            # An owned pool starts with every cell queued, so its first
-            # dispatch sees every group.
+            # An owned pool starts with every cell queued, so it keeps
+            # each group on one worker; a shared pool runs them in order.
             pool.start()
             for position, ticket in enumerate(tickets):
                 while True:

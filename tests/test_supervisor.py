@@ -533,18 +533,34 @@ class TestGroupAffinity:
 
         pool = SupervisorPool(jobs=1).start()
         try:
-            # As the daemon submits: each cell on its own, here while
-            # the worker is busy, so they queue behind one another.
-            blocker = pool.submit({"group": "busy", "framework": "f"},
+            # As the daemon submits: each cell on its own, while the
+            # worker runs a cell of group 0, so they queue behind it.
+            # Half share its group; none may overtake an older one.
+            blocker = pool.submit({"group": 0, "framework": "busy"},
                                   "busy", _stalling_pid, CellPolicy())
-            tickets = [pool.submit({"group": i, "framework": "f"}, str(i),
-                                   _sleeping_pid_executor, CellPolicy())
+            tickets = [pool.submit({"group": i % 2, "framework": f"f{i}"},
+                                   str(i), _sleeping_pid_executor,
+                                   CellPolicy())
                        for i in range(6)]
             starts = [ticket.wait(timeout=30.0).record.value["at"]
                       for ticket in tickets]
             assert blocker.wait(timeout=30.0).record.ok
         finally:
             pool.close()
+        assert starts == sorted(starts)
+
+    def test_a_sweep_on_a_shared_pool_runs_in_order(self):
+        from repro.harness import SupervisorPool
+
+        pool = SupervisorPool(jobs=1).start()
+        try:
+            keys = [{"group": i % 3, "framework": f"f{i}"} for i in range(6)]
+            result = Sweep("s", jobs=1, pool=pool).run(
+                keys, _sleeping_pid_executor)
+        finally:
+            pool.close()
+        starts = [record.value["at"] for record in result]
+        assert [record.key for record in result] == keys
         assert starts == sorted(starts)
 
 
