@@ -31,11 +31,12 @@ ties a program, an engine and a cluster into an
 :class:`AlgorithmResult`; which engine runs each (algorithm, framework)
 is one row of :mod:`repro.algorithms.registry`.
 
-A graph program's run depends only on (graph, algorithm, params, kernel
+A program's run depends only on (graph, algorithm, params, kernel
 backend), so it runs once per resident graph: ``run_program`` records
 the first run that completes on a dense ``CSRGraph`` (the active ids and
-visited edge counts of every round, and the final values) and replays
-the record to every later engine instead of calling the kernel.
+visited edge counts of every round, and the final values) or on a
+``RatingsMatrix`` (CF's factors and RMSE curve) and replays the record
+to every later engine instead of calling the kernel.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from ..algorithms.bfs import UNREACHED
 from ..algorithms.labelprop import initial_labels
 from ..algorithms.triangles import require_oriented
 from ..errors import SpecError
-from ..graph.csr import CSRGraph, derived, held, held_keys
+from ..graph.csr import derived, held, held_keys, holds
 from ..kernels import registry as kernel_registry
 from ..kernels.backend import active_backend
 from ..kernels.segments import distinct, stable_order
@@ -422,17 +423,9 @@ class CollaborativeFiltering:
         scale = 1.0 / np.sqrt(hidden_dim)
         self.values = (rng.random((ratings.num_users, hidden_dim)) * scale,
                        rng.random((ratings.num_items, hidden_dim)) * scale)
-        self.density = cf_density_correction(ratings)
         self._kernel = _kernel("collaborative_filtering", f"blocked-{method}",
                                ratings)
-        users = _chunks(ratings.users, ratings.num_users, grid)
-        slot = (_chunks(ratings.items, ratings.num_items, grid) - users) \
-            % grid * grid + users
-        self.blocks = np.bincount(slot, minlength=grid * grid).reshape(
-            grid, grid)
-        self.items_per_chunk = np.bincount(
-            _chunks(np.arange(ratings.num_items), ratings.num_items, grid),
-            minlength=grid)
+        slot = self.lay_out(self, ratings, grid)
         # A kernel step's leading arguments: GD steps once over every
         # rating, SGD once per non-empty block in schedule order.
         self._steps = [()]
@@ -445,6 +438,31 @@ class CollaborativeFiltering:
                 for block in np.split(order, np.cumsum(self.blocks)[:-1])
                 if block.size]
         self.rmse_curve = []
+
+    @staticmethod
+    def lay_out(run, ratings, grid: int) -> np.ndarray:
+        """Set ``density``, ``blocks`` and ``items_per_chunk`` on ``run``
+        (the program or its replay); returns each rating's block slot."""
+        run.density = cf_density_correction(ratings)
+        users = _chunks(ratings.users, ratings.num_users, grid)
+        slot = (_chunks(ratings.items, ratings.num_items, grid) - users) \
+            % grid * grid + users
+        run.blocks = np.bincount(slot, minlength=grid * grid).reshape(
+            grid, grid)
+        run.items_per_chunk = np.bincount(
+            _chunks(np.arange(ratings.num_items), ratings.num_items, grid),
+            minlength=grid)
+        return slot
+
+    def record(self) -> SimpleNamespace:
+        """A dense record (:class:`_Swept`) with the factors ``p``, ``q``
+        for ``values``, a tuple ``derived`` refuses, and the curve."""
+        p_factors, q_factors = self.values
+        return SimpleNamespace(
+            sweeps=len(self.rmse_curve), p=p_factors.copy(),
+            q=q_factors.copy(),
+            curve=np.array(self.rmse_curve, dtype=np.float64),
+            hidden_dim=self.hidden_dim, method=self.method)
 
     def round(self) -> bool:
         for leading in self._steps:
@@ -815,15 +833,23 @@ class _Replay:
 
 
 class _Swept:
-    """A recorded dense run: how many sweeps it took, and its values."""
+    """A recorded dense run: how many sweeps it took, and its values.
+    CF's replay lays out the blocks its engines read, and prepares no
+    kernel and draws no factor."""
 
     shape = "dense"
 
-    def __init__(self, program_type, record):
+    def __init__(self, program_type, record, graph, params):
         self._type = program_type
         self.algorithm = program_type.algorithm
         self.iterations = record.sweeps
-        self.values = record.values.copy()
+        if program_type is CollaborativeFiltering:
+            self.values = (record.p.copy(), record.q.copy())
+            self.rmse_curve = record.curve.tolist()
+            self.hidden_dim, self.method = record.hidden_dim, record.method
+            program_type.lay_out(self, graph, params["grid"])
+        else:
+            self.values = record.values.copy()
 
     def round(self) -> bool:
         return False
@@ -853,26 +879,28 @@ def run_program(algorithm: str, framework: str, engine_type, graph, cluster,
     A program that deals its work over the nodes (CF's blocks) is told
     the cluster's node count as its ``grid``.
 
-    A graph program's run depends only on (graph, algorithm, params,
-    kernel backend), so on a dense :class:`CSRGraph` the first run that
-    completes is recorded (:func:`~repro.graph.csr.derived`) and every
-    later run replays the record instead of calling the kernel; engines
-    cannot tell the two apart. A record larger than the graph's own
-    arrays is not kept, a run that raises keeps nothing, and an engine
-    that splits rounds by owner (:meth:`Engine.whole_rounds`) runs live.
+    A program's run depends only on (graph, algorithm, params, kernel
+    backend), so on a resident graph — a dense :class:`CSRGraph`, or the
+    :class:`~repro.graph.RatingsMatrix` CF factorizes — the first run
+    that completes is recorded (:func:`~repro.graph.csr.derived`) and
+    every later run replays the record instead of calling the kernel;
+    engines cannot tell the two apart. A record larger than the graph's
+    own arrays is not kept, a run that raises keeps nothing, and an
+    engine that splits rounds by owner (:meth:`Engine.whole_rounds`)
+    runs live.
     """
     program_type = PROGRAMS[algorithm]
     if getattr(program_type, "dealt", False):
         params = {**params, "grid": cluster.num_nodes}
     memo = record = None
-    if algorithm in GRAPH_PROGRAMS and isinstance(graph, CSRGraph) \
+    if program_type is not TriangleCounting and holds(graph) \
             and engine_type.whole_rounds(algorithm, cluster):
         memo = _trajectory_key(algorithm, params)
         record = held(graph, memo)
     if record is not None:
         program = _Replay(program_type, record, graph, memo) \
             if program_type.shape == "frontier" \
-            else _Swept(program_type, record)
+            else _Swept(program_type, record, graph, params)
     else:
         program = program_type(graph, **params)
         if program.shape == "frontier":
@@ -880,7 +908,7 @@ def run_program(algorithm: str, framework: str, engine_type, graph, cluster,
     engine = engine_type(program, graph, cluster, **engine_options)
     iterations = _LOOPS[program.shape](program, engine, cluster)
     if memo is not None and record is None:
-        record = program.record() if program.shape == "frontier" \
+        record = program.record() if hasattr(program, "record") \
             else SimpleNamespace(values=program.values.copy(),
                                  sweeps=iterations)
         if _nbytes(record) <= graph.nbytes():

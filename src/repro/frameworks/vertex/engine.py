@@ -197,10 +197,15 @@ class BSPEngine:
 
     # -- message exchange -----------------------------------------------------
 
-    def edge_messages(self, senders: np.ndarray, message_bytes,
-                      combine: bool = None,
-                      serialization_factor: float = None) -> ExchangeStats:
-        """Messages from ``senders`` along all their out-edges.
+    def edge_messages(self, *args, **kwargs) -> ExchangeStats:
+        """:meth:`exchange`, reported to the tracer."""
+        return self.count_messages(self.exchange(*args, **kwargs))
+
+    def exchange(self, senders: np.ndarray, message_bytes,
+                 combine: bool = None,
+                 serialization_factor: float = None) -> ExchangeStats:
+        """Messages from ``senders`` along all their out-edges, not yet
+        reported (:meth:`count_messages`).
 
         ``message_bytes`` is a scalar or a per-sender array (triangle
         counting sends whole adjacency lists). Sender-side combining
@@ -245,13 +250,13 @@ class BSPEngine:
         if serialization_factor is None:
             serialization_factor = self.profile.message_overhead_factor
         traffic *= serialization_factor
-        return self.count_messages(
-            ExchangeStats(message_count, payload, traffic))
+        return ExchangeStats(message_count, payload, traffic)
 
     def count_messages(self, stats: ExchangeStats) -> ExchangeStats:
-        """Report one exchange's messages to the tracer; returns it."""
+        """Report one exchange's messages to the tracer unless it sent
+        none (as a round does); returns it."""
         tracer = self.cluster.tracer
-        if tracer.enabled:
+        if tracer.enabled and stats.messages:
             # Counters report paper scale, like the byte totals do.
             scale = self.cluster.scale_factor
             tracer.count("messages", stats.messages * scale)

@@ -267,13 +267,15 @@ class VertexCFEngine(Engine):
         users = np.arange(ratings.num_users, dtype=np.int64)
         items = np.arange(ratings.num_items, dtype=np.int64) \
             + ratings.num_users
-        self._phases = (("users->items", users), ("items->users", items))
+        self._phases = [(direction, senders, *self._exchange(senders))
+                        for direction, senders in (("users->items", users),
+                                                   ("items->users", items))]
 
-    def _phase(self, senders) -> None:
-        bsp, density, k = self.bsp, self.program.density, \
-            self.program.hidden_dim
-        stats = bsp.edge_messages(senders, self.value_bytes,
-                                  combine=self.combine)
+    def _exchange(self, senders) -> tuple:
+        """A phase's messages and edges per node: the same every
+        iteration."""
+        bsp, density = self.bsp, self.program.density
+        stats = bsp.exchange(senders, self.value_bytes, combine=self.combine)
         if self.combine:
             # Combined messages are one-per-(node, target-vertex), i.e.
             # vertex-proportional — apply the density correction.
@@ -285,18 +287,19 @@ class VertexCFEngine(Engine):
             local = np.diag(np.diag(stats.traffic))
             stats.traffic = local + bsp.replication_sync_traffic(
                 senders, self.value_bytes) / density
-        edges_per_node = np.bincount(
+        return stats, np.bincount(
             bsp.vertex_owner[senders],
             weights=bsp.graph.out_degrees()[senders].astype(float),
             minlength=self.cluster.num_nodes)
-        bsp.superstep(senders, edges_per_node, stats, self.value_bytes,
-                      splits=self.superstep_splits, ops_per_edge=8.0 * k,
-                      ops_per_vertex=4.0 * k)
 
     def sweep(self) -> None:
-        for direction, senders in self._phases:
+        k = self.program.hidden_dim
+        for direction, senders, stats, edges_per_node in self._phases:
             with self.cluster.trace_span("phase", direction=direction):
-                self._phase(senders)
+                self.bsp.superstep(
+                    senders, edges_per_node, self.bsp.count_messages(stats),
+                    self.value_bytes, splits=self.superstep_splits,
+                    ops_per_edge=8.0 * k, ops_per_vertex=4.0 * k)
 
     def diagnostics(self) -> dict:
         return {"superstep_splits": self.superstep_splits}

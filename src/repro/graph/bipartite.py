@@ -4,7 +4,8 @@ The paper treats the ratings matrix ``R`` as "edge weights of a bipartite
 graph" between users and items (Figure 1). :class:`RatingsMatrix` holds
 it as flat COO triples; :func:`bipartite_graph` is the one CSR form, over
 a shared user + item vertex universe, that the engines distributing the
-graph (CombBLAS's matrix, the vertex family's BSP engine) place.
+graph (CombBLAS's matrix, the vertex family's BSP engine) place. A
+matrix holds that view and its ``derived`` values (a CF run's record).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GraphFormatError
-from .csr import CSRGraph
+from .csr import CSRGraph, held_nbytes, resident_nbytes_of
 from .edgelist import EdgeList
 
 
@@ -32,6 +33,8 @@ class RatingsMatrix:
                 raise GraphFormatError("user id out of range")
             if self.items.min() < 0 or self.items.max() >= self.num_items:
                 raise GraphFormatError("item id out of range")
+        self._bipartite = None
+        self._derived = {}
 
     @property
     def num_ratings(self) -> int:
@@ -47,10 +50,17 @@ class RatingsMatrix:
         return self.users.nbytes + self.items.nbytes + self.ratings.nbytes
 
     def resident_nbytes(self) -> int:
-        """Bytes held as anonymous memory; mmap-backed arrays count zero."""
-        from .csr import resident_nbytes_of
+        """Bytes held as anonymous memory; mmap-backed arrays count zero,
+        the bipartite view and every derived record count."""
+        total = resident_nbytes_of(self.users, self.items, self.ratings)
+        if self._bipartite is not None:
+            total += self._bipartite.resident_nbytes()
+        return total + held_nbytes(self)
 
-        return resident_nbytes_of(self.users, self.items, self.ratings)
+    def __reduce__(self):
+        # Like a CSRGraph's: the view and the records are rebuilt.
+        return (RatingsMatrix, (self.num_users, self.num_items, self.users,
+                                self.items, self.ratings))
 
     def __repr__(self) -> str:
         return (
@@ -66,12 +76,15 @@ def bipartite_graph(ratings: RatingsMatrix) -> CSRGraph:
     random permutation. This emulates the hash partitioning real engines
     apply: with contiguous ids the (few, high-degree) item vertices
     would all land in one range partition and destroy load balance —
-    a proxy artifact, not a property of the frameworks.
+    a proxy artifact, not a property of the frameworks. Built once per
+    matrix and held on it.
     """
-    n = ratings.num_users + ratings.num_items
-    relabel = np.random.default_rng(0xB17A).permutation(n)
-    users = relabel[ratings.users]
-    items = relabel[ratings.items + ratings.num_users]
-    src = np.concatenate([users, items])
-    dst = np.concatenate([items, users])
-    return CSRGraph.from_edges(EdgeList(n, src, dst))
+    if ratings._bipartite is None:
+        n = ratings.num_users + ratings.num_items
+        relabel = np.random.default_rng(0xB17A).permutation(n)
+        users = relabel[ratings.users]
+        items = relabel[ratings.items + ratings.num_users]
+        ratings._bipartite = CSRGraph.from_edges(EdgeList(
+            n, np.concatenate([users, items]),
+            np.concatenate([items, users])))
+    return ratings._bipartite

@@ -73,23 +73,30 @@ def _arrays_in(value) -> list:
 _SCALARS = (type(None), bool, int, float, str, np.generic)
 
 
+def holds(graph) -> bool:
+    """Whether :func:`derived` holds values on ``graph`` (a dense
+    ``CSRGraph`` or a ``RatingsMatrix``)."""
+    return hasattr(graph, "_derived")
+
+
 def derived(graph, key, build):
-    """``build()``, computed once per dense graph object and then shared.
+    """``build()``, computed once per resident graph object and then shared.
 
     For what depends only on the graph and ``key`` — per-edge sources,
     the study's hash weights, a partition, a round program's recorded
     run (:func:`repro.frameworks.rounds.run_program` replays it for
     every later engine) — which every cell on a resident graph would
     otherwise rebuild. The value (an array, or an object whose
-    attributes are arrays or scalars) is held on the :class:`CSRGraph`
-    beside its reverse view and dies with it; its arrays are made
-    read-only, because every later caller receives the same object. A
-    value with any other attribute (a list, tuple or dict, which may hold
-    arrays ``resident_nbytes`` cannot see) is refused with a
-    ``TypeError`` and not held. Nothing is held for other graph types:
-    an out-of-core graph must not pin O(edges) arrays.
+    attributes are arrays or scalars) is held beside the graph's view
+    (a :class:`CSRGraph`'s reverse, a ``RatingsMatrix``'s bipartite
+    graph) and dies with it; its arrays are made read-only, because
+    every later caller receives the same object. A value with any other
+    attribute (a list, tuple or dict, which may hold arrays
+    ``resident_nbytes`` cannot see) is refused with a ``TypeError`` and
+    not held. Nothing is held for other types (:func:`holds`): an
+    out-of-core graph must not pin O(edges) arrays.
     """
-    if not isinstance(graph, CSRGraph):
+    if not holds(graph):
         return build()
     if key in graph._derived:
         return graph._derived[key]
@@ -108,12 +115,18 @@ def derived(graph, key, build):
 
 def held(graph, key):
     """What :func:`derived` holds on ``graph`` for ``key``, or None."""
-    return graph._derived.get(key) if isinstance(graph, CSRGraph) else None
+    return graph._derived.get(key) if holds(graph) else None
 
 
 def held_keys(graph) -> tuple:
     """The keys :func:`derived` holds values for on ``graph``."""
-    return tuple(graph._derived) if isinstance(graph, CSRGraph) else ()
+    return tuple(graph._derived) if holds(graph) else ()
+
+
+def held_nbytes(graph) -> int:
+    """Anonymous bytes of every value :func:`derived` holds on ``graph``."""
+    return sum(resident_nbytes_of(*_arrays_in(value))
+               for value in graph._derived.values())
 
 
 class CSRGraph:
@@ -269,9 +282,7 @@ class CSRGraph:
                                    self.edge_weights)
         if self._in_view is not None:
             total += self._in_view.resident_nbytes()
-        for value in self._derived.values():
-            total += resident_nbytes_of(*_arrays_in(value))
-        return total
+        return total + held_nbytes(self)
 
     def __repr__(self) -> str:
         return (

@@ -8,6 +8,12 @@ runner must return native GD's factors and RMSE curve bit for bit at any
 node count, Galois must return native SGD's one-node answer, native SGD
 must be the literal n x n block schedule, and the interpreted kernel
 backend must agree with the vectorized one to rounding.
+
+A resident ratings matrix records its first CF run and replays it to
+every later engine (``rounds.run_program``; ``test_cf_replay.py``
+holds the replay to the live run). So every run here factorizes its own
+freshly built :class:`RatingsMatrix`: a comparison is live against live,
+never a replay against its own record.
 """
 
 import re
@@ -19,6 +25,7 @@ import pytest
 from repro.algorithms.registry import runner
 from repro.cluster import Cluster, paper_cluster
 from repro.datagen import netflix_like_ratings
+from repro.graph import RatingsMatrix
 from repro.kernels import registry as kernel_registry
 from repro.kernels.backend import use_backend
 
@@ -34,10 +41,17 @@ def ratings():
     return netflix_like_ratings(scale=8, num_items=32, seed=41)
 
 
+def fresh(ratings) -> RatingsMatrix:
+    """The same ratings as a new object: nothing recorded on it."""
+    return RatingsMatrix(ratings.num_users, ratings.num_items,
+                         ratings.users, ratings.items, ratings.ratings)
+
+
 def factorize(framework, ratings, nodes=1, **params):
+    """One live run, on a fresh copy of ``ratings``."""
     cluster = Cluster(paper_cluster(nodes), enforce_memory=False)
     return runner("collaborative_filtering", framework)(
-        ratings, cluster, **{**PARAMS, **params})
+        fresh(ratings), cluster, **{**PARAMS, **params})
 
 
 def answer(result) -> list:
