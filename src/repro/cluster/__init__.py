@@ -17,7 +17,7 @@ from .network import (
     Fabric,
     node_volumes,
 )
-from .simulator import Cluster
+from .simulator import Cluster, Spans
 
 __all__ = [
     "LAYERS",
@@ -36,6 +36,7 @@ __all__ = [
     "MemoryTracker",
     "NodeSpec",
     "RunMetrics",
+    "Spans",
     "node_volumes",
     "paper_cluster",
 ]

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SimulationError
-from ..observability import NULL_TRACER
 from .hardware import NodeSpec
 
 
@@ -121,12 +120,11 @@ class Fabric:
     LogGP-style bottleneck model for a full-duplex fat-tree fabric.
     """
 
-    def __init__(self, node: NodeSpec, num_nodes: int, tracer=None):
+    def __init__(self, node: NodeSpec, num_nodes: int):
         if num_nodes < 1:
             raise SimulationError(f"num_nodes must be >= 1, got {num_nodes}")
         self.node = node
         self.num_nodes = num_nodes
-        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def exchange(self, traffic: np.ndarray, layer: CommLayer,
                  disruption=None) -> TrafficReport:
@@ -172,9 +170,6 @@ class Fabric:
             if stall is not None:
                 comm_times = comm_times + stall
             peak = np.where(volume.max(axis=-1) > 0, peak_limit, 0.0)
-            if self.tracer.enabled:
-                for sent in total[total > 0].tolist():
-                    self.tracer.count("bytes_sent", sent)
         return TrafficReport(comm_times=comm_times, bytes_out=bytes_out,
                              bytes_in=bytes_in, peak_bandwidth=peak,
                              total_bytes=total, faults=fault_info)

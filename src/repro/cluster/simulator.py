@@ -11,8 +11,11 @@ A step is checked when it is taken and appended to a columnar step log;
 the log is charged in one vectorized pass — every row exactly as it
 would be alone — when something reads the clock or the metrics. An
 engine hands a chunk of rows over in one :meth:`Cluster.supersteps`
-call. Runs whose tracer, deadline or chaos schedule read the clock every
-row charge every row as it comes.
+call; :meth:`Cluster.superstep` is a chunk of one. Traced or not, rows
+take that one path: a tracer reads the clock only after the pending rows
+are charged, and the charged rows' spans are emitted from their own
+start and end times. A deadline is a search of the charged clock. Only
+a fault schedule or recovery policy charges every row as it comes.
 
 Scale extrapolation: experiments run on downscaled proxy datasets but
 report paper-scale numbers. The cluster multiplies every counter (work,
@@ -26,8 +29,9 @@ dominate BFS exactly as in the paper.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +55,7 @@ _STEP, _TICK, _MARK = 0, 1, 2
 #: cap, so a run's memory does not grow with its supersteps.
 _LOG_BYTES = 256 * 2**10
 _NO_WORK = ComputeWork()
+_COUNTERS = ("streamed_bytes", "random_bytes", "ops")
 #: The RunMetrics totals a superstep adds to, in the order of rows 1-11
 #: of ``_charge_steps``' columns (row 0 is the step time); then the
 #: per-node ones.
@@ -72,6 +77,86 @@ def _fold(totals, columns) -> np.ndarray:
                              axis=1)[:, -1]
 
 
+class Spans(NamedTuple):
+    """The spans a tracer reads off a chunk of :meth:`Cluster.supersteps`
+    rows once they are charged, declared as data next to the rows.
+
+    ``extents`` are ``(name, attrs, first, end, depth)``: a span from the
+    start of row ``first`` to the end of row ``end - 1``, ``depth``
+    extents deep, listed in the order they open. A depth-0 extent holds
+    the iteration mark at its end; an empty one (``first == end``) holds
+    the mark at its position. ``counts`` ``(row, name, value)`` and
+    ``instants`` ``(row, name, attrs)`` are taken at their row's start,
+    the instants in the deepest extent open there.
+    """
+
+    extents: list = ()
+    counts: list = ()
+    instants: list = ()
+
+
+class _Chunk:
+    """A traced :meth:`Cluster.supersteps` call's :class:`Spans`, opened
+    and closed as the walk of the charged log reaches its rows."""
+
+    def __init__(self, tracer, spans: Spans):
+        self.tracer, self.open = tracer, []
+        self.extents = sorted(spans.extents, key=lambda span: span[2::2])
+        self.rows = {}      # row -> (counts, instants)
+        for kind, entries in enumerate((spans.counts, spans.instants)):
+            for row, *entry in entries:
+                self.rows.setdefault(row, ([], []))[kind].append(entry)
+        self.row = self.taken = 0
+        self.begun = False
+
+    def begin(self, outer: bool = False) -> None:
+        """Start row ``self.row``: close what ended before it, open what
+        starts there, then take its counts and instants. ``outer`` (a row
+        whose buffer did not fit) opens only depth-0 extents and takes no
+        instant."""
+        if self.begun:
+            return
+        self.begun, row, extents = True, self.row, self.extents
+        self.close(row)
+        while self.taken < len(extents) and extents[self.taken][2] <= row \
+                and not (outer and extents[self.taken][4]):
+            self._open(row)
+        counts, instants = self.rows.get(row, ((), ()))
+        for name, value in counts:
+            self.tracer.count(name, value)
+        for name, attrs in () if outer else instants:
+            self.tracer.instant(name, **attrs)
+
+    def mark(self, emit) -> None:
+        """``emit`` one of the iteration marks after ``self.row`` rows:
+        inside the depth-0 extent that ends there (or an empty one
+        there), else between extents."""
+        row = self.row
+        self.close(row, holders=False)
+        if not (self.open and self.open[-1][0] <= row) \
+                and self.extents[self.taken:self.taken + 1] \
+                and self.extents[self.taken][2:] == (row, row, 0):
+            self._open(row, keep=True)
+        emit()
+        self.close(row)
+
+    def _open(self, row: int, keep: bool = False) -> None:
+        """Open the next extent; one that ends by ``row`` closes at once
+        unless ``keep``."""
+        name, attrs, _first, end, depth = self.extents[self.taken]
+        self.taken += 1
+        self.open.append((end, not depth, self.tracer.span(name, **attrs)))
+        if end <= row and not keep:
+            self.close(row)
+
+    def close(self, row: float = math.inf, holders: bool = True) -> None:
+        """Close the open extents that end by ``row`` (not one that holds
+        the mark at its end, unless ``holders``)."""
+        while self.open and self.open[-1][0] <= row \
+                and (holders or not self.open[-1][1]):
+            self.open.pop()[2].__exit__(None, None, None)
+
+
 class Cluster:
     """A running simulation on ``spec.num_nodes`` nodes."""
 
@@ -88,8 +173,10 @@ class Cluster:
         self.scale_factor = float(scale_factor)
         self.cost = CostModel(spec.node)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.tracer.bind_clock(lambda: self._elapsed)
-        self.fabric = Fabric(spec.node, spec.num_nodes, tracer=self.tracer)
+        # A span or count taken outside the log reads the clock after
+        # the pending rows are charged (and their spans emitted).
+        self.tracer.bind_clock(lambda: self.elapsed_s)
+        self.fabric = Fabric(spec.node, spec.num_nodes)
         self._memory = [
             MemoryTracker(i, spec.node.dram_bytes, scale_factor, enforce_memory)
             for i in range(spec.num_nodes)
@@ -122,16 +209,18 @@ class Cluster:
         self._since_checkpoint_s = 0.0
         self._checkpoint_state_bytes = 0.0   # per-node max, paper scale
         # -- the step log: rows are charged when something reads the
-        # clock or the metrics, the log is full, or the layer changes.
-        # A tracer, a deadline or chaos read the clock every row, so
-        # they charge every row as it comes (eager).
+        # clock or the metrics, the log is full, or the layer changes;
+        # with a deadline (or a traced chunk), at the end of the call
+        # that took them.
+        # Recovery replays steps, so under faults or a recovery policy
+        # every row is charged as it comes (eager).
         width = 3 * spec.num_nodes + spec.num_nodes ** 2
         self._rows = np.empty((max(1, _LOG_BYTES // (8 * width)), width))
         self._kinds, self._seconds, self._knobs = [], [], []
         self._layer, self._rates = comm_layer, {}
         self._suspect = False    # a pending row may fail a check
-        self._eager = self.tracer.enabled or deadline_s is not None \
-            or self.recovery is not None
+        self._eager = self.recovery is not None
+        self._chunk = None  # the traced chunk being taken
 
     # -- basic accessors -----------------------------------------------------
 
@@ -165,134 +254,155 @@ class Cluster:
     def superstep(self, work: ComputeWork = None, traffic=None,
                   overlap: bool = False, layer: CommLayer = None,
                   overhead_s: float = 0.0) -> None:
-        """Advance the cluster by one bulk-synchronous superstep.
-
-        ``work`` — one :class:`ComputeWork` whose counters are per-node
-        ``(P,)`` columns or shared scalars (None: no work);
-        ``traffic`` — payload bytes, shape ``(P, P)``, ``traffic[i, j]``
-        from node *i* to node *j*; ``overlap`` — hide communication under
-        computation; ``overhead_s`` — unscaled fixed cost (framework
-        barrier/scheduling). The step lasts as long as its slowest node
-        (BSP barrier semantics). It becomes a row of the step log, and
-        every check that can refuse it runs now.
-        """
+        """Advance the cluster by one bulk-synchronous superstep: a
+        :meth:`supersteps` chunk of one row. ``work``'s counters are
+        per-node ``(P,)`` columns or shared scalars (None: no work);
+        ``traffic[i, j]`` is the payload bytes node *i* sends node *j*."""
         if overhead_s < 0:
             raise SimulationError("overhead_s must be non-negative")
-        step_index, nodes = self._steps, self.num_nodes
-        step_faults = None
-        if self.faults is not None:
-            retry = self.recovery.retry if self.recovery is not None else None
-            step_faults = self.faults.at(step_index, nodes, retry)
-        if self.recovery is not None \
-                and self.recovery.checkpoint_due(step_index):
-            self._write_checkpoint(step_index)
-        work = _NO_WORK if work is None else work
-        counters = (work.streamed_bytes, work.random_bytes, work.ops)
-        for column in counters:
+        work, nodes = _NO_WORK if work is None else work, self.num_nodes
+        columns = (work.streamed_bytes, work.random_bytes, work.ops)
+        for column in columns:
             shape = getattr(column, "shape", ())
             if shape and shape != (nodes,):
-                raise SimulationError(
-                    f"expected {nodes} work entries, got shape {shape}")
+                raise SimulationError(f"expected {nodes} work entries, "
+                                      f"got shape {shape}")
         if traffic is not None:
             traffic = np.asarray(traffic, dtype=np.float64)
             if traffic.shape != (nodes, nodes):
                 self._flush()
                 if negative(*(np.multiply(column, self.scale_factor)
-                              for column in counters)).any():
+                              for column in columns)).any():
                     raise SimulationError("work counters must be non-negative")
                 raise SimulationError(f"traffic matrix must be {nodes}x"
                                       f"{nodes}, got {traffic.shape}")
         tail = self._tail(work, layer, overlap, overhead_s)
+        # Laid out in the log's next slot, so taking it copies nothing.
         row = self._rows[len(self._knobs)]
-        row[:nodes], row[nodes:2 * nodes], row[2 * nodes:3 * nodes] = counters
+        row[:nodes], row[nodes:2 * nodes], row[2 * nodes:3 * nodes] = columns
         row[3 * nodes:] = 0.0 if traffic is None else traffic.ravel()
-        self._knobs.append((step_index, *tail))
-        self._kinds.append(_STEP)
-        self._seconds.append(0.0)
-        self._steps += 1
-        # Only a row with a negative or (at paper scale) non-finite entry
-        # can fail the counter and traffic checks: it is charged now, so
-        # it raises before any later step or allocation can.
-        suspect = not (np.minimum.reduce(row) >= 0 and overhead_s < math.inf
-                       and float(np.maximum.reduce(row)) * self.scale_factor
-                       < math.inf)
-        self._suspect = self._suspect or suspect
-        if self._eager:
-            info = self._flush(step_faults)
-            if step_faults is not None:
-                self._apply_step_faults(step_index, step_faults, info)
-        else:
-            self._flush_if(suspect)
+        self._take(row[None], tail)
 
     def supersteps(self, work: ComputeWork, traffic=None,
                    overlap: bool = False, layer: CommLayer = None,
                    overhead_s: float = 0.0, buffers=None, marks=(),
-                   trace=None) -> None:
+                   spans: Spans = None) -> None:
         """S supersteps in one call, bit for bit what S :meth:`superstep`
         calls do, each after ``allocate_all(*buffers)`` of its row.
 
         ``work``'s counters are ``(S, P)`` (or broadcast to it) and
-        ``traffic`` is ``(S, P, P)`` or None; ``buffers`` is ``(label,
-        (S, P) sizes)`` or None. A mark at position ``p`` of ``marks``
-        closes an iteration once ``p`` rows are taken. Without a tracer,
-        deadline or recovery policy the rows join the log in a few array
-        copies; otherwise each is taken as it comes, inside ``trace``
-        (built only while the tracer is on): ``("open", name, attrs)``,
-        ``("close",)``, ``("count", name, value)``, ``("instant", name,
-        attrs)``, ``("alloc", row)``, ``("step", row)`` and ``("mark",)``.
+        ``traffic`` is ``(S, P, P)`` or None; ``overlap`` hides
+        communication under computation; ``overhead_s`` is the unscaled
+        fixed cost of each step (a step lasts as long as its slowest
+        node); ``buffers`` is ``(label, (S, P) sizes)`` or None. A mark
+        at position ``p`` of ``marks`` closes an iteration once ``p``
+        rows are taken. ``spans`` (read only while the tracer is on) are
+        the chunk's declared spans, emitted once its rows are charged.
+
+        The rows join the log in a few array copies and are charged with
+        it; a traced chunk, or any under a deadline, before the call
+        returns. Within the chunk the first event in row order decides: a
+        buffer that does not fit, a row a check refuses, or the first row
+        over the deadline; nothing after it is allocated or charged. Only
+        under a fault schedule or recovery policy is each row charged
+        alone, between its checkpoint and its faults.
         """
-        nodes = self.num_nodes
-        counters = np.broadcast_arrays(*(
-            np.asarray(column, dtype=np.float64) for column in
-            (work.streamed_bytes, work.random_bytes, work.ops)))
-        count = counters[0].shape[0]
-        counters = [np.broadcast_to(column, (count, nodes))
-                    for column in counters]
-        at = np.bincount(np.asarray(marks, dtype=np.int64),
-                         minlength=count + 1).tolist()
-        if self._eager:
-            if trace is None or not self.tracer.enabled:
-                trace = [event for row in range(count) for event in
-                         [("mark",)] * at[row] + [("alloc", row),
-                                                  ("step", row)]] \
-                    + [("mark",)] * at[count]
-            self._play(trace, work, counters, traffic, buffers,
-                       dict(overlap=overlap, layer=layer,
-                            overhead_s=overhead_s))
-            return
         if overhead_s < 0:
             raise SimulationError("overhead_s must be non-negative")
-        tail = self._tail(work, layer, overlap, overhead_s)
-        parts = counters if traffic is None \
-            else [*counters, traffic.reshape(count, nodes * nodes)]
-        # The rows :meth:`superstep` would charge as soon as they come
-        # (a row whose scaled maximum overflows is one of them).
-        with np.errstate(over="ignore"):
-            suspect = ~((np.minimum.reduce([part.min(1) for part in parts]) >= 0)
-                        & (np.maximum.reduce([part.max(1) for part in parts])
-                           * self.scale_factor < math.inf)
-                        & (overhead_s < math.inf))
-        row = 0
-        while row < count:
-            end = min(count, row + len(self._rows) - len(self._knobs))
-            if suspect[row:end].any():
-                end = row + int(np.argmax(suspect[row:end])) + 1
-            for taken in range(row, end if buffers is not None else row):
-                try:
+        nodes = self.num_nodes
+        columns = np.broadcast_arrays(*(
+            np.asarray(getattr(work, name), dtype=np.float64)
+            for name in _COUNTERS))
+        count = columns[0].shape[0]
+        rows = np.empty((count, self._rows.shape[1]))
+        for offset, column in enumerate(columns):
+            rows[:, offset * nodes:(offset + 1) * nodes] = column
+        rows[:, 3 * nodes:] = 0.0 if traffic is None \
+            else traffic.reshape(count, nodes * nodes)
+        self._take(rows, self._tail(work, layer, overlap, overhead_s),
+                   buffers, marks, spans)
+
+    def _take(self, rows, tail, buffers=None, marks=(), spans=None) -> None:
+        """Charge ``rows`` as the log holds them (three ``(S, P)`` counter
+        blocks, then the ``(S, P * P)`` traffic), each with knobs ``tail``."""
+        count, eager = len(rows), self._eager
+        at = np.bincount(np.asarray(marks, dtype=np.int64),
+                         minlength=count + 1).tolist() if len(marks) \
+            else [0] * (count + 1)
+        scale, finite = self.scale_factor, tail[-1] < math.inf
+        # The rows a check may refuse, charged as soon as they come (a
+        # row whose scaled maximum overflows is one of them).
+        suspect = [not (low >= 0 and high * scale < math.inf and finite)
+                   for low, high in zip(rows.min(1).tolist(),
+                                        rows.max(1).tolist())]
+        if spans is not None and self.tracer.enabled and count + len(marks):
+            self._flush()   # the walk then meets only this chunk's entries
+            self._chunk = _Chunk(self.tracer, spans)
+        first = self._steps
+        # Taken one at a time, a row's marks are charged before it.
+        lead = [0] * (count + 1) if eager else at
+        saved = None if eager or self.deadline_s is None or buffers is None \
+            else [(dict(tracker._allocations), tracker._peak_bytes)
+                  for tracker in self._memory]
+        try:
+            row = 0
+            while row < count:
+                end = row + 1 if eager \
+                    else min(count, row + len(self._rows) - len(self._knobs))
+                if any(suspect[row:end]):
+                    end = suspect.index(True, row, end) + 1
+                if eager:
+                    self._marks(at[row])
+                    self._flush()
+                for taken in range(row, end if buffers is not None else row):
+                    try:
+                        self.allocate_all(buffers[0], buffers[1][taken])
+                    except ReproError:      # the rows before it are taken
+                        self._append(rows, row, taken, tail, lead)
+                        self._marks(lead[taken])
+                        self._flush()
+                        if self._chunk is not None:
+                            self._chunk.begin(outer=True)
+                        raise
+                if eager:
+                    step_faults = self._before_step()
+                self._append(rows, row, end, tail, lead)
+                self._suspect = self._suspect or suspect[end - 1]
+                if eager:
+                    info = self._flush(step_faults)
+                    if step_faults is not None:
+                        self._apply_step_faults(first + row, step_faults,
+                                                info)
+                self._flush_if(suspect[end - 1]
+                               or len(self._knobs) == len(self._rows))
+                row = end
+            self._marks(at[count])
+            self._flush_if(eager or self._chunk is not None
+                           or self.deadline_s is not None)
+        except DeadlineExceeded:
+            if saved is not None:   # only the rows through the crossing
+                for tracker, (allocations, peak) in zip(self._memory, saved):
+                    tracker._allocations, tracker._peak_bytes = \
+                        allocations, peak
+                for taken in range(self._steps - first):
                     self.allocate_all(buffers[0], buffers[1][taken])
-                except ReproError:      # the rows before it are taken
-                    self._append(counters, traffic, row, taken, at, tail)
-                    self._kinds.extend([_MARK] * at[taken])
-                    self._seconds.extend([0.0] * at[taken])
-                    raise
-            self._append(counters, traffic, row, end, at, tail)
-            self._suspect = self._suspect or suspect[end - 1]
-            self._flush_if(suspect[end - 1]
-                           or len(self._knobs) == len(self._rows))
-            row = end
-        self._kinds.extend([_MARK] * at[count])
-        self._seconds.extend([0.0] * at[count])
-        self._flush_if(False)
+            raise
+        finally:    # as ``with`` blocks close when a raise ends the run
+            if self._chunk is not None:
+                self._chunk.close()
+                self._chunk = None
+
+    def _before_step(self):
+        """A lone step's part before it is charged: its declared spans
+        open, its checkpoint if one is due; returns its faults."""
+        if self._chunk is not None:
+            self._chunk.begin()
+        index = self._steps
+        step_faults = None if self.faults is None \
+            else self.faults.at(index, self.num_nodes, self.recovery.retry)
+        if self.recovery.checkpoint_due(index):
+            self._write_checkpoint(index)
+        return step_faults
 
     def _tail(self, work, layer, overlap, overhead_s) -> tuple:
         """A step's knobs after its index, on the log of its layer."""
@@ -307,55 +417,29 @@ class Cluster:
             rates = self._rates[knobs] = self.cost.rates(work)
         return (*rates, work.cores_fraction, overlap, overhead_s)
 
-    def _append(self, counters, traffic, row, end, at, tail) -> None:
+    def _append(self, rows, row, end, tail, at) -> None:
         """Rows ``row:end`` of a :meth:`supersteps` chunk onto the log,
         each after the marks ``at`` its position."""
-        start, nodes = len(self._knobs), self.num_nodes
         if end == row:
             return
-        block = self._rows[start:start + end - row]
-        for offset, column in enumerate(counters):
-            block[:, offset * nodes:(offset + 1) * nodes] = column[row:end]
-        block[:, 3 * nodes:] = 0.0 if traffic is None \
-            else traffic[row:end].reshape(end - row, nodes * nodes)
-        spaced = np.add.accumulate(np.add(at[row:end], 1))
-        kinds = np.full(int(spaced[-1]), _MARK, dtype=np.int8)
-        kinds[spaced - 1] = _STEP
-        self._kinds.extend(kinds.tolist())
-        self._seconds.extend([0.0] * kinds.size)
+        start = len(self._knobs)
+        self._rows[start:start + end - row] = rows[row:end]
+        if any(at[row:end]):
+            spaced = np.add.accumulate(np.add(at[row:end], 1))
+            kinds = np.full(int(spaced[-1]), _MARK, dtype=np.int8)
+            kinds[spaced - 1] = _STEP
+            kinds = kinds.tolist()
+        else:
+            kinds = [_STEP] * (end - row)
+        self._kinds.extend(kinds)
+        self._seconds.extend([0.0] * len(kinds))
         self._knobs.extend((index, *tail) for index in
                            range(self._steps, self._steps + end - row))
         self._steps += end - row
 
-    def _play(self, events, work, counters, traffic, buffers, step) -> None:
-        """:meth:`supersteps`' rows taken one call at a time, with the
-        tracer's events between them; a span still open when a row
-        raises closes as a ``with`` block would."""
-        tracer, spans = self.tracer, []
-        try:
-            for event in events:
-                kind = event[0]
-                if kind == "step":
-                    row = event[1]
-                    self.superstep(dataclasses.replace(
-                        work, streamed_bytes=counters[0][row],
-                        random_bytes=counters[1][row], ops=counters[2][row]),
-                        None if traffic is None else traffic[row], **step)
-                elif kind == "alloc" and buffers is not None:
-                    self.allocate_all(buffers[0], buffers[1][event[1]])
-                elif kind == "mark":
-                    self.mark_iteration()
-                elif kind == "open":
-                    spans.append(tracer.span(event[1], **event[2]))
-                elif kind == "close":
-                    spans.pop().__exit__(None, None, None)
-                elif kind == "count":
-                    tracer.count(event[1], event[2])
-                elif kind == "instant":
-                    tracer.instant(event[1], **event[2])
-        finally:
-            while spans:
-                spans.pop().__exit__(None, None, None)
+    def _marks(self, count: int) -> None:
+        self._kinds.extend([_MARK] * count)
+        self._seconds.extend([0.0] * count)
 
     def tick(self, seconds: float) -> None:
         """Advance wall clock by a fixed, unscaled amount (startup, I/O)."""
@@ -363,12 +447,11 @@ class Cluster:
             raise SimulationError("tick must be non-negative")
         self._kinds.append(_TICK)
         self._seconds.append(seconds)
-        self._flush_if(self._eager)
+        self._flush_if(self._eager or self.deadline_s is not None)
 
     def mark_iteration(self) -> None:
         """Close the current algorithm iteration."""
-        self._kinds.append(_MARK)
-        self._seconds.append(0.0)
+        self._marks(1)
         self._flush_if(self._eager)
 
     def _flush_if(self, now: bool) -> None:
@@ -386,7 +469,9 @@ class Cluster:
 
         A step a check refuses raises its ``SimulationError`` once the
         rows before it are charged; it and any later rows are dropped,
-        as if it had raised when it was taken.
+        as if it had raised when it was taken. So are the rows after the
+        first one over the deadline, which then raises
+        ``DeadlineExceeded``.
         """
         if not self._kinds:
             return None
@@ -400,15 +485,19 @@ class Cluster:
                 steps = self._charge_steps(step_faults)
             if isinstance(steps, tuple):
                 row, message = steps
-                position = int(np.flatnonzero(is_step)[row])
-                del self._kinds[position:], self._seconds[position:]
-                self._steps = self._knobs[row][0]
-                del self._knobs[row:]
+                self._truncate(int(np.flatnonzero(is_step)[row]))
                 self._suspect = False
                 self._flush()
+                if self._chunk is not None:
+                    self._chunk.begin()
                 raise SimulationError(message)
             dt[is_step] = steps["totals"][0]
         elapsed = np.add.accumulate(np.concatenate(([self._elapsed], dt)))
+        if self.deadline_s is not None:
+            over = int(np.searchsorted(elapsed[1:], self.deadline_s, "right"))
+            if over < len(kinds) - 1:
+                self._truncate(over + 1)
+                return self._flush(step_faults)
         metrics = self._metrics
         # One fold for every running total; a row adds 0.0 to the totals
         # it does not touch, which is exact.
@@ -432,22 +521,33 @@ class Cluster:
             self._since_checkpoint_s = totals[:3]
         for name, total in zip(_TOTALS, totals[3:]):
             setattr(metrics, name, total)
+        marked = []
         if _MARK in self._kinds:
-            marked = elapsed[1:][kinds == _MARK]
-            metrics.iteration_times.extend((marked - np.concatenate(
-                ([self._iteration_started_at], marked[:-1]))).tolist())
-            self._iteration_started_at = float(marked[-1])
-        if self.tracer.enabled:
-            self._trace_row(self._kinds[0], float(elapsed[-1]), steps)
-        self._elapsed = metrics.total_time_s = float(elapsed[-1])
+            ends = elapsed[1:][kinds == _MARK]
+            marked = (ends - np.concatenate(
+                ([self._iteration_started_at], ends[:-1]))).tolist()
+            metrics.iteration_times.extend(marked)
+            self._iteration_started_at = float(ends[-1])
         last = self._kinds[-1]
         self._kinds, self._seconds, self._knobs = [], [], []
         self._suspect = False
+        if self.tracer.enabled:
+            self._trace(kinds.tolist(), elapsed.tolist(), dt.tolist(), steps,
+                        marked)
+        self._elapsed = metrics.total_time_s = float(elapsed[-1])
         if last == _STEP:
             self._check_deadline(f"superstep {steps['records'][0][-1]}")
         elif last == _TICK:
             self._check_deadline("tick")
         return None if steps is None else steps["report"].faults
+
+    def _truncate(self, position: int) -> None:
+        """Drop the log's entries from ``position`` on, as if never taken."""
+        kept = self._kinds[:position].count(_STEP)
+        if kept < len(self._knobs):
+            self._steps = self._knobs[kept][0]
+            del self._knobs[kept:]
+        del self._kinds[position:], self._seconds[position:]
 
     def _charge_steps(self, step_faults) -> dict:
         """The pending supersteps charged at once, each row computed as
@@ -508,41 +608,55 @@ class Cluster:
                         overlap.tolist()],
         }
 
-    def _trace_row(self, kind: int, end: float, steps) -> None:
-        """The spans of the log's lone row (a tracer charges every row as
-        it comes), on the clock as it stood: ``self._elapsed`` is the
-        row's start, and ``end`` its end."""
-        tracer, start = self.tracer, self._elapsed
-        if kind == _TICK:
-            tracer.record("tick", start, self._seconds[0])
-        elif kind == _MARK:
-            times = self._metrics.iteration_times
-            tracer.instant("iteration-mark", index=len(times) - 1,
-                           time_s=times[-1])
-        else:
-            (index, _time, compute_s, comm_s, sent, peak, _memory, _cpu,
-             overhead, overlap) = (column[0] for column in steps["records"])
-            with tracer.span("superstep", index=index, compute_s=compute_s,
-                             comm_s=comm_s, bytes_sent=sent,
-                             peak_bandwidth=peak, overhead_s=overhead):
-                report = steps["report"]
-                for node, (busy, comm, out) in enumerate(zip(
-                        steps["compute"][0].tolist(),
-                        report.comm_times[0].tolist(),
-                        report.bytes_out[0].tolist())):
-                    if busy > 0:
-                        tracer.record("compute", start, busy, node=node)
-                    if comm > 0:
-                        # Overlapped communication hides under compute;
-                        # otherwise it follows it (BSP phase order).
-                        tracer.record("comm", start if overlap
-                                      else start + busy, comm, node=node,
-                                      bytes_out=out)
-                self._elapsed = end
-            # Superstep boundaries are where working sets turn over
-            # (frontier gathers, partition loads), so they are where the
-            # out-of-core memory claims get *measured*.
-            sample_peak_rss(tracer)
+    def _trace(self, kinds, elapsed, dt, steps, marked) -> None:
+        """The spans of the entries just charged, each at its own start
+        and end on the clock, inside the declared spans of the chunk
+        being taken: a ``tick`` record per tick, an ``iteration-mark``
+        instant per mark, and per superstep its ``bytes_sent`` count and
+        ``superstep`` span with a ``compute`` and a ``comm`` record per
+        busy node under it. The host's peak RSS is sampled once."""
+        tracer, chunk = self.tracer, self._chunk
+        if steps is not None:
+            records = list(zip(*steps["records"]))
+            nodes = list(zip(steps["compute"].tolist(),
+                             steps["report"].comm_times.tolist(),
+                             steps["report"].bytes_out.tolist()))
+        first_mark = len(self._metrics.iteration_times) - len(marked)
+        step = mark = 0
+        for position, kind in enumerate(kinds):
+            self._elapsed = start = elapsed[position]
+            if kind == _TICK:
+                tracer.record("tick", start, dt[position])
+            elif kind == _MARK:
+                emit = functools.partial(
+                    tracer.instant, "iteration-mark",
+                    index=first_mark + mark, time_s=marked[mark])
+                emit() if chunk is None else chunk.mark(emit)
+                mark += 1
+            else:
+                if chunk is not None:
+                    chunk.begin()
+                (index, _time, compute_s, comm_s, sent, peak, _memory, _cpu,
+                 overhead, overlap) = records[step]
+                if sent > 0:
+                    tracer.count("bytes_sent", sent)
+                with tracer.span("superstep", index=index, compute_s=compute_s,
+                                 comm_s=comm_s, bytes_sent=sent,
+                                 peak_bandwidth=peak, overhead_s=overhead):
+                    for node, (busy, comm, out) in enumerate(zip(*nodes[step])):
+                        if busy > 0:
+                            tracer.record("compute", start, busy, node=node)
+                        if comm > 0:
+                            # Overlapped communication hides under compute;
+                            # otherwise it follows it (BSP phase order).
+                            tracer.record("comm", start if overlap
+                                          else start + busy, comm,
+                                          node=node, bytes_out=out)
+                    self._elapsed = elapsed[position + 1]
+                if chunk is not None:
+                    chunk.begun, chunk.row = False, chunk.row + 1
+                step += 1
+        sample_peak_rss(tracer)
 
     def _check_deadline(self, what: str = "") -> None:
         """Stop the run once the simulated clock passes its budget."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...cluster import Cluster, ComputeWork, node_volumes
+from ...cluster import Cluster, ComputeWork, Spans, node_volumes
 from ...graph import CSRGraph, bipartite_graph
 from ..base import COMBBLAS
 from ..rounds import Engine
@@ -156,23 +156,20 @@ class MatrixEngine(Engine):
                      gather_random_bytes=self.cost.gather_random_bytes)
         marks = rounds.level_bounds()[1:] if self.per_level \
             else np.arange(1, count + 1)
-        trace = None
+        spans = None
         if cluster.tracer.enabled:
-            flops = flops.tolist()
-
-            def product(row):
-                return [("count", "flops", flops[row]),
-                        ("instant", "spmv-kernel",
-                         {"flops": flops[row], "sparse": True}),
-                        ("step", row)]
-            if self.per_level:
-                trace = rounds.level_frames("peel-level", lambda row: [
-                    ("open", "spmv", {"kind": "sparse",
-                                      **rounds.span_attrs(row)}),
-                    *product(row), ("close",)], lambda level: [])
-            else:
-                trace = rounds.frames("spmv", product, kind="sparse")
-        cluster.supersteps(work, traffic, marks=marks, trace=trace, **_STEP)
+            flops = list(enumerate(flops.tolist()))
+            bounds = rounds.level_bounds()
+            spans = Spans(
+                rounds.extents("spmv", depth=int(self.per_level),
+                               kind="sparse")
+                + (rounds.level_extents("peel-level", bounds[:-1],
+                                        bounds[1:]) if self.per_level else []),
+                rounds.frontier() + [(row, "flops", value)
+                                     for row, value in flops],
+                [(row, "spmv-kernel", {"flops": value, "sparse": True})
+                 for row, value in flops])
+        cluster.supersteps(work, traffic, marks=marks, spans=spans, **_STEP)
 
     def sweep(self) -> None:
         # A dense product costs the same every iteration.

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...cluster import ComputeWork, node_volumes
+from ...cluster import ComputeWork, Spans, node_volumes
 from ...cluster.cost import CACHE_LINE_BYTES
 from ...graph import iter_csr_blocks, partition_edges_1d
 from ...kernels.base import KernelWork
@@ -286,8 +286,7 @@ class NativeEngine(Engine):
             overlap=self.options.overlap,
             buffers=self._buffers(traffic, window=True),
             marks=np.arange(1, rounds.count + 1),
-            trace=rounds.frames(self.program.span, lambda row: [
-                ("alloc", row), ("step", row)])
+            spans=Spans(rounds.extents(self.program.span), rounds.frontier())
             if self.cluster.tracer.enabled else None)
 
     # -- k_core: waves accumulate into one superstep per level ---------------
@@ -338,9 +337,10 @@ class NativeEngine(Engine):
             work, traffic, overlap=self.options.overlap,
             buffers=self._buffers(traffic, window=False),
             marks=np.arange(1, levels + 1),
-            trace=rounds.level_frames(
-                "level", lambda row: [],
-                lambda level: [("alloc", level), ("step", level)])
+            spans=Spans(rounds.level_extents("level", range(levels),
+                                             range(1, levels + 1)),
+                        rounds.frontier(np.repeat(np.arange(levels),
+                                                  np.diff(bounds))))
             if cluster.tracer.enabled else None)
 
     # -- dense sweeps ---------------------------------------------------------

@@ -627,16 +627,11 @@ class Rounds:
     def level_bounds(self) -> np.ndarray:
         return np.append(self.levels, self.count)
 
-    def frames(self, name: str, body, **attrs) -> list:
-        """A tracer's events for an engine that charges a row per round:
-        each round's frontier count, then its span (``attrs`` first)
-        around ``body(row)`` and the iteration mark."""
-        events = []
-        for row, size in enumerate(self.sizes.tolist()):
-            events += [("count", "frontier_size", size),
-                       ("open", name, {**attrs, **self.span_attrs(row)}),
-                       *body(row), ("mark",), ("close",)]
-        return events
+    def extents(self, name: str, depth: int = 0, **attrs) -> list:
+        """A span per round (``attrs`` first), for
+        :class:`~repro.cluster.Spans`."""
+        return [(name, {**attrs, **self.span_attrs(row)}, row, row + 1, depth)
+                for row in range(self.count)]
 
     def span_attrs(self, row: int) -> dict:
         level = int(np.searchsorted(self.levels, row, "right")) - 1
@@ -644,19 +639,19 @@ class Rounds:
             self.first + row + 1, int(self.sizes[row]),
             None if self.level_k is None else int(self.level_k[level]))
 
-    def level_frames(self, name: str, wave, tail) -> list:
-        """A tracer's events for a per-level engine: each level's span
-        around its waves (a frontier count, then ``wave(row)``), then
-        ``tail(level)`` and the iteration mark."""
-        events, bounds = [], self.level_bounds().tolist()
-        for level, (k, live) in enumerate(zip(self.level_k.tolist(),
-                                              self.level_live.tolist())):
-            events.append(("open", name, self._type.level_attrs(k, live)))
-            for row in range(bounds[level], bounds[level + 1]):
-                events += [("count", "frontier_size", int(self.sizes[row])),
-                           *wave(row)]
-            events += [*tail(level), ("mark",), ("close",)]
-        return events
+    def level_extents(self, name: str, firsts, ends) -> list:
+        """A span per level over rows ``firsts[i]:ends[i]``."""
+        return [(name, self._type.level_attrs(k, live), first, end, 0)
+                for k, live, first, end in zip(
+                    self.level_k.tolist(), self.level_live.tolist(),
+                    np.asarray(firsts).tolist(), np.asarray(ends).tolist())]
+
+    def frontier(self, rows=None) -> list:
+        """Each round's ``frontier_size`` count, on its own row or on
+        ``rows``' entry for it."""
+        rows = range(self.count) if rows is None else np.asarray(rows).tolist()
+        return [(row, "frontier_size", size)
+                for row, size in zip(rows, self.sizes.tolist())]
 
 
 def run_frontier(run, engine, cluster) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...cluster import Cluster, ComputeWork
+from ...cluster import Cluster, ComputeWork, Spans
 from ..base import GALOIS
 from ..rounds import Engine
 
@@ -125,7 +125,7 @@ class GaloisEngine(Engine):
         the live degrees after their waves and mark the iteration."""
         columns = self._columns(rounds.edges, rounds.sizes, rounds.handed)
         tracer, count = self.cluster.tracer, rounds.count
-        marks, trace = np.arange(1, count + 1), None
+        marks, spans = np.arange(1, count + 1), None
         if self.per_level:
             ends = rounds.level_bounds()[1:]
             rescans = ends + np.arange(ends.size)
@@ -134,16 +134,18 @@ class GaloisEngine(Engine):
                 [self.cost.rescan_vertex_stream * self._vertices], [0.0],
                 [self._vertices]], axis=1)
             if tracer.enabled:
-                waves = np.delete(np.arange(count + ends.size), rescans)
-                trace = rounds.level_frames(
-                    "level", lambda row: [("step", waves[row])],
-                    lambda level: [("step", rescans[level])])
+                # A level's rows: its waves, then its rescan.
+                spans = Spans(
+                    rounds.level_extents(
+                        "level", rounds.levels + np.arange(ends.size), marks),
+                    rounds.frontier(np.delete(np.arange(count + ends.size),
+                                              rescans)))
         elif tracer.enabled:
-            trace = rounds.frames(self.program.span,
-                                  lambda row: [("step", row)])
+            spans = Spans(rounds.extents(self.program.span),
+                          rounds.frontier())
         self.cluster.supersteps(
             _work(*(np.asarray(column)[:, None] for column in columns)),
-            marks=marks, trace=trace,
+            marks=marks, spans=spans,
             overhead_s=_PROFILE.superstep_overhead_s)
 
     def sweep(self) -> None:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...algorithms.bfs import UNREACHED
+from ...cluster import Spans
 from ...graph import bipartite_graph
 from ..base import FrameworkProfile
 from ..rounds import Engine
@@ -149,29 +150,27 @@ class VertexEngine(Engine):
             owners, weights=self._out_degrees[rounds.active].astype(float),
             minlength=count * nodes).reshape(count, nodes)
         volume = traffic.sum(-1) + traffic.sum(1)
-        trace = None
+        spans = None
         if cluster.tracer.enabled:
             # Counters report paper scale, like the byte totals do.
             scale = cluster.scale_factor
-            messages, payload = messages.tolist(), payload.tolist()
-
-            def body(row):
-                counted = [("count", "messages", messages[row] * scale),
-                           ("count", "payload_bytes", payload[row] * scale)] \
-                    if rounds.edges[row] else []
-                return [*counted, ("alloc", row),
-                        ("open", bsp.phase, {"splits": 1,
-                                         "messages": messages[row],
-                                         "payload_bytes": payload[row]}),
-                        ("step", row), ("close",)]
-            trace = rounds.frames(self.program.span, body)
+            sent = list(enumerate(zip(messages.tolist(), payload.tolist())))
+            spans = Spans(
+                rounds.extents(self.program.span) + [
+                    (bsp.phase, {"splits": 1, "messages": count_,
+                                 "payload_bytes": size}, row, row + 1, 1)
+                    for row, (count_, size) in sent],
+                rounds.frontier() + [
+                    (row, name, value * scale) for row, pair in sent
+                    if rounds.edges[row] for name, value in
+                    zip(("messages", "payload_bytes"), pair)])
         cluster.supersteps(
             bsp.work(vertices, edges, volume, message_bytes,
                      ops_per_edge=self.cost.ops_per_edge), traffic,
             overlap=profile.overlaps_communication, layer=profile.comm_layer,
             overhead_s=profile.superstep_overhead_s,
             buffers=("message-buffers", bsp.buffers(volume)),
-            marks=np.arange(1, count + 1), trace=trace)
+            marks=np.arange(1, count + 1), spans=spans)
 
     def sweep(self) -> None:
         bsp, message_bytes = self.bsp, self.cost.message_bytes

@@ -16,8 +16,8 @@ A cell that completes is frozen as five sha256 digests: the *unsorted*
 ``to_dict()`` JSON (so ``extras`` key order counts), the span list with
 attributes and simulated start/end times, the tracer's counters, the
 raw answer bytes, and the ``to_dict()`` JSON of the same cell run again
-untraced (a tracer charges every superstep as it comes; without one the
-cluster charges its step log in batches). Every record carries its
+untraced (traced or not, the cluster charges its step log in batches;
+the tracer reads the charged rows). Every record carries its
 status and simulated ``runtime_s``; a cell that does not complete is
 frozen as its status and failure, a refused spec as its error.
 

@@ -5,9 +5,9 @@ bound has to come from the kernel's accounting, not from summing our
 own arrays. Two stdlib-only probes:
 
 * :func:`peak_rss_bytes` — the process high-water mark
-  (``ru_maxrss``), sampled at superstep boundaries into the tracer's
-  ``peak-rss`` gauge and reported by ``/stats`` and the out-of-core
-  demo journal;
+  (``ru_maxrss``), sampled once per charged batch of supersteps into the
+  tracer's ``peak-rss`` gauge and reported by ``/stats`` and the
+  out-of-core demo journal;
 * :func:`current_rss_bytes` — the instantaneous resident set from
   ``/proc/self/statm`` (0 where /proc is unavailable).
 

@@ -111,7 +111,7 @@ class _SpanHandle:
 
     def set(self, **attrs) -> None:
         """Attach attributes to the span while it is open."""
-        self._tracer.spans[self._index].attrs.update(attrs)
+        self._tracer._spans[self._index].attrs.update(attrs)
 
 
 class Tracer(NullTracer):
@@ -125,9 +125,9 @@ class Tracer(NullTracer):
     enabled = True
 
     def __init__(self):
-        self.spans: list[Span] = []
-        self.counters: dict[str, float] = {}
-        self.counter_samples: list[tuple[float, str, float]] = []
+        self._spans: list[Span] = []
+        self._counters: dict[str, float] = {}
+        self._samples: list[tuple[float, str, float]] = []
         self._stack: list[int] = []
         self._clock = None
         self._manual = 0.0
@@ -135,7 +135,13 @@ class Tracer(NullTracer):
     # -- clock -------------------------------------------------------------
 
     def bind_clock(self, clock) -> None:
-        """Use ``clock()`` (e.g. the cluster's elapsed seconds) for time."""
+        """Use ``clock()`` (e.g. the cluster's elapsed seconds) for time.
+
+        Every event reads the clock before it is recorded, and so does
+        every read of :attr:`spans`, :attr:`counters` and
+        :attr:`counter_samples`: the cluster's clock charges its pending
+        rows first, so their spans come before the event and a reader
+        sees them."""
         self._clock = clock
 
     def now(self) -> float:
@@ -149,16 +155,17 @@ class Tracer(NullTracer):
 
     def span(self, name: str, node: int = None, **attrs) -> _SpanHandle:
         """Open a nested span; close it by exiting the context manager."""
+        start = self.now()
         parent = self._stack[-1] if self._stack else None
-        depth = self.spans[parent].depth + 1 if parent is not None else 0
-        self.spans.append(Span(name=name, start_s=self.now(), node=node,
-                               parent=parent, depth=depth, attrs=attrs))
-        index = len(self.spans) - 1
+        depth = self._spans[parent].depth + 1 if parent is not None else 0
+        self._spans.append(Span(name=name, start_s=start, node=node,
+                                parent=parent, depth=depth, attrs=attrs))
+        index = len(self._spans) - 1
         self._stack.append(index)
         return _SpanHandle(self, index)
 
     def _close(self, index: int) -> None:
-        self.spans[index].end_s = self.now()
+        self._spans[index].end_s = self.now()
         while self._stack and self._stack[-1] >= index:
             self._stack.pop()
 
@@ -166,10 +173,10 @@ class Tracer(NullTracer):
                node: int = None, **attrs) -> None:
         """Add an already-timed span (children of the open span)."""
         parent = self._stack[-1] if self._stack else None
-        depth = self.spans[parent].depth + 1 if parent is not None else 0
-        self.spans.append(Span(name=name, start_s=start_s,
-                               end_s=start_s + duration_s, node=node,
-                               parent=parent, depth=depth, attrs=attrs))
+        depth = self._spans[parent].depth + 1 if parent is not None else 0
+        self._spans.append(Span(name=name, start_s=start_s,
+                                end_s=start_s + duration_s, node=node,
+                                parent=parent, depth=depth, attrs=attrs))
 
     def instant(self, name: str, node: int = None, **attrs) -> None:
         """Zero-duration marker at the current clock."""
@@ -187,7 +194,7 @@ class Tracer(NullTracer):
         """
         offset = len(self.spans)
         graft_parent = self._stack[-1] if self._stack else None
-        graft_depth = self.spans[graft_parent].depth + 1 \
+        graft_depth = self._spans[graft_parent].depth + 1 \
             if graft_parent is not None else 0
         for span in spans:
             attrs = dict(span.attrs)
@@ -195,7 +202,7 @@ class Tracer(NullTracer):
                 attrs["worker"] = worker
             parent = span.parent + offset if span.parent is not None \
                 else graft_parent
-            self.spans.append(Span(
+            self._spans.append(Span(
                 name=span.name, start_s=span.start_s, end_s=span.end_s,
                 node=span.node, parent=parent,
                 depth=span.depth + graft_depth, attrs=attrs))
@@ -204,22 +211,41 @@ class Tracer(NullTracer):
 
     def count(self, name: str, value: float = 1.0) -> None:
         """Bump a named monotone counter and sample it at the clock."""
-        total = self.counters.get(name, 0.0) + value
-        self.counters[name] = total
-        self.counter_samples.append((self.now(), name, total))
+        now = self.now()
+        total = self._counters.get(name, 0.0) + value
+        self._counters[name] = total
+        self._samples.append((now, name, total))
 
     def gauge_max(self, name: str, value: float) -> None:
         """Raise a named high-water mark (still monotone, so it exports
-        like a counter). Used for ``peak-rss`` samples at superstep
-        boundaries — the value is a level, not an increment, so ``count``
-        would be wrong."""
-        value = float(value)
-        total = self.counters.get(name, 0.0)
-        if value > total:
-            self.counters[name] = value
-            self.counter_samples.append((self.now(), name, value))
+        like a counter). Used for ``peak-rss`` samples, one per charged
+        batch of supersteps — the value is a level, not an increment, so
+        ``count`` would be wrong."""
+        now, value = self.now(), float(value)
+        if value > self._counters.get(name, 0.0):
+            self._counters[name] = value
+            self._samples.append((now, name, value))
 
     # -- introspection -----------------------------------------------------
+
+    @property
+    def spans(self) -> list:
+        """Every span recorded, once the clock has charged what it holds."""
+        self.now()
+        return self._spans
+
+    @property
+    def counters(self) -> dict:
+        """Each counter's total, once the clock has charged what it holds."""
+        self.now()
+        return self._counters
+
+    @property
+    def counter_samples(self) -> list:
+        """``(time, name, total)`` per bump, in order, once the clock has
+        charged what it holds."""
+        self.now()
+        return self._samples
 
     def open_spans(self) -> list:
         """Spans not yet closed (should be empty after a finished run)."""

@@ -116,6 +116,17 @@ class TestFabric:
         with pytest.raises(SimulationError, match="traffic bytes"):
             cluster.superstep(traffic=np.array([[0.0, -1.0], [0.0, 0.0]]))
 
+    def test_checks_run_in_order(self):
+        """A call with two faults reports the first check it fails:
+        overhead, then negative work, then the traffic shape."""
+        cluster, wrong = Cluster(paper_cluster(2)), np.zeros((3, 3))
+        with pytest.raises(SimulationError, match="overhead_s"):
+            cluster.superstep(ComputeWork(ops=np.array([-1.0, 0.0])),
+                              traffic=wrong, overhead_s=-1.0)
+        with pytest.raises(SimulationError, match="work counters"):
+            cluster.superstep(ComputeWork(ops=np.array([-1.0, 0.0])),
+                              traffic=wrong)
+
     def test_slower_layer_takes_longer(self):
         fabric = Fabric(NodeSpec(), 2)
         traffic = np.array([[[0.0, 1e9], [0.0, 0.0]]])

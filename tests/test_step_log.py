@@ -1,17 +1,18 @@
 """The step log: a run charged in batches equals the run charged per row.
 
-Without a tracer, deadline or chaos, :class:`~repro.cluster.Cluster`
-appends each superstep, tick and iteration mark to a columnar log and
-charges it in one vectorized pass when something reads the clock or the
-metrics. With a tracer (or a deadline) it charges every row as it comes.
-Both must produce the same bits: every ``RunMetrics`` field, every
-``StepRecord``, the iteration times and the clock — and a row that fails
-a check must raise the same error at the same superstep either way.
+:class:`~repro.cluster.Cluster` appends each superstep, tick and
+iteration mark to a columnar log and charges it in one vectorized pass
+when something reads the clock or the metrics, traced or not: a tracer
+reads the clock only after the pending rows are charged, and their spans
+come from the charged rows. Charged in batches, traced, or read after
+every row, a run must produce the same bits: every ``RunMetrics`` field,
+every ``StepRecord``, the iteration times and the clock — and a row that
+fails a check must raise the same error at the same superstep either way.
 
 The reductions the batch uses are pinned too: each ``(S, P)`` or
 ``(S, P, P)`` form must equal the per-row form it replaces, bit for bit.
 So must :meth:`~repro.cluster.Cluster.supersteps`, which takes a chunk of
-S rows (with their buffers, iteration marks and traced spans) in one
+S rows (with their buffers, iteration marks and declared spans) in one
 call: it equals the S ``superstep`` calls it stands for, with a tracer,
 a deadline and a fault schedule too.
 """
@@ -32,6 +33,7 @@ from repro.cluster import (
     TCP_SOCKETS,
     Cluster,
     ComputeWork,
+    Spans,
     node_volumes,
     paper_cluster,
 )
@@ -455,16 +457,12 @@ def _chunk(nodes: int, seed: int, rows: int, bad=None, huge=None) -> dict:
     return args
 
 
-def _trace(rows: int, marks) -> list:
-    """The tracer events ``one_call_per_row`` opens and counts."""
-    at = np.bincount(marks, minlength=rows + 1)
-    events = []
-    for row in range(rows):
-        events += [("mark",)] * at[row] + [
-            ("count", "rows", 1.0), ("open", "round", {"index": row}),
-            ("alloc", row), ("instant", "taken", {"row": row}),
-            ("step", row), ("close",)]
-    return events + [("mark",)] * at[rows]
+def _trace(rows: int) -> Spans:
+    """The spans ``one_call_per_row`` opens and counts, as data."""
+    return Spans([("round", {"index": row}, row, row + 1, 0)
+                  for row in range(rows)],
+                 [(row, "rows", 1.0) for row in range(rows)],
+                 [(row, "taken", {"row": row}) for row in range(rows)])
 
 
 def one_call_per_row(cluster: Cluster, args: dict) -> None:
@@ -473,9 +471,9 @@ def one_call_per_row(cluster: Cluster, args: dict) -> None:
         cluster.tracer
     rows = len(sizes)
     at = np.bincount(args["marks"], minlength=rows + 1)
+    for _ in range(at[0]):
+        cluster.mark_iteration()
     for row in range(rows):
-        for _ in range(at[row]):
-            cluster.mark_iteration()
         tracer.count("rows", 1.0)
         with tracer.span("round", index=row):
             cluster.allocate_all(label, sizes[row])
@@ -486,8 +484,8 @@ def one_call_per_row(cluster: Cluster, args: dict) -> None:
                                     ops=work.ops[row]),
                 args["traffic"][row], overlap=args["overlap"],
                 layer=args["layer"], overhead_s=args["overhead_s"])
-    for _ in range(at[rows]):
-        cluster.mark_iteration()
+            for _ in range(at[row + 1]):
+                cluster.mark_iteration()
 
 
 def state(cluster: Cluster) -> dict:
@@ -511,7 +509,10 @@ def state(cluster: Cluster) -> dict:
 
 def both_ways(make, args: dict, prefix=()) -> list:
     """``(error, state)`` of the rows taken in one call and one call per
-    row, each on a fresh ``make()`` cluster after the ``prefix`` ops."""
+    row, each on a fresh ``make()`` cluster after the ``prefix`` ops. A
+    traced chunk marks each round's end, inside its span, as engines do."""
+    if make().tracer.enabled:
+        args = {**args, "marks": np.arange(1, len(args["buffers"][1]) + 1)}
     outcomes = []
     for batched in (True, False):
         cluster = make()
@@ -519,8 +520,8 @@ def both_ways(make, args: dict, prefix=()) -> list:
         error = None
         try:
             if batched:
-                cluster.supersteps(**args, trace=_trace(
-                    len(args["buffers"][1]), args["marks"]))
+                cluster.supersteps(**args,
+                                   spans=_trace(len(args["buffers"][1])))
             else:
                 one_call_per_row(cluster, args)
         except ReproError as caught:
@@ -553,15 +554,24 @@ def test_one_call_equals_a_call_per_row(nodes, seed, rows, prefix, tracer):
 @settings(max_examples=30, deadline=None)
 @given(nodes=st.sampled_from(BATCH_NODES), seed=st.integers(0, 2**31 - 1),
        rows=st.integers(1, 30), fraction=st.floats(0.05, 0.95),
-       tracer=st.booleans())
+       tracer=st.booleans(), after=st.integers(0, 29))
 def test_a_deadline_raises_at_the_same_row(nodes, seed, rows, fraction,
-                                           tracer):
+                                           tracer, after):
     args = _chunk(nodes, seed, rows)
     free = _cluster(nodes, 2e4)
     free.supersteps(**args)
-    error, _ = both_ways(_maker(nodes, tracer,
-                                deadline_s=fraction * free.elapsed_s), args)
+    budget = fraction * free.elapsed_s
+    error, _ = both_ways(_maker(nodes, tracer, deadline_s=budget), args)
     assert error[0] == "DeadlineExceeded"
+    # A buffer that cannot fit, after the row over the budget: that row
+    # still decides, and no buffer after it is allocated.
+    crossing = int(np.searchsorted(np.add.accumulate(
+        [step.time_s for step in free.metrics().steps]), budget, "right"))
+    if crossing + 1 < rows:
+        huge = crossing + 1 + after % (rows - crossing - 1)
+        error, _ = both_ways(_maker(nodes, tracer, deadline_s=budget),
+                             _chunk(nodes, seed, rows, huge=huge))
+        assert error[0] == "DeadlineExceeded"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
