@@ -1,21 +1,22 @@
 """The simulated cluster: barriers, message exchange, byte counting.
 
-Engines drive a :class:`Cluster` superstep by superstep: they hand over
-one :class:`~repro.cluster.cost.ComputeWork` of per-node counter columns
-and a node-to-node traffic matrix of *payload* bytes, and the cluster
-advances a simulated wall clock using the cost model, the framework's
-communication layer and (optionally) compute/communication overlap. All
-Figure 6 observables accumulate as a side effect.
+Engines drive a :class:`Cluster` in chunks of supersteps: per row they
+hand over a :class:`~repro.cluster.cost.ComputeWork` of per-node counter
+columns and a node-to-node traffic matrix of *payload* bytes, and the
+cluster advances a simulated wall clock using the cost model, the
+framework's communication layer and (optionally) compute/communication
+overlap. All Figure 6 observables accumulate as a side effect.
 
 A step is checked when it is taken and appended to a columnar step log;
 the log is charged in one vectorized pass — every row exactly as it
-would be alone — when something reads the clock or the metrics. An
-engine hands a chunk of rows over in one :meth:`Cluster.supersteps`
-call; :meth:`Cluster.superstep` is a chunk of one. Traced or not, rows
-take that one path: a tracer reads the clock only after the pending rows
-are charged, and the charged rows' spans are emitted from their own
-start and end times. A deadline is a search of the charged clock. Only
-a fault schedule or recovery policy charges every row as it comes.
+would be alone — when something reads the clock or the metrics. Every
+engine hands over a frontier chunk of rounds or a dense iteration in one
+:meth:`Cluster.supersteps` call, its spans declared as data
+(:class:`Spans`); :meth:`Cluster.superstep` is a chunk of one. A tracer
+reads the clock only after the pending rows are charged, and the
+charged rows' spans are emitted from their own start and end times. A
+deadline is a search of the charged clock. Only a fault schedule or
+recovery policy charges every row as it comes.
 
 Scale extrapolation: experiments run on downscaled proxy datasets but
 report paper-scale numbers. The cluster multiplies every counter (work,
@@ -86,13 +87,18 @@ class Spans(NamedTuple):
     extents deep, listed in the order they open. A depth-0 extent holds
     the iteration mark at its end; an empty one (``first == end``) holds
     the mark at its position. ``counts`` ``(row, name, value)`` and
-    ``instants`` ``(row, name, attrs)`` are taken at their row's start,
-    the instants in the deepest extent open there.
+    ``instants`` / ``leading`` instants ``(row, name, attrs)`` are taken
+    at their row's start: a row opens its extents shallower than
+    ``alloc_depth``, takes its counts and leading instants, allocates its
+    buffers (stopping there if one does not fit), then opens the rest and
+    takes its other instants, each in the deepest extent open then.
     """
 
     extents: list = ()
     counts: list = ()
     instants: list = ()
+    leading: list = ()
+    alloc_depth: int = 1
 
 
 class _Chunk:
@@ -102,30 +108,36 @@ class _Chunk:
     def __init__(self, tracer, spans: Spans):
         self.tracer, self.open = tracer, []
         self.extents = sorted(spans.extents, key=lambda span: span[2::2])
-        self.rows = {}      # row -> (counts, instants)
-        for kind, entries in enumerate((spans.counts, spans.instants)):
+        self.alloc_depth = spans.alloc_depth
+        self.rows = {}      # row -> (counts, instants, leading)
+        for kind, entries in enumerate((spans.counts, spans.instants,
+                                        spans.leading)):
             for row, *entry in entries:
-                self.rows.setdefault(row, ([], []))[kind].append(entry)
+                self.rows.setdefault(row, ([], [], []))[kind].append(entry)
         self.row = self.taken = 0
         self.begun = False
 
     def begin(self, outer: bool = False) -> None:
         """Start row ``self.row``: close what ended before it, open what
-        starts there, then take its counts and instants. ``outer`` (a row
-        whose buffer did not fit) opens only depth-0 extents and takes no
-        instant."""
+        starts there and take its counts and instants as :class:`Spans`
+        orders them; ``outer`` (its buffer did not fit) stops there."""
         if self.begun:
             return
         self.begun, row, extents = True, self.row, self.extents
         self.close(row)
-        while self.taken < len(extents) and extents[self.taken][2] <= row \
-                and not (outer and extents[self.taken][4]):
-            self._open(row)
-        counts, instants = self.rows.get(row, ((), ()))
-        for name, value in counts:
-            self.tracer.count(name, value)
-        for name, attrs in () if outer else instants:
-            self.tracer.instant(name, **attrs)
+        counts, instants, leading = self.rows.get(row, ((), (), ()))
+        # Up to where its buffers are allocated, then (unless refused) on.
+        for depth, taken in ((self.alloc_depth, leading),
+                             (math.inf, instants))[:2 - outer]:
+            while self.taken < len(extents) \
+                    and extents[self.taken][2] <= row \
+                    and extents[self.taken][4] < depth:
+                self._open(row)
+            for name, value in counts:
+                self.tracer.count(name, value)
+            for name, attrs in taken:
+                self.tracer.instant(name, **attrs)
+            counts = ()
 
     def mark(self, emit) -> None:
         """``emit`` one of the iteration marks after ``self.row`` rows:
@@ -757,10 +769,6 @@ class Cluster:
         stats.recovery_time_s += total_s
         stats.events.append({"kind": "recovery", "superstep": superstep,
                              "node": node, "time_s": total_s})
-
-    def trace_span(self, name: str, **attrs):
-        """Open an engine-level span on this cluster's tracer."""
-        return self.tracer.span(name, **attrs)
 
     # -- results ------------------------------------------------------------
 

@@ -141,6 +141,14 @@ class FrameworkProfile:
         if self.fault_policy == "checkpoint" and self.checkpoint_interval < 1:
             raise ValueError("checkpointing profiles need an interval >= 1")
 
+    @property
+    def step(self) -> dict:
+        """How this framework takes each superstep: the knobs of
+        :meth:`~repro.cluster.Cluster.supersteps`."""
+        return {"overlap": self.overlaps_communication,
+                "layer": self.comm_layer,
+                "overhead_s": self.superstep_overhead_s}
+
     def recovery_policy(self):
         """The :class:`repro.chaos.RecoveryPolicy` this profile opts into."""
         from ..chaos.recovery import policy_for_profile

@@ -64,7 +64,7 @@ def _charge(cluster: Cluster, profile: FrameworkProfile, stats: EvalStats,
     share = stats.work_share if stats.work_share is not None else \
         np.full(cluster.num_nodes, 1.0 / cluster.num_nodes)
     traffic = stats.traffic * profile.message_overhead_factor
-    span = cluster.trace_span("rule-eval",
+    span = cluster.tracer.span("rule-eval",
                               scanned_bytes=stats.scanned_bytes,
                               join_rows=stats.join_output_rows,
                               produced=stats.produced_tuples)
@@ -117,7 +117,7 @@ def _semi_naive(cluster: Cluster, profile: FrameworkProfile,
     while changed.size:
         rounds += 1
         cluster.tracer.count("frontier_size", int(changed.size))
-        with cluster.trace_span("round", index=rounds,
+        with cluster.tracer.span("round", index=rounds,
                                 delta=int(changed.size)):
             stats = engine.evaluate(rule, delta_keys=changed)
             _charge(cluster, profile, stats)
@@ -150,7 +150,7 @@ def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
                             constants)
 
     for iteration in range(iterations):
-        with cluster.trace_span("iteration", index=iteration):
+        with cluster.tracer.span("iteration", index=iteration):
             rank_next.reset()
             stats_const = engine.evaluate(const_rule)
             stats_main = engine.evaluate(main_rule)
@@ -285,12 +285,8 @@ class TableCFEngine(Engine):
             cores_fraction=profile.cores_fraction,
         )
 
-    def sweep(self) -> None:
-        profile = self.profile
-        self.cluster.superstep(self._work, self._traffic,
-                               overlap=profile.overlaps_communication,
-                               layer=profile.comm_layer,
-                               overhead_s=profile.superstep_overhead_s)
+    def iteration(self) -> dict:
+        return self.rows([(self._work, self._traffic)], **self.profile.step)
 
     def diagnostics(self) -> dict:
         return {"optimized": self.optimized}

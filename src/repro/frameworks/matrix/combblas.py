@@ -42,7 +42,7 @@ _PROFILE = COMBBLAS
 def _build(graph: CSRGraph, cluster: Cluster, bytes_per_nnz: float = 16.0):
     """Distribute the matrix and register its memory."""
     grid = ProcessGrid(cluster.num_nodes)
-    dist = DistSpMat(graph, grid, tracer=cluster.tracer)
+    dist = DistSpMat(graph, grid)
     nnz_per_node = dist.nnz_per_node()
     cluster.allocate_all("matrix", bytes_per_nnz
                          * np.asarray(nnz_per_node, dtype=np.float64))
@@ -77,19 +77,6 @@ def _work(nnz_per_node, flops_total: float, traffic: np.ndarray,
         cores_fraction=_PROFILE.cores_fraction,
         prefetch=True,   # tuned C++ SpMV kernels prefetch their SPA
     )
-
-
-#: How every CombBLAS superstep is taken.
-_STEP = dict(overlap=_PROFILE.overlaps_communication,
-             layer=_PROFILE.comm_layer,
-             overhead_s=_PROFILE.superstep_overhead_s)
-
-
-def _step(cluster, nnz_per_node, flops, traffic, vector_bytes=0.0,
-          touched_nnz=None, gather_random_bytes=32.0):
-    cluster.superstep(
-        _work(nnz_per_node, flops, traffic, vector_bytes, touched_nnz,
-              gather_random_bytes), traffic, **_STEP)
 
 
 @dataclass(frozen=True)
@@ -140,10 +127,6 @@ class MatrixEngine(Engine):
                               / cluster.num_nodes)
         cluster.allocate_all("vectors", self._vector_bytes)
         self._multiplies = 0.0
-        self._dense = None
-
-    def iteration_span(self, index: int):
-        return self.cluster.trace_span("spmv", kind="dense", index=index)
 
     def charge(self, rounds) -> None:
         """An SpMSpV superstep per round over its active ids; k_core's
@@ -169,18 +152,22 @@ class MatrixEngine(Engine):
                                      for row, value in flops],
                 [(row, "spmv-kernel", {"flops": value, "sparse": True})
                  for row, value in flops])
-        cluster.supersteps(work, traffic, marks=marks, spans=spans, **_STEP)
+        cluster.supersteps(work, traffic, marks=marks, spans=spans,
+                           **_PROFILE.step)
 
-    def sweep(self) -> None:
-        # A dense product costs the same every iteration.
-        if self._dense is None:
-            self._dense = self.dist.spmv_cost(value_bytes=self.value_bytes)
-        else:
-            self.dist.report(self._dense[0], sparse=False)
-        flops, traffic = self._dense
-        _step(self.cluster, self._nnz_per_node, flops, traffic,
-              vector_bytes=self._vector_bytes,
-              gather_random_bytes=self.cost.gather_random_bytes)
+    def iteration(self) -> dict:
+        self._flops, traffic = self.dist.spmv_cost(
+            value_bytes=self.value_bytes)
+        return self.rows([(_work(
+            self._nnz_per_node, self._flops, traffic, self._vector_bytes,
+            gather_random_bytes=self.cost.gather_random_bytes), traffic)],
+            **_PROFILE.step)
+
+    def spans(self, index: int, rows: int) -> Spans:
+        return Spans([("spmv", {"kind": "dense", "index": index}, 0, rows,
+                       0)], [(0, "flops", self._flops)],
+                     [(0, "spmv-kernel", {"flops": self._flops,
+                                          "sparse": False})])
 
     def diagnostics(self) -> dict:
         return {"grid": self.dist.grid.grid, "peeled_edges": self._multiplies}
@@ -205,18 +192,24 @@ class MatrixCFEngine(Engine):
         self._traffic = traffic / density
         self._vector_bytes = 8.0 * n / nodes / density
 
-    def iteration_span(self, index: int):
-        return self.cluster.trace_span("iteration", index=index,
-                                       spmvs=self.program.hidden_dim)
-
-    def sweep(self) -> None:
+    def iteration(self) -> dict:
         # Gathering one 8-byte column entry per nonzero has mild
         # irregularity (columns are dense).
-        for column in range(self.program.hidden_dim):
-            with self.cluster.trace_span("spmv", kind="dense", index=column):
-                _step(self.cluster, self._nnz_per_node, self._flops,
-                      self._traffic, vector_bytes=self._vector_bytes,
-                      gather_random_bytes=8.0)
+        return self.rows([(_work(self._nnz_per_node, self._flops,
+                                 self._traffic, self._vector_bytes,
+                                 gather_random_bytes=8.0), self._traffic)]
+                         * self.program.hidden_dim, **_PROFILE.step)
+
+    def spans(self, index: int, rows: int) -> Spans:
+        # Counted once, when the engine prices the product.
+        planned = [(0, "spmv-kernel", {"flops": self._flops,
+                                       "sparse": False})] if index == 0 else []
+        return Spans([("iteration", {"index": index, "spmvs": rows},
+                       0, rows, 0)]
+                     + [("spmv", {"kind": "dense", "index": column},
+                         column, column + 1, 1) for column in range(rows)],
+                     [(0, "flops", self._flops)] if planned else [],
+                     leading=planned, alloc_depth=0)
 
     def diagnostics(self) -> dict:
         return {"spmvs_per_iteration": self.program.hidden_dim}
@@ -235,22 +228,15 @@ class MatrixTCEngine(Engine):
         self.dist, self._nnz_per_node = _build(graph, cluster)
         program.count = self.count
 
-    def iteration_span(self, index: int):
-        self._span = self.cluster.trace_span("spgemm")
-        return self._span
-
     def count(self, graph) -> tuple:
         product, self._flops, self._traffic = self.dist.spgemm_aa()
         self._product_nnz = int(product.nnz)
-        self._span.set(flops=self._flops, product_nnz=self._product_nnz)
-        # The product must live in memory before the elementwise mask;
-        # its nonzeros distribute like the blocks do (roughly evenly).
+        # Its nonzeros distribute like the blocks do (roughly evenly).
         self._product_per_node = 16.0 * product.nnz / self.cluster.num_nodes
-        self.cluster.allocate_all("a-squared", self._product_per_node)
         total, self._mult_flops = self.dist.ewise_mult_sum(product)
         return int(total), None
 
-    def sweep(self) -> None:
+    def iteration(self) -> dict:
         # SpGEMM pays for far more than the multiplies: heap/hash
         # accumulator maintenance per multiply (irregular, ~log d deep),
         # expanded-triple materialization that is re-merged once per
@@ -269,7 +255,17 @@ class MatrixTCEngine(Engine):
         work.random_bytes += spa_random_bytes
         work.streamed_bytes += product_stream_bytes + expand_stream_bytes
         work.prefetch = False   # pointer-chasing accumulators do not
-        cluster.superstep(work, self._traffic, **_STEP)
+        # The product, once its kernel ran, must fit in memory for the
+        # elementwise mask.
+        return self.rows([(work, self._traffic, np.full(
+            cluster.num_nodes, self._product_per_node))], "a-squared",
+            **_PROFILE.step)
+
+    def spans(self, index: int, rows: int) -> Spans:
+        attrs = {"flops": self._flops, "product_nnz": self._product_nnz}
+        return Spans([("spgemm", attrs, 0, rows, 0)],
+                     [(0, "flops", self._flops)],
+                     leading=[(0, "spgemm-kernel", attrs)])
 
     def diagnostics(self) -> dict:
         return {"a_squared_nnz": self._product_nnz,

@@ -44,7 +44,6 @@ from ...graph import CSRGraph, iter_csr_blocks
 from ...graph.csr import derived
 from ...kernels.segments import distinct
 from ...kernels.spmv import semiring_spmspv
-from ...observability import NULL_TRACER
 from .semiring import PLUS_TIMES, Semiring, semiring_spmv
 
 PROCS_PER_NODE = 36
@@ -128,10 +127,9 @@ def _grid_templates(num_nodes: int, procs_per_node: int) -> GridTemplates:
 class DistSpMat:
     """The adjacency of ``graph`` distributed over a :class:`ProcessGrid`."""
 
-    def __init__(self, graph: CSRGraph, grid: ProcessGrid, tracer=NULL_TRACER):
+    def __init__(self, graph: CSRGraph, grid: ProcessGrid):
         self.graph = graph
         self.grid = grid
-        self.tracer = tracer
         n = graph.num_vertices
         g = grid.grid
         # Band boundaries of the block distribution.
@@ -216,23 +214,15 @@ class DistSpMat:
             y_bands = self._entries_per_band(
                 distinct(targets, self.graph.num_vertices))
             flops = 2.0 * float(targets.size)
-        traffic = self.spmv_traffic(x_bands, y_bands, value_bytes)
-        self.report(flops, present is not None)
-        return flops, traffic
-
-    def report(self, flops: float, sparse: bool) -> None:
-        """Tell the tracer one product's flops."""
-        if self.tracer.enabled:
-            self.tracer.count("flops", flops)
-            self.tracer.instant("spmv-kernel", flops=flops, sparse=sparse)
+        return flops, self.spmv_traffic(x_bands, y_bands, value_bytes)
 
     def spmspv_costs(self, rounds, value_bytes: float = 8.0):
         """``(flops, traffic)`` of one SpMSpV per round of a chunk
         (:class:`~repro.frameworks.rounds.Rounds`, each round's ids
         ascending), as ``(S,)`` and ``(S, P, P)`` stacks: each round's
         :meth:`spmv_cost`, bit for bit (entry counts are integers, so
-        with a whole ``value_bytes`` every sum is exact in any order),
-        without the tracer. The y counts are the chunk's target census
+        with a whole ``value_bytes`` every sum is exact in any order).
+        The y counts are the chunk's target census
         (:meth:`~repro.frameworks.rounds.Rounds.census`) at this grid's
         bands, and the flops its rows' degrees, so a chunk whose census
         the graph holds gathers nothing."""
@@ -285,10 +275,6 @@ class DistSpMat:
         block_bytes = self.block_nnz.reshape(-1, 1) * 16.0
         node_traffic = templates.rank_on_node @ (block_bytes
                                                  * templates.summa_reach)
-        if self.tracer.enabled:
-            self.tracer.count("flops", flops)
-            self.tracer.instant("spgemm-kernel", flops=flops,
-                                product_nnz=int(product.nnz))
         return product, flops, node_traffic
 
     def ewise_mult_sum(self, other) -> "tuple[float, float]":

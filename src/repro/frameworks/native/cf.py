@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...cluster import ComputeWork
+from ...cluster import ComputeWork, Spans
 from ...errors import ConvergenceError
 from ..rounds import CollaborativeFiltering, Engine
 from .options import NativeOptions
@@ -72,13 +72,13 @@ class NativeCFEngine(Engine):
                            random_bytes=0.25 * total, ops=8.0 * k * ratings,
                            prefetch=self.options.prefetch)
 
-    def iteration_span(self, index: int):
-        return self.cluster.trace_span("iteration", index=index,
-                                       method=self.program.method)
+    def iteration(self) -> dict:
+        return self.rows(self._steps, overlap=self.options.overlap)
 
-    def sweep(self) -> None:
-        for work, traffic in self._steps:
-            self.cluster.superstep(work, traffic, overlap=self.options.overlap)
+    def spans(self, index: int, rows: int) -> Spans:
+        return Spans([("iteration", {"index": index,
+                                     "method": self.program.method},
+                       0, rows, 0)])
 
 
 def rmse_curve(ratings, iterations: int, **params) -> list:

@@ -390,16 +390,14 @@ class NativeEngine(Engine):
             prefetch=options.prefetch,
         )
 
-    def iteration_span(self, index: int):
-        if self.program.algorithm == "pagerank":
-            return self.cluster.trace_span(
-                "iteration", index=index,
-                compressed=self.options.compression)
-        return super().iteration_span(index)
+    def iteration(self) -> dict:
+        return self.rows([(self._dense_work, self._traffic)],
+                         overlap=self.options.overlap)
 
-    def sweep(self) -> None:
-        self.cluster.superstep(self._dense_work, self._traffic,
-                               overlap=self.options.overlap)
+    def spans(self, index: int, rows: int) -> Spans:
+        attrs = {"compressed": self.options.compression} \
+            if self.program.algorithm == "pagerank" else {}
+        return Spans([("iteration", {"index": index, **attrs}, 0, rows, 0)])
 
     def diagnostics(self) -> dict:
         wire = float(self._traffic.sum()) if self.program.shape == "dense" \
@@ -473,18 +471,17 @@ class NativeTCEngine(Engine):
                             + 2 * node_volumes(self._traffic)),
             random_bytes=random_bytes, ops=ops, prefetch=options.prefetch)
 
-    def iteration_span(self, index: int):
-        return self.cluster.trace_span(
-            "neighborhood-exchange", bitvector=self.options.bitvector,
-            probe_edges=float(self._probes.sum()))
+    def iteration(self) -> dict:
+        return self.rows([(self._work, self._traffic)],
+                         overlap=self.options.overlap)
 
-    def sweep(self) -> None:
-        tracer = self.cluster.tracer
-        if tracer.enabled:
-            # Successful membership probes = one per counted triangle.
-            tracer.count("cache_hits", float(self.program.values))
-        self.cluster.superstep(self._work, self._traffic,
-                               overlap=self.options.overlap)
+    def spans(self, index: int, rows: int) -> Spans:
+        # Successful membership probes = one per counted triangle.
+        return Spans([("neighborhood-exchange",
+                       {"bitvector": self.options.bitvector,
+                        "probe_edges": float(self._probes.sum())},
+                       0, rows, 0)],
+                     [(0, "cache_hits", float(self.program.values))])
 
     def diagnostics(self) -> dict:
         return {"traffic_bytes": float(self._traffic.sum()),

@@ -23,13 +23,13 @@ number of times. Neither loop knows a framework: an
 matrix) — owns allocation, partition/owner routing, and turning rounds
 into ``ComputeWork`` and traffic from its per-algorithm row of cost
 constants: ``charge`` makes all the superstep rows of a chunk of
-:class:`Rounds` (and their spans) at once, with a few ``bincount`` calls
-over (round, owner) keys, and hands them to
-:meth:`~repro.cluster.Cluster.supersteps` in one call (triangle counting
-and CF have a small engine per family instead). :func:`run_program`
-ties a program, an engine and a cluster into an
-:class:`AlgorithmResult`; which engine runs each (algorithm, framework)
-is one row of :mod:`repro.algorithms.registry`.
+:class:`Rounds` at once, with a few ``bincount`` calls over (round,
+owner) keys, and ``sweep`` one dense iteration's (triangle counting and
+CF have a small engine per family instead); either way the rows reach
+:meth:`~repro.cluster.Cluster.supersteps` in one call, their spans
+declared as a :class:`~repro.cluster.Spans`. :func:`run_program` ties a
+program, an engine and a cluster into an :class:`AlgorithmResult`;
+which engine runs each is one row of :mod:`repro.algorithms.registry`.
 
 A program's run depends only on (graph, algorithm, params, kernel
 backend), so it runs once per resident graph: ``run_program`` records
@@ -41,6 +41,7 @@ to every later engine instead of calling the kernel.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,6 +49,7 @@ import numpy as np
 from ..algorithms.bfs import UNREACHED
 from ..algorithms.labelprop import initial_labels
 from ..algorithms.triangles import require_oriented
+from ..cluster import Spans
 from ..errors import SpecError
 from ..graph.csr import derived, held, held_keys, holds
 from ..kernels import registry as kernel_registry
@@ -503,7 +505,9 @@ class Engine:
     Subclasses allocate in ``__init__`` and implement ``charge`` (frontier
     programs: turn a chunk of :class:`Rounds` into all of its superstep
     rows, one :meth:`~repro.cluster.Cluster.supersteps` call) and/or
-    ``sweep`` (dense programs: charge one all-vertex iteration).
+    ``iteration`` and ``spans`` (dense programs: one all-vertex
+    iteration's rows, built once as every iteration costs the same, and
+    each iteration's spans over them, which :meth:`sweep` charges).
     """
 
     #: k_core on engines that charge a whole k level at once: the
@@ -526,6 +530,7 @@ class Engine:
         self.graph = graph
         self.cluster = cluster
         self.cost = cost
+        self._iteration = None
 
     @classmethod
     def whole_rounds(cls, algorithm: str, cluster) -> bool:
@@ -535,15 +540,37 @@ class Engine:
         live program."""
         return True
 
-    def iteration_span(self, index: int):
-        """Span around one dense sweep."""
-        return self.cluster.trace_span("iteration", index=index)
-
     def charge(self, rounds: "Rounds") -> None:
         raise NotImplementedError
 
-    def sweep(self) -> None:
+    def iteration(self) -> dict:
         raise NotImplementedError
+
+    def spans(self, index: int, rows: int) -> Spans:
+        """Dense iteration ``index``'s spans over its ``rows`` rows."""
+        return Spans([("iteration", {"index": index}, 0, rows, 0)])
+
+    def rows(self, rows, label: str = None, **knobs) -> dict:
+        """``supersteps`` arguments of ``(work, traffic)`` rows, or with
+        a buffer ``label`` ``(work, traffic, sizes)``: one knob setting,
+        per-node or shared counters, ``(P, P)`` traffic or None."""
+        works, traffic, *sizes = zip(*rows)
+        work = replace(works[0], **{name: np.array(
+            [np.broadcast_to(getattr(work, name), self.cluster.num_nodes)
+             for work in works], dtype=np.float64)
+            for name in ("streamed_bytes", "random_bytes", "ops")})
+        return {"work": work, "buffers": label and (label, np.array(sizes[0])),
+                "traffic": None if traffic[0] is None
+                else np.array(traffic, dtype=np.float64), **knobs}
+
+    def sweep(self, index: int) -> None:
+        """Charge dense iteration ``index`` in one ``supersteps`` call:
+        its rows, the mark after them and (traced) its :meth:`spans`."""
+        self._iteration = self._iteration or self.iteration()
+        rows, cluster = len(self._iteration["work"].ops), self.cluster
+        cluster.supersteps(**self._iteration, marks=(rows,),
+                           spans=self.spans(index, rows)
+                           if cluster.tracer.enabled else None)
 
     def diagnostics(self) -> dict:
         """Engine-side values ``cost.extras`` may name."""
@@ -654,7 +681,7 @@ class Rounds:
                 for row, size in zip(rows, self.sizes.tolist())]
 
 
-def run_frontier(run, engine, cluster) -> int:
+def run_frontier(run, engine) -> int:
     """Charge a frontier run chunk by chunk, each chunk's rounds in one
     ``engine.charge``.
 
@@ -673,19 +700,14 @@ def run_frontier(run, engine, cluster) -> int:
     return run.level_count if engine.reports_levels else run.rounds
 
 
-def run_dense(program, engine, cluster) -> int:
+def run_dense(program, engine) -> int:
     """``program.iterations`` all-vertex sweeps, or fewer on convergence."""
     for index in range(program.iterations):
-        with engine.iteration_span(index):
-            converged = program.round()
-            engine.sweep()
-            cluster.mark_iteration()
+        converged = program.round()
+        engine.sweep(index)
         if converged:
             break
     return index + 1
-
-
-_LOOPS = {"frontier": run_frontier, "dense": run_dense}
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +923,8 @@ def run_program(algorithm: str, framework: str, engine_type, graph, cluster,
         if program.shape == "frontier":
             program = _Live(program, graph, keep=memo is not None)
     engine = engine_type(program, graph, cluster, **engine_options)
-    iterations = _LOOPS[program.shape](program, engine, cluster)
+    iterations = (run_frontier if program.shape == "frontier"
+                  else run_dense)(program, engine)
     if memo is not None and record is None:
         record = program.record() if hasattr(program, "record") \
             else SimpleNamespace(values=program.values.copy(),

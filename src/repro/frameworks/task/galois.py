@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...cluster import Cluster, ComputeWork, Spans
+from ...cluster import ComputeWork, Spans
 from ..base import GALOIS
 from ..rounds import Engine
 
@@ -34,9 +34,10 @@ def _work(streamed, random, ops) -> ComputeWork:
                        prefetch=_PROFILE.prefetch)
 
 
-def _step(cluster: Cluster, streamed, random, ops) -> None:
-    cluster.superstep(_work(streamed, random, ops),
-                      overhead_s=_PROFILE.superstep_overhead_s)
+def _rows(engine: Engine, streamed, random, ops) -> dict:
+    """A one-superstep iteration of ``engine`` (no traffic: one node)."""
+    return engine.rows([(_work(streamed, random, ops), None)],
+                       overhead_s=_PROFILE.superstep_overhead_s)
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,9 @@ class GaloisEngine(Engine):
             marks=marks, spans=spans,
             overhead_s=_PROFILE.superstep_overhead_s)
 
-    def sweep(self) -> None:
-        _step(self.cluster, *self._columns(float(self.graph.num_edges),
-                                           self._vertices, 0.0))
+    def iteration(self) -> dict:
+        return _rows(self, *self._columns(float(self.graph.num_edges),
+                                          self._vertices, 0.0))
 
 
 class GaloisTCEngine(Engine):
@@ -169,17 +170,16 @@ class GaloisTCEngine(Engine):
         self._probes = float(degrees[graph.sources()].sum())
         self.merge_reads = self._probes + float(degrees[graph.targets].sum())
 
-    def iteration_span(self, index: int):
-        return self.cluster.trace_span("sorted-merge-intersect",
-                                       merge_reads=self.merge_reads)
-
-    def sweep(self) -> None:
+    def iteration(self) -> dict:
         # Sorted-merge intersections: the second list's elements are
         # pulled from cold lines with partial reuse, costlier than the
         # native bit-vector probes (Table 5's 2.5x TC gap).
-        _step(self.cluster,
-              streamed=8.0 * self.merge_reads + 8.0 * self.graph.num_edges,
-              random=24.0 * self._probes, ops=4.0 * self.merge_reads)
+        return _rows(self, 8.0 * self.merge_reads + 8.0 * self.graph.num_edges,
+                     24.0 * self._probes, 4.0 * self.merge_reads)
+
+    def spans(self, index: int, rows: int) -> Spans:
+        return Spans([("sorted-merge-intersect",
+                       {"merge_reads": self.merge_reads}, 0, rows, 0)])
 
     def diagnostics(self) -> dict:
         return {"merge_reads": self.merge_reads}
@@ -205,8 +205,9 @@ class GaloisCFEngine(Engine):
         self._charge = (0.75 * factor_bytes + 16.0 * count,
                         0.25 * factor_bytes, 8.0 * k * count)
 
-    def iteration_span(self, index: int):
-        return self.cluster.trace_span("iteration", index=index, method="sgd")
+    def iteration(self) -> dict:
+        return _rows(self, *self._charge)
 
-    def sweep(self) -> None:
-        _step(self.cluster, *self._charge)
+    def spans(self, index: int, rows: int) -> Spans:
+        return Spans([("iteration", {"index": index, "method": "sgd"},
+                       0, rows, 0)])

@@ -16,7 +16,8 @@ Two layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +125,7 @@ def run_vertex_program(program: VertexProgram, graph: CSRGraph,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExchangeStats:
+class ExchangeStats(NamedTuple):
     """What one message exchange cost."""
 
     messages: float            # message count after combining
@@ -197,15 +197,10 @@ class BSPEngine:
 
     # -- message exchange -----------------------------------------------------
 
-    def edge_messages(self, *args, **kwargs) -> ExchangeStats:
-        """:meth:`exchange`, reported to the tracer."""
-        return self.count_messages(self.exchange(*args, **kwargs))
-
-    def exchange(self, senders: np.ndarray, message_bytes,
-                 combine: bool = None,
-                 serialization_factor: float = None) -> ExchangeStats:
-        """Messages from ``senders`` along all their out-edges, not yet
-        reported (:meth:`count_messages`).
+    def edge_messages(self, senders: np.ndarray, message_bytes,
+                      combine: bool = None,
+                      serialization_factor: float = None) -> ExchangeStats:
+        """Messages from ``senders`` along all their out-edges.
 
         ``message_bytes`` is a scalar or a per-sender array (triangle
         counting sends whole adjacency lists). Sender-side combining
@@ -252,16 +247,22 @@ class BSPEngine:
         traffic *= serialization_factor
         return ExchangeStats(message_count, payload, traffic)
 
-    def count_messages(self, stats: ExchangeStats) -> ExchangeStats:
-        """Report one exchange's messages to the tracer unless it sent
-        none (as a round does); returns it."""
-        tracer = self.cluster.tracer
-        if tracer.enabled and stats.messages:
-            # Counters report paper scale, like the byte totals do.
-            scale = self.cluster.scale_factor
-            tracer.count("messages", stats.messages * scale)
-            tracer.count("payload_bytes", stats.payload_bytes * scale)
-        return stats
+    def exchange_spans(self, exchanges, depth: int, splits: int = 1):
+        """``(extents, counts)`` (:class:`~repro.cluster.Spans`) of
+        consecutive ``(messages, payload_bytes, ...)`` exchanges: a phase
+        span ``depth`` deep over each one's ``splits`` rows, its counts
+        (paper scale, like the byte totals) at its first, if it sent any."""
+        extents, counts, scale = [], [], self.cluster.scale_factor
+        for first, (messages, payload, *_) in zip(
+                itertools.count(0, splits), exchanges):
+            extents.append((self.phase, {"splits": splits,
+                                         "messages": messages,
+                                         "payload_bytes": payload},
+                            first, first + splits, depth))
+            counts += [(first, "messages", messages * scale),
+                       (first, "payload_bytes", payload * scale)] \
+                if messages else []
+        return extents, counts
 
     def round_messages(self, rounds, message_bytes: float) -> tuple:
         """``(messages, payload_bytes, traffic)`` of every round of a
@@ -381,45 +382,24 @@ class BSPEngine:
             memory_parallelism=profile.cores_fraction,
         )
 
-    def superstep(self, compute_vertices: np.ndarray, edges_processed,
-                  stats: ExchangeStats, value_bytes: float,
-                  splits: int = 1, ops_per_edge: float = 8.0,
-                  ops_per_vertex: float = 16.0,
-                  gather_bytes_override: float = None,
-                  label: str = "message-buffers") -> None:
-        """Charge one logical superstep (optionally split into phases).
+    def rows(self, compute_vertices: np.ndarray, edges_processed,
+             stats: ExchangeStats, value_bytes: float, splits: int = 1,
+             ops_per_edge: float = 8.0, ops_per_vertex: float = 16.0,
+             gather_bytes_override: float = None) -> list:
+        """One logical superstep as ``(work, traffic, buffer sizes)``
+        rows (:meth:`~repro.frameworks.rounds.Engine.rows`).
 
         ``splits > 1`` is the Giraph fix of Section 6.1.3: the superstep
         is broken into ``splits`` smaller ones processing 1/splits of the
         vertices each, shrinking peak buffer memory by the same factor at
         the cost of per-superstep overhead.
         """
-        if splits < 1:
-            raise SimulationError("splits must be >= 1")
-        profile = self.profile
-        cluster = self.cluster
-        nodes = cluster.num_nodes
-
-        compute_vertices = np.asarray(compute_vertices, dtype=np.int64)
         per_node_vertices = np.bincount(
-            self.vertex_owner[compute_vertices], minlength=nodes
-        ).astype(np.float64)
-        edges_processed = np.asarray(edges_processed, dtype=np.float64)
-        if edges_processed.shape != (nodes,):
-            edges_processed = np.broadcast_to(edges_processed, (nodes,))
+            self.vertex_owner[compute_vertices],
+            minlength=self.cluster.num_nodes).astype(np.float64)
         volume = stats.traffic.sum(axis=1) + stats.traffic.sum(axis=0)
-        cluster.allocate_all(label, self.buffers(volume, splits))
-        split_traffic = stats.traffic / splits
-        with cluster.tracer.span(self.phase, splits=splits,
-                                 messages=stats.messages,
-                                 payload_bytes=stats.payload_bytes):
-            work = self.work(per_node_vertices, edges_processed, volume,
-                             value_bytes, splits, ops_per_edge,
-                             ops_per_vertex, gather_bytes_override)
-            for _ in range(splits):
-                cluster.superstep(
-                    work, split_traffic,
-                    overlap=profile.overlaps_communication,
-                    layer=profile.comm_layer,
-                    overhead_s=profile.superstep_overhead_s,
-                )
+        work = self.work(per_node_vertices, edges_processed, volume,
+                         value_bytes, splits, ops_per_edge, ops_per_vertex,
+                         gather_bytes_override)
+        return [(work, stats.traffic / splits,
+                 self.buffers(volume, splits))] * splits

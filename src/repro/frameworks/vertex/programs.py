@@ -25,6 +25,7 @@ import numpy as np
 
 from ...algorithms.bfs import UNREACHED
 from ...cluster import Spans
+from ...errors import SimulationError
 from ...graph import bipartite_graph
 from ..base import FrameworkProfile
 from ..rounds import Engine
@@ -123,11 +124,7 @@ class VertexEngine(Engine):
         self.partition_mode = partition_mode
         self.bsp = BSPEngine(graph, cluster, profile, partition_mode)
         self.bsp.allocate_graph(self.cost.message_bytes)
-        if program.shape == "dense":
-            self._all = np.arange(graph.num_vertices, dtype=np.int64)
-            self._edges_per_node = self.bsp.edges_per_node.astype(float)
-            self._sweep_stats = None
-        else:
+        if program.shape == "frontier":
             self._out_degrees = graph.out_degrees()
 
     def charge(self, rounds) -> None:
@@ -136,7 +133,7 @@ class VertexEngine(Engine):
         mirror sync instead)."""
         bsp, cluster, message_bytes = self.bsp, self.cluster, \
             self.cost.message_bytes
-        nodes, count, profile = cluster.num_nodes, rounds.count, bsp.profile
+        nodes, count = cluster.num_nodes, rounds.count
         messages, payload, traffic = bsp.round_messages(rounds, message_bytes)
         row = rounds.round_of_ids()
         if bsp.vertex_cut is not None:
@@ -152,42 +149,37 @@ class VertexEngine(Engine):
         volume = traffic.sum(-1) + traffic.sum(1)
         spans = None
         if cluster.tracer.enabled:
-            # Counters report paper scale, like the byte totals do.
-            scale = cluster.scale_factor
-            sent = list(enumerate(zip(messages.tolist(), payload.tolist())))
-            spans = Spans(
-                rounds.extents(self.program.span) + [
-                    (bsp.phase, {"splits": 1, "messages": count_,
-                                 "payload_bytes": size}, row, row + 1, 1)
-                    for row, (count_, size) in sent],
-                rounds.frontier() + [
-                    (row, name, value * scale) for row, pair in sent
-                    if rounds.edges[row] for name, value in
-                    zip(("messages", "payload_bytes"), pair)])
+            extents, counts = bsp.exchange_spans(
+                zip(messages.tolist(), payload.tolist()), 1)
+            spans = Spans(rounds.extents(self.program.span) + extents,
+                          rounds.frontier() + counts)
         cluster.supersteps(
             bsp.work(vertices, edges, volume, message_bytes,
                      ops_per_edge=self.cost.ops_per_edge), traffic,
-            overlap=profile.overlaps_communication, layer=profile.comm_layer,
-            overhead_s=profile.superstep_overhead_s,
             buffers=("message-buffers", bsp.buffers(volume)),
-            marks=np.arange(1, count + 1), spans=spans)
+            marks=np.arange(1, count + 1), spans=spans, **bsp.profile.step)
 
-    def sweep(self) -> None:
+    def iteration(self) -> dict:
+        # Every vertex messages every out-neighbor (on a vertex cut the
+        # wire carries the mirror sync): the same every iteration.
         bsp, message_bytes = self.bsp, self.cost.message_bytes
+        all_ids = np.arange(self.graph.num_vertices, dtype=np.int64)
         if bsp.vertex_cut is not None:
-            traffic = bsp.replication_sync_traffic(self._all, message_bytes)
-            stats = ExchangeStats(messages=float(traffic.sum() / 8.0),
-                                  payload_bytes=float(traffic.sum()),
-                                  traffic=traffic)
-        elif self._sweep_stats is None:
-            # Every vertex messages every out-neighbor: the exchange is
-            # iteration-invariant, planned at the first sweep.
-            stats = self._sweep_stats = bsp.edge_messages(self._all,
-                                                          message_bytes)
+            traffic = bsp.replication_sync_traffic(all_ids, message_bytes)
+            self._stats = ExchangeStats(float(traffic.sum() / 8.0),
+                                        float(traffic.sum()), traffic)
         else:
-            stats = bsp.count_messages(self._sweep_stats)
-        bsp.superstep(self._all, self._edges_per_node, stats, message_bytes,
-                      ops_per_edge=self.cost.ops_per_edge)
+            self._stats = bsp.edge_messages(all_ids, message_bytes)
+        return self.rows(bsp.rows(all_ids, bsp.edges_per_node.astype(float),
+                                  self._stats, message_bytes,
+                                  ops_per_edge=self.cost.ops_per_edge),
+                         "message-buffers", **bsp.profile.step)
+
+    def spans(self, index: int, rows: int) -> Spans:
+        extents, counts = self.bsp.exchange_spans([self._stats], 1)
+        # A vertex cut's sync is not counted as messages.
+        return Spans([("iteration", {"index": index}, 0, rows, 0)] + extents,
+                     counts if self.bsp.vertex_cut is None else [])
 
     def diagnostics(self) -> dict:
         return {"partition_mode": self.partition_mode}
@@ -207,9 +199,11 @@ class VertexTCEngine(Engine):
                  partition_mode: str, superstep_splits: int = 1,
                  use_cuckoo: bool = False):
         super().__init__(program, graph, cluster)
+        if superstep_splits < 1:
+            raise SimulationError("superstep_splits must be >= 1")
+        self.superstep_splits = superstep_splits
         self.bsp = BSPEngine(graph, cluster, profile, partition_mode)
         self.bsp.allocate_graph(8.0)
-        self.superstep_splits = superstep_splits
         self._ops_per_edge = 10.0 if use_cuckoo else 14.0
         degrees = program.degrees
         self._senders = np.flatnonzero(degrees > 0)
@@ -222,19 +216,23 @@ class VertexTCEngine(Engine):
             self.bsp.vertex_owner[graph.targets],
             weights=degrees[graph.sources()], minlength=cluster.num_nodes)
 
-    def iteration_span(self, index: int):
-        return self.cluster.trace_span(
-            "neighborhood-exchange", payload_bytes=self._stats.payload_bytes)
-
-    def sweep(self) -> None:
+    def iteration(self) -> dict:
         # The membership structure for the vertex under test (cuckoo
         # table / hash set) is small and cache-resident, so the probes
         # stream through the received lists — a small gather granularity
         # instead of the engine's cold-line default.
-        self.bsp.superstep(self._senders, self._probe_edges, self._stats, 8.0,
-                           splits=self.superstep_splits,
-                           ops_per_edge=self._ops_per_edge,
-                           gather_bytes_override=24.0)
+        bsp = self.bsp
+        return self.rows(bsp.rows(
+            self._senders, self._probe_edges, self._stats, 8.0,
+            splits=self.superstep_splits, ops_per_edge=self._ops_per_edge,
+            gather_bytes_override=24.0), "message-buffers", **bsp.profile.step)
+
+    def spans(self, index: int, rows: int) -> Spans:
+        extents, counts = self.bsp.exchange_spans([self._stats], 1, rows)
+        # The lists are counted once, when the exchange is planned.
+        return Spans([("neighborhood-exchange", {
+            "payload_bytes": self._stats.payload_bytes}, 0, rows, 0)]
+            + extents, counts if index == 0 else [])
 
     def diagnostics(self) -> dict:
         return {"superstep_splits": self.superstep_splits,
@@ -255,12 +253,14 @@ class VertexCFEngine(Engine):
                  partition_mode: str, superstep_splits: int = 1,
                  combine_messages: bool = None):
         super().__init__(program, ratings, cluster)
+        if superstep_splits < 1:
+            raise SimulationError("superstep_splits must be >= 1")
+        self.superstep_splits = superstep_splits
         self.bsp = BSPEngine(bipartite_graph(ratings), cluster, profile,
                              partition_mode)
         self.value_bytes = 8.0 * program.hidden_dim
         self.bsp.allocate_graph(self.value_bytes,
                                 vertex_scale_correction=program.density)
-        self.superstep_splits = superstep_splits
         self.combine = profile.combines_messages if combine_messages is None \
             else combine_messages
         users = np.arange(ratings.num_users, dtype=np.int64)
@@ -274,31 +274,42 @@ class VertexCFEngine(Engine):
         """A phase's messages and edges per node: the same every
         iteration."""
         bsp, density = self.bsp, self.program.density
-        stats = bsp.exchange(senders, self.value_bytes, combine=self.combine)
+        stats = bsp.edge_messages(senders, self.value_bytes,
+                                  combine=self.combine)
         if self.combine:
             # Combined messages are one-per-(node, target-vertex), i.e.
             # vertex-proportional — apply the density correction.
-            stats.traffic = stats.traffic / density
+            stats = stats._replace(traffic=stats.traffic / density)
         if bsp.vertex_cut is not None:
             # GAS wire traffic is the mirror gather/scatter sync, not
             # per-edge messages (those stay local on the mirrors); keep
             # only node-local buffering volume from the edge stats.
-            local = np.diag(np.diag(stats.traffic))
-            stats.traffic = local + bsp.replication_sync_traffic(
-                senders, self.value_bytes) / density
+            sync = bsp.replication_sync_traffic(senders, self.value_bytes)
+            stats = stats._replace(traffic=np.diag(np.diag(stats.traffic))
+                                   + sync / density)
         return stats, np.bincount(
             bsp.vertex_owner[senders],
             weights=bsp.graph.out_degrees()[senders].astype(float),
             minlength=self.cluster.num_nodes)
 
-    def sweep(self) -> None:
+    def iteration(self) -> dict:
         k = self.program.hidden_dim
-        for direction, senders, stats, edges_per_node in self._phases:
-            with self.cluster.trace_span("phase", direction=direction):
-                self.bsp.superstep(
-                    senders, edges_per_node, self.bsp.count_messages(stats),
-                    self.value_bytes, splits=self.superstep_splits,
-                    ops_per_edge=8.0 * k, ops_per_vertex=4.0 * k)
+        return self.rows([row for _, senders, stats, edges_per_node
+                          in self._phases for row in self.bsp.rows(
+                              senders, edges_per_node, stats,
+                              self.value_bytes, splits=self.superstep_splits,
+                              ops_per_edge=8.0 * k, ops_per_vertex=4.0 * k)],
+                         "message-buffers", **self.bsp.profile.step)
+
+    def spans(self, index: int, rows: int) -> Spans:
+        splits = self.superstep_splits
+        extents, counts = self.bsp.exchange_spans(
+            [stats for _, _, stats, _ in self._phases], 2, splits)
+        # A phase's buffers are allocated in its ``phase`` span.
+        return Spans([("iteration", {"index": index}, 0, rows, 0)] + [
+            ("phase", {"direction": direction}, first, first + splits, 1)
+            for first, (direction, *_) in zip((0, splits), self._phases)]
+            + extents, counts, alloc_depth=2)
 
     def diagnostics(self) -> dict:
         return {"superstep_splits": self.superstep_splits}

@@ -193,8 +193,8 @@ def run(spec: ExperimentSpec, trace=None) -> RunResult:
 
     backend = (use_backend(spec.kernels) if spec.kernels is not None
                else contextlib.nullcontext())
-    with backend, cluster.trace_span("run", algorithm=algorithm,
-                                     framework=framework, nodes=nodes):
+    with backend, cluster.tracer.span("run", algorithm=algorithm,
+                                      framework=framework, nodes=nodes):
         try:
             result = runner(dataset, cluster, **merged)
         except ReproError as error:

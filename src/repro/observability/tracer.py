@@ -52,9 +52,6 @@ class _NullSpanHandle:
     def __exit__(self, *exc):
         return False
 
-    def set(self, **attrs) -> None:
-        pass
-
 
 _NULL_SPAN = _NullSpanHandle()
 
@@ -108,10 +105,6 @@ class _SpanHandle:
     def __exit__(self, *exc):
         self._tracer._close(self._index)
         return False
-
-    def set(self, **attrs) -> None:
-        """Attach attributes to the span while it is open."""
-        self._tracer._spans[self._index].attrs.update(attrs)
 
 
 class Tracer(NullTracer):

@@ -138,11 +138,15 @@ class TestBSPEngine:
         with pytest.raises(SimulationError):
             engine.replication_sync_traffic(np.array([0]), 8.0)
 
-    def test_splits_validated(self, graph_small):
-        engine = BSPEngine(graph_small, make_cluster(2), GIRAPH, "1d")
-        stats = engine.edge_messages(np.arange(10), 8.0)
-        with pytest.raises(SimulationError):
-            engine.superstep(np.arange(10), [0.0, 0.0], stats, 8.0, splits=0)
+    def test_splits_validated(self, graph_triangles, ratings_small):
+        # The TC and CF engines refuse the split count where they take
+        # it, before any superstep is charged.
+        for algorithm, data in (("triangle_counting", graph_triangles),
+                                ("collaborative_filtering", ratings_small)):
+            cluster = make_cluster(2)
+            with pytest.raises(SimulationError, match="superstep_splits"):
+                runner(algorithm, "giraph")(data, cluster, superstep_splits=0)
+            assert cluster.metrics().steps == []
 
 
 class TestGraphLab:
