@@ -10,13 +10,13 @@ overlap. All Figure 6 observables accumulate as a side effect.
 A step is checked when it is taken and appended to a columnar step log;
 the log is charged in one vectorized pass — every row exactly as it
 would be alone — when something reads the clock or the metrics. Every
-engine hands over a frontier chunk of rounds or a dense iteration in one
-:meth:`Cluster.supersteps` call, its spans declared as data
-(:class:`Spans`); :meth:`Cluster.superstep` is a chunk of one. A tracer
-reads the clock only after the pending rows are charged, and the
-charged rows' spans are emitted from their own start and end times. A
-deadline is a search of the charged clock. Only a fault schedule or
-recovery policy charges every row as it comes.
+framework hands over a frontier chunk of rounds, a dense iteration or a
+rule-evaluation round in one :meth:`Cluster.supersteps` call, its spans
+declared as data (:class:`Spans`); :meth:`Cluster.superstep` is a chunk
+of one. A tracer reads the clock only after the pending rows are
+charged, and the charged rows' spans are emitted from their own start
+and end times. A deadline is a search of the charged clock. Only a
+fault schedule or recovery policy charges every row as it comes.
 
 Scale extrapolation: experiments run on downscaled proxy datasets but
 report paper-scale numbers. The cluster multiplies every counter (work,
@@ -270,30 +270,10 @@ class Cluster:
         :meth:`supersteps` chunk of one row. ``work``'s counters are
         per-node ``(P,)`` columns or shared scalars (None: no work);
         ``traffic[i, j]`` is the payload bytes node *i* sends node *j*."""
-        if overhead_s < 0:
-            raise SimulationError("overhead_s must be non-negative")
-        work, nodes = _NO_WORK if work is None else work, self.num_nodes
-        columns = (work.streamed_bytes, work.random_bytes, work.ops)
-        for column in columns:
-            shape = getattr(column, "shape", ())
-            if shape and shape != (nodes,):
-                raise SimulationError(f"expected {nodes} work entries, "
-                                      f"got shape {shape}")
-        if traffic is not None:
-            traffic = np.asarray(traffic, dtype=np.float64)
-            if traffic.shape != (nodes, nodes):
-                self._flush()
-                if negative(*(np.multiply(column, self.scale_factor)
-                              for column in columns)).any():
-                    raise SimulationError("work counters must be non-negative")
-                raise SimulationError(f"traffic matrix must be {nodes}x"
-                                      f"{nodes}, got {traffic.shape}")
-        tail = self._tail(work, layer, overlap, overhead_s)
-        # Laid out in the log's next slot, so taking it copies nothing.
-        row = self._rows[len(self._knobs)]
-        row[:nodes], row[nodes:2 * nodes], row[2 * nodes:3 * nodes] = columns
-        row[3 * nodes:] = 0.0 if traffic is None else traffic.ravel()
-        self._take(row[None], tail)
+        self.supersteps(_NO_WORK if work is None else work,
+                        None if traffic is None
+                        else np.asarray(traffic, dtype=np.float64)[None],
+                        overlap, layer, overhead_s)
 
     def supersteps(self, work: ComputeWork, traffic=None,
                    overlap: bool = False, layer: CommLayer = None,
@@ -302,14 +282,15 @@ class Cluster:
         """S supersteps in one call, bit for bit what S :meth:`superstep`
         calls do, each after ``allocate_all(*buffers)`` of its row.
 
-        ``work``'s counters are ``(S, P)`` (or broadcast to it) and
-        ``traffic`` is ``(S, P, P)`` or None; ``overlap`` hides
+        ``work``'s counters are ``(S, P)``, or ``(P,)`` or scalars every
+        row shares (S is 1 if none is ``(S, P)``); ``traffic`` is ``(S, P,
+        P)`` or None (a wrong shape refuses the call); ``overlap`` hides
         communication under computation; ``overhead_s`` is the unscaled
-        fixed cost of each step (a step lasts as long as its slowest
-        node); ``buffers`` is ``(label, (S, P) sizes)`` or None. A mark
-        at position ``p`` of ``marks`` closes an iteration once ``p``
-        rows are taken. ``spans`` (read only while the tracer is on) are
-        the chunk's declared spans, emitted once its rows are charged.
+        fixed cost of each step (a step lasts as long as its slowest node);
+        ``buffers`` is ``(label, (S, P) sizes)`` or None. A mark at
+        position ``p`` of ``marks`` closes an iteration once ``p`` rows are
+        taken. ``spans`` (read only while the tracer is on) are the chunk's
+        declared spans, emitted once its rows are charged.
 
         The rows join the log in a few array copies and are charged with
         it; a traced chunk, or any under a deadline, before the call
@@ -322,10 +303,25 @@ class Cluster:
         if overhead_s < 0:
             raise SimulationError("overhead_s must be non-negative")
         nodes = self.num_nodes
-        columns = np.broadcast_arrays(*(
-            np.asarray(getattr(work, name), dtype=np.float64)
-            for name in _COUNTERS))
-        count = columns[0].shape[0]
+        columns = [np.asarray(getattr(work, name), dtype=np.float64)
+                   for name in _COUNTERS]
+        count = next((len(column) for column in columns if column.ndim == 2),
+                     1)
+        for column in columns:
+            if column.shape not in ((), (nodes,), (count, nodes)):
+                raise SimulationError(f"expected {nodes} work entries, "
+                                      f"got shape {column.shape}")
+        if traffic is not None:
+            traffic = np.asarray(traffic, dtype=np.float64)
+            if traffic.shape != (count, nodes, nodes):
+                self._flush()
+                if negative(*(column * self.scale_factor
+                              for column in columns)).any():
+                    raise SimulationError("work counters must be non-negative")
+                shape = traffic.shape[1:] if traffic.shape[:1] == (count,) \
+                    else traffic.shape
+                raise SimulationError(f"traffic matrix must be {nodes}x"
+                                      f"{nodes}, got {shape}")
         rows = np.empty((count, self._rows.shape[1]))
         for offset, column in enumerate(columns):
             rows[:, offset * nodes:(offset + 1) * nodes] = column

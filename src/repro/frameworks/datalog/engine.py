@@ -28,7 +28,6 @@ import numpy as np
 
 from ...errors import ReproError
 from ...kernels.segments import distinct, pair_traffic
-from ...observability import NULL_TRACER
 from .rules import Head, Rule, Var
 from .table import AggregateTable
 
@@ -50,10 +49,9 @@ class SocialiteEngine:
     """Holds the database and evaluates rules over it."""
 
     def __init__(self, num_shards: int = 1, tuple_bytes: float = 16.0,
-                 vertex_universe: int = 1, tracer=NULL_TRACER):
+                 vertex_universe: int = 1):
         self.num_shards = num_shards
         self.tuple_bytes = tuple_bytes
-        self.tracer = tracer
         self.tables = {}
         from ...graph import partition_vertices_1d
         self.shard_partition = partition_vertices_1d(
@@ -93,12 +91,6 @@ class SocialiteEngine:
 
         producers, stats.work_share = self._shard_accounting(rule, bindings)
         stats.changed = self._fold_head(rule, bindings, producers, stats)
-        if self.tracer.enabled:
-            self.tracer.count("tuples_produced", stats.produced_tuples)
-            self.tracer.count("tuples_scanned_bytes", stats.scanned_bytes)
-            self.tracer.instant("rule", head=rule.head.table,
-                                produced=stats.produced_tuples,
-                                join_rows=stats.join_output_rows)
         return stats
 
     def _shard_accounting(self, rule: Rule, bindings: dict):

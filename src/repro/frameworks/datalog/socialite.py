@@ -35,10 +35,12 @@ optimized version").
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ...algorithms.triangles import require_oriented
-from ...cluster import Cluster, ComputeWork, node_volumes
+from ...cluster import Cluster, ComputeWork, Spans, node_volumes
 from ...errors import ExpressibilityError
 from ...frameworks.base import SOCIALITE, SOCIALITE_PUBLISHED, FrameworkProfile
 from ...graph import CSRGraph, partition_vertices_1d
@@ -59,33 +61,44 @@ def _profile(optimized: bool,
 
 
 def _charge(cluster: Cluster, profile: FrameworkProfile, stats: EvalStats,
+            evaluated, outer=(), counts=(),
             extra_streamed: float = 0.0) -> None:
-    """Convert one rule evaluation's stats into a cluster superstep."""
-    share = stats.work_share if stats.work_share is not None else \
-        np.full(cluster.num_nodes, 1.0 / cluster.num_nodes)
+    """Charge one round of rule evaluation, ``stats``, in one
+    ``supersteps`` call: its row, the iteration mark after it and, while
+    tracing, its spans. Those are the ``outer`` extents (holding the
+    mark); in them ``counts``, then each ``evaluated`` ``(rule, stats)``'s
+    tuple counts and ``rule`` instant; then a ``rule-eval`` span."""
     traffic = stats.traffic * profile.message_overhead_factor
-    span = cluster.tracer.span("rule-eval",
-                              scanned_bytes=stats.scanned_bytes,
-                              join_rows=stats.join_output_rows,
-                              produced=stats.produced_tuples)
     work = ComputeWork(
         # Tail-nested tables are CSR-shaped, so scans stream; the
         # per-tuple head updates and dense-array probes are irregular at
         # cache-line granularity.
-        streamed_bytes=(stats.scanned_bytes * share
+        streamed_bytes=(stats.scanned_bytes * stats.work_share
                         + extra_streamed / cluster.num_nodes
                         + 2.0 * node_volumes(traffic)),
-        random_bytes=0.5 * stats.scanned_bytes * share,
-        ops=stats.ops * share,
+        random_bytes=0.5 * stats.scanned_bytes * stats.work_share,
+        ops=stats.ops * stats.work_share,
         cpu_efficiency=profile.cpu_efficiency,
         cores_fraction=profile.cores_fraction,
         prefetch=profile.prefetch,
     )
-    with span:
-        cluster.superstep(work, traffic,
-                          overlap=profile.overlaps_communication,
-                          layer=profile.comm_layer,
-                          overhead_s=profile.superstep_overhead_s)
+    spans = None
+    if cluster.tracer.enabled:
+        spans = Spans(
+            [*outer, ("rule-eval", {"scanned_bytes": stats.scanned_bytes,
+                                    "join_rows": stats.join_output_rows,
+                                    "produced": stats.produced_tuples},
+                      0, 1, 1)],
+            [*counts, *((0, name, value) for _rule, result in evaluated
+                        for name, value in (
+                            ("tuples_produced", result.produced_tuples),
+                            ("tuples_scanned_bytes", result.scanned_bytes)))],
+            leading=[(0, "rule", {"head": rule.head.table,
+                                  "produced": result.produced_tuples,
+                                  "join_rows": result.join_output_rows})
+                     for rule, result in evaluated])
+    cluster.supersteps(work, traffic[None], marks=(1,), spans=spans,
+                       **profile.step)
 
 
 def _database(graph: CSRGraph, cluster: Cluster, edge: str, *tables,
@@ -95,8 +108,7 @@ def _database(graph: CSRGraph, cluster: Cluster, edge: str, *tables,
     on ``cluster``.
     """
     engine = SocialiteEngine(cluster.num_nodes,
-                             vertex_universe=graph.num_vertices,
-                             tracer=cluster.tracer)
+                             vertex_universe=graph.num_vertices)
     engine.add(TupleTable.of_graph(edge, graph, *weights,
                                    num_shards=cluster.num_nodes))
     for table in tables:
@@ -110,18 +122,16 @@ def _semi_naive(cluster: Cluster, profile: FrameworkProfile,
                 engine: SocialiteEngine, rule: Rule, changed) -> int:
     """Evaluate a recursive rule on its delta until nothing changes.
 
-    One round per delta set, each charged as a rule evaluation; returns
+    One ``round`` per delta set, charged as a rule evaluation; returns
     the number of rounds. ``frontier_size`` counts every round's delta.
     """
     rounds = 0
     while changed.size:
         rounds += 1
-        cluster.tracer.count("frontier_size", int(changed.size))
-        with cluster.tracer.span("round", index=rounds,
-                                delta=int(changed.size)):
-            stats = engine.evaluate(rule, delta_keys=changed)
-            _charge(cluster, profile, stats)
-            cluster.mark_iteration()
+        stats, delta = engine.evaluate(rule, changed), int(changed.size)
+        _charge(cluster, profile, stats, [(rule, stats)],
+                [("round", {"index": rounds, "delta": delta}, 0, 1, 0)],
+                [(0, "frontier_size", delta)])
         changed = stats.changed
     return rounds
 
@@ -150,16 +160,17 @@ def pagerank(graph: CSRGraph, cluster: Cluster, iterations: int = 10,
                             constants)
 
     for iteration in range(iterations):
-        with cluster.tracer.span("iteration", index=iteration):
-            rank_next.reset()
-            stats_const = engine.evaluate(const_rule)
-            stats_main = engine.evaluate(main_rule)
-            stats_main.scanned_bytes += stats_const.scanned_bytes
-            stats_main.ops += stats_const.ops
-            _charge(cluster, profile, stats_main)
-            cluster.mark_iteration()
-            rank.values[:] = rank_next.values
-            rank.present[:] = True
+        rank_next.reset()
+        stats_const = engine.evaluate(const_rule)
+        stats_main = engine.evaluate(main_rule)
+        _charge(cluster, profile, replace(
+            stats_main,
+            scanned_bytes=stats_main.scanned_bytes + stats_const.scanned_bytes,
+            ops=stats_main.ops + stats_const.ops),
+            [(const_rule, stats_const), (main_rule, stats_main)],
+            [("iteration", {"index": iteration}, 0, 1, 0)])
+        rank.values[:] = rank_next.values
+        rank.present[:] = True
 
     ranks = rank.values.copy()
     return AlgorithmResult(
@@ -201,8 +212,9 @@ def triangle_count(graph: CSRGraph, cluster: Cluster,
     profile = _profile(optimized)
     triangle = AggregateTable("triangle", 1, "count", cluster.num_nodes)
     engine = _database(graph, cluster, "edge", triangle)
-    stats = engine.evaluate(parse_rule(
-        "TRIANGLE(0, $INC(1)) :- EDGE(x, y), EDGE(y, z), EDGE(x, z)."))
+    rule = parse_rule(
+        "TRIANGLE(0, $INC(1)) :- EDGE(x, y), EDGE(y, z), EDGE(x, z).")
+    stats = engine.evaluate(rule)
 
     # Distributed join shipping, which the local evaluator cannot see.
     # EDGE is sharded by its first column, so the (x, y) bindings and the
@@ -223,9 +235,8 @@ def triangle_count(graph: CSRGraph, cluster: Cluster,
     # Each length-2-path binding is materialized as a fresh tuple before
     # the semi-join (allocation + copy + later scan): ~40 bytes of
     # traffic per path in the JVM heap.
-    _charge(cluster, profile, stats,
+    _charge(cluster, profile, stats, [(rule, stats)],
             extra_streamed=40.0 * stats.join_output_rows)
-    cluster.mark_iteration()
 
     return AlgorithmResult(
         algorithm="triangle_counting", framework=profile.name,

@@ -127,6 +127,28 @@ class TestFabric:
             cluster.superstep(ComputeWork(ops=np.array([-1.0, 0.0])),
                               traffic=wrong)
 
+    def test_chunk_shape_validation(self):
+        """A chunk's wrong-shaped work column or traffic stack is refused
+        with the one-row messages, in the same order, and takes no row."""
+        cluster, work = Cluster(paper_cluster(2)), \
+            ComputeWork(ops=np.ones((2, 2)))
+        with pytest.raises(SimulationError,
+                           match=r"traffic matrix must be 2x2, got \(3, 3\)"):
+            cluster.supersteps(work, np.zeros((2, 3, 3)))
+        with pytest.raises(SimulationError,
+                           match=r"traffic matrix must be 2x2, "
+                                 r"got \(3, 2, 2\)"):
+            cluster.supersteps(work, np.zeros((3, 2, 2)))
+        with pytest.raises(SimulationError,
+                           match=r"expected 2 work entries, "
+                                 r"got shape \(2, 3\)"):
+            cluster.supersteps(ComputeWork(ops=np.ones((2, 3))),
+                               np.zeros((2, 2, 2)))
+        with pytest.raises(SimulationError, match="work counters"):
+            cluster.supersteps(ComputeWork(ops=-np.ones((2, 2))),
+                               np.zeros((2, 3, 3)))
+        assert not cluster.metrics().steps
+
     def test_slower_layer_takes_longer(self):
         fabric = Fabric(NodeSpec(), 2)
         traffic = np.array([[[0.0, 1e9], [0.0, 0.0]]])
