@@ -14,7 +14,7 @@ one line per cell:
 
 A cell that completes is frozen as five sha256 digests: the *unsorted*
 ``to_dict()`` JSON (so ``extras`` key order counts), the span list with
-attributes and simulated start/end times, the tracer's counters, the
+attributes, parents and simulated start/end times, the tracer's counters, the
 raw answer bytes, and the ``to_dict()`` JSON of the same cell run again
 untraced (traced or not, the cluster charges its step log in batches;
 the tracer reads the charged rows). Every record carries its
@@ -157,7 +157,7 @@ def freeze(execute) -> dict:
         "runtime_s": untraced.runtime_or_none(),
         "result": _sha(cell.to_dict()),
         "spans": _sha([[span.name, span.depth, span.node, span.start_s,
-                        span.end_s, span.attrs]
+                        span.end_s, span.attrs, span.parent]
                        for span in cell.trace.spans]),
         # peak-rss is the host's memory, not the simulated machine's.
         "counters": _sha({name: total

@@ -496,7 +496,7 @@ def state(cluster: Cluster) -> dict:
                       for node in range(cluster.num_nodes)],
            "recovery": cluster.recovery_stats().to_dict()}
     if tracer.enabled:
-        out["spans"] = [[span.name, span.depth, span.node,
+        out["spans"] = [[span.name, span.depth, span.parent, span.node,
                          _bits(span.start_s), _bits(span.end_s),
                          _bits(list(span.attrs.items()))]
                         for span in tracer.spans]
