@@ -13,10 +13,11 @@ would be alone — when something reads the clock or the metrics. Every
 framework hands over a frontier chunk of rounds, a dense iteration or a
 rule-evaluation round in one :meth:`Cluster.supersteps` call, its spans
 declared as data (:class:`Spans`); :meth:`Cluster.superstep` is a chunk
-of one. A tracer reads the clock only after the pending rows are
-charged, and the charged rows' spans are emitted from their own start
-and end times. A deadline is a search of the charged clock. Only a
-fault schedule or recovery policy charges every row as it comes.
+of one. Traced or not, the rows are charged in the same passes: a trace
+is a view of the charged log, rendered from the kept records when the
+tracer reads its clock or its spans, each row at its own start and end.
+A deadline is a search of the charged clock. Only a fault schedule or
+recovery policy charges every row as it comes.
 
 Scale extrapolation: experiments run on downscaled proxy datasets but
 report paper-scale numbers. The cluster multiplies every counter (work,
@@ -29,8 +30,8 @@ dominate BFS exactly as in the paper.
 
 from __future__ import annotations
 
+import collections
 import contextlib
-import functools
 import math
 from typing import NamedTuple
 
@@ -57,6 +58,9 @@ _STEP, _TICK, _MARK = 0, 1, 2
 _LOG_BYTES = 256 * 2**10
 _NO_WORK = ComputeWork()
 _COUNTERS = ("streamed_bytes", "random_bytes", "ops")
+#: A ``superstep`` span's attributes, read off its :class:`StepRecord`.
+_SUPERSTEP = ("index", "compute_s", "comm_s", "bytes_sent",
+              "peak_bandwidth", "overhead_s")
 #: The RunMetrics totals a superstep adds to, in the order of rows 1-11
 #: of ``_charge_steps``' columns (row 0 is the step time); then the
 #: per-node ones.
@@ -101,18 +105,94 @@ class Spans(NamedTuple):
     alloc_depth: int = 1
 
 
-class _Chunk:
-    """A traced :meth:`Cluster.supersteps` call's :class:`Spans`, opened
-    and closed as the walk of the charged log reaches its rows."""
+class _View:
+    """A traced run's trace as a view of its charged log: each charged
+    entry ``(kind, start, end, what)``, and ``events`` at log positions
+    (a chunk's :class:`Spans`, a row of it starting: ``"row"``, or
+    ``"buffer"`` if its buffer did not fit, and the chunk's end: None),
+    rendered into the tracer when it reads its clock."""
 
-    def __init__(self, tracer, spans: Spans):
-        self.tracer, self.open = tracer, []
-        self.extents = sorted(spans.extents, key=lambda span: span[2::2])
-        self.alloc_depth = spans.alloc_depth
-        self.rows = {}      # row -> (counts, instants, leading)
-        for kind, entries in enumerate((spans.counts, spans.instants,
-                                        spans.leading)):
-            for row, *entry in entries:
+    def __init__(self, tracer):
+        self.tracer, self.entries, self.events = tracer, [], \
+            collections.deque()
+        self.position, self.at = 0, None   # entries[0]'s; the walk's clock
+        self._event(Spans())
+
+    def keep(self, kinds, elapsed, dt, steps, marks) -> None:
+        """One charged pass's entries: ``what`` is a tick's seconds, a
+        mark's index and time, or a step's :class:`StepRecord` and
+        per-node compute, comm and ``bytes_out``."""
+        steps, marks = iter(steps), iter(marks)
+        self.entries.extend(
+            (kind, elapsed[position], elapsed[position + 1],
+             dt[position] if kind == _TICK
+             else next(marks if kind == _MARK else steps))
+            for position, kind in enumerate(kinds))
+
+    def note(self, pending: int, event) -> None:
+        """``event`` after ``pending`` entries not yet charged. Events
+        kept past that lie in rows a refusal dropped: they follow it."""
+        position = self.position + len(self.entries) + pending
+        later = []
+        while self.events and self.events[-1][0] > position:
+            later.append((position, self.events.pop()[1]))
+        self.events.extend([(position, event)] + later[::-1])
+
+    def render(self, end_s: float) -> None:
+        """The kept records as tracer calls, in log order, up to the
+        log's end at ``end_s``; the host's peak RSS sampled once."""
+        entries, events, tracer = self.entries, self.events, self.tracer
+        for position, entry in enumerate(entries + [None], self.position):
+            self.at = end_s if entry is None else entry[1]
+            while events and events[0][0] <= position:
+                self._event(events.popleft()[1])
+            if entry is None:
+                break
+            kind, start, end, what = entry
+            if kind == _TICK:
+                tracer.record("tick", start, what)
+            elif kind == _MARK:
+                self.mark(*what)
+            else:
+                self.step(start, end, *what)
+        if entries:
+            sample_peak_rss(tracer)
+            self.position += len(entries)
+            entries.clear()
+        self.at = None
+
+    def step(self, start: float, end: float, record, nodes) -> None:
+        """A superstep's ``bytes_sent`` count and span, with a
+        ``compute`` and a ``comm`` record per busy node under it."""
+        tracer = self.tracer
+        self.begin()
+        if record.bytes_sent > 0:
+            tracer.count("bytes_sent", record.bytes_sent)
+        with tracer.span("superstep", **{name: getattr(record, name)
+                                         for name in _SUPERSTEP}):
+            for node, (busy, comm, out) in enumerate(zip(*nodes)):
+                if busy > 0:
+                    tracer.record("compute", start, busy, node=node)
+                if comm > 0:
+                    # Overlapped communication hides under compute;
+                    # otherwise it follows it (BSP phase order).
+                    tracer.record("comm", start if record.overlap
+                                  else start + busy, comm, node=node,
+                                  bytes_out=out)
+            self.at = end
+        self.begun, self.row = False, self.row + 1
+
+    def _event(self, event) -> None:
+        if event is None:
+            self.close()
+            event = Spans()
+        if not isinstance(event, Spans):
+            return self.begin(outer=event == "buffer")
+        self.extents = sorted(event.extents, key=lambda span: span[2::2])
+        self.alloc_depth, self.open, self.rows = event.alloc_depth, [], {}
+        for kind, entries in enumerate((event.counts, event.instants,
+                                        event.leading)):
+            for row, *entry in entries:    # row -> (counts, instants, leading)
                 self.rows.setdefault(row, ([], [], []))[kind].append(entry)
         self.row = self.taken = 0
         self.begun = False
@@ -139,17 +219,17 @@ class _Chunk:
                 self.tracer.instant(name, **attrs)
             counts = ()
 
-    def mark(self, emit) -> None:
-        """``emit`` one of the iteration marks after ``self.row`` rows:
-        inside the depth-0 extent that ends there (or an empty one
-        there), else between extents."""
+    def mark(self, index: int, time_s: float) -> None:
+        """An iteration mark after ``self.row`` rows: inside the depth-0
+        extent that ends there (or an empty one there), else between
+        extents."""
         row = self.row
         self.close(row, holders=False)
         if not (self.open and self.open[-1][0] <= row) \
                 and self.extents[self.taken:self.taken + 1] \
                 and self.extents[self.taken][2:] == (row, row, 0):
             self._open(row, keep=True)
-        emit()
+        self.tracer.instant("iteration-mark", index=index, time_s=time_s)
         self.close(row)
 
     def _open(self, row: int, keep: bool = False) -> None:
@@ -178,16 +258,18 @@ class Cluster:
                  deadline_s: float = None):
         if scale_factor <= 0:
             raise SimulationError("scale_factor must be positive")
-        if deadline_s is not None and deadline_s <= 0:
-            raise SimulationError("deadline_s must be positive")
+        if deadline_s is not None and not 0 < deadline_s < math.inf:
+            raise SimulationError(f"deadline_s must be finite and positive, "
+                                  f"got {deadline_s}")
         self.spec = spec
         self.comm_layer = comm_layer
         self.scale_factor = float(scale_factor)
         self.cost = CostModel(spec.node)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # A span or count taken outside the log reads the clock after
-        # the pending rows are charged (and their spans emitted).
-        self.tracer.bind_clock(lambda: self.elapsed_s)
+        # the pending rows are charged and the trace rendered up to them.
+        self._view = _View(self.tracer) if self.tracer.enabled else None
+        self.tracer.bind_clock(self._clock)
         self.fabric = Fabric(spec.node, spec.num_nodes)
         self._memory = [
             MemoryTracker(i, spec.node.dram_bytes, scale_factor, enforce_memory)
@@ -222,8 +304,8 @@ class Cluster:
         self._checkpoint_state_bytes = 0.0   # per-node max, paper scale
         # -- the step log: rows are charged when something reads the
         # clock or the metrics, the log is full, or the layer changes;
-        # with a deadline (or a traced chunk), at the end of the call
-        # that took them.
+        # with a deadline, at the end of the call that took them. A
+        # tracer changes none of this: it reads the charged entries.
         # Recovery replays steps, so under faults or a recovery policy
         # every row is charged as it comes (eager).
         width = 3 * spec.num_nodes + spec.num_nodes ** 2
@@ -232,7 +314,6 @@ class Cluster:
         self._layer, self._rates = comm_layer, {}
         self._suspect = False    # a pending row may fail a check
         self._eager = self.recovery is not None
-        self._chunk = None  # the traced chunk being taken
 
     # -- basic accessors -----------------------------------------------------
 
@@ -243,6 +324,17 @@ class Cluster:
     @property
     def elapsed_s(self) -> float:
         self._flush()
+        return self._elapsed
+
+    def _clock(self) -> float:
+        """The tracer's clock: the pending rows charged and the trace
+        rendered up to them first; while rendering, the render's time."""
+        view = self._view
+        if view is not None and view.at is not None:
+            return view.at
+        self._flush()
+        if view is not None:
+            view.render(self._elapsed)
         return self._elapsed
 
     def memory(self, node_id: int) -> MemoryTracker:
@@ -289,14 +381,14 @@ class Cluster:
         fixed cost of each step (a step lasts as long as its slowest node);
         ``buffers`` is ``(label, (S, P) sizes)`` or None. A mark at
         position ``p`` of ``marks`` closes an iteration once ``p`` rows are
-        taken. ``spans`` (read only while the tracer is on) are the chunk's
-        declared spans, emitted once its rows are charged.
+        taken. ``spans`` (kept only while the tracer is on) are the chunk's
+        declared spans, rendered with its rows once they are charged.
 
         The rows join the log in a few array copies and are charged with
-        it; a traced chunk, or any under a deadline, before the call
-        returns. Within the chunk the first event in row order decides: a
-        buffer that does not fit, a row a check refuses, or the first row
-        over the deadline; nothing after it is allocated or charged. Only
+        it, traced or not; under a deadline, before the call returns.
+        Within the chunk the first event in row order decides: a buffer
+        that does not fit, a row a check refuses, or the first row over
+        the deadline; nothing after it is allocated or charged. Only
         under a fault schedule or recovery policy is each row charged
         alone, between its checkpoint and its faults.
         """
@@ -343,9 +435,9 @@ class Cluster:
         suspect = [not (low >= 0 and high * scale < math.inf and finite)
                    for low, high in zip(rows.min(1).tolist(),
                                         rows.max(1).tolist())]
-        if spans is not None and self.tracer.enabled and count + len(marks):
-            self._flush()   # the walk then meets only this chunk's entries
-            self._chunk = _Chunk(self.tracer, spans)
+        declared = spans is not None and count + len(marks) > 0
+        if declared:
+            self._note(spans)
         first = self._steps
         # Taken one at a time, a row's marks are charged before it.
         lead = [0] * (count + 1) if eager else at
@@ -369,8 +461,7 @@ class Cluster:
                         self._append(rows, row, taken, tail, lead)
                         self._marks(lead[taken])
                         self._flush()
-                        if self._chunk is not None:
-                            self._chunk.begin(outer=True)
+                        self._note("buffer")
                         raise
                 if eager:
                     step_faults = self._before_step()
@@ -385,8 +476,7 @@ class Cluster:
                                or len(self._knobs) == len(self._rows))
                 row = end
             self._marks(at[count])
-            self._flush_if(eager or self._chunk is not None
-                           or self.deadline_s is not None)
+            self._flush_if(eager or self.deadline_s is not None)
         except DeadlineExceeded:
             if saved is not None:   # only the rows through the crossing
                 for tracker, (allocations, peak) in zip(self._memory, saved):
@@ -395,16 +485,21 @@ class Cluster:
                 for taken in range(self._steps - first):
                     self.allocate_all(buffers[0], buffers[1][taken])
             raise
-        finally:    # as ``with`` blocks close when a raise ends the run
-            if self._chunk is not None:
-                self._chunk.close()
-                self._chunk = None
+        finally:    # the chunk ends here, raised or not
+            if declared:
+                self._note(None)
+
+    def _note(self, event) -> None:
+        """Keep ``event`` at the log's end for the trace: a chunk's
+        :class:`Spans`, a row of it starting (``"row"``, ``"buffer"``),
+        or its end (None)."""
+        if self._view is not None:
+            self._view.note(len(self._kinds), event)
 
     def _before_step(self):
-        """A lone step's part before it is charged: its declared spans
-        open, its checkpoint if one is due; returns its faults."""
-        if self._chunk is not None:
-            self._chunk.begin()
+        """A lone step's part before it is charged: its row starts (in
+        the trace), its checkpoint if one is due; returns its faults."""
+        self._note("row")
         index = self._steps
         step_faults = None if self.faults is None \
             else self.faults.at(index, self.num_nodes, self.recovery.retry)
@@ -472,8 +567,8 @@ class Cluster:
     def _flush(self, step_faults=None):
         """Charge every pending row of the log in one vectorized pass:
         the clock, :class:`RunMetrics`, the step records, the iteration
-        times and (with a tracer) the spans. Returns the network's fault
-        info of a lone chaos step.
+        times and (with a tracer) the records its view renders. Returns
+        the network's fault info of a lone chaos step.
 
         A step a check refuses raises its ``SimulationError`` once the
         rows before it are charged; it and any later rows are dropped,
@@ -496,8 +591,7 @@ class Cluster:
                 self._truncate(int(np.flatnonzero(is_step)[row]))
                 self._suspect = False
                 self._flush()
-                if self._chunk is not None:
-                    self._chunk.begin()
+                self._note("row")
                 raise SimulationError(message)
             dt[is_step] = steps["totals"][0]
         elapsed = np.add.accumulate(np.concatenate(([self._elapsed], dt)))
@@ -520,7 +614,8 @@ class Cluster:
                 getattr(metrics, name)[:] = total
             metrics.peak_network_bandwidth = max(
                 [metrics.peak_network_bandwidth] + steps["peaks"])
-            metrics.steps.extend(map(StepRecord, *steps["records"]))
+            records = list(map(StepRecord, *steps["records"]))
+            metrics.steps.extend(records)
         totals = _fold([metrics.total_core_seconds, metrics.tick_time_s,
                         self._since_checkpoint_s]
                        + [getattr(metrics, name) for name in _TOTALS],
@@ -529,7 +624,7 @@ class Cluster:
             self._since_checkpoint_s = totals[:3]
         for name, total in zip(_TOTALS, totals[3:]):
             setattr(metrics, name, total)
-        marked = []
+        marked = ()
         if _MARK in self._kinds:
             ends = elapsed[1:][kinds == _MARK]
             marked = (ends - np.concatenate(
@@ -539,9 +634,13 @@ class Cluster:
         last = self._kinds[-1]
         self._kinds, self._seconds, self._knobs = [], [], []
         self._suspect = False
-        if self.tracer.enabled:
-            self._trace(kinds.tolist(), elapsed.tolist(), dt.tolist(), steps,
-                        marked)
+        if self._view is not None:
+            self._view.keep(kinds.tolist(), elapsed.tolist(), dt.tolist(),
+                            () if steps is None else zip(records, np.stack(
+                                (steps["compute"], steps["report"].comm_times,
+                                 steps["report"].bytes_out), 1).tolist()),
+                            enumerate(marked, len(metrics.iteration_times)
+                                      - len(marked)))
         self._elapsed = metrics.total_time_s = float(elapsed[-1])
         if last == _STEP:
             self._check_deadline(f"superstep {steps['records'][0][-1]}")
@@ -616,56 +715,6 @@ class Cluster:
                         overlap.tolist()],
         }
 
-    def _trace(self, kinds, elapsed, dt, steps, marked) -> None:
-        """The spans of the entries just charged, each at its own start
-        and end on the clock, inside the declared spans of the chunk
-        being taken: a ``tick`` record per tick, an ``iteration-mark``
-        instant per mark, and per superstep its ``bytes_sent`` count and
-        ``superstep`` span with a ``compute`` and a ``comm`` record per
-        busy node under it. The host's peak RSS is sampled once."""
-        tracer, chunk = self.tracer, self._chunk
-        if steps is not None:
-            records = list(zip(*steps["records"]))
-            nodes = list(zip(steps["compute"].tolist(),
-                             steps["report"].comm_times.tolist(),
-                             steps["report"].bytes_out.tolist()))
-        first_mark = len(self._metrics.iteration_times) - len(marked)
-        step = mark = 0
-        for position, kind in enumerate(kinds):
-            self._elapsed = start = elapsed[position]
-            if kind == _TICK:
-                tracer.record("tick", start, dt[position])
-            elif kind == _MARK:
-                emit = functools.partial(
-                    tracer.instant, "iteration-mark",
-                    index=first_mark + mark, time_s=marked[mark])
-                emit() if chunk is None else chunk.mark(emit)
-                mark += 1
-            else:
-                if chunk is not None:
-                    chunk.begin()
-                (index, _time, compute_s, comm_s, sent, peak, _memory, _cpu,
-                 overhead, overlap) = records[step]
-                if sent > 0:
-                    tracer.count("bytes_sent", sent)
-                with tracer.span("superstep", index=index, compute_s=compute_s,
-                                 comm_s=comm_s, bytes_sent=sent,
-                                 peak_bandwidth=peak, overhead_s=overhead):
-                    for node, (busy, comm, out) in enumerate(zip(*nodes[step])):
-                        if busy > 0:
-                            tracer.record("compute", start, busy, node=node)
-                        if comm > 0:
-                            # Overlapped communication hides under compute;
-                            # otherwise it follows it (BSP phase order).
-                            tracer.record("comm", start if overlap
-                                          else start + busy, comm,
-                                          node=node, bytes_out=out)
-                    self._elapsed = elapsed[position + 1]
-                if chunk is not None:
-                    chunk.begun, chunk.row = False, chunk.row + 1
-                step += 1
-        sample_peak_rss(tracer)
-
     def _check_deadline(self, what: str = "") -> None:
         """Stop the run once the simulated clock passes its budget."""
         if self.deadline_s is not None and self._elapsed > self.deadline_s:
@@ -694,7 +743,7 @@ class Cluster:
         largest = max(per_node)
         write_s = largest / self.spec.node.disk_bandwidth \
             + policy.checkpoint_overhead_s
-        self.tracer.record("checkpoint", self._elapsed, write_s,
+        self.tracer.record("checkpoint", self._clock(), write_s,
                            superstep=superstep, bytes=float(sum(per_node)))
         self._charge(write_s)
         stats = self._recovery_stats
@@ -754,7 +803,7 @@ class Cluster:
             / self.spec.node.disk_bandwidth
         replay_s = self._since_checkpoint_s
         total_s = policy.detect_timeout_s + restore_s + replay_s
-        self.tracer.record("recovery", self._elapsed, total_s, node=node,
+        self.tracer.record("recovery", self._clock(), total_s, node=node,
                            superstep=superstep, restore_s=restore_s,
                            replay_s=replay_s,
                            detect_s=policy.detect_timeout_s)

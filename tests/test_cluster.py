@@ -358,6 +358,14 @@ class TestCluster:
             cluster.superstep(**step)
         assert cluster.elapsed_s == 0.0 and not cluster.metrics().steps
 
+    @pytest.mark.parametrize("deadline_s", [
+        0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_deadline_must_be_finite_and_positive(self, deadline_s):
+        """``deadline_s <= 0`` let NaN through: such a cluster charged
+        every call at once and never stopped."""
+        with pytest.raises(SimulationError, match="deadline_s"):
+            Cluster(paper_cluster(1), deadline_s=deadline_s)
+
     def test_work_mutated_negative_is_a_typed_error(self):
         # Was a bare ValueError out of the scaled copy's constructor.
         work = ComputeWork(streamed_bytes=4.0)

@@ -14,9 +14,10 @@ import json
 import pytest
 
 from repro.algorithms.registry import FRAMEWORKS
+from repro.cluster import Cluster
 from repro.datagen import rmat_graph, rmat_triangle_graph
 from repro.errors import ReproError
-from repro.harness import ExperimentSpec, default_params, run
+from repro.harness import ExperimentSpec, default_params, freeze, run
 from repro.observability import (
     NULL_TRACER,
     NullTracer,
@@ -327,6 +328,25 @@ class TestEveryFramework:
         traced = _traced("pagerank", "giraph", graph_small, iterations=2)
         assert plain.runtime() == traced.runtime()
         assert (plain.result.values == traced.result.values).all()
+
+    @pytest.mark.parametrize("key", [
+        key for key, _ in freeze.cells() if key.endswith("/4/x1/mem")])
+    def test_tracing_does_not_move_the_charge_passes(self, key,
+                                                     monkeypatch):
+        """A trace is a view of the charged log: a traced run charges
+        its steps in the same passes as the untraced one."""
+        passes, charge = [], Cluster._charge_steps
+
+        def counted(cluster, *args):
+            passes[-1] += 1
+            return charge(cluster, *args)
+
+        monkeypatch.setattr(Cluster, "_charge_steps", counted)
+        execute = dict(freeze.cells())[key]
+        for trace in (None, Tracer()):
+            passes.append(0)
+            execute(trace=trace)
+        assert passes[0] == passes[1]
 
     def test_oom_run_still_closes_spans(self):
         graph = rmat_triangle_graph(scale=8, edge_factor=6, seed=72)
