@@ -183,6 +183,7 @@ class _View:
         self.begun, self.row = False, self.row + 1
 
     def _event(self, event) -> None:
+        """Apply one event; outside a chunk the walk holds an empty one."""
         if event is None:
             self.close()
             event = Spans()

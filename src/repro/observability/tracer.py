@@ -133,8 +133,8 @@ class Tracer(NullTracer):
         Every event reads the clock before it is recorded, and so does
         every read of :attr:`spans`, :attr:`counters` and
         :attr:`counter_samples`: the cluster's clock charges its pending
-        rows first, so their spans come before the event and a reader
-        sees them."""
+        rows and renders the trace of its charged log first, so their
+        spans come before the event and a reader sees them."""
         self._clock = clock
 
     def now(self) -> float:
@@ -211,7 +211,7 @@ class Tracer(NullTracer):
 
     def gauge_max(self, name: str, value: float) -> None:
         """Raise a named high-water mark (still monotone, so it exports
-        like a counter). Used for ``peak-rss`` samples, one per charged
+        like a counter). Used for ``peak-rss`` samples, one per rendered
         batch of supersteps — the value is a level, not an increment, so
         ``count`` would be wrong."""
         now, value = self.now(), float(value)

@@ -361,8 +361,8 @@ class TestCluster:
     @pytest.mark.parametrize("deadline_s", [
         0.0, -1.0, float("nan"), float("inf"), float("-inf")])
     def test_deadline_must_be_finite_and_positive(self, deadline_s):
-        """``deadline_s <= 0`` let NaN through: such a cluster charged
-        every call at once and never stopped."""
+        """A NaN budget would charge every call at once and never stop
+        the run; an infinite one is no budget at all."""
         with pytest.raises(SimulationError, match="deadline_s"):
             Cluster(paper_cluster(1), deadline_s=deadline_s)
 

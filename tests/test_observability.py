@@ -11,12 +11,13 @@ keep working for every framework in the registry.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.algorithms.registry import FRAMEWORKS
-from repro.cluster import Cluster
+from repro.cluster import Cluster, ComputeWork, Spans, paper_cluster
 from repro.datagen import rmat_graph, rmat_triangle_graph
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from repro.harness import ExperimentSpec, default_params, freeze, run
 from repro.observability import (
     NULL_TRACER,
@@ -74,6 +75,36 @@ class TestTracerMechanics:
         assert tracer.counters["messages"] == 7
         # Samples record the running total at each bump.
         assert [s[2] for s in tracer.counter_samples] == [3, 7]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_a_row_refused_after_its_chunk_returned(self):
+        """Finite entries whose sum overflows are refused when the log is
+        next charged, traced or not: the trace shows that row starting
+        inside its chunk's extents, and nothing of the rows after it."""
+        def chunk(cluster, name, streamed):
+            rows = len(streamed)
+            cluster.supersteps(
+                ComputeWork(streamed_bytes=np.array(streamed)),
+                marks=range(1, rows + 1),
+                spans=Spans([(name, {"row": row}, row, row + 1, 0)
+                             for row in range(rows)],
+                            [(row, "rows", 1.0) for row in range(rows)]))
+
+        cluster = Cluster(paper_cluster(2), tracer=Tracer())
+        chunk(cluster, "a", [[1.0, 1.0]])
+        chunk(cluster, "b", [[1.0, 1.0], [1e308, 1e308], [1.0, 1.0]])
+        chunk(cluster, "c", [[1.0, 1.0]])
+        with pytest.raises(SimulationError, match="superstep 2"):
+            cluster.metrics()
+        tracer = cluster.tracer
+        assert [(span.name, span.attrs, span.parent)
+                for span in tracer.spans if span.depth == 0] == [
+            ("a", {"row": 0}, None), ("b", {"row": 0}, None),
+            ("b", {"row": 1}, None)]
+        refused = tracer.spans_named("b")[-1]
+        assert refused.start_s == refused.end_s == cluster.elapsed_s
+        assert tracer.counters["rows"] == 3.0
+        assert not tracer.open_spans()
 
     def test_null_tracer_is_inert(self):
         tracer = NullTracer()
